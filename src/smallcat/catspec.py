@@ -28,9 +28,11 @@ Block kinds and their entries:
   lines makes the operad cyclic); permutations are ``p``-prefixed digit
   strings of images, e.g. ``p21`` for the transposition.
 - ``complex NAME P LO HI``: ``dim K D`` / ``d K ROW COL VAL`` (entries of
-  the degree-raising differential out of degree ``K``).
+  the degree-raising differential out of degree ``K``); ``P`` must be prime.
 
-Every block is validated by its module validator on load, and every
+An entry line whose keyword is not one of its block kind's, or whose token
+count differs from the forms above, is rejected by :func:`parse`.  Every
+block is validated by its module validator on load, and every
 cross-reference must resolve; violations raise :class:`CatspecError` with
 the offending line.
 """
@@ -51,12 +53,23 @@ from .fincat import (
     validate_group,
 )
 
-BLOCK_KINDS = ("category", "functor", "group", "action", "involution",
-               "diagram", "dmap", "sset", "rsset", "operad", "complex")
-
-_HEADER_PARAMS = {"category": 0, "functor": 2, "group": 0, "action": 2,
-                  "involution": 1, "diagram": 1, "dmap": 2, "sset": 1,
-                  "rsset": 1, "operad": 1, "complex": 3}
+# Per block kind: the number of header parameters after the name, and the
+# number of tokens after the keyword of each entry keyword.
+_GRAMMAR = {
+    "category": (0, {"object": 1, "morphism": 3, "identity": 2, "compose": 3}),
+    "functor": (2, {"object": 2, "morphism": 2}),
+    "group": (0, {"element": 1, "identity": 1, "mult": 3, "inverse": 2}),
+    "action": (2, {"map": 2}),
+    "involution": (1, {"object": 2, "morphism": 2}),
+    "diagram": (1, {"element": 2, "map": 3}),
+    "dmap": (2, {"at": 3}),
+    "sset": (1, {"simplex": 2, "act": 3}),
+    "rsset": (1, {"simplex": 2, "act": 3}),
+    "operad": (1, {"element": 2, "unit": 1, "compose": 4, "act": 4,
+                   "cycact": 4}),
+    "complex": (3, {"dim": 2, "d": 4}),
+}
+BLOCK_KINDS = tuple(_GRAMMAR)
 
 
 class CatspecError(ValueError):
@@ -114,7 +127,7 @@ def parse(text: str) -> CatspecDocument:
             kind = tokens[0]
             if kind not in BLOCK_KINDS:
                 raise CatspecError(f"unknown block kind {kind!r}", lineno)
-            want = _HEADER_PARAMS[kind]
+            want = _GRAMMAR[kind][0]
             if len(tokens) != 2 + want:
                 raise CatspecError(
                     f"{kind} header takes a name and {want} parameter(s)", lineno)
@@ -131,6 +144,13 @@ def parse(text: str) -> CatspecDocument:
                                 tuple(current["entries"]), current["line"]))
             current = None
         else:
+            want = _GRAMMAR[current["kind"]][1].get(tokens[0])
+            if want is None:
+                raise CatspecError(f"unknown {current['kind']} entry "
+                                   f"{tokens[0]!r}", lineno)
+            if len(tokens) != 1 + want:
+                raise CatspecError(f"{current['kind']} entry {tokens[0]} "
+                                   f"takes {want} token(s)", lineno)
             current["entries"].append(tuple(tokens))
     if current is not None:
         raise CatspecError(f"unterminated block {current['kind']} "
@@ -178,8 +198,6 @@ def _build_category(block: Block) -> FiniteCategory:
     objects = [e[0] for e in _entries(block, "object")]
     morphisms, source, target = [], {}, {}
     for e in _entries(block, "morphism"):
-        if len(e) != 3:
-            raise CatspecError("morphism takes M SRC TGT", block.line)
         morphisms.append(e[0])
         source[e[0]], target[e[0]] = e[1], e[2]
     identity = {e[0]: e[1] for e in _entries(block, "identity")}
@@ -368,6 +386,9 @@ def load(text: str) -> LoadedDocument:
             p, lo, hi = (int(t) for t in b.params)
         except ValueError:
             raise CatspecError("complex header takes P LO HI", b.line)
+        if not chaincx.is_prime(p):
+            raise CatspecError(f"complex {b.name}: p = {p} is not a prime",
+                               b.line)
         dims = {int(e[0]): int(e[1]) for e in _entries(b, "dim")}
         for k in range(lo, hi + 1):
             dims.setdefault(k, 0)

@@ -17,6 +17,7 @@ two-term complex separating them.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,12 @@ def _zeros(rows: int, cols: int) -> np.ndarray:
 
 def _eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
+
+
+def is_prime(p: int) -> bool:
+    """Whether ``p`` is prime: inverses are taken by Fermat's little theorem,
+    which holds only modulo a prime."""
+    return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
 
 
 def _inv_mod(a: int, p: int) -> int:
@@ -129,6 +136,10 @@ class FiniteComplex:
     hi: int
     dims: dict[int, int]
     diff: dict[int, np.ndarray]
+
+    def __post_init__(self):
+        if not is_prime(self.p):
+            raise ValueError(f"p = {self.p} is not a prime")
 
     def dim(self, k: int) -> int:
         return self.dims.get(k, 0)
@@ -393,6 +404,10 @@ class FiniteAlgebra:
     dim: int
     structure: np.ndarray    # shape (dim, dim, dim)
     unit: np.ndarray         # shape (dim,)
+
+    def __post_init__(self):
+        if not is_prime(self.p):
+            raise ValueError(f"p = {self.p} is not a prime")
 
     def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.einsum("i,j,ijk->k", x % self.p, y % self.p,

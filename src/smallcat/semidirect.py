@@ -35,15 +35,12 @@ from .fincat import (
 from .setval import (
     DiagramMap,
     SetDiagram,
-    colimit,
-    comma_over,
     connected_components,
     coproduct_diagrams,
     is_iso_diagram_map,
-    lan,
+    left_kan,
     restrict,
     restrict_map,
-    terminal_objects,
     validate_diagram_map,
 )
 
@@ -196,22 +193,21 @@ def verify_lan_formula(action: GroupAction, F: SetDiagram) -> LanFormulaReport:
     G, C = action.group, action.target
     sd = semidirect(action)
     iota = inclusion_iota(sd)
-    LF = lan(iota, F)
-    left = restrict(iota, LF)
+    kan = left_kan(iota, F)
+    left = restrict(iota, kan.extension)
     right, injections = twisted_coproduct(action, F)
 
     # comma component structure at every object
     comps_ok = True
     for x in C.objects:
-        K = comma_over(iota, x)
+        K = kan.commas[x]
         comps = connected_components(K.category)
         if len(comps) != len(G.elements):
             comps_ok = False
             failures.append(f"comma components at {x}: {len(comps)} != |G|")
-        terms = set(terminal_objects(K.category))
         for comp in comps:
-            # terminal within the component: terminal objects of the full
-            # comma category that lie in the component
+            # an object of the component that every object of the component
+            # maps to uniquely
             wide = [t for t in comp if all(
                 len(K.category.hom(o, t)) == 1 for o in comp)]
             if not wide:
@@ -222,8 +218,7 @@ def verify_lan_formula(action: GroupAction, F: SetDiagram) -> LanFormulaReport:
     components: dict[str, dict[str, str]] = {}
     bijections: dict[str, bool] = {}
     for x in C.objects:
-        K = comma_over(iota, x)
-        colim = colimit(restrict(K.projection, F))
+        K, colim = kan.commas[x], kan.colims[x]
         mapping: dict[str, str] = {}
         for o, (c, m) in K.object_data.items():
             phi, g = sd.pair_of[m]

@@ -4,7 +4,12 @@ A :class:`SetDiagram` is a functor from a finite category to finite sets,
 stored as one value set per object and one function per morphism.  Limits
 are computed as compatible families inside the product, colimits as
 quotients of the tagged disjoint union; left and right Kan extensions are
-computed pointwise over comma categories.
+computed pointwise over comma categories.  :func:`left_kan` and
+:func:`right_kan` build a :class:`LeftKan` or :class:`RightKan` record per
+functor and diagram, holding the commas, (co)limits, extension and
+(co)unit; the transposes and :func:`lan_map` read a record passed to them
+instead of rebuilding it, and the plain functions (:func:`lan`,
+:func:`lan_unit`, ...) build one per call.
 
 Naming is deterministic throughout: disjoint-union tags are pair strings
 ``(object,element)``, colimit classes are named by their lexicographically
@@ -413,11 +418,14 @@ def _comma_category(object_data: dict[str, tuple],
     objects = sorted(object_data)
     morphisms, source, target, identity, compose = [], {}, {}, {}, {}
     morphism_data = {}
+    homs: dict[tuple[str, str], list[str]] = {}
+    for m in C.morphisms:
+        homs.setdefault((C.source[m], C.target[m]), []).append(m)
     for o1 in objects:
         for o2 in objects:
             c1 = object_data[o1][proj_index]
             c2 = object_data[o2][proj_index]
-            for m in C.hom(c1, c2):
+            for m in homs.get((c1, c2), ()):
                 if arrow_ok(object_data[o1], object_data[o2], m):
                     name = f"({m},{o1},{o2})"
                     morphisms.append(name)
@@ -502,7 +510,7 @@ def restrict(iota: CatFunctor, Y: SetDiagram) -> SetDiagram:
     return SetDiagram.build(
         C,
         {c: Y.values[iota.ob_map[c]] for c in C.objects},
-        {m: dict(Y.action[iota.mor_map[m]]) for m in C.morphisms},
+        {m: Y.action[iota.mor_map[m]] for m in C.morphisms},
     )
 
 
@@ -513,20 +521,38 @@ def restrict_map(iota: CatFunctor, h: DiagramMap) -> DiagramMap:
                        for c in C.objects})
 
 
-def _lan_data(iota: CatFunctor, X: SetDiagram):
-    D = iota.codomain
+@dataclass(frozen=True)
+class LeftKan:
+    """The left Kan extension of ``X`` along ``iota``: ``commas[d]`` is the
+    comma category over ``d``, ``colims[d]`` the colimit of ``X`` over it,
+    and ``unit`` maps ``X`` to the restricted ``extension``.  Built by
+    :func:`left_kan`; :func:`lan_transpose` and :func:`lan_map` take it."""
+
+    commas: dict[str, CommaCategory]
+    colims: dict[str, ColimitResult]
+    extension: SetDiagram
+    unit: DiagramMap
+
+
+@dataclass(frozen=True)
+class RightKan:
+    """The right Kan extension of ``X`` along ``iota``: ``commas[d]`` is the
+    comma category under ``d``, ``lims[d]`` the limit of ``X`` over it, and
+    ``counit`` maps the restricted ``extension`` to ``X``.  Built by
+    :func:`right_kan`; :func:`ran_transpose` takes it."""
+
+    commas: dict[str, CommaCategory]
+    lims: dict[str, LimitResult]
+    extension: SetDiagram
+    counit: DiagramMap
+
+
+def left_kan(iota: CatFunctor, X: SetDiagram) -> LeftKan:
+    """The left Kan extension of ``X`` along ``iota``, with its unit."""
+    C, D = iota.domain, iota.codomain
     commas = {d: comma_over(iota, d) for d in D.objects}
-    colims = {}
-    for d in D.objects:
-        K = commas[d]
-        colims[d] = colimit(restrict(K.projection, X))
-    return commas, colims
-
-
-def lan(iota: CatFunctor, X: SetDiagram) -> SetDiagram:
-    """Pointwise left Kan extension of ``X`` along ``iota``."""
-    D = iota.codomain
-    commas, colims = _lan_data(iota, X)
+    colims = {d: colimit(restrict(commas[d].projection, X))
+              for d in D.objects}
     values = {d: colims[d].elements for d in D.objects}
     action = {}
     for psi in D.morphisms:
@@ -542,56 +568,49 @@ def lan(iota: CatFunctor, X: SetDiagram) -> SetDiagram:
                     raise AssertionError("left Kan extension action ill-defined")
                 mapping[src_class] = tgt_class
         action[psi] = mapping
-    out = SetDiagram.build(D, values, action)
-    errs = validate_diagram(out)
+    LX = SetDiagram.build(D, values, action)
+    errs = validate_diagram(LX)
     if errs:
         raise AssertionError("left Kan extension not functorial: " + errs[0])
-    return out
+    unit = {}
+    for c in C.objects:
+        d = iota.ob_map[c]
+        o = pair_name(c, D.identity[d])
+        unit[c] = {e: colims[d].injections[o][e] for e in X.values[c]}
+    return LeftKan(commas, colims, LX, DiagramMap(X, restrict(iota, LX), unit))
 
 
-def lan_map(iota: CatFunctor, h: DiagramMap) -> DiagramMap:
-    """The induced map between left Kan extensions."""
-    D = iota.codomain
-    commas, colims_src = _lan_data(iota, h.source)
-    _, colims_tgt = _lan_data(iota, h.target)
+def lan(iota: CatFunctor, X: SetDiagram) -> SetDiagram:
+    """Pointwise left Kan extension of ``X`` along ``iota``."""
+    return left_kan(iota, X).extension
+
+
+def lan_map(iota: CatFunctor, h: DiagramMap, *,
+            kans: tuple[LeftKan, LeftKan] | None = None) -> DiagramMap:
+    """The induced map between left Kan extensions; ``kans``, if given, is
+    the pair of records of ``h.source`` and ``h.target``."""
+    src, tgt = kans or (left_kan(iota, h.source), left_kan(iota, h.target))
     comps = {}
-    for d in D.objects:
+    for d in iota.codomain.objects:
         mapping = {}
-        for o, (c, phi) in commas[d].object_data.items():
+        for o, (c, phi) in src.commas[d].object_data.items():
             for e in h.source.values[c]:
-                mapping[colims_src[d].injections[o][e]] = \
-                    colims_tgt[d].injections[o][h.components[c][e]]
+                mapping[src.colims[d].injections[o][e]] = \
+                    tgt.colims[d].injections[o][h.components[c][e]]
         comps[d] = mapping
-    return DiagramMap(lan(iota, h.source), lan(iota, h.target), comps)
+    return DiagramMap(src.extension, tgt.extension, comps)
 
 
 def lan_unit(iota: CatFunctor, X: SetDiagram) -> DiagramMap:
     """The unit ``X -> restrict(iota, lan(iota, X))`` of the Kan adjunction."""
+    return left_kan(iota, X).unit
+
+
+def right_kan(iota: CatFunctor, X: SetDiagram) -> RightKan:
+    """The right Kan extension of ``X`` along ``iota``, with its counit."""
     C, D = iota.domain, iota.codomain
-    _, colims = _lan_data(iota, X)
-    LX = lan(iota, X)
-    comps = {}
-    for c in C.objects:
-        d = iota.ob_map[c]
-        o = pair_name(c, D.identity[d])
-        comps[c] = {e: colims[d].injections[o][e] for e in X.values[c]}
-    return DiagramMap(X, restrict(iota, LX), comps)
-
-
-def _ran_data(iota: CatFunctor, X: SetDiagram):
-    D = iota.codomain
     commas = {d: comma_under(d, iota) for d in D.objects}
-    lims = {}
-    for d in D.objects:
-        K = commas[d]
-        lims[d] = limit(restrict(K.projection, X))
-    return commas, lims
-
-
-def ran(iota: CatFunctor, X: SetDiagram) -> SetDiagram:
-    """Pointwise right Kan extension of ``X`` along ``iota``."""
-    D = iota.codomain
-    commas, lims = _ran_data(iota, X)
+    lims = {d: limit(restrict(commas[d].projection, X)) for d in D.objects}
     values = {d: lims[d].elements for d in D.objects}
     action = {}
     for psi in D.morphisms:
@@ -604,48 +623,49 @@ def ran(iota: CatFunctor, X: SetDiagram) -> SetDiagram:
                 fam2[o2] = lims[d].projections[o][fam_name]
             mapping[fam_name] = _family_name(fam2)
         action[psi] = mapping
-    out = SetDiagram.build(D, values, action)
-    errs = validate_diagram(out)
+    RX = SetDiagram.build(D, values, action)
+    errs = validate_diagram(RX)
     if errs:
         raise AssertionError("right Kan extension not functorial: " + errs[0])
-    return out
+    counit = {}
+    for c in C.objects:
+        d = iota.ob_map[c]
+        o = pair_name(D.identity[d], c)
+        counit[c] = {fam: lims[d].projections[o][fam] for fam in RX.values[d]}
+    return RightKan(commas, lims, RX, DiagramMap(restrict(iota, RX), X, counit))
+
+
+def ran(iota: CatFunctor, X: SetDiagram) -> SetDiagram:
+    """Pointwise right Kan extension of ``X`` along ``iota``."""
+    return right_kan(iota, X).extension
 
 
 def ran_counit(iota: CatFunctor, X: SetDiagram) -> DiagramMap:
     """The counit ``restrict(iota, ran(iota, X)) -> X`` of the Kan adjunction."""
-    C, D = iota.domain, iota.codomain
-    _, lims = _ran_data(iota, X)
-    RX = ran(iota, X)
-    comps = {}
-    for c in C.objects:
-        d = iota.ob_map[c]
-        o = pair_name(D.identity[d], c)
-        comps[c] = {fam: lims[d].projections[o][fam] for fam in RX.values[d]}
-    return DiagramMap(restrict(iota, RX), X, comps)
+    return right_kan(iota, X).counit
 
 
 def lan_transpose(iota: CatFunctor, X: SetDiagram, Y: SetDiagram,
-                  f: DiagramMap) -> DiagramMap:
+                  f: DiagramMap, *, kan: LeftKan | None = None) -> DiagramMap:
     """Send ``f: lan(iota, X) -> Y`` to its adjunct ``X -> restrict(iota, Y)``."""
-    return compose_diagram_maps(restrict_map(iota, f), lan_unit(iota, X))
+    return compose_diagram_maps(restrict_map(iota, f),
+                                (kan or left_kan(iota, X)).unit)
 
 
 def ran_transpose(iota: CatFunctor, Y: SetDiagram, X: SetDiagram,
-                  g: DiagramMap) -> DiagramMap:
+                  g: DiagramMap, *, kan: RightKan | None = None) -> DiagramMap:
     """Send ``g: restrict(iota, Y) -> X`` to its adjunct ``Y -> ran(iota, X)``."""
-    D = iota.codomain
-    commas, _ = _ran_data(iota, X)
-    RX = ran(iota, X)
+    R = kan or right_kan(iota, X)
     comps = {}
-    for d in D.objects:
+    for d in iota.codomain.objects:
         mapping = {}
         for y in Y.values[d]:
             fam = {}
-            for o, (phi, c) in commas[d].object_data.items():
+            for o, (phi, c) in R.commas[d].object_data.items():
                 fam[o] = g.components[c][Y.action[phi][y]]
             mapping[y] = _family_name(fam)
         comps[d] = mapping
-    return DiagramMap(Y, RX, comps)
+    return DiagramMap(Y, R.extension, comps)
 
 
 def representable(C: FiniteCategory, x: str) -> SetDiagram:
@@ -720,12 +740,12 @@ def certify_kan_adjunctions(iota: CatFunctor,
     failures: list[str] = []
     checked = 0
 
-    lans = {i: lan(iota, X) for i, X in enumerate(domain_diagrams)}
-    rans = {i: ran(iota, X) for i, X in enumerate(domain_diagrams)}
+    lefts = [left_kan(iota, X) for X in domain_diagrams]
+    rights = [right_kan(iota, X) for X in domain_diagrams]
 
     for xi, X in enumerate(domain_diagrams):
-        LX = lans[xi]
-        RX = rans[xi]
+        LX = lefts[xi].extension
+        RX = rights[xi].extension
         for yi, Y in enumerate(codomain_diagrams):
             checked += 1
             rY = restrict(iota, Y)
@@ -733,7 +753,7 @@ def certify_kan_adjunctions(iota: CatFunctor,
             right_homs = enumerate_diagram_maps(X, rY, node_budget)
             image = {}
             for f in left_homs:
-                t = lan_transpose(iota, X, Y, f)
+                t = lan_transpose(iota, X, Y, f, kan=lefts[xi])
                 if validate_diagram_map(t):
                     failures.append(f"lan transpose not natural (X{xi},Y{yi})")
                     continue
@@ -747,7 +767,7 @@ def certify_kan_adjunctions(iota: CatFunctor,
             right2 = enumerate_diagram_maps(Y, RX, node_budget)
             image2 = {}
             for g in left2:
-                t = ran_transpose(iota, Y, X, g)
+                t = ran_transpose(iota, Y, X, g, kan=rights[xi])
                 if validate_diagram_map(t):
                     failures.append(f"ran transpose not natural (X{xi},Y{yi})")
                     continue
@@ -764,25 +784,28 @@ def certify_kan_adjunctions(iota: CatFunctor,
             us = enumerate_diagram_maps(X2, X, node_budget)[:nb]
             if not us:
                 continue
+            lus = [lan_map(iota, u, kans=(lefts[xj], lefts[xi])) for u in us]
             for yi, Y in enumerate(codomain_diagrams):
-                fs = enumerate_diagram_maps(lans[xi], Y, node_budget)[:nb]
+                fs = enumerate_diagram_maps(lefts[xi].extension, Y,
+                                            node_budget)[:nb]
                 if not fs:
                     continue
                 for yj, Y2 in enumerate(codomain_diagrams):
                     vs = enumerate_diagram_maps(Y, Y2, node_budget)[:nb]
-                    for u in us:
-                        lu = lan_map(iota, u)
+                    for u, lu in zip(us, lus):
                         for v in vs:
                             for f in fs:
                                 checked += 1
                                 lhs = lan_transpose(
                                     iota, X2, Y2,
                                     compose_diagram_maps(
-                                        v, compose_diagram_maps(f, lu)))
+                                        v, compose_diagram_maps(f, lu)),
+                                    kan=lefts[xj])
                                 rhs = compose_diagram_maps(
                                     restrict_map(iota, v),
                                     compose_diagram_maps(
-                                        lan_transpose(iota, X, Y, f), u))
+                                        lan_transpose(iota, X, Y, f,
+                                                      kan=lefts[xi]), u))
                                 if lhs.key() != rhs.key():
                                     failures.append(
                                         "transpose unnatural "

@@ -1,0 +1,243 @@
+"""The Kan-extension code as it was before the extension records.
+
+Every function here recomputes its comma categories and (co)limits from
+scratch.  It is kept, unchanged, as the exhaustive reference that
+``test_setval`` compares :mod:`smallcat.setval` against.
+"""
+from smallcat.fincat import CatFunctor, pair_name
+from smallcat.setval import (
+    AdjunctionReport,
+    DiagramMap,
+    SetDiagram,
+    _family_name,
+    colimit,
+    comma_over,
+    comma_under,
+    compose_diagram_maps,
+    enumerate_diagram_maps,
+    limit,
+    restrict,
+    restrict_map,
+    validate_diagram,
+    validate_diagram_map,
+)
+
+
+def _lan_data(iota: CatFunctor, X: SetDiagram):
+    D = iota.codomain
+    commas = {d: comma_over(iota, d) for d in D.objects}
+    colims = {}
+    for d in D.objects:
+        K = commas[d]
+        colims[d] = colimit(restrict(K.projection, X))
+    return commas, colims
+
+
+def lan(iota: CatFunctor, X: SetDiagram) -> SetDiagram:
+    """Pointwise left Kan extension of ``X`` along ``iota``."""
+    D = iota.codomain
+    commas, colims = _lan_data(iota, X)
+    values = {d: colims[d].elements for d in D.objects}
+    action = {}
+    for psi in D.morphisms:
+        d, d2 = D.source[psi], D.target[psi]
+        mapping: dict[str, str] = {}
+        for o, (c, phi) in commas[d].object_data.items():
+            o2 = pair_name(c, D.compose[(psi, phi)])
+            for e in X.values[c]:
+                src_class = colims[d].injections[o][e]
+                tgt_class = colims[d2].injections[o2][e]
+                prev = mapping.get(src_class)
+                if prev is not None and prev != tgt_class:
+                    raise AssertionError("left Kan extension action ill-defined")
+                mapping[src_class] = tgt_class
+        action[psi] = mapping
+    out = SetDiagram.build(D, values, action)
+    errs = validate_diagram(out)
+    if errs:
+        raise AssertionError("left Kan extension not functorial: " + errs[0])
+    return out
+
+
+def lan_map(iota: CatFunctor, h: DiagramMap) -> DiagramMap:
+    """The induced map between left Kan extensions."""
+    D = iota.codomain
+    commas, colims_src = _lan_data(iota, h.source)
+    _, colims_tgt = _lan_data(iota, h.target)
+    comps = {}
+    for d in D.objects:
+        mapping = {}
+        for o, (c, phi) in commas[d].object_data.items():
+            for e in h.source.values[c]:
+                mapping[colims_src[d].injections[o][e]] = \
+                    colims_tgt[d].injections[o][h.components[c][e]]
+        comps[d] = mapping
+    return DiagramMap(lan(iota, h.source), lan(iota, h.target), comps)
+
+
+def lan_unit(iota: CatFunctor, X: SetDiagram) -> DiagramMap:
+    """The unit ``X -> restrict(iota, lan(iota, X))`` of the Kan adjunction."""
+    C, D = iota.domain, iota.codomain
+    _, colims = _lan_data(iota, X)
+    LX = lan(iota, X)
+    comps = {}
+    for c in C.objects:
+        d = iota.ob_map[c]
+        o = pair_name(c, D.identity[d])
+        comps[c] = {e: colims[d].injections[o][e] for e in X.values[c]}
+    return DiagramMap(X, restrict(iota, LX), comps)
+
+
+def _ran_data(iota: CatFunctor, X: SetDiagram):
+    D = iota.codomain
+    commas = {d: comma_under(d, iota) for d in D.objects}
+    lims = {}
+    for d in D.objects:
+        K = commas[d]
+        lims[d] = limit(restrict(K.projection, X))
+    return commas, lims
+
+
+def ran(iota: CatFunctor, X: SetDiagram) -> SetDiagram:
+    """Pointwise right Kan extension of ``X`` along ``iota``."""
+    D = iota.codomain
+    commas, lims = _ran_data(iota, X)
+    values = {d: lims[d].elements for d in D.objects}
+    action = {}
+    for psi in D.morphisms:
+        d, d2 = D.source[psi], D.target[psi]
+        mapping = {}
+        for fam_name in lims[d].elements:
+            fam2 = {}
+            for o2, (phi2, c) in commas[d2].object_data.items():
+                o = pair_name(D.compose[(phi2, psi)], c)
+                fam2[o2] = lims[d].projections[o][fam_name]
+            mapping[fam_name] = _family_name(fam2)
+        action[psi] = mapping
+    out = SetDiagram.build(D, values, action)
+    errs = validate_diagram(out)
+    if errs:
+        raise AssertionError("right Kan extension not functorial: " + errs[0])
+    return out
+
+
+def ran_counit(iota: CatFunctor, X: SetDiagram) -> DiagramMap:
+    """The counit ``restrict(iota, ran(iota, X)) -> X`` of the Kan adjunction."""
+    C, D = iota.domain, iota.codomain
+    _, lims = _ran_data(iota, X)
+    RX = ran(iota, X)
+    comps = {}
+    for c in C.objects:
+        d = iota.ob_map[c]
+        o = pair_name(D.identity[d], c)
+        comps[c] = {fam: lims[d].projections[o][fam] for fam in RX.values[d]}
+    return DiagramMap(restrict(iota, RX), X, comps)
+
+
+def lan_transpose(iota: CatFunctor, X: SetDiagram, Y: SetDiagram,
+                  f: DiagramMap) -> DiagramMap:
+    """Send ``f: lan(iota, X) -> Y`` to its adjunct ``X -> restrict(iota, Y)``."""
+    return compose_diagram_maps(restrict_map(iota, f), lan_unit(iota, X))
+
+
+def ran_transpose(iota: CatFunctor, Y: SetDiagram, X: SetDiagram,
+                  g: DiagramMap) -> DiagramMap:
+    """Send ``g: restrict(iota, Y) -> X`` to its adjunct ``Y -> ran(iota, X)``."""
+    D = iota.codomain
+    commas, _ = _ran_data(iota, X)
+    RX = ran(iota, X)
+    comps = {}
+    for d in D.objects:
+        mapping = {}
+        for y in Y.values[d]:
+            fam = {}
+            for o, (phi, c) in commas[d].object_data.items():
+                fam[o] = g.components[c][Y.action[phi][y]]
+            mapping[y] = _family_name(fam)
+        comps[d] = mapping
+    return DiagramMap(Y, RX, comps)
+
+
+def certify_kan_adjunctions(iota: CatFunctor,
+                            domain_diagrams: list[SetDiagram],
+                            codomain_diagrams: list[SetDiagram],
+                            naturality_budget: int = 3,
+                            node_budget: int = 2_000_000) -> AdjunctionReport:
+    """Certify the two Kan adjunctions on a finite corpus of diagrams.
+
+    For every corpus pair the transposition for (extend-left, restrict) and
+    for (restrict, extend-right) is checked to be a bijection of hom-sets,
+    and its naturality in both variables is checked against corpus maps
+    (up to ``naturality_budget`` maps per side).
+    """
+    failures: list[str] = []
+    checked = 0
+
+    lans = {i: lan(iota, X) for i, X in enumerate(domain_diagrams)}
+    rans = {i: ran(iota, X) for i, X in enumerate(domain_diagrams)}
+
+    for xi, X in enumerate(domain_diagrams):
+        LX = lans[xi]
+        RX = rans[xi]
+        for yi, Y in enumerate(codomain_diagrams):
+            checked += 1
+            rY = restrict(iota, Y)
+            left_homs = enumerate_diagram_maps(LX, Y, node_budget)
+            right_homs = enumerate_diagram_maps(X, rY, node_budget)
+            image = {}
+            for f in left_homs:
+                t = lan_transpose(iota, X, Y, f)
+                if validate_diagram_map(t):
+                    failures.append(f"lan transpose not natural (X{xi},Y{yi})")
+                    continue
+                image[t.key()] = f
+            if len(image) != len(left_homs):
+                failures.append(f"lan transpose not injective (X{xi},Y{yi})")
+            if set(image) != {h.key() for h in right_homs}:
+                failures.append(f"lan transpose not surjective (X{xi},Y{yi})")
+
+            left2 = enumerate_diagram_maps(rY, X, node_budget)
+            right2 = enumerate_diagram_maps(Y, RX, node_budget)
+            image2 = {}
+            for g in left2:
+                t = ran_transpose(iota, Y, X, g)
+                if validate_diagram_map(t):
+                    failures.append(f"ran transpose not natural (X{xi},Y{yi})")
+                    continue
+                image2[t.key()] = g
+            if len(image2) != len(left2):
+                failures.append(f"ran transpose not injective (X{xi},Y{yi})")
+            if set(image2) != {h.key() for h in right2}:
+                failures.append(f"ran transpose not surjective (X{xi},Y{yi})")
+
+    # naturality of the lan transposition in both variables
+    nb = naturality_budget
+    for xi, X in enumerate(domain_diagrams):
+        for xj, X2 in enumerate(domain_diagrams):
+            us = enumerate_diagram_maps(X2, X, node_budget)[:nb]
+            if not us:
+                continue
+            for yi, Y in enumerate(codomain_diagrams):
+                fs = enumerate_diagram_maps(lans[xi], Y, node_budget)[:nb]
+                if not fs:
+                    continue
+                for yj, Y2 in enumerate(codomain_diagrams):
+                    vs = enumerate_diagram_maps(Y, Y2, node_budget)[:nb]
+                    for u in us:
+                        lu = lan_map(iota, u)
+                        for v in vs:
+                            for f in fs:
+                                checked += 1
+                                lhs = lan_transpose(
+                                    iota, X2, Y2,
+                                    compose_diagram_maps(
+                                        v, compose_diagram_maps(f, lu)))
+                                rhs = compose_diagram_maps(
+                                    restrict_map(iota, v),
+                                    compose_diagram_maps(
+                                        lan_transpose(iota, X, Y, f), u))
+                                if lhs.key() != rhs.key():
+                                    failures.append(
+                                        "transpose unnatural "
+                                        f"(X{xj}->X{xi},Y{yi}->Y{yj})")
+    return AdjunctionReport(not failures, checked, failures)

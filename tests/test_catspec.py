@@ -150,3 +150,24 @@ def test_cyclic_operad_block_roundtrip():
     loaded = load(emit(CatspecDocument((block,))))
     assert "tcyc" in loaded.cyclic_operads
     assert loaded.cyclic_operads["tcyc"].extended == Q.extended
+
+
+@pytest.mark.parametrize("text, line", [
+    ("category C\nobject\nend\n", 2),
+    ("category C\nobject a\nidentity a\nend\n", 3),
+    ("group G\nelement e\nidentity e\nmult e e\nend\n", 4),
+    ("complex K 2 0 0\ndim 0 1\nd 0 0 0\nend\n", 3),
+    ("category C\nobjet a\nend\n", 2),
+])
+def test_malformed_entry_names_its_line(text, line):
+    with pytest.raises(CatspecError) as exc:
+        load(text)
+    assert f"line {line}:" in str(exc.value)
+
+
+@pytest.mark.parametrize("p", ["4", "1", "0", "-3", "9"])
+def test_complex_with_non_prime_p_rejected(p):
+    with pytest.raises(CatspecError) as exc:
+        load(f"complex K {p} 0 0\nend\n")
+    assert "not a prime" in str(exc.value)
+    assert "line 1" in str(exc.value)

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
 from smallcat.chaincx import (
     AlgebraMap,
     ComplexMap,
+    FiniteComplex,
     augmentation_dual_numbers,
     build_complex,
     coinduce,
@@ -18,6 +20,7 @@ from smallcat.chaincx import (
     induce,
     is_degreewise_epi,
     is_degreewise_mono,
+    is_prime,
     is_quasi_iso,
     module_is_free,
     naive_truncate,
@@ -314,3 +317,19 @@ def test_coinduce_exactness_on_short_exact_sequence():
     H2 = induce_module_map(f, g2, plane, line)
     assert not np.any((H2 @ H1) % p)
     assert rank_mod(H1, p) == 2 and rank_mod(H2, p) == 2
+
+
+def test_non_prime_characteristic_rejected():
+    assert [q for q in range(-2, 30) if is_prime(q)] == \
+        [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    for p in (0, 1, 4, 9):
+        with pytest.raises(ValueError):
+            build_complex(p, {0: 1}, {})
+        with pytest.raises(ValueError):
+            zero_complex(p)
+        with pytest.raises(ValueError):
+            field_algebra(p)
+        with pytest.raises(ValueError):
+            dual_numbers(p)
+        with pytest.raises(ValueError):
+            FiniteComplex(p, 0, -1, {}, {})

@@ -244,3 +244,14 @@ def test_cli_determinism_via_subprocess(tmp_path):
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
         assert a.stdout.endswith(b"\n")
+
+
+def test_malformed_entry_exits_2(tmp_path, capsys):
+    for text in ("category C\nobject\nend\n",
+                 "category C\nobject a\nidentity a\nend\n",
+                 "complex K 4 0 0\nend\n"):
+        path = tmp_path / "bad.catspec"
+        path.write_text(text, encoding="utf-8")
+        code, out = run_cli(["validate", str(path)], capsys)
+        assert code == 2
+        assert json.loads(out)["error"].startswith("line ")

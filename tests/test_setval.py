@@ -1,4 +1,6 @@
 
+import random
+
 from smallcat import fincat, setval
 from smallcat.fincat import (
     CatFunctor,
@@ -41,6 +43,9 @@ from smallcat.setval import (
     validate_diagram,
     validate_diagram_map,
 )
+
+import kan_oracle as oracle
+from test_acceptance import tractable_instance
 
 
 def one_object_diagram(values=("x", "y", "z")):
@@ -460,3 +465,86 @@ def test_colimit_and_limit_agree_with_oracles_on_random_sweep():
                 got.setdefault(res.injections[o][e], set()).add((o, e))
         assert {frozenset(v) for v in got.values()} == oracle
         assert len(limit(X).elements) == limit_filter_oracle(X)
+
+
+
+def _arrow_into_chain():
+    """The inclusion of the walking arrow into the 3-chain, two diagrams on
+    the arrow and one on the chain."""
+    C, D = walking_arrow(), chain_category(2)
+    iota = CatFunctor(C, D, {"a": "0", "b": "1"},
+                      {"id_a": "id_0", "id_b": "id_1", "f": "le_0_1"})
+    X = SetDiagram.build(
+        C, {"a": ("u", "v"), "b": ("p",)},
+        {"id_a": {"u": "u", "v": "v"}, "id_b": {"p": "p"},
+         "f": {"u": "p", "v": "p"}})
+    X2 = SetDiagram.build(
+        C, {"a": ("s",), "b": ("t",)},
+        {"id_a": {"s": "s"}, "id_b": {"t": "t"}, "f": {"s": "t"}})
+    Y = SetDiagram.build(
+        D, {"0": ("e",), "1": ("h", "k"), "2": ("w",)},
+        {"id_0": {"e": "e"}, "id_1": {"h": "h", "k": "k"}, "id_2": {"w": "w"},
+         "le_0_1": {"e": "k"}, "le_1_2": {"h": "w", "k": "w"},
+         "le_0_2": {"e": "w"}})
+    return iota, X, X2, Y
+
+
+def _same_map(new: DiagramMap, old: DiagramMap) -> None:
+    assert new == old
+    assert new.key() == old.key()
+
+
+def _check_against_oracle(iota, X, Y, certify_args):
+    """Compare every Kan function with its recomputing copy in
+    ``kan_oracle``; returns the certification report."""
+    assert lan(iota, X) == oracle.lan(iota, X)
+    assert ran(iota, X) == oracle.ran(iota, X)
+    unit, counit = lan_unit(iota, X), ran_counit(iota, X)
+    _same_map(unit, oracle.lan_unit(iota, X))
+    _same_map(counit, oracle.ran_counit(iota, X))
+    # the unit and the counit join two different diagrams, so lan_map reads
+    # two different records
+    for h in (unit, counit, identity_diagram_map(X)):
+        _same_map(lan_map(iota, h), oracle.lan_map(iota, h))
+    kan, rkan = setval.left_kan(iota, X), setval.right_kan(iota, X)
+    for f in enumerate_diagram_maps(lan(iota, X), Y)[:3]:
+        _same_map(setval.lan_transpose(iota, X, Y, f, kan=kan),
+                  oracle.lan_transpose(iota, X, Y, f))
+    for g in enumerate_diagram_maps(restrict(iota, Y), X)[:3]:
+        _same_map(setval.ran_transpose(iota, Y, X, g, kan=rkan),
+                  oracle.ran_transpose(iota, Y, X, g))
+    new = certify_kan_adjunctions(iota, *certify_args)
+    old = oracle.certify_kan_adjunctions(iota, *certify_args)
+    assert (new.ok, new.checked, new.failures) == \
+        (old.ok, old.checked, old.failures)
+    return new
+
+
+def test_kan_records_match_recomputing_oracle():
+    rng = random.Random(20260809)
+    for _ in range(300):
+        iota, X, Y = tractable_instance(rng)
+        _check_against_oracle(iota, X, Y, ([X], [Y], 2))
+
+
+def test_kan_records_match_oracle_on_two_domain_diagrams():
+    iota, X, X2, Y = _arrow_into_chain()
+    rep = _check_against_oracle(
+        iota, X, Y, ([X, X2], [Y, corepresentable(iota.codomain, "0")]))
+    assert rep.ok and rep.checked > 4  # the naturality checks ran
+
+
+def test_certify_builds_each_kan_extension_once(monkeypatch):
+    calls = {"comma_over": 0, "comma_under": 0}
+    for name in calls:
+        original = getattr(setval, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(setval, name, counted)
+    iota, X, _, Y = _arrow_into_chain()
+    rep = certify_kan_adjunctions(iota, [X], [Y])
+    assert rep.ok and rep.checked > 1  # the naturality checks ran
+    n = len(iota.codomain.objects)
+    assert calls == {"comma_over": n, "comma_under": n}
