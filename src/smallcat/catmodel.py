@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .fincat import (
-    BudgetError,
     CatFunctor,
     FiniteCategory,
+    NodeBudget,
     _iter_functors,
     bounded_closure,
     compose_functors,
@@ -30,6 +30,7 @@ from .fincat import (
 from .setval import (
     DiagramMap,
     SetDiagram,
+    _iter_diagram_maps,
     compose_diagram_maps,
     coproduct_diagrams,
     diagram_pushout,
@@ -129,6 +130,16 @@ def is_injective_on_objects(i: CatFunctor) -> bool:
 # lifting problems
 
 
+def _forced(pairs) -> dict | None:
+    """The map sending each key to its value, or None if some key is sent
+    to two values (the square's top contradicts itself along ``i``)."""
+    out: dict = {}
+    for key, value in pairs:
+        if out.setdefault(key, value) != value:
+            return None
+    return out
+
+
 def iter_liftings(sq: LiftingSquare,
                   node_budget: int | None = 2_000_000) -> Iterator[CatFunctor]:
     """Yield every diagonal filler of the square, in lexicographic order."""
@@ -136,24 +147,13 @@ def iter_liftings(sq: LiftingSquare,
     A, B = i.domain, i.codomain
     X = p.domain
 
-    fixed_ob: dict[str, str] = {}
-    for a in A.objects:
-        b = i.ob_map[a]
-        want = top.ob_map[a]
-        if fixed_ob.get(b, want) != want:
-            return
-        fixed_ob[b] = want
+    fixed_ob = _forced((i.ob_map[a], top.ob_map[a]) for a in A.objects)
+    forced_mor = _forced((i.mor_map[m], top.mor_map[m]) for m in A.morphisms)
+    if fixed_ob is None or forced_mor is None:
+        return
     for b in B.objects:
         if b in fixed_ob and p.ob_map[fixed_ob[b]] != bottom.ob_map[b]:
             return
-
-    forced_mor: dict[str, str] = {}
-    for m in A.morphisms:
-        n = i.mor_map[m]
-        want = top.mor_map[m]
-        if forced_mor.get(n, want) != want:
-            return
-        forced_mor[n] = want
 
     def obj_filter(b: str) -> list[str]:
         if b in fixed_ob:
@@ -185,38 +185,43 @@ def solve_lifting(sq: LiftingSquare,
     return None
 
 
+def commuting_squares(i: CatFunctor, p: CatFunctor,
+                      tops: list[CatFunctor], bottoms: list[CatFunctor]
+                      ) -> Iterator[tuple[int, int]]:
+    """Index pairs ``(t, b)`` with ``p . tops[t] == bottoms[b] . i``, in
+    order."""
+    bis = [compose_functors(bottom, i) for bottom in bottoms]
+    for t, top in enumerate(tops):
+        pt = compose_functors(p, top)
+        for b, bi in enumerate(bis):
+            if pt.ob_map == bi.ob_map and pt.mor_map == bi.mor_map:
+                yield t, b
+
+
 def enumerate_squares(i: CatFunctor, p: CatFunctor,
                       node_budget: int | None = 2_000_000) -> list[LiftingSquare]:
     """All commuting squares with ``i`` on the left and ``p`` on the right."""
-    squares = []
     tops = list(_iter_functors(i.domain, p.domain, node_budget=node_budget))
     bottoms = list(_iter_functors(i.codomain, p.codomain, node_budget=node_budget))
-    for top in tops:
-        pt = compose_functors(p, top)
-        for bottom in bottoms:
-            bi = compose_functors(bottom, i)
-            if pt.ob_map == bi.ob_map and pt.mor_map == bi.mor_map:
-                squares.append(LiftingSquare(i, p, top, bottom))
-    return squares
+    return [LiftingSquare(i, p, tops[t], bottoms[b])
+            for t, b in commuting_squares(i, p, tops, bottoms)]
+
+
+def _lifts_all(pairs, node_budget: int | None) -> bool:
+    """Every square on every ``(i, p)`` in ``pairs`` has a diagonal."""
+    return all(solve_lifting(sq, node_budget) is not None
+               for i, p in pairs for sq in enumerate_squares(i, p, node_budget))
 
 
 def has_rlp(test_maps: list[CatFunctor], p: CatFunctor,
             node_budget: int | None = 2_000_000) -> bool:
     """``p`` lifts against every square built on every map in ``test_maps``."""
-    for i in test_maps:
-        for sq in enumerate_squares(i, p, node_budget):
-            if solve_lifting(sq, node_budget) is None:
-                return False
-    return True
+    return _lifts_all(((i, p) for i in test_maps), node_budget)
 
 
 def has_llp(i: CatFunctor, test_maps: list[CatFunctor],
             node_budget: int | None = 2_000_000) -> bool:
-    for p in test_maps:
-        for sq in enumerate_squares(i, p, node_budget):
-            if solve_lifting(sq, node_budget) is None:
-                return False
-    return True
+    return _lifts_all(((i, p) for p in test_maps), node_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -344,60 +349,12 @@ def solve_diagram_lifting(i: DiagramMap, p: DiagramMap,
                           node_budget: int = 500_000) -> DiagramMap | None:
     """A filler for a commuting square of diagram maps, or None."""
     B, X = i.target, p.source
-    shape = B.shape
-    variables = [(o, e) for o in shape.objects for e in B.values[o]]
-    forced: dict[tuple[str, str], str] = {}
-    for o in shape.objects:
-        for a in i.source.values[o]:
-            b = i.components[o][a]
-            want = top.components[o][a]
-            if forced.get((o, b), want) != want:
-                return None
-            forced[(o, b)] = want
-    assign: dict[tuple[str, str], str] = {}
-    nodes = 0
-
-    def consistent(o, e, img) -> bool:
-        if p.components[o][img] != bottom.components[o][e]:
-            return False
-        for m in shape.morphisms:
-            if shape.source[m] == o:
-                o2, e2 = shape.target[m], B.action[m][e]
-                if (o2, e2) == (o, e):
-                    if X.action[m][img] != img:
-                        return False
-                elif (o2, e2) in assign and X.action[m][img] != assign[(o2, e2)]:
-                    return False
-            if shape.target[m] == o:
-                o1 = shape.source[m]
-                for e1 in B.values[o1]:
-                    if B.action[m][e1] == e and (o1, e1) in assign:
-                        if X.action[m][assign[(o1, e1)]] != img:
-                            return False
-        return True
-
-    def extend(k: int):
-        nonlocal nodes
-        if k == len(variables):
-            comps: dict[str, dict[str, str]] = {o: {} for o in shape.objects}
-            for (o, e), img in assign.items():
-                comps[o][e] = img
-            yield DiagramMap(B, X, comps)
-            return
-        o, e = variables[k]
-        candidates = [forced[(o, e)]] if (o, e) in forced else list(X.values[o])
-        for img in candidates:
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetError("diagram lifting search exceeded budget")
-            if consistent(o, e, img):
-                assign[(o, e)] = img
-                yield from extend(k + 1)
-                del assign[(o, e)]
-
-    for h in extend(0):
-        return h
-    return None
+    forced = _forced(((o, i.components[o][a]), top.components[o][a])
+                     for o in B.shape.objects for a in i.source.values[o])
+    if forced is None:
+        return None
+    budget = NodeBudget(node_budget, "diagram lifting search exceeded budget")
+    return next(_iter_diagram_maps(B, X, budget, forced, (p, bottom)), None)
 
 
 def diagram_squares(i: DiagramMap, p: DiagramMap,
@@ -415,13 +372,18 @@ def diagram_squares(i: DiagramMap, p: DiagramMap,
     return out
 
 
-def diagram_has_rlp(gens: list[DiagramMap], p: DiagramMap,
-                    node_budget: int = 500_000) -> bool:
-    for i in gens:
+def _unsolved_cells(gens: list[DiagramMap], p: DiagramMap,
+                    node_budget: int) -> Iterator[SoaStageCell]:
+    """Every square on ``gens[k]`` against ``p`` without a filler, in order."""
+    for k, i in enumerate(gens):
         for top, bottom in diagram_squares(i, p, node_budget):
             if solve_diagram_lifting(i, p, top, bottom, node_budget) is None:
-                return False
-    return True
+                yield SoaStageCell(k, top, bottom)
+
+
+def diagram_has_rlp(gens: list[DiagramMap], p: DiagramMap,
+                    node_budget: int = 500_000) -> bool:
+    return next(_unsolved_cells(gens, p, node_budget), None) is None
 
 
 def bounded_soa(gens: list[DiagramMap], f: DiagramMap,
@@ -442,14 +404,7 @@ def bounded_soa(gens: list[DiagramMap], f: DiagramMap,
     cells: list[list[SoaStageCell]] = []
     stages = 0
     for _ in range(max_stages):
-        if diagram_has_rlp(gens, remainder, node_budget):
-            break
-        stage_cells: list[SoaStageCell] = []
-        for k, gen in enumerate(gens):
-            for top, bottom in diagram_squares(gen, remainder, node_budget):
-                if solve_diagram_lifting(gen, remainder, top, bottom,
-                                         node_budget) is None:
-                    stage_cells.append(SoaStageCell(k, top, bottom))
+        stage_cells = list(_unsolved_cells(gens, remainder, node_budget))
         if not stage_cells:
             break
         shape = current.shape

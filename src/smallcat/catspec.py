@@ -31,10 +31,11 @@ Block kinds and their entries:
   the degree-raising differential out of degree ``K``); ``P`` must be prime.
 
 An entry line whose keyword is not one of its block kind's, or whose token
-count differs from the forms above, is rejected by :func:`parse`.  Every
-block is validated by its module validator on load, and every
-cross-reference must resolve; violations raise :class:`CatspecError` with
-the offending line.
+count differs from the forms above, is rejected by :func:`parse`, as is an
+operad whose bound ``A`` or element arity ``N`` is not an integer with
+``0 <= N <= A``.  Every block is validated by its module validator on load,
+and every cross-reference must resolve; violations raise
+:class:`CatspecError` with the offending line.
 """
 from __future__ import annotations
 
@@ -131,6 +132,9 @@ def parse(text: str) -> CatspecDocument:
             if len(tokens) != 2 + want:
                 raise CatspecError(
                     f"{kind} header takes a name and {want} parameter(s)", lineno)
+            if kind == "operad" and not tokens[2].isdecimal():
+                raise CatspecError("operad arity bound must be a non-negative "
+                                   "integer", lineno)
             key = (kind, tokens[1])
             if key in seen:
                 raise CatspecError(f"duplicate block {kind} {tokens[1]}", lineno)
@@ -151,6 +155,11 @@ def parse(text: str) -> CatspecDocument:
             if len(tokens) != 1 + want:
                 raise CatspecError(f"{current['kind']} entry {tokens[0]} "
                                    f"takes {want} token(s)", lineno)
+            if current["kind"] == "operad" and tokens[0] == "element":
+                bound = current["params"][0]
+                if not (tokens[1].isdecimal() and int(tokens[1]) <= int(bound)):
+                    raise CatspecError(f"operad element arity {tokens[1]!r} "
+                                       f"is not an integer in 0..{bound}", lineno)
             current["entries"].append(tuple(tokens))
     if current is not None:
         raise CatspecError(f"unterminated block {current['kind']} "
@@ -343,10 +352,7 @@ def load(text: str) -> LoadedDocument:
             out.rssets[b.name] = S
 
     for b in (x for x in doc.blocks if x.kind == "operad"):
-        try:
-            bound = int(b.params[0])
-        except ValueError:
-            raise CatspecError("operad arity bound must be an integer", b.line)
+        bound = int(b.params[0])
         elements: dict[int, list[str]] = {n: [] for n in range(bound + 1)}
         for e in _entries(b, "element"):
             elements[int(e[0])].append(e[1])

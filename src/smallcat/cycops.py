@@ -23,6 +23,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .fincat import NodeBudget, backtrack, constraint_lists
+
 
 # ---------------------------------------------------------------------------
 # permutation helpers
@@ -636,61 +638,40 @@ def validate_cyclic_map(h: CyclicOperadMap) -> list[str]:
 
 def _enumerate_maps(P: TruncatedOperad, Q: TruncatedOperad,
                     source_ext: dict | None = None,
-                    target_ext: dict | None = None) -> list[dict[int, dict[str, str]]]:
-    """Backtracking enumeration of (cyclic) operad maps as raw map families."""
-    A = P.arity_bound
-    variables = [(n, x) for n in range(A + 1) for x in P.elements[n]]
-    assign: dict[tuple[int, str], str] = {}
+                    target_ext: dict | None = None,
+                    node_budget: int = 2_000_000) -> list[dict[int, dict[str, str]]]:
+    """Backtracking enumeration of (cyclic) operad maps as raw map families.
+
+    Each element ``x`` of ``P(n)`` is a variable with candidates ``Q(n)``
+    (only ``Q``'s unit for ``P``'s unit).  The constraints say that the map
+    commutes with the actions, the extended actions when given, and the
+    partial compositions.
+    """
+    arities = range(P.arity_bound + 1)
+    variables = [(n, x) for n in arities for x in P.elements[n]]
+    slot = {v: k for k, v in enumerate(variables)}
+    consts: dict = {}
+
+    def const(value) -> int:
+        return consts.setdefault(value, -1 - len(consts))
+
     arity = P.arity_of()
+    actions = [(P.action, Q.action, all_perms)]
+    if source_ext is not None:
+        actions.append((source_ext, target_ext, all_ext_perms))
+    constraints = [(target, (const(n), const(s), k), slot[(n, source[(n, s, x)])])
+                   for source, target, perms in actions
+                   for (n, x), k in slot.items() for s in perms(n)]
+    constraints += [(Q.comp, (const(i), slot[(arity[a], a)], slot[(arity[b], b)]),
+                     slot[(arity[c], c)])
+                    for (i, a, b), c in P.comp.items()]
+    candidates = [[y for y in Q.elements[n] if (n, x) != (1, P.unit) or y == Q.unit]
+                  for n, x in variables]
+    budget = NodeBudget(node_budget, "operad map search exceeded budget")
     out = []
-
-    def consistent(n: int, x: str, img: str) -> bool:
-        if n == 1 and x == P.unit and img != Q.unit:
-            return False
-        for s in all_perms(n):
-            y = P.action[(n, s, x)]
-            want = Q.action[(n, s, img)]
-            if y == x:
-                if want != img:
-                    return False
-            elif (n, y) in assign and want != assign[(n, y)]:
-                return False
-        if source_ext is not None:
-            for s in all_ext_perms(n):
-                y = source_ext[(n, s, x)]
-                want = target_ext[(n, s, img)]
-                if y == x:
-                    if want != img:
-                        return False
-                elif (n, y) in assign and want != assign[(n, y)]:
-                    return False
-        me = (n, x)
-        for (i, a, b), c in P.comp.items():
-            ka, kb, kc = (arity[a], a), (arity[b], b), (arity[c], c)
-            if me not in (ka, kb, kc):
-                continue
-            va = img if ka == me else assign.get(ka)
-            vb = img if kb == me else assign.get(kb)
-            vc = img if kc == me else assign.get(kc)
-            if va is None or vb is None or vc is None:
-                continue
-            if Q.comp[(i, va, vb)] != vc:
-                return False
-        return True
-
-    def extend(k: int):
-        if k == len(variables):
-            out.append({n: {x: assign[(n, x)] for x in P.elements[n]}
-                        for n in range(A + 1)})
-            return
-        n, x = variables[k]
-        for img in Q.elements[n]:
-            if consistent(n, x, img):
-                assign[(n, x)] = img
-                extend(k + 1)
-                del assign[(n, x)]
-
-    extend(0)
+    for a in backtrack(candidates, constraint_lists(len(variables), constraints),
+                       budget, list(consts)):
+        out.append({n: {x: a[slot[(n, x)]] for x in P.elements[n]} for n in arities})
     return out
 
 

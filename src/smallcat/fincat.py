@@ -14,8 +14,10 @@ conventions: pairs are rendered ``(a,b)`` and coproduct copies are suffixed
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator
 
 
 class BudgetError(RuntimeError):
@@ -539,6 +541,85 @@ def group_category(G: FiniteGroup, obj: str = "*") -> FiniteCategory:
 
 
 # ---------------------------------------------------------------------------
+# the backtracking core of the exhaustive searches
+
+
+class NodeBudget:
+    """How many candidates a search may still try (``limit=None``: no
+    limit); trying one more raises :class:`BudgetError` with ``message``."""
+
+    __slots__ = ("left", "message")
+
+    def __init__(self, limit: int | None, message: str):
+        self.left = math.inf if limit is None else limit
+        self.message = message
+
+
+def constraint_lists(n: int, constraints: Iterable[tuple]) -> list[list[tuple]]:
+    """File constraints for :func:`backtrack` over ``n`` variables.
+
+    Each constraint ``(table, key_slots, value_slot)`` requires
+    ``table[key] == a[value_slot]``, where ``key`` is ``a[s]`` for a single
+    key slot ``s`` and the tuple of ``a[s]`` for several.  Slots ``0..n-1``
+    are the variables and slot ``-1 - j`` is constant ``j``.  A constraint
+    is filed under its highest variable slot, so that it is checked exactly
+    once, when its last variable is assigned; one on constants alone is
+    dropped.
+    """
+    lists: list[list[tuple]] = [[] for _ in range(n)]
+    for table, keys, value in constraints:
+        last = max(value, *keys)
+        if last >= 0:
+            lists[last].append((table, itemgetter(*keys), value))
+    return lists
+
+
+def backtrack(candidates: list, constraints: list[list[tuple]],
+              budget: NodeBudget, constants=()) -> Iterator[list]:
+    """Yield every assignment that meets all constraints, in lexicographic
+    order.
+
+    Variable ``k`` takes its values from ``candidates[k]``, in order.  An
+    assignment is a list holding the variables, then ``constants`` in
+    reverse, so that slot ``-1 - j`` reads constant ``j``.
+    ``constraints[k]`` comes from :func:`constraint_lists`.  Each candidate
+    tried is one node of ``budget``.  The yielded list is reused, so copy
+    what you keep.
+    """
+    n = len(candidates)
+    a = [None] * n + list(reversed(constants))
+    if not n:
+        yield a
+        return
+    # A stack of candidate iterators rather than recursion, so that the
+    # number of variables is not bounded by Python's recursion limit.
+    left = budget.left
+    pending = [iter(candidates[0])] + [None] * (n - 1)
+    k = 0
+    try:
+        while k >= 0:
+            for c in pending[k]:
+                left -= 1
+                if left < 0:
+                    raise BudgetError(budget.message)
+                a[k] = c
+                for table, key, value in constraints[k]:
+                    if table[key(a)] != a[value]:
+                        break
+                else:
+                    if k + 1 == n:
+                        yield a
+                    else:
+                        k += 1
+                        pending[k] = iter(candidates[k])
+                        break
+            else:
+                k -= 1
+    finally:
+        budget.left = left
+
+
+# ---------------------------------------------------------------------------
 # functor enumeration
 
 
@@ -549,59 +630,40 @@ def _iter_functors(C: FiniteCategory, D: FiniteCategory,
     """Yield every functor ``C -> D`` in lexicographic order.
 
     ``fixed_ob`` pins object images; ``mor_filter(m, n)`` restricts morphism
-    images.  Backtracking prunes with the composition table as soon as a
-    constraint involves only assigned morphisms.
+    images.  For each choice of object images, :func:`backtrack` assigns
+    the non-identity morphisms; every composite ``f g = h`` of ``C`` is a
+    constraint ``D.compose[(F f, F g)] == F h``, with identity images as
+    constants.
     """
     obs = list(C.objects)
     nonid = [m for m in C.morphisms if not C.is_identity(m)]
-    nodes = 0
-
-    def consistent(mor_map: dict[str, str], new: str) -> bool:
-        comp, dcomp = C.compose, D.compose
-        for a in mor_map:
-            for f, g in ((new, a), (a, new)):
-                if C.composable(f, g):
-                    h = comp[(f, g)]
-                    if h in mor_map and dcomp[(mor_map[f], mor_map[g])] != mor_map[h]:
-                        return False
-        for a in mor_map:
-            for b in mor_map:
-                if C.composable(a, b) and comp[(a, b)] == new:
-                    if dcomp[(mor_map[a], mor_map[b])] != mor_map[new]:
-                        return False
-        return True
-
-    def obj_choices(x: str):
-        if fixed_ob and x in fixed_ob:
-            return (fixed_ob[x],)
-        return D.objects
-
-    for ob_imgs in itertools.product(*(obj_choices(x) for x in obs)):
+    n = len(nonid)
+    slot = {m: k for k, m in enumerate(nonid)}
+    slot.update((C.identity[x], -1 - j) for j, x in enumerate(obs))
+    constraints = constraint_lists(n, (
+        (D.compose, (slot[f], slot[g]), slot[h])
+        for (f, g), h in C.compose.items()))
+    hom: dict[tuple[str, str], list[str]] = {}
+    for m in D.morphisms:
+        hom.setdefault((D.source[m], D.target[m]), []).append(m)
+    budget = NodeBudget(node_budget, "functor search exceeded node budget")
+    fixed_ob = fixed_ob or {}
+    choices = [(fixed_ob[x],) if x in fixed_ob else D.objects for x in obs]
+    for ob_imgs in itertools.product(*choices):
         ob_map = dict(zip(obs, ob_imgs))
-        mor_map = {C.identity[x]: D.identity[ob_map[x]] for x in obs}
-        if any(mor_filter and not mor_filter(C.identity[x], mor_map[C.identity[x]])
-               for x in obs):
+        ids = [D.identity[y] for y in ob_imgs]
+        if mor_filter and not all(mor_filter(C.identity[x], i)
+                                  for x, i in zip(obs, ids)):
             continue
-
-        def extend(k: int) -> Iterator[dict[str, str]]:
-            nonlocal nodes
-            if k == len(nonid):
-                yield dict(mor_map)
-                return
-            m = nonid[k]
-            for n in D.hom(ob_map[C.source[m]], ob_map[C.target[m]]):
-                if mor_filter and not mor_filter(m, n):
-                    continue
-                nodes += 1
-                if node_budget is not None and nodes > node_budget:
-                    raise BudgetError("functor search exceeded node budget")
-                mor_map[m] = n
-                if consistent(mor_map, m):
-                    yield from extend(k + 1)
-                del mor_map[m]
-
-        for mm in extend(0):
-            yield CatFunctor(C, D, dict(ob_map), mm)
+        candidates = [hom.get((ob_map[C.source[m]], ob_map[C.target[m]]), ())
+                      for m in nonid]
+        if mor_filter:
+            candidates = [[c for c in cs if mor_filter(m, c)]
+                          for m, cs in zip(nonid, candidates)]
+        for a in backtrack(candidates, constraints, budget, ids):
+            mor_map = {C.identity[x]: i for x, i in zip(obs, ids)}
+            mor_map.update(zip(nonid, a))
+            yield CatFunctor(C, D, dict(ob_map), mor_map)
 
 
 def enumerate_functors(C: FiniteCategory, D: FiniteCategory,

@@ -16,7 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catmodel import LiftingSquare, is_isofibration, iter_liftings
+from .catmodel import (
+    LiftingSquare,
+    commuting_squares,
+    is_isofibration,
+    iter_liftings,
+)
 from .fincat import (
     CatFunctor,
     FiniteCategory,
@@ -329,14 +334,11 @@ def inv_has_llp(i: EquivariantFunctor,
     for p in tests:
         tops = enumerate_equivariant(i.source, p.source)
         bottoms = enumerate_equivariant(i.target, p.target)
-        for top in tops:
-            pt = compose_functors(p.functor, top.functor)
-            for bottom in bottoms:
-                bi = compose_functors(bottom.functor, i.functor)
-                if pt.ob_map != bi.ob_map or pt.mor_map != bi.mor_map:
-                    continue
-                if inv_solve_lifting(i, p, top, bottom) is None:
-                    return False
+        for t, b in commuting_squares(i.functor, p.functor,
+                                      [f.functor for f in tops],
+                                      [f.functor for f in bottoms]):
+            if inv_solve_lifting(i, p, tops[t], bottoms[b]) is None:
+                return False
     return True
 
 

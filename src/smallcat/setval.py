@@ -28,6 +28,9 @@ from .fincat import (
     CatFunctor,
     FiniteCategory,
     NaturalTransformation,
+    NodeBudget,
+    backtrack,
+    constraint_lists,
     opposite,
     pair_name,
     validate_functor,
@@ -193,58 +196,46 @@ def is_epi_diagram_map(h: DiagramMap) -> bool:
 def enumerate_diagram_maps(X: SetDiagram, Y: SetDiagram,
                            node_budget: int = 2_000_000) -> list[DiagramMap]:
     """All diagram maps ``X -> Y``, by element-level backtracking."""
-    C = X.shape
-    if C != Y.shape:
+    if X.shape != Y.shape:
         raise ValueError("shapes differ")
+    budget = NodeBudget(node_budget, "diagram map search exceeded budget")
+    return list(_iter_diagram_maps(X, Y, budget))
+
+
+def _iter_diagram_maps(X: SetDiagram, Y: SetDiagram, budget: NodeBudget,
+                       forced: dict[tuple[str, str], str] | None = None,
+                       fibre: tuple[DiagramMap, DiagramMap] | None = None
+                       ) -> Iterator[DiagramMap]:
+    """Yield the diagram maps ``X -> Y`` in lexicographic order.
+
+    Each element ``(o, e)`` of ``X`` is a variable with candidates
+    ``Y.values[o]``, or only ``forced[(o, e)]`` when given.  Naturality at
+    ``m`` sending ``e`` to ``e2`` is the constraint
+    ``Y.action[m][a[e]] == a[e2]``.  ``fibre = (p, bottom)`` also requires
+    ``p.components[o][a[e]] == bottom.components[o][e]``.
+    """
+    C = X.shape
     variables = [(o, e) for o in C.objects for e in X.values[o]]
-    assign: dict[tuple[str, str], str] = {}
-    out: list[DiagramMap] = []
-    nodes = 0
-
-    out_edges: dict[str, list[str]] = {o: [] for o in C.objects}
-    in_edges: dict[str, list[str]] = {o: [] for o in C.objects}
-    for m in C.morphisms:
-        out_edges[C.source[m]].append(m)
-        in_edges[C.target[m]].append(m)
-
-    def consistent(o: str, e: str, img: str) -> bool:
-        for m in out_edges[o]:
-            o2, e2 = C.target[m], X.action[m][e]
-            if (o2, e2) == (o, e):
-                if Y.action[m][img] != img:
-                    return False
-            elif (o2, e2) in assign and Y.action[m][img] != assign[(o2, e2)]:
-                return False
-        for m in in_edges[o]:
-            o1 = C.source[m]
-            for e1 in X.values[o1]:
-                if X.action[m][e1] == e and (o1, e1) in assign:
-                    if Y.action[m][assign[(o1, e1)]] != img:
-                        return False
-        return True
-
-    def extend(k: int) -> Iterator[None]:
-        nonlocal nodes
-        if k == len(variables):
-            comps: dict[str, dict[str, str]] = {o: {} for o in C.objects}
-            for (o, e), img in assign.items():
-                comps[o][e] = img
-            out.append(DiagramMap(X, Y, comps))
-            yield
-            return
-        o, e = variables[k]
-        for img in Y.values[o]:
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetError("diagram map search exceeded budget")
-            if consistent(o, e, img):
-                assign[(o, e)] = img
-                yield from extend(k + 1)
-                del assign[(o, e)]
-
-    for _ in extend(0):
-        pass
-    return out
+    n = len(variables)
+    slot = {v: k for k, v in enumerate(variables)}
+    constraints, constants = [], []
+    if fibre is not None:
+        p, bottom = fibre
+        constraints = [(p.components[o], (k,), -1 - k)
+                       for k, (o, e) in enumerate(variables)]
+        constants = [bottom.components[o][e] for o, e in variables]
+    constraints += [(Y.action[m], (slot[(C.source[m], e)],),
+                     slot[(C.target[m], X.action[m][e])])
+                    for m in C.morphisms for e in X.values[C.source[m]]]
+    forced = forced or {}
+    candidates = [(forced[v],) if v in forced else Y.values[v[0]]
+                  for v in variables]
+    for a in backtrack(candidates, constraint_lists(n, constraints),
+                       budget, constants):
+        comps: dict[str, dict[str, str]] = {o: {} for o in C.objects}
+        for (o, e), img in zip(variables, a):
+            comps[o][e] = img
+        yield DiagramMap(X, Y, comps)
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,18 @@ def test_malformed_entry_names_its_line(text, line):
     assert f"line {line}:" in str(exc.value)
 
 
+@pytest.mark.parametrize("header, arity", [
+    ("operad T 1", "5"), ("operad T 1", "-1"), ("operad T 1", "one"),
+    ("operad T 1", "\u00b2"), ("operad T x", "1"), ("operad T -1", "1"),
+])
+def test_operad_element_arity_outside_bound_names_its_line(header, arity):
+    text = f"{header}\nelement {arity} x\nunit x\nend\n"
+    with pytest.raises(CatspecError) as exc:
+        load(text)
+    line = 2 if header == "operad T 1" else 1
+    assert f"line {line}:" in str(exc.value)
+
+
 @pytest.mark.parametrize("p", ["4", "1", "0", "-3", "9"])
 def test_complex_with_non_prime_p_rejected(p):
     with pytest.raises(CatspecError) as exc:

@@ -249,7 +249,10 @@ def test_cli_determinism_via_subprocess(tmp_path):
 def test_malformed_entry_exits_2(tmp_path, capsys):
     for text in ("category C\nobject\nend\n",
                  "category C\nobject a\nidentity a\nend\n",
-                 "complex K 4 0 0\nend\n"):
+                 "complex K 4 0 0\nend\n",
+                 "operad T 1\nelement 5 x\nunit x\nend\n",
+                 "operad T 1\nelement -1 x\nunit x\nend\n",
+                 "operad T 1\nelement one x\nunit x\nend\n"):
         path = tmp_path / "bad.catspec"
         path.write_text(text, encoding="utf-8")
         code, out = run_cli(["validate", str(path)], capsys)

@@ -1,0 +1,286 @@
+"""The shared backtracking core against the four searches it replaced.
+
+``search_oracle`` keeps the old searches verbatim.  On seeded instances the
+new searches must give the same results in the same order; the functor,
+diagram-map and diagram-lifting searches must also need the same minimal
+node budget and fail past it with the same message.
+"""
+import random
+import sys
+
+import pytest
+
+import search_oracle as oracle
+from soa_helpers import delta_leq1_op, soa_generators
+from test_acceptance import random_category, tractable_instance
+from test_catmodel import small_corpus
+from test_cycops import positive_terminal_cyclic, sign_operad
+
+from smallcat import catmodel, cycops, fincat, setval
+from smallcat.catmodel import (
+    diagram_squares,
+    enumerate_squares,
+    iter_liftings,
+    solve_diagram_lifting,
+    solve_lifting,
+)
+from smallcat.fincat import (
+    BudgetError,
+    NodeBudget,
+    _iter_functors,
+    backtrack,
+    chain_category,
+    constraint_lists,
+    discrete_category,
+    parallel_pair,
+    walking_arrow,
+    walking_iso,
+)
+from smallcat.nabla import delta_leq
+from smallcat.setval import (
+    DiagramMap,
+    SetDiagram,
+    coproduct_diagrams,
+    corepresentable,
+    enumerate_diagram_maps,
+)
+
+
+def minimal_budget(run) -> int:
+    """The least node budget under which ``run(budget)`` finishes."""
+    def passes(budget):
+        try:
+            run(budget)
+        except BudgetError:
+            return False
+        return True
+
+    if passes(0):
+        return 0
+    low, high = 0, 1
+    while not passes(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        if passes(mid):
+            high = mid
+        else:
+            low = mid
+    return high
+
+
+def assert_same_budget(old, new):
+    """``new`` passes at the oracle's minimal budget and, one node below
+    it, raises the oracle's message."""
+    budget = minimal_budget(old)
+    new(budget)
+    if budget == 0:
+        return
+    with pytest.raises(BudgetError) as old_err:
+        old(budget - 1)
+    with pytest.raises(BudgetError) as new_err:
+        new(budget - 1)
+    assert str(new_err.value) == str(old_err.value)
+
+
+def functor_keys(functors):
+    """Raw maps in insertion order, which the CLI's JSON output follows."""
+    return [(list(F.ob_map.items()), list(F.mor_map.items())) for F in functors]
+
+
+def map_keys(maps):
+    return [[(o, list(c.items())) for o, c in h.components.items()]
+            for h in maps]
+
+
+def criterion_01_categories():
+    rng = random.Random(20260809)
+    return [random_category(rng) for _ in range(12)] + [delta_leq(1)]
+
+
+# ---------------------------------------------------------------------------
+# the core
+
+
+def test_backtrack_yields_in_lexicographic_order_with_constants():
+    # a[0] + a[1] == 3 over small integers, with 3 the constant at slot -1
+    plus = {(x, y): x + y for x in range(4) for y in range(4)}
+    constraints = constraint_lists(2, [(plus, (0, 1), -1)])
+    budget = NodeBudget(None, "unused")
+    got = [tuple(a[:2]) for a in backtrack([range(4), range(4)],
+                                           constraints, budget, [3])]
+    assert got == [(0, 3), (1, 2), (2, 1), (3, 0)]
+
+
+def test_backtrack_counts_one_node_per_candidate_and_raises_its_message():
+    constraints = constraint_lists(2, [])
+    budget = NodeBudget(6, "out of nodes")
+    assert len(list(backtrack([range(2), range(2)], constraints, budget))) == 4
+    assert budget.left == 0   # 2 + 2 * 2 candidates tried
+    with pytest.raises(BudgetError, match="^out of nodes$"):
+        list(backtrack([range(2), range(2)], constraints, NodeBudget(5, "out of nodes")))
+
+
+def test_search_deeper_than_the_recursion_limit():
+    # the recursive searches this core replaced raised RecursionError here
+    C = discrete_category(["o"])
+    elements = [f"x{k:05d}" for k in range(sys.getrecursionlimit() + 500)]
+    X = SetDiagram.build(C, {"o": elements}, {"id_o": {e: e for e in elements}})
+    Y = SetDiagram.build(C, {"o": ["y"]}, {"id_o": {"y": "y"}})
+    assert len(enumerate_diagram_maps(X, Y)) == 1
+
+
+def test_constraint_on_constants_alone_is_dropped():
+    lists = constraint_lists(1, [({}, (-1,), -2), ({"x": "y"}, (0,), -1)])
+    assert [len(c) for c in lists] == [1]
+
+
+# ---------------------------------------------------------------------------
+# functors
+
+
+def test_functor_search_matches_oracle():
+    cats = criterion_01_categories() + small_corpus()
+    for C in cats:
+        for D in cats:
+            assert functor_keys(_iter_functors(C, D)) == \
+                functor_keys(oracle._iter_functors(C, D))
+
+
+def larger_functor_pairs():
+    """Pairs whose search visits hundreds of nodes."""
+    return [(delta_leq(1), delta_leq(2)), (chain_category(3), delta_leq(1)),
+            (parallel_pair(), delta_leq(2))]
+
+
+def test_functor_search_needs_the_oracle_budget():
+    cats = criterion_01_categories()[:8] + [walking_arrow()]
+    pairs = [(C, D) for C in cats for D in cats] + larger_functor_pairs()
+    for C, D in pairs:
+        assert_same_budget(
+            lambda b: list(oracle._iter_functors(C, D, node_budget=b)),
+            lambda b: list(_iter_functors(C, D, node_budget=b)))
+    for C, D in larger_functor_pairs():
+        assert functor_keys(_iter_functors(C, D)) == \
+            functor_keys(oracle._iter_functors(C, D))
+
+
+def oracle_liftings(sq, node_budget=2_000_000):
+    """``iter_liftings`` run on the oracle's functor search."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(catmodel, "_iter_functors", oracle._iter_functors)
+        return functor_keys(iter_liftings(sq, node_budget))
+
+
+def test_lifting_search_matches_oracle():
+    # iter_liftings pins objects and filters morphisms through _iter_functors
+    gens = (catmodel.default_generating_cofibrations()
+            + catmodel.default_generating_acyclic_cofibrations())
+    cats = small_corpus()[:4]
+    squares = [sq for g in gens for C in cats for D in cats
+               for F in fincat.enumerate_functors(C, D)[:4]
+               for sq in enumerate_squares(g, F)]
+    assert any(solve_lifting(sq) is None for sq in squares)
+    for sq in squares:
+        assert functor_keys(iter_liftings(sq)) == oracle_liftings(sq)
+        assert_same_budget(
+            lambda b: oracle_liftings(sq, b),
+            lambda b: functor_keys(iter_liftings(sq, b)))
+
+
+# ---------------------------------------------------------------------------
+# diagram maps and diagram liftings
+
+
+def criterion_01_diagram_pairs(count):
+    rng = random.Random(20260809)
+    for _ in range(count):
+        iota, X, Y = tractable_instance(rng)
+        LX, RX = setval.lan(iota, X), setval.ran(iota, X)
+        rY = setval.restrict(iota, Y)
+        yield from ((LX, Y), (X, rY), (rY, X), (Y, RX))
+
+
+def test_diagram_map_search_matches_oracle():
+    for X, Y in criterion_01_diagram_pairs(100):
+        assert map_keys(enumerate_diagram_maps(X, Y)) == \
+            map_keys(oracle.enumerate_diagram_maps(X, Y))
+
+
+def corepresentable_pairs():
+    """Sums of corepresentables: searches of up to a few thousand nodes."""
+    for C in (chain_category(2), delta_leq(1), parallel_pair(), walking_iso()):
+        reps = [corepresentable(C, o) for o in C.objects]
+        Y, _ = coproduct_diagrams(reps + reps[:1])
+        for X in reps + [Y]:
+            yield X, Y
+
+
+def test_diagram_map_search_needs_the_oracle_budget():
+    pairs = list(criterion_01_diagram_pairs(10)) + list(corepresentable_pairs())
+    for X, Y in pairs:
+        assert_same_budget(
+            lambda b: oracle.enumerate_diagram_maps(X, Y, b),
+            lambda b: enumerate_diagram_maps(X, Y, b))
+    for X, Y in corepresentable_pairs():
+        assert map_keys(enumerate_diagram_maps(X, Y)) == \
+            map_keys(oracle.enumerate_diagram_maps(X, Y))
+
+
+def soa_lifting_problems():
+    """The generating squares of the small-object-argument tests, and
+    squares between maps into and out of two disjoint intervals."""
+    shape = delta_leq1_op()
+    gens, point, interval = soa_generators(shape)
+    maps = [
+        DiagramMap(point, point, {"[0]": {"v": "v"}, "[1]": {"sv": "sv"}}),
+        DiagramMap(interval, point,
+                   {"[0]": {"0": "v", "1": "v"},
+                    "[1]": {"e": "sv", "s_0": "sv", "s_1": "sv"}}),
+    ]
+    cases = [(gen, p) for p in maps for gen in gens]
+    two, _ = coproduct_diagrams([interval, interval])
+    lefts = (enumerate_diagram_maps(interval, two)[:3]
+             + enumerate_diagram_maps(point, two)[:2])
+    cases += [(i, p) for i in lefts
+              for p in enumerate_diagram_maps(two, interval)[:3]]
+    for i, p in cases:
+        for top, bottom in diagram_squares(i, p):
+            yield i, p, top, bottom
+
+
+def test_diagram_lifting_search_matches_oracle():
+    problems = list(soa_lifting_problems())
+    assert any(solve_diagram_lifting(*sq) is None for sq in problems)
+    assert any(solve_diagram_lifting(*sq) is not None for sq in problems)
+    for sq in problems:
+        new, old = solve_diagram_lifting(*sq), oracle.solve_diagram_lifting(*sq)
+        assert map_keys([new] if new else []) == map_keys([old] if old else [])
+        assert_same_budget(lambda b: oracle.solve_diagram_lifting(*sq, b),
+                           lambda b: solve_diagram_lifting(*sq, b))
+
+
+# ---------------------------------------------------------------------------
+# operad and cyclic operad maps
+
+
+def test_operad_map_search_matches_oracle():
+    operads = [sign_operad(2), sign_operad(3), cycops.terminal_operad(3),
+               cycops.associative_operad(2)]
+    for P in operads:
+        for Q in operads:
+            if P.arity_bound == Q.arity_bound:
+                assert cycops._enumerate_maps(P, Q) == oracle._enumerate_maps(P, Q)
+    cyclic = [cycops.terminal_cyclic_operad(3), positive_terminal_cyclic(3),
+              cycops.right_adjoint_R(sign_operad(3))]
+    for Q1 in cyclic:
+        for Q2 in cyclic:
+            args = (Q1.operad, Q2.operad, Q1.extended, Q2.extended)
+            assert cycops._enumerate_maps(*args) == oracle._enumerate_maps(*args)
+
+
+def test_operad_map_search_is_budgeted():
+    P = sign_operad(3)
+    assert cycops._enumerate_maps(P, P)
+    with pytest.raises(BudgetError, match="^operad map search exceeded budget$"):
+        cycops._enumerate_maps(P, P, node_budget=3)
