@@ -16,6 +16,7 @@ from .fincat import (
     CatFunctor,
     FiniteCategory,
     NodeBudget,
+    Partition,
     _iter_functors,
     bounded_closure,
     compose_functors,
@@ -268,74 +269,55 @@ def pushout_category(i: CatFunctor, f: CatFunctor,
         raise ValueError("pushout legs must share their domain")
     A, B, C = i.domain, i.codomain, f.codomain
 
-    # glue objects
-    ob_label: dict[str, str] = {}
-    for x in B.objects:
-        ob_label[("B", x)] = f"B:{x}"
-    for x in C.objects:
-        ob_label[("C", x)] = f"C:{x}"
-
-    def ob_merge(a, b):
-        la, lb = ob_label[a], ob_label[b]
-        if la != lb:
-            low = min(la, lb)
-            for k in ob_label:
-                if ob_label[k] in (la, lb):
-                    ob_label[k] = low
-
+    # glue objects, then letters; each class is named by its least label
+    sides = {"B": B, "C": C}
+    ob_classes = Partition(f"{s}:{x}" for s, S in sides.items()
+                           for x in S.objects)
     for a in A.objects:
-        ob_merge(("B", i.ob_map[a]), ("C", f.ob_map[a]))
-    objects = sorted(set(ob_label.values()))
-
-    # glue letters
-    letter_label: dict[tuple[str, str], str] = {}
-    for m in B.morphisms:
-        letter_label[("B", m)] = f"B:{m}"
-    for m in C.morphisms:
-        letter_label[("C", m)] = f"C:{m}"
-
-    def letter_merge(a, b):
-        la, lb = letter_label[a], letter_label[b]
-        if la != lb:
-            low = min(la, lb)
-            for k in letter_label:
-                if letter_label[k] in (la, lb):
-                    letter_label[k] = low
-
+        ob_classes.union(f"B:{i.ob_map[a]}", f"C:{f.ob_map[a]}")
+    keys = [(s, m) for s, S in sides.items() for m in S.morphisms]
+    letter_classes = Partition(f"{s}:{m}" for s, m in keys)
     for m in A.morphisms:
-        letter_merge(("B", i.mor_map[m]), ("C", f.mor_map[m]))
+        letter_classes.union(f"B:{i.mor_map[m]}", f"C:{f.mor_map[m]}")
 
+    def ob_label(side, x):
+        return ob_classes.find(f"{side}:{x}")
+
+    def letter_label(side, m):
+        return letter_classes.find(f"{side}:{m}")
+
+    objects = sorted({ob_label(s, x) for s, S in sides.items()
+                      for x in S.objects})
     members: dict[str, list[tuple[str, str]]] = {}
-    for key, lab in letter_label.items():
-        members.setdefault(lab, []).append(key)
+    for key in keys:
+        members.setdefault(letter_label(*key), []).append(key)
 
     letters: dict[str, tuple[str, str]] = {}
     identity_letters: set[str] = set()
-    sides = {"B": B, "C": C}
     for lab, mem in members.items():
         side, m = mem[0]
         S = sides[side]
-        letters[lab] = (ob_label[(side, S.source[m])],
-                        ob_label[(side, S.target[m])])
+        letters[lab] = (ob_label(side, S.source[m]),
+                        ob_label(side, S.target[m]))
         if any(sides[s].is_identity(mm) for s, mm in mem):
             identity_letters.add(lab)
 
     rules: dict[tuple[str, str], set[str]] = {}
     for side, S in sides.items():
         for (m1, m2), m3 in S.compose.items():
-            key = (letter_label[(side, m1)], letter_label[(side, m2)])
-            rules.setdefault(key, set()).add(letter_label[(side, m3)])
+            key = (letter_label(side, m1), letter_label(side, m2))
+            rules.setdefault(key, set()).add(letter_label(side, m3))
 
     cat, letter_map = bounded_closure(objects, letters, rules,
                                       identity_letters,
                                       max_morphisms, max_word_len)
     from_left = CatFunctor(B, cat,
-                           {x: ob_label[("B", x)] for x in B.objects},
-                           {m: letter_map[letter_label[("B", m)]]
+                           {x: ob_label("B", x) for x in B.objects},
+                           {m: letter_map[letter_label("B", m)]
                             for m in B.morphisms})
     from_right = CatFunctor(C, cat,
-                            {x: ob_label[("C", x)] for x in C.objects},
-                            {m: letter_map[letter_label[("C", m)]]
+                            {x: ob_label("C", x) for x in C.objects},
+                            {m: letter_map[letter_label("C", m)]
                              for m in C.morphisms})
     return PushoutResult(cat, from_left, from_right)
 

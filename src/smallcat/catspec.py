@@ -31,10 +31,12 @@ Block kinds and their entries:
   the degree-raising differential out of degree ``K``); ``P`` must be prime.
 
 An entry line whose keyword is not one of its block kind's, or whose token
-count differs from the forms above, is rejected by :func:`parse`, as is an
-operad whose bound ``A`` or element arity ``N`` is not an integer with
-``0 <= N <= A``.  Every block is validated by its module validator on load,
-and every cross-reference must resolve; violations raise
+count differs from the forms above, is rejected by :func:`parse`, as is a
+non-integer ``N``, ``A``, ``I``, ``P``, ``LO``, ``HI``, ``K``, ``D``,
+``ROW``, ``COL`` or ``VAL``, a permutation that is not ``p`` then digits,
+and an operad whose bound ``A`` or element arity ``N`` is not an integer
+with ``0 <= N <= A``.  Every block is validated by its module validator on
+load, and every cross-reference must resolve; violations raise
 :class:`CatspecError` with the offending line.
 """
 from __future__ import annotations
@@ -54,21 +56,24 @@ from .fincat import (
     validate_group,
 )
 
-# Per block kind: the number of header parameters after the name, and the
-# number of tokens after the keyword of each entry keyword.
+# Per block kind: one slot per header parameter after the name, and one
+# slot per token after the keyword of each entry keyword.  A slot is "." for
+# any token, "i" for an integer, "p" for a permutation (``p`` then digits).
 _GRAMMAR = {
-    "category": (0, {"object": 1, "morphism": 3, "identity": 2, "compose": 3}),
-    "functor": (2, {"object": 2, "morphism": 2}),
-    "group": (0, {"element": 1, "identity": 1, "mult": 3, "inverse": 2}),
-    "action": (2, {"map": 2}),
-    "involution": (1, {"object": 2, "morphism": 2}),
-    "diagram": (1, {"element": 2, "map": 3}),
-    "dmap": (2, {"at": 3}),
-    "sset": (1, {"simplex": 2, "act": 3}),
-    "rsset": (1, {"simplex": 2, "act": 3}),
-    "operad": (1, {"element": 2, "unit": 1, "compose": 4, "act": 4,
-                   "cycact": 4}),
-    "complex": (3, {"dim": 2, "d": 4}),
+    "category": ("", {"object": ".", "morphism": "...", "identity": "..",
+                      "compose": "..."}),
+    "functor": ("..", {"object": "..", "morphism": ".."}),
+    "group": ("", {"element": ".", "identity": ".", "mult": "...",
+                   "inverse": ".."}),
+    "action": ("..", {"map": ".."}),
+    "involution": (".", {"object": "..", "morphism": ".."}),
+    "diagram": (".", {"element": "..", "map": "..."}),
+    "dmap": ("..", {"at": "..."}),
+    "sset": ("i", {"simplex": "..", "act": "..."}),
+    "rsset": ("i", {"simplex": "..", "act": "..."}),
+    "operad": ("i", {"element": "i.", "unit": ".", "compose": "i...",
+                     "act": "ip..", "cycact": "ip.."}),
+    "complex": ("iii", {"dim": "ii", "d": "iiii"}),
 }
 BLOCK_KINDS = tuple(_GRAMMAR)
 
@@ -114,6 +119,19 @@ class CatspecDocument:
         return mine == theirs
 
 
+def _check_slots(where: str, slots: str, tokens: list[str], line: int) -> None:
+    """Reject the first token that does not fit its slot in ``_GRAMMAR``."""
+    for slot, token in zip(slots, tokens):
+        if slot == "i":
+            try:
+                int(token)
+            except ValueError:
+                raise CatspecError(f"{where}: {token!r} is not an integer", line)
+        elif slot == "p" and not (token[:1] == "p"
+                                  and all(c.isdecimal() for c in token[1:])):
+            raise CatspecError(f"{where}: {token!r} is not a permutation", line)
+
+
 def parse(text: str) -> CatspecDocument:
     """Parse a document; positions are reported on errors."""
     blocks: list[Block] = []
@@ -129,12 +147,13 @@ def parse(text: str) -> CatspecDocument:
             if kind not in BLOCK_KINDS:
                 raise CatspecError(f"unknown block kind {kind!r}", lineno)
             want = _GRAMMAR[kind][0]
-            if len(tokens) != 2 + want:
-                raise CatspecError(
-                    f"{kind} header takes a name and {want} parameter(s)", lineno)
+            if len(tokens) != 2 + len(want):
+                raise CatspecError(f"{kind} header takes a name and "
+                                   f"{len(want)} parameter(s)", lineno)
             if kind == "operad" and not tokens[2].isdecimal():
                 raise CatspecError("operad arity bound must be a non-negative "
                                    "integer", lineno)
+            _check_slots(f"{kind} header", want, tokens[2:], lineno)
             key = (kind, tokens[1])
             if key in seen:
                 raise CatspecError(f"duplicate block {kind} {tokens[1]}", lineno)
@@ -148,13 +167,15 @@ def parse(text: str) -> CatspecDocument:
                                 tuple(current["entries"]), current["line"]))
             current = None
         else:
-            want = _GRAMMAR[current["kind"]][1].get(tokens[0])
-            if want is None:
+            slots = _GRAMMAR[current["kind"]][1].get(tokens[0])
+            if slots is None:
                 raise CatspecError(f"unknown {current['kind']} entry "
                                    f"{tokens[0]!r}", lineno)
-            if len(tokens) != 1 + want:
+            if len(tokens) != 1 + len(slots):
                 raise CatspecError(f"{current['kind']} entry {tokens[0]} "
-                                   f"takes {want} token(s)", lineno)
+                                   f"takes {len(slots)} token(s)", lineno)
+            _check_slots(f"{current['kind']} entry {tokens[0]}", slots,
+                         tokens[1:], lineno)
             if current["kind"] == "operad" and tokens[0] == "element":
                 bound = current["params"][0]
                 if not (tokens[1].isdecimal() and int(tokens[1]) <= int(bound)):
@@ -316,11 +337,7 @@ def load(text: str) -> LoadedDocument:
         out.dmaps[b.name] = h
 
     for b in (x for x in doc.blocks if x.kind in ("sset", "rsset")):
-        try:
-            level = int(b.params[0])
-        except ValueError:
-            raise CatspecError(f"{b.kind} {b.name}: level must be an integer",
-                               b.line)
+        level = int(b.params[0])
         if b.kind == "sset":
             shape = opposite(nabla.delta_leq(level))
         else:
@@ -361,14 +378,7 @@ def load(text: str) -> LoadedDocument:
             raise CatspecError(f"operad {b.name}: exactly one unit", b.line)
         comp = {(int(e[0]), e[1], e[2]): e[3]
                 for e in _entries(b, "compose")}
-
-        def _perm(token: str, line: int) -> tuple[int, ...]:
-            if not token.startswith("p"):
-                raise CatspecError(f"permutation token must start with p: {token!r}",
-                                   line)
-            return tuple(int(c) for c in token[1:])
-
-        action = {(int(e[0]), _perm(e[1], b.line), e[2]): e[3]
+        action = {(int(e[0]), tuple(map(int, e[1][1:])), e[2]): e[3]
                   for e in _entries(b, "act")}
         P = cycops.TruncatedOperad(
             bound, {n: tuple(sorted(v)) for n, v in elements.items()},
@@ -379,7 +389,7 @@ def load(text: str) -> LoadedDocument:
         out.operads[b.name] = P
         cyc = _entries(b, "cycact")
         if cyc:
-            extended = {(int(e[0]), _perm(e[1], b.line), e[2]): e[3]
+            extended = {(int(e[0]), tuple(map(int, e[1][1:])), e[2]): e[3]
                         for e in cyc}
             Q = cycops.TruncatedCyclicOperad(P, extended)
             errs = cycops.validate_cyclic(Q)
@@ -388,10 +398,7 @@ def load(text: str) -> LoadedDocument:
             out.cyclic_operads[b.name] = Q
 
     for b in (x for x in doc.blocks if x.kind == "complex"):
-        try:
-            p, lo, hi = (int(t) for t in b.params)
-        except ValueError:
-            raise CatspecError("complex header takes P LO HI", b.line)
+        p, lo, hi = (int(t) for t in b.params)
         if not chaincx.is_prime(p):
             raise CatspecError(f"complex {b.name}: p = {p} is not a prime",
                                b.line)

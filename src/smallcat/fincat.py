@@ -308,6 +308,12 @@ def product(C: FiniteCategory, D: FiniteCategory) -> FiniteCategory:
     for (f1, f2), f3 in C.compose.items():
         for (g1, g2), g3 in D.compose.items():
             compose[(pair_name(f1, g1), pair_name(f2, g2))] = pair_name(f3, g3)
+    for names in (objects, morphisms):
+        seen: set[str] = set()
+        for n in names:
+            if n in seen:
+                raise ValueError(f"product identifier {n} names two pairs")
+            seen.add(n)
     return FiniteCategory.build(objects, morphisms, source, target, identity, compose)
 
 
@@ -538,6 +544,38 @@ def group_category(G: FiniteGroup, obj: str = "*") -> FiniteCategory:
         {obj: G.identity},
         {(a, b): G.mult[(a, b)] for a in G.elements for b in G.elements},
     )
+
+
+# ---------------------------------------------------------------------------
+# partitions
+
+
+class Partition:
+    """Union-find (Tarjan 1975) over hashable, mutually comparable items.
+
+    :meth:`union` links the larger root under the smaller, so :meth:`find`
+    names each class by its minimal member.  :meth:`find` halves paths and
+    raises ``KeyError`` for an item the partition was not built over.
+    """
+
+    def __init__(self, items: Iterable):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]   # x skips to its grandparent
+        return x
+
+    def union(self, a, b) -> bool:
+        """Join the classes of ``a`` and ``b``; ``False`` if already one."""
+        a, b = self.find(a), self.find(b)
+        if a == b:
+            return False
+        if b < a:
+            a, b = b, a
+        self.parent[b] = a
+        return True
 
 
 # ---------------------------------------------------------------------------

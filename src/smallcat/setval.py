@@ -29,6 +29,7 @@ from .fincat import (
     FiniteCategory,
     NaturalTransformation,
     NodeBudget,
+    Partition,
     backtrack,
     constraint_lists,
     opposite,
@@ -275,32 +276,19 @@ def limit(X: SetDiagram, budget: int = 2_000_000) -> LimitResult:
 def colimit(X: SetDiagram) -> ColimitResult:
     """Quotient of the tagged disjoint union by the action-generated relation.
 
-    Classes are found by iterating a minimum-label relabelling to a fixed
-    point and named by their lexicographically minimal member tag.
+    Classes come from a :class:`~smallcat.fincat.Partition` of the tags and
+    are named by their lexicographically minimal member tag.
     """
     C = X.shape
-    tags = [pair_name(o, e) for o in C.objects for e in X.values[o]]
-    label = {t: t for t in tags}
-    edges = []
+    classes = Partition(pair_name(o, e) for o in C.objects for e in X.values[o])
     for m in C.morphisms:
         o, o2 = C.source[m], C.target[m]
         for e in X.values[o]:
-            edges.append((pair_name(o, e), pair_name(o2, X.action[m][e])))
-    changed = True
-    while changed:
-        changed = False
-        for u, v in edges:
-            lu, lv = label[u], label[v]
-            if lu != lv:
-                low = min(lu, lv)
-                for t in tags:
-                    if label[t] in (lu, lv):
-                        label[t] = low
-                changed = True
-    classes = tuple(sorted(set(label.values())))
-    injections = {o: {e: label[pair_name(o, e)] for e in X.values[o]}
+            classes.union(pair_name(o, e), pair_name(o2, X.action[m][e]))
+    injections = {o: {e: classes.find(pair_name(o, e)) for e in X.values[o]}
                   for o in C.objects}
-    return ColimitResult(classes, injections)
+    elements = {t for inj in injections.values() for t in inj.values()}
+    return ColimitResult(tuple(sorted(elements)), injections)
 
 
 def coproduct_diagrams(diagrams: list[SetDiagram]
@@ -333,46 +321,37 @@ def quotient_diagram(X: SetDiagram, pairs: list[tuple[str, str, str]]
     """Quotient ``X`` by the congruence generated by ``(object, e, e')`` pairs.
 
     The relation is closed under every structure map, so the result is again
-    a valid diagram; classes are named by minimal representative.
+    a valid diagram.  Classes come from a :class:`~smallcat.fincat.Partition`
+    of the ``(object, element)`` pairs and are named by their minimal element.
     """
     C = X.shape
-    label = {(o, e): e for o in C.objects for e in X.values[o]}
-
-    def merge(o, a, b) -> bool:
-        la, lb = label[(o, a)], label[(o, b)]
-        if la == lb:
-            return False
-        low = min(la, lb)
-        for e in X.values[o]:
-            if label[(o, e)] in (la, lb):
-                label[(o, e)] = low
-        return True
-
+    classes = Partition((o, e) for o in C.objects for e in X.values[o])
     for o, a, b in pairs:
-        merge(o, a, b)
+        classes.union((o, a), (o, b))
     changed = True
     while changed:
         changed = False
         for m in C.morphisms:
             src, tgt = C.source[m], C.target[m]
-            by_label: dict[str, str] = {}
+            image_of: dict[tuple[str, str], str] = {}
             for e in X.values[src]:
-                lab = label[(src, e)]
+                cls = classes.find((src, e))
                 img = X.action[m][e]
-                if lab in by_label:
-                    if merge(tgt, by_label[lab], img):
-                        changed = True
+                if cls in image_of:
+                    changed |= classes.union((tgt, image_of[cls]), (tgt, img))
                 else:
-                    by_label[lab] = img
-    values = {o: sorted({label[(o, e)] for e in X.values[o]})
+                    image_of[cls] = img
+    name = {(o, e): classes.find((o, e))[1]
+            for o in C.objects for e in X.values[o]}
+    values = {o: sorted({name[(o, e)] for e in X.values[o]})
               for o in C.objects}
     action = {}
     for m in C.morphisms:
         src, tgt = C.source[m], C.target[m]
-        action[m] = {label[(src, e)]: label[(tgt, X.action[m][e])]
+        action[m] = {name[(src, e)]: name[(tgt, X.action[m][e])]
                      for e in X.values[src]}
     Q = SetDiagram.build(C, values, action)
-    proj = DiagramMap(X, Q, {o: {e: label[(o, e)] for e in X.values[o]}
+    proj = DiagramMap(X, Q, {o: {e: name[(o, e)] for e in X.values[o]}
                              for o in C.objects})
     return Q, proj
 
@@ -473,21 +452,12 @@ def terminal_objects(C: FiniteCategory) -> list[str]:
 
 def connected_components(C: FiniteCategory) -> list[set[str]]:
     """Partition of the objects by zig-zags of morphisms."""
-    label = {o: o for o in C.objects}
-
-    def merge(a, b):
-        la, lb = label[a], label[b]
-        if la != lb:
-            low = min(la, lb)
-            for o in C.objects:
-                if label[o] in (la, lb):
-                    label[o] = low
-
+    classes = Partition(C.objects)
     for m in C.morphisms:
-        merge(C.source[m], C.target[m])
+        classes.union(C.source[m], C.target[m])
     comps: dict[str, set[str]] = {}
     for o in C.objects:
-        comps.setdefault(label[o], set()).add(o)
+        comps.setdefault(classes.find(o), set()).add(o)
     return [comps[k] for k in sorted(comps)]
 
 

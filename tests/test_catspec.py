@@ -158,6 +158,14 @@ def test_cyclic_operad_block_roundtrip():
     ("group G\nelement e\nidentity e\nmult e e\nend\n", 4),
     ("complex K 2 0 0\ndim 0 1\nd 0 0 0\nend\n", 3),
     ("category C\nobjet a\nend\n", 2),
+    ("operad T 2\nelement 1 x\nunit x\ncompose a x x x\nend\n", 4),
+    ("operad T 2\nelement 1 x\nunit x\nact N p1 x x\nend\n", 4),
+    ("operad T 2\nelement 1 x\nunit x\nact 1 pab x x\nend\n", 4),
+    ("operad T 2\nelement 1 x\nunit x\ncycact N p1 x x\nend\n", 4),
+    ("complex K 2 0 0\ndim 0 q\nend\n", 2),
+    ("complex K 2 0 0\ndim 0 1\nd 0 0 z 1\nend\n", 3),
+    ("complex K 2 lo 0\nend\n", 1),
+    ("sset S one\nend\n", 1),
 ])
 def test_malformed_entry_names_its_line(text, line):
     with pytest.raises(CatspecError) as exc:

@@ -106,6 +106,15 @@ def test_product_object_count():
     assert len(P.objects) == len(C.objects) ** 2
 
 
+def test_product_rejects_colliding_pair_names():
+    # (a,b,c) names both (a, "b,c") and ("a,b", c); the product used to
+    # drop one of them and return an invalid category
+    C = discrete_category(["a", "a,b"])
+    D = discrete_category(["b", "c", "b,c"])
+    with pytest.raises(ValueError, match=r"\(a,b,c\)"):
+        product(C, D)
+
+
 def test_product_with_terminal_is_isomorphic():
     C = walking_iso()
     P = product(C, terminal_category())
