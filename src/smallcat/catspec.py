@@ -33,11 +33,12 @@ Block kinds and their entries:
 An entry line whose keyword is not one of its block kind's, or whose token
 count differs from the forms above, is rejected by :func:`parse`, as is a
 non-integer ``N``, ``A``, ``I``, ``P``, ``LO``, ``HI``, ``K``, ``D``,
-``ROW``, ``COL`` or ``VAL``, a permutation that is not ``p`` then digits,
-and an operad whose bound ``A`` or element arity ``N`` is not an integer
-with ``0 <= N <= A``.  Every block is validated by its module validator on
-load, and every cross-reference must resolve; violations raise
-:class:`CatspecError` with the offending line.
+``ROW``, ``COL`` or ``VAL``, a negative ``D``, ``ROW`` or ``COL``, a
+permutation that is not ``p`` then digits, and an operad whose bound ``A``
+or element arity ``N`` is not an integer with ``0 <= N <= A``.  Every block
+is validated by its module validator on load (an ``sset``/``rsset`` level
+outside ``0..9`` among them), and every cross-reference must resolve;
+violations raise :class:`CatspecError` with the offending line.
 """
 from __future__ import annotations
 
@@ -58,7 +59,8 @@ from .fincat import (
 
 # Per block kind: one slot per header parameter after the name, and one
 # slot per token after the keyword of each entry keyword.  A slot is "." for
-# any token, "i" for an integer, "p" for a permutation (``p`` then digits).
+# any token, "i" for an integer, "n" for a non-negative integer, "p" for a
+# permutation (``p`` then digits).
 _GRAMMAR = {
     "category": ("", {"object": ".", "morphism": "...", "identity": "..",
                       "compose": "..."}),
@@ -73,7 +75,7 @@ _GRAMMAR = {
     "rsset": ("i", {"simplex": "..", "act": "..."}),
     "operad": ("i", {"element": "i.", "unit": ".", "compose": "i...",
                      "act": "ip..", "cycact": "ip.."}),
-    "complex": ("iii", {"dim": "ii", "d": "iiii"}),
+    "complex": ("iii", {"dim": "in", "d": "inni"}),
 }
 BLOCK_KINDS = tuple(_GRAMMAR)
 
@@ -122,11 +124,13 @@ class CatspecDocument:
 def _check_slots(where: str, slots: str, tokens: list[str], line: int) -> None:
     """Reject the first token that does not fit its slot in ``_GRAMMAR``."""
     for slot, token in zip(slots, tokens):
-        if slot == "i":
+        if slot in ("i", "n"):
             try:
-                int(token)
+                value = int(token)
             except ValueError:
                 raise CatspecError(f"{where}: {token!r} is not an integer", line)
+            if slot == "n" and value < 0:
+                raise CatspecError(f"{where}: {token!r} is negative", line)
         elif slot == "p" and not (token[:1] == "p"
                                   and all(c.isdecimal() for c in token[1:])):
             raise CatspecError(f"{where}: {token!r} is not a permutation", line)
@@ -338,10 +342,13 @@ def load(text: str) -> LoadedDocument:
 
     for b in (x for x in doc.blocks if x.kind in ("sset", "rsset")):
         level = int(b.params[0])
-        if b.kind == "sset":
-            shape = opposite(nabla.delta_leq(level))
-        else:
-            shape = opposite(nabla.nabla_category(level).category)
+        try:
+            if b.kind == "sset":
+                shape = opposite(nabla.delta_leq(level))
+            else:
+                shape = opposite(nabla.nabla_category(level).category)
+        except ValueError as exc:
+            raise CatspecError(f"{b.kind} {b.name}: {exc}", b.line) from None
         values = {f"[{n}]": [] for n in range(level + 1)}
         for e in _entries(b, "simplex"):
             key = f"[{e[0]}]"

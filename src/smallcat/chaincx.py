@@ -7,12 +7,19 @@ encoded by negating degrees.
 
 Finite-dimensional algebras are given by structure constants; modules over
 them by one action matrix per basis element.  Change of rings along an
-algebra map is implemented in all three forms: restriction, tensoring up
-(quotient of the free construction by the bilinearity relations), and the
-hom construction (solution space of the linearity constraints).  Truncation
-functors onto nonnegative degrees come in the naive (discard) and the
-homotopy (cokernel in degree zero) flavors, together with the standard
-two-term complex separating them.
+algebra map ``f: A -> B`` comes in all three forms: restriction, tensoring
+up and the hom construction.  Tensoring up builds an :class:`InducedModule`
+record, the quotient of ``B (x) M`` by the bilinearity relations with its
+projection and one section; the hom construction builds a
+:class:`CoinducedModule` record, the solution space of the linearity
+constraints with its basis.  One transport per direction carries a linear
+map ``g`` between two records (lift through the section, apply
+``B (x) g``, project; or postcompose each basis homomorphism with ``g`` and
+solve in the target basis).  The module-map, complex and complex-map
+functions are thin wrappers over it, and a complex builds each degree's
+record once.  Truncation functors onto nonnegative degrees come in the
+naive (discard) and the homotopy (cokernel in degree zero) flavors,
+together with the standard two-term complex separating them.
 """
 from __future__ import annotations
 
@@ -293,15 +300,14 @@ def naive_truncate_map(f: ComplexMap) -> ComplexMap:
     return ComplexMap(X, Y, {k: f.mat(k) for k in range(0, max(X.hi, Y.hi) + 1)})
 
 
-def _coker_projection(m: np.ndarray, p: int) -> np.ndarray:
-    """Projection matrix of ``target(m) -> coker(m)`` in chosen coordinates.
+def _coker_projection(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Projection matrix of ``target(m) -> coker(m)`` in chosen coordinates,
+    and one section of it.
 
     Coordinates of the cokernel are the unit vectors that greedily complete
     the column space of ``m`` to the whole space.
     """
     rows = m.shape[0]
-    if rows == 0:
-        return _zeros(0, 0)
     chosen: list[int] = []
     cur = m.copy()
     for r in range(rows):
@@ -311,8 +317,7 @@ def _coker_projection(m: np.ndarray, p: int) -> np.ndarray:
             chosen.append(r)
             cur = np.concatenate([cur, e], axis=1)
     # projection: express x as (column space part) + sum of chosen units
-    basis = np.concatenate(
-        [m, _eye(rows)[:, chosen]], axis=1) if m.size else _eye(rows)[:, chosen]
+    basis = np.concatenate([m, _eye(rows)[:, chosen]], axis=1)
     proj = _zeros(len(chosen), rows)
     for r in range(rows):
         e = _zeros(rows, 1)
@@ -321,44 +326,37 @@ def _coker_projection(m: np.ndarray, p: int) -> np.ndarray:
         if sol is None:
             raise AssertionError("cokernel basis is not spanning")
         proj[:, r] = sol[m.shape[1]:, 0]
-    return proj % p
+    sect = solve_mod(proj, _eye(len(chosen)), p)
+    if sect is None:
+        raise AssertionError("cokernel projection is not surjective")
+    return proj % p, sect
+
+
+def _homotopy_truncation(C: FiniteComplex
+                         ) -> tuple[FiniteComplex, np.ndarray, np.ndarray]:
+    """The homotopy truncation with its degree-zero projection and section."""
+    p = C.p
+    proj, sect = _coker_projection(C.d(-1), p)
+    if C.hi < 0:
+        return zero_complex(p), proj, sect
+    dims = {0: proj.shape[0]}
+    dims.update({k: C.dim(k) for k in range(1, C.hi + 1)})
+    # induced differential out of the cokernel: through the section
+    diff = {0: (C.d(0) @ sect) % p} if C.dim(1) else {}
+    diff.update({k: C.d(k) for k in range(1, C.hi + 1)})
+    return FiniteComplex(p, 0, C.hi, dims, diff), proj, sect
 
 
 def homotopy_truncate(C: FiniteComplex) -> FiniteComplex:
     """Replace degree zero by the cokernel of the incoming differential,
     keep positive degrees, discard the rest."""
-    p = C.p
-    if C.hi < 0:
-        return zero_complex(p)
-    proj = _coker_projection(C.d(-1), p)
-    dims = {0: proj.shape[0]}
-    dims.update({k: C.dim(k) for k in range(1, C.hi + 1)})
-    diff: dict[int, np.ndarray] = {}
-    # induced differential out of the cokernel: pick any section
-    if C.dim(1):
-        sect = solve_mod(proj, _eye(proj.shape[0]), p)
-        if proj.shape[0] == 0:
-            diff[0] = _zeros(C.dim(1), 0)
-        else:
-            if sect is None:
-                raise AssertionError("cokernel projection is not surjective")
-            diff[0] = (C.d(0) @ sect) % p
-    for k in range(1, C.hi + 1):
-        diff[k] = C.d(k)
-    return FiniteComplex(p, 0, max(C.hi, 0), dims, diff)
+    return _homotopy_truncation(C)[0]
 
 
 def homotopy_truncate_map(f: ComplexMap) -> ComplexMap:
-    X, Y = homotopy_truncate(f.source), homotopy_truncate(f.target)
-    p = f.source.p
-    mats: dict[int, np.ndarray] = {}
-    projX = _coker_projection(f.source.d(-1), p)
-    projY = _coker_projection(f.target.d(-1), p)
-    if projX.shape[0]:
-        sect = solve_mod(projX, _eye(projX.shape[0]), p)
-        mats[0] = (projY @ f.mat(0) @ sect) % p
-    else:
-        mats[0] = _zeros(projY.shape[0], 0)
+    X, _, sectX = _homotopy_truncation(f.source)
+    Y, projY, _ = _homotopy_truncation(f.target)
+    mats = {0: (projY @ f.mat(0) @ sectX) % f.source.p}
     for k in range(1, max(X.hi, Y.hi) + 1):
         mats[k] = f.mat(k)
     return ComplexMap(X, Y, mats)
@@ -611,6 +609,8 @@ class InducedModule:
     module: AlgebraModule
     # projection from the tensor square space (target algebra (x) M)
     projection: np.ndarray
+    # one section of the projection, back into the tensor square space
+    section: np.ndarray
 
 
 def induce(f: AlgebraMap, M: AlgebraModule) -> InducedModule:
@@ -647,9 +647,8 @@ def induce(f: AlgebraMap, M: AlgebraModule) -> InducedModule:
                                                 - av[k]) % p
                 rels.append(vec % p)
     relmat = np.array(rels, dtype=np.int64).T if rels else _zeros(big, 0)
-    proj = _coker_projection(relmat, p)
+    proj, sect = _coker_projection(relmat, p)
     qdim = proj.shape[0]
-    sect = solve_mod(proj, _eye(qdim), p) if qdim else _zeros(big, 0)
     action = np.zeros((B.dim, qdim, qdim), dtype=np.int64)
     for bi in range(B.dim):
         lift_mat = _zeros(big, big)
@@ -660,7 +659,7 @@ def induce(f: AlgebraMap, M: AlgebraModule) -> InducedModule:
                 for k in range(B.dim):
                     lift_mat[tensor_index(k, mi), col] = prod[k]
         action[bi] = (proj @ lift_mat @ sect) % p
-    return InducedModule(AlgebraModule(B, qdim, action % p), proj)
+    return InducedModule(AlgebraModule(B, qdim, action % p), proj, sect)
 
 
 @dataclass(frozen=True)
@@ -705,31 +704,37 @@ def coinduce(f: AlgebraMap, M: AlgebraModule) -> CoinducedModule:
     return CoinducedModule(AlgebraModule(B, qdim, action), basis)
 
 
+def _induce_transport(f: AlgebraMap, g: np.ndarray,
+                      src: InducedModule, tgt: InducedModule) -> np.ndarray:
+    """Carry ``g`` between tensored-up modules: lift, apply ``B (x) g``,
+    project."""
+    return (tgt.projection @ np.kron(_eye(f.target.dim), g)
+            @ src.section) % f.source.p
+
+
+def _coinduce_transport(f: AlgebraMap, g: np.ndarray,
+                        src: CoinducedModule, tgt: CoinducedModule
+                        ) -> np.ndarray:
+    """Carry ``g`` between hom modules: postcompose each basis homomorphism
+    with ``g`` and solve in the target basis."""
+    p = f.source.p
+    moved = (np.kron(_eye(f.target.dim), g) @ src.basis) % p
+    sol = solve_mod(tgt.basis, moved, p)
+    if sol is None:
+        raise AssertionError("coinduced map leaves the hom space")
+    return sol % p
+
+
 def induce_module_map(f: AlgebraMap, gmat: np.ndarray,
                       M: AlgebraModule, N: AlgebraModule) -> np.ndarray:
     """The matrix of the induced map between the tensored-up modules."""
-    p = f.source.p
-    iM, iN = induce(f, M), induce(f, N)
-    if iM.module.dim == 0:
-        return _zeros(iN.module.dim, 0)
-    sect = solve_mod(iM.projection, _eye(iM.module.dim), p)
-    if sect is None:
-        raise AssertionError("induced projection is not surjective")
-    return (iN.projection @ np.kron(_eye(f.target.dim), gmat) @ sect) % p
+    return _induce_transport(f, gmat, induce(f, M), induce(f, N))
 
 
 def coinduce_module_map(f: AlgebraMap, gmat: np.ndarray,
                         M: AlgebraModule, N: AlgebraModule) -> np.ndarray:
     """The matrix of the coinduced map between the hom modules."""
-    p = f.source.p
-    cM, cN = coinduce(f, M), coinduce(f, N)
-    if cM.module.dim == 0:
-        return _zeros(cN.module.dim, 0)
-    moved = (np.kron(_eye(f.target.dim), gmat) @ cM.basis) % p
-    sol = solve_mod(cN.basis, moved, p)
-    if sol is None:
-        raise AssertionError("coinduced map leaves the hom space")
-    return sol % p
+    return _coinduce_transport(f, gmat, coinduce(f, M), coinduce(f, N))
 
 
 def restrict_complex(f: AlgebraMap, C: FiniteComplex,
@@ -737,6 +742,39 @@ def restrict_complex(f: AlgebraMap, C: FiniteComplex,
                      ) -> tuple[FiniteComplex, dict[int, AlgebraModule]]:
     """Degreewise restriction of scalars (complex matrices are unchanged)."""
     return C, {k: restrict_scalars(f, M) for k, M in modules.items()}
+
+
+def _degreewise(construct, transport, f: AlgebraMap, C: FiniteComplex,
+                modules: dict[int, AlgebraModule]) -> tuple[FiniteComplex, dict]:
+    """Build each degree's record once with ``construct`` and carry every
+    differential between neighbouring records with ``transport``.
+
+    ``modules[k]`` is the module structure in degree ``k``: every degree of
+    nonzero dimension needs one, of the degree's dimension.
+    """
+    for k in range(C.lo, C.hi + 1):
+        if C.dim(k) and k not in modules:
+            raise ValueError(f"no module in degree {k}")
+    for k, M in modules.items():
+        if M.dim != C.dim(k):
+            raise ValueError(f"module in degree {k} has dimension {M.dim}, "
+                             f"not {C.dim(k)}")
+    recs = {k: construct(f, M) for k, M in modules.items()}
+    diff = {k: transport(f, C.d(k), recs[k], recs[k + 1])
+            for k in range(C.lo, C.hi + 1) if k in recs and k + 1 in recs}
+    dims = {k: rec.module.dim for k, rec in recs.items()}
+    return build_complex(C.p, dims, diff), recs
+
+
+def _degreewise_map(construct, transport, f: AlgebraMap, g: ComplexMap,
+                    src_modules: dict[int, AlgebraModule],
+                    tgt_modules: dict[int, AlgebraModule]) -> ComplexMap:
+    """The complexes at both ends by :func:`_degreewise`, and each
+    component of ``g`` carried between the records of its degree."""
+    X, srcs = _degreewise(construct, transport, f, g.source, src_modules)
+    Y, tgts = _degreewise(construct, transport, f, g.target, tgt_modules)
+    return ComplexMap(X, Y, {k: transport(f, g.mat(k), srcs[k], tgts[k])
+                             for k in srcs if k in tgts})
 
 
 def coinduce_complex(f: AlgebraMap, C: FiniteComplex,
@@ -748,89 +786,29 @@ def coinduce_complex(f: AlgebraMap, C: FiniteComplex,
     must be module maps.  Returns the coinduced complex (underlying
     plain-vector-space complex plus per-degree modules).
     """
-    p = C.p
-    coinds = {k: coinduce(f, modules[k]) for k in modules}
-    dims = {k: coinds[k].module.dim for k in coinds}
-    diff = {}
-    for k in range(C.lo, C.hi + 1):
-        if k + 1 not in coinds or coinds[k].module.dim == 0:
-            continue
-        src = coinds[k]
-        tgt = coinds[k + 1]
-        # postcompose each basis homomorphism with the differential
-        moved = (np.kron(_eye(f.target.dim), C.d(k)) @ src.basis) % p
-        sol = solve_mod(tgt.basis, moved, p)
-        if sol is None:
-            raise AssertionError("coinduced differential leaves the hom space")
-        diff[k] = sol % p
-    out = build_complex(p, dims, diff)
-    return out, {k: coinds[k].module for k in coinds}
+    out, recs = _degreewise(coinduce, _coinduce_transport, f, C, modules)
+    return out, {k: rec.module for k, rec in recs.items()}
 
 
 def induce_complex(f: AlgebraMap, C: FiniteComplex,
                    modules: dict[int, AlgebraModule]
                    ) -> tuple[FiniteComplex, dict[int, AlgebraModule]]:
     """Degreewise tensoring up applied to a complex of modules."""
-    p = C.p
-    inds = {k: induce(f, modules[k]) for k in modules}
-    dims = {k: inds[k].module.dim for k in inds}
-    diff = {}
-    bdim = f.target.dim
-    for k in range(C.lo, C.hi + 1):
-        if k + 1 not in inds or k not in inds:
-            continue
-        src, tgt = inds[k], inds[k + 1]
-        if src.module.dim == 0 or tgt.module.dim == 0:
-            continue
-        sect = solve_mod(src.projection, _eye(src.module.dim), p)
-        if sect is None:
-            raise AssertionError("induced projection is not surjective")
-        diff[k] = (tgt.projection @ np.kron(_eye(bdim), C.d(k)) @ sect) % p
-    out = build_complex(p, dims, diff)
-    return out, {k: inds[k].module for k in inds}
+    out, recs = _degreewise(induce, _induce_transport, f, C, modules)
+    return out, {k: rec.module for k, rec in recs.items()}
 
 
 def induce_complex_map(f: AlgebraMap, g: ComplexMap,
                        src_modules: dict[int, AlgebraModule],
                        tgt_modules: dict[int, AlgebraModule]) -> ComplexMap:
     """Degreewise tensoring up applied to a map of module complexes."""
-    p = g.source.p
-    X, _ = induce_complex(f, g.source, src_modules)
-    Y, _ = induce_complex(f, g.target, tgt_modules)
-    s_inds = {k: induce(f, src_modules[k]) for k in src_modules}
-    t_inds = {k: induce(f, tgt_modules[k]) for k in tgt_modules}
-    bdim = f.target.dim
-    mats = {}
-    for k in src_modules:
-        if k not in t_inds or t_inds[k].module.dim == 0:
-            continue
-        if s_inds[k].module.dim == 0:
-            mats[k] = _zeros(t_inds[k].module.dim, 0)
-            continue
-        sect = solve_mod(s_inds[k].projection, _eye(s_inds[k].module.dim), p)
-        if sect is None:
-            raise AssertionError("induced projection is not surjective")
-        mats[k] = (t_inds[k].projection @ np.kron(_eye(bdim), g.mat(k))
-                   @ sect) % p
-    return ComplexMap(X, Y, mats)
+    return _degreewise_map(induce, _induce_transport, f, g,
+                           src_modules, tgt_modules)
 
 
 def coinduce_complex_map(f: AlgebraMap, g: ComplexMap,
                          src_modules: dict[int, AlgebraModule],
                          tgt_modules: dict[int, AlgebraModule]) -> ComplexMap:
     """Degreewise hom construction applied to a map of module complexes."""
-    p = g.source.p
-    X, _ = coinduce_complex(f, g.source, src_modules)
-    Y, _ = coinduce_complex(f, g.target, tgt_modules)
-    s_coinds = {k: coinduce(f, src_modules[k]) for k in src_modules}
-    t_coinds = {k: coinduce(f, tgt_modules[k]) for k in tgt_modules}
-    mats = {}
-    for k in src_modules:
-        if k not in t_coinds or t_coinds[k].module.dim == 0:
-            continue
-        moved = (np.kron(_eye(f.target.dim), g.mat(k)) @ s_coinds[k].basis) % p
-        sol = solve_mod(t_coinds[k].basis, moved, p)
-        if sol is None:
-            raise AssertionError("coinduced map leaves the hom space")
-        mats[k] = sol % p
-    return ComplexMap(X, Y, mats)
+    return _degreewise_map(coinduce, _coinduce_transport, f, g,
+                           src_modules, tgt_modules)

@@ -121,9 +121,9 @@ def flip_delta_morphism(name: str) -> str:
     return delta_name(tuple(n - imgs[m - i] for i in range(m + 1)), n)
 
 
-def flip_functor(N: int, delta: FiniteCategory | None = None) -> CatFunctor:
+def flip_functor(N: int) -> CatFunctor:
     """The order-reversing involution of the truncated simplex category."""
-    delta = delta if delta is not None else delta_leq(N)
+    delta = delta_leq(N)
     return CatFunctor(delta, delta,
                       {x: x for x in delta.objects},
                       {f: flip_delta_morphism(f) for f in delta.morphisms})
@@ -135,7 +135,7 @@ def nabla_action(N: int) -> GroupAction:
     G = cyclic_group(2)
     return GroupAction(G, delta, {UNIT: CatFunctor(
         delta, delta, {x: x for x in delta.objects},
-        {m: m for m in delta.morphisms}), SWAP: flip_functor(N, delta)})
+        {m: m for m in delta.morphisms}), SWAP: flip_functor(N)})
 
 
 @functools.cache
@@ -197,9 +197,9 @@ class NablaPresentations:
     iso: CatFunctor     # semidirect presentation -> pair presentation
 
 
-def build_nabla(N: int, check: bool = True) -> NablaPresentations:
+def build_nabla(N: int) -> NablaPresentations:
     """Both presentations of the signed simplex category plus the explicit
-    isomorphism between them, verified tablewise when ``check`` is set."""
+    isomorphism between them, verified tablewise."""
     sd = semidirect(nabla_action(N))
     pairs = monotone_pair_category(N)
     ob = {x: x for x in sd.category.objects}
@@ -213,13 +213,11 @@ def build_nabla(N: int, check: bool = True) -> NablaPresentations:
             rev = tuple(reversed(imgs))
             mor[name] = "".join(map(str, rev)) + f":{n}:-"
     iso = CatFunctor(sd.category, pairs, ob, mor)
-    if check:
-        errs = validate_functor(iso)
-        if errs:
-            raise AssertionError("presentation comparison fails: " + errs[0])
-        if len(set(mor.values())) != len(mor) \
-                or len(mor) != len(pairs.morphisms):
-            raise AssertionError("presentation comparison not bijective")
+    errs = validate_functor(iso)
+    if errs:
+        raise AssertionError("presentation comparison fails: " + errs[0])
+    if len(set(mor.values())) != len(mor) or len(mor) != len(pairs.morphisms):
+        raise AssertionError("presentation comparison not bijective")
     return NablaPresentations(sd, pairs, iso)
 
 

@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smallcat import catspec, fincat, invcat, nabla, setval
 from smallcat.catspec import (
@@ -166,6 +168,12 @@ def test_cyclic_operad_block_roundtrip():
     ("complex K 2 0 0\ndim 0 1\nd 0 0 z 1\nend\n", 3),
     ("complex K 2 lo 0\nend\n", 1),
     ("sset S one\nend\n", 1),
+    ("complex K 2 0 1\ndim 0 1\ndim 1 2\nd 0 -1 0 1\nend\n", 4),
+    ("complex K 2 0 1\ndim 0 1\ndim 1 2\nd 0 0 -1 1\nend\n", 4),
+    ("complex K 2 0 0\ndim 0 -1\nend\n", 2),
+    ("sset S 12\nend\n", 1),
+    ("sset S -1\nend\n", 1),
+    ("rsset S 12\nend\n", 1),
 ])
 def test_malformed_entry_names_its_line(text, line):
     with pytest.raises(CatspecError) as exc:
@@ -191,3 +199,60 @@ def test_complex_with_non_prime_p_rejected(p):
         load(f"complex K {p} 0 0\nend\n")
     assert "not a prime" in str(exc.value)
     assert "line 1" in str(exc.value)
+
+
+# Integer-token mutations of a complex and an sset document.  The drawn
+# values stay small: sset levels 4..9 are valid but take seconds each to
+# build, and a large dim allocates its differential matrices.
+_MUTABLE_DOCS = (
+    "complex K 2 -1 1\ndim -1 1\ndim 0 2\ndim 1 1\n"
+    "d -1 0 0 1\nd -1 1 0 1\nd 0 0 0 1\nd 0 0 1 1\nend\n",
+    emit(CatspecDocument((sset_block("S", nabla.representable_sset(1, 1)),))),
+)
+
+
+def _is_int(token: str) -> bool:
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _assert_entries_where_stated(text: str, loaded) -> None:
+    """Every complex's differentials hold exactly the document's ``d``
+    entries (the last one per position), each at its stated row and column."""
+    for block in parse(text).blocks:
+        if block.kind != "complex":
+            continue
+        p = int(block.params[0])
+        C = loaded.complexes[block.name]
+        want = {k: np.zeros(C.d(k).shape, dtype=np.int64)
+                for k in range(C.lo, C.hi + 1)}
+        for _, k, row, col, val in (e for e in block.entries if e[0] == "d"):
+            k, row, col = int(k), int(row), int(col)
+            rows, cols = want[k].shape
+            assert 0 <= row < rows and 0 <= col < cols
+            want[k][row, col] = int(val) % p
+        for k, m in want.items():
+            assert np.array_equal(C.d(k), m)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_load_under_integer_token_mutations(data):
+    lines = data.draw(st.sampled_from(_MUTABLE_DOCS)).splitlines()
+    slots = [(i, j) for i, line in enumerate(lines)
+             for j, token in enumerate(line.split()) if _is_int(token)]
+    values = st.one_of(st.integers(-3, 3), st.integers(10, 12))
+    for i, j in data.draw(st.lists(st.sampled_from(slots), min_size=1,
+                                   max_size=3)):
+        tokens = lines[i].split()
+        tokens[j] = str(data.draw(values))
+        lines[i] = " ".join(tokens)
+    text = "\n".join(lines) + "\n"
+    try:
+        loaded = load(text)
+    except CatspecError:
+        return
+    _assert_entries_where_stated(text, loaded)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+import chaincx_oracle as oracle
+from smallcat import chaincx
 from smallcat.chaincx import (
     AlgebraMap,
+    AlgebraModule,
     ComplexMap,
     FiniteComplex,
     augmentation_dual_numbers,
@@ -10,18 +13,24 @@ from smallcat.chaincx import (
     coinduce,
     coinduce_complex,
     coinduce_complex_map,
+    coinduce_module_map,
     dual_numbers,
     field_algebra,
     free_module,
     hom_dim,
     homology_dims,
     homotopy_truncate,
+    homotopy_truncate_map,
     identity_map,
     induce,
+    induce_complex,
+    induce_complex_map,
+    induce_module_map,
     is_degreewise_epi,
     is_degreewise_mono,
     is_prime,
     is_quasi_iso,
+    module_hom_space,
     module_is_free,
     naive_truncate,
     nullspace_mod,
@@ -333,3 +342,256 @@ def test_non_prime_characteristic_rejected():
             dual_numbers(p)
         with pytest.raises(ValueError):
             FiniteComplex(p, 0, -1, {}, {})
+
+
+# --- change of rings and homotopy truncation against the oracle -------------
+
+PRIMES = (2, 3, 5)
+
+
+def assert_same_matrix(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def assert_same_complex(got, want):
+    assert (got.lo, got.hi, got.dims) == (want.lo, want.hi, want.dims)
+    for k in range(got.lo - 1, got.hi + 1):
+        assert_same_matrix(got.d(k), want.d(k))
+
+
+def assert_same_map(got, want):
+    assert_same_complex(got.source, want.source)
+    assert_same_complex(got.target, want.target)
+    lo = min(got.source.lo, got.target.lo)
+    hi = max(got.source.hi, got.target.hi)
+    for k in range(lo, hi + 1):
+        assert_same_matrix(got.mat(k), want.mat(k))
+
+
+def assert_same_modules(got, want):
+    assert list(got) == list(want)
+    for k in got:
+        assert got[k].dim == want[k].dim
+        assert_same_matrix(got[k].action, want[k].action)
+
+
+def random_complex(rng, p):
+    """A random bounded complex over GF(p): each differential maps into the
+    kernel of the next one, built from the top degree down."""
+    lo = int(rng.integers(-3, 1))
+    hi = lo + int(rng.integers(0, 4))
+    dims = {k: int(rng.integers(0, 4)) for k in range(lo, hi + 1)}
+    diff = {}
+    for k in range(hi - 1, lo - 1, -1):
+        above = diff.get(k + 1, np.zeros((dims.get(k + 2, 0), dims[k + 1]),
+                                         dtype=np.int64))
+        ker = nullspace_mod(above, p)
+        coeffs = rng.integers(0, p, size=(ker.shape[1], dims[k]))
+        diff[k] = (ker @ coeffs) % p
+    C = build_complex(p, dims, diff)
+    assert validate_complex(C) == []
+    return C
+
+
+def random_chain_map(rng, C):
+    """``c * id + d h + h d`` for a random scalar ``c`` and random ``h``."""
+    p = C.p
+    h = {k: rng.integers(0, p, size=(C.dim(k - 1), C.dim(k)))
+         for k in range(C.lo, C.hi + 2)}
+    c = int(rng.integers(0, p))
+    mats = {k: (c * np.eye(C.dim(k), dtype=np.int64) + C.d(k - 1) @ h[k]
+                + h[k + 1] @ C.d(k)) % p for k in range(C.lo, C.hi + 1)}
+    g = ComplexMap(C, C, mats)
+    assert validate_complex_map(g) == []
+    return g
+
+
+def field_modules(C):
+    k = field_algebra(C.p)
+    return {d: free_module(k, C.dim(d)) for d in range(C.lo, C.hi + 1)}
+
+
+def complex_maps(rng, C, D):
+    """Chain maps at ``C``: the identity, two random ones to itself, and
+    zero maps to and from ``D`` and the zero complex."""
+    Z = zero_complex(C.p)
+    return [identity_map(C), random_chain_map(rng, C), random_chain_map(rng, C),
+            zero_map(C, D), zero_map(D, C), zero_map(C, Z), zero_map(Z, C),
+            zero_map(Z, Z)]
+
+
+def compare_complex_level(f, g, src_mods, tgt_mods):
+    for new, old in ((induce_complex, oracle.induce_complex),
+                     (coinduce_complex, oracle.coinduce_complex)):
+        for X, mods in ((g.source, src_mods), (g.target, tgt_mods)):
+            got, got_mods = new(f, X, mods)
+            want, want_mods = old(f, X, mods)
+            assert_same_complex(got, want)
+            assert_same_modules(got_mods, want_mods)
+    for new, old in ((induce_complex_map, oracle.induce_complex_map),
+                     (coinduce_complex_map, oracle.coinduce_complex_map)):
+        assert_same_map(new(f, g, src_mods, tgt_mods),
+                        old(f, g, src_mods, tgt_mods))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_change_of_rings_matches_oracle_on_random_complexes(p):
+    rng = np.random.default_rng(1000 + p)
+    f = unit_inclusion(dual_numbers(p))
+    for _ in range(6):
+        C, D = random_complex(rng, p), random_complex(rng, p)
+        mods = {id(C): field_modules(C), id(D): field_modules(D)}
+        for g in complex_maps(rng, C, D):
+            compare_complex_level(f, g, mods.get(id(g.source), {}),
+                                  mods.get(id(g.target), {}))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_homotopy_truncation_matches_oracle_on_random_complexes(p):
+    rng = np.random.default_rng(2000 + p)
+    for _ in range(10):
+        C, D = random_complex(rng, p), random_complex(rng, p)
+        assert_same_complex(homotopy_truncate(C), oracle.homotopy_truncate(C))
+        for g in complex_maps(rng, C, D):
+            assert_same_map(homotopy_truncate_map(g),
+                            oracle.homotopy_truncate_map(g))
+
+
+def zero_module(A):
+    return AlgebraModule(A, 0, np.zeros((A.dim, 0, 0), dtype=np.int64))
+
+
+def dual_number_modules(p):
+    D = dual_numbers(p)
+    return [regular_module(D), free_module(D, 2),
+            trivial_module(D, augmentation_dual_numbers(p)), zero_module(D)]
+
+
+def random_module_map(rng, M, N):
+    """A random ``A``-linear map ``M -> N`` from the hom-space basis."""
+    basis = module_hom_space(M, N)
+    coeffs = rng.integers(0, M.algebra.p, size=basis.shape[1])
+    g = ((basis @ coeffs) % M.algebra.p).reshape(M.dim, N.dim).T
+    for act_m, act_n in zip(M.action, N.action):
+        assert not np.any((g @ act_m - act_n @ g) % M.algebra.p)
+    return g
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_module_level_change_of_rings_matches_oracle(p):
+    rng = np.random.default_rng(3000 + p)
+    D = dual_numbers(p)
+    k = field_algebra(p)
+    cases = [(AlgebraMap(D, D, np.eye(2, dtype=np.int64)), dual_number_modules(p)),
+             (augmentation_dual_numbers(p), dual_number_modules(p)),
+             (unit_inclusion(D), [free_module(k, r) for r in range(3)])]
+    for f, modules in cases:
+        for M in modules:
+            new_ind, old_ind = induce(f, M), oracle.induce(f, M)
+            assert_same_modules({0: new_ind.module}, {0: old_ind.module})
+            assert_same_matrix(new_ind.projection, old_ind.projection)
+            new_co, old_co = coinduce(f, M), oracle.coinduce(f, M)
+            assert_same_modules({0: new_co.module}, {0: old_co.module})
+            assert_same_matrix(new_co.basis, old_co.basis)
+            for N in modules:
+                # the second map in unreduced (negative) representatives
+                for g in (random_module_map(rng, M, N),
+                          random_module_map(rng, M, N) - p):
+                    assert_same_matrix(induce_module_map(f, g, M, N),
+                                       oracle.induce_module_map(f, g, M, N))
+                    assert_same_matrix(coinduce_module_map(f, g, M, N),
+                                       oracle.coinduce_module_map(f, g, M, N))
+
+
+def dual_number_complexes(p):
+    """Complexes of modules over the dual numbers: ``D -x-> D -x-> D`` and
+    ``T -> D -> T`` through the socle and the augmentation (``T`` the
+    trivial module)."""
+    D = dual_numbers(p)
+    R = regular_module(D)
+    T = trivial_module(D, augmentation_dual_numbers(p))
+    x = R.action[1]
+    line = build_complex(p, {0: 2, 1: 2, 2: 2}, {0: x, 1: x})
+    socle = build_complex(p, {-1: 1, 0: 2, 1: 1}, {-1: [[0], [1]], 0: [[1, 0]]})
+    return [(line, {0: R, 1: R, 2: R}, x), (socle, {-1: T, 0: R, 1: T}, None)]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_dual_number_complexes_match_oracle(p):
+    D = dual_numbers(p)
+    Z = zero_complex(p)
+    for f in (AlgebraMap(D, D, np.eye(2, dtype=np.int64)),
+              augmentation_dual_numbers(p)):
+        for C, mods, x in dual_number_complexes(p):
+            assert validate_complex(C) == []
+            maps = [(identity_map(C), mods, mods), (zero_map(C, Z), mods, {}),
+                    (zero_map(Z, C), {}, mods)]
+            if x is not None:
+                times_x = ComplexMap(C, C, {k: x for k in range(C.lo, C.hi + 1)})
+                assert validate_complex_map(times_x) == []
+                maps.append((times_x, mods, mods))
+            for g, src_mods, tgt_mods in maps:
+                compare_complex_level(f, g, src_mods, tgt_mods)
+
+
+def test_zero_dimensional_modules_inside_a_complex_match_oracle():
+    p = 3
+    f = unit_inclusion(dual_numbers(p))
+    C = build_complex(p, {-1: 2, 0: 0, 1: 1, 2: 0}, {})
+    mods = field_modules(C)
+    for g in (identity_map(C), zero_map(C, zero_complex(p))):
+        compare_complex_level(f, g, mods, mods if g.target is C else {})
+
+
+def test_each_degree_record_is_built_once(monkeypatch):
+    # the identity map of the two-term complex has two degrees on each side:
+    # one record per degree and side, where the per-caller rebuilds made 8
+    p = 2
+    f = unit_inclusion(dual_numbers(p))
+    C = two_term_identity_complex(p)
+    mods = {-1: regular_module(field_algebra(p)), 0: regular_module(field_algebra(p))}
+    calls = {"induce": 0, "coinduce": 0, "solve_mod": 0}
+
+    def counted(name):
+        real = getattr(chaincx, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(chaincx, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    induce_complex_map(f, identity_map(C), mods, mods)
+    assert calls == {"induce": 4, "coinduce": 0, "solve_mod": 12}   # was 8, 0, 28
+    coinduce_complex_map(f, identity_map(C), mods, mods)
+    assert calls["coinduce"] == 4
+
+
+@pytest.mark.parametrize("build", [induce_complex, coinduce_complex])
+def test_complex_change_of_rings_rejects_a_bad_module_family(build):
+    p = 2
+    f = unit_inclusion(dual_numbers(p))
+    M = regular_module(field_algebra(p))
+    C = build_complex(p, {0: 1, 1: 1, 2: 1}, {})
+    with pytest.raises(ValueError, match="degree 0"):
+        build(f, C, {1: M, 2: M})
+    with pytest.raises(ValueError, match="degree 1"):
+        build(f, C, {0: M, 1: free_module(field_algebra(p), 2), 2: M})
+    gap = build_complex(p, {0: 1, 1: 0, 2: 1}, {})
+    out, mods = build(f, gap, {0: M, 2: M})
+    assert validate_complex(out) == [] and out.dims == {0: 2, 1: 0, 2: 2}
+
+
+@pytest.mark.parametrize("build", [induce_complex_map, coinduce_complex_map])
+def test_complex_map_change_of_rings_rejects_a_bad_module_family(build):
+    p = 2
+    f = unit_inclusion(dual_numbers(p))
+    M = regular_module(field_algebra(p))
+    C = build_complex(p, {0: 1, 1: 1, 2: 1}, {})
+    full = {0: M, 1: M, 2: M}
+    with pytest.raises(ValueError, match="degree 0"):
+        build(f, identity_map(C), {1: M, 2: M}, full)
+    with pytest.raises(ValueError, match="degree 2"):
+        build(f, identity_map(C), full, {0: M, 1: M, 2: zero_module(M.algebra)})

@@ -256,7 +256,12 @@ def test_malformed_entry_exits_2(tmp_path, capsys):
                  "operad T 2\nelement 1 x\nunit x\ncompose a x x x\nend\n",
                  "operad T 2\nelement 1 x\nunit x\nact 1 pab x x\nend\n",
                  "complex K 2 0 0\ndim 0 q\nend\n",
-                 "complex K 2 0 0\ndim 0 1\nd 0 0 z 1\nend\n"):
+                 "complex K 2 0 0\ndim 0 1\nd 0 0 z 1\nend\n",
+                 "complex K 2 0 1\ndim 0 1\ndim 1 2\nd 0 -1 0 1\nend\n",
+                 "complex K 2 0 1\ndim 0 1\ndim 1 2\nd 0 0 -1 1\nend\n",
+                 "complex K 2 0 0\ndim 0 -1\nend\n",
+                 "sset S 12\nend\n",
+                 "sset S -1\nend\n"):
         path = tmp_path / "bad.catspec"
         path.write_text(text, encoding="utf-8")
         code, out = run_cli(["validate", str(path)], capsys)
