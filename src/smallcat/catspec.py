@@ -28,7 +28,10 @@ Block kinds and their entries:
   lines makes the operad cyclic); permutations are ``p``-prefixed digit
   strings of images, e.g. ``p21`` for the transposition.
 - ``complex NAME P LO HI``: ``dim K D`` / ``d K ROW COL VAL`` (entries of
-  the degree-raising differential out of degree ``K``); ``P`` must be prime.
+  the degree-raising differential out of degree ``K``); ``P`` must be prime,
+  with ``(P-1)^2 * max(1, max D) < 2^63`` so that int64 matrix products do
+  not overflow, and the differentials may hold at most
+  ``MAX_DIFFERENTIAL_ENTRIES`` (2^24) entries in all.
 
 An entry line whose keyword is not one of its block kind's, or whose token
 count differs from the forms above, is rejected by :func:`parse`, as is a
@@ -78,6 +81,10 @@ _GRAMMAR = {
     "complex": ("iii", {"dim": "in", "d": "inni"}),
 }
 BLOCK_KINDS = tuple(_GRAMMAR)
+
+# A complex block's differentials are dense int64 matrices; ``load``
+# rejects a block whose matrices would hold more entries than this in all.
+MAX_DIFFERENTIAL_ENTRIES = 2 ** 24
 
 
 class CatspecError(ValueError):
@@ -406,12 +413,20 @@ def load(text: str) -> LoadedDocument:
 
     for b in (x for x in doc.blocks if x.kind == "complex"):
         p, lo, hi = (int(t) for t in b.params)
+        dims = {int(e[0]): int(e[1]) for e in _entries(b, "dim")}
+        if (p - 1) ** 2 * max([1, *dims.values()]) >= 2 ** 63:
+            raise CatspecError(f"complex {b.name}: p = {p} overflows int64 "
+                               f"matrix products at these dimensions", b.line)
         if not chaincx.is_prime(p):
             raise CatspecError(f"complex {b.name}: p = {p} is not a prime",
                                b.line)
-        dims = {int(e[0]): int(e[1]) for e in _entries(b, "dim")}
         for k in range(lo, hi + 1):
             dims.setdefault(k, 0)
+        entries = sum(dims.get(k + 1, 0) * dims[k] for k in range(lo, hi + 1))
+        if entries > MAX_DIFFERENTIAL_ENTRIES:
+            raise CatspecError(f"complex {b.name}: differentials would have "
+                               f"{entries} entries, more than "
+                               f"{MAX_DIFFERENTIAL_ENTRIES}", b.line)
         mats = {k: np.zeros((dims.get(k + 1, 0), dims[k]), dtype=np.int64)
                 for k in range(lo, hi + 1)}
         for e in _entries(b, "d"):

@@ -12,6 +12,14 @@ permutations of ``{0..n}`` (image tuples of length ``n+1``); compatibility
 with the compositions is checked on the cyclic generator, which together
 with the plain symmetric actions generates the extended group.
 
+Likewise ``x.(s t) = (x.s).t`` is checked for every ``s`` but only for
+``t`` in :func:`generators` (a transposition and the full cycle), and
+outer and inner equivariance only at generators.  This is exact: the ``t``
+at which such an axiom holds are closed under products (by associativity
+of the action, and since :func:`block_perm` and :func:`shift_perm` are
+multiplicative), hence form the whole group.  A failing generator check is
+rerun on every permutation, so it reports the exhaustive witnesses.
+
 The forgetful functor from cyclic operads to operads has a right adjoint:
 its value on ``P`` has ``(n+1)``-tuples of ``P(n)`` elements in arity
 ``n``, compositions given coordinatewise by a three-case splice formula,
@@ -73,6 +81,14 @@ def cyclic_generator(n: int) -> tuple[int, ...]:
     return tuple((j + 1) % (n + 1) for j in range(n + 1))
 
 
+def generators(identity: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The swap of the first two letters and the cycle taking each letter
+    to the next, which generate the permutations of ``identity``'s letters
+    (``(1 2)`` and the n-cycle, or ``(0 1)`` and :func:`cyclic_generator`)."""
+    return sorted({identity[1:2] + identity[:1] + identity[2:],
+                   identity[1:] + identity[:1]})
+
+
 def block_perm(s: tuple[int, ...], i: int, n: int) -> tuple[int, ...]:
     """The permutation appearing when a relabeled operation is composed.
 
@@ -80,28 +96,15 @@ def block_perm(s: tuple[int, ...], i: int, n: int) -> tuple[int, ...]:
     slot ``i`` of the relabeled operation (slot ``s(i)`` of the original),
     returns the induced permutation of ``m+n-1`` letters.
     """
-    m = len(s)
-
-    def shift(v: int) -> int:
-        return v if v < s[i - 1] else v + n - 1
-
-    out = []
-    for k in range(1, i):
-        out.append(shift(s[k - 1]))
-    for k in range(i, i + n):
-        out.append(s[i - 1] + (k - i))
-    for k in range(i + n, m + n):
-        out.append(shift(s[k - n]))
-    return tuple(out)
+    base = s[i - 1]
+    moved = tuple(v if v < base else v + n - 1 for v in s)
+    return moved[:i - 1] + tuple(range(base, base + n)) + moved[i:]
 
 
 def shift_perm(t: tuple[int, ...], i: int, m: int) -> tuple[int, ...]:
     """The permutation letting ``t`` act inside the block at slot ``i``."""
-    n = len(t)
-    out = list(range(1, m + n))
-    for j in range(1, n + 1):
-        out[i - 1 + j - 1] = i - 1 + t[j - 1]
-    return tuple(out)
+    return (tuple(range(1, i)) + tuple(i - 1 + v for v in t)
+            + tuple(range(i + len(t), m + len(t))))
 
 
 # ---------------------------------------------------------------------------
@@ -152,17 +155,91 @@ class CyclicOperadMap:
     target: TruncatedCyclicOperad
     maps: dict[int, dict[str, str]]
 
-    def key(self) -> tuple:
-        return tuple((n, tuple(sorted(c.items())))
-                     for n, c in sorted(self.maps.items()))
+    key = OperadMap.key
 
 
 # ---------------------------------------------------------------------------
 # validation
 
 
+def _on_generators(check, identity, everything) -> list[str]:
+    """Run ``check`` on the generators of each symmetric group, and again
+    on ``everything`` only if that fails, so failures list every witness."""
+    errors = check(lambda n: generators(identity(n)))
+    return check(everything) if errors else errors
+
+
+def _totality_errors(P: TruncatedOperad, table, perms, label: str) -> list[str]:
+    errors = []
+    for n in range(P.arity_bound + 1):
+        members = frozenset(P.elements[n])
+        for s in perms(n):
+            for x in P.elements[n]:
+                v = table.get((n, s, x))
+                if v is None:
+                    errors.append(f"{label} missing at ({n},{s},{x})")
+                elif v not in members:
+                    errors.append(f"{label} escapes arity at ({n},{s},{x})")
+    return errors
+
+
+def _action_errors(P: TruncatedOperad, table, perms, compose, identity,
+                   identity_msg: str, assoc_msg: str) -> list[str]:
+    """Identity and ``x.(s t) = (x.s).t`` for a total action ``table``,
+    with ``s`` over ``perms`` and ``t`` over generators first."""
+    def check(right) -> list[str]:
+        errors = []
+        for n in range(P.arity_bound + 1):
+            e = identity(n)
+            for x in P.elements[n]:
+                if table[(n, e, x)] != x:
+                    errors.append(identity_msg.format(n=n, x=x))
+            for s in perms(n):
+                for t in right(n):
+                    st = compose(s, t)
+                    for x in P.elements[n]:
+                        if table[(n, t, table[(n, s, x)])] != table[(n, st, x)]:
+                            errors.append(assoc_msg.format(n=n, s=s, t=t, x=x))
+        return errors
+    return _on_generators(check, identity, perms)
+
+
+def _equivariance_errors(P: TruncatedOperad, perms) -> list[str]:
+    """Outer equivariance for ``s`` and inner for ``t`` over ``perms``."""
+    A = P.arity_bound
+    errors = []
+    for m in range(1, A + 1):
+        for n in range(0, A + 1):
+            if m + n - 1 > A:
+                continue
+            r = m + n - 1
+            blocks = {i: [(s, block_perm(s, i, n)) for s in perms(m)]
+                      for i in range(1, m + 1)}
+            shifts = {i: [(t, shift_perm(t, i, m)) for t in perms(n)]
+                      for i in range(1, m + 1)}
+            for a in P.elements[m]:
+                for b in P.elements[n]:
+                    for i in range(1, m + 1):
+                        for s, bs in blocks[i]:
+                            lhs = P.comp[(i, P.action[(m, s, a)], b)]
+                            rhs = P.action[(r, bs, P.comp[(s[i - 1], a, b)])]
+                            if lhs != rhs:
+                                errors.append(
+                                    f"equivariance (outer) fails at "
+                                    f"({s},{i},{a},{b})")
+                        for t, sh in shifts[i]:
+                            lhs = P.comp[(i, a, P.action[(n, t, b)])]
+                            rhs = P.action[(r, sh, P.comp[(i, a, b)])]
+                            if lhs != rhs:
+                                errors.append(
+                                    f"equivariance (inner) fails at "
+                                    f"({t},{i},{a},{b})")
+    return errors
+
+
 def validate_operad(P: TruncatedOperad) -> list[str]:
-    """Exhaustive axiom check within the arity bound; lists witnesses."""
+    """Every axiom within the arity bound, exactly (the action axioms via
+    generators, see the module docstring); lists witnesses."""
     A = P.arity_bound
     errors: list[str] = []
     for n in range(A + 1):
@@ -175,6 +252,7 @@ def validate_operad(P: TruncatedOperad) -> list[str]:
         return ["element identifiers collide across arities"]
     if P.unit not in P.elements.get(1, ()):
         errors.append("unit is not an element of arity 1")
+    members = {n: frozenset(P.elements[n]) for n in range(A + 1)}
 
     # composition table domain and typing
     for m in range(1, A + 1):
@@ -187,30 +265,17 @@ def validate_operad(P: TruncatedOperad) -> list[str]:
                         v = P.comp.get((i, a, b))
                         if v is None:
                             errors.append(f"composition missing at ({i},{a},{b})")
-                        elif v not in P.elements[m + n - 1]:
+                        elif v not in members[m + n - 1]:
                             errors.append(f"composition escapes arity at ({i},{a},{b})")
-    # action tables: totality, action axioms
-    for n in range(A + 1):
-        for s in all_perms(n):
-            for x in P.elements[n]:
-                v = P.action.get((n, s, x))
-                if v is None:
-                    errors.append(f"action missing at ({n},{s},{x})")
-                elif v not in P.elements[n]:
-                    errors.append(f"action escapes arity at ({n},{s},{x})")
+    errors += _totality_errors(P, P.action, all_perms, "action")
     if errors:
         return errors
 
-    for n in range(A + 1):
-        for x in P.elements[n]:
-            if P.action[(n, identity_perm(n), x)] != x:
-                errors.append(f"identity action fails at ({n},{x})")
-        for s in all_perms(n):
-            for t in all_perms(n):
-                st = perm_compose(s, t)
-                for x in P.elements[n]:
-                    if P.action[(n, t, P.action[(n, s, x)])] != P.action[(n, st, x)]:
-                        errors.append(f"action not associative at ({n},{s},{t},{x})")
+    action_errors = _action_errors(
+        P, P.action, all_perms, perm_compose, identity_perm,
+        "identity action fails at ({n},{x})",
+        "action not associative at ({n},{s},{t},{x})")
+    errors += action_errors
 
     # unit axioms
     for n in range(A + 1):
@@ -256,30 +321,11 @@ def validate_operad(P: TruncatedOperad) -> list[str]:
                                             f"associativity fails at "
                                             f"({a} o_{i} {b}) o_{j} {c}")
 
-    # equivariance
-    for m in range(1, A + 1):
-        for n in range(0, A + 1):
-            if m + n - 1 > A:
-                continue
-            for a in P.elements[m]:
-                for b in P.elements[n]:
-                    for i in range(1, m + 1):
-                        for s in all_perms(m):
-                            lhs = P.comp[(i, P.action[(m, s, a)], b)]
-                            rhs = P.action[(m + n - 1, block_perm(s, i, n),
-                                            P.comp[(s[i - 1], a, b)])]
-                            if lhs != rhs:
-                                errors.append(
-                                    f"equivariance (outer) fails at "
-                                    f"({s},{i},{a},{b})")
-                        for t in all_perms(n):
-                            lhs = P.comp[(i, a, P.action[(n, t, b)])]
-                            rhs = P.action[(m + n - 1, shift_perm(t, i, m),
-                                            P.comp[(i, a, b)])]
-                            if lhs != rhs:
-                                errors.append(
-                                    f"equivariance (inner) fails at "
-                                    f"({t},{i},{a},{b})")
+    # equivariance: generators suffice once the actions are actions
+    def equivariance(perms):
+        return _equivariance_errors(P, perms)
+    errors += (equivariance(all_perms) if action_errors
+               else _on_generators(equivariance, identity_perm, all_perms))
     return errors
 
 
@@ -303,28 +349,13 @@ def validate_cyclic(Q: TruncatedCyclicOperad) -> list[str]:
     if errors:
         return errors
     A = P.arity_bound
-    # extended action is a right group action
-    for n in range(A + 1):
-        for s in all_ext_perms(n):
-            for x in P.elements[n]:
-                v = Q.extended.get((n, s, x))
-                if v is None:
-                    errors.append(f"extended action missing at ({n},{s},{x})")
-                elif v not in P.elements[n]:
-                    errors.append(f"extended action escapes arity at ({n},{s},{x})")
+    errors = _totality_errors(P, Q.extended, all_ext_perms, "extended action")
     if errors:
         return errors
-    for n in range(A + 1):
-        for x in P.elements[n]:
-            if Q.extended[(n, ext_identity(n), x)] != x:
-                errors.append(f"extended identity fails at ({n},{x})")
-        for s in all_ext_perms(n):
-            for t in all_ext_perms(n):
-                st = ext_compose(s, t)
-                for x in P.elements[n]:
-                    if Q.extended[(n, t, Q.extended[(n, s, x)])] != \
-                            Q.extended[(n, st, x)]:
-                        errors.append(f"extended action not associative at ({n},{s},{t})")
+    errors = _action_errors(
+        P, Q.extended, all_ext_perms, ext_compose, ext_identity,
+        "extended identity fails at ({n},{x})",
+        "extended action not associative at ({n},{s},{t})")
     errors.extend(restricted_action_matches(Q))
     if errors:
         return errors
@@ -335,13 +366,13 @@ def validate_cyclic(Q: TruncatedCyclicOperad) -> list[str]:
             if m + n - 1 > A:
                 continue
             r = m + n - 1
+            gm, gn, gr = cyclic_generator(m), cyclic_generator(n), cyclic_generator(r)
             for a in P.elements[m]:
-                ta = Q.extended[(m, cyclic_generator(m), a)]
+                ta = Q.extended[(m, gm, a)]
                 for b in P.elements[n]:
-                    tb = Q.extended[(n, cyclic_generator(n), b)]
+                    tb = Q.extended[(n, gn, b)]
                     for i in range(1, m + 1):
-                        lhs = Q.extended[(r, cyclic_generator(r),
-                                          P.comp[(i, a, b)])]
+                        lhs = Q.extended[(r, gr, P.comp[(i, a, b)])]
                         if i >= 2:
                             rhs = P.comp[(i - 1, ta, b)]
                         else:
@@ -360,13 +391,9 @@ def validate_cyclic(Q: TruncatedCyclicOperad) -> list[str]:
 def terminal_operad(A: int) -> TruncatedOperad:
     """One element in every arity."""
     elements = {n: (f"t{n}",) for n in range(A + 1)}
-    comp = {}
-    for m in range(1, A + 1):
-        for n in range(A + 1):
-            if m + n - 1 > A:
-                continue
-            for i in range(1, m + 1):
-                comp[(i, f"t{m}", f"t{n}")] = f"t{m + n - 1}"
+    comp = {(i, f"t{m}", f"t{n}"): f"t{m + n - 1}"
+            for m in range(1, A + 1) for n in range(A + 2 - m)
+            for i in range(1, m + 1)}
     action = {(n, s, f"t{n}"): f"t{n}"
               for n in range(A + 1) for s in all_perms(n)}
     return TruncatedOperad(A, elements, "t1", comp, action)
@@ -379,31 +406,21 @@ def terminal_cyclic_operad(A: int) -> TruncatedCyclicOperad:
     return TruncatedCyclicOperad(P, extended)
 
 
-def _word_of(p: tuple[int, ...]) -> list[int]:
-    inv = perm_inverse(p)
-    return list(inv)
-
-
-def _perm_of_word(w: list[int]) -> tuple[int, ...]:
-    return perm_inverse(tuple(w))
-
-
 def associative_operad(A: int) -> TruncatedOperad:
     """Arity ``n`` is the permutations of ``{1..n}`` (multiplication orders);
     composition splices words, the action is group multiplication."""
-    elements = {n: tuple("".join(map(str, p)) for p in all_perms(n))
-                for n in range(A + 1)}
     name = {n: {p: "".join(map(str, p)) for p in all_perms(n)}
             for n in range(A + 1)}
+    elements = {n: tuple(name[n].values()) for n in range(A + 1)}
     comp = {}
     for m in range(1, A + 1):
         for n in range(A + 1):
             if m + n - 1 > A:
                 continue
             for p in all_perms(m):
-                wp = _word_of(p)
+                wp = perm_inverse(p)
                 for q in all_perms(n):
-                    wq = _word_of(q)
+                    wq = perm_inverse(q)
                     for i in range(1, m + 1):
                         spliced: list[int] = []
                         for v in wp:
@@ -414,12 +431,9 @@ def associative_operad(A: int) -> TruncatedOperad:
                             else:
                                 spliced.append(v + n - 1)
                         comp[(i, name[m][p], name[n][q])] = \
-                            name[m + n - 1][_perm_of_word(spliced)]
-    action = {}
-    for n in range(A + 1):
-        for p in all_perms(n):
-            for s in all_perms(n):
-                action[(n, s, name[n][p])] = name[n][perm_compose(p, s)]
+                            name[m + n - 1][perm_inverse(tuple(spliced))]
+    action = {(n, s, name[n][p]): name[n][perm_compose(p, s)]
+              for n in range(A + 1) for p in all_perms(n) for s in all_perms(n)}
     return TruncatedOperad(A, elements, name[1][(1,)], comp, action)
 
 
@@ -435,16 +449,9 @@ def monoid_operad(A: int, elements: tuple[str, ...],
     els: dict[int, tuple[str, ...]] = {0: ()}
     els.update({n: tuple(sorted(tag(x, n) for x in elements))
                 for n in range(1, A + 1)})
-    comp = {}
-    for m in range(1, A + 1):
-        for n in range(1, A + 1):
-            if m + n - 1 > A:
-                continue
-            for i in range(1, m + 1):
-                for a in elements:
-                    for b in elements:
-                        comp[(i, tag(a, m), tag(b, n))] = \
-                            tag(mult[(a, b)], m + n - 1)
+    comp = {(i, tag(a, m), tag(b, n)): tag(mult[(a, b)], m + n - 1)
+            for m in range(1, A + 1) for n in range(1, A + 2 - m)
+            for i in range(1, m + 1) for a in elements for b in elements}
     action = {(n, s, tag(x, n)): tag(x, n)
               for n in range(1, A + 1) for s in all_perms(n) for x in elements}
     return TruncatedOperad(A, els, tag(unit, 1), comp, action)
@@ -534,17 +541,20 @@ def right_adjoint_R(P: TruncatedOperad) -> TruncatedCyclicOperad:
     extended = {}
     for n in range(A + 1):
         for sigma in all_ext_perms(n):
+            # coordinate i of x.sigma is x[src] acted on by sigma_i
+            coords = []
+            for i in range(n + 1):
+                src = (n + 1 - sigma[(n + 1 - i) % (n + 1)]) % (n + 1)
+                if n >= 1:
+                    si = _sigma_i(sigma, i, n)
+                    act = {y: P.action[(n, si, y)] for y in P.elements[n]}
+                else:
+                    act = {y: y for y in P.elements[n]}
+                coords.append((src, act))
             for xn in elements[n]:
                 x = decode[n][xn]
-                out = []
-                for i in range(n + 1):
-                    src = (n + 1 - sigma[(n + 1 - i) % (n + 1)]) % (n + 1)
-                    if n >= 1:
-                        si = _sigma_i(sigma, i, n)
-                        out.append(P.action[(n, si, x[src])])
-                    else:
-                        out.append(x[src])
-                extended[(n, sigma, xn)] = _tuple_name(tuple(out))
+                extended[(n, sigma, xn)] = _tuple_name(
+                    tuple(act[x[src]] for src, act in coords))
 
     action = {}
     for n in range(A + 1):
@@ -561,12 +571,9 @@ def right_adjoint_R_map(g: OperadMap) -> CyclicOperadMap:
     """The right adjoint on maps: coordinatewise application."""
     RQ = right_adjoint_R(g.source)
     RQ2 = right_adjoint_R(g.target)
-    maps = {}
-    for n in range(g.source.arity_bound + 1):
-        comp = {}
-        for xn in RQ.operad.elements[n]:
-            comp[xn] = _tuple_name(tuple(g.maps[n][p] for p in _tuple_parts(xn)))
-        maps[n] = comp
+    maps = {n: {xn: _tuple_name(tuple(g.maps[n][p] for p in _tuple_parts(xn)))
+                for xn in RQ.operad.elements[n]}
+            for n in range(g.source.arity_bound + 1)}
     return CyclicOperadMap(RQ, RQ2, maps)
 
 
@@ -629,7 +636,6 @@ def validate_cyclic_map(h: CyclicOperadMap) -> list[str]:
     errors = validate_operad_map(forget_cyclic_map(h))
     if errors:
         return errors
-    P = h.source.operad
     for (n, s, x), y in h.source.extended.items():
         if h.target.extended[(n, s, h.maps[n][x])] != h.maps[n][y]:
             errors.append(f"extended action not preserved at ({n},{s},{x})")
@@ -676,24 +682,15 @@ def _enumerate_maps(P: TruncatedOperad, Q: TruncatedOperad,
 
 
 def enumerate_operad_maps(P: TruncatedOperad, Q: TruncatedOperad) -> list[OperadMap]:
-    out = []
-    for maps in _enumerate_maps(P, Q):
-        h = OperadMap(P, Q, maps)
-        if not validate_operad_map(h):
-            out.append(h)
-    return out
+    maps = (OperadMap(P, Q, m) for m in _enumerate_maps(P, Q))
+    return [h for h in maps if not validate_operad_map(h)]
 
 
 def enumerate_cyclic_maps(Q1: TruncatedCyclicOperad,
                           Q2: TruncatedCyclicOperad) -> list[CyclicOperadMap]:
-    out = []
-    for maps in _enumerate_maps(Q1.operad, Q2.operad,
-                                source_ext=Q1.extended,
-                                target_ext=Q2.extended):
-        h = CyclicOperadMap(Q1, Q2, maps)
-        if not validate_cyclic_map(h):
-            out.append(h)
-    return out
+    maps = (CyclicOperadMap(Q1, Q2, m) for m in _enumerate_maps(
+        Q1.operad, Q2.operad, source_ext=Q1.extended, target_ext=Q2.extended))
+    return [h for h in maps if not validate_cyclic_map(h)]
 
 
 # ---------------------------------------------------------------------------
@@ -724,12 +721,8 @@ def check_adjunction_count(Q: TruncatedCyclicOperad,
     image = set()
     bijective = True
     for h in cyclic_maps:
-        proj = {}
-        for n in range(P.arity_bound + 1):
-            comp = {}
-            for x in Q.operad.elements[n]:
-                comp[x] = _tuple_parts(h.maps[n][x])[0]
-            proj[n] = comp
+        proj = {n: {x: _tuple_parts(h.maps[n][x])[0] for x in Q.operad.elements[n]}
+                for n in range(P.arity_bound + 1)}
         cand = OperadMap(forget_cyclic(Q), P, proj)
         if validate_operad_map(cand):
             bijective = False
@@ -740,8 +733,7 @@ def check_adjunction_count(Q: TruncatedCyclicOperad,
         bijective = False
     if image != {h.key() for h in operad_maps}:
         bijective = False
-    ok = not failures
-    return AdjunctionCountReport(ok, len(operad_maps), len(cyclic_maps),
+    return AdjunctionCountReport(not failures, len(operad_maps), len(cyclic_maps),
                                  bijective, failures)
 
 

@@ -343,20 +343,6 @@ def coproduct(C: FiniteCategory, D: FiniteCategory) -> FiniteCategory:
     return FiniteCategory.build(objects, morphisms, source, target, identity, compose)
 
 
-def coproduct_injections(C: FiniteCategory, D: FiniteCategory) -> tuple[CatFunctor, CatFunctor]:
-    """The two canonical injections into ``coproduct(C, D)``."""
-    P = coproduct(C, D)
-    disjoint = (not set(C.objects) & set(D.objects)
-                and not set(C.morphisms) & set(D.morphisms))
-    sl = "" if disjoint else "#0"
-    sr = "" if disjoint else "#1"
-    left = CatFunctor(C, P, {x: x + sl for x in C.objects},
-                      {m: m + sl for m in C.morphisms})
-    right = CatFunctor(D, P, {x: x + sr for x in D.objects},
-                       {m: m + sr for m in D.morphisms})
-    return left, right
-
-
 def core(C: FiniteCategory) -> FiniteCategory:
     """The wide subcategory on exactly the invertible morphisms."""
     keep = [m for m in C.morphisms if C.is_iso(m)]

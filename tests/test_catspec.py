@@ -7,6 +7,7 @@ from smallcat.catspec import (
     Block,
     CatspecDocument,
     CatspecError,
+    MAX_DIFFERENTIAL_ENTRIES,
     category_block,
     complex_block,
     diagram_block,
@@ -199,6 +200,31 @@ def test_complex_with_non_prime_p_rejected(p):
         load(f"complex K {p} 0 0\nend\n")
     assert "not a prime" in str(exc.value)
     assert "line 1" in str(exc.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    # trial division on this p took over 10 s; int64 products overflow
+    ("complex K 4611686018427387847 0 0\nend\n", "overflows int64"),
+    ("complex K 3037000501 0 0\nend\n", "overflows int64"),
+    ("complex K 2147483659 0 0\ndim 0 3\nend\n", "overflows int64"),
+    ("complex K 2 0 1\ndim 0 10000000000\ndim 1 10000000000\nend\n",
+     "more than 16777216"),
+    ("complex K 2 0 1\ndim 0 4097\ndim 1 4096\nend\n", "more than 16777216"),
+])
+def test_complex_past_int64_or_size_cap_names_its_line(text, message):
+    with pytest.raises(CatspecError) as exc:
+        load(text)
+    assert "line 1:" in str(exc.value)
+    assert message in str(exc.value)
+
+
+def test_complex_at_int64_and_size_limits_loads():
+    # (p-1)^2 just below 2^63, and exactly MAX_DIFFERENTIAL_ENTRIES entries
+    C = load("complex K 3037000493 0 0\ndim 0 1\nend\n").complexes["K"]
+    assert C.p == 3037000493
+    C = load("complex K 2 0 1\ndim 0 4096\ndim 1 4096\nend\n").complexes["K"]
+    assert C.d(0).shape == (4096, 4096)
+    assert 4096 * 4096 == MAX_DIFFERENTIAL_ENTRIES
 
 
 # Integer-token mutations of a complex and an sset document.  The drawn

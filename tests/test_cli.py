@@ -267,3 +267,18 @@ def test_malformed_entry_exits_2(tmp_path, capsys):
         code, out = run_cli(["validate", str(path)], capsys)
         assert code == 2
         assert json.loads(out)["error"].startswith("line ")
+
+
+def test_oversized_complex_exits_2(tmp_path, capsys):
+    # a p this large used to run trial division for over 10 s, and these
+    # dimensions used to reach numpy's "array is too big" with no line
+    for text, message in (
+            ("complex K 4611686018427387847 0 0\nend\n", "overflows int64"),
+            ("complex K 2 0 1\ndim 0 10000000000\ndim 1 10000000000\nend\n",
+             "more than 16777216")):
+        path = tmp_path / "big.catspec"
+        path.write_text(text, encoding="utf-8")
+        code, out = run_cli(["validate", str(path)], capsys)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error.startswith("line 1: complex K: ") and message in error

@@ -8,18 +8,23 @@ from smallcat.cycops import (
     all_ext_perms,
     all_perms,
     associative_operad,
+    block_perm,
     check_FR_products,
     check_adjunction_count,
     cyclic_generator,
     enumerate_operad_maps,
+    ext_compose,
+    ext_identity,
     ext_of_perm,
     forget_cyclic,
+    generators,
     identity_perm,
     monoid_operad,
     perm_compose,
     perm_inverse,
     right_adjoint_R,
     right_adjoint_R_map,
+    shift_perm,
     terminal_cyclic_operad,
     terminal_operad,
     validate_cyclic,
@@ -40,6 +45,49 @@ def test_perm_helpers():
     assert perm_compose(s, s) == identity_perm(3)
     assert perm_inverse((2, 3, 1)) == (3, 1, 2)
     assert cyclic_generator(2) == (1, 2, 0)
+
+
+def closure(generators, identity, compose):
+    """The permutations reachable from ``identity`` by right
+    multiplication with ``generators``."""
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        frontier = [compose(s, g) for s in frontier for g in generators]
+        frontier = [s for s in frontier if s not in seen]
+        seen.update(frontier)
+    return seen
+
+
+def test_generating_sets_generate():
+    for n in range(6):
+        assert closure(generators(identity_perm(n)), identity_perm(n),
+                       perm_compose) == set(all_perms(n))
+        assert closure(generators(ext_identity(n)), ext_identity(n),
+                       ext_compose) == set(all_ext_perms(n))
+    assert generators(identity_perm(3)) == [(2, 1, 3), (2, 3, 1)]
+    assert generators(ext_identity(3)) == [(1, 0, 2, 3), cyclic_generator(3)]
+    assert generators(identity_perm(1)) == [(1,)]
+    assert generators(ext_identity(0)) == [(0,)]
+
+
+def test_block_and_shift_perms_are_multiplicative():
+    # the generator checks of validate_operad rely on these identities
+    for m in range(1, 5):
+        for n in range(4):
+            assert all(block_perm(identity_perm(m), i, n) == identity_perm(m + n - 1)
+                       for i in range(1, m + 1))
+            for s in all_perms(m):
+                for t in all_perms(m):
+                    st = perm_compose(s, t)
+                    for i in range(1, m + 1):
+                        assert block_perm(st, i, n) == perm_compose(
+                            block_perm(s, t[i - 1], n), block_perm(t, i, n))
+            for i in range(1, m + 1):
+                assert shift_perm(identity_perm(n), i, m) == identity_perm(m + n - 1)
+                for u in all_perms(n):
+                    for v in all_perms(n):
+                        assert shift_perm(perm_compose(u, v), i, m) == perm_compose(
+                            shift_perm(u, i, m), shift_perm(v, i, m))
 
 
 def test_terminal_operad_valid_and_cyclic():
