@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
+# Timed functions are called via their module: see the package docstring.
+from . import fincat, setval
 from .fincat import (
     CatFunctor,
     FiniteCategory,
@@ -24,7 +26,6 @@ from .fincat import (
     empty_category,
     parallel_pair,
     terminal_category,
-    validate_functor,
     walking_arrow,
     walking_iso,
 )
@@ -35,7 +36,6 @@ from .setval import (
     compose_diagram_maps,
     coproduct_diagrams,
     diagram_pushout,
-    enumerate_diagram_maps,
     identity_diagram_map,
 )
 
@@ -84,7 +84,7 @@ def validate_square(sq: LiftingSquare) -> list[str]:
     errors = []
     for name, F in (("left", sq.left), ("right", sq.right),
                     ("top", sq.top), ("bottom", sq.bottom)):
-        errs = validate_functor(F)
+        errs = fincat.validate_functor(F)
         if errs:
             errors.append(f"{name} invalid: {errs[0]}")
     if errors:
@@ -343,8 +343,8 @@ def diagram_squares(i: DiagramMap, p: DiagramMap,
                     node_budget: int = 500_000
                     ) -> list[tuple[DiagramMap, DiagramMap]]:
     """All commuting squares (top, bottom) from ``i`` to ``p``."""
-    tops = enumerate_diagram_maps(i.source, p.source, node_budget)
-    bottoms = enumerate_diagram_maps(i.target, p.target, node_budget)
+    tops = setval.enumerate_diagram_maps(i.source, p.source, node_budget)
+    bottoms = setval.enumerate_diagram_maps(i.target, p.target, node_budget)
     out = []
     for top in tops:
         pt = compose_diagram_maps(p, top)

@@ -31,7 +31,8 @@ Block kinds and their entries:
   the degree-raising differential out of degree ``K``); ``P`` must be prime,
   with ``(P-1)^2 * max(1, max D) < 2^63`` so that int64 matrix products do
   not overflow, and the differentials may hold at most
-  ``MAX_DIFFERENTIAL_ENTRIES`` (2^24) entries in all.
+  ``MAX_DIFFERENTIAL_ENTRIES`` (2^24) entries in all, over a window
+  ``LO..HI`` of at most as many degrees.
 
 An entry line whose keyword is not one of its block kind's, or whose token
 count differs from the forms above, is rejected by :func:`parse`, as is a
@@ -47,16 +48,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import chaincx, cycops, invcat, nabla, semidirect, setval
+# numpy and chaincx are imported by the complex-block path of ``load`` only,
+# so documents without a complex never load numpy.  Timed functions are
+# called through their module: see the package docstring.
+from . import cycops, fincat, invcat, nabla, semidirect, setval
 from .fincat import (
     CatFunctor,
     FiniteCategory,
     FiniteGroup,
-    opposite,
-    validate_category,
-    validate_functor,
     validate_group,
 )
 
@@ -245,7 +244,7 @@ def _build_category(block: Block) -> FiniteCategory:
     compose = {(e[0], e[1]): e[2] for e in _entries(block, "compose")}
     C = FiniteCategory.build(objects, morphisms, source, target,
                              identity, compose)
-    errs = validate_category(C)
+    errs = fincat.validate_category(C)
     if errs:
         raise CatspecError(f"category {block.name}: {errs[0]}", block.line)
     return C
@@ -287,7 +286,7 @@ def load(text: str) -> LoadedDocument:
         F = CatFunctor(dom, cod,
                        {e[0]: e[1] for e in _entries(b, "object")},
                        {e[0]: e[1] for e in _entries(b, "morphism")})
-        errs = validate_functor(F)
+        errs = fincat.validate_functor(F)
         if errs:
             raise CatspecError(f"functor {b.name}: {errs[0]}", b.line)
         out.functors[b.name] = F
@@ -306,7 +305,7 @@ def load(text: str) -> LoadedDocument:
 
     for b in (x for x in doc.blocks if x.kind == "involution"):
         C = need(out.categories, b.params[0], "category", b.line)
-        tau = CatFunctor(opposite(C), C,
+        tau = CatFunctor(fincat.opposite(C), C,
                          {e[0]: e[1] for e in _entries(b, "object")},
                          {e[0]: e[1] for e in _entries(b, "morphism")})
         X = invcat.InvolutiveCategory(C, tau)
@@ -351,9 +350,9 @@ def load(text: str) -> LoadedDocument:
         level = int(b.params[0])
         try:
             if b.kind == "sset":
-                shape = opposite(nabla.delta_leq(level))
+                shape = fincat.opposite(nabla.delta_leq(level))
             else:
-                shape = opposite(nabla.nabla_category(level).category)
+                shape = fincat.opposite(nabla.nabla_category(level).category)
         except ValueError as exc:
             raise CatspecError(f"{b.kind} {b.name}: {exc}", b.line) from None
         values = {f"[{n}]": [] for n in range(level + 1)}
@@ -417,6 +416,14 @@ def load(text: str) -> LoadedDocument:
         if (p - 1) ** 2 * max([1, *dims.values()]) >= 2 ** 63:
             raise CatspecError(f"complex {b.name}: p = {p} overflows int64 "
                                f"matrix products at these dimensions", b.line)
+        # one matrix per degree of the window, so its degrees are held to
+        # the same cap as its entries, before any loop walks the window
+        if hi - lo + 1 > MAX_DIFFERENTIAL_ENTRIES:
+            raise CatspecError(f"complex {b.name}: window {lo}..{hi} has "
+                               f"{hi - lo + 1} degrees, more than "
+                               f"{MAX_DIFFERENTIAL_ENTRIES}", b.line)
+        import numpy as np
+        from . import chaincx
         if not chaincx.is_prime(p):
             raise CatspecError(f"complex {b.name}: p = {p} is not a prime",
                                b.line)

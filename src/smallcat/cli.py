@@ -15,23 +15,9 @@ import json
 import os
 import sys
 
-from . import catspec, chaincx, cycops, invcat, nabla, semidirect, setval
-from .catmodel import (
-    LiftingSquare,
-    bounded_soa,
-    default_generating_acyclic_cofibrations,
-    has_rlp,
-    is_isofibration,
-    solve_lifting,
-    validate_square,
-)
-from .fincat import (
-    BudgetError,
-    CatFunctor,
-    opposite_functor,
-    validate_category,
-    validate_functor,
-)
+# Only the standard library is imported here: each command imports the
+# modules it uses, so ``--help`` and argument errors load none of them and
+# numpy is loaded only by commands that touch a chain complex.
 
 OK, FALSIFIED, BAD_INPUT = 0, 1, 2
 
@@ -44,14 +30,16 @@ def _print(payload, pretty: bool) -> None:
                                     separators=(",", ":")) + "\n")
 
 
-def _load(path: str) -> catspec.LoadedDocument:
+def _load(path: str):
+    from . import catspec
     with open(path, "r", encoding="utf-8") as fh:
         return catspec.load(fh.read())
 
 
 def _need(table: dict, name: str, what: str):
+    from .catspec import CatspecError
     if name not in table:
-        raise catspec.CatspecError(f"no {what} named {name!r} in the document")
+        raise CatspecError(f"no {what} named {name!r} in the document")
     return table[name]
 
 
@@ -71,11 +59,13 @@ def cmd_validate(args) -> int:
 
 
 def cmd_kan(args) -> int:
+    from . import setval
+    from .catspec import CatspecError
     loaded = _load(args.file)
     F = _need(loaded.functors, args.functor, "functor")
     X = _need(loaded.diagrams, args.diagram, "diagram")
     if X.shape != F.domain:
-        raise catspec.CatspecError("diagram does not live over the functor domain")
+        raise CatspecError("diagram does not live over the functor domain")
     out = setval.lan(F, X) if args.side == "left" else setval.ran(F, X)
     payload = {
         "side": args.side,
@@ -87,12 +77,14 @@ def cmd_kan(args) -> int:
 
 
 def cmd_adjoint(args) -> int:
+    from . import setval
+    from .catspec import CatspecError
     loaded = _load(args.file)
     F = _need(loaded.functors, args.functor, "functor")
     dom = [X for X in loaded.diagrams.values() if X.shape == F.domain]
     cod = [X for X in loaded.diagrams.values() if X.shape == F.codomain]
     if not dom or not cod:
-        raise catspec.CatspecError(
+        raise CatspecError(
             "need at least one diagram over the domain and one over the codomain")
     rep = setval.certify_kan_adjunctions(F, dom, cod)
     payload = {"ok": rep.ok, "checked": rep.checked,
@@ -102,6 +94,8 @@ def cmd_adjoint(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    from .catmodel import LiftingSquare, solve_lifting, validate_square
+    from .catspec import CatspecError
     loaded = _load(args.file)
     sq = LiftingSquare(
         _need(loaded.functors, args.left, "functor"),
@@ -111,7 +105,7 @@ def cmd_lift(args) -> int:
     )
     errs = validate_square(sq)
     if errs:
-        raise catspec.CatspecError("not a lifting square: " + errs[0])
+        raise CatspecError("not a lifting square: " + errs[0])
     h = solve_lifting(sq, node_budget=args.max_morphisms * 5000)
     payload: dict = {"exists": h is not None}
     if h is not None:
@@ -122,6 +116,7 @@ def cmd_lift(args) -> int:
 
 
 def cmd_rlp(args) -> int:
+    from .catmodel import has_rlp
     loaded = _load(args.file)
     maps = [_need(loaded.functors, n, "functor")
             for n in args.maps.split(",")]
@@ -132,6 +127,8 @@ def cmd_rlp(args) -> int:
 
 
 def cmd_soa(args) -> int:
+    from . import setval
+    from .catmodel import bounded_soa
     loaded = _load(args.file)
     gens = [_need(loaded.dmaps, n, "dmap") for n in args.generators.split(",")]
     f = _need(loaded.dmaps, args.map, "dmap")
@@ -151,6 +148,8 @@ def cmd_soa(args) -> int:
 
 
 def cmd_semidirect(args) -> int:
+    from . import semidirect
+    from .fincat import validate_category
     loaded = _load(args.file)
     action = _need(loaded.actions, args.action, "action")
     sd = semidirect.semidirect(action)
@@ -176,6 +175,7 @@ def cmd_semidirect(args) -> int:
 
 
 def cmd_nabla(args) -> int:
+    from . import nabla
     pres = nabla.build_nabla(args.dim)
     if args.homcount:
         m, n = args.homcount
@@ -199,6 +199,7 @@ def cmd_nabla(args) -> int:
 
 
 def cmd_rsset(args) -> int:
+    from . import nabla
     loaded = _load(args.file)
     X = _need(loaded.rssets, args.name, "rsset")
     payload = {
@@ -221,11 +222,13 @@ def cmd_rsset(args) -> int:
 
 
 def cmd_cyclic(args) -> int:
+    from . import cycops
+    from .catspec import CatspecError
     loaded = _load(args.file)
     P = _need(loaded.operads, args.operad, "operad")
     if args.arity_bound is not None:
         if args.arity_bound > P.arity_bound:
-            raise catspec.CatspecError(
+            raise CatspecError(
                 "arity bound exceeds the bound stored in the document")
         P = cycops.truncate_operad(P, args.arity_bound)
     RQ = cycops.right_adjoint_R(P)
@@ -246,6 +249,7 @@ def cmd_cyclic(args) -> int:
 
 
 def cmd_chain(args) -> int:
+    from . import chaincx
     loaded = _load(args.file)
     C = _need(loaded.complexes, args.complex, "complex")
     if args.truncate == "naive":
@@ -266,12 +270,14 @@ def cmd_chain(args) -> int:
 
 
 def _case_dagger() -> tuple[dict, bool]:
+    from . import invcat
     rep = invcat.reproduce_dagger_counterexample()
     payload = {"p_isofib": rep["p_isofib"], "Rp_isofib": rep["Rp_isofib"]}
     return payload, rep["p_isofib"] and not rep["Rp_isofib"]
 
 
 def _case_truncation() -> tuple[dict, bool]:
+    from . import chaincx
     out = {}
     ok = True
     for p in (2, 5):
@@ -283,6 +289,7 @@ def _case_truncation() -> tuple[dict, bool]:
 
 
 def _case_nabla() -> tuple[dict, bool]:
+    from . import nabla
     pres = nabla.build_nabla(2)
     delta = nabla.delta_leq(2)
     two = len(pres.semidirect.category.hom("[0]", "[0]"))
@@ -296,8 +303,9 @@ def _case_nabla() -> tuple[dict, bool]:
 
 
 def _case_icat() -> tuple[dict, bool]:
-    from .fincat import (coproduct, empty_category, opposite, product,
-                         terminal_category, walking_arrow)
+    from . import invcat
+    from .fincat import (CatFunctor, coproduct, empty_category, opposite,
+                         product, terminal_category, walking_arrow)
     X = walking_arrow()
     LX = invcat.L_inv(X)
     RX = invcat.R_inv(X)
@@ -326,6 +334,7 @@ def _case_icat() -> tuple[dict, bool]:
 
 
 def _case_fully_faithful() -> tuple[dict, bool]:
+    from . import setval
     from .fincat import CatFunctor, chain_category, walking_arrow
     C = walking_arrow()
     D = chain_category(2)
@@ -345,6 +354,7 @@ def _case_fully_faithful() -> tuple[dict, bool]:
 
 
 def _case_semidirect_lan() -> tuple[dict, bool]:
+    from . import semidirect, setval
     from .fincat import cyclic_group, discrete_category
     C = discrete_category("ab")
     action = semidirect.permutation_action(
@@ -361,6 +371,8 @@ def _case_semidirect_lan() -> tuple[dict, bool]:
 
 def _case_boundary_preservation() -> tuple[dict, bool]:
     # the flip of the simplex category preserves boundary inclusions
+    from . import nabla, setval
+    from .fincat import opposite_functor
     N = 2
     action = nabla.nabla_action(N)
     flip_op = opposite_functor(action.rho[nabla.SWAP])
@@ -375,12 +387,14 @@ def _case_boundary_preservation() -> tuple[dict, bool]:
 
 
 def _case_joyal_generators() -> tuple[dict, bool]:
+    from . import nabla
     gens = nabla.generating_cofibrations(2)
     normal = all(nabla.is_normal_mono(g) for g in gens)
     return {"generators": len(gens), "all_normal_monos": normal}, normal
 
 
 def _case_cyclic() -> tuple[dict, bool]:
+    from . import cycops
     P = cycops.associative_operad(3)
     RQ = cycops.right_adjoint_R(P)
     sizes = all(len(RQ.operad.elements[n]) == len(P.elements[n]) ** (n + 1)
@@ -396,8 +410,11 @@ def _case_cyclic() -> tuple[dict, bool]:
 
 
 def _case_isofibration() -> tuple[dict, bool]:
-    from .fincat import (enumerate_functors, indiscrete_category,
-                         terminal_category, walking_arrow, walking_iso)
+    from .catmodel import (default_generating_acyclic_cofibrations, has_rlp,
+                           is_isofibration)
+    from .fincat import (CatFunctor, enumerate_functors, indiscrete_category,
+                         terminal_category, validate_functor, walking_arrow,
+                         walking_iso)
     X = indiscrete_category(["x", "xp", "y"])
     Y = indiscrete_category(["z", "y"])
     ob = {"x": "z", "xp": "z", "y": "y"}
@@ -434,7 +451,8 @@ def cmd_paper_suite(args) -> int:
     names = [args.case] if args.case else sorted(PAPER_CASES)
     for name in names:
         if name not in PAPER_CASES:
-            raise catspec.CatspecError(f"unknown case {name!r}")
+            from .catspec import CatspecError
+            raise CatspecError(f"unknown case {name!r}")
     if args.case:
         payload, ok = PAPER_CASES[args.case]()
         _print(payload, args.pretty)
@@ -545,10 +563,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # imported after parsing, so that --help and usage errors load nothing
+    # of the library; a CatspecError is a ValueError
+    from .fincat import BudgetError
     try:
         return args.func(args)
-    except (catspec.CatspecError, FileNotFoundError, BudgetError,
-            ValueError) as exc:
+    except (FileNotFoundError, BudgetError, ValueError) as exc:
         _print({"error": str(exc)}, getattr(args, "pretty", False))
         return BAD_INPUT
 

@@ -388,8 +388,15 @@ def validate_cyclic(Q: TruncatedCyclicOperad) -> list[str]:
 # standard operads
 
 
+def _check_unit_arity(A: int) -> None:
+    if A < 1:
+        raise ValueError(f"arity bound {A} is below 1: an operad needs its "
+                         f"unit in arity 1")
+
+
 def terminal_operad(A: int) -> TruncatedOperad:
     """One element in every arity."""
+    _check_unit_arity(A)
     elements = {n: (f"t{n}",) for n in range(A + 1)}
     comp = {(i, f"t{m}", f"t{n}"): f"t{m + n - 1}"
             for m in range(1, A + 1) for n in range(A + 2 - m)
@@ -409,6 +416,7 @@ def terminal_cyclic_operad(A: int) -> TruncatedCyclicOperad:
 def associative_operad(A: int) -> TruncatedOperad:
     """Arity ``n`` is the permutations of ``{1..n}`` (multiplication orders);
     composition splices words, the action is group multiplication."""
+    _check_unit_arity(A)
     name = {n: {p: "".join(map(str, p)) for p in all_perms(n)}
             for n in range(A + 1)}
     elements = {n: tuple(name[n].values()) for n in range(A + 1)}
@@ -443,6 +451,8 @@ def monoid_operad(A: int, elements: tuple[str, ...],
     """Every positive arity is the monoid; composition multiplies, the
     symmetric action is trivial.  Element names carry their arity to keep
     identifiers distinct across arities."""
+    _check_unit_arity(A)
+
     def tag(x, n):
         return f"{x}@{n}"
 
@@ -621,9 +631,9 @@ def validate_operad_map(h: OperadMap) -> list[str]:
         return errors
     if h.maps[1][P.unit] != Q.unit:
         errors.append("unit not preserved")
+    arity = P.arity_of()
     for (i, a, b), c in P.comp.items():
-        m = P.arity_of()[a]
-        n = P.arity_of()[b]
+        m, n = arity[a], arity[b]
         if Q.comp[(i, h.maps[m][a], h.maps[n][b])] != h.maps[m + n - 1][c]:
             errors.append(f"composition not preserved at ({i},{a},{b})")
     for (n, s, x), y in P.action.items():

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# Timed functions are called via their module: see the package docstring.
+from . import fincat
 from .catmodel import (
     LiftingSquare,
     commuting_squares,
@@ -29,11 +31,9 @@ from .fincat import (
     coproduct,
     indiscrete_category,
     is_equivalence,
-    opposite,
     opposite_functor,
     pair_name,
     product,
-    validate_functor,
     _iter_functors,
 )
 
@@ -63,10 +63,10 @@ class DaggerCategory(InvolutiveCategory):
 def validate_involutive(X: InvolutiveCategory) -> list[str]:
     """Check the functor axioms for tau and that tau^op . tau is the identity."""
     errors = []
-    Bop = opposite(X.base)
+    Bop = fincat.opposite(X.base)
     if X.tau.domain != Bop or X.tau.codomain != X.base:
         return ["tau must be a functor from the opposite to the base"]
-    errors.extend(validate_functor(X.tau))
+    errors.extend(fincat.validate_functor(X.tau))
     if errors:
         return errors
     square = compose_functors(opposite_functor(X.tau), X.tau)
@@ -81,7 +81,7 @@ def validate_involutive(X: InvolutiveCategory) -> list[str]:
 
 def validate_equivariant(f: EquivariantFunctor) -> list[str]:
     """Check that the underlying functor intertwines the involutions."""
-    errors = validate_functor(f.functor)
+    errors = fincat.validate_functor(f.functor)
     if errors:
         return errors
     tauX, tauY = f.source.tau, f.target.tau
@@ -109,9 +109,9 @@ def validate_dagger(X: DaggerCategory) -> list[str]:
 
 def L_inv(X: FiniteCategory) -> InvolutiveCategory:
     """``X`` plus its opposite, with the swap involution (left adjoint)."""
-    base = coproduct(X, opposite(X))
+    base = coproduct(X, fincat.opposite(X))
     if not X.objects:
-        tau = CatFunctor(opposite(base), base, {}, {})
+        tau = CatFunctor(fincat.opposite(base), base, {}, {})
         return InvolutiveCategory(base, tau)
 
     def flip(name: str) -> str:
@@ -119,7 +119,7 @@ def L_inv(X: FiniteCategory) -> InvolutiveCategory:
             return name[:-2] + "#1"
         return name[:-2] + "#0"
 
-    tau = CatFunctor(opposite(base), base,
+    tau = CatFunctor(fincat.opposite(base), base,
                      {x: flip(x) for x in base.objects},
                      {m: flip(m) for m in base.morphisms})
     return InvolutiveCategory(base, tau)
@@ -136,7 +136,7 @@ def L_inv_insertion(X: FiniteCategory) -> CatFunctor:
 
 def R_inv(X: FiniteCategory) -> InvolutiveCategory:
     """``X`` times its opposite, with the swap involution (right adjoint)."""
-    base = product(X, opposite(X))
+    base = product(X, fincat.opposite(X))
 
     def flip(name: str) -> str:
         depth = 0
@@ -149,7 +149,7 @@ def R_inv(X: FiniteCategory) -> InvolutiveCategory:
                 return pair_name(name[k + 1:-1], name[1:k])
         raise ValueError(f"not a pair identifier: {name}")
 
-    tau = CatFunctor(opposite(base), base,
+    tau = CatFunctor(fincat.opposite(base), base,
                      {x: flip(x) for x in base.objects},
                      {m: flip(m) for m in base.morphisms})
     return InvolutiveCategory(base, tau)
@@ -164,7 +164,7 @@ def trivial_involution(C: FiniteCategory) -> InvolutiveCategory:
     """The identity-on-identifiers involution; valid only when the raw maps
     of the identity are functorial from the opposite (e.g. discrete or
     commutative one-object categories)."""
-    tau = CatFunctor(opposite(C), C,
+    tau = CatFunctor(fincat.opposite(C), C,
                      {x: x for x in C.objects},
                      {m: m for m in C.morphisms})
     X = InvolutiveCategory(C, tau)
@@ -177,7 +177,7 @@ def trivial_involution(C: FiniteCategory) -> InvolutiveCategory:
 def enumerate_involutions(C: FiniteCategory) -> list[InvolutiveCategory]:
     """All strict anti-involutions carried by ``C``."""
     out = []
-    Cop = opposite(C)
+    Cop = fincat.opposite(C)
     for tau in _iter_functors(Cop, C):
         X = InvolutiveCategory(C, tau)
         if not validate_involutive(X):
@@ -375,7 +375,7 @@ def dagger_R(X: InvolutiveCategory) -> tuple[DaggerCategory, EquivariantFunctor]
         {(f, g): h for (f, g), h in B.compose.items()
          if f in set(keep) and g in set(keep)},
     )
-    tau = CatFunctor(opposite(sub), sub,
+    tau = CatFunctor(fincat.opposite(sub), sub,
                      {x: x for x in fixed},
                      {m: X.tau.mor_map[m] for m in keep})
     dag = DaggerCategory(sub, tau)
@@ -402,7 +402,7 @@ def _indiscrete_involutive(names, tau_ob: dict[str, str]) -> InvolutiveCategory:
         x, y = C.source[m], C.target[m]
         # a morphism of the opposite from y to x maps to tau(y) -> tau(x)
         mor[m] = f"to_{tau_ob[x]}_from_{tau_ob[y]}"
-    tau = CatFunctor(opposite(C), C, dict(tau_ob), mor)
+    tau = CatFunctor(fincat.opposite(C), C, dict(tau_ob), mor)
     X = InvolutiveCategory(C, tau)
     assert validate_involutive(X) == []
     return X

@@ -27,29 +27,26 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+# Timed functions are called via their module: see the package docstring.
+from . import fincat, semidirect, setval
 from .fincat import (
     CatFunctor,
     FiniteCategory,
     cyclic_group,
     pair_name,
-    opposite,
     opposite_functor,
-    validate_functor,
 )
 from .semidirect import (
     GroupAction,
     SemidirectCategory,
     inclusion_iota,
-    semidirect,
 )
 from .setval import (
     DiagramMap,
     SetDiagram,
-    lan,
     lan_map,
     representable,
     restrict,
-    validate_diagram,
     validate_diagram_map,
 )
 
@@ -200,7 +197,7 @@ class NablaPresentations:
 def build_nabla(N: int) -> NablaPresentations:
     """Both presentations of the signed simplex category plus the explicit
     isomorphism between them, verified tablewise."""
-    sd = semidirect(nabla_action(N))
+    sd = semidirect.semidirect(nabla_action(N))
     pairs = monotone_pair_category(N)
     ob = {x: x for x in sd.category.objects}
     mor = {}
@@ -213,7 +210,7 @@ def build_nabla(N: int) -> NablaPresentations:
             rev = tuple(reversed(imgs))
             mor[name] = "".join(map(str, rev)) + f":{n}:-"
     iso = CatFunctor(sd.category, pairs, ob, mor)
-    errs = validate_functor(iso)
+    errs = fincat.validate_functor(iso)
     if errs:
         raise AssertionError("presentation comparison fails: " + errs[0])
     if len(set(mor.values())) != len(mor) or len(mor) != len(pairs.morphisms):
@@ -224,7 +221,7 @@ def build_nabla(N: int) -> NablaPresentations:
 @functools.cache
 def nabla_category(N: int) -> SemidirectCategory:
     """The semidirect presentation (canonical shape for presheaves)."""
-    return semidirect(nabla_action(N))
+    return semidirect.semidirect(nabla_action(N))
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +251,15 @@ class TruncatedRealSimplicialSet:
 
 
 def validate_sset(X: TruncatedSimplicialSet) -> list[str]:
-    if X.diagram.shape != opposite(delta_leq(X.level)):
+    if X.diagram.shape != fincat.opposite(delta_leq(X.level)):
         return ["shape is not the opposite truncated simplex category"]
-    return validate_diagram(X.diagram)
+    return setval.validate_diagram(X.diagram)
 
 
 def validate_rsset(X: TruncatedRealSimplicialSet) -> list[str]:
-    if X.diagram.shape != opposite(nabla_category(X.level).category):
+    if X.diagram.shape != fincat.opposite(nabla_category(X.level).category):
         return ["shape is not the opposite signed simplex category"]
-    errors = validate_diagram(X.diagram)
+    errors = setval.validate_diagram(X.diagram)
     if errors:
         return errors
     # the involution levels square to the identity by functoriality; check
@@ -330,7 +327,7 @@ def from_involutive(A: TruncatedSimplicialSet,
                     sigma[m][A.diagram.action[flip][e]]:
                 raise ValueError(f"involution does not conjugate {alpha}")
     sd = nabla_category(N)
-    shape = opposite(sd.category)
+    shape = fincat.opposite(sd.category)
     values = {o: A.diagram.values[o] for o in shape.objects}
     action = {}
     for name, (phi, g) in sd.pair_of.items():

@@ -19,17 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+# Timed functions are called via their module: see the package docstring.
+from . import fincat
 from .fincat import (
     CatFunctor,
     FiniteCategory,
     FiniteGroup,
     compose_functors,
     identity_functor,
-    opposite,
     opposite_functor,
     opposite_group,
     pair_name,
-    validate_functor,
     validate_group,
 )
 from .setval import (
@@ -74,7 +74,7 @@ def validate_action(action: GroupAction) -> list[str]:
         if F is None or F.domain != C or F.codomain != C:
             errors.append(f"rho[{g}] is not an endofunctor of the target")
             continue
-        errors.extend(f"rho[{g}]: {e}" for e in validate_functor(F))
+        errors.extend(f"rho[{g}]: {e}" for e in fincat.validate_functor(F))
     if errors:
         return errors
     ident = identity_functor(C)
@@ -292,7 +292,7 @@ def semidirect_op(action: GroupAction) -> tuple[SemidirectCategory, CatFunctor]:
     """
     G, C = action.group, action.target
     Gop = opposite_group(G)
-    Cop = opposite(C)
+    Cop = fincat.opposite(C)
     kappa = {g: opposite_functor(action.rho[G.inverse[g]]) for g in G.elements}
     sd_op = semidirect(GroupAction(Gop, Cop, kappa))
     sd = semidirect(action)
@@ -302,8 +302,9 @@ def semidirect_op(action: GroupAction) -> tuple[SemidirectCategory, CatFunctor]:
     for m, (phi, g) in sd.pair_of.items():
         ginv = G.inverse[g]
         mor[m] = pair_name(action.rho[ginv].mor_map[phi], g)
-    comparison = CatFunctor(opposite(sd.category), sd_op.category, ob, mor)
-    errs = validate_functor(comparison)
+    comparison = CatFunctor(fincat.opposite(sd.category), sd_op.category,
+                            ob, mor)
+    errs = fincat.validate_functor(comparison)
     if errs:
         raise AssertionError("semidirect opposite comparison fails: " + errs[0])
     if len(set(mor.values())) != len(mor):

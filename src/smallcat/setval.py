@@ -23,6 +23,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
+# Timed functions are called via their module: see the package docstring.
+from . import fincat
 from .fincat import (
     BudgetError,
     CatFunctor,
@@ -32,9 +34,7 @@ from .fincat import (
     Partition,
     backtrack,
     constraint_lists,
-    opposite,
     pair_name,
-    validate_functor,
     validate_natural,
 )
 
@@ -608,9 +608,14 @@ def ran_counit(iota: CatFunctor, X: SetDiagram) -> DiagramMap:
 
 def lan_transpose(iota: CatFunctor, X: SetDiagram, Y: SetDiagram,
                   f: DiagramMap, *, kan: LeftKan | None = None) -> DiagramMap:
-    """Send ``f: lan(iota, X) -> Y`` to its adjunct ``X -> restrict(iota, Y)``."""
-    return compose_diagram_maps(restrict_map(iota, f),
-                                (kan or left_kan(iota, X)).unit)
+    """Send ``f: lan(iota, X) -> Y`` to its adjunct ``X -> restrict(iota, Y)``:
+    ``restrict(iota, f)`` after the unit, read off ``f`` without restricting
+    its source."""
+    unit = (kan or left_kan(iota, X)).unit
+    return DiagramMap(unit.source, restrict(iota, f.target),
+                      {c: {x: f.components[iota.ob_map[c]][u]
+                           for x, u in unit.components[c].items()}
+                       for c in iota.domain.objects})
 
 
 def ran_transpose(iota: CatFunctor, Y: SetDiagram, X: SetDiagram,
@@ -634,7 +639,7 @@ def representable(C: FiniteCategory, x: str) -> SetDiagram:
     values = {o: C.hom(o, x) for o in C.objects}
     action = {m: {u: C.compose[(u, m)] for u in values[C.target[m]]}
               for m in C.morphisms}
-    return SetDiagram.build(opposite(C), values, action)
+    return SetDiagram.build(fincat.opposite(C), values, action)
 
 
 def corepresentable(C: FiniteCategory, x: str) -> SetDiagram:
@@ -662,7 +667,7 @@ def certify_adjunction(left: CatFunctor, right: CatFunctor,
     failures: list[str] = []
     checked = 0
     for name, F in (("left adjoint", left), ("right adjoint", right)):
-        errs = validate_functor(F)
+        errs = fincat.validate_functor(F)
         if errs:
             failures.append(f"{name} invalid: {errs[0]}")
     for name, nt in (("unit", unit), ("counit", counit)):

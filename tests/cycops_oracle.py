@@ -6,11 +6,14 @@ permutations, every membership test scans the element tuple, and
 ``right_adjoint_R`` rebuilds each index permutation per element.  They are
 kept, unchanged, as the reference that ``test_cycops_oracle`` compares
 :mod:`smallcat.cycops` against, together with the loop-built
-``block_perm`` and ``shift_perm`` they call.
+``block_perm`` and ``shift_perm`` they call.  ``validate_operad_map`` is
+kept as it was when it rebuilt the arity table for every composition entry.
 """
 import itertools
 
 from smallcat.cycops import (
+    CyclicOperadMap,
+    OperadMap,
     TruncatedCyclicOperad,
     TruncatedOperad,
     _sigma_i,
@@ -21,6 +24,7 @@ from smallcat.cycops import (
     ext_compose,
     ext_identity,
     ext_of_perm,
+    forget_cyclic_map,
     identity_perm,
     perm_compose,
 )
@@ -311,3 +315,39 @@ def right_adjoint_R(P: TruncatedOperad) -> TruncatedCyclicOperad:
     unit = _tuple_name((P.unit, P.unit))
     RP = TruncatedOperad(A, elements, unit, comp, action)
     return TruncatedCyclicOperad(RP, extended)
+
+
+def validate_operad_map(h: OperadMap) -> list[str]:
+    P, Q = h.source, h.target
+    errors = []
+    if P.arity_bound != Q.arity_bound:
+        return ["arity bounds differ"]
+    A = P.arity_bound
+    for n in range(A + 1):
+        comp = h.maps.get(n)
+        if comp is None or set(comp) != set(P.elements[n]) \
+                or not set(comp.values()) <= set(Q.elements[n]):
+            errors.append(f"arity {n}: not a function into the target")
+    if errors:
+        return errors
+    if h.maps[1][P.unit] != Q.unit:
+        errors.append("unit not preserved")
+    for (i, a, b), c in P.comp.items():
+        m = P.arity_of()[a]
+        n = P.arity_of()[b]
+        if Q.comp[(i, h.maps[m][a], h.maps[n][b])] != h.maps[m + n - 1][c]:
+            errors.append(f"composition not preserved at ({i},{a},{b})")
+    for (n, s, x), y in P.action.items():
+        if Q.action[(n, s, h.maps[n][x])] != h.maps[n][y]:
+            errors.append(f"action not preserved at ({n},{s},{x})")
+    return errors
+
+
+def validate_cyclic_map(h: CyclicOperadMap) -> list[str]:
+    errors = validate_operad_map(forget_cyclic_map(h))
+    if errors:
+        return errors
+    for (n, s, x), y in h.source.extended.items():
+        if h.target.extended[(n, s, h.maps[n][x])] != h.maps[n][y]:
+            errors.append(f"extended action not preserved at ({n},{s},{x})")
+    return errors

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 
 from smallcat import catspec, fincat, nabla, setval
@@ -282,3 +283,73 @@ def test_oversized_complex_exits_2(tmp_path, capsys):
         assert code == 2
         error = json.loads(out)["error"]
         assert error.startswith("line 1: complex K: ") and message in error
+
+
+def test_unbounded_complex_window_exits_2_at_once(tmp_path, capsys):
+    # the window LO..HI used to be walked, one matrix per degree, before
+    # any check: a window of 10^9 degrees asked for 10^9 arrays
+    path = tmp_path / "wide.catspec"
+    path.write_text("complex K 2 0 1000000000\nend\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out = run_cli(["validate", str(path)], capsys)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error.startswith("line 1: complex K: window 0..1000000000 ")
+    assert "more than 16777216" in error
+
+
+def loaded_after(code: str) -> set[str]:
+    """The ``smallcat.*`` and numpy modules a fresh interpreter holds after
+    running ``code`` with its standard output discarded."""
+    probe = ("import contextlib, io, sys\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             + "".join(f"    {line}\n" for line in code.splitlines())
+             + "print(' '.join(m for m in sys.modules\n"
+             "               if m.startswith('smallcat.')\n"
+             "               or m.split('.')[0] == 'numpy'))\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True)
+    return set(done.stdout.split())
+
+
+def test_help_and_usage_errors_load_only_the_cli():
+    for argv in (["--help"], ["nabla", "--dim", "x"], ["no-such-command"]):
+        loaded = loaded_after(
+            "import smallcat.cli\n"
+            "try:\n"
+            f"    smallcat.cli.main({argv!r})\n"
+            "except SystemExit:\n"
+            "    pass")
+        assert loaded == {"smallcat.cli"}, argv
+
+
+def test_nabla_loads_neither_numpy_nor_chaincx():
+    loaded = loaded_after("from smallcat import cli\n"
+                          "cli.main(['nabla', '--dim', '1'])")
+    assert "smallcat.nabla" in loaded
+    assert "numpy" not in loaded and "smallcat.chaincx" not in loaded
+
+
+def test_validate_loads_numpy_only_for_a_complex(tmp_path):
+    plain = write_doc(tmp_path, arrow_doc(), "plain.catspec")
+    with_complex = tmp_path / "complex.catspec"
+    with_complex.write_text("complex K 2 0 0\ndim 0 1\nend\n",
+                            encoding="utf-8")
+    for path, numpy_loaded in ((plain, False), (str(with_complex), True)):
+        loaded = loaded_after("from smallcat import cli\n"
+                              f"assert cli.main(['validate', {path!r}]) == 0")
+        assert "smallcat.catspec" in loaded
+        assert ("numpy" in loaded) is numpy_loaded, path
+
+
+def test_package_attribute_loads_that_module_only():
+    loaded = loaded_after("import smallcat\n"
+                          "smallcat.fincat.walking_arrow()\n"
+                          "try:\n"
+                          "    smallcat.no_such_module\n"
+                          "except AttributeError:\n"
+                          "    pass\n"
+                          "else:\n"
+                          "    raise SystemExit('no AttributeError')")
+    assert loaded == {"smallcat.fincat"}

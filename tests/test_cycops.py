@@ -1,3 +1,5 @@
+import pytest
+
 
 from smallcat.cycops import (
     CyclicOperadMap,
@@ -103,6 +105,24 @@ def test_associative_operad_valid():
 
 def test_monoid_operad_valid():
     assert validate_operad(sign_operad()) == []
+
+
+# Below arity bound 1 there is no arity-1 element to be the unit.
+@pytest.mark.parametrize("bound", [0, -1])
+def test_terminal_operad_below_bound_1_raises(bound):
+    with pytest.raises(ValueError, match=f"arity bound {bound} is below 1"):
+        terminal_operad(bound)
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_associative_operad_below_bound_1_raises(bound):
+    with pytest.raises(ValueError, match=f"arity bound {bound} is below 1"):
+        associative_operad(bound)
+
+
+def test_monoid_operad_below_bound_1_raises():
+    with pytest.raises(ValueError, match="arity bound 0 is below 1"):
+        sign_operad(0)
 
 
 def test_corrupted_unit_is_named():

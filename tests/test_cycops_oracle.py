@@ -225,3 +225,26 @@ def test_unit_mutations_agree():
             assert cycops.validate_cyclic(M) == oracle.validate_cyclic(M)
             checked += 1
     assert checked > 20
+
+
+def test_map_validators_agree_on_R_associative_3_identity():
+    """The identity map of ``R(associative_operad(3))`` and one seeded
+    single-entry corruption of it: the arity table read once per call
+    gives the errors that one rebuilt per composition entry gave."""
+    RQ = right_adjoint_R(associative_operad(3))
+    elements = RQ.operad.elements
+    ident = cycops.CyclicOperadMap(
+        RQ, RQ, {n: {x: x for x in xs} for n, xs in elements.items()})
+    assert cycops.validate_cyclic_map(ident) == \
+        oracle.validate_cyclic_map(ident) == []
+    rng = random.Random(41)
+    n = rng.choice([k for k, xs in elements.items() if len(xs) > 1])
+    x = rng.choice(elements[n])
+    maps = {k: dict(v) for k, v in ident.maps.items()}
+    maps[n][x] = rng.choice([y for y in elements[n] if y != x])
+    bad = cycops.CyclicOperadMap(RQ, RQ, maps)
+    errors = cycops.validate_cyclic_map(bad)
+    assert errors and errors == oracle.validate_cyclic_map(bad)
+    plain = cycops.forget_cyclic_map(bad)
+    assert cycops.validate_operad_map(plain) == \
+        oracle.validate_operad_map(plain) == errors
