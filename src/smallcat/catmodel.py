@@ -143,7 +143,10 @@ def _forced(pairs) -> dict | None:
 
 def iter_liftings(sq: LiftingSquare,
                   node_budget: int | None = 2_000_000) -> Iterator[CatFunctor]:
-    """Yield every diagonal filler of the square, in lexicographic order."""
+    """Yield every diagonal filler of the square, in lexicographic order.
+
+    One functor search over the fibre-compatible object images, so one
+    ``node_budget`` bounds the whole search, not each choice of images."""
     i, p, top, bottom = sq.left, sq.right, sq.top, sq.bottom
     A, B = i.domain, i.codomain
     X = p.domain
@@ -156,24 +159,17 @@ def iter_liftings(sq: LiftingSquare,
         if b in fixed_ob and p.ob_map[fixed_ob[b]] != bottom.ob_map[b]:
             return
 
-    def obj_filter(b: str) -> list[str]:
-        if b in fixed_ob:
-            return [fixed_ob[b]]
-        return [x for x in X.objects if p.ob_map[x] == bottom.ob_map[b]]
+    ob_choices = {b: [fixed_ob[b]] if b in fixed_ob else
+                  [x for x in X.objects if p.ob_map[x] == bottom.ob_map[b]]
+                  for b in B.objects}
 
     def mor_filter(n: str, cand: str) -> bool:
         if n in forced_mor and cand != forced_mor[n]:
             return False
         return p.mor_map[cand] == bottom.mor_map[n]
 
-    # restrict object images through fixed_ob plus the fibre condition
-    import itertools as _it
-    obs = list(B.objects)
-    for combo in _it.product(*(obj_filter(b) for b in obs)):
-        pinned = dict(zip(obs, combo))
-        yield from _iter_functors(B, X, fixed_ob=pinned,
-                                  mor_filter=mor_filter,
-                                  node_budget=node_budget)
+    yield from _iter_functors(B, X, ob_choices=ob_choices,
+                              mor_filter=mor_filter, node_budget=node_budget)
 
 
 def solve_lifting(sq: LiftingSquare,

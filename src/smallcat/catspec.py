@@ -49,9 +49,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 # numpy and chaincx are imported by the complex-block path of ``load`` only,
-# so documents without a complex never load numpy.  Timed functions are
+# so documents without a complex never load numpy; invcat, and catmodel
+# through it, by the involution-block path only.  Timed functions are
 # called through their module: see the package docstring.
-from . import cycops, fincat, invcat, nabla, semidirect, setval
+from . import cycops, fincat, nabla, semidirect, setval
 from .fincat import (
     CatFunctor,
     FiniteCategory,
@@ -304,6 +305,7 @@ def load(text: str) -> LoadedDocument:
         out.actions[b.name] = act
 
     for b in (x for x in doc.blocks if x.kind == "involution"):
+        from . import invcat
         C = need(out.categories, b.params[0], "category", b.line)
         tau = CatFunctor(fincat.opposite(C), C,
                          {e[0]: e[1] for e in _entries(b, "object")},

@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class BudgetError(RuntimeError):
@@ -79,6 +79,15 @@ class FiniteCategory:
 
     def is_iso(self, m: str) -> bool:
         return self.inverse(m) is not None
+
+
+def hom_index(C: FiniteCategory) -> dict[tuple[str, str], list[str]]:
+    """The nonempty hom-sets of ``C`` keyed by ``(source, target)``, each in
+    the order :meth:`FiniteCategory.hom` gives."""
+    homs: dict[tuple[str, str], list[str]] = {}
+    for m in C.morphisms:
+        homs.setdefault((C.source[m], C.target[m]), []).append(m)
+    return homs
 
 
 @dataclass(frozen=True)
@@ -648,16 +657,18 @@ def backtrack(candidates: list, constraints: list[list[tuple]],
 
 
 def _iter_functors(C: FiniteCategory, D: FiniteCategory,
-                   fixed_ob: dict[str, str] | None = None,
+                   ob_choices: dict[str, Sequence[str]] | None = None,
                    mor_filter: Callable[[str, str], bool] | None = None,
                    node_budget: int | None = 2_000_000) -> Iterator[CatFunctor]:
     """Yield every functor ``C -> D`` in lexicographic order.
 
-    ``fixed_ob`` pins object images; ``mor_filter(m, n)`` restricts morphism
-    images.  For each choice of object images, :func:`backtrack` assigns
-    the non-identity morphisms; every composite ``f g = h`` of ``C`` is a
-    constraint ``D.compose[(F f, F g)] == F h``, with identity images as
-    constants.
+    ``ob_choices[x]``, where given, lists the candidate images of object
+    ``x`` in order (all of ``D.objects`` otherwise); ``mor_filter(m, n)``
+    restricts morphism images.  For each choice of object images,
+    :func:`backtrack` assigns the non-identity morphisms; every composite
+    ``f g = h`` of ``C`` is a constraint ``D.compose[(F f, F g)] == F h``,
+    with identity images as constants.  One node budget covers every
+    choice.
     """
     obs = list(C.objects)
     nonid = [m for m in C.morphisms if not C.is_identity(m)]
@@ -667,13 +678,11 @@ def _iter_functors(C: FiniteCategory, D: FiniteCategory,
     constraints = constraint_lists(n, (
         (D.compose, (slot[f], slot[g]), slot[h])
         for (f, g), h in C.compose.items()))
-    hom: dict[tuple[str, str], list[str]] = {}
-    for m in D.morphisms:
-        hom.setdefault((D.source[m], D.target[m]), []).append(m)
+    hom = hom_index(D)
     budget = NodeBudget(node_budget, "functor search exceeded node budget")
-    fixed_ob = fixed_ob or {}
-    choices = [(fixed_ob[x],) if x in fixed_ob else D.objects for x in obs]
-    for ob_imgs in itertools.product(*choices):
+    ob_choices = ob_choices or {}
+    for ob_imgs in itertools.product(*(ob_choices.get(x, D.objects)
+                                       for x in obs)):
         ob_map = dict(zip(obs, ob_imgs))
         ids = [D.identity[y] for y in ob_imgs]
         if mor_filter and not all(mor_filter(C.identity[x], i)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 # Timed functions are called via their module: see the package docstring.
-from . import fincat
+from . import fincat, setval
 from .fincat import (
     CatFunctor,
     FiniteCategory,
@@ -200,7 +200,7 @@ def verify_lan_formula(action: GroupAction, F: SetDiagram) -> LanFormulaReport:
     # comma component structure at every object
     comps_ok = True
     for x in C.objects:
-        K = kan.commas[x]
+        K = setval.comma_over(iota, x)
         comps = connected_components(K.category)
         if len(comps) != len(G.elements):
             comps_ok = False
@@ -218,9 +218,9 @@ def verify_lan_formula(action: GroupAction, F: SetDiagram) -> LanFormulaReport:
     components: dict[str, dict[str, str]] = {}
     bijections: dict[str, bool] = {}
     for x in C.objects:
-        K, colim = kan.commas[x], kan.colims[x]
+        colim = kan.colims[x]
         mapping: dict[str, str] = {}
-        for o, (c, m) in K.object_data.items():
+        for o, (c, m) in kan.objects[x].items():
             phi, g = sd.pair_of[m]
             ginv = G.inverse[g]
             u = action.rho[ginv].mor_map[phi]    # the map to the terminal object

@@ -3,13 +3,15 @@
 A :class:`SetDiagram` is a functor from a finite category to finite sets,
 stored as one value set per object and one function per morphism.  Limits
 are computed as compatible families inside the product, colimits as
-quotients of the tagged disjoint union; left and right Kan extensions are
-computed pointwise over comma categories.  :func:`left_kan` and
-:func:`right_kan` build a :class:`LeftKan` or :class:`RightKan` record per
-functor and diagram, holding the commas, (co)limits, extension and
-(co)unit; the transposes and :func:`lan_map` read a record passed to them
-instead of rebuilding it, and the plain functions (:func:`lan`,
-:func:`lan_unit`, ...) build one per call.
+quotients of the tagged disjoint union.  The Kan extensions are the
+pointwise (co)limits over comma categories, computed without building
+those categories: the left one by one union-find chase over every codomain
+object, the right one as compatible families over the under-comma objects.
+:func:`left_kan` and :func:`right_kan` build a :class:`LeftKan` or
+:class:`RightKan` record per functor and diagram, holding the comma
+objects, (co)limits, extension and (co)unit; the transposes and
+:func:`lan_map` read a record passed to them instead of rebuilding it, and
+the plain functions (:func:`lan`, :func:`lan_unit`, ...) build one per call.
 
 Naming is deterministic throughout: disjoint-union tags are pair strings
 ``(object,element)``, colimit classes are named by their lexicographically
@@ -19,7 +21,6 @@ shape is a one-point set, the colimit is empty.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -250,27 +251,39 @@ def _family_name(fam: dict[str, str]) -> str:
 def limit(X: SetDiagram, budget: int = 2_000_000) -> LimitResult:
     """Compatible families in the product of the value sets."""
     C = X.shape
-    obs = list(C.objects)
-    if not obs:
-        return LimitResult(("()",), {})
+    return _families(C.objects, X.values,
+                     [(C.source[m], X.action[m], C.target[m])
+                      for m in C.morphisms], budget)
+
+
+def _families(obs, values, constraints, budget: int) -> LimitResult:
+    """The families ``fam`` over ``obs`` with ``fam[o]`` in ``values[o]``
+    and ``table[fam[o1]] == fam[o2]`` for each ``(o1, table, o2)`` in
+    ``constraints``: the limit, with the families found in product order.
+
+    Raises :class:`BudgetError` if the product of the value sets (an empty
+    set counted as one) exceeds ``budget``.
+    """
     size = 1
     for o in obs:
-        size *= max(len(X.values[o]), 1)
+        size *= max(len(values[o]), 1)
         if size > budget:
             raise BudgetError("limit product exceeds budget")
-    families = []
-    for combo in itertools.product(*(X.values[o] for o in obs)):
-        fam = dict(zip(obs, combo))
-        if all(X.action[m][fam[C.source[m]]] == fam[C.target[m]]
-               for m in C.morphisms):
-            families.append(fam)
-    names = sorted(_family_name(f) for f in families)
+    if not obs:
+        return LimitResult(("()",), {})
+    slot = {o: k for k, o in enumerate(obs)}
+    checks = constraint_lists(len(obs), ((table, (slot[o1],), slot[o2])
+                                         for o1, table, o2 in constraints))
     projections: dict[str, dict[str, str]] = {o: {} for o in obs}
-    for fam in families:
+    names = []
+    for a in backtrack([values[o] for o in obs], checks,
+                       NodeBudget(None, "unbounded")):
+        fam = dict(zip(obs, a))
         n = _family_name(fam)
-        for o in obs:
-            projections[o][n] = fam[o]
-    return LimitResult(tuple(names), projections)
+        names.append(n)
+        for o, v in fam.items():
+            projections[o][n] = v
+    return LimitResult(tuple(sorted(names)), projections)
 
 
 def colimit(X: SetDiagram) -> ColimitResult:
@@ -388,9 +401,7 @@ def _comma_category(object_data: dict[str, tuple],
     objects = sorted(object_data)
     morphisms, source, target, identity, compose = [], {}, {}, {}, {}
     morphism_data = {}
-    homs: dict[tuple[str, str], list[str]] = {}
-    for m in C.morphisms:
-        homs.setdefault((C.source[m], C.target[m]), []).append(m)
+    homs = fincat.hom_index(C)
     for o1 in objects:
         for o2 in objects:
             c1 = object_data[o1][proj_index]
@@ -466,13 +477,13 @@ def connected_components(C: FiniteCategory) -> list[set[str]]:
 
 
 def restrict(iota: CatFunctor, Y: SetDiagram) -> SetDiagram:
-    """Precompose ``Y`` (over the codomain of ``iota``) with ``iota``."""
+    """Precompose ``Y`` (over the codomain of ``iota``) with ``iota``.
+
+    The result shares the value tuples, already sorted, and the maps of
+    ``Y`` rather than copying them."""
     C = iota.domain
-    return SetDiagram.build(
-        C,
-        {c: Y.values[iota.ob_map[c]] for c in C.objects},
-        {m: Y.action[iota.mor_map[m]] for m in C.morphisms},
-    )
+    return SetDiagram(C, {c: Y.values[iota.ob_map[c]] for c in C.objects},
+                      {m: Y.action[iota.mor_map[m]] for m in C.morphisms})
 
 
 def restrict_map(iota: CatFunctor, h: DiagramMap) -> DiagramMap:
@@ -484,12 +495,14 @@ def restrict_map(iota: CatFunctor, h: DiagramMap) -> DiagramMap:
 
 @dataclass(frozen=True)
 class LeftKan:
-    """The left Kan extension of ``X`` along ``iota``: ``commas[d]`` is the
-    comma category over ``d``, ``colims[d]`` the colimit of ``X`` over it,
-    and ``unit`` maps ``X`` to the restricted ``extension``.  Built by
-    :func:`left_kan`; :func:`lan_transpose` and :func:`lan_map` take it."""
+    """The left Kan extension of ``X`` along ``iota``: ``objects[d]`` decodes
+    each object ``(c,phi)`` of the comma category over ``d`` to its pair
+    ``(c, phi: iota c -> d)``, ``colims[d]`` is the colimit of ``X`` over
+    that comma, and ``unit`` maps ``X`` to the restricted ``extension``.
+    Built by :func:`left_kan`; :func:`lan_transpose` and :func:`lan_map`
+    take it."""
 
-    commas: dict[str, CommaCategory]
+    objects: dict[str, dict[str, tuple[str, str]]]
     colims: dict[str, ColimitResult]
     extension: SetDiagram
     unit: DiagramMap
@@ -497,39 +510,73 @@ class LeftKan:
 
 @dataclass(frozen=True)
 class RightKan:
-    """The right Kan extension of ``X`` along ``iota``: ``commas[d]`` is the
-    comma category under ``d``, ``lims[d]`` the limit of ``X`` over it, and
-    ``counit`` maps the restricted ``extension`` to ``X``.  Built by
-    :func:`right_kan`; :func:`ran_transpose` takes it."""
+    """The right Kan extension of ``X`` along ``iota``: ``objects[d]``
+    decodes each object ``(phi,c)`` of the comma category under ``d`` to its
+    pair ``(phi: d -> iota c, c)``, ``lims[d]`` is the limit of ``X`` over
+    that comma, and ``counit`` maps the restricted ``extension`` to ``X``.
+    Built by :func:`right_kan`; :func:`ran_transpose` takes it."""
 
-    commas: dict[str, CommaCategory]
+    objects: dict[str, dict[str, tuple[str, str]]]
     lims: dict[str, LimitResult]
     extension: SetDiagram
     counit: DiagramMap
 
 
 def left_kan(iota: CatFunctor, X: SetDiagram) -> LeftKan:
-    """The left Kan extension of ``X`` along ``iota``, with its unit."""
+    """The left Kan extension of ``X`` along ``iota``, with its unit.
+
+    One union-find chase over every codomain object at once (Meyers,
+    Spivak and Wisnesky, *Fast Left Kan Extensions Using Union Find*): the
+    items are ``(d, ((c,phi),x))`` for ``phi: iota c -> d`` and ``x`` in
+    ``X c``, and each ``u: c -> c2`` joins ``(c, phi2 . iota u, x)`` with
+    ``(c2, phi2, X u x)``.  Each class is named by its minimal tag, as
+    :func:`colimit` names it over the comma category.
+    """
     C, D = iota.domain, iota.codomain
-    commas = {d: comma_over(iota, d) for d in D.objects}
-    colims = {d: colimit(restrict(commas[d].projection, X))
-              for d in D.objects}
+    homs = fincat.hom_index(D)
+    # objects[d] as comma_over(iota, d).object_data lists them
+    objects: dict[str, dict[str, tuple[str, str]]] = {d: {} for d in D.objects}
+    for c in C.objects:
+        for d in D.objects:
+            for phi in homs.get((iota.ob_map[c], d), ()):
+                objects[d][pair_name(c, phi)] = (c, phi)
+    # tags[d][o][x] is the item of x at the comma object o over d
+    tags = {d: {o: {x: (d, pair_name(o, x)) for x in X.values[c]}
+                for o, (c, _) in objects[d].items()} for d in D.objects}
+    classes = Partition(t for by_o in tags.values() for by_x in by_o.values()
+                        for t in by_x.values())
+    for u in C.morphisms:
+        c, c2 = C.source[u], C.target[u]
+        if u == C.identity[c]:
+            continue    # an identity joins each item to itself
+        iu, Xu = iota.mor_map[u], X.action[u]
+        for d in D.objects:
+            for phi2 in homs.get((iota.ob_map[c2], d), ()):
+                to = tags[d][pair_name(c2, phi2)]
+                for x, t in tags[d][pair_name(c, D.compose[(phi2, iu)])].items():
+                    classes.union(t, to[Xu[x]])
+    colims = {}
+    for d in D.objects:
+        injections = {o: {x: classes.find(t)[1] for x, t in tags[d][o].items()}
+                      for o in sorted(objects[d])}
+        elements = {t for inj in injections.values() for t in inj.values()}
+        colims[d] = ColimitResult(tuple(sorted(elements)), injections)
     values = {d: colims[d].elements for d in D.objects}
     action = {}
     for psi in D.morphisms:
         d, d2 = D.source[psi], D.target[psi]
         mapping: dict[str, str] = {}
-        for o, (c, phi) in commas[d].object_data.items():
+        for o, (c, phi) in objects[d].items():
+            # both injections list the elements of X c in one order
             o2 = pair_name(c, D.compose[(psi, phi)])
-            for e in X.values[c]:
-                src_class = colims[d].injections[o][e]
-                tgt_class = colims[d2].injections[o2][e]
-                prev = mapping.get(src_class)
-                if prev is not None and prev != tgt_class:
+            for src_class, tgt_class in zip(
+                    colims[d].injections[o].values(),
+                    colims[d2].injections[o2].values()):
+                prev = mapping.setdefault(src_class, tgt_class)
+                if prev != tgt_class:
                     raise AssertionError("left Kan extension action ill-defined")
-                mapping[src_class] = tgt_class
         action[psi] = mapping
-    LX = SetDiagram.build(D, values, action)
+    LX = SetDiagram(D, values, action)   # sorted values, fresh maps
     errs = validate_diagram(LX)
     if errs:
         raise AssertionError("left Kan extension not functorial: " + errs[0])
@@ -538,7 +585,7 @@ def left_kan(iota: CatFunctor, X: SetDiagram) -> LeftKan:
         d = iota.ob_map[c]
         o = pair_name(c, D.identity[d])
         unit[c] = {e: colims[d].injections[o][e] for e in X.values[c]}
-    return LeftKan(commas, colims, LX, DiagramMap(X, restrict(iota, LX), unit))
+    return LeftKan(objects, colims, LX, DiagramMap(X, restrict(iota, LX), unit))
 
 
 def lan(iota: CatFunctor, X: SetDiagram) -> SetDiagram:
@@ -554,7 +601,7 @@ def lan_map(iota: CatFunctor, h: DiagramMap, *,
     comps = {}
     for d in iota.codomain.objects:
         mapping = {}
-        for o, (c, phi) in src.commas[d].object_data.items():
+        for o, (c, phi) in src.objects[d].items():
             for e in h.source.values[c]:
                 mapping[src.colims[d].injections[o][e]] = \
                     tgt.colims[d].injections[o][h.components[c][e]]
@@ -568,23 +615,47 @@ def lan_unit(iota: CatFunctor, X: SetDiagram) -> DiagramMap:
 
 
 def right_kan(iota: CatFunctor, X: SetDiagram) -> RightKan:
-    """The right Kan extension of ``X`` along ``iota``, with its counit."""
+    """The right Kan extension of ``X`` along ``iota``, with its counit.
+
+    ``RX d`` holds the compatible families over the objects ``(phi,c)`` of
+    the comma category under ``d``: each ``u: c -> c2`` requires the
+    component at ``(iota u . phi, c2)`` to be ``X u`` of the one at
+    ``(phi, c)``.
+    """
     C, D = iota.domain, iota.codomain
-    commas = {d: comma_under(d, iota) for d in D.objects}
-    lims = {d: limit(restrict(commas[d].projection, X)) for d in D.objects}
+    homs = fincat.hom_index(D)
+    # objects[d] as comma_under(d, iota).object_data lists them
+    objects: dict[str, dict[str, tuple[str, str]]] = {d: {} for d in D.objects}
+    for c in C.objects:
+        for d in D.objects:
+            for phi in homs.get((d, iota.ob_map[c]), ()):
+                objects[d][pair_name(phi, c)] = (phi, c)
+    constraints: dict[str, list] = {d: [] for d in D.objects}
+    for u in C.morphisms:
+        c, c2 = C.source[u], C.target[u]
+        if u == C.identity[c]:
+            continue    # an identity asks each component to be itself
+        iu, Xu = iota.mor_map[u], X.action[u]
+        for d in D.objects:
+            for phi in homs.get((d, iota.ob_map[c]), ()):
+                constraints[d].append((pair_name(phi, c), Xu,
+                                       pair_name(D.compose[(iu, phi)], c2)))
+    lims = {}
+    for d in D.objects:
+        obs = sorted(objects[d])
+        lims[d] = _families(obs, {o: X.values[objects[d][o][1]] for o in obs},
+                            constraints[d], 2_000_000)
     values = {d: lims[d].elements for d in D.objects}
     action = {}
     for psi in D.morphisms:
         d, d2 = D.source[psi], D.target[psi]
-        mapping = {}
-        for fam_name in lims[d].elements:
-            fam2 = {}
-            for o2, (phi2, c) in commas[d2].object_data.items():
-                o = pair_name(D.compose[(phi2, psi)], c)
-                fam2[o2] = lims[d].projections[o][fam_name]
-            mapping[fam_name] = _family_name(fam2)
-        action[psi] = mapping
-    RX = SetDiagram.build(D, values, action)
+        # the component at (phi2,c) of the image is the one at (phi2 psi,c)
+        parts = {o2: lims[d].projections[pair_name(D.compose[(phi2, psi)], c)]
+                 for o2, (phi2, c) in objects[d2].items()}
+        action[psi] = {fam: _family_name({o2: proj[fam]
+                                          for o2, proj in parts.items()})
+                       for fam in lims[d].elements}
+    RX = SetDiagram(D, values, action)   # sorted values, fresh maps
     errs = validate_diagram(RX)
     if errs:
         raise AssertionError("right Kan extension not functorial: " + errs[0])
@@ -593,7 +664,7 @@ def right_kan(iota: CatFunctor, X: SetDiagram) -> RightKan:
         d = iota.ob_map[c]
         o = pair_name(D.identity[d], c)
         counit[c] = {fam: lims[d].projections[o][fam] for fam in RX.values[d]}
-    return RightKan(commas, lims, RX, DiagramMap(restrict(iota, RX), X, counit))
+    return RightKan(objects, lims, RX, DiagramMap(restrict(iota, RX), X, counit))
 
 
 def ran(iota: CatFunctor, X: SetDiagram) -> SetDiagram:
@@ -627,7 +698,7 @@ def ran_transpose(iota: CatFunctor, Y: SetDiagram, X: SetDiagram,
         mapping = {}
         for y in Y.values[d]:
             fam = {}
-            for o, (phi, c) in R.commas[d].object_data.items():
+            for o, (phi, c) in R.objects[d].items():
                 fam[o] = g.components[c][Y.action[phi][y]]
             mapping[y] = _family_name(fam)
         comps[d] = mapping
@@ -708,6 +779,7 @@ def certify_kan_adjunctions(iota: CatFunctor,
 
     lefts = [left_kan(iota, X) for X in domain_diagrams]
     rights = [right_kan(iota, X) for X in domain_diagrams]
+    left_homs_of: dict[tuple[int, int], list[DiagramMap]] = {}
 
     for xi, X in enumerate(domain_diagrams):
         LX = lefts[xi].extension
@@ -715,7 +787,8 @@ def certify_kan_adjunctions(iota: CatFunctor,
         for yi, Y in enumerate(codomain_diagrams):
             checked += 1
             rY = restrict(iota, Y)
-            left_homs = enumerate_diagram_maps(LX, Y, node_budget)
+            left_homs = left_homs_of[(xi, yi)] = \
+                enumerate_diagram_maps(LX, Y, node_budget)
             right_homs = enumerate_diagram_maps(X, rY, node_budget)
             image = {}
             for f in left_homs:
@@ -752,8 +825,7 @@ def certify_kan_adjunctions(iota: CatFunctor,
                 continue
             lus = [lan_map(iota, u, kans=(lefts[xj], lefts[xi])) for u in us]
             for yi, Y in enumerate(codomain_diagrams):
-                fs = enumerate_diagram_maps(lefts[xi].extension, Y,
-                                            node_budget)[:nb]
+                fs = left_homs_of[(xi, yi)][:nb]
                 if not fs:
                     continue
                 for yj, Y2 in enumerate(codomain_diagrams):

@@ -4,13 +4,17 @@ Each search here carries its own ``consistent()``/``extend()`` pair.  They
 are kept, unchanged, as the exhaustive reference that ``test_search``
 compares :func:`smallcat.fincat.backtrack` and its constraint builders
 against: the same results in the same order, and (for the three budgeted
-searches) the same minimal node budget.
+searches) the same minimal node budget.  The lifting search is kept as it
+was too, one functor search per choice of object images: the lifting
+search now spends one budget on all the choices, so its minimal budget is
+the sum of the per-choice ones.
 """
 from __future__ import annotations
 
 import itertools
 from typing import Callable, Iterator
 
+from smallcat.catmodel import _forced
 from smallcat.cycops import TruncatedOperad, all_ext_perms, all_perms
 from smallcat.fincat import BudgetError, CatFunctor, FiniteCategory
 from smallcat.setval import DiagramMap, SetDiagram
@@ -76,6 +80,47 @@ def _iter_functors(C: FiniteCategory, D: FiniteCategory,
 
         for mm in extend(0):
             yield CatFunctor(C, D, dict(ob_map), mm)
+
+
+def lifting_choices(sq):
+    """``catmodel.iter_liftings`` as it was up to its loop: the pinned object
+    images and the morphism filter of each choice of object images, in
+    order."""
+    i, p, top, bottom = sq.left, sq.right, sq.top, sq.bottom
+    A, B = i.domain, i.codomain
+    X = p.domain
+
+    fixed_ob = _forced((i.ob_map[a], top.ob_map[a]) for a in A.objects)
+    forced_mor = _forced((i.mor_map[m], top.mor_map[m]) for m in A.morphisms)
+    if fixed_ob is None or forced_mor is None:
+        return
+    for b in B.objects:
+        if b in fixed_ob and p.ob_map[fixed_ob[b]] != bottom.ob_map[b]:
+            return
+
+    def obj_filter(b: str) -> list[str]:
+        if b in fixed_ob:
+            return [fixed_ob[b]]
+        return [x for x in X.objects if p.ob_map[x] == bottom.ob_map[b]]
+
+    def mor_filter(n: str, cand: str) -> bool:
+        if n in forced_mor and cand != forced_mor[n]:
+            return False
+        return p.mor_map[cand] == bottom.mor_map[n]
+
+    obs = list(B.objects)
+    for combo in itertools.product(*(obj_filter(b) for b in obs)):
+        yield dict(zip(obs, combo)), mor_filter
+
+
+def iter_liftings(sq, node_budget: int | None = 2_000_000
+                  ) -> Iterator[CatFunctor]:
+    """``catmodel.iter_liftings`` as it was: one functor search, each with
+    its own ``node_budget``, per choice of object images."""
+    for pinned, mor_filter in lifting_choices(sq):
+        yield from _iter_functors(sq.left.codomain, sq.right.domain,
+                                  fixed_ob=pinned, mor_filter=mor_filter,
+                                  node_budget=node_budget)
 
 
 def enumerate_diagram_maps(X: SetDiagram, Y: SetDiagram,

@@ -38,6 +38,7 @@ from smallcat.chaincx import (
     rank_mod,
     regular_module,
     reproduce_truncation_counterexample,
+    restrict_complex,
     restrict_scalars,
     trivial_module,
     two_term_identity_complex,
@@ -533,6 +534,37 @@ def test_dual_number_complexes_match_oracle(p):
                 maps.append((times_x, mods, mods))
             for g, src_mods, tgt_mods in maps:
                 compare_complex_level(f, g, src_mods, tgt_mods)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_restrict_complex_is_between_induce_and_coinduce(p):
+    # restrict_complex is the change of rings of the paper: in every pair of
+    # degrees, induce -| restrict -| coinduce give hom-spaces of one dimension
+    rng = np.random.default_rng(4000 + p)
+    D = dual_numbers(p)
+    over_d = [(C, mods) for C, mods, _ in dual_number_complexes(p)]
+    over_k = [(C, field_modules(C))
+              for C in (random_complex(rng, p) for _ in range(3))]
+    cases = [(AlgebraMap(D, D, np.eye(2, dtype=np.int64)), over_d, over_d),
+             (augmentation_dual_numbers(p), over_d, over_k),
+             (unit_inclusion(D), over_k, over_d)]
+    for f, sources, targets in cases:
+        for Y, ymods in targets:
+            same, restricted = restrict_complex(f, Y, ymods)
+            assert same is Y
+            assert list(restricted) == list(ymods)
+            for k, M in restricted.items():
+                assert M.algebra is f.source and M.dim == Y.dim(k)
+                assert validate_module(M) == []
+            for X, xmods in sources:
+                induced = induce_complex(f, X, xmods)[1]
+                coinduced = coinduce_complex(f, X, xmods)[1]
+                for i, M in xmods.items():
+                    for j, N in ymods.items():
+                        assert hom_dim(induced[i], N) == \
+                            hom_dim(M, restricted[j])
+                        assert hom_dim(restricted[j], M) == \
+                            hom_dim(N, coinduced[i])
 
 
 def test_zero_dimensional_modules_inside_a_complex_match_oracle():

@@ -343,6 +343,17 @@ def test_validate_loads_numpy_only_for_a_complex(tmp_path):
         assert ("numpy" in loaded) is numpy_loaded, path
 
 
+def test_kan_loads_neither_invcat_nor_catmodel(tmp_path):
+    path = write_doc(tmp_path, kan_doc())
+    loaded = loaded_after(
+        "from smallcat import cli\n"
+        f"assert cli.main(['kan', {path!r}, '--functor', 'iota',\n"
+        "                 '--diagram', 'X']) == 0")
+    assert "smallcat.catspec" in loaded and "smallcat.setval" in loaded
+    assert "smallcat.invcat" not in loaded
+    assert "smallcat.catmodel" not in loaded
+
+
 def test_package_attribute_loads_that_module_only():
     loaded = loaded_after("import smallcat\n"
                           "smallcat.fincat.walking_arrow()\n"

@@ -165,11 +165,15 @@ def test_functor_search_needs_the_oracle_budget():
             functor_keys(oracle._iter_functors(C, D))
 
 
-def oracle_liftings(sq, node_budget=2_000_000):
-    """``iter_liftings`` run on the oracle's functor search."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(catmodel, "_iter_functors", oracle._iter_functors)
-        return functor_keys(iter_liftings(sq, node_budget))
+def oracle_lifting_budget(sq) -> int:
+    """The nodes of the oracle's per-choice searches, summed: the minimal
+    budget of one search that spends a single budget on every choice."""
+    B, X = sq.left.codomain, sq.right.domain
+    return sum(minimal_budget(
+        lambda b: list(oracle._iter_functors(B, X, fixed_ob=pinned,
+                                             mor_filter=mor_filter,
+                                             node_budget=b)))
+        for pinned, mor_filter in oracle.lifting_choices(sq))
 
 
 def test_lifting_search_matches_oracle():
@@ -182,10 +186,32 @@ def test_lifting_search_matches_oracle():
                for sq in enumerate_squares(g, F)]
     assert any(solve_lifting(sq) is None for sq in squares)
     for sq in squares:
-        assert functor_keys(iter_liftings(sq)) == oracle_liftings(sq)
-        assert_same_budget(
-            lambda b: oracle_liftings(sq, b),
-            lambda b: functor_keys(iter_liftings(sq, b)))
+        assert functor_keys(iter_liftings(sq)) == \
+            functor_keys(oracle.iter_liftings(sq))
+        budget = oracle_lifting_budget(sq)
+        assert minimal_budget(lambda b: list(iter_liftings(sq, b))) == budget
+        if budget:
+            with pytest.raises(BudgetError,
+                               match="^functor search exceeded node budget$"):
+                list(iter_liftings(sq, budget - 1))
+
+
+def test_lifting_budget_is_the_total_over_object_choices():
+    # the empty category into the walking arrow, lifted against the walking
+    # arrow over the point: each of the four object maps to {a, b} is a
+    # choice, f has 1, 1, 0 and 1 candidates in them, so the search needs
+    # 3 nodes, where a fresh budget per choice needed 1
+    arrow, pt = walking_arrow(), fincat.terminal_category()
+    empty_in = fincat.CatFunctor(fincat.empty_category(), arrow, {}, {})
+    p = fincat.CatFunctor(arrow, pt, {"a": "pt", "b": "pt"},
+                          {m: "id_pt" for m in arrow.morphisms})
+    sq = catmodel.LiftingSquare(empty_in, p, empty_in, p)
+    assert len(list(iter_liftings(sq))) == 3
+    assert oracle_lifting_budget(sq) == 3
+    assert minimal_budget(lambda b: list(iter_liftings(sq, b))) == 3
+    assert max(minimal_budget(lambda b: list(oracle._iter_functors(
+        arrow, arrow, fixed_ob=pinned, mor_filter=f, node_budget=b)))
+        for pinned, f in oracle.lifting_choices(sq)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 
+import itertools
 import random
+
+import pytest
 
 from smallcat import fincat, setval
 from smallcat.fincat import (
@@ -465,6 +468,7 @@ def test_colimit_and_limit_agree_with_oracles_on_random_sweep():
                 got.setdefault(res.injections[o][e], set()).add((o, e))
         assert {frozenset(v) for v in got.values()} == oracle
         assert len(limit(X).elements) == limit_filter_oracle(X)
+        assert repr(limit(X)) == repr(product_filter_limit(X))
 
 
 
@@ -494,9 +498,51 @@ def _same_map(new: DiagramMap, old: DiagramMap) -> None:
     assert new.key() == old.key()
 
 
+def product_filter_limit(X, budget=2_000_000):
+    """:func:`limit` as it was before the comma-free right Kan extension:
+    every tuple of the product, filtered."""
+    C = X.shape
+    obs = list(C.objects)
+    if not obs:
+        return setval.LimitResult(("()",), {})
+    size = 1
+    for o in obs:
+        size *= max(len(X.values[o]), 1)
+        if size > budget:
+            raise fincat.BudgetError("limit product exceeds budget")
+    families = []
+    for combo in itertools.product(*(X.values[o] for o in obs)):
+        fam = dict(zip(obs, combo))
+        if all(X.action[m][fam[C.source[m]]] == fam[C.target[m]]
+               for m in C.morphisms):
+            families.append(fam)
+    names = sorted(setval._family_name(f) for f in families)
+    projections = {o: {} for o in obs}
+    for fam in families:
+        n = setval._family_name(fam)
+        for o in obs:
+            projections[o][n] = fam[o]
+    return setval.LimitResult(tuple(names), projections)
+
+
+def _check_records(iota, X):
+    """The comma objects and (co)limits of the Kan records against comma
+    categories built by :func:`comma_over`/:func:`comma_under`; ``repr``
+    checks the order of every dict too."""
+    kan, rkan = setval.left_kan(iota, X), setval.right_kan(iota, X)
+    for d in iota.codomain.objects:
+        K, U = comma_over(iota, d), comma_under(d, iota)
+        assert repr(kan.objects[d]) == repr(K.object_data)
+        assert repr(rkan.objects[d]) == repr(U.object_data)
+        assert repr(kan.colims[d]) == repr(colimit(restrict(K.projection, X)))
+        assert repr(rkan.lims[d]) == \
+            repr(product_filter_limit(restrict(U.projection, X)))
+
+
 def _check_against_oracle(iota, X, Y, certify_args):
     """Compare every Kan function with its recomputing copy in
     ``kan_oracle``; returns the certification report."""
+    _check_records(iota, X)
     assert lan(iota, X) == oracle.lan(iota, X)
     assert ran(iota, X) == oracle.ran(iota, X)
     unit, counit = lan_unit(iota, X), ran_counit(iota, X)
@@ -534,8 +580,28 @@ def test_kan_records_match_oracle_on_two_domain_diagrams():
     assert rep.ok and rep.checked > 4  # the naturality checks ran
 
 
+def test_kan_records_keep_the_comma_order_when_names_sort_apart():
+    # "x#" sorts before "x" inside a pair name but after it on its own, so
+    # comma objects, families and classes sort differently from the order
+    # the objects and elements are listed in
+    C = discrete_category(["x", "x#"])
+    pt = terminal_category()
+    iota = CatFunctor(C, pt, {"x": "pt", "x#": "pt"},
+                      {"id_x": "id_pt", "id_x#": "id_pt"})
+    X = SetDiagram.build(C, {"x": ("v", "v#"), "x#": ("w",)},
+                         {"id_x": {"v": "v", "v#": "v#"}, "id_x#": {"w": "w"}})
+    Y = SetDiagram.build(pt, {"pt": ("y", "y#")},
+                         {"id_pt": {"y": "y", "y#": "y#"}})
+    under = setval.right_kan(iota, X).objects["pt"]
+    assert list(under) == ["(id_pt,x)", "(id_pt,x#)"]
+    assert sorted(under) == ["(id_pt,x#)", "(id_pt,x)"]
+    _check_against_oracle(iota, X, Y, ([X], [Y], 2))
+
+
 def test_certify_builds_each_kan_extension_once(monkeypatch):
-    calls = {"comma_over": 0, "comma_under": 0}
+    # one record per domain diagram and side, and no comma category at all
+    calls = dict.fromkeys(("left_kan", "right_kan", "comma_over",
+                           "comma_under"), 0)
     for name in calls:
         original = getattr(setval, name)
 
@@ -543,8 +609,25 @@ def test_certify_builds_each_kan_extension_once(monkeypatch):
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(setval, name, counted)
-    iota, X, _, Y = _arrow_into_chain()
-    rep = certify_kan_adjunctions(iota, [X], [Y])
-    assert rep.ok and rep.checked > 1  # the naturality checks ran
-    n = len(iota.codomain.objects)
-    assert calls == {"comma_over": n, "comma_under": n}
+    iota, X, X2, Y = _arrow_into_chain()
+    rep = certify_kan_adjunctions(iota, [X, X2], [Y])
+    assert rep.ok and rep.checked > 2  # the naturality checks ran
+    assert calls == {"left_kan": 2, "right_kan": 2,
+                     "comma_over": 0, "comma_under": 0}
+
+
+def test_wide_right_kan_exceeds_the_limit_budget_on_both_paths():
+    # seven objects of nine elements over the point: a product of 9^7
+    C = discrete_category([f"c{k}" for k in range(7)])
+    pt = terminal_category()
+    iota = CatFunctor(C, pt, {c: "pt" for c in C.objects},
+                      {m: "id_pt" for m in C.morphisms})
+    nine = [str(k) for k in range(9)]
+    X = SetDiagram.build(C, {c: nine for c in C.objects},
+                         {C.identity[c]: {e: e for e in nine}
+                          for c in C.objects})
+    for build in (ran, oracle.ran, lambda iota, X: product_filter_limit(
+            restrict(comma_under("pt", iota).projection, X))):
+        with pytest.raises(fincat.BudgetError,
+                           match="^limit product exceeds budget$"):
+            build(iota, X)
