@@ -32,7 +32,10 @@ Block kinds and their entries:
   with ``(P-1)^2 * max(1, max D) < 2^63`` so that int64 matrix products do
   not overflow, and the differentials may hold at most
   ``MAX_DIFFERENTIAL_ENTRIES`` (2^24) entries in all, over a window
-  ``LO..HI`` of at most as many degrees.
+  ``LO..HI`` of at most as many degrees.  ``load`` checks the block,
+  ``d.d = 0`` included, on its sparse entries without numpy; the int64 bound
+  stays because the complex, built on first read from
+  ``LoadedDocument.complexes``, holds int64 matrices.
 
 An entry line whose keyword is not one of its block kind's, or whose token
 count differs from the forms above, is rejected by :func:`parse`, as is a
@@ -46,19 +49,29 @@ violations raise :class:`CatspecError` with the offending line.
 """
 from __future__ import annotations
 
+import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-# numpy and chaincx are imported by the complex-block path of ``load`` only,
-# so documents without a complex never load numpy; invcat, and catmodel
-# through it, by the involution-block path only.  Timed functions are
-# called through their module: see the package docstring.
-from . import cycops, fincat, nabla, semidirect, setval
+# Each module a block kind needs is imported by that block's path in
+# ``load``, so a document loads only what its blocks use: semidirect for an
+# action, invcat (and catmodel through it) for an involution, setval for a
+# diagram, dmap or sset, nabla for an sset, cycops for an operad.  A
+# complex block is checked without numpy; numpy and chaincx load when a
+# complex is first read from ``LoadedDocument.complexes``.  Timed functions
+# are called through their module: see the package docstring.
+from . import fincat
 from .fincat import (
     CatFunctor,
     FiniteCategory,
     FiniteGroup,
+    is_prime,
     validate_group,
 )
+
+if TYPE_CHECKING:
+    from . import chaincx, cycops, invcat, nabla, semidirect, setval
 
 # Per block kind: one slot per header parameter after the name, and one
 # slot per token after the keyword of each entry keyword.  A slot is "." for
@@ -214,6 +227,30 @@ def emit(doc: CatspecDocument) -> str:
 # loading (resolution + validation)
 
 
+class Complexes(Mapping):
+    """The complex blocks of a loaded document, by name, read-only.
+
+    ``load`` has checked each block on its sparse ``d`` entries; the first
+    read of ``[name]`` builds the :class:`chaincx.FiniteComplex`, with
+    int64 matrices, and keeps it.
+    """
+
+    def __init__(self, blocks: dict[str, tuple] | None = None):
+        self._blocks = blocks or {}  # name -> _build_complex arguments
+        self._built: dict[str, chaincx.FiniteComplex] = {}
+
+    def __getitem__(self, name: str) -> chaincx.FiniteComplex:
+        if name not in self._built:
+            self._built[name] = _build_complex(*self._blocks[name])
+        return self._built[name]
+
+    def __iter__(self):
+        return iter(self._blocks)
+
+    def __len__(self) -> int:
+        return len(self._blocks)
+
+
 @dataclass
 class LoadedDocument:
     document: CatspecDocument
@@ -228,7 +265,7 @@ class LoadedDocument:
     rssets: dict[str, nabla.TruncatedRealSimplicialSet] = field(default_factory=dict)
     operads: dict[str, cycops.TruncatedOperad] = field(default_factory=dict)
     cyclic_operads: dict[str, cycops.TruncatedCyclicOperad] = field(default_factory=dict)
-    complexes: dict[str, chaincx.FiniteComplex] = field(default_factory=dict)
+    complexes: Complexes = field(default_factory=Complexes)
 
 
 def _entries(block: Block, keyword: str) -> list[tuple[str, ...]]:
@@ -266,6 +303,89 @@ def _build_group(block: Block) -> FiniteGroup:
     return G
 
 
+def _check_complex(block: Block) -> tuple:
+    """Check a complex block on its sparse entries, without numpy, and
+    return the arguments of :func:`_build_complex`: ``dims`` as the ``dim``
+    lines give them, and ``diff[k]`` as ``{(row, col): value mod p}`` (the
+    last entry per position) for each degree ``k`` that has entries."""
+    p, lo, hi = (int(t) for t in block.params)
+    dims = {int(e[0]): int(e[1]) for e in _entries(block, "dim")}
+    if (p - 1) ** 2 * max([1, *dims.values()]) >= 2 ** 63:
+        raise CatspecError(f"complex {block.name}: p = {p} overflows int64 "
+                           f"matrix products at these dimensions", block.line)
+    # the built complex has one matrix per degree of the window, so its
+    # degrees are held to the same cap as its entries
+    if hi - lo + 1 > MAX_DIFFERENTIAL_ENTRIES:
+        raise CatspecError(f"complex {block.name}: window {lo}..{hi} has "
+                           f"{hi - lo + 1} degrees, more than "
+                           f"{MAX_DIFFERENTIAL_ENTRIES}", block.line)
+    if not is_prime(p):
+        raise CatspecError(f"complex {block.name}: p = {p} is not a prime",
+                           block.line)
+    # summed over the dim lines, not the window: a degree without one adds 0
+    entries = sum(dims.get(k + 1, 0) * n for k, n in dims.items()
+                  if lo <= k <= hi)
+    if entries > MAX_DIFFERENTIAL_ENTRIES:
+        raise CatspecError(f"complex {block.name}: differentials would have "
+                           f"{entries} entries, more than "
+                           f"{MAX_DIFFERENTIAL_ENTRIES}", block.line)
+    diff: dict[int, dict[tuple[int, int], int]] = {}
+    for e in _entries(block, "d"):
+        k, row, col, val = int(e[0]), int(e[1]), int(e[2]), int(e[3])
+        if not (lo <= k <= hi and row < dims.get(k + 1, 0)
+                and col < dims.get(k, 0)):
+            raise CatspecError(f"complex {block.name}: entry out of range at "
+                               f"degree {k}", block.line)
+        diff.setdefault(k, {})[row, col] = val % p
+    for k in sorted(diff):
+        if k + 1 in diff and _product_nonzero(diff[k + 1], diff[k], p):
+            raise CatspecError(f"complex {block.name}: d.d nonzero at "
+                               f"degree {k}", block.line)
+    return p, lo, hi, dims, diff
+
+
+def _product_nonzero(a: dict, b: dict, p: int) -> bool:
+    """Whether the product ``a b`` of two sparse ``{(row, col): value}``
+    matrices with entries in ``0..p-1`` is nonzero mod ``p``.
+
+    Each row of ``b`` is packed into one integer, 64 bits per column, so a
+    row of the product is a sum of multiples of packed rows.  The int64
+    bound ``load`` checks keeps each column's sum below 2^63: no column
+    carries into the next.
+    """
+    shift = {col: 64 * i for i, col in enumerate({col for _, col in b})}
+    packed: dict[int, int] = {}
+    for (j, col), v in b.items():
+        packed[j] = packed.get(j, 0) + (v << shift[col])
+    a_rows: dict[int, list[tuple[int, int]]] = {}
+    for (row, j), w in a.items():
+        a_rows.setdefault(row, []).append((j, w))
+    size = 8 * len(shift)
+    for terms in a_rows.values():
+        acc = sum(w * packed.get(j, 0) for j, w in terms)
+        if acc and any(x % p for x in memoryview(
+                acc.to_bytes(size, sys.byteorder)).cast("Q")):
+            return True
+    return False
+
+
+def _build_complex(p: int, lo: int, hi: int, dims: dict[int, int],
+                   diff: dict) -> chaincx.FiniteComplex:
+    """The complex a checked block stands for: every degree of the window
+    in ``dims`` (after the ``dim`` lines) and an int64 matrix for each."""
+    import numpy as np
+    from . import chaincx
+    dims = dict(dims)
+    for k in range(lo, hi + 1):
+        dims.setdefault(k, 0)
+    mats = {k: np.zeros((dims.get(k + 1, 0), dims[k]), dtype=np.int64)
+            for k in range(lo, hi + 1)}
+    for k, entries in diff.items():
+        for (row, col), val in entries.items():
+            mats[k][row, col] = val
+    return chaincx.FiniteComplex(p, lo, hi, dims, mats)
+
+
 def load(text: str) -> LoadedDocument:
     """Parse, resolve every cross-reference, and run every validator."""
     doc = parse(text)
@@ -293,6 +413,7 @@ def load(text: str) -> LoadedDocument:
         out.functors[b.name] = F
 
     for b in (x for x in doc.blocks if x.kind == "action"):
+        from . import semidirect
         G = need(out.groups, b.params[0], "group", b.line)
         C = need(out.categories, b.params[1], "category", b.line)
         rho = {}
@@ -317,6 +438,7 @@ def load(text: str) -> LoadedDocument:
         out.involutions[b.name] = X
 
     for b in (x for x in doc.blocks if x.kind == "diagram"):
+        from . import setval
         C = need(out.categories, b.params[0], "category", b.line)
         values: dict[str, list[str]] = {o: [] for o in C.objects}
         for e in _entries(b, "element"):
@@ -337,6 +459,7 @@ def load(text: str) -> LoadedDocument:
         out.diagrams[b.name] = X
 
     for b in (x for x in doc.blocks if x.kind == "dmap"):
+        from . import setval
         src = need(out.diagrams, b.params[0], "diagram", b.line)
         tgt = need(out.diagrams, b.params[1], "diagram", b.line)
         comps: dict[str, dict[str, str]] = {o: {} for o in src.shape.objects}
@@ -349,6 +472,7 @@ def load(text: str) -> LoadedDocument:
         out.dmaps[b.name] = h
 
     for b in (x for x in doc.blocks if x.kind in ("sset", "rsset")):
+        from . import nabla, setval
         level = int(b.params[0])
         try:
             if b.kind == "sset":
@@ -384,6 +508,7 @@ def load(text: str) -> LoadedDocument:
             out.rssets[b.name] = S
 
     for b in (x for x in doc.blocks if x.kind == "operad"):
+        from . import cycops
         bound = int(b.params[0])
         elements: dict[int, list[str]] = {n: [] for n in range(bound + 1)}
         for e in _entries(b, "element"):
@@ -412,43 +537,8 @@ def load(text: str) -> LoadedDocument:
                 raise CatspecError(f"operad {b.name}: {errs[0]}", b.line)
             out.cyclic_operads[b.name] = Q
 
-    for b in (x for x in doc.blocks if x.kind == "complex"):
-        p, lo, hi = (int(t) for t in b.params)
-        dims = {int(e[0]): int(e[1]) for e in _entries(b, "dim")}
-        if (p - 1) ** 2 * max([1, *dims.values()]) >= 2 ** 63:
-            raise CatspecError(f"complex {b.name}: p = {p} overflows int64 "
-                               f"matrix products at these dimensions", b.line)
-        # one matrix per degree of the window, so its degrees are held to
-        # the same cap as its entries, before any loop walks the window
-        if hi - lo + 1 > MAX_DIFFERENTIAL_ENTRIES:
-            raise CatspecError(f"complex {b.name}: window {lo}..{hi} has "
-                               f"{hi - lo + 1} degrees, more than "
-                               f"{MAX_DIFFERENTIAL_ENTRIES}", b.line)
-        import numpy as np
-        from . import chaincx
-        if not chaincx.is_prime(p):
-            raise CatspecError(f"complex {b.name}: p = {p} is not a prime",
-                               b.line)
-        for k in range(lo, hi + 1):
-            dims.setdefault(k, 0)
-        entries = sum(dims.get(k + 1, 0) * dims[k] for k in range(lo, hi + 1))
-        if entries > MAX_DIFFERENTIAL_ENTRIES:
-            raise CatspecError(f"complex {b.name}: differentials would have "
-                               f"{entries} entries, more than "
-                               f"{MAX_DIFFERENTIAL_ENTRIES}", b.line)
-        mats = {k: np.zeros((dims.get(k + 1, 0), dims[k]), dtype=np.int64)
-                for k in range(lo, hi + 1)}
-        for e in _entries(b, "d"):
-            k, row, col, val = int(e[0]), int(e[1]), int(e[2]), int(e[3])
-            if k not in mats or row >= mats[k].shape[0] or col >= mats[k].shape[1]:
-                raise CatspecError(
-                    f"complex {b.name}: entry out of range at degree {k}", b.line)
-            mats[k][row, col] = val % p
-        C = chaincx.FiniteComplex(p, lo, hi, dims, mats)
-        errs = chaincx.validate_complex(C)
-        if errs:
-            raise CatspecError(f"complex {b.name}: {errs[0]}", b.line)
-        out.complexes[b.name] = C
+    out.complexes = Complexes({b.name: _check_complex(b)
+                               for b in doc.blocks if b.kind == "complex"})
 
     return out
 

@@ -24,10 +24,11 @@ together with the standard two-term complex separating them.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .fincat import is_prime  # re-exported: ``chaincx.is_prime`` stays
 
 
 # ---------------------------------------------------------------------------
@@ -47,12 +48,6 @@ def _zeros(rows: int, cols: int) -> np.ndarray:
 
 def _eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
-
-
-def is_prime(p: int) -> bool:
-    """Whether ``p`` is prime: inverses are taken by Fermat's little theorem,
-    which holds only modulo a prime."""
-    return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
 
 
 def _inv_mod(a: int, p: int) -> int:

@@ -17,7 +17,9 @@ import sys
 
 # Only the standard library is imported here: each command imports the
 # modules it uses, so ``--help`` and argument errors load none of them and
-# numpy is loaded only by commands that touch a chain complex.
+# numpy is loaded only by commands that compute with a chain complex
+# (``chain`` and the truncation case): loading a document checks a complex
+# block without numpy.
 
 OK, FALSIFIED, BAD_INPUT = 0, 1, 2
 

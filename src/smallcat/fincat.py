@@ -29,6 +29,12 @@ def pair_name(a: str, b: str) -> str:
     return f"({a},{b})"
 
 
+def is_prime(p: int) -> bool:
+    """Whether ``p`` is prime: inverses are taken by Fermat's little theorem,
+    which holds only modulo a prime."""
+    return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
+
+
 # ---------------------------------------------------------------------------
 # core data types
 

@@ -1,8 +1,11 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smallcat import catspec, fincat, invcat, nabla, setval
+import catspec_oracle
+from smallcat import catspec, chaincx, fincat, invcat, nabla, setval
 from smallcat.catspec import (
     Block,
     CatspecDocument,
@@ -282,3 +285,160 @@ def test_load_under_integer_token_mutations(data):
     except CatspecError:
         return
     _assert_entries_where_stated(text, loaded)
+
+
+# The complex-block check on sparse entries against the old eager path,
+# kept in ``catspec_oracle``: random complexes with d.d = 0, and single-entry
+# corruptions of them.
+
+
+def _random_complex(rng: random.Random, p: int) -> tuple[tuple, list]:
+    """A random complex block over GF(p) with d.d = 0: its header
+    ``(p, lo, hi, dims, dim lines)`` and its ``d`` lines.
+
+    Dimensions run one degree past each end of the window, so the top
+    differential may be nonzero and some ``dim`` lines lie outside the
+    window; a zero dimension's line is sometimes left out.  Each entry is
+    written as some representative mod ``p``, some positions first get a
+    decoy value that the last line overrides, and the lines are shuffled.
+    """
+    lo = rng.randint(-3, 1)
+    hi = lo + rng.randint(0, 3)
+    dims = {k: rng.randint(0, 3) or rng.randint(0, 3)
+            for k in range(lo - 1, hi + 2)}
+    diff = {}
+    for k in range(hi, lo - 1, -1):
+        if k == hi:
+            basis = np.eye(dims[k + 1], dtype=np.int64)
+        else:
+            basis = chaincx.nullspace_mod(diff[k + 1], p)
+        coeffs = np.array([[rng.randrange(p) for _ in range(dims[k])]
+                           for _ in range(basis.shape[1])],
+                          dtype=np.int64).reshape(basis.shape[1], dims[k])
+        diff[k] = (basis @ coeffs) % p
+    positions = []
+    for k, m in diff.items():
+        for (r, c), v in np.ndenumerate(m):
+            if v or rng.random() < 0.2:
+                lines = [("d", k, r, c, int(v) + p * rng.randint(-2, 2))]
+                if rng.random() < 0.2:
+                    lines.insert(0, ("d", k, r, c, rng.randrange(p)))
+                positions.append(lines)
+    rng.shuffle(positions)
+    d_lines = [line for lines in positions for line in lines]
+    dim_lines = [("dim", k, n) for k, n in dims.items()
+                 if n or rng.random() < 0.5]
+    rng.shuffle(dim_lines)
+    return (p, lo, hi, dims, dim_lines), d_lines
+
+
+def _complex_text(header, d_lines) -> str:
+    p, lo, hi, _, dim_lines = header
+    body = dim_lines + d_lines
+    return (f"complex K {p} {lo} {hi}\n"
+            + "".join(" ".join(map(str, e)) + "\n" for e in body) + "end\n")
+
+
+def _corrupt(rng: random.Random, header, d_lines) -> list:
+    """``d_lines`` with one entry changed: a line's value replaced, or a new
+    line, mostly at a position in range."""
+    p, lo, hi, dims, _ = header
+    out = list(d_lines)
+    if out and rng.random() < 0.4:
+        i = rng.randrange(len(out))
+        out[i] = out[i][:4] + (rng.randrange(p),)
+        return out
+    k = rng.randint(lo, hi) if rng.random() < 0.8 else rng.choice((lo - 1,
+                                                                   hi + 1))
+    rows, cols = dims.get(k + 1, 0), dims.get(k, 0)
+    if lo <= k <= hi and rows and cols:
+        row, col = rng.randrange(rows), rng.randrange(cols)
+    else:
+        row, col = rng.randrange(4), rng.randrange(4)
+    out.insert(rng.randint(0, len(out)), ("d", k, row, col, rng.randrange(1, p)))
+    return out
+
+
+def _load_both(text: str):
+    """The complex ``load`` builds on first read, and the old eager one; or
+    the message of the ``CatspecError`` each raises."""
+    try:
+        want = catspec_oracle.load_complex(parse(text).blocks[0])
+    except CatspecError as exc:
+        want = str(exc)
+    try:
+        got = load(text).complexes["K"]
+    except CatspecError as exc:
+        got = str(exc)
+    return got, want
+
+
+def _assert_same_complex(got, want) -> None:
+    assert (got.p, got.lo, got.hi) == (want.p, want.lo, want.hi)
+    assert list(got.dims.items()) == list(want.dims.items())
+    assert list(got.diff) == list(want.diff)
+    for k, m in want.diff.items():
+        assert got.diff[k].dtype == m.dtype == np.int64
+        assert got.diff[k].shape == m.shape
+        assert np.array_equal(got.diff[k], m)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_sparse_complex_check_matches_the_eager_oracle(p):
+    rng = random.Random(9000 + p)
+    outcomes = {"built": 0, "d.d": 0, "range": 0}
+    dd_degrees = set()
+    for _ in range(60):
+        header, d_lines = _random_complex(rng, p)
+        variants = [d_lines] + [_corrupt(rng, header, d_lines)
+                                for _ in range(3)]
+        for i, lines in enumerate(variants):
+            got, want = _load_both(_complex_text(header, lines))
+            if isinstance(want, str):
+                assert got == want
+                assert want.startswith("line 1: complex K: ")
+                if "d.d nonzero at degree " in want:
+                    outcomes["d.d"] += 1
+                    dd_degrees.add(want.rsplit(" ", 1)[1])
+                else:
+                    outcomes["range"] += 1
+            else:
+                assert not isinstance(got, str), got
+                _assert_same_complex(got, want)
+                outcomes["built"] += 1
+            if i == 0:
+                assert not isinstance(want, str)
+    # every outcome is reached, and d.d fails at more than one degree
+    assert all(n > 10 for n in outcomes.values()), outcomes
+    assert len(dd_degrees) > 1
+
+
+@pytest.mark.parametrize("d0, closed", [("p-1 1 p-1 1", True),
+                                        ("p-1 1 p-1 2", False)])
+def test_sparse_check_near_the_int64_bound_matches_the_oracle(d0, closed):
+    # p = 2^31 - 1 and a dimension of 2 are just inside the int64 bound:
+    # each entry of d.d sums to about 2^62 before it is reduced mod p
+    p = 2 ** 31 - 1
+    vals = [str(p - 1) if t == "p-1" else t for t in d0.split()]
+    text = (f"complex K {p} 0 1\ndim 0 2\ndim 1 2\ndim 2 1\n"
+            f"d 1 0 0 1\nd 1 0 1 {p - 1}\n"
+            + "".join(f"d 0 {i // 2} {i % 2} {v}\n" for i, v in enumerate(vals))
+            + "end\n")
+    got, want = _load_both(text)
+    if closed:
+        _assert_same_complex(got, want)
+    else:
+        assert got == want == "line 1: complex K: d.d nonzero at degree 0"
+
+
+def test_complexes_are_built_on_first_read_and_kept():
+    loaded = load(emit(CatspecDocument((
+        complex_block("C", two_term_identity_complex(3)),))))
+    assert list(loaded.complexes) == ["C"] and len(loaded.complexes) == 1
+    assert loaded.complexes._built == {}
+    C = loaded.complexes["C"]
+    assert loaded.complexes["C"] is C
+    with pytest.raises(TypeError):
+        loaded.complexes["D"] = C
+    with pytest.raises(KeyError):
+        loaded.complexes["D"]

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 
+import pytest
 
 from smallcat import catspec, fincat, nabla, setval
 from smallcat.catspec import Block, CatspecDocument, emit
@@ -331,27 +332,88 @@ def test_nabla_loads_neither_numpy_nor_chaincx():
     assert "numpy" not in loaded and "smallcat.chaincx" not in loaded
 
 
-def test_validate_loads_numpy_only_for_a_complex(tmp_path):
+def test_chain_alone_loads_numpy_for_a_complex(tmp_path):
+    # load checks a complex block without numpy; the first read of
+    # ``complexes[name]``, which only ``chain`` makes, builds its matrices.
+    # The window of 2^20 degrees took one numpy array per degree on load
+    # (3.2 s and 350 MB); only degrees with entries are stored now.
     plain = write_doc(tmp_path, arrow_doc(), "plain.catspec")
-    with_complex = tmp_path / "complex.catspec"
-    with_complex.write_text("complex K 2 0 0\ndim 0 1\nend\n",
-                            encoding="utf-8")
-    for path, numpy_loaded in ((plain, False), (str(with_complex), True)):
+    small = tmp_path / "small.catspec"
+    small.write_text("complex K 2 0 0\ndim 0 1\nend\n", encoding="utf-8")
+    wide = tmp_path / "wide.catspec"
+    wide.write_text("complex K 2 0 1048575\nend\n", encoding="utf-8")
+    for argv, numpy_loaded in (
+            (["validate", plain], False),
+            (["validate", str(small)], False),
+            (["validate", str(wide)], False),
+            (["chain", str(small), "--complex", "K"], True)):
         loaded = loaded_after("from smallcat import cli\n"
-                              f"assert cli.main(['validate', {path!r}]) == 0")
+                              f"assert cli.main({argv!r}) == 0")
         assert "smallcat.catspec" in loaded
-        assert ("numpy" in loaded) is numpy_loaded, path
+        assert ("numpy" in loaded) is numpy_loaded, argv
+        assert ("smallcat.chaincx" in loaded) is numpy_loaded, argv
 
 
 def test_kan_loads_neither_invcat_nor_catmodel(tmp_path):
+    # kan_doc has category, functor and diagram blocks only, so loading it
+    # needs no module for actions, involutions, ssets or operads
     path = write_doc(tmp_path, kan_doc())
     loaded = loaded_after(
         "from smallcat import cli\n"
         f"assert cli.main(['kan', {path!r}, '--functor', 'iota',\n"
         "                 '--diagram', 'X']) == 0")
     assert "smallcat.catspec" in loaded and "smallcat.setval" in loaded
-    assert "smallcat.invcat" not in loaded
-    assert "smallcat.catmodel" not in loaded
+    for module in ("invcat", "catmodel", "cycops", "nabla", "semidirect"):
+        assert f"smallcat.{module}" not in loaded, module
+
+
+def suite_doc() -> CatspecDocument:
+    """kan_doc's blocks, an identity functor, an rsset, an operad and a
+    complex: every block the cli-suite command lines read."""
+    from smallcat import chaincx, cycops
+    return CatspecDocument((
+        *kan_doc().blocks,
+        catspec.functor_block("ident", fincat.identity_functor(walking_arrow()),
+                              "arrow", "arrow"),
+        catspec.rsset_block("S", nabla.representable_rsset(1, 0)),
+        catspec.operad_block("T", cycops.terminal_operad(2)),
+        catspec.complex_block("C", chaincx.two_term_identity_complex(2)),
+    ))
+
+
+# The command lines of the cli-suite benchmark workload, and those of them
+# that compute with a chain complex.
+CLI_SUITE = [
+    ["validate", "{doc}"],
+    ["kan", "{doc}", "--functor", "iota", "--diagram", "X"],
+    ["kan", "{doc}", "--functor", "iota", "--diagram", "X",
+     "--side", "right"],
+    ["adjoint", "{doc}", "--functor", "iota"],
+    ["lift", "{doc}", "--left", "ident", "--right", "ident",
+     "--top", "ident", "--bottom", "ident"],
+    ["rlp", "{doc}", "--maps", "ident", "--against", "ident"],
+    ["nabla", "--dim", "1", "--homcount", "1", "1"],
+    ["nabla", "--dim", "2"],
+    ["rsset", "{doc}", "--name", "S", "--roundtrip"],
+    ["cyclic", "{doc}", "--operad", "T"],
+    ["chain", "{doc}", "--complex", "C", "--truncate", "naive"],
+    ["paper-suite", "--case", "dagger"],
+    ["paper-suite", "--case", "truncation"],
+    ["paper-suite"],
+]
+NUMPY_LINES = {"chain {doc} --complex C --truncate naive",
+               "paper-suite --case truncation", "paper-suite"}
+
+
+@pytest.mark.parametrize("template", CLI_SUITE, ids=" ".join)
+def test_only_complex_commands_load_numpy(tmp_path, template):
+    path = write_doc(tmp_path, suite_doc())
+    argv = [path if a == "{doc}" else a for a in template]
+    loaded = loaded_after("from smallcat import cli\n"
+                          f"assert cli.main({argv!r}) == 0")
+    wants_numpy = " ".join(template) in NUMPY_LINES
+    assert ("numpy" in loaded) is wants_numpy
+    assert ("smallcat.chaincx" in loaded) is wants_numpy
 
 
 def test_package_attribute_loads_that_module_only():
