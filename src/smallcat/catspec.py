@@ -45,7 +45,9 @@ permutation that is not ``p`` then digits, and an operad whose bound ``A``
 or element arity ``N`` is not an integer with ``0 <= N <= A``.  Every block
 is validated by its module validator on load (an ``sset``/``rsset`` level
 outside ``0..9`` among them), and every cross-reference must resolve;
-violations raise :class:`CatspecError` with the offending line.
+violations raise :class:`CatspecError` with the offending line.  A failed
+validator reports ``line N: KIND NAME: E``, with ``N`` the block's header
+line and ``E`` the validator's first error.
 """
 from __future__ import annotations
 
@@ -272,6 +274,14 @@ def _entries(block: Block, keyword: str) -> list[tuple[str, ...]]:
     return [e[1:] for e in block.entries if e and e[0] == keyword]
 
 
+def _checked(block: Block, value, errors: list[str]):
+    """``value``, if its validator found no ``errors``; otherwise the first
+    error, named by the block and located at its header line."""
+    if errors:
+        raise CatspecError(f"{block.kind} {block.name}: {errors[0]}", block.line)
+    return value
+
+
 def _build_category(block: Block) -> FiniteCategory:
     objects = [e[0] for e in _entries(block, "object")]
     morphisms, source, target = [], {}, {}
@@ -282,10 +292,7 @@ def _build_category(block: Block) -> FiniteCategory:
     compose = {(e[0], e[1]): e[2] for e in _entries(block, "compose")}
     C = FiniteCategory.build(objects, morphisms, source, target,
                              identity, compose)
-    errs = fincat.validate_category(C)
-    if errs:
-        raise CatspecError(f"category {block.name}: {errs[0]}", block.line)
-    return C
+    return _checked(block, C, fincat.validate_category(C))
 
 
 def _build_group(block: Block) -> FiniteGroup:
@@ -297,10 +304,7 @@ def _build_group(block: Block) -> FiniteGroup:
     mult = {(e[0], e[1]): e[2] for e in _entries(block, "mult")}
     inverse = {e[0]: e[1] for e in _entries(block, "inverse")}
     G = FiniteGroup(tuple(sorted(elements)), mult, idents[0][0], inverse)
-    errs = validate_group(G)
-    if errs:
-        raise CatspecError(f"group {block.name}: {errs[0]}", block.line)
-    return G
+    return _checked(block, G, validate_group(G))
 
 
 def _check_complex(block: Block) -> tuple:
@@ -407,10 +411,7 @@ def load(text: str) -> LoadedDocument:
         F = CatFunctor(dom, cod,
                        {e[0]: e[1] for e in _entries(b, "object")},
                        {e[0]: e[1] for e in _entries(b, "morphism")})
-        errs = fincat.validate_functor(F)
-        if errs:
-            raise CatspecError(f"functor {b.name}: {errs[0]}", b.line)
-        out.functors[b.name] = F
+        out.functors[b.name] = _checked(b, F, fincat.validate_functor(F))
 
     for b in (x for x in doc.blocks if x.kind == "action"):
         from . import semidirect
@@ -420,10 +421,7 @@ def load(text: str) -> LoadedDocument:
         for e in _entries(b, "map"):
             rho[e[0]] = need(out.functors, e[1], "functor", b.line)
         act = semidirect.GroupAction(G, C, rho)
-        errs = semidirect.validate_action(act)
-        if errs:
-            raise CatspecError(f"action {b.name}: {errs[0]}", b.line)
-        out.actions[b.name] = act
+        out.actions[b.name] = _checked(b, act, semidirect.validate_action(act))
 
     for b in (x for x in doc.blocks if x.kind == "involution"):
         from . import invcat
@@ -432,10 +430,7 @@ def load(text: str) -> LoadedDocument:
                          {e[0]: e[1] for e in _entries(b, "object")},
                          {e[0]: e[1] for e in _entries(b, "morphism")})
         X = invcat.InvolutiveCategory(C, tau)
-        errs = invcat.validate_involutive(X)
-        if errs:
-            raise CatspecError(f"involution {b.name}: {errs[0]}", b.line)
-        out.involutions[b.name] = X
+        out.involutions[b.name] = _checked(b, X, invcat.validate_involutive(X))
 
     for b in (x for x in doc.blocks if x.kind == "diagram"):
         from . import setval
@@ -453,10 +448,7 @@ def load(text: str) -> LoadedDocument:
                     f"diagram {b.name}: unknown morphism {e[0]!r}", b.line)
             action[e[0]][e[1]] = e[2]
         X = setval.SetDiagram.build(C, values, action)
-        errs = setval.validate_diagram(X)
-        if errs:
-            raise CatspecError(f"diagram {b.name}: {errs[0]}", b.line)
-        out.diagrams[b.name] = X
+        out.diagrams[b.name] = _checked(b, X, setval.validate_diagram(X))
 
     for b in (x for x in doc.blocks if x.kind == "dmap"):
         from . import setval
@@ -466,10 +458,7 @@ def load(text: str) -> LoadedDocument:
         for e in _entries(b, "at"):
             comps.setdefault(e[0], {})[e[1]] = e[2]
         h = setval.DiagramMap(src, tgt, comps)
-        errs = setval.validate_diagram_map(h)
-        if errs:
-            raise CatspecError(f"dmap {b.name}: {errs[0]}", b.line)
-        out.dmaps[b.name] = h
+        out.dmaps[b.name] = _checked(b, h, setval.validate_diagram_map(h))
 
     for b in (x for x in doc.blocks if x.kind in ("sset", "rsset")):
         from . import nabla, setval
@@ -496,16 +485,10 @@ def load(text: str) -> LoadedDocument:
         X = setval.SetDiagram.build(shape, values, action)
         if b.kind == "sset":
             S = nabla.TruncatedSimplicialSet(level, X)
-            errs = nabla.validate_sset(S)
-            if errs:
-                raise CatspecError(f"sset {b.name}: {errs[0]}", b.line)
-            out.ssets[b.name] = S
+            out.ssets[b.name] = _checked(b, S, nabla.validate_sset(S))
         else:
             S = nabla.TruncatedRealSimplicialSet(level, X)
-            errs = nabla.validate_rsset(S)
-            if errs:
-                raise CatspecError(f"rsset {b.name}: {errs[0]}", b.line)
-            out.rssets[b.name] = S
+            out.rssets[b.name] = _checked(b, S, nabla.validate_rsset(S))
 
     for b in (x for x in doc.blocks if x.kind == "operad"):
         from . import cycops
@@ -523,19 +506,14 @@ def load(text: str) -> LoadedDocument:
         P = cycops.TruncatedOperad(
             bound, {n: tuple(sorted(v)) for n, v in elements.items()},
             units[0][0], comp, action)
-        errs = cycops.validate_operad(P)
-        if errs:
-            raise CatspecError(f"operad {b.name}: {errs[0]}", b.line)
-        out.operads[b.name] = P
+        out.operads[b.name] = _checked(b, P, cycops.validate_operad(P))
         cyc = _entries(b, "cycact")
         if cyc:
             extended = {(int(e[0]), tuple(map(int, e[1][1:])), e[2]): e[3]
                         for e in cyc}
             Q = cycops.TruncatedCyclicOperad(P, extended)
-            errs = cycops.validate_cyclic(Q)
-            if errs:
-                raise CatspecError(f"operad {b.name}: {errs[0]}", b.line)
-            out.cyclic_operads[b.name] = Q
+            out.cyclic_operads[b.name] = _checked(b, Q,
+                                                  cycops.validate_cyclic(Q))
 
     out.complexes = Complexes({b.name: _check_complex(b)
                                for b in doc.blocks if b.kind == "complex"})
@@ -584,21 +562,20 @@ def involution_block(name: str, X: invcat.InvolutiveCategory, cat: str) -> Block
 
 
 def rsset_block(name: str, X: nabla.TruncatedRealSimplicialSet) -> Block:
-    entries = []
-    for n in range(X.level + 1):
-        entries += [("simplex", str(n), e) for e in X.simplices(n)]
-    entries += [("act", m, e, v) for m, f in X.diagram.action.items()
-                for e, v in f.items()]
-    return Block("rsset", name, (str(X.level),), tuple(entries))
+    return _simplex_block("rsset", name, X)
 
 
 def sset_block(name: str, X: nabla.TruncatedSimplicialSet) -> Block:
+    return _simplex_block("sset", name, X)
+
+
+def _simplex_block(kind: str, name: str, X) -> Block:
     entries = []
     for n in range(X.level + 1):
         entries += [("simplex", str(n), e) for e in X.simplices(n)]
     entries += [("act", m, e, v) for m, f in X.diagram.action.items()
                 for e, v in f.items()]
-    return Block("sset", name, (str(X.level),), tuple(entries))
+    return Block(kind, name, (str(X.level),), tuple(entries))
 
 
 def operad_block(name: str, P: cycops.TruncatedOperad,

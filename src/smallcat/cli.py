@@ -193,11 +193,11 @@ def cmd_nabla(args) -> int:
         "dim": args.dim,
         "objects": len(pres.semidirect.category.objects),
         "morphisms": len(pres.semidirect.category.morphisms),
-        "presentations_isomorphic": True,    # build_nabla verifies tablewise
+        "presentations_isomorphic": pres.isomorphic,
         "hom_doubling": doubling,
     }
     _print(payload, args.pretty)
-    return OK if doubling else FALSIFIED
+    return OK if doubling and pres.isomorphic else FALSIFIED
 
 
 def cmd_rsset(args) -> int:
@@ -300,8 +300,8 @@ def _case_nabla() -> tuple[dict, bool]:
         == 2 * len(delta.hom(f"[{m}]", f"[{n}]"))
         for m in range(3) for n in range(3))
     return ({"hom_0_0": two, "hom_doubling": doubling,
-             "presentations_isomorphic": True},
-            two == 2 and doubling)
+             "presentations_isomorphic": pres.isomorphic},
+            two == 2 and doubling and pres.isomorphic)
 
 
 def _case_icat() -> tuple[dict, bool]:

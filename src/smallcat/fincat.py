@@ -9,7 +9,9 @@ function, so concurrent use is safe.
 Enumerations are deterministic: objects and morphisms are kept sorted, and
 searches branch in lexicographic order.  Derived identifiers use two fixed
 conventions: pairs are rendered ``(a,b)`` and coproduct copies are suffixed
-``#0`` / ``#1``.
+``#0`` / ``#1``.  A builder that computes its composites fills the table
+with :func:`tabulate`, which visits only the composable pairs, in an order
+fixed by the list of morphisms.
 """
 from __future__ import annotations
 
@@ -94,6 +96,24 @@ def hom_index(C: FiniteCategory) -> dict[tuple[str, str], list[str]]:
     for m in C.morphisms:
         homs.setdefault((C.source[m], C.target[m]), []).append(m)
     return homs
+
+
+def tabulate(objects, morphisms, source, target, identity,
+             composite: Callable[[str, str], str]) -> FiniteCategory:
+    """The category whose table holds ``composite(f, g)`` at each composable
+    pair ``(f, g)`` and nowhere else.
+
+    ``g`` runs over ``morphisms`` in the order given and ``f`` over the
+    morphisms leaving ``target[g]``, also in that order; this fixes the
+    insertion order of ``compose``.
+    """
+    leaving: dict[str, list[str]] = {}
+    for m in morphisms:
+        leaving.setdefault(source[m], []).append(m)
+    compose = {(f, g): composite(f, g)
+               for g in morphisms for f in leaving.get(target[g], ())}
+    return FiniteCategory.build(objects, morphisms, source, target,
+                                identity, compose)
 
 
 @dataclass(frozen=True)
@@ -403,19 +423,8 @@ def discrete_category(names) -> FiniteCategory:
 def indiscrete_category(names) -> FiniteCategory:
     """Exactly one morphism between any ordered pair of objects."""
     names = sorted(names)
-    morphisms, source, target, identity, compose = [], {}, {}, {}, {}
-    arrow = {}
-    for x in names:
-        for y in names:
-            m = f"to_{y}_from_{x}"
-            arrow[(x, y)] = m
-            morphisms.append(m)
-            source[m], target[m] = x, y
-        identity[x] = arrow[(x, x)]
-    for (x, y) in arrow:
-        for z in names:
-            compose[(arrow[(y, z)], arrow[(x, y)])] = arrow[(x, z)]
-    return FiniteCategory.build(names, morphisms, source, target, identity, compose)
+    return _thin_category(names, {(x, y): f"to_{y}_from_{x}"
+                                  for x in names for y in names})
 
 
 def walking_arrow() -> FiniteCategory:
@@ -458,41 +467,28 @@ def parallel_pair() -> FiniteCategory:
 
 def chain_category(n: int) -> FiniteCategory:
     """The poset ``0 < 1 < ... < n`` viewed as a category."""
-    objects = [str(i) for i in range(n + 1)]
-    morphisms, source, target, identity, compose = [], {}, {}, {}, {}
-    name = {}
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            m = f"id_{i}" if i == j else f"le_{i}_{j}"
-            name[(i, j)] = m
-            morphisms.append(m)
-            source[m], target[m] = str(i), str(j)
-        identity[str(i)] = name[(i, i)]
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            for k in range(j, n + 1):
-                compose[(name[(j, k)], name[(i, j)])] = name[(i, k)]
-    return FiniteCategory.build(objects, morphisms, source, target, identity, compose)
+    return _thin_category(
+        [str(i) for i in range(n + 1)],
+        {(str(i), str(j)): f"id_{i}" if i == j else f"le_{i}_{j}"
+         for i in range(n + 1) for j in range(i, n + 1)})
 
 
 def poset_category(names, leq: Callable[[str, str], bool]) -> FiniteCategory:
     """The category of a finite poset; composition is forced."""
     names = sorted(names)
-    morphisms, source, target, identity, compose = [], {}, {}, {}, {}
-    name = {}
-    for x in names:
-        for y in names:
-            if leq(x, y):
-                m = f"id_{x}" if x == y else f"le_{x}_{y}"
-                name[(x, y)] = m
-                morphisms.append(m)
-                source[m], target[m] = x, y
-        identity[x] = name[(x, x)]
-    for (x, y), m1 in name.items():
-        for (y2, z), m2 in name.items():
-            if y2 == y:
-                compose[(m2, m1)] = name[(x, z)]
-    return FiniteCategory.build(names, morphisms, source, target, identity, compose)
+    return _thin_category(names, {(x, y): f"id_{x}" if x == y else f"le_{x}_{y}"
+                                  for x in names for y in names if leq(x, y)})
+
+
+def _thin_category(objects: list[str],
+                   name: dict[tuple[str, str], str]) -> FiniteCategory:
+    """The category with one morphism ``name[(x, y)]: x -> y`` per key, in
+    the order of ``name``; composition is forced."""
+    source = {m: x for (x, _), m in name.items()}
+    target = {m: y for (_, y), m in name.items()}
+    return tabulate(objects, list(name.values()), source, target,
+                    {x: name[(x, x)] for x in objects},
+                    lambda f, g: name[(source[g], target[f])])
 
 
 def cyclic_group(n: int, prefix: str = "g") -> FiniteGroup:

@@ -198,20 +198,9 @@ def enumerate_equivariant(X: InvolutiveCategory, Y: InvolutiveCategory
 
 def induced_map(f: CatFunctor) -> CatFunctor:
     """Extend ``f: X -> Y`` to ``f + tau f^op`` on the bases of the L's."""
-    X, Y = f.domain, f.codomain
-    LX, LY = L_inv(X), L_inv(Y)
-    tau = LY.tau
-    incX = L_inv_insertion(X)
-    incY = L_inv_insertion(Y)
-    sx = "#0" if X.objects else ""
-    ob, mor = {}, {}
-    for x in X.objects:
-        ob[x + "#0"] = incY.ob_map[f.ob_map[x]]
-        ob[x + "#1"] = tau.ob_map[incY.ob_map[f.ob_map[x]]]
-    for m in X.morphisms:
-        mor[m + "#0"] = incY.mor_map[f.mor_map[m]]
-        mor[m + "#1"] = tau.mor_map[incY.mor_map[f.mor_map[m]]]
-    return CatFunctor(LX.base, LY.base, ob, mor)
+    Y = f.codomain
+    return extend_along_L(compose_functors(L_inv_insertion(Y), f),
+                          L_inv(Y)).functor
 
 
 def extend_along_L(f: CatFunctor, Ytau: InvolutiveCategory) -> EquivariantFunctor:

@@ -30,6 +30,7 @@ from .fincat import (
     opposite_functor,
     opposite_group,
     pair_name,
+    tabulate,
     validate_group,
 )
 from .setval import (
@@ -121,29 +122,30 @@ def permutation_action(G: FiniteGroup, C: FiniteCategory,
 
 
 def semidirect(action: GroupAction) -> SemidirectCategory:
-    """Build the semidirect product category."""
+    """Build the semidirect product category.
+
+    Raises ``ValueError`` when one pair identifier names two pairs.
+    """
     G, C = action.group, action.target
-    morphisms, source, target, identity, compose = [], {}, {}, {}, {}
+    morphisms, source, target = [], {}, {}
     pair_of = {}
     for phi in C.morphisms:
         for g in G.elements:
             m = pair_name(phi, g)
+            if m in pair_of:
+                raise ValueError(f"semidirect identifier {m} names two pairs")
             morphisms.append(m)
             pair_of[m] = (phi, g)
             source[m] = action.rho[G.inverse[g]].ob_map[C.source[phi]]
             target[m] = C.target[phi]
-    for x in C.objects:
-        identity[x] = pair_name(C.identity[x], G.identity)
-    for m1 in morphisms:
-        psi, h = pair_of[m1]
-        for m2 in morphisms:
-            phi, g = pair_of[m2]
-            if source[m2] != target[m1]:
-                continue
-            comp = C.compose[(phi, action.rho[g].mor_map[psi])]
-            compose[(m2, m1)] = pair_name(comp, G.mult[(g, h)])
-    cat = FiniteCategory.build(C.objects, morphisms, source, target,
-                               identity, compose)
+    identity = {x: pair_name(C.identity[x], G.identity) for x in C.objects}
+
+    def composite(m2: str, m1: str) -> str:
+        (phi, g), (psi, h) = pair_of[m2], pair_of[m1]
+        return pair_name(C.compose[(phi, action.rho[g].mor_map[psi])],
+                         G.mult[(g, h)])
+
+    cat = tabulate(C.objects, morphisms, source, target, identity, composite)
     return SemidirectCategory(cat, action, pair_of)
 
 

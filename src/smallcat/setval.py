@@ -399,7 +399,7 @@ def _comma_category(object_data: dict[str, tuple],
                     proj_index: int,
                     arrow_ok) -> CommaCategory:
     objects = sorted(object_data)
-    morphisms, source, target, identity, compose = [], {}, {}, {}, {}
+    morphisms, source, target, identity = [], {}, {}, {}
     morphism_data = {}
     homs = fincat.hom_index(C)
     for o1 in objects:
@@ -415,13 +415,13 @@ def _comma_category(object_data: dict[str, tuple],
     for o in objects:
         c = object_data[o][proj_index]
         identity[o] = f"({C.identity[c]},{o},{o})"
-    for n1 in morphisms:
-        for n2 in morphisms:
-            if source[n2] == target[n1]:
-                m = C.compose[(morphism_data[n2], morphism_data[n1])]
-                compose[(n2, n1)] = f"({m},{source[n1]},{target[n2]})"
-    cat = FiniteCategory.build(objects, morphisms, source, target,
-                               identity, compose)
+
+    def composite(n2: str, n1: str) -> str:
+        m = C.compose[(morphism_data[n2], morphism_data[n1])]
+        return f"({m},{source[n1]},{target[n2]})"
+
+    cat = fincat.tabulate(objects, morphisms, source, target, identity,
+                          composite)
     proj = CatFunctor(cat, C,
                       {o: object_data[o][proj_index] for o in objects},
                       dict(morphism_data))

@@ -83,6 +83,49 @@ def test_invalid_category_rejected_on_load():
         load(emit(CatspecDocument((block,))))
 
 
+# One document per block kind whose validator fails, with the message the
+# kind's validator path gives: the block's header line, kind and name, and
+# the first error.
+_A = ("category A\nobject a\nmorphism i a a\nidentity a i\n"
+      "compose i i i\nend\n")
+_G = "group G\nelement e\nidentity e\nmult e e e\ninverse e e\nend\n"
+_I = "functor I A A\nobject a a\nmorphism i i\nend\n"
+_X = "diagram X A\nelement a u\nmap i u u\nend\n"
+_T = ("operad T 1\nact 0 p t0 t0\nact 1 p1 t1 t1\ncompose 1 t1 t0 t0\n"
+      "compose 1 t1 t1 t1\nelement 0 t0\nelement 1 t1\nunit t1\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("category C\nobject a\nmorphism f a a\nidentity a f\nend\n",
+     "line 1: category C: composition table wrong domain at (f,f)"),
+    ("group G\nelement e\nelement x\nidentity e\nmult e e e\nend\n",
+     "line 1: group G: product (e,x) missing"),
+    (_A + "functor F A A\nobject a a\nend\n",
+     "line 7: functor F: morphism i: image missing"),
+    (_A + _G + _I + "action R G A\nend\n",
+     "line 17: action R: rho[e] is not an endofunctor of the target"),
+    (_A + "involution T A\nobject a a\nend\n",
+     "line 7: involution T: morphism i: image missing"),
+    (_A + "diagram X A\nelement a u\nend\n",
+     "line 7: diagram X: morphism i: domain mismatch"),
+    (_A + _X + "dmap h X X\nend\n",
+     "line 11: dmap h: component at a: not a function into the target"),
+    ("sset S 0\nsimplex 0 u\nend\n",
+     "line 1: sset S: morphism 0:0: domain mismatch"),
+    ("rsset S 0\nsimplex 0 u\nend\n",
+     "line 1: rsset S: morphism (0:0,g0): domain mismatch"),
+    ("operad T 1\nelement 1 x\nunit x\nend\n",
+     "line 1: operad T: composition missing at (1,x,x)"),
+    (_T + "cycact 0 p0 t0 t0\ncycact 1 p01 t1 t1\nend\n",
+     "line 1: operad T: extended action missing at (1,(1, 0),t1)"),
+], ids=["category", "group", "functor", "action", "involution", "diagram",
+        "dmap", "sset", "rsset", "operad", "cyclic-operad"])
+def test_failed_validator_names_block_line_and_first_error(text, message):
+    with pytest.raises(CatspecError) as exc:
+        load(text)
+    assert str(exc.value) == message
+
+
 def full_document():
     arrow = walking_arrow()
     chain = chain_category(2)

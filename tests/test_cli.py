@@ -159,6 +159,50 @@ def test_semidirect_subcommand(tmp_path, capsys):
     assert payload["lan_formula"]["natural_iso"] is True
 
 
+COLLIDING_ACTION_DOC = """\
+category C
+object x
+morphism a x x
+morphism a,b x x
+identity x a
+compose a a a
+compose a a,b a,b
+compose a,b a a,b
+compose a,b a,b a,b
+end
+group G
+element c
+element b,c
+identity c
+mult c c c
+mult c b,c b,c
+mult b,c c b,c
+mult b,c b,c c
+inverse c c
+inverse b,c b,c
+end
+functor I C C
+object x x
+morphism a a
+morphism a,b a,b
+end
+action A G C
+map c I
+map b,c I
+end
+"""
+
+
+def test_semidirect_identifier_collision_exits_2(tmp_path, capsys):
+    # (a,b,c) names both (a, "b,c") and ("a,b", c): four pairs, three names
+    path = tmp_path / "collide.catspec"
+    path.write_text(COLLIDING_ACTION_DOC, encoding="utf-8")
+    code, out = run_cli(["semidirect", str(path), "--action", "A"], capsys)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "semidirect identifier (a,b,c) names two pairs"}
+
+
 def test_nabla_homcount_is_bare_number(capsys):
     code, out = run_cli(["nabla", "--dim", "1", "--homcount", "1", "1"],
                         capsys)
@@ -173,6 +217,20 @@ def test_nabla_summary(capsys):
     payload = json.loads(out)
     assert payload["hom_doubling"] is True
     assert payload["presentations_isomorphic"] is True
+
+
+def test_failed_presentation_check_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(fincat, "validate_functor",
+                        lambda F: ["forced mismatch"])
+    code, out = run_cli(["nabla", "--dim", "2"], capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["presentations_isomorphic"] is False
+    assert payload["hom_doubling"] is True
+    code, out = run_cli(["paper-suite", "--case", "nabla"], capsys)
+    assert code == 1
+    assert json.loads(out) == {"hom_0_0": 2, "hom_doubling": True,
+                               "presentations_isomorphic": False}
 
 
 def test_rsset_subcommand(tmp_path, capsys):

@@ -1,7 +1,11 @@
 
+import pytest
+
 from smallcat import fincat
 from smallcat.fincat import (
     CatFunctor,
+    FiniteCategory,
+    FiniteGroup,
     cyclic_group,
     discrete_category,
     is_full,
@@ -106,6 +110,23 @@ def test_semidirect_always_validates():
         assert validate_category(sd.category) == []
         assert len(sd.category.morphisms) == \
             len(action.target.morphisms) * len(action.group.elements)
+
+
+def test_semidirect_rejects_an_identifier_naming_two_pairs():
+    # (a,b,c) names both the pair (a, "b,c") and the pair ("a,b", c)
+    C = FiniteCategory.build(
+        ["x"], ["a", "a,b"], {"a": "x", "a,b": "x"}, {"a": "x", "a,b": "x"},
+        {"x": "a"}, {("a", "a"): "a", ("a", "a,b"): "a,b",
+                     ("a,b", "a"): "a,b", ("a,b", "a,b"): "a,b"})
+    G = FiniteGroup(("b,c", "c"),
+                    {("c", "c"): "c", ("c", "b,c"): "b,c",
+                     ("b,c", "c"): "b,c", ("b,c", "b,c"): "c"},
+                    "c", {"c": "c", "b,c": "b,c"})
+    action = trivial_action(G, C)
+    assert validate_action(action) == []
+    with pytest.raises(ValueError, match=r"^semidirect identifier "
+                                         r"\(a,b,c\) names two pairs$"):
+        semidirect(action)
 
 
 def test_inclusion_iota_is_valid_and_injective():
