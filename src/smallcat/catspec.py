@@ -29,13 +29,14 @@ Block kinds and their entries:
   strings of images, e.g. ``p21`` for the transposition.
 - ``complex NAME P LO HI``: ``dim K D`` / ``d K ROW COL VAL`` (entries of
   the degree-raising differential out of degree ``K``); ``P`` must be prime,
-  with ``(P-1)^2 * max(1, max D) < 2^63`` so that int64 matrix products do
-  not overflow, and the differentials may hold at most
+  with ``(P-1)^2 * max(1, max D) < 2^63`` (an error that says the block
+  "overflows int64"), and the differentials may hold at most
   ``MAX_DIFFERENTIAL_ENTRIES`` (2^24) entries in all, over a window
   ``LO..HI`` of at most as many degrees.  ``load`` checks the block,
-  ``d.d = 0`` included, on its sparse entries without numpy; the int64 bound
-  stays because the complex, built on first read from
-  ``LoadedDocument.complexes``, holds int64 matrices.
+  ``d.d = 0`` included, on its sparse entries, whose products it sums in
+  64-bit fields that the bound on ``P`` keeps from carrying; the complex,
+  built on first read from ``LoadedDocument.complexes``, holds
+  :class:`chaincx.Matrix` differentials.
 
 An entry line whose keyword is not one of its block kind's, or whose token
 count differs from the forms above, is rejected by :func:`parse`, as is a
@@ -60,8 +61,8 @@ from typing import TYPE_CHECKING
 # ``load``, so a document loads only what its blocks use: semidirect for an
 # action, invcat (and catmodel through it) for an involution, setval for a
 # diagram, dmap or sset, nabla for an sset, cycops for an operad.  A
-# complex block is checked without numpy; numpy and chaincx load when a
-# complex is first read from ``LoadedDocument.complexes``.  Timed functions
+# complex block is checked without chaincx, which loads when a complex is
+# first read from ``LoadedDocument.complexes``.  Timed functions
 # are called through their module: see the package docstring.
 from . import fincat
 from .fincat import (
@@ -97,8 +98,8 @@ _GRAMMAR = {
 }
 BLOCK_KINDS = tuple(_GRAMMAR)
 
-# A complex block's differentials are dense int64 matrices; ``load``
-# rejects a block whose matrices would hold more entries than this in all.
+# A complex block's differentials are dense matrices; ``load`` rejects a
+# block whose matrices would hold more entries than this in all.
 MAX_DIFFERENTIAL_ENTRIES = 2 ** 24
 
 
@@ -233,8 +234,8 @@ class Complexes(Mapping):
     """The complex blocks of a loaded document, by name, read-only.
 
     ``load`` has checked each block on its sparse ``d`` entries; the first
-    read of ``[name]`` builds the :class:`chaincx.FiniteComplex`, with
-    int64 matrices, and keeps it.
+    read of ``[name]`` builds the :class:`chaincx.FiniteComplex` and keeps
+    it.
     """
 
     def __init__(self, blocks: dict[str, tuple] | None = None):
@@ -308,10 +309,10 @@ def _build_group(block: Block) -> FiniteGroup:
 
 
 def _check_complex(block: Block) -> tuple:
-    """Check a complex block on its sparse entries, without numpy, and
-    return the arguments of :func:`_build_complex`: ``dims`` as the ``dim``
-    lines give them, and ``diff[k]`` as ``{(row, col): value mod p}`` (the
-    last entry per position) for each degree ``k`` that has entries."""
+    """Check a complex block on its sparse entries and return the
+    arguments of :func:`_build_complex`: ``dims`` as the ``dim`` lines give
+    them, and ``diff[k]`` as ``{(row, col): value mod p}`` (the last entry
+    per position) for each degree ``k`` that has entries."""
     p, lo, hi = (int(t) for t in block.params)
     dims = {int(e[0]): int(e[1]) for e in _entries(block, "dim")}
     if (p - 1) ** 2 * max([1, *dims.values()]) >= 2 ** 63:
@@ -353,9 +354,9 @@ def _product_nonzero(a: dict, b: dict, p: int) -> bool:
     matrices with entries in ``0..p-1`` is nonzero mod ``p``.
 
     Each row of ``b`` is packed into one integer, 64 bits per column, so a
-    row of the product is a sum of multiples of packed rows.  The int64
-    bound ``load`` checks keeps each column's sum below 2^63: no column
-    carries into the next.
+    row of the product is a sum of multiples of packed rows.  The bound on
+    ``p`` that ``load`` checks keeps each column's sum below 2^63: no
+    column carries into the next.
     """
     shift = {col: 64 * i for i, col in enumerate({col for _, col in b})}
     packed: dict[int, int] = {}
@@ -376,17 +377,21 @@ def _product_nonzero(a: dict, b: dict, p: int) -> bool:
 def _build_complex(p: int, lo: int, hi: int, dims: dict[int, int],
                    diff: dict) -> chaincx.FiniteComplex:
     """The complex a checked block stands for: every degree of the window
-    in ``dims`` (after the ``dim`` lines) and an int64 matrix for each."""
-    import numpy as np
+    in ``dims`` (after the ``dim`` lines) and a matrix for each."""
     from . import chaincx
     dims = dict(dims)
     for k in range(lo, hi + 1):
         dims.setdefault(k, 0)
-    mats = {k: np.zeros((dims.get(k + 1, 0), dims[k]), dtype=np.int64)
-            for k in range(lo, hi + 1)}
-    for k, entries in diff.items():
-        for (row, col), val in entries.items():
-            mats[k][row, col] = val
+    mats = {}
+    for k in range(lo, hi + 1):
+        ncols = dims[k]
+        rows = [(0,) * ncols] * dims.get(k + 1, 0)
+        grid: dict[int, list[int]] = {}
+        for (row, col), val in diff.get(k, {}).items():
+            grid.setdefault(row, [0] * ncols)[col] = val
+        for row, entries in grid.items():
+            rows[row] = tuple(entries)
+        mats[k] = chaincx.Matrix(tuple(rows), ncols)
     return chaincx.FiniteComplex(p, lo, hi, dims, mats)
 
 
@@ -597,12 +602,9 @@ def complex_block(name: str, C: chaincx.FiniteComplex) -> Block:
     entries = [("dim", str(k), str(C.dim(k)))
                for k in range(C.lo, C.hi + 1)]
     for k in range(C.lo, C.hi + 1):
-        m = C.d(k)
-        for r in range(m.shape[0]):
-            for c in range(m.shape[1]):
-                if m[r, c] % C.p:
-                    entries.append(("d", str(k), str(r), str(c),
-                                    str(int(m[r, c] % C.p))))
+        for r, row in enumerate(C.d(k).rows):
+            entries += [("d", str(k), str(r), str(c), str(v % C.p))
+                        for c, v in enumerate(row) if v % C.p]
     return Block("complex", name, (str(C.p), str(C.lo), str(C.hi)),
                  tuple(entries))
 

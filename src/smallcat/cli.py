@@ -17,9 +17,9 @@ import sys
 
 # Only the standard library is imported here: each command imports the
 # modules it uses, so ``--help`` and argument errors load none of them and
-# numpy is loaded only by commands that compute with a chain complex
+# chaincx is loaded only by commands that compute with a chain complex
 # (``chain`` and the truncation case): loading a document checks a complex
-# block without numpy.
+# block without it.
 
 OK, FALSIFIED, BAD_INPUT = 0, 1, 2
 
@@ -207,10 +207,10 @@ def cmd_rsset(args) -> int:
     payload = {
         "level": X.level,
         "sizes": {str(n): len(X.simplices(n)) for n in range(X.level + 1)},
-        "valid": True,     # load() already validated
+        "valid": nabla.validate_rsset(X) == [],
         "conjugation_squares": nabla.conjugation_squares_hold(X),
     }
-    code = OK
+    code = OK if payload["valid"] else FALSIFIED
     if args.roundtrip:
         A, sigma = nabla.to_involutive(X)
         back = nabla.from_involutive(A, sigma)

@@ -58,13 +58,23 @@ class FiniteCategory:
 
     @classmethod
     def build(cls, objects, morphisms, source, target, identity, compose) -> "FiniteCategory":
+        """The category of these tables, each copied: the caller keeps its
+        own."""
+        return cls._taking(objects, morphisms, source, target, identity,
+                           {(f, g): h for (f, g), h in compose.items()})
+
+    @classmethod
+    def _taking(cls, objects, morphisms, source, target, identity,
+                compose: dict) -> "FiniteCategory":
+        """:meth:`build` for a ``compose`` table the caller has just made and
+        hands over: it is kept, not copied pair by pair."""
         return cls(
             objects=tuple(sorted(set(objects))),
             morphisms=tuple(sorted(set(morphisms))),
             source=dict(source),
             target=dict(target),
             identity=dict(identity),
-            compose={(f, g): h for (f, g), h in compose.items()},
+            compose=compose,
         )
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
@@ -112,8 +122,8 @@ def tabulate(objects, morphisms, source, target, identity,
         leaving.setdefault(source[m], []).append(m)
     compose = {(f, g): composite(f, g)
                for g in morphisms for f in leaving.get(target[g], ())}
-    return FiniteCategory.build(objects, morphisms, source, target,
-                                identity, compose)
+    return FiniteCategory._taking(objects, morphisms, source, target,
+                                  identity, compose)
 
 
 @dataclass(frozen=True)
@@ -217,13 +227,14 @@ def validate_category(C: FiniteCategory) -> list[str]:
 def validate_functor(F: CatFunctor) -> list[str]:
     """Check that the raw maps of ``F`` preserve all structure."""
     C, D = F.domain, F.codomain
+    objects, morphisms = set(D.objects), set(D.morphisms)
     errors = []
     for x in C.objects:
-        if F.ob_map.get(x) not in set(D.objects):
+        if F.ob_map.get(x) not in objects:
             errors.append(f"object {x}: image missing")
     for m in C.morphisms:
         n = F.mor_map.get(m)
-        if n not in set(D.morphisms):
+        if n not in morphisms:
             errors.append(f"morphism {m}: image missing")
             continue
         if D.source[n] != F.ob_map[C.source[m]]:
@@ -245,10 +256,11 @@ def validate_natural(nt: NaturalTransformation) -> list[str]:
     """Check endpoint typing and every naturality square."""
     F, G = nt.source, nt.target
     C, D = F.domain, F.codomain
+    morphisms = set(D.morphisms)
     errors = []
     for x in C.objects:
         c = nt.components.get(x)
-        if c is None or c not in set(D.morphisms):
+        if c is None or c not in morphisms:
             errors.append(f"component at {x}: missing")
             continue
         if D.source[c] != F.ob_map[x] or D.target[c] != G.ob_map[x]:
@@ -299,10 +311,9 @@ def validate_group(G: FiniteGroup) -> list[str]:
 
 def opposite(C: FiniteCategory) -> FiniteCategory:
     """Reverse all morphisms; identifiers are kept, so this is an involution."""
-    return FiniteCategory.build(
-        C.objects, C.morphisms,
-        source=dict(C.target), target=dict(C.source),
-        identity=dict(C.identity),
+    return FiniteCategory._taking(
+        C.objects, C.morphisms, source=C.target, target=C.source,
+        identity=C.identity,
         compose={(g, f): h for (f, g), h in C.compose.items()},
     )
 

@@ -106,8 +106,8 @@ def delta_leq(N: int) -> FiniteCategory:
                     gi = images[g]
                     compose[(g, f)] = delta_name(
                         tuple(gi[v] for v in fi), k)
-    return FiniteCategory.build(objects, morphisms, source, target,
-                                identity, compose)
+    return FiniteCategory._taking(objects, morphisms, source, target,
+                                  identity, compose)
 
 
 def flip_delta_morphism(name: str) -> str:

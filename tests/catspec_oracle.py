@@ -2,10 +2,10 @@
 checked on its sparse entries.
 
 It builds every degree's dense int64 matrix while loading and checks
-``d.d = 0`` with :func:`smallcat.chaincx.validate_complex`.  It is kept,
-unchanged apart from taking one block and returning its complex, as the
-reference that ``test_catspec`` compares the numpy-free check and the
-complex built on first read against.
+``d.d = 0`` with the numpy ``validate_complex`` of :mod:`chaincx_numpy`.
+It is kept, unchanged apart from taking one block and returning its
+complex, as the reference that ``test_catspec`` compares the numpy-free
+check and the complex built on first read against.
 """
 from smallcat.catspec import (
     MAX_DIFFERENTIAL_ENTRIES,
@@ -30,7 +30,7 @@ def load_complex(b: Block):
                            f"{hi - lo + 1} degrees, more than "
                            f"{MAX_DIFFERENTIAL_ENTRIES}", b.line)
     import numpy as np
-    from smallcat import chaincx
+    import chaincx_numpy as chaincx
     if not chaincx.is_prime(p):
         raise CatspecError(f"complex {b.name}: p = {p} is not a prime",
                            b.line)

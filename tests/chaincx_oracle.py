@@ -3,14 +3,15 @@ induced and coinduced module records carried their sections.
 
 Every complex-level function here rebuilds each degree's module record for
 every caller and re-solves the section of each projection it uses.  It is
-kept, unchanged, as the reference that ``test_chaincx`` compares
+kept, unchanged apart from building on the numpy reference
+:mod:`chaincx_numpy`, as the reference that ``test_chaincx`` compares
 :mod:`smallcat.chaincx` against.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
-from smallcat.chaincx import (
+from chaincx_numpy import (
     AlgebraMap,
     AlgebraModule,
     CoinducedModule,

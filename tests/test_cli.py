@@ -245,6 +245,26 @@ def test_rsset_subcommand(tmp_path, capsys):
     assert payload["sizes"]["1"] == 6
 
 
+def test_rsset_verdict_is_computed(tmp_path, capsys, monkeypatch):
+    path = write_doc(tmp_path, suite_doc())
+    argv = ["rsset", path, "--name", "S", "--roundtrip"]
+    assert run_cli(argv, capsys) == (
+        0, '{"conjugation_squares":true,"level":1,"roundtrip_identity":true,'
+           '"sizes":{"0":2,"1":2},"valid":true}\n')
+    # the first call is load's, which must pass for the command to run;
+    # without --roundtrip no other code calls the validator
+    real, calls = nabla.validate_rsset, []
+
+    def failing_after_load(X):
+        calls.append(X)
+        return real(X) if len(calls) == 1 else ["forced error"]
+    monkeypatch.setattr(nabla, "validate_rsset", failing_after_load)
+    code, out = run_cli(argv[:-1], capsys)
+    assert len(calls) == 2
+    assert code == 1
+    assert json.loads(out)["valid"] is False
+
+
 def test_cyclic_subcommand(tmp_path, capsys):
     from smallcat.cycops import terminal_operad
     doc = CatspecDocument((catspec.operad_block("T", terminal_operad(2)),))
@@ -390,17 +410,18 @@ def test_nabla_loads_neither_numpy_nor_chaincx():
     assert "numpy" not in loaded and "smallcat.chaincx" not in loaded
 
 
-def test_chain_alone_loads_numpy_for_a_complex(tmp_path):
-    # load checks a complex block without numpy; the first read of
+def test_chain_alone_loads_chaincx_for_a_complex(tmp_path):
+    # load checks a complex block without chaincx; the first read of
     # ``complexes[name]``, which only ``chain`` makes, builds its matrices.
     # The window of 2^20 degrees took one numpy array per degree on load
-    # (3.2 s and 350 MB); only degrees with entries are stored now.
+    # (3.2 s and 350 MB); only degrees with entries are stored now.  No
+    # command loads numpy.
     plain = write_doc(tmp_path, arrow_doc(), "plain.catspec")
     small = tmp_path / "small.catspec"
     small.write_text("complex K 2 0 0\ndim 0 1\nend\n", encoding="utf-8")
     wide = tmp_path / "wide.catspec"
     wide.write_text("complex K 2 0 1048575\nend\n", encoding="utf-8")
-    for argv, numpy_loaded in (
+    for argv, chaincx_loaded in (
             (["validate", plain], False),
             (["validate", str(small)], False),
             (["validate", str(wide)], False),
@@ -408,8 +429,16 @@ def test_chain_alone_loads_numpy_for_a_complex(tmp_path):
         loaded = loaded_after("from smallcat import cli\n"
                               f"assert cli.main({argv!r}) == 0")
         assert "smallcat.catspec" in loaded
-        assert ("numpy" in loaded) is numpy_loaded, argv
-        assert ("smallcat.chaincx" in loaded) is numpy_loaded, argv
+        assert "numpy" not in loaded, argv
+        assert ("smallcat.chaincx" in loaded) is chaincx_loaded, argv
+
+
+def test_chaincx_and_the_paper_suite_run_without_numpy():
+    loaded = loaded_after("import smallcat.chaincx\n"
+                          "from smallcat import cli\n"
+                          "assert cli.main(['paper-suite']) == 0")
+    assert "smallcat.chaincx" in loaded and "smallcat.nabla" in loaded
+    assert "numpy" not in loaded
 
 
 def test_kan_loads_neither_invcat_nor_catmodel(tmp_path):
@@ -440,7 +469,7 @@ def suite_doc() -> CatspecDocument:
 
 
 # The command lines of the cli-suite benchmark workload, and those of them
-# that compute with a chain complex.
+# that compute with a chain complex.  None loads numpy.
 CLI_SUITE = [
     ["validate", "{doc}"],
     ["kan", "{doc}", "--functor", "iota", "--diagram", "X"],
@@ -459,8 +488,8 @@ CLI_SUITE = [
     ["paper-suite", "--case", "truncation"],
     ["paper-suite"],
 ]
-NUMPY_LINES = {"chain {doc} --complex C --truncate naive",
-               "paper-suite --case truncation", "paper-suite"}
+COMPLEX_LINES = {"chain {doc} --complex C --truncate naive",
+                 "paper-suite --case truncation", "paper-suite"}
 
 
 @pytest.mark.parametrize("template", CLI_SUITE, ids=" ".join)
@@ -469,9 +498,8 @@ def test_only_complex_commands_load_numpy(tmp_path, template):
     argv = [path if a == "{doc}" else a for a in template]
     loaded = loaded_after("from smallcat import cli\n"
                           f"assert cli.main({argv!r}) == 0")
-    wants_numpy = " ".join(template) in NUMPY_LINES
-    assert ("numpy" in loaded) is wants_numpy
-    assert ("smallcat.chaincx" in loaded) is wants_numpy
+    assert "numpy" not in loaded
+    assert ("smallcat.chaincx" in loaded) is (" ".join(template) in COMPLEX_LINES)
 
 
 def test_package_attribute_loads_that_module_only():

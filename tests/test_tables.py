@@ -25,12 +25,13 @@ from smallcat.fincat import (
     empty_category,
     enumerate_functors,
     indiscrete_category,
+    opposite,
     poset_category,
     symmetric_group,
     tabulate,
     validate_category,
 )
-from smallcat.nabla import monotone_pair_category, nabla_action
+from smallcat.nabla import delta_leq, monotone_pair_category, nabla_action
 from smallcat.semidirect import (
     GroupAction,
     permutation_action,
@@ -149,6 +150,29 @@ def test_tabulate_fills_only_composable_pairs_in_order():
     assert C.objects == ("x", "y") and C.morphisms == ("f", "i", "j")
     assert list(C.compose) == [("j", "j"), ("j", "f"), ("f", "i"), ("i", "i")]
     assert validate_category(C) == []
+
+
+def test_build_copies_and_fresh_tables_are_taken(monkeypatch):
+    # build copies every table it is given, so its caller keeps its own
+    compose = {("i", "i"): "i"}
+    C = FiniteCategory.build(["x"], ["i"], {"i": "x"}, {"i": "x"}, {"x": "i"},
+                             compose)
+    compose[("i", "i")] = "j"
+    assert C.compose == {("i", "i"): "i"}
+    # tabulate, opposite and delta_leq build a fresh table and hand it over
+    # without the pair-by-pair copy
+    P = poset_category(["a", "b", "c"], lambda x, y: x <= y)
+    want = [delta_leq(2), P, opposite(P), opposite(opposite(P))]
+
+    def copying(cls, *args):
+        raise AssertionError("a fresh table went through build")
+    monkeypatch.setattr(FiniteCategory, "build", classmethod(copying))
+    got = [delta_leq.__wrapped__(2),
+           poset_category(["a", "b", "c"], lambda x, y: x <= y),
+           opposite(P), opposite(opposite(P))]
+    for new, old in zip(got, want):
+        same(new, old)
+    assert validate_category(got[0]) == []
 
 
 # ---------------------------------------------------------------------------
