@@ -475,21 +475,20 @@ def _tuple_name(parts: tuple[str, ...]) -> str:
     return "(" + ",".join(parts) + ")"
 
 
-def _tuple_parts(name: str) -> list[str]:
-    """Split a tuple identifier at its top-level commas (names may nest)."""
-    inner = name[1:-1]
-    parts, depth, start = [], 0, 0
-    for k, ch in enumerate(inner):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(inner[start:k])
-            start = k + 1
-    if inner:
-        parts.append(inner[start:])
-    return parts
+def _tuples(P: TruncatedOperad) -> dict[int, dict[str, tuple[str, ...]]]:
+    """Each arity ``n`` of the right adjoint on ``P``: every ``(n+1)``-tuple
+    of ``P(n)`` elements, keyed by its name.  Raises :class:`ValueError` when
+    two tuples render to one name."""
+    out = {}
+    for n in range(P.arity_bound + 1):
+        named: dict[str, tuple[str, ...]] = {}
+        for t in itertools.product(P.elements[n], repeat=n + 1):
+            name = _tuple_name(t)
+            if name in named:
+                raise ValueError(f"tuple identifier {name} names two tuples")
+            named[name] = t
+        out[n] = named
+    return out
 
 
 class SigmaIndexError(ValueError):
@@ -519,11 +518,8 @@ def right_adjoint_R(P: TruncatedOperad) -> TruncatedCyclicOperad:
     the unit of ``P``.
     """
     A = P.arity_bound
-    tuples = {n: list(itertools.product(P.elements[n], repeat=n + 1))
-              for n in range(A + 1)}
-    elements = {n: tuple(sorted(_tuple_name(t) for t in tuples[n]))
-                for n in range(A + 1)}
-    decode = {n: {_tuple_name(t): t for t in tuples[n]} for n in range(A + 1)}
+    decode = _tuples(P)
+    elements = {n: tuple(sorted(decode[n])) for n in range(A + 1)}
 
     comp = {}
     for m in range(1, A + 1):
@@ -581,7 +577,8 @@ def right_adjoint_R_map(g: OperadMap) -> CyclicOperadMap:
     """The right adjoint on maps: coordinatewise application."""
     RQ = right_adjoint_R(g.source)
     RQ2 = right_adjoint_R(g.target)
-    maps = {n: {xn: _tuple_name(tuple(g.maps[n][p] for p in _tuple_parts(xn)))
+    parts = _tuples(g.source)
+    maps = {n: {xn: _tuple_name(tuple(g.maps[n][p] for p in parts[n][xn]))
                 for xn in RQ.operad.elements[n]}
             for n in range(g.source.arity_bound + 1)}
     return CyclicOperadMap(RQ, RQ2, maps)
@@ -728,10 +725,11 @@ def check_adjunction_count(Q: TruncatedCyclicOperad,
         failures.append(
             f"hom counts differ: {len(operad_maps)} operad maps vs "
             f"{len(cyclic_maps)} cyclic maps")
+    parts = _tuples(P)
     image = set()
     bijective = True
     for h in cyclic_maps:
-        proj = {n: {x: _tuple_parts(h.maps[n][x])[0] for x in Q.operad.elements[n]}
+        proj = {n: {x: parts[n][h.maps[n][x]][0] for x in Q.operad.elements[n]}
                 for n in range(P.arity_bound + 1)}
         cand = OperadMap(forget_cyclic(Q), P, proj)
         if validate_operad_map(cand):
@@ -765,10 +763,10 @@ def check_FR_products(f: CyclicOperadMap) -> ProductActionReport:
     errs = validate_cyclic_map(rg)
     failures.extend(f"product map: {e}" for e in errs)
     A = g.source.arity_bound
+    parts = _tuples(g.source)
     for n in range(A + 1):
         for xn in rg.source.operad.elements[n]:
-            expected = _tuple_name(tuple(g.maps[n][p]
-                                         for p in _tuple_parts(xn)))
+            expected = _tuple_name(tuple(g.maps[n][p] for p in parts[n][xn]))
             if rg.maps[n][xn] != expected:
                 failures.append(f"not the coordinatewise product at ({n},{xn})")
     surj = True

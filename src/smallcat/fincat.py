@@ -862,43 +862,61 @@ def bounded_closure(objects: list[str],
 
     Returns the completed category and a map from letter to morphism name.
     Identity morphisms are named ``1@obj``, composite words join their
-    letters with ``*`` (leftmost letter applied last).
+    letters with ``*`` (leftmost letter applied last).  Raises
+    :class:`ValueError` when a letter named ``1@obj`` is not an identity
+    letter at ``obj``, or when two morphisms get one name.
     """
     identity_letters = identity_letters or set()
+    unit_of = {f"1@{o}": o for o in objects}
+    for letter, ends in letters.items():
+        o = unit_of.get(letter)
+        if o is not None and (letter not in identity_letters or ends != (o, o)):
+            raise ValueError(f"letter {letter} is named as the identity at {o}"
+                             " but is not one")
 
     # a morphism class: frozenset of irreducible words, plus endpoints
     class_of: dict[tuple[str, ...], int] = {}
     classes: list[dict] = []   # {"words": set, "src": , "tgt": }
+    changed = False            # set on every write to class_of
 
     def endpoints(word):
-        if word[0].startswith("1@"):
-            o = word[0][2:]
-            return o, o
+        if word[0] in unit_of:
+            return unit_of[word[0]], unit_of[word[0]]
         return letters[word[-1]][0], letters[word[0]][1]
 
+    def merge(keep, other):
+        nonlocal changed
+        classes[keep]["words"] |= classes[other]["words"]
+        for f in classes[other]["words"]:
+            class_of[f] = keep
+        classes[other]["words"] = set()
+        changed = True
+
     def get_class(word) -> int:
+        nonlocal changed
         forms = _reduce_words(word, identity_letters, rules, max_word_len)
         hits = sorted({class_of[f] for f in forms if f in class_of})
         if not hits:
-            idx = len(classes)
             src, tgt = endpoints(min(forms))
-            classes.append({"words": set(forms), "src": src, "tgt": tgt})
+            hits = [len(classes)]
+            classes.append({"words": set(), "src": src, "tgt": tgt})
             if len(classes) > max_morphisms:
                 raise BudgetError("closure exceeded morphism budget")
-            for f in forms:
-                class_of[f] = idx
-            return idx
         keep = hits[0]
         for other in hits[1:]:
-            classes[keep]["words"] |= classes[other]["words"]
-            for f in classes[other]["words"]:
-                class_of[f] = keep
-            classes[other]["words"] = set()
+            merge(keep, other)
         for f in forms:
             if class_of.get(f) != keep:
                 classes[keep]["words"].add(f)
                 class_of[f] = keep
+                changed = True
         return keep
+
+    def composite(i, j) -> int:
+        wi = min(classes[i]["words"])
+        wj = min(classes[j]["words"])
+        return get_class(tuple(x for x in wi + wj if x not in unit_of)
+                         or wj[:1])
 
     for o in objects:
         get_class((f"1@{o}",))
@@ -909,58 +927,37 @@ def bounded_closure(objects: list[str],
 
     # identity letters behave like the identity of their endpoints
     for letter in sorted(identity_letters):
-        o = letters[letter][0]
         cls = get_class((letter,))
-        idc = get_class((f"1@{o}",))
+        idc = get_class((f"1@{letters[letter][0]}",))
         if cls != idc:
-            classes[idc]["words"] |= classes[cls]["words"]
-            for f in classes[cls]["words"]:
-                class_of[f] = idc
-            classes[cls]["words"] = set()
+            merge(idc, cls)
 
-    stable = False
-    while not stable:
-        stable = True
+    # close under composition; the last round changes nothing, so its
+    # composites are the table
+    changed = True
+    while changed:
+        changed = False
         live = [i for i, c in enumerate(classes) if c["words"]]
-        snapshot_classes = len(classes)
-        snapshot_map = dict(class_of)
-        for i in live:
-            for j in live:
-                if not classes[i]["words"] or not classes[j]["words"]:
-                    continue
-                if classes[i]["src"] != classes[j]["tgt"]:
-                    continue
-                wi = min(classes[i]["words"])
-                wj = min(classes[j]["words"])
-                word = tuple(x for x in wi + wj if not x.startswith("1@")) or wj[:1]
-                get_class(word)
-        if len(classes) != snapshot_classes or class_of != snapshot_map:
-            stable = False
+        table = [(i, j, composite(i, j)) for i in live for j in live
+                 if classes[i]["words"] and classes[j]["words"]
+                 and classes[i]["src"] == classes[j]["tgt"]]
 
     # build the category
-    live = [i for i, c in enumerate(classes) if c["words"]]
-    names = {}
+    names: dict[int, str] = {}
+    taken: set[str] = set()
     for i in live:
         w = min(classes[i]["words"], key=lambda t: (len(t), t))
         names[i] = w[0] if len(w) == 1 else "*".join(w)
+        if names[i] in taken:
+            raise ValueError(f"closure identifier {names[i]} names two morphisms")
+        taken.add(names[i])
     morphisms = [names[i] for i in live]
     source = {names[i]: classes[i]["src"] for i in live}
     target = {names[i]: classes[i]["tgt"] for i in live}
     identity = {o: names[class_of[(f"1@{o}",)]] for o in objects}
-    compose = {}
-    for i in live:
-        for j in live:
-            if classes[i]["src"] != classes[j]["tgt"]:
-                continue
-            wi = min(classes[i]["words"])
-            wj = min(classes[j]["words"])
-            word = tuple(x for x in wi + wj if not x.startswith("1@")) or wj[:1]
-            compose[(names[i], names[j])] = names[get_class(word)]
+    compose = {(names[i], names[j]): names[k] for i, j, k in table}
     cat = FiniteCategory.build(objects, morphisms, source, target, identity, compose)
-    letter_map = {}
-    for letter in letters:
-        letter_map[letter] = names[class_of[min(_reduce_words(
-            (letter,), identity_letters, rules, max_word_len))]]
+    letter_map = {letter: names[get_class((letter,))] for letter in letters}
     return cat, letter_map
 
 
@@ -982,6 +979,8 @@ def category_from_generators(objects: list[str],
         if h == "":
             src = arrows[g][0]
             h = f"1@{src}"
+            if h in arrows:
+                raise ValueError(f"arrow {h} is named as the identity at {src}")
             aug[h] = (src, src)
             identity_letters.add(h)
         rules.setdefault((f, g), set()).add(h)

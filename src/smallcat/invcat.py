@@ -107,22 +107,24 @@ def validate_dagger(X: DaggerCategory) -> list[str]:
 # the adjoints to the forgetful functor
 
 
+def _swapped(base: FiniteCategory, ob: dict[str, str],
+             mor: dict[str, str]) -> InvolutiveCategory:
+    """``base`` with the involution that renames by the swap tables ``ob``
+    and ``mor``, each built over the identifiers that rendered ``base``."""
+    tau = CatFunctor(fincat.opposite(base), base,
+                     {x: ob[x] for x in base.objects},
+                     {m: mor[m] for m in base.morphisms})
+    return InvolutiveCategory(base, tau)
+
+
 def L_inv(X: FiniteCategory) -> InvolutiveCategory:
     """``X`` plus its opposite, with the swap involution (left adjoint)."""
-    base = coproduct(X, fincat.opposite(X))
-    if not X.objects:
-        tau = CatFunctor(fincat.opposite(base), base, {}, {})
-        return InvolutiveCategory(base, tau)
+    def swap(names):
+        return {x + a: x + b for x in names
+                for a, b in (("#0", "#1"), ("#1", "#0"))}
 
-    def flip(name: str) -> str:
-        if name.endswith("#0"):
-            return name[:-2] + "#1"
-        return name[:-2] + "#0"
-
-    tau = CatFunctor(fincat.opposite(base), base,
-                     {x: flip(x) for x in base.objects},
-                     {m: flip(m) for m in base.morphisms})
-    return InvolutiveCategory(base, tau)
+    return _swapped(coproduct(X, fincat.opposite(X)),
+                    swap(X.objects), swap(X.morphisms))
 
 
 def L_inv_insertion(X: FiniteCategory) -> CatFunctor:
@@ -136,23 +138,11 @@ def L_inv_insertion(X: FiniteCategory) -> CatFunctor:
 
 def R_inv(X: FiniteCategory) -> InvolutiveCategory:
     """``X`` times its opposite, with the swap involution (right adjoint)."""
-    base = product(X, fincat.opposite(X))
+    def swap(names):
+        return {pair_name(a, b): pair_name(b, a) for a in names for b in names}
 
-    def flip(name: str) -> str:
-        depth = 0
-        for k, ch in enumerate(name):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 1:
-                return pair_name(name[k + 1:-1], name[1:k])
-        raise ValueError(f"not a pair identifier: {name}")
-
-    tau = CatFunctor(fincat.opposite(base), base,
-                     {x: flip(x) for x in base.objects},
-                     {m: flip(m) for m in base.morphisms})
-    return InvolutiveCategory(base, tau)
+    return _swapped(product(X, fincat.opposite(X)),
+                    swap(X.objects), swap(X.morphisms))
 
 
 def forget_inv(X: InvolutiveCategory) -> FiniteCategory:
@@ -357,12 +347,13 @@ def dagger_R(X: InvolutiveCategory) -> tuple[DaggerCategory, EquivariantFunctor]
     fixedset = set(fixed)
     keep = [m for m in B.morphisms
             if B.source[m] in fixedset and B.target[m] in fixedset]
+    keepset = set(keep)
     sub = FiniteCategory.build(
         fixed, keep,
         {m: B.source[m] for m in keep}, {m: B.target[m] for m in keep},
         {x: B.identity[x] for x in fixed},
         {(f, g): h for (f, g), h in B.compose.items()
-         if f in set(keep) and g in set(keep)},
+         if f in keepset and g in keepset},
     )
     tau = CatFunctor(fincat.opposite(sub), sub,
                      {x: x for x in fixed},

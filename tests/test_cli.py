@@ -276,6 +276,16 @@ def test_cyclic_subcommand(tmp_path, capsys):
     assert payload["R_sizes_are_powers"] is True
 
 
+def test_cyclic_subcommand_rejects_two_tuples_with_one_name(tmp_path, capsys):
+    from test_cycops import colliding_operad
+    doc = CatspecDocument((catspec.operad_block("P", colliding_operad()),))
+    path = write_doc(tmp_path, doc)
+    code, out = run_cli(["cyclic", path, "--operad", "P"], capsys)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "tuple identifier (a,b,c) names two tuples"}
+
+
 def test_chain_subcommand(tmp_path, capsys):
     from smallcat.chaincx import two_term_identity_complex
     doc = CatspecDocument((

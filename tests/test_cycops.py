@@ -284,6 +284,38 @@ def test_right_adjoint_R_map_is_cyclic():
     assert validate_cyclic_map(rg) == []
 
 
+def colliding_operad():
+    """Arity 1 is a monoid on ``a`` (the unit), ``a,b``, ``b,c`` and ``c``,
+    so that ``(a,b,c)`` renders two pairs of ``R``'s arity 1."""
+    els = ("a", "a,b", "b,c", "c")
+
+    def mult(x, y):
+        return y if x == "a" else x if y == "a" else "c"
+    return TruncatedOperad(1, {0: (), 1: els}, "a",
+                           {(1, x, y): mult(x, y) for x in els for y in els},
+                           {(1, s, x): x for s in all_perms(1) for x in els})
+
+
+def test_R_rejects_two_tuples_with_one_name():
+    P = colliding_operad()
+    assert validate_operad(P) == []
+    with pytest.raises(ValueError, match=r"\(a,b,c\) names two tuples"):
+        right_adjoint_R(P)
+
+
+def test_R_reads_tuples_whose_elements_hold_commas():
+    M = monoid_operad(2, ("x,y", "z"),
+                      {(a, b): "z" if "z" in (a, b) else "x,y"
+                       for a in ("x,y", "z") for b in ("x,y", "z")}, "x,y")
+    assert validate_operad(M) == []
+    ident = OperadMap(M, M, {n: {x: x for x in M.elements[n]} for n in range(3)})
+    rg = right_adjoint_R_map(ident)
+    assert validate_cyclic_map(rg) == []
+    assert all(rg.maps[n][x] == x for n in rg.maps for x in rg.maps[n])
+    rep = check_adjunction_count(positive_terminal_cyclic(2), M)
+    assert rep.ok and rep.projection_is_bijection, rep.failures
+
+
 def test_modular_functor_composites_are_identity_stub():
     # The genus-zero inclusion of cyclic operads into modular-operad-like
     # data has both adjoints (envelope, extension by a point) whose

@@ -1,11 +1,17 @@
+from hypothesis import given, settings, strategies as st
+
 from smallcat import fincat, invcat
 from smallcat.catmodel import is_isofibration
 from smallcat.fincat import (
     CatFunctor,
+    FiniteCategory,
     coproduct,
+    cyclic_group,
     discrete_category,
     empty_category,
+    group_category,
     opposite,
+    parallel_pair,
     product,
     terminal_category,
     validate_category,
@@ -48,6 +54,59 @@ def test_L_inv_empty():
     LX = L_inv(empty_category())
     assert validate_involutive(LX) == []
     assert LX.base.objects == ()
+
+
+def test_R_inv_swaps_pairs_whose_coordinates_hold_commas():
+    RX = R_inv(discrete_category(["a,b", "c"]))
+    assert validate_involutive(RX) == []
+    assert RX.tau.ob_map["(a,b,c)"] == "(c,a,b)"
+
+
+SHAPES = (walking_arrow(), walking_iso(), parallel_pair(), terminal_category(),
+          discrete_category("pq"), group_category(cyclic_group(2)))
+
+
+@st.composite
+def renamed_shapes(draw):
+    """A small category whose identifiers hold the characters that derived
+    names are built from."""
+    C = draw(st.sampled_from(SHAPES))
+    # "a" and "a,a" make product identifiers collide: both (a,a,a)
+    name = st.one_of(st.sampled_from(["a", "a,a"]),
+                     st.text("ab(),#*@", min_size=1, max_size=4))
+    names = draw(st.lists(name,
+                          min_size=len(C.objects) + len(C.morphisms),
+                          max_size=len(C.objects) + len(C.morphisms),
+                          unique=True))
+    ob = dict(zip(C.objects, names))
+    mor = dict(zip(C.morphisms, names[len(C.objects):]))
+    return FiniteCategory.build(
+        list(ob.values()), list(mor.values()),
+        {mor[m]: ob[C.source[m]] for m in C.morphisms},
+        {mor[m]: ob[C.target[m]] for m in C.morphisms},
+        {ob[x]: mor[C.identity[x]] for x in C.objects},
+        {(mor[f], mor[g]): mor[h] for (f, g), h in C.compose.items()})
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(renamed_shapes(), renamed_shapes())
+def test_constructions_on_names_with_reserved_characters(C, D):
+    assert validate_category(C) == []
+    assert validate_category(opposite(C)) == []
+    assert validate_category(coproduct(C, D)) == []
+    assert validate_involutive(L_inv(C)) == []
+    try:
+        P = product(C, D)
+    except ValueError as exc:
+        assert "names two pairs" in str(exc)
+    else:
+        assert validate_category(P) == []
+    try:
+        RC = R_inv(C)
+    except ValueError as exc:
+        assert "names two pairs" in str(exc)
+    else:
+        assert validate_involutive(RC) == []
 
 
 def test_L_inv_tau_swaps_copies():
