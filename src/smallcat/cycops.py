@@ -20,6 +20,11 @@ of the action, and since :func:`block_perm` and :func:`shift_perm` are
 multiplicative), hence form the whole group.  A failing generator check is
 rerun on every permutation, so it reports the exhaustive witnesses.
 
+Tables are checked and built on integer codes (a name's position in its
+arity), with names rendered only at the edges: once per element of the
+right adjoint, and for each reported witness.  The public tables stay
+dictionaries keyed by names.
+
 The forgetful functor from cyclic operads to operads has a right adjoint:
 its value on ``P`` has ``(n+1)``-tuples of ``P(n)`` elements in arity
 ``n``, compositions given coordinatewise by a three-case splice formula,
@@ -29,6 +34,7 @@ representative is pinned down by exhaustive validation of the axioms.
 from __future__ import annotations
 
 import itertools
+from itertools import chain
 from dataclasses import dataclass, field
 
 from .fincat import NodeBudget, backtrack, constraint_lists
@@ -160,6 +166,75 @@ class CyclicOperadMap:
 
 # ---------------------------------------------------------------------------
 # validation
+#
+# The validators check tables on integer codes: an element of arity ``n``
+# is its index in ``elements[n]``.  ``comp[i, m, n]`` holds the codes of
+# ``a o_i b`` as one list in ``(a, b)`` order, cut into rows by ``a`` and
+# into columns by ``b``; ``rows[n][s]`` lists the codes of ``x.s``.  Each
+# axiom compares whole coded lists.  The positions at which two lists
+# differ are the witnesses; those of one loop nest are sorted into the
+# order of the exhaustive scan, and names are rendered only for messages.
+
+
+def _coded(table, code, label: str, errors: list[str], *axes) -> list[int]:
+    """The codes of ``table``'s values at the keys ``product(*axes)``; each
+    key whose value is missing or has no code adds an error."""
+    row = list(map(code.get, map(table.get, itertools.product(*axes))))
+    if None in row:
+        for key, c in zip(itertools.product(*axes), row):
+            if c is None:
+                what = "missing" if table.get(key) is None else "escapes arity"
+                errors.append(f"{label} {what} at ({','.join(map(str, key))})")
+    return row
+
+
+def _columns(rows, width: int) -> list[tuple]:
+    """The columns of a table with ``width`` columns, even without rows."""
+    return list(zip(*rows)) or [()] * width
+
+
+def _take(table, keys) -> list[int]:
+    """The rows of a coded table at ``keys``, concatenated."""
+    flat, rows, _ = table
+    if len(flat) == len(rows):      # one column: the flat list is it
+        return list(map(flat.__getitem__, keys))
+    return list(chain.from_iterable(map(rows.__getitem__, keys)))
+
+
+def _differ(lhs: list, rhs: list) -> list[int]:
+    """The positions at which two lists differ."""
+    if lhs == rhs:
+        return []
+    return [k for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y]
+
+
+def _comp_tables(P: TruncatedOperad, code, errors: list[str]) -> dict:
+    """``comp[i, m, n]``, the codes of ``a o_i b`` as a ``(flat, rows,
+    columns)`` table, for every composition within the bound; gaps and
+    escapes add errors."""
+    A = P.arity_bound
+    comp = {}
+    for m in range(1, A + 1):
+        for n in range(0, A + 1):
+            if m + n - 1 > A:
+                continue
+            width = len(P.elements[n])
+            for i in range(1, m + 1):
+                flat = _coded(P.comp, code[m + n - 1], "composition", errors,
+                              (i,), P.elements[m], P.elements[n])
+                rows = [flat[k * width:(k + 1) * width]
+                        for k in range(len(P.elements[m]))]
+                comp[i, m, n] = flat, rows, _columns(rows, width)
+    return comp
+
+
+def _action_rows(P: TruncatedOperad, code, table, perms, label: str,
+                 errors: list[str]) -> dict:
+    """``rows[n][s]``, the codes of ``x.s`` in ``table``, for every ``s`` in
+    ``perms(n)``; gaps and escapes add errors."""
+    return {n: {s: _coded(table, code[n], label, errors, (n,), (s,), P.elements[n])
+                for s in perms(n)}
+            for n in range(P.arity_bound + 1)}
 
 
 def _on_generators(check, identity, everything) -> list[str]:
@@ -169,164 +244,149 @@ def _on_generators(check, identity, everything) -> list[str]:
     return check(everything) if errors else errors
 
 
-def _totality_errors(P: TruncatedOperad, table, perms, label: str) -> list[str]:
-    errors = []
-    for n in range(P.arity_bound + 1):
-        members = frozenset(P.elements[n])
-        for s in perms(n):
-            for x in P.elements[n]:
-                v = table.get((n, s, x))
-                if v is None:
-                    errors.append(f"{label} missing at ({n},{s},{x})")
-                elif v not in members:
-                    errors.append(f"{label} escapes arity at ({n},{s},{x})")
-    return errors
-
-
-def _action_errors(P: TruncatedOperad, table, perms, compose, identity,
+def _action_errors(P: TruncatedOperad, rows, perms, compose, identity,
                    identity_msg: str, assoc_msg: str) -> list[str]:
-    """Identity and ``x.(s t) = (x.s).t`` for a total action ``table``,
+    """Identity and ``x.(s t) = (x.s).t`` for total coded action ``rows``,
     with ``s`` over ``perms`` and ``t`` over generators first."""
     def check(right) -> list[str]:
         errors = []
         for n in range(P.arity_bound + 1):
-            e = identity(n)
-            for x in P.elements[n]:
-                if table[(n, e, x)] != x:
-                    errors.append(identity_msg.format(n=n, x=x))
+            els, row = P.elements[n], rows[n]
+            errors += [identity_msg.format(n=n, x=els[k]) for k in
+                       _differ(row[identity(n)], list(range(len(els))))]
             for s in perms(n):
                 for t in right(n):
-                    st = compose(s, t)
-                    for x in P.elements[n]:
-                        if table[(n, t, table[(n, s, x)])] != table[(n, st, x)]:
-                            errors.append(assoc_msg.format(n=n, s=s, t=t, x=x))
+                    moved = list(map(row[t].__getitem__, row[s]))
+                    errors += [assoc_msg.format(n=n, s=s, t=t, x=els[k]) for k
+                               in _differ(moved, row[compose(s, t)])]
         return errors
     return _on_generators(check, identity, perms)
 
 
-def _equivariance_errors(P: TruncatedOperad, perms) -> list[str]:
+def _associativity_errors(P: TruncatedOperad, comp) -> list[str]:
+    """``(a o_i b) o_j c`` against its other bracketing, wherever all
+    intermediate arities are within the bound."""
+    A = P.arity_bound
+    errors = []
+    for m in range(1, A + 1):
+        for n in range(0, A + 1):
+            for k in range(0, A + 1):
+                if m + n - 1 > A or m + n + k - 2 > A:
+                    continue
+                nb, nc = len(P.elements[n]), len(P.elements[k])
+                # (a, c, b) order to (a, b, c) order
+                swap = None if nb <= 1 or nc <= 1 else [
+                    (a * nc + c) * nb + b for a in range(len(P.elements[m]))
+                    for b in range(nb) for c in range(nc)]
+                witnesses = []
+                for i in range(1, m + 1):
+                    ab = comp[i, m, n][0]
+                    for j in range(1, m + n):
+                        if j < i or j > i + n - 1:
+                            # (a o_first c) o_rest b, computed in (a, c, b) order
+                            if m + k - 1 > A:
+                                continue
+                            first, rest = (j, i + k - 1) if j < i else (j - n + 1, i)
+                            rhs = _take(comp[rest, m + k - 1, n], comp[first, m, k][0])
+                            if swap:
+                                rhs = list(map(rhs.__getitem__, swap))
+                        else:
+                            # a o_i (b o_(j-i+1) c): the column at each bc, read down a
+                            if n + k - 1 > A:
+                                continue
+                            H = comp[i, m, n + k - 1][2]
+                            rhs = list(chain.from_iterable(zip(*map(
+                                H.__getitem__, comp[j - i + 1, n, k][0]))))
+                        lhs = _take(comp[j, m + n - 1, k], ab)
+                        witnesses += [(p // (nb * nc), p // nc % nb, p % nc, i, j)
+                                      for p in _differ(lhs, rhs)]
+                errors += [f"associativity fails at ({P.elements[m][a]} o_{i} "
+                           f"{P.elements[n][b]}) o_{j} {P.elements[k][c]}"
+                           for a, b, c, i, j in sorted(witnesses)]
+    return errors
+
+
+def _equivariance_errors(P: TruncatedOperad, comp, rows, perms) -> list[str]:
     """Outer equivariance for ``s`` and inner for ``t`` over ``perms``."""
     A = P.arity_bound
     errors = []
     for m in range(1, A + 1):
         for n in range(0, A + 1):
-            if m + n - 1 > A:
-                continue
             r = m + n - 1
-            blocks = {i: [(s, block_perm(s, i, n)) for s in perms(m)]
-                      for i in range(1, m + 1)}
-            shifts = {i: [(t, shift_perm(t, i, m)) for t in perms(n)]
-                      for i in range(1, m + 1)}
-            for a in P.elements[m]:
-                for b in P.elements[n]:
-                    for i in range(1, m + 1):
-                        for s, bs in blocks[i]:
-                            lhs = P.comp[(i, P.action[(m, s, a)], b)]
-                            rhs = P.action[(r, bs, P.comp[(s[i - 1], a, b)])]
-                            if lhs != rhs:
-                                errors.append(
-                                    f"equivariance (outer) fails at "
-                                    f"({s},{i},{a},{b})")
-                        for t, sh in shifts[i]:
-                            lhs = P.comp[(i, a, P.action[(n, t, b)])]
-                            rhs = P.action[(r, sh, P.comp[(i, a, b)])]
-                            if lhs != rhs:
-                                errors.append(
-                                    f"equivariance (inner) fails at "
-                                    f"({t},{i},{a},{b})")
+            if r > A:
+                continue
+            nb, outer, inner = len(P.elements[n]), perms(m), perms(n)
+            witnesses = []
+            for i in range(1, m + 1):
+                F = comp[i, m, n]
+                for z, s in enumerate(outer):
+                    lhs = _take(F, rows[m][s])
+                    rhs = list(map(rows[r][block_perm(s, i, n)].__getitem__,
+                                   comp[s[i - 1], m, n][0]))
+                    witnesses += [(*divmod(p, nb), i, 0, z) for p in _differ(lhs, rhs)]
+                for z, t in enumerate(inner):
+                    lhs = list(chain.from_iterable(zip(*map(F[2].__getitem__,
+                                                            rows[n][t]))))
+                    rhs = list(map(rows[r][shift_perm(t, i, m)].__getitem__, F[0]))
+                    witnesses += [(*divmod(p, nb), i, 1, z) for p in _differ(lhs, rhs)]
+            errors += [f"equivariance ({('outer', 'inner')[w]}) fails at "
+                       f"({(outer, inner)[w][z]},{i},{P.elements[m][a]},"
+                       f"{P.elements[n][b]})" for a, b, i, w, z in sorted(witnesses)]
     return errors
 
 
-def validate_operad(P: TruncatedOperad) -> list[str]:
-    """Every axiom within the arity bound, exactly (the action axioms via
-    generators, see the module docstring); lists witnesses."""
+def _check_operad(P: TruncatedOperad):
+    """The errors of :func:`validate_operad`, and when there are none the
+    code of each name per arity and the coded composition tables."""
     A = P.arity_bound
     errors: list[str] = []
     for n in range(A + 1):
         if n not in P.elements:
             errors.append(f"missing arity {n}")
     if errors:
-        return errors
+        return errors, None, None
     names = [x for n in range(A + 1) for x in P.elements[n]]
     if len(set(names)) != len(names):
-        return ["element identifiers collide across arities"]
+        return ["element identifiers collide across arities"], None, None
     if P.unit not in P.elements.get(1, ()):
         errors.append("unit is not an element of arity 1")
-    members = {n: frozenset(P.elements[n]) for n in range(A + 1)}
-
-    # composition table domain and typing
-    for m in range(1, A + 1):
-        for n in range(0, A + 1):
-            if m + n - 1 > A:
-                continue
-            for i in range(1, m + 1):
-                for a in P.elements[m]:
-                    for b in P.elements[n]:
-                        v = P.comp.get((i, a, b))
-                        if v is None:
-                            errors.append(f"composition missing at ({i},{a},{b})")
-                        elif v not in members[m + n - 1]:
-                            errors.append(f"composition escapes arity at ({i},{a},{b})")
-    errors += _totality_errors(P, P.action, all_perms, "action")
+    code = {n: {x: k for k, x in enumerate(P.elements[n])} for n in range(A + 1)}
+    comp = _comp_tables(P, code, errors)
+    rows = _action_rows(P, code, P.action, all_perms, "action", errors)
     if errors:
-        return errors
+        return errors, None, None
 
     action_errors = _action_errors(
-        P, P.action, all_perms, perm_compose, identity_perm,
+        P, rows, all_perms, perm_compose, identity_perm,
         "identity action fails at ({n},{x})",
         "action not associative at ({n},{s},{t},{x})")
     errors += action_errors
 
     # unit axioms
+    u = code[1][P.unit]
     for n in range(A + 1):
-        for b in P.elements[n]:
-            if P.comp.get((1, P.unit, b)) != b:
-                errors.append(f"left unit fails at {b}")
+        errors += [f"left unit fails at {P.elements[n][b]}" for b in
+                   _differ(comp[1, 1, n][1][u], list(range(len(P.elements[n]))))]
     for m in range(1, A + 1):
-        for a in P.elements[m]:
-            for i in range(1, m + 1):
-                if P.comp.get((i, a, P.unit)) != a:
-                    errors.append(f"right unit fails at ({i},{a})")
+        ident = list(range(len(P.elements[m])))
+        errors += [f"right unit fails at ({i},{P.elements[m][a]})" for a, i in sorted(
+            (a, i) for i in range(1, m + 1)
+            for a in _differ([row[u] for row in comp[i, m, 1][1]], ident))]
 
-    # associativity, all intermediate arities within bound
-    for m in range(1, A + 1):
-        for n in range(0, A + 1):
-            for k in range(0, A + 1):
-                if m + n - 1 > A or m + n + k - 2 > A:
-                    continue
-                for a in P.elements[m]:
-                    for b in P.elements[n]:
-                        for c in P.elements[k]:
-                            for i in range(1, m + 1):
-                                ab = P.comp[(i, a, b)]
-                                for j in range(1, m + n - 1 + 1):
-                                    lhs = P.comp[(j, ab, c)]
-                                    if j < i:
-                                        if m + k - 1 > A:
-                                            continue
-                                        rhs = P.comp[(i + k - 1,
-                                                      P.comp[(j, a, c)], b)]
-                                    elif j <= i + n - 1:
-                                        if n + k - 1 > A:
-                                            continue
-                                        rhs = P.comp[(i, a,
-                                                      P.comp[(j - i + 1, b, c)])]
-                                    else:
-                                        if m + k - 1 > A:
-                                            continue
-                                        rhs = P.comp[(i,
-                                                      P.comp[(j - n + 1, a, c)], b)]
-                                    if lhs != rhs:
-                                        errors.append(
-                                            f"associativity fails at "
-                                            f"({a} o_{i} {b}) o_{j} {c}")
+    errors += _associativity_errors(P, comp)
 
     # equivariance: generators suffice once the actions are actions
     def equivariance(perms):
-        return _equivariance_errors(P, perms)
+        return _equivariance_errors(P, comp, rows, perms)
     errors += (equivariance(all_perms) if action_errors
                else _on_generators(equivariance, identity_perm, all_perms))
-    return errors
+    return errors, code, comp
+
+
+def validate_operad(P: TruncatedOperad) -> list[str]:
+    """Every axiom within the arity bound, exactly (the action axioms via
+    generators, see the module docstring); lists witnesses."""
+    return _check_operad(P)[0]
 
 
 def restricted_action_matches(Q: TruncatedCyclicOperad) -> list[str]:
@@ -334,10 +394,13 @@ def restricted_action_matches(Q: TruncatedCyclicOperad) -> list[str]:
     P = Q.operad
     errors = []
     for n in range(P.arity_bound + 1):
+        els = P.elements[n]
         for s in all_perms(n):
-            for x in P.elements[n]:
-                if Q.extended.get((n, ext_of_perm(s), x)) != P.action[(n, s, x)]:
-                    errors.append(f"restriction differs at ({n},{s},{x})")
+            moved = list(map(Q.extended.get,
+                             itertools.product((n,), (ext_of_perm(s),), els)))
+            acted = list(map(P.action.__getitem__, itertools.product((n,), (s,), els)))
+            errors += [f"restriction differs at ({n},{s},{els[k]})"
+                       for k in _differ(moved, acted)]
     return errors
 
 
@@ -345,15 +408,16 @@ def validate_cyclic(Q: TruncatedCyclicOperad) -> list[str]:
     """Operad axioms, extended group action, restriction, and compatibility
     of the cyclic generator with every partial composition."""
     P = Q.operad
-    errors = validate_operad(P)
+    errors, code, comp = _check_operad(P)
     if errors:
         return errors
     A = P.arity_bound
-    errors = _totality_errors(P, Q.extended, all_ext_perms, "extended action")
+    rows = _action_rows(P, code, Q.extended, all_ext_perms, "extended action",
+                        errors)
     if errors:
         return errors
     errors = _action_errors(
-        P, Q.extended, all_ext_perms, ext_compose, ext_identity,
+        P, rows, all_ext_perms, ext_compose, ext_identity,
         "extended identity fails at ({n},{x})",
         "extended action not associative at ({n},{s},{t})")
     errors.extend(restricted_action_matches(Q))
@@ -361,26 +425,23 @@ def validate_cyclic(Q: TruncatedCyclicOperad) -> list[str]:
         return errors
 
     # compatibility of the cyclic generator with partial composition
+    turn = {n: rows[n][cyclic_generator(n)] for n in range(A + 1)}
     for m in range(1, A + 1):
         for n in range(1, A + 1):
-            if m + n - 1 > A:
-                continue
             r = m + n - 1
-            gm, gn, gr = cyclic_generator(m), cyclic_generator(n), cyclic_generator(r)
-            for a in P.elements[m]:
-                ta = Q.extended[(m, gm, a)]
-                for b in P.elements[n]:
-                    tb = Q.extended[(n, gn, b)]
-                    for i in range(1, m + 1):
-                        lhs = Q.extended[(r, gr, P.comp[(i, a, b)])]
-                        if i >= 2:
-                            rhs = P.comp[(i - 1, ta, b)]
-                        else:
-                            rhs = P.comp[(n, tb, ta)]
-                        if lhs != rhs:
-                            errors.append(
-                                f"cyclic compatibility fails at "
-                                f"(i={i},{a},{b})")
+            if r > A:
+                continue
+            nb, witnesses = len(P.elements[n]), []
+            for i in range(1, m + 1):
+                lhs = list(map(turn[r].__getitem__, comp[i, m, n][0]))
+                if i >= 2:
+                    rhs = _take(comp[i - 1, m, n], turn[m])
+                else:
+                    G = comp[n, n, m][1]
+                    rhs = [G[y][x] for x in turn[m] for y in turn[n]]
+                witnesses += [(*divmod(p, nb), i) for p in _differ(lhs, rhs)]
+            errors += [f"cyclic compatibility fails at (i={i},{P.elements[m][a]},"
+                       f"{P.elements[n][b]})" for a, b, i in sorted(witnesses)]
     return errors
 
 
@@ -515,11 +576,24 @@ def right_adjoint_R(P: TruncatedOperad) -> TruncatedCyclicOperad:
     Arity ``n`` is the set of ``(n+1)``-tuples of ``P(n)`` elements.  The
     partial composition splices coordinatewise in three ranges, the
     extended action permutes and twists coordinates, and the unit doubles
-    the unit of ``P``.
+    the unit of ``P``.  Entries are computed on tuples of ``P``'s element
+    codes; each element's name is rendered once.  Raises
+    :class:`ValueError` when a table of ``P`` has a gap or an escape.
     """
     A = P.arity_bound
     decode = _tuples(P)
-    elements = {n: tuple(sorted(decode[n])) for n in range(A + 1)}
+    code = {n: {x: k for k, x in enumerate(P.elements[n])} for n in range(A + 1)}
+    errors: list[str] = []
+    Pcomp = _comp_tables(P, code, errors)
+    Prows = _action_rows(P, code, P.action, all_perms, "action", errors)
+    if errors:
+        raise ValueError(f"right adjoint of a partial operad: {errors[0]}")
+    elements, parts, named = {}, {}, {}
+    for n in range(A + 1):
+        elements[n] = tuple(sorted(decode[n]))
+        parts[n] = [tuple(map(code[n].__getitem__, decode[n][xn]))
+                    for xn in elements[n]]
+        named[n] = dict(zip(parts[n], elements[n]))
 
     comp = {}
     for m in range(1, A + 1):
@@ -527,46 +601,38 @@ def right_adjoint_R(P: TruncatedOperad) -> TruncatedCyclicOperad:
             r = m + n - 1
             if r > A:
                 continue
-            for pn in elements[m]:
-                p = decode[m][pn]
-                for qn in elements[n]:
-                    q = decode[n][qn]
-                    for i in range(1, m + 1):
-                        out = []
-                        for j in range(r + 1):
-                            if j <= m - i:
-                                out.append(P.comp[(i + j, p[j], q[0])])
-                            elif j <= m + n - i:
-                                out.append(P.comp[(i + j - m, q[i + j - m],
-                                                   p[m + 1 - i])])
-                            else:
-                                out.append(P.comp[(i + j - m - n,
-                                                   p[j - n + 1], q[0])])
-                        comp[(i, pn, qn)] = _tuple_name(tuple(out))
+            # coordinate j of p o_i q is T[q[u]][p[v]] for one table T of
+            # P's compositions, read by rows or by columns
+            recipes = [[(Pcomp[i + j, m, n][2], 0, j) if j <= m - i else
+                        (Pcomp[i + j - m, n, m][1], i + j - m, m + 1 - i)
+                        if j <= m + n - i else
+                        (Pcomp[i + j - m - n, m, n][2], 0, j - n + 1)
+                        for j in range(r + 1)] for i in range(1, m + 1)]
+            pcols = _columns(parts[m], m + 1)
+            # each column lists p o_i q over p, for one q and one i
+            columns = [map(named[r].__getitem__, zip(*[
+                map(T[q[u]].__getitem__, pcols[v]) for T, u, v in recipe]))
+                for q in parts[n] for recipe in recipes]
+            comp.update(zip([(i, pn, qn) for pn in elements[m] for qn in elements[n]
+                             for i in range(1, m + 1)],
+                            chain.from_iterable(zip(*columns))))
 
-    extended = {}
+    extended, action = {}, {}
     for n in range(A + 1):
+        cols = _columns(parts[n], n + 1)
+        ident = list(range(len(P.elements[n])))
+        moved = {}
         for sigma in all_ext_perms(n):
             # coordinate i of x.sigma is x[src] acted on by sigma_i
-            coords = []
-            for i in range(n + 1):
-                src = (n + 1 - sigma[(n + 1 - i) % (n + 1)]) % (n + 1)
-                if n >= 1:
-                    si = _sigma_i(sigma, i, n)
-                    act = {y: P.action[(n, si, y)] for y in P.elements[n]}
-                else:
-                    act = {y: y for y in P.elements[n]}
-                coords.append((src, act))
-            for xn in elements[n]:
-                x = decode[n][xn]
-                extended[(n, sigma, xn)] = _tuple_name(
-                    tuple(act[x[src]] for src, act in coords))
-
-    action = {}
-    for n in range(A + 1):
+            coords = [map((Prows[n][_sigma_i(sigma, i, n)] if n else ident).__getitem__,
+                          cols[(n + 1 - sigma[(n + 1 - i) % (n + 1)]) % (n + 1)])
+                      for i in range(n + 1)]
+            moved[sigma] = list(map(named[n].__getitem__, zip(*coords)))
+            extended.update(zip(itertools.product((n,), (sigma,), elements[n]),
+                                moved[sigma]))
         for s in all_perms(n):
-            for xn in elements[n]:
-                action[(n, s, xn)] = extended[(n, ext_of_perm(s), xn)]
+            action.update(zip(itertools.product((n,), (s,), elements[n]),
+                              moved[ext_of_perm(s)]))
 
     unit = _tuple_name((P.unit, P.unit))
     RP = TruncatedOperad(A, elements, unit, comp, action)

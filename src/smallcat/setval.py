@@ -262,7 +262,8 @@ def _families(obs, values, constraints, budget: int) -> LimitResult:
     ``constraints``: the limit, with the families found in product order.
 
     Raises :class:`BudgetError` if the product of the value sets (an empty
-    set counted as one) exceeds ``budget``.
+    set counted as one) exceeds ``budget``, and :class:`ValueError` when two
+    families render to one name.
     """
     size = 1
     for o in obs:
@@ -275,11 +276,14 @@ def _families(obs, values, constraints, budget: int) -> LimitResult:
     checks = constraint_lists(len(obs), ((table, (slot[o1],), slot[o2])
                                          for o1, table, o2 in constraints))
     projections: dict[str, dict[str, str]] = {o: {} for o in obs}
+    named = projections[obs[0]]     # every family so far, by name
     names = []
     for a in backtrack([values[o] for o in obs], checks,
                        NodeBudget(None, "unbounded")):
         fam = dict(zip(obs, a))
         n = _family_name(fam)
+        if n in named:
+            raise ValueError(f"family identifier {n} names two families")
         names.append(n)
         for o, v in fam.items():
             projections[o][n] = v
@@ -290,15 +294,22 @@ def colimit(X: SetDiagram) -> ColimitResult:
     """Quotient of the tagged disjoint union by the action-generated relation.
 
     Classes come from a :class:`~smallcat.fincat.Partition` of the tags and
-    are named by their lexicographically minimal member tag.
+    are named by their lexicographically minimal member tag.  Raises
+    :class:`ValueError` when two elements' tags render alike.
     """
     C = X.shape
-    classes = Partition(pair_name(o, e) for o in C.objects for e in X.values[o])
+    tag = {(o, e): pair_name(o, e) for o in C.objects for e in X.values[o]}
+    seen: set[str] = set()
+    for t in tag.values():
+        if t in seen:
+            raise ValueError(f"colimit tag {t} names two elements")
+        seen.add(t)
+    classes = Partition(seen)
     for m in C.morphisms:
         o, o2 = C.source[m], C.target[m]
         for e in X.values[o]:
-            classes.union(pair_name(o, e), pair_name(o2, X.action[m][e]))
-    injections = {o: {e: classes.find(pair_name(o, e)) for e in X.values[o]}
+            classes.union(tag[o, e], tag[o2, X.action[m][e]])
+    injections = {o: {e: classes.find(tag[o, e]) for e in X.values[o]}
                   for o in C.objects}
     elements = {t for inj in injections.values() for t in inj.values()}
     return ColimitResult(tuple(sorted(elements)), injections)

@@ -303,6 +303,22 @@ def test_R_rejects_two_tuples_with_one_name():
         right_adjoint_R(P)
 
 
+def test_R_rejects_partial_tables():
+    P = sign_operad(2)
+    for table in ("comp", "action"):
+        entries = dict(getattr(P, table))
+        key = next(iter(entries))
+        entries[key] = "p@9"
+        bad = TruncatedOperad(2, P.elements, P.unit,
+                              **{"comp": P.comp, "action": P.action, table: entries})
+        with pytest.raises(ValueError, match=r"^right adjoint of a partial "
+                                             r"operad: \w+ escapes arity at"):
+            right_adjoint_R(bad)
+        del entries[key]
+        with pytest.raises(ValueError, match=r"missing at"):
+            right_adjoint_R(bad)
+
+
 def test_R_reads_tuples_whose_elements_hold_commas():
     M = monoid_operad(2, ("x,y", "z"),
                       {(a, b): "z" if "z" in (a, b) else "x,y"

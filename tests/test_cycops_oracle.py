@@ -108,6 +108,21 @@ def test_sigma_i_computed_once_per_sigma_and_index(monkeypatch):
     assert len(set(calls)) == len(calls)
 
 
+def test_tuple_name_rendered_once_per_element(monkeypatch):
+    calls = []
+    tuple_name = cycops._tuple_name
+
+    def counted(parts):
+        calls.append(parts)
+        return tuple_name(parts)
+
+    monkeypatch.setattr(cycops, "_tuple_name", counted)
+    RQ = right_adjoint_R(associative_operad(3))
+    # 1 + 1 + 2**3 + 6**4 elements, and the unit
+    assert sum(map(len, RQ.operad.elements.values())) == 1306
+    assert len(calls) == 1306 + 1
+
+
 def test_block_and_shift_perms_agree():
     for m in range(1, 6):
         for n in range(5):
@@ -206,6 +221,24 @@ def test_extended_mutations_agree():
         assert errors == oracle.validate_cyclic(Q)
         failing += bool(errors)
     assert failing >= PER_TABLE // 2
+
+
+@pytest.mark.parametrize("table_name,seed", [("comp", 51), ("action", 52),
+                                             ("extended", 53)])
+def test_R_associative_3_mutations_agree(table_name, seed):
+    """Two single-entry corruptions of one table of the largest operad the
+    suite checks; the oracle needs about a second for each."""
+    rng = random.Random(seed)
+    Q = right_adjoint_R(associative_operad(3))
+    for _ in range(2):
+        if table_name == "extended":
+            M = TruncatedCyclicOperad(Q.operad, _mutate(Q.extended, Q.operad, rng))
+        else:
+            M = TruncatedCyclicOperad(_operad_with(Q.operad, **{
+                table_name: _mutate(getattr(Q.operad, table_name), Q.operad, rng)}),
+                Q.extended)
+        errors = cycops.validate_cyclic(M)
+        assert errors and errors == oracle.validate_cyclic(M)
 
 
 def test_unit_mutations_agree():

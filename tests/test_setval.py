@@ -631,3 +631,24 @@ def test_wide_right_kan_exceeds_the_limit_budget_on_both_paths():
         with pytest.raises(fincat.BudgetError,
                            match="^limit product exceeds budget$"):
             build(iota, X)
+
+
+def test_colimit_rejects_two_elements_with_one_tag():
+    # (a,,b) renders both ("a,", "b") and ("a", ",b")
+    C = discrete_category(["a,", "a"])
+    X = SetDiagram.build(C, {"a,": ("b",), "a": (",b",)},
+                         {"id_a,": {"b": "b"}, "id_a": {",b": ",b"}})
+    with pytest.raises(ValueError, match=r"tag \(a,,b\) names two elements"):
+        colimit(X)
+
+
+def test_limit_rejects_two_families_with_one_name():
+    # a = "x,b=y" with b = "z", and a = "x" with b = "y,b=z", both render
+    # as (a=x,b=y,b=z)
+    C = discrete_category(["a", "b"])
+    X = SetDiagram.build(C, {"a": ("x,b=y", "x"), "b": ("z", "y,b=z")},
+                         {"id_a": {"x,b=y": "x,b=y", "x": "x"},
+                          "id_b": {"z": "z", "y,b=z": "y,b=z"}})
+    with pytest.raises(ValueError,
+                       match=r"identifier \(a=x,b=y,b=z\) names two families"):
+        limit(X)
