@@ -9,7 +9,6 @@ categories, where pushouts are computed level-wise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
 # Timed functions are called via their module: see the package docstring.
@@ -24,7 +23,9 @@ from .fincat import (
     compose_functors,
     coproduct,
     empty_category,
+    field,
     parallel_pair,
+    record,
     terminal_category,
     walking_arrow,
     walking_iso,
@@ -40,7 +41,7 @@ from .setval import (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LiftingSquare:
     """A commuting square with left vertical ``i`` and right vertical ``p``.
 
@@ -54,14 +55,14 @@ class LiftingSquare:
     bottom: CatFunctor
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PushoutResult:
     category: FiniteCategory
     from_left: CatFunctor    # cod(i) -> pushout
     from_right: CatFunctor   # cod(f) -> pushout
 
 
-@dataclass
+@record
 class SoaStageCell:
     """One attached cell: generator index plus its attaching square."""
 
@@ -70,7 +71,7 @@ class SoaStageCell:
     against: DiagramMap   # cod(I[k]) -> codomain of the map being factored
 
 
-@dataclass
+@record
 class FactorizationResult:
     middle: SetDiagram
     left: DiagramMap           # cellular part

@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 # Each module a block kind needs is imported by that block's path in
@@ -69,7 +68,9 @@ from .fincat import (
     CatFunctor,
     FiniteCategory,
     FiniteGroup,
+    field,
     is_prime,
+    record,
     validate_group,
 )
 
@@ -112,7 +113,7 @@ class CatspecError(ValueError):
         super().__init__(prefix + message)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Block:
     kind: str
     name: str
@@ -124,7 +125,7 @@ class Block:
         return sorted(self.entries)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CatspecDocument:
     blocks: tuple[Block, ...]
 
@@ -254,7 +255,7 @@ class Complexes(Mapping):
         return len(self._blocks)
 
 
-@dataclass
+@record
 class LoadedDocument:
     document: CatspecDocument
     categories: dict[str, FiniteCategory] = field(default_factory=dict)

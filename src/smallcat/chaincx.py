@@ -32,16 +32,16 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 
 from .fincat import is_prime  # re-exported: ``chaincx.is_prime`` stays
+from .fincat import record
 
 
 # ---------------------------------------------------------------------------
 # matrices over the prime field
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Matrix:
     """An immutable matrix over the field with ``p`` elements.
 
@@ -257,7 +257,7 @@ def column_space_contains(space: Matrix, vecs: Matrix, p: int) -> bool:
 # complexes
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FiniteComplex:
     """A bounded cochain complex over the field with ``p`` elements.
 
@@ -324,7 +324,7 @@ def validate_complex(C: FiniteComplex) -> list[str]:
     return errors
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ComplexMap:
     source: FiniteComplex
     target: FiniteComplex
@@ -518,7 +518,7 @@ def reproduce_truncation_counterexample(p: int = 2) -> dict:
 # finite algebras and modules
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FiniteAlgebra:
     """An associative unital algebra by structure constants.
 
@@ -578,7 +578,7 @@ def dual_numbers(p: int) -> FiniteAlgebra:
     return FiniteAlgebra(p, 2, (one, x), (1, 0))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AlgebraMap:
     source: FiniteAlgebra
     target: FiniteAlgebra
@@ -614,7 +614,7 @@ def augmentation_dual_numbers(p: int) -> AlgebraMap:
     return AlgebraMap(dual_numbers(p), field_algebra(p), Matrix(((1, 0),), 2))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AlgebraModule:
     """A left module: one action matrix per algebra basis element."""
 
@@ -718,7 +718,7 @@ def module_is_free(M: AlgebraModule) -> bool:
 # induced and coinduced modules
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InducedModule:
     module: AlgebraModule
     # projection from the tensor square space (target algebra (x) M)
@@ -751,7 +751,7 @@ def induce(f: AlgebraMap, M: AlgebraModule) -> InducedModule:
     return InducedModule(AlgebraModule(B, proj.shape[0], action), proj, sect)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CoinducedModule:
     module: AlgebraModule
     # columns are the basis homomorphisms, flattened as (M.dim x B.dim)

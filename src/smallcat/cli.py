@@ -45,8 +45,16 @@ def _need(table: dict, name: str, what: str):
     return table[name]
 
 
-def _default_max_morphisms() -> int:
-    return int(os.environ.get("SMALLCAT_MAX_MORPHISMS", "400"))
+def _max_morphisms(args) -> int:
+    """The ``--max-morphisms`` flag, else ``SMALLCAT_MAX_MORPHISMS``, else
+    400; read only by the commands that search."""
+    if args.max_morphisms is not None:
+        return args.max_morphisms
+    text = os.environ.get("SMALLCAT_MAX_MORPHISMS", "400")
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise ValueError(f"SMALLCAT_MAX_MORPHISMS={text!r} is not an "
+                         f"integer of at least 1")
+    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +116,7 @@ def cmd_lift(args) -> int:
     errs = validate_square(sq)
     if errs:
         raise CatspecError("not a lifting square: " + errs[0])
-    h = solve_lifting(sq, node_budget=args.max_morphisms * 5000)
+    h = solve_lifting(sq, node_budget=_max_morphisms(args) * 5000)
     payload: dict = {"exists": h is not None}
     if h is not None:
         payload["diagonal"] = {"objects": dict(sorted(h.ob_map.items())),
@@ -123,7 +131,7 @@ def cmd_rlp(args) -> int:
     maps = [_need(loaded.functors, n, "functor")
             for n in args.maps.split(",")]
     p = _need(loaded.functors, args.against, "functor")
-    verdict = has_rlp(maps, p, node_budget=args.max_morphisms * 5000)
+    verdict = has_rlp(maps, p, node_budget=_max_morphisms(args) * 5000)
     _print({"has_rlp": verdict}, args.pretty)
     return OK
 
@@ -135,7 +143,7 @@ def cmd_soa(args) -> int:
     gens = [_need(loaded.dmaps, n, "dmap") for n in args.generators.split(",")]
     f = _need(loaded.dmaps, args.map, "dmap")
     res = bounded_soa(gens, f, args.max_stages,
-                      node_budget=args.max_morphisms * 5000)
+                      node_budget=_max_morphisms(args) * 5000)
     recomposed = setval.compose_diagram_maps(res.right, res.left)
     payload = {
         "stages": res.stages,
@@ -178,6 +186,9 @@ def cmd_semidirect(args) -> int:
 
 def cmd_nabla(args) -> int:
     from . import nabla
+    for k in args.homcount or ():
+        if not 0 <= k <= args.dim:
+            raise ValueError(f"no object [{k}] at level {args.dim}")
     pres = nabla.build_nabla(args.dim)
     if args.homcount:
         m, n = args.homcount
@@ -473,6 +484,9 @@ def cmd_paper_suite(args) -> int:
 # argument parsing
 
 
+BUDGET_HELP = "search budget (default: $SMALLCAT_MAX_MORPHISMS or 400)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smallcat",
@@ -503,16 +517,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", required=True)
     p.add_argument("--top", required=True)
     p.add_argument("--bottom", required=True)
-    p.add_argument("--max-morphisms", type=int,
-                   default=_default_max_morphisms())
+    p.add_argument("--max-morphisms", type=int, help=BUDGET_HELP)
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("rlp", help="right lifting property against a set of maps")
     p.add_argument("file")
     p.add_argument("--maps", required=True, help="comma-separated functor names")
     p.add_argument("--against", required=True)
-    p.add_argument("--max-morphisms", type=int,
-                   default=_default_max_morphisms())
+    p.add_argument("--max-morphisms", type=int, help=BUDGET_HELP)
     p.set_defaults(func=cmd_rlp)
 
     p = sub.add_parser("soa", help="bounded small object argument")
@@ -521,8 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated dmap names")
     p.add_argument("--map", required=True, help="dmap name to factor")
     p.add_argument("--max-stages", type=int, default=4)
-    p.add_argument("--max-morphisms", type=int,
-                   default=_default_max_morphisms())
+    p.add_argument("--max-morphisms", type=int, help=BUDGET_HELP)
     p.set_defaults(func=cmd_soa)
 
     p = sub.add_parser("semidirect", help="build and check a semidirect product")

@@ -35,9 +35,9 @@ from __future__ import annotations
 
 import itertools
 from itertools import chain
-from dataclasses import dataclass, field
 
-from .fincat import NodeBudget, backtrack, constraint_lists
+from .fincat import (NodeBudget, backtrack, constraint_lists, field,
+                     record)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +117,7 @@ def shift_perm(t: tuple[int, ...], i: int, m: int) -> tuple[int, ...]:
 # data types
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TruncatedOperad:
     """Finite sets with partial compositions, unit, and right actions.
 
@@ -136,7 +136,7 @@ class TruncatedOperad:
         return {x: n for n, xs in self.elements.items() for x in xs}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TruncatedCyclicOperad:
     """An operad whose actions extend to the permutations of {0..n}."""
 
@@ -144,7 +144,7 @@ class TruncatedCyclicOperad:
     extended: dict[tuple[int, tuple[int, ...], str], str]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OperadMap:
     source: TruncatedOperad
     target: TruncatedOperad
@@ -155,7 +155,7 @@ class OperadMap:
                      for n, c in sorted(self.maps.items()))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CyclicOperadMap:
     source: TruncatedCyclicOperad
     target: TruncatedCyclicOperad
@@ -652,6 +652,7 @@ def right_adjoint_R_map(g: OperadMap) -> CyclicOperadMap:
 
 def truncate_operad(P: TruncatedOperad, bound: int) -> TruncatedOperad:
     """Forget arities above ``bound`` (a smaller verification budget)."""
+    _check_unit_arity(bound)
     if bound >= P.arity_bound:
         return P
     arity = P.arity_of()
@@ -770,7 +771,7 @@ def enumerate_cyclic_maps(Q1: TruncatedCyclicOperad,
 # adjunction and product checks
 
 
-@dataclass
+@record
 class AdjunctionCountReport:
     ok: bool
     operad_map_count: int
@@ -811,7 +812,7 @@ def check_adjunction_count(Q: TruncatedCyclicOperad,
                                  bijective, failures)
 
 
-@dataclass
+@record
 class ProductActionReport:
     ok: bool
     preserves_surjectivity: bool

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -38,10 +37,143 @@ def is_prime(p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# record classes
+#
+# ``@record`` stands in for the standard library's ``@dataclass``, whose
+# module imports ``inspect``, ``ast``, ``dis`` and ``tokenize``, and which
+# runs one ``exec`` per generated method, every time a process starts.
+# ``@record`` runs one ``exec`` per class and imports nothing.
+
+
+class FrozenRecordError(AttributeError):
+    """An assignment to, or deletion of, a field of a frozen record."""
+
+
+class _Factory:
+    """The default of a field made by :func:`field`."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+def field(*, default_factory):
+    """A record field whose default is a fresh ``default_factory()`` for
+    each instance."""
+    return _Factory(default_factory)
+
+
+_REQUIRED = object()  # the default of a field that has none
+
+
+def _record_repr(self) -> str:
+    return (f"{type(self).__qualname__}("
+            + ", ".join(f"{name}={getattr(self, name)!r}"
+                        for name in self.__record_fields__) + ")")
+
+
+def _record_hash(self) -> int:
+    return hash(tuple([getattr(self, name) for name in self.__record_fields__]))
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenRecordError(f"cannot delete field {name!r}")
+
+
+def record(cls=None, /, *, frozen: bool = False, slots: bool = False):
+    """Make ``cls`` a record class of its annotated fields, as the standard
+    library's ``@dataclass(frozen=frozen, slots=slots)`` would.
+
+    * The fields are the base records' fields, then the class's own
+      annotations, in order; a class attribute is a field's default, and
+      ``field(default_factory=f)`` gives a fresh ``f()`` per instance.
+    * ``__init__`` and ``__eq__`` are generated in one ``exec``, in the code
+      shape ``@dataclass`` generates: ``__init__`` takes the fields in
+      order, with their defaults, assigns them (through
+      ``object.__setattr__`` when frozen) and then calls ``__post_init__``
+      if the class has one; ``__eq__`` returns ``NotImplemented`` unless
+      both sides are of the same class, and then compares field tuples.
+    * ``__repr__`` is shared and prints ``Name(field=value!r, ...)``.
+    * A frozen record hashes its field tuple, and assigning or deleting
+      any attribute raises :class:`FrozenRecordError`, an
+      ``AttributeError``.  A non-frozen record is unhashable.
+    * A class's own ``__eq__``, ``__repr__`` or ``__hash__`` is kept.
+    * ``slots=True`` rebuilds the class with ``__slots__`` of its fields.
+
+    No ``fields``, ``asdict`` or ``replace`` is provided.
+    """
+    if cls is None:
+        return lambda cls: _make_record(cls, frozen, slots)
+    return _make_record(cls, frozen, slots)
+
+
+def _make_record(cls, frozen: bool, slots: bool):
+    fields: dict = {}
+    for base in reversed(cls.__mro__[1:]):
+        fields.update(vars(base).get("__record_fields__", {}))
+    for name in vars(cls).get("__annotations__", {}):
+        fields[name] = default = vars(cls).get(name, _REQUIRED)
+        if isinstance(default, _Factory):
+            delattr(cls, name)
+    params, body = ["self"], []
+    env = {"__name__": cls.__module__, "_setattr": object.__setattr__}
+    for name, default in fields.items():
+        value = name
+        if default is _REQUIRED:
+            params.append(name)
+        else:
+            env[f"_dflt_{name}"] = default
+            params.append(f"{name}=_dflt_{name}")
+            if isinstance(default, _Factory):
+                env[f"_make_{name}"] = default.make
+                value = f"_make_{name}() if {name} is _dflt_{name} else {name}"
+        body.append(f"_setattr(self, {name!r}, {value})" if frozen
+                    else f"self.{name} = {value}")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    mine = "".join(f"self.{name}," for name in fields)
+    theirs = "".join(f"other.{name}," for name in fields)
+    made: dict = {}
+    exec(f"def __init__({', '.join(params)}):\n"
+         + "".join(f"    {line}\n" for line in body)
+         + "def __eq__(self, other):\n"
+         "    if other.__class__ is self.__class__:\n"
+         f"        return ({mine}) == ({theirs})\n"
+         "    return NotImplemented\n", env, made)
+    made["__repr__"] = _record_repr
+    for name, method in made.items():
+        if name not in vars(cls):
+            setattr(cls, name, method)
+    # a class that defines __eq__ but not __hash__ holds __hash__ = None
+    if vars(cls).get("__hash__") is None:
+        cls.__hash__ = _record_hash if frozen else None
+    if frozen:
+        cls.__setattr__ = _frozen_setattr
+        cls.__delattr__ = _frozen_delattr
+    cls.__record_fields__ = fields
+    if slots:
+        namespace = {key: value for key, value in vars(cls).items()
+                     if key not in fields
+                     and key not in ("__dict__", "__weakref__")}
+        namespace["__slots__"] = tuple(fields)
+        namespace["__qualname__"] = cls.__qualname__
+        cls = type(cls)(cls.__name__, cls.__bases__, namespace)
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # core data types
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FiniteCategory:
     """A category with finitely many objects and morphisms.
 
@@ -126,7 +258,7 @@ def tabulate(objects, morphisms, source, target, identity,
                                   identity, compose)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CatFunctor:
     """A functor between two finite categories, given by its raw maps."""
 
@@ -141,7 +273,7 @@ class CatFunctor:
                 tuple(sorted(self.mor_map.items())))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NaturalTransformation:
     """A natural transformation, one component morphism per domain object."""
 
@@ -150,7 +282,7 @@ class NaturalTransformation:
     components: dict[str, str]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FiniteGroup:
     """A finite group given by its full multiplication table."""
 

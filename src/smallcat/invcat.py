@@ -14,7 +14,6 @@ counterexample is reproduced verbatim by :func:`reproduce_dagger_counterexample`
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 # Timed functions are called via their module: see the package docstring.
 from . import fincat
@@ -35,10 +34,11 @@ from .fincat import (
     pair_name,
     product,
     _iter_functors,
+    record,
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InvolutiveCategory:
     """A finite category with a strict anti-involution."""
 
@@ -46,7 +46,7 @@ class InvolutiveCategory:
     tau: CatFunctor    # opposite(base) -> base
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EquivariantFunctor:
     """A functor commuting with the anti-involutions of its endpoints."""
 
@@ -55,7 +55,7 @@ class EquivariantFunctor:
     functor: CatFunctor
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DaggerCategory(InvolutiveCategory):
     """An involutive category whose involution fixes every object."""
 
@@ -220,7 +220,7 @@ def extend_along_R(f: CatFunctor, Xtau: InvolutiveCategory) -> EquivariantFuncto
     return EquivariantFunctor(Xtau, RY, CatFunctor(Xtau.base, RY.base, ob, mor))
 
 
-@dataclass
+@record
 class InvAdjunctionReport:
     ok: bool
     left_checked: int

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 # Timed functions are called via their module: see the package docstring.
 from . import fincat, semidirect, setval
@@ -35,6 +34,7 @@ from .fincat import (
     cyclic_group,
     pair_name,
     opposite_functor,
+    record,
     tabulate,
 )
 from .semidirect import (
@@ -185,7 +185,7 @@ def monotone_pair_data(name: str) -> tuple[tuple[int, ...], int, int]:
             1 if sign == "+" else -1)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NablaPresentations:
     semidirect: SemidirectCategory
     pairs: FiniteCategory
@@ -224,7 +224,7 @@ def nabla_category(N: int) -> SemidirectCategory:
 # truncated (real) simplicial sets
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TruncatedSimplicialSet:
     """Simplex sets and the full action of the truncated simplex category."""
 
@@ -235,7 +235,7 @@ class TruncatedSimplicialSet:
         return self.diagram.values[f"[{n}]"]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TruncatedRealSimplicialSet:
     """Presheaf on the signed simplex category, truncated at ``level``."""
 

@@ -16,7 +16,6 @@ nose.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 # Timed functions are called via their module: see the package docstring.
@@ -26,10 +25,12 @@ from .fincat import (
     FiniteCategory,
     FiniteGroup,
     compose_functors,
+    field,
     identity_functor,
     opposite_functor,
     opposite_group,
     pair_name,
+    record,
     tabulate,
     validate_group,
 )
@@ -46,7 +47,7 @@ from .setval import (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GroupAction:
     """An action of ``group`` on ``target`` by category isomorphisms."""
 
@@ -55,7 +56,7 @@ class GroupAction:
     rho: dict[str, CatFunctor]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SemidirectCategory:
     """The semidirect product category plus decoding data for its pairs."""
 
@@ -172,7 +173,7 @@ def twisted_coproduct(action: GroupAction, F: SetDiagram
     return total, dict(zip(order, injections))
 
 
-@dataclass
+@record
 class LanFormulaReport:
     ok: bool
     natural_iso: bool
@@ -250,7 +251,7 @@ def verify_lan_formula(action: GroupAction, F: SetDiagram) -> LanFormulaReport:
                             failures=failures)
 
 
-@dataclass
+@record
 class HypothesisReport:
     ok: bool
     verdicts: dict[tuple[str, str, int], bool] = field(default_factory=dict)

@@ -21,7 +21,6 @@ shape is a one-point set, the colimit is empty.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
 # Timed functions are called via their module: see the package docstring.
@@ -35,12 +34,14 @@ from .fincat import (
     Partition,
     backtrack,
     constraint_lists,
+    field,
     pair_name,
+    record,
     validate_natural,
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SetDiagram:
     """A functor from ``shape`` to finite sets."""
 
@@ -58,7 +59,7 @@ class SetDiagram:
         return sum(len(v) for v in self.values.values())
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DiagramMap:
     """A natural transformation between two diagrams over the same shape."""
 
@@ -71,7 +72,7 @@ class DiagramMap:
                      for o, c in sorted(self.components.items()))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CommaCategory:
     """A comma category together with its projection functor.
 
@@ -87,19 +88,19 @@ class CommaCategory:
     morphism_data: dict[str, str]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LimitResult:
     elements: tuple[str, ...]
     projections: dict[str, dict[str, str]]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ColimitResult:
     elements: tuple[str, ...]
     injections: dict[str, dict[str, str]]
 
 
-@dataclass
+@record
 class AdjunctionReport:
     """Outcome of an adjunction check; ``failures`` carries witnesses."""
 
@@ -504,7 +505,7 @@ def restrict_map(iota: CatFunctor, h: DiagramMap) -> DiagramMap:
                        for c in C.objects})
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LeftKan:
     """The left Kan extension of ``X`` along ``iota``: ``objects[d]`` decodes
     each object ``(c,phi)`` of the comma category over ``d`` to its pair
@@ -519,7 +520,7 @@ class LeftKan:
     unit: DiagramMap
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RightKan:
     """The right Kan extension of ``X`` along ``iota``: ``objects[d]``
     decodes each object ``(phi,c)`` of the comma category under ``d`` to its

@@ -106,6 +106,35 @@ def test_lift_and_rlp(tmp_path, capsys):
     assert json.loads(out)["has_rlp"] is True
 
 
+
+def test_bad_budget_variable_exits_2_where_it_is_read(tmp_path, capsys,
+                                                       monkeypatch):
+    # the parser used to read SMALLCAT_MAX_MORPHISMS for its defaults, so a
+    # bad value killed every command, --help included, with a traceback
+    path = write_doc(tmp_path, suite_doc())
+    lift = ["lift", path, "--left", "ident", "--right", "ident",
+            "--top", "ident", "--bottom", "ident"]
+    rlp = ["rlp", path, "--maps", "ident", "--against", "ident"]
+    for value in ("abc", "0", "-3", "1.5"):
+        monkeypatch.setenv("SMALLCAT_MAX_MORPHISMS", value)
+        with pytest.raises(SystemExit) as done:
+            main(["--help"])
+        assert done.value.code == 0
+        capsys.readouterr()
+        assert run_cli(["nabla", "--dim", "1", "--homcount", "0", "0"],
+                       capsys) == (0, "2\n")
+        for argv in (lift, rlp):
+            code, out = run_cli(argv, capsys)
+            assert code == 2, (value, argv)
+            assert json.loads(out) == {"error": (
+                f"SMALLCAT_MAX_MORPHISMS={value!r} is not an integer "
+                f"of at least 1")}
+        # the flag wins, and the variable is not read
+        assert run_cli(rlp + ["--max-morphisms", "5"], capsys) == (
+            0, '{"has_rlp":true}\n')
+    monkeypatch.setenv("SMALLCAT_MAX_MORPHISMS", "7")
+    assert run_cli(rlp, capsys) == (0, '{"has_rlp":true}\n')
+
 def test_soa_subcommand(tmp_path, capsys):
     # factor the collapse of a two-point discrete diagram onto a point
     C = fincat.terminal_category()
@@ -211,6 +240,15 @@ def test_nabla_homcount_is_bare_number(capsys):
     assert out.strip() == "6"
 
 
+
+def test_nabla_homcount_outside_the_level_exits_2(capsys):
+    # [5] is no object at level 1: the count used to read 0, exit 0
+    for m, n, missing in ((5, 5, 5), (-1, 0, -1), (0, 2, 2)):
+        code, out = run_cli(["nabla", "--dim", "1", "--homcount", str(m),
+                             str(n)], capsys)
+        assert code == 2
+        assert json.loads(out) == {"error": f"no object [{missing}] at level 1"}
+
 def test_nabla_summary(capsys):
     code, out = run_cli(["nabla", "--dim", "2"], capsys)
     assert code == 0
@@ -275,6 +313,23 @@ def test_cyclic_subcommand(tmp_path, capsys):
     assert payload["R_cyclic_valid"] is True
     assert payload["R_sizes_are_powers"] is True
 
+
+
+def test_cyclic_arity_bound_below_1_exits_2(tmp_path, capsys):
+    # a bound below 1 used to reach the verdict as "R_cyclic_valid": false
+    from smallcat.cycops import terminal_operad
+    doc = CatspecDocument((catspec.operad_block("T", terminal_operad(2)),))
+    path = write_doc(tmp_path, doc)
+    for bound in (0, -3):
+        code, out = run_cli(["cyclic", path, "--operad", "T",
+                             "--arity-bound", str(bound)], capsys)
+        assert code == 2
+        assert json.loads(out) == {"error": (
+            f"arity bound {bound} is below 1: an operad needs its unit "
+            f"in arity 1")}
+    code, out = run_cli(["cyclic", path, "--operad", "T", "--arity-bound",
+                         "1"], capsys)
+    assert code == 0 and json.loads(out)["R_cyclic_valid"] is True
 
 def test_cyclic_subcommand_rejects_two_tuples_with_one_name(tmp_path, capsys):
     from test_cycops import colliding_operad
@@ -389,14 +444,16 @@ def test_unbounded_complex_window_exits_2_at_once(tmp_path, capsys):
 
 
 def loaded_after(code: str) -> set[str]:
-    """The ``smallcat.*`` and numpy modules a fresh interpreter holds after
-    running ``code`` with its standard output discarded."""
+    """The ``smallcat.*``, numpy, ``dataclasses`` and ``inspect`` modules a
+    fresh interpreter holds after running ``code`` with its standard output
+    discarded."""
     probe = ("import contextlib, io, sys\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              + "".join(f"    {line}\n" for line in code.splitlines())
              + "print(' '.join(m for m in sys.modules\n"
              "               if m.startswith('smallcat.')\n"
-             "               or m.split('.')[0] == 'numpy'))\n")
+             "               or m.split('.')[0] == 'numpy'\n"
+             "               or m in ('dataclasses', 'inspect')))\n")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True)
     return set(done.stdout.split())
@@ -510,6 +567,8 @@ def test_only_complex_commands_load_numpy(tmp_path, template):
                           f"assert cli.main({argv!r}) == 0")
     assert "numpy" not in loaded
     assert ("smallcat.chaincx" in loaded) is (" ".join(template) in COMPLEX_LINES)
+    # records are made by fincat.record, which imports nothing
+    assert "dataclasses" not in loaded and "inspect" not in loaded
 
 
 def test_package_attribute_loads_that_module_only():

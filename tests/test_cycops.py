@@ -29,6 +29,7 @@ from smallcat.cycops import (
     shift_perm,
     terminal_cyclic_operad,
     terminal_operad,
+    truncate_operad,
     validate_cyclic,
     validate_cyclic_map,
     validate_operad,
@@ -124,6 +125,13 @@ def test_monoid_operad_below_bound_1_raises():
     with pytest.raises(ValueError, match="arity bound 0 is below 1"):
         sign_operad(0)
 
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_truncate_operad_below_bound_1_raises(bound):
+    # it used to return an operad with no unit arity, which failed validation
+    with pytest.raises(ValueError, match=f"arity bound {bound} is below 1"):
+        truncate_operad(terminal_operad(2), bound)
 
 def test_corrupted_unit_is_named():
     P = terminal_operad(2)
