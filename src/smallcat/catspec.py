@@ -138,11 +138,17 @@ class CatspecDocument:
     def __eq__(self, other):
         if not isinstance(other, CatspecDocument):
             return NotImplemented
-        mine = {(b.kind, b.name): (b.params, tuple(b.canonical_entries()))
-                for b in self.blocks}
-        theirs = {(b.kind, b.name): (b.params, tuple(b.canonical_entries()))
-                  for b in other.blocks}
-        return mine == theirs
+        return _canonical(self) == _canonical(other)
+
+    def __hash__(self):
+        return hash(frozenset(_canonical(self).items()))
+
+
+def _canonical(doc: CatspecDocument) -> dict:
+    """The blocks of ``doc`` by kind and name, entries sorted: what ``==``
+    and ``hash`` see, so that neither block nor entry order counts."""
+    return {(b.kind, b.name): (b.params, tuple(b.canonical_entries()))
+            for b in doc.blocks}
 
 
 def _check_slots(where: str, slots: str, tokens: list[str], line: int) -> None:

@@ -47,8 +47,11 @@ def _need(table: dict, name: str, what: str):
 
 def _max_morphisms(args) -> int:
     """The ``--max-morphisms`` flag, else ``SMALLCAT_MAX_MORPHISMS``, else
-    400; read only by the commands that search."""
+    400; read only by the commands that search, before they load anything."""
     if args.max_morphisms is not None:
+        if args.max_morphisms < 1:
+            raise ValueError(f"--max-morphisms {args.max_morphisms} is not "
+                             f"an integer of at least 1")
         return args.max_morphisms
     text = os.environ.get("SMALLCAT_MAX_MORPHISMS", "400")
     if not text.strip().isdecimal() or int(text) < 1:
@@ -106,6 +109,7 @@ def cmd_adjoint(args) -> int:
 def cmd_lift(args) -> int:
     from .catmodel import LiftingSquare, solve_lifting, validate_square
     from .catspec import CatspecError
+    budget = _max_morphisms(args) * 5000
     loaded = _load(args.file)
     sq = LiftingSquare(
         _need(loaded.functors, args.left, "functor"),
@@ -116,7 +120,7 @@ def cmd_lift(args) -> int:
     errs = validate_square(sq)
     if errs:
         raise CatspecError("not a lifting square: " + errs[0])
-    h = solve_lifting(sq, node_budget=_max_morphisms(args) * 5000)
+    h = solve_lifting(sq, node_budget=budget)
     payload: dict = {"exists": h is not None}
     if h is not None:
         payload["diagonal"] = {"objects": dict(sorted(h.ob_map.items())),
@@ -127,11 +131,12 @@ def cmd_lift(args) -> int:
 
 def cmd_rlp(args) -> int:
     from .catmodel import has_rlp
+    budget = _max_morphisms(args) * 5000
     loaded = _load(args.file)
     maps = [_need(loaded.functors, n, "functor")
             for n in args.maps.split(",")]
     p = _need(loaded.functors, args.against, "functor")
-    verdict = has_rlp(maps, p, node_budget=_max_morphisms(args) * 5000)
+    verdict = has_rlp(maps, p, node_budget=budget)
     _print({"has_rlp": verdict}, args.pretty)
     return OK
 
@@ -139,11 +144,11 @@ def cmd_rlp(args) -> int:
 def cmd_soa(args) -> int:
     from . import setval
     from .catmodel import bounded_soa
+    budget = _max_morphisms(args) * 5000
     loaded = _load(args.file)
     gens = [_need(loaded.dmaps, n, "dmap") for n in args.generators.split(",")]
     f = _need(loaded.dmaps, args.map, "dmap")
-    res = bounded_soa(gens, f, args.max_stages,
-                      node_budget=_max_morphisms(args) * 5000)
+    res = bounded_soa(gens, f, args.max_stages, node_budget=budget)
     recomposed = setval.compose_diagram_maps(res.right, res.left)
     payload = {
         "stages": res.stages,

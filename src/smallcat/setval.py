@@ -21,6 +21,7 @@ shape is a one-point set, the colimit is empty.
 """
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator
 
 # Timed functions are called via their module: see the package docstring.
@@ -209,36 +210,64 @@ def _iter_diagram_maps(X: SetDiagram, Y: SetDiagram, budget: NodeBudget,
                        forced: dict[tuple[str, str], str] | None = None,
                        fibre: tuple[DiagramMap, DiagramMap] | None = None
                        ) -> Iterator[DiagramMap]:
-    """Yield the diagram maps ``X -> Y`` in lexicographic order.
+    """Yield the diagram maps ``X -> Y`` of :func:`_coded_maps` as
+    :class:`DiagramMap` records."""
+    slot = _slots(X)
+    for a in _coded_maps(X, Y, budget, forced, fibre):
+        comps: dict[str, dict[str, str]] = {o: {} for o in X.shape.objects}
+        for (o, e), img in zip(slot, a):
+            comps[o][e] = img
+        yield DiagramMap(X, Y, comps)
 
-    Each element ``(o, e)`` of ``X`` is a variable with candidates
-    ``Y.values[o]``, or only ``forced[(o, e)]`` when given.  Naturality at
-    ``m`` sending ``e`` to ``e2`` is the constraint
-    ``Y.action[m][a[e]] == a[e2]``.  ``fibre = (p, bottom)`` also requires
-    ``p.components[o][a[e]] == bottom.components[o][e]``.
-    """
+
+def _slots(X: SetDiagram) -> dict[tuple[str, str], int]:
+    """The slot of each ``(object, element)`` pair of ``X``, in search
+    order: a coded map out of ``X`` is the tuple of their images."""
+    return {(o, e): k for k, (o, e) in enumerate(
+        (o, e) for o in X.shape.objects for e in X.values[o])}
+
+
+def _naturality_checks(X: SetDiagram, Y: SetDiagram,
+                       slot: dict[tuple[str, str], int]) -> list[tuple]:
+    """``(table, k, k2)`` per morphism ``m`` and element ``e`` of its
+    source: a coded map ``a: X -> Y`` is natural iff ``table[a[k]] == a[k2]``
+    for each, where ``table`` is ``Y.action[m]`` and ``k``, ``k2`` are the
+    slots of ``e`` and of its image under ``X.action[m]``."""
     C = X.shape
-    variables = [(o, e) for o in C.objects for e in X.values[o]]
+    return [(Y.action[m], slot[(C.source[m], e)],
+             slot[(C.target[m], X.action[m][e])])
+            for m in C.morphisms for e in X.values[C.source[m]]]
+
+
+def _coded_maps(X: SetDiagram, Y: SetDiagram, budget: NodeBudget,
+                forced: dict[tuple[str, str], str] | None = None,
+                fibre: tuple[DiagramMap, DiagramMap] | None = None
+                ) -> Iterator[tuple[str, ...]]:
+    """Yield the diagram maps ``X -> Y`` in lexicographic order, each as the
+    tuple of images of the pairs of :func:`_slots`.
+
+    Each variable ``(o, e)`` has candidates ``Y.values[o]``, or only
+    ``forced[(o, e)]`` when given, and the checks of
+    :func:`_naturality_checks` are its constraints.  ``fibre = (p, bottom)``
+    also requires ``p.components[o][a[e]] == bottom.components[o][e]``.
+    """
+    slot = _slots(X)
+    variables = list(slot)
     n = len(variables)
-    slot = {v: k for k, v in enumerate(variables)}
     constraints, constants = [], []
     if fibre is not None:
         p, bottom = fibre
         constraints = [(p.components[o], (k,), -1 - k)
                        for k, (o, e) in enumerate(variables)]
         constants = [bottom.components[o][e] for o, e in variables]
-    constraints += [(Y.action[m], (slot[(C.source[m], e)],),
-                     slot[(C.target[m], X.action[m][e])])
-                    for m in C.morphisms for e in X.values[C.source[m]]]
+    constraints += [(table, (k,), k2)
+                    for table, k, k2 in _naturality_checks(X, Y, slot)]
     forced = forced or {}
     candidates = [(forced[v],) if v in forced else Y.values[v[0]]
                   for v in variables]
     for a in backtrack(candidates, constraint_lists(n, constraints),
                        budget, constants):
-        comps: dict[str, dict[str, str]] = {o: {} for o in C.objects}
-        for (o, e), img in zip(variables, a):
-            comps[o][e] = img
-        yield DiagramMap(X, Y, comps)
+        yield tuple(a[:n])
 
 
 # ---------------------------------------------------------------------------
@@ -782,82 +811,131 @@ def certify_kan_adjunctions(iota: CatFunctor,
     """Certify the two Kan adjunctions on a finite corpus of diagrams.
 
     For every corpus pair the transposition for (extend-left, restrict) and
-    for (restrict, extend-right) is checked to be a bijection of hom-sets,
-    and its naturality in both variables is checked against corpus maps
-    (up to ``naturality_budget`` maps per side).
+    for (restrict, extend-right) is checked to be a bijection of hom-sets.
+    The naturality of the first in both variables is checked on the first
+    ``naturality_budget`` maps, in search order, of ``lan X -> Y`` and of
+    each ``X2 -> X`` and ``Y -> Y2`` between corpus diagrams; only those
+    are searched for, so ``node_budget`` bounds each bijection search and
+    each such prefix, never a whole hom-set.
+
+    Maps are coded as in :func:`_coded_maps`: a left transpose gathers
+    ``f`` at the slots of the unit's images, a right transpose looks each
+    family up by its components, and names appear only in the witnesses.
     """
+    C, D = iota.domain, iota.codomain
+    nb = naturality_budget
     failures: list[str] = []
     checked = 0
 
+    def maps(S: SetDiagram, T: SetDiagram) -> Iterator[tuple[str, ...]]:
+        if S.shape != T.shape:
+            raise ValueError("shapes differ")
+        return _coded_maps(S, T, NodeBudget(
+            node_budget, "diagram map search exceeded budget"))
+
+    def bijection(side, where, homs, transpose, targets, checks):
+        image = set()
+        for f in homs:
+            t = transpose(f)
+            if t is not None and all(table[t[k]] == t[k2]
+                                     for table, k, k2 in checks):
+                image.add(t)
+            else:
+                failures.append(f"{side} transpose not natural {where}")
+        if len(image) != len(homs):
+            failures.append(f"{side} transpose not injective {where}")
+        if image != targets:
+            failures.append(f"{side} transpose not surjective {where}")
+
     lefts = [left_kan(iota, X) for X in domain_diagrams]
     rights = [right_kan(iota, X) for X in domain_diagrams]
-    left_homs_of: dict[tuple[int, int], list[DiagramMap]] = {}
-
+    slots = [_slots(X) for X in domain_diagrams]
+    lslots = [_slots(L.extension) for L in lefts]
+    # lan_idx[xi][k]: the slot in LX of the unit's image of slot k of X;
+    # typed[xi]: the unit is defined on X, so transposes are maps out of X
+    lan_idx, typed = [], []
+    for X, L, slot, lslot in zip(domain_diagrams, lefts, slots, lslots):
+        unit = L.unit.components
+        lan_idx.append([lslot[(iota.ob_map[c], unit[c][x])] for c, x in slot])
+        typed.append(all(set(unit[c]) == set(X.values[c]) for c in C.objects))
+    yslots = [_slots(Y) for Y in codomain_diagrams]
+    firsts: dict[tuple[int, int], list[tuple[str, ...]]] = {}
     for xi, X in enumerate(domain_diagrams):
-        LX = lefts[xi].extension
-        RX = rights[xi].extension
+        R = rights[xi]
+        families = {}   # the names of the families at d by their components
+        for d in D.objects:
+            projs = [R.lims[d].projections[o] for o in R.objects[d]]
+            families[d] = {tuple(p[n] for p in projs): n
+                           for n in R.lims[d].elements}
         for yi, Y in enumerate(codomain_diagrams):
             checked += 1
+            where = f"(X{xi},Y{yi})"
             rY = restrict(iota, Y)
-            left_homs = left_homs_of[(xi, yi)] = \
-                enumerate_diagram_maps(LX, Y, node_budget)
-            right_homs = enumerate_diagram_maps(X, rY, node_budget)
-            image = {}
-            for f in left_homs:
-                t = lan_transpose(iota, X, Y, f, kan=lefts[xi])
-                if validate_diagram_map(t):
-                    failures.append(f"lan transpose not natural (X{xi},Y{yi})")
-                    continue
-                image[t.key()] = f
-            if len(image) != len(left_homs):
-                failures.append(f"lan transpose not injective (X{xi},Y{yi})")
-            if set(image) != {h.key() for h in right_homs}:
-                failures.append(f"lan transpose not surjective (X{xi},Y{yi})")
+            left_homs = list(maps(lefts[xi].extension, Y))
+            firsts[(xi, yi)] = left_homs[:nb]
+            gather = lan_idx[xi]
+            bijection("lan", where, left_homs,
+                      lambda f: (tuple(map(f.__getitem__, gather))
+                                 if typed[xi] else None),
+                      set(maps(X, rY)), _naturality_checks(X, rY, slots[xi]))
+            # the family of y at d reads g at the slots of Y phi y in rY
+            ryslot = _slots(rY)
+            ran_idx = [(families[d], [ryslot[(c, Y.action[phi][y])]
+                                      for phi, c in R.objects[d].values()])
+                       for d, y in yslots[yi]]
 
-            left2 = enumerate_diagram_maps(rY, X, node_budget)
-            right2 = enumerate_diagram_maps(Y, RX, node_budget)
-            image2 = {}
-            for g in left2:
-                t = ran_transpose(iota, Y, X, g, kan=rights[xi])
-                if validate_diagram_map(t):
-                    failures.append(f"ran transpose not natural (X{xi},Y{yi})")
-                    continue
-                image2[t.key()] = g
-            if len(image2) != len(left2):
-                failures.append(f"ran transpose not injective (X{xi},Y{yi})")
-            if set(image2) != {h.key() for h in right2}:
-                failures.append(f"ran transpose not surjective (X{xi},Y{yi})")
+            def ran_transpose_coded(g):
+                t = tuple([fams.get(tuple(map(g.__getitem__, idx)))
+                           for fams, idx in ran_idx])
+                return None if None in t else t
+            bijection("ran", where, list(maps(rY, X)), ran_transpose_coded,
+                      set(maps(Y, R.extension)),
+                      _naturality_checks(Y, R.extension, yslots[yi]))
 
-    # naturality of the lan transposition in both variables
-    nb = naturality_budget
+    # naturality of the lan transposition in both variables: for u: X2 ->
+    # X, f: LX -> Y and v: Y -> Y2, the transpose of v.f.lan(u) at slot k
+    # of X2 is v at the slot in Y of f[A[k]], and restrict(v) after the
+    # transpose of f after u is v at that of f[B[k]]
+    ends: dict[tuple[int, int], list[tuple[str, ...]]] = {}
     for xi, X in enumerate(domain_diagrams):
         for xj, X2 in enumerate(domain_diagrams):
-            us = enumerate_diagram_maps(X2, X, node_budget)[:nb]
+            us = list(islice(maps(X2, X), nb))
             if not us:
                 continue
-            lus = [lan_map(iota, u, kans=(lefts[xj], lefts[xi])) for u in us]
+            src, tgt, slot2 = lefts[xj], lefts[xi], slots[xj]
+            # lan(u) at the slot p of LX2 is inj[u[k]], as in lan_map
+            plan = [(lslots[xj][(d, src.colims[d].injections[o][e])],
+                     tgt.colims[d].injections[o], slot2[(c, e)])
+                    for d in D.objects for o, (c, _) in src.objects[d].items()
+                    for e in X2.values[c]]
+            sides = []
+            for u in us:
+                lu: list = [None] * len(lslots[xj])
+                for p, inj, k in plan:
+                    lu[p] = inj[u[k]]
+                sides.append(
+                    ([lslots[xi][(iota.ob_map[c], lu[lan_idx[xj][k]])]
+                      for k, (c, _) in enumerate(slot2)],
+                     [lan_idx[xi][slots[xi][(c, u[k])]]
+                      for k, (c, _) in enumerate(slot2)]))
             for yi, Y in enumerate(codomain_diagrams):
-                fs = left_homs_of[(xi, yi)][:nb]
-                if not fs:
+                # per (f, u): the pairs of slots of Y that v must identify
+                needs = []
+                for f in firsts[(xi, yi)]:
+                    fy = [yslots[yi][(d, y)]
+                          for (d, _), y in zip(lslots[xi], f)]
+                    needs += [[(fy[a], fy[b]) for a, b in zip(A, B)
+                               if fy[a] != fy[b]] for A, B in sides]
+                if not needs:
                     continue
                 for yj, Y2 in enumerate(codomain_diagrams):
-                    vs = enumerate_diagram_maps(Y, Y2, node_budget)[:nb]
-                    for u, lu in zip(us, lus):
-                        for v in vs:
-                            for f in fs:
-                                checked += 1
-                                lhs = lan_transpose(
-                                    iota, X2, Y2,
-                                    compose_diagram_maps(
-                                        v, compose_diagram_maps(f, lu)),
-                                    kan=lefts[xj])
-                                rhs = compose_diagram_maps(
-                                    restrict_map(iota, v),
-                                    compose_diagram_maps(
-                                        lan_transpose(iota, X, Y, f,
-                                                      kan=lefts[xi]), u))
-                                if lhs.key() != rhs.key():
-                                    failures.append(
-                                        "transpose unnatural "
-                                        f"(X{xj}->X{xi},Y{yi}->Y{yj})")
+                    if (yi, yj) not in ends:
+                        ends[(yi, yj)] = list(islice(maps(Y, Y2), nb))
+                    vs = ends[(yi, yj)]
+                    checked += len(needs) * len(vs)
+                    bad = sum(not typed[xj]
+                              or any(v[a] != v[b] for a, b in need)
+                              for need in needs for v in vs)
+                    failures += ["transpose unnatural "
+                                 f"(X{xj}->X{xi},Y{yi}->Y{yj})"] * bad
     return AdjunctionReport(not failures, checked, failures)

@@ -3,7 +3,13 @@
 Every function here recomputes its comma categories and (co)limits from
 scratch.  It is kept, unchanged, as the exhaustive reference that
 ``test_setval`` compares :mod:`smallcat.setval` against.
+
+:func:`certify_on_records` is the certifier as it was before coded maps,
+copied unchanged but for its name and for calling the Kan records and
+transposes through :mod:`smallcat.setval`: it handles every map as a
+:class:`DiagramMap`.
 """
+from smallcat import setval
 from smallcat.fincat import CatFunctor, pair_name
 from smallcat.setval import (
     AdjunctionReport,
@@ -236,6 +242,97 @@ def certify_kan_adjunctions(iota: CatFunctor,
                                     restrict_map(iota, v),
                                     compose_diagram_maps(
                                         lan_transpose(iota, X, Y, f), u))
+                                if lhs.key() != rhs.key():
+                                    failures.append(
+                                        "transpose unnatural "
+                                        f"(X{xj}->X{xi},Y{yi}->Y{yj})")
+    return AdjunctionReport(not failures, checked, failures)
+
+
+def certify_on_records(iota: CatFunctor,
+                       domain_diagrams: list[SetDiagram],
+                       codomain_diagrams: list[SetDiagram],
+                       naturality_budget: int = 3,
+                       node_budget: int = 2_000_000) -> AdjunctionReport:
+    """Certify the two Kan adjunctions on a finite corpus of diagrams.
+
+    For every corpus pair the transposition for (extend-left, restrict) and
+    for (restrict, extend-right) is checked to be a bijection of hom-sets,
+    and its naturality in both variables is checked against corpus maps
+    (up to ``naturality_budget`` maps per side).
+    """
+    failures: list[str] = []
+    checked = 0
+
+    lefts = [setval.left_kan(iota, X) for X in domain_diagrams]
+    rights = [setval.right_kan(iota, X) for X in domain_diagrams]
+    left_homs_of: dict[tuple[int, int], list[DiagramMap]] = {}
+
+    for xi, X in enumerate(domain_diagrams):
+        LX = lefts[xi].extension
+        RX = rights[xi].extension
+        for yi, Y in enumerate(codomain_diagrams):
+            checked += 1
+            rY = restrict(iota, Y)
+            left_homs = left_homs_of[(xi, yi)] = \
+                enumerate_diagram_maps(LX, Y, node_budget)
+            right_homs = enumerate_diagram_maps(X, rY, node_budget)
+            image = {}
+            for f in left_homs:
+                t = setval.lan_transpose(iota, X, Y, f, kan=lefts[xi])
+                if validate_diagram_map(t):
+                    failures.append(f"lan transpose not natural (X{xi},Y{yi})")
+                    continue
+                image[t.key()] = f
+            if len(image) != len(left_homs):
+                failures.append(f"lan transpose not injective (X{xi},Y{yi})")
+            if set(image) != {h.key() for h in right_homs}:
+                failures.append(f"lan transpose not surjective (X{xi},Y{yi})")
+
+            left2 = enumerate_diagram_maps(rY, X, node_budget)
+            right2 = enumerate_diagram_maps(Y, RX, node_budget)
+            image2 = {}
+            for g in left2:
+                t = setval.ran_transpose(iota, Y, X, g, kan=rights[xi])
+                if validate_diagram_map(t):
+                    failures.append(f"ran transpose not natural (X{xi},Y{yi})")
+                    continue
+                image2[t.key()] = g
+            if len(image2) != len(left2):
+                failures.append(f"ran transpose not injective (X{xi},Y{yi})")
+            if set(image2) != {h.key() for h in right2}:
+                failures.append(f"ran transpose not surjective (X{xi},Y{yi})")
+
+    # naturality of the lan transposition in both variables
+    nb = naturality_budget
+    for xi, X in enumerate(domain_diagrams):
+        for xj, X2 in enumerate(domain_diagrams):
+            us = enumerate_diagram_maps(X2, X, node_budget)[:nb]
+            if not us:
+                continue
+            lus = [setval.lan_map(iota, u, kans=(lefts[xj], lefts[xi]))
+                   for u in us]
+            for yi, Y in enumerate(codomain_diagrams):
+                fs = left_homs_of[(xi, yi)][:nb]
+                if not fs:
+                    continue
+                for yj, Y2 in enumerate(codomain_diagrams):
+                    vs = enumerate_diagram_maps(Y, Y2, node_budget)[:nb]
+                    for u, lu in zip(us, lus):
+                        for v in vs:
+                            for f in fs:
+                                checked += 1
+                                lhs = setval.lan_transpose(
+                                    iota, X2, Y2,
+                                    compose_diagram_maps(
+                                        v, compose_diagram_maps(f, lu)),
+                                    kan=lefts[xj])
+                                rhs = compose_diagram_maps(
+                                    restrict_map(iota, v),
+                                    compose_diagram_maps(
+                                        setval.lan_transpose(
+                                            iota, X, Y, f, kan=lefts[xi]),
+                                        u))
                                 if lhs.key() != rhs.key():
                                     failures.append(
                                         "transpose unnatural "

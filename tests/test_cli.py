@@ -135,8 +135,27 @@ def test_bad_budget_variable_exits_2_where_it_is_read(tmp_path, capsys,
     monkeypatch.setenv("SMALLCAT_MAX_MORPHISMS", "7")
     assert run_cli(rlp, capsys) == (0, '{"has_rlp":true}\n')
 
-def test_soa_subcommand(tmp_path, capsys):
-    # factor the collapse of a two-point discrete diagram onto a point
+
+def test_budget_flag_below_1_exits_2_naming_the_flag(tmp_path, capsys):
+    # it used to reach the search and blame it: "functor search exceeded
+    # node budget"
+    path = write_doc(tmp_path, suite_doc())
+    soa_path = write_doc(tmp_path, soa_doc(), "soa.catspec")
+    lift = ["lift", path, "--left", "ident", "--right", "ident",
+            "--top", "ident", "--bottom", "ident"]
+    rlp = ["rlp", path, "--maps", "ident", "--against", "ident"]
+    soa = ["soa", soa_path, *SOA]
+    for argv in (lift, rlp, soa):
+        for value in ("0", "-1"):
+            code, out = run_cli(argv + ["--max-morphisms", value], capsys)
+            assert (code, json.loads(out)) == (2, {"error": (
+                f"--max-morphisms {value} is not an integer of at least 1")})
+        code, _ = run_cli(argv + ["--max-morphisms", "1"], capsys)
+        assert code == 0
+
+def soa_doc() -> CatspecDocument:
+    """The collapse ``f`` of a two-point discrete diagram onto a point, and
+    the generator ``gen`` from the empty diagram."""
     C = fincat.terminal_category()
     two = setval.SetDiagram.build(C, {"pt": ("x", "y")},
                                   {"id_pt": {"x": "x", "y": "y"}})
@@ -152,9 +171,16 @@ def test_soa_subcommand(tmp_path, capsys):
         catspec.dmap_block("gen", gen, "none", "one"),
         catspec.dmap_block("f", f, "two", "one"),
     ))
-    path = write_doc(tmp_path, doc)
-    code, out = run_cli(["soa", path, "--generators", "gen", "--map", "f",
-                         "--max-stages", "2"], capsys)
+    return doc
+
+
+SOA = ["--generators", "gen", "--map", "f", "--max-stages", "2"]
+
+
+def test_soa_subcommand(tmp_path, capsys):
+    # factor the collapse of a two-point discrete diagram onto a point
+    path = write_doc(tmp_path, soa_doc())
+    code, out = run_cli(["soa", path, *SOA], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["recomposes"] is True

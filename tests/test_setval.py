@@ -560,9 +560,10 @@ def _check_against_oracle(iota, X, Y, certify_args):
         _same_map(setval.ran_transpose(iota, Y, X, g, kan=rkan),
                   oracle.ran_transpose(iota, Y, X, g))
     new = certify_kan_adjunctions(iota, *certify_args)
-    old = oracle.certify_kan_adjunctions(iota, *certify_args)
-    assert (new.ok, new.checked, new.failures) == \
-        (old.ok, old.checked, old.failures)
+    for old in (oracle.certify_kan_adjunctions(iota, *certify_args),
+                oracle.certify_on_records(iota, *certify_args)):
+        assert (new.ok, new.checked, new.failures) == \
+            (old.ok, old.checked, old.failures)
     return new
 
 
@@ -614,6 +615,169 @@ def test_certify_builds_each_kan_extension_once(monkeypatch):
     assert rep.ok and rep.checked > 2  # the naturality checks ran
     assert calls == {"left_kan": 2, "right_kan": 2,
                      "comma_over": 0, "comma_under": 0}
+
+
+def _rotated(comp: dict) -> dict:
+    """``comp`` with its values moved one key on."""
+    keys, values = list(comp), list(comp.values())
+    return dict(zip(keys, values[1:] + values[:1]))
+
+
+def _rotate_a_component(h: DiagramMap, rng) -> DiagramMap | None:
+    """``h`` with the values of one component moved one key on, or None
+    when no component has two distinct values."""
+    cs = [c for c, comp in h.components.items() if len(set(comp.values())) > 1]
+    if not cs:
+        return None
+    c = rng.choice(cs)
+    return DiagramMap(h.source, h.target,
+                      {**h.components, c: _rotated(h.components[c])})
+
+
+def _permute_unit(L, rng):
+    unit = _rotate_a_component(L.unit, rng)
+    return unit and setval.LeftKan(L.objects, L.colims, L.extension, unit)
+
+
+def _widen_unit(L, rng):
+    # a component defined on one element too many: the transposes are not
+    # maps out of X
+    comps, values = L.unit.components, L.unit.target.values
+    cs = [c for c in comps if values[c]]
+    if not cs:
+        return None
+    c = rng.choice(cs)
+    extra = "".join(comps[c]) + "'"
+    unit = DiagramMap(L.unit.source, L.unit.target,
+                      {**comps, c: {**comps[c], extra: values[c][0]}})
+    return setval.LeftKan(L.objects, L.colims, L.extension, unit)
+
+
+def _permute_counit(R, rng):
+    counit = _rotate_a_component(R.counit, rng)
+    return counit and setval.RightKan(R.objects, R.lims, R.extension, counit)
+
+
+def _swap_injection(L, rng):
+    spots = [(d, o) for d, colim in L.colims.items()
+             for o, inj in colim.injections.items()
+             if len(set(inj.values())) > 1]
+    if not spots:
+        return None
+    d, o = rng.choice(spots)
+    inj = dict(L.colims[d].injections[o])
+    a, b = rng.sample(list(inj), 2)
+    while inj[a] == inj[b]:
+        a, b = rng.sample(list(inj), 2)
+    inj[a], inj[b] = inj[b], inj[a]
+    colims = {**L.colims, d: setval.ColimitResult(
+        L.colims[d].elements, {**L.colims[d].injections, o: inj})}
+    return setval.LeftKan(L.objects, colims, L.extension, L.unit)
+
+
+def _drop_family(R, rng):
+    # from the limit and from the extension alike, as if never found
+    ds = [d for d, lim in R.lims.items() if lim.elements]
+    if not ds:
+        return None
+    d = rng.choice(ds)
+    n = rng.choice(R.lims[d].elements)
+    lim = setval.LimitResult(
+        tuple(e for e in R.lims[d].elements if e != n),
+        {o: {k: v for k, v in p.items() if k != n}
+         for o, p in R.lims[d].projections.items()})
+    E = R.extension
+    values = {**E.values, d: tuple(e for e in E.values[d] if e != n)}
+    action = {m: {k: v for k, v in f.items() if k != n}
+              if E.shape.source[m] == d else f for m, f in E.action.items()}
+    return setval.RightKan(R.objects, {**R.lims, d: lim},
+                           SetDiagram(E.shape, values, action), R.counit)
+
+
+def _permute_extension_action(R, rng):
+    E = R.extension
+    ms = [m for m in E.shape.morphisms if len(set(E.action[m].values())) > 1]
+    if not ms:
+        return None
+    m = rng.choice(ms)
+    extension = SetDiagram(E.shape, E.values,
+                           {**E.action, m: _rotated(E.action[m])})
+    return setval.RightKan(R.objects, R.lims, extension, R.counit)
+
+
+CORRUPTIONS = {
+    "permuted unit component": ("left_kan", _permute_unit),
+    "unit component on an extra element": ("left_kan", _widen_unit),
+    "permuted counit component": ("right_kan", _permute_counit),
+    "swapped colimit injection": ("left_kan", _swap_injection),
+    "dropped limit family": ("right_kan", _drop_family),
+    "permuted right Kan action": ("right_kan", _permute_extension_action),
+}
+
+
+def _certify_with_corrupted_record(monkeypatch, corruption, rng, iota,
+                                   domain, codomain):
+    """Both certifiers' ``(ok, checked, failures)`` when the Kan record of
+    ``domain[0]`` carries one corruption, or None when it has no spot for
+    it; the records of the other domain diagrams stay sound."""
+    which, corrupt = CORRUPTIONS[corruption]
+    build = getattr(setval, which)
+    bad = corrupt(build(iota, domain[0]), rng)
+    if bad is None:
+        return None
+    monkeypatch.setattr(setval, which, lambda iota, X: bad
+                        if X is domain[0] else build(iota, X))
+    try:
+        reports = [certify(iota, domain, codomain, 2) for certify in
+                   (certify_kan_adjunctions, oracle.certify_on_records)]
+    finally:
+        monkeypatch.undo()
+    return [(rep.ok, rep.checked, rep.failures) for rep in reports]
+
+
+def test_certify_matches_record_oracle_on_corrupted_records(monkeypatch):
+    # every failure branch of the coded certifier against the record-based
+    # one it replaced; a sound corpus never reaches them
+    rng = random.Random(20261018)
+    iota, X, X2, Y = _arrow_into_chain()
+    cases = [(iota, [X, X2], [Y, corepresentable(iota.codomain, "0")])]
+    for _ in range(150):
+        iota, X, Y = tractable_instance(rng)
+        cases.append((iota, [X], [Y]))
+    reached = set()
+    for case in cases:
+        for corruption in CORRUPTIONS:
+            out = _certify_with_corrupted_record(monkeypatch, corruption,
+                                                 rng, *case)
+            if out is not None:
+                new, old = out
+                assert new == old, (corruption, case)
+                reached |= {msg.split(" (")[0] for msg in new[2]}
+    assert reached == {f"{side} transpose not {what}"
+                       for side in ("lan", "ran")
+                       for what in ("natural", "injective", "surjective")
+                       } | {"transpose unnatural"}
+
+
+def test_certify_samples_only_a_prefix_of_each_end_set():
+    # End(X) has 6^6 maps, far over the node budget, but its first two are
+    # found in 13 nodes and every hom-set of the bijection checks has at
+    # most six maps
+    pt = terminal_category()
+    iota = identity_functor(pt)
+    X = one_object_diagram(tuple("abcdef"))
+    Y = one_object_diagram(("y",))
+    args = (iota, [X], [Y], 2, 1000)
+    for old in (oracle.certify_kan_adjunctions, oracle.certify_on_records):
+        with pytest.raises(fincat.BudgetError,
+                           match="^diagram map search exceeded budget$"):
+            old(*args)
+    rep = certify_kan_adjunctions(*args)
+    # one bijection pair, then u in the first two of End(X), f the only
+    # map lan X -> Y and v the only map Y -> Y
+    assert (rep.ok, rep.checked, rep.failures) == (True, 3, [])
+    assert certify_kan_adjunctions(iota, [X], [Y], 2) == \
+        oracle.certify_on_records(iota, [X], [Y], 2)
 
 
 def test_wide_right_kan_exceeds_the_limit_budget_on_both_paths():
