@@ -18,10 +18,7 @@ from .fincat import (
     FiniteCategory,
     NodeBudget,
     Partition,
-    _iter_functors,
-    bounded_closure,
     compose_functors,
-    coproduct,
     empty_category,
     field,
     parallel_pair,
@@ -30,6 +27,7 @@ from .fincat import (
     walking_arrow,
     walking_iso,
 )
+from .search import _iter_functors, bounded_closure, coproduct
 from .setval import (
     DiagramMap,
     SetDiagram,

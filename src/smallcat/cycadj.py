@@ -1,0 +1,361 @@
+"""The right adjoint to the forgetful functor from cyclic operads to
+operads, and operad maps.
+
+Its value on ``P`` has ``(n+1)``-tuples of ``P(n)`` elements in arity
+``n``, compositions given coordinatewise by a three-case splice formula,
+and the extended action by an index-shuffling formula whose modular
+representative is pinned down by exhaustive validation of the axioms.
+Entries are computed on tuples of ``P``'s element codes, coded as in
+:mod:`smallcat.cycops`, and each element's name is rendered once.
+
+Also here: truncation and the forgetful functor, validation and
+enumeration of (cyclic) operad maps, and the hom-count and product
+reports.  Every name here is also reachable as an attribute of
+:mod:`smallcat.cycops`, where it lived before; only ``smallcat cyclic``
+and the paper suite load this module.
+"""
+from __future__ import annotations
+
+import itertools
+from itertools import chain
+
+# Timed functions are called via their module: see the package docstring.
+from . import cycops
+from .cycops import (
+    CyclicOperadMap,
+    OperadMap,
+    TruncatedCyclicOperad,
+    TruncatedOperad,
+    _action_rows,
+    _check_unit_arity,
+    _columns,
+    _comp_tables,
+    all_ext_perms,
+    all_perms,
+    ext_of_perm,
+)
+from .fincat import NodeBudget, backtrack, constraint_lists, field, record
+
+
+# ---------------------------------------------------------------------------
+# the right adjoint to the forgetful functor
+
+
+def _tuple_name(parts: tuple[str, ...]) -> str:
+    return "(" + ",".join(parts) + ")"
+
+
+def _tuples(P: TruncatedOperad) -> dict[int, dict[str, tuple[str, ...]]]:
+    """Each arity ``n`` of the right adjoint on ``P``: every ``(n+1)``-tuple
+    of ``P(n)`` elements, keyed by its name.  Raises :class:`ValueError` when
+    two tuples render to one name."""
+    out = {}
+    for n in range(P.arity_bound + 1):
+        named: dict[str, tuple[str, ...]] = {}
+        for t in itertools.product(P.elements[n], repeat=n + 1):
+            name = _tuple_name(t)
+            if name in named:
+                raise ValueError(f"tuple identifier {name} names two tuples")
+            named[name] = t
+        out[n] = named
+    return out
+
+
+class SigmaIndexError(ValueError):
+    """The induced index permutation left its expected range."""
+
+
+def _sigma_i(sigma: tuple[int, ...], i: int, n: int) -> tuple[int, ...]:
+    """The permutation of {1..n} given by
+    ``k -> sigma(k - i) - sigma(n + 1 - i)  (mod n+1)``."""
+    base = sigma[(n + 1 - i) % (n + 1)]
+    out = []
+    for k in range(1, n + 1):
+        v = (sigma[(k - i) % (n + 1)] - base) % (n + 1)
+        if not 1 <= v <= n:
+            raise SigmaIndexError(
+                f"index permutation escapes range at (sigma={sigma}, i={i}, k={k})")
+        out.append(v)
+    return tuple(out)
+
+
+def right_adjoint_R(P: TruncatedOperad) -> TruncatedCyclicOperad:
+    """The value of the right adjoint on ``P``.
+
+    Arity ``n`` is the set of ``(n+1)``-tuples of ``P(n)`` elements.  The
+    partial composition splices coordinatewise in three ranges, the
+    extended action permutes and twists coordinates, and the unit doubles
+    the unit of ``P``.  Entries are computed on tuples of ``P``'s element
+    codes; each element's name is rendered once.  Raises
+    :class:`ValueError` when a table of ``P`` has a gap or an escape.
+    """
+    A = P.arity_bound
+    decode = _tuples(P)
+    code = {n: {x: k for k, x in enumerate(P.elements[n])} for n in range(A + 1)}
+    errors: list[str] = []
+    Pcomp = _comp_tables(P, code, errors)
+    Prows = _action_rows(P, code, P.action, all_perms, "action", errors)
+    if errors:
+        raise ValueError(f"right adjoint of a partial operad: {errors[0]}")
+    elements, parts, named = {}, {}, {}
+    for n in range(A + 1):
+        elements[n] = tuple(sorted(decode[n]))
+        parts[n] = [tuple(map(code[n].__getitem__, decode[n][xn]))
+                    for xn in elements[n]]
+        named[n] = dict(zip(parts[n], elements[n]))
+
+    comp = {}
+    for m in range(1, A + 1):
+        for n in range(0, A + 1):
+            r = m + n - 1
+            if r > A:
+                continue
+            # coordinate j of p o_i q is T[q[u]][p[v]] for one table T of
+            # P's compositions, read by rows or by columns
+            recipes = [[(Pcomp[i + j, m, n][2], 0, j) if j <= m - i else
+                        (Pcomp[i + j - m, n, m][1], i + j - m, m + 1 - i)
+                        if j <= m + n - i else
+                        (Pcomp[i + j - m - n, m, n][2], 0, j - n + 1)
+                        for j in range(r + 1)] for i in range(1, m + 1)]
+            pcols = _columns(parts[m], m + 1)
+            # each column lists p o_i q over p, for one q and one i
+            columns = [map(named[r].__getitem__, zip(*[
+                map(T[q[u]].__getitem__, pcols[v]) for T, u, v in recipe]))
+                for q in parts[n] for recipe in recipes]
+            comp.update(zip([(i, pn, qn) for pn in elements[m] for qn in elements[n]
+                             for i in range(1, m + 1)],
+                            chain.from_iterable(zip(*columns))))
+
+    extended, action = {}, {}
+    for n in range(A + 1):
+        cols = _columns(parts[n], n + 1)
+        ident = list(range(len(P.elements[n])))
+        moved = {}
+        for sigma in all_ext_perms(n):
+            # coordinate i of x.sigma is x[src] acted on by sigma_i
+            coords = [map((Prows[n][_sigma_i(sigma, i, n)] if n else ident).__getitem__,
+                          cols[(n + 1 - sigma[(n + 1 - i) % (n + 1)]) % (n + 1)])
+                      for i in range(n + 1)]
+            moved[sigma] = list(map(named[n].__getitem__, zip(*coords)))
+            extended.update(zip(itertools.product((n,), (sigma,), elements[n]),
+                                moved[sigma]))
+        for s in all_perms(n):
+            action.update(zip(itertools.product((n,), (s,), elements[n]),
+                              moved[ext_of_perm(s)]))
+
+    unit = _tuple_name((P.unit, P.unit))
+    RP = TruncatedOperad(A, elements, unit, comp, action)
+    return TruncatedCyclicOperad(RP, extended)
+
+
+def right_adjoint_R_map(g: OperadMap) -> CyclicOperadMap:
+    """The right adjoint on maps: coordinatewise application."""
+    RQ = cycops.right_adjoint_R(g.source)
+    RQ2 = cycops.right_adjoint_R(g.target)
+    parts = _tuples(g.source)
+    maps = {n: {xn: _tuple_name(tuple(g.maps[n][p] for p in parts[n][xn]))
+                for xn in RQ.operad.elements[n]}
+            for n in range(g.source.arity_bound + 1)}
+    return CyclicOperadMap(RQ, RQ2, maps)
+
+
+def truncate_operad(P: TruncatedOperad, bound: int) -> TruncatedOperad:
+    """Forget arities above ``bound`` (a smaller verification budget)."""
+    _check_unit_arity(bound)
+    if bound >= P.arity_bound:
+        return P
+    arity = P.arity_of()
+    return TruncatedOperad(
+        bound,
+        {n: P.elements[n] for n in range(bound + 1)},
+        P.unit,
+        {(i, a, b): c for (i, a, b), c in P.comp.items()
+         if arity[a] + arity[b] - 1 <= bound},
+        {(n, s, x): y for (n, s, x), y in P.action.items() if n <= bound},
+    )
+
+
+def forget_cyclic(Q: TruncatedCyclicOperad) -> TruncatedOperad:
+    """Drop the extended action."""
+    return Q.operad
+
+
+def forget_cyclic_map(f: CyclicOperadMap) -> OperadMap:
+    return OperadMap(f.source.operad, f.target.operad,
+                     {n: dict(c) for n, c in f.maps.items()})
+
+
+# ---------------------------------------------------------------------------
+# map validation and enumeration
+
+
+def validate_operad_map(h: OperadMap) -> list[str]:
+    P, Q = h.source, h.target
+    errors = []
+    if P.arity_bound != Q.arity_bound:
+        return ["arity bounds differ"]
+    A = P.arity_bound
+    for n in range(A + 1):
+        comp = h.maps.get(n)
+        if comp is None or set(comp) != set(P.elements[n]) \
+                or not set(comp.values()) <= set(Q.elements[n]):
+            errors.append(f"arity {n}: not a function into the target")
+    if errors:
+        return errors
+    if h.maps[1][P.unit] != Q.unit:
+        errors.append("unit not preserved")
+    arity = P.arity_of()
+    for (i, a, b), c in P.comp.items():
+        m, n = arity[a], arity[b]
+        if Q.comp[(i, h.maps[m][a], h.maps[n][b])] != h.maps[m + n - 1][c]:
+            errors.append(f"composition not preserved at ({i},{a},{b})")
+    for (n, s, x), y in P.action.items():
+        if Q.action[(n, s, h.maps[n][x])] != h.maps[n][y]:
+            errors.append(f"action not preserved at ({n},{s},{x})")
+    return errors
+
+
+def validate_cyclic_map(h: CyclicOperadMap) -> list[str]:
+    errors = validate_operad_map(forget_cyclic_map(h))
+    if errors:
+        return errors
+    for (n, s, x), y in h.source.extended.items():
+        if h.target.extended[(n, s, h.maps[n][x])] != h.maps[n][y]:
+            errors.append(f"extended action not preserved at ({n},{s},{x})")
+    return errors
+
+
+def _enumerate_maps(P: TruncatedOperad, Q: TruncatedOperad,
+                    source_ext: dict | None = None,
+                    target_ext: dict | None = None,
+                    node_budget: int = 2_000_000) -> list[dict[int, dict[str, str]]]:
+    """Backtracking enumeration of (cyclic) operad maps as raw map families.
+
+    Each element ``x`` of ``P(n)`` is a variable with candidates ``Q(n)``
+    (only ``Q``'s unit for ``P``'s unit).  The constraints say that the map
+    commutes with the actions, the extended actions when given, and the
+    partial compositions.
+    """
+    arities = range(P.arity_bound + 1)
+    variables = [(n, x) for n in arities for x in P.elements[n]]
+    slot = {v: k for k, v in enumerate(variables)}
+    consts: dict = {}
+
+    def const(value) -> int:
+        return consts.setdefault(value, -1 - len(consts))
+
+    arity = P.arity_of()
+    actions = [(P.action, Q.action, all_perms)]
+    if source_ext is not None:
+        actions.append((source_ext, target_ext, all_ext_perms))
+    constraints = [(target, (const(n), const(s), k), slot[(n, source[(n, s, x)])])
+                   for source, target, perms in actions
+                   for (n, x), k in slot.items() for s in perms(n)]
+    constraints += [(Q.comp, (const(i), slot[(arity[a], a)], slot[(arity[b], b)]),
+                     slot[(arity[c], c)])
+                    for (i, a, b), c in P.comp.items()]
+    candidates = [[y for y in Q.elements[n] if (n, x) != (1, P.unit) or y == Q.unit]
+                  for n, x in variables]
+    budget = NodeBudget(node_budget, "operad map search exceeded budget")
+    out = []
+    for a in backtrack(candidates, constraint_lists(len(variables), constraints),
+                       budget, list(consts)):
+        out.append({n: {x: a[slot[(n, x)]] for x in P.elements[n]} for n in arities})
+    return out
+
+
+def enumerate_operad_maps(P: TruncatedOperad, Q: TruncatedOperad) -> list[OperadMap]:
+    maps = (OperadMap(P, Q, m) for m in _enumerate_maps(P, Q))
+    return [h for h in maps if not validate_operad_map(h)]
+
+
+def enumerate_cyclic_maps(Q1: TruncatedCyclicOperad,
+                          Q2: TruncatedCyclicOperad) -> list[CyclicOperadMap]:
+    maps = (CyclicOperadMap(Q1, Q2, m) for m in _enumerate_maps(
+        Q1.operad, Q2.operad, source_ext=Q1.extended, target_ext=Q2.extended))
+    return [h for h in maps if not validate_cyclic_map(h)]
+
+
+# ---------------------------------------------------------------------------
+# adjunction and product checks
+
+
+@record
+class AdjunctionCountReport:
+    ok: bool
+    operad_map_count: int
+    cyclic_map_count: int
+    projection_is_bijection: bool
+    failures: list[str] = field(default_factory=list)
+
+
+def check_adjunction_count(Q: TruncatedCyclicOperad,
+                           P: TruncatedOperad) -> AdjunctionCountReport:
+    """Compare hom-set sizes on both sides of the claimed adjunction and
+    test the candidate bijection given by the zeroth projection."""
+    failures: list[str] = []
+    RP = cycops.right_adjoint_R(P)
+    operad_maps = enumerate_operad_maps(forget_cyclic(Q), P)
+    cyclic_maps = enumerate_cyclic_maps(Q, RP)
+    if len(operad_maps) != len(cyclic_maps):
+        failures.append(
+            f"hom counts differ: {len(operad_maps)} operad maps vs "
+            f"{len(cyclic_maps)} cyclic maps")
+    parts = _tuples(P)
+    image = set()
+    bijective = True
+    for h in cyclic_maps:
+        proj = {n: {x: parts[n][h.maps[n][x]][0] for x in Q.operad.elements[n]}
+                for n in range(P.arity_bound + 1)}
+        cand = OperadMap(forget_cyclic(Q), P, proj)
+        if validate_operad_map(cand):
+            bijective = False
+            failures.append("projection of a cyclic map is not an operad map")
+            continue
+        image.add(cand.key())
+    if len(image) != len(cyclic_maps):
+        bijective = False
+    if image != {h.key() for h in operad_maps}:
+        bijective = False
+    return AdjunctionCountReport(not failures, len(operad_maps), len(cyclic_maps),
+                                 bijective, failures)
+
+
+@record
+class ProductActionReport:
+    ok: bool
+    preserves_surjectivity: bool
+    preserves_injectivity: bool
+    failures: list[str] = field(default_factory=list)
+
+
+def check_FR_products(f: CyclicOperadMap) -> ProductActionReport:
+    """Check that forget-then-right-adjoint acts arity-wise as the
+    ``(n+1)``-fold product of the underlying map, and that level
+    surjectivity and injectivity are preserved."""
+    failures: list[str] = []
+    g = forget_cyclic_map(f)
+    rg = right_adjoint_R_map(g)
+    errs = validate_cyclic_map(rg)
+    failures.extend(f"product map: {e}" for e in errs)
+    A = g.source.arity_bound
+    parts = _tuples(g.source)
+    for n in range(A + 1):
+        for xn in rg.source.operad.elements[n]:
+            expected = _tuple_name(tuple(g.maps[n][p] for p in parts[n][xn]))
+            if rg.maps[n][xn] != expected:
+                failures.append(f"not the coordinatewise product at ({n},{xn})")
+    surj = True
+    inj = True
+    for n in range(A + 1):
+        f_surj = set(g.maps[n].values()) == set(g.target.elements[n])
+        f_inj = len(set(g.maps[n].values())) == len(g.source.elements[n])
+        r_surj = set(rg.maps[n].values()) == set(rg.target.operad.elements[n])
+        r_inj = len(set(rg.maps[n].values())) == len(rg.source.operad.elements[n])
+        if f_surj and not r_surj:
+            surj = False
+            failures.append(f"surjectivity lost at arity {n}")
+        if f_inj and not r_inj:
+            inj = False
+            failures.append(f"injectivity lost at arity {n}")
+    return ProductActionReport(not failures, surj, inj, failures)

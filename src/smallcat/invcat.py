@@ -27,15 +27,12 @@ from .fincat import (
     CatFunctor,
     FiniteCategory,
     compose_functors,
-    coproduct,
     indiscrete_category,
-    is_equivalence,
     opposite_functor,
     pair_name,
-    product,
-    _iter_functors,
     record,
 )
+from .search import _iter_functors, coproduct, is_equivalence, product
 
 
 @record(frozen=True)

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+from typing import TYPE_CHECKING
 
 # Timed functions are called via their module: see the package docstring.
-from . import fincat, semidirect, setval
+from . import fincat, semidirect
 from .fincat import (
     CatFunctor,
     FiniteCategory,
@@ -42,14 +43,11 @@ from .semidirect import (
     SemidirectCategory,
     inclusion_iota,
 )
-from .setval import (
-    DiagramMap,
-    SetDiagram,
-    lan_map,
-    representable,
-    restrict,
-    validate_diagram_map,
-)
+
+# Diagram code is imported by the functions that use it, so that
+# ``build_nabla`` and the ``nabla`` command load none.
+if TYPE_CHECKING:
+    from .setval import DiagramMap, SetDiagram
 
 SWAP = "g1"      # the nonidentity element of the two-element group
 UNIT = "g0"
@@ -247,12 +245,14 @@ class TruncatedRealSimplicialSet:
 
 
 def validate_sset(X: TruncatedSimplicialSet) -> list[str]:
+    from . import setval
     if X.diagram.shape != fincat.opposite(delta_leq(X.level)):
         return ["shape is not the opposite truncated simplex category"]
     return setval.validate_diagram(X.diagram)
 
 
 def validate_rsset(X: TruncatedRealSimplicialSet) -> list[str]:
+    from . import setval
     if X.diagram.shape != fincat.opposite(nabla_category(X.level).category):
         return ["shape is not the opposite signed simplex category"]
     errors = setval.validate_diagram(X.diagram)
@@ -285,10 +285,11 @@ def to_involutive(X: TruncatedRealSimplicialSet
     Returns the underlying truncated simplicial set together with the level
     involutions; the pair determines ``X`` completely.
     """
+    from . import setval
     N = X.level
     sd = nabla_category(N)
     iota = inclusion_iota(sd)
-    underlying = restrict(opposite_functor(iota), X.diagram)
+    underlying = setval.restrict(opposite_functor(iota), X.diagram)
     return (TruncatedSimplicialSet(N, underlying), involution_levels(X))
 
 
@@ -304,6 +305,7 @@ def from_involutive(A: TruncatedSimplicialSet,
     composition convention of the semidirect presentation.  Invalid input
     is rejected.
     """
+    from . import setval
     N = A.level
     delta = delta_leq(N)
     for n in range(N + 1):
@@ -333,7 +335,8 @@ def from_involutive(A: TruncatedSimplicialSet,
             action[name] = dict(base)
         else:
             action[name] = {e: sigma[m][base[e]] for e in base}
-    X = TruncatedRealSimplicialSet(N, SetDiagram.build(shape, values, action))
+    X = TruncatedRealSimplicialSet(N, setval.SetDiagram.build(shape, values,
+                                                               action))
     errs = validate_rsset(X)
     if errs:
         raise ValueError("assembled action is not functorial: " + errs[0])
@@ -414,14 +417,17 @@ def is_normal_mono(h: DiagramMap) -> bool:
 
 def representable_sset(N: int, n: int) -> TruncatedSimplicialSet:
     """The standard ``n``-simplex truncated at level ``N``."""
-    return TruncatedSimplicialSet(N, representable(delta_leq(N), f"[{n}]"))
+    from . import setval
+    return TruncatedSimplicialSet(N, setval.representable(delta_leq(N),
+                                                          f"[{n}]"))
 
 
 def boundary_inclusion_sset(N: int, n: int) -> DiagramMap:
     """The boundary of the standard simplex into the standard simplex, as a
     map of diagrams over the opposite truncated simplex category."""
+    from . import setval
     delta = delta_leq(N)
-    simp = representable(delta, f"[{n}]")
+    simp = setval.representable(delta, f"[{n}]")
     values = {}
     for o in delta.objects:
         values[o] = tuple(u for u in simp.values[o]
@@ -430,29 +436,32 @@ def boundary_inclusion_sset(N: int, n: int) -> DiagramMap:
     for m in delta.morphisms:
         src = delta.target[m]     # presheaf action reverses direction
         action[m] = {u: simp.action[m][u] for u in values[src]}
-    boundary = SetDiagram.build(simp.shape, values, action)
-    inc = DiagramMap(boundary, simp,
+    boundary = setval.SetDiagram.build(simp.shape, values, action)
+    inc = setval.DiagramMap(boundary, simp,
                      {o: {u: u for u in values[o]} for o in delta.objects})
     return inc
 
 
 def representable_rsset(N: int, n: int) -> TruncatedRealSimplicialSet:
     """The signed standard ``n``-simplex truncated at level ``N``."""
+    from . import setval
     sd = nabla_category(N)
-    return TruncatedRealSimplicialSet(N, representable(sd.category, f"[{n}]"))
+    return TruncatedRealSimplicialSet(N, setval.representable(sd.category,
+                                                              f"[{n}]"))
 
 
 def generating_cofibrations(N: int) -> list[DiagramMap]:
     """Left Kan extensions of the boundary inclusions along the inclusion of
     the simplex category, one per dimension up to ``N``; each is verified to
     be a normal monomorphism."""
+    from . import setval
     sd = nabla_category(N)
     iota_op = opposite_functor(inclusion_iota(sd))
     gens = []
     for n in range(N + 1):
         inc = boundary_inclusion_sset(N, n)
-        gen = lan_map(iota_op, inc)
-        if validate_diagram_map(gen):
+        gen = setval.lan_map(iota_op, inc)
+        if setval.validate_diagram_map(gen):
             raise AssertionError("extended boundary inclusion is not a map")
         if not is_normal_mono(gen):
             raise AssertionError(f"generator at dimension {n} is not normal")

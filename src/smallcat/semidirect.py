@@ -16,10 +16,10 @@ nose.
 """
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 # Timed functions are called via their module: see the package docstring.
-from . import fincat, setval
+from . import fincat
 from .fincat import (
     CatFunctor,
     FiniteCategory,
@@ -34,17 +34,11 @@ from .fincat import (
     tabulate,
     validate_group,
 )
-from .setval import (
-    DiagramMap,
-    SetDiagram,
-    connected_components,
-    coproduct_diagrams,
-    is_iso_diagram_map,
-    left_kan,
-    restrict,
-    restrict_map,
-    validate_diagram_map,
-)
+
+# Diagram code is imported by the functions that use it, so that
+# ``semidirect`` and the ``nabla`` command load none.
+if TYPE_CHECKING:
+    from .setval import DiagramMap, SetDiagram
 
 
 @record(frozen=True)
@@ -166,10 +160,11 @@ def twisted_coproduct(action: GroupAction, F: SetDiagram
     Summand ``g`` is the restriction of ``F`` along ``rho`` at the inverse
     of ``g``; returns the total diagram and one injection per element.
     """
+    from . import setval
     G = action.group
     order = sorted(G.elements)
-    summands = [restrict(action.rho[G.inverse[g]], F) for g in order]
-    total, injections = coproduct_diagrams(summands)
+    summands = [setval.restrict(action.rho[G.inverse[g]], F) for g in order]
+    total, injections = setval.coproduct_diagrams(summands)
     return total, dict(zip(order, injections))
 
 
@@ -192,19 +187,20 @@ def verify_lan_formula(action: GroupAction, F: SetDiagram) -> LanFormulaReport:
     category.  Also checks that those components are in bijection with the
     group, each with a terminal object.
     """
+    from . import setval
     failures: list[str] = []
     G, C = action.group, action.target
     sd = semidirect(action)
     iota = inclusion_iota(sd)
-    kan = left_kan(iota, F)
-    left = restrict(iota, kan.extension)
+    kan = setval.left_kan(iota, F)
+    left = setval.restrict(iota, kan.extension)
     right, injections = twisted_coproduct(action, F)
 
     # comma component structure at every object
     comps_ok = True
     for x in C.objects:
         K = setval.comma_over(iota, x)
-        comps = connected_components(K.category)
+        comps = setval.connected_components(K.category)
         if len(comps) != len(G.elements):
             comps_ok = False
             failures.append(f"comma components at {x}: {len(comps)} != |G|")
@@ -241,9 +237,9 @@ def verify_lan_formula(action: GroupAction, F: SetDiagram) -> LanFormulaReport:
         if not bijections[x]:
             failures.append(f"comparison not bijective at {x}")
 
-    iso = DiagramMap(left, right, components)
-    errs = validate_diagram_map(iso)
-    natural = not errs and is_iso_diagram_map(iso)
+    iso = setval.DiagramMap(left, right, components)
+    errs = setval.validate_diagram_map(iso)
+    natural = not errs and setval.is_iso_diagram_map(iso)
     failures.extend(f"comparison map: {e}" for e in errs)
     return LanFormulaReport(ok=not failures, natural_iso=natural,
                             component_bijections=bijections,
@@ -269,6 +265,7 @@ def check_semidirect_hypotheses(action: GroupAction,
     must satisfy it as well.  Per-case verdicts are collected; a failure is
     a map where preservation breaks.
     """
+    from . import setval
     verdicts: dict[tuple[str, str, int], bool] = {}
     failures: list[str] = []
     for name, pred in sorted(predicates.items()):
@@ -277,7 +274,7 @@ def check_semidirect_hypotheses(action: GroupAction,
             for k, h in enumerate(maps):
                 if not pred(h):
                     continue
-                preserved = pred(restrict_map(rho_g, h))
+                preserved = pred(setval.restrict_map(rho_g, h))
                 verdicts[(name, g, k)] = preserved
                 if not preserved:
                     failures.append(f"{name} not preserved by rho[{g}] on map {k}")

@@ -2,14 +2,14 @@
 
 Every function here recomputes its comma categories and (co)limits from
 scratch.  It is kept, unchanged, as the exhaustive reference that
-``test_setval`` compares :mod:`smallcat.setval` against.
+``test_setval`` compares :mod:`smallcat.kan` against.
 
 :func:`certify_on_records` is the certifier as it was before coded maps,
 copied unchanged but for its name and for calling the Kan records and
-transposes through :mod:`smallcat.setval`: it handles every map as a
+transposes through :mod:`smallcat.kan`: it handles every map as a
 :class:`DiagramMap`.
 """
-from smallcat import setval
+from smallcat import kan
 from smallcat.fincat import CatFunctor, pair_name
 from smallcat.setval import (
     AdjunctionReport,
@@ -264,8 +264,8 @@ def certify_on_records(iota: CatFunctor,
     failures: list[str] = []
     checked = 0
 
-    lefts = [setval.left_kan(iota, X) for X in domain_diagrams]
-    rights = [setval.right_kan(iota, X) for X in domain_diagrams]
+    lefts = [kan.left_kan(iota, X) for X in domain_diagrams]
+    rights = [kan.right_kan(iota, X) for X in domain_diagrams]
     left_homs_of: dict[tuple[int, int], list[DiagramMap]] = {}
 
     for xi, X in enumerate(domain_diagrams):
@@ -279,7 +279,7 @@ def certify_on_records(iota: CatFunctor,
             right_homs = enumerate_diagram_maps(X, rY, node_budget)
             image = {}
             for f in left_homs:
-                t = setval.lan_transpose(iota, X, Y, f, kan=lefts[xi])
+                t = kan.lan_transpose(iota, X, Y, f, kan=lefts[xi])
                 if validate_diagram_map(t):
                     failures.append(f"lan transpose not natural (X{xi},Y{yi})")
                     continue
@@ -293,7 +293,7 @@ def certify_on_records(iota: CatFunctor,
             right2 = enumerate_diagram_maps(Y, RX, node_budget)
             image2 = {}
             for g in left2:
-                t = setval.ran_transpose(iota, Y, X, g, kan=rights[xi])
+                t = kan.ran_transpose(iota, Y, X, g, kan=rights[xi])
                 if validate_diagram_map(t):
                     failures.append(f"ran transpose not natural (X{xi},Y{yi})")
                     continue
@@ -310,7 +310,7 @@ def certify_on_records(iota: CatFunctor,
             us = enumerate_diagram_maps(X2, X, node_budget)[:nb]
             if not us:
                 continue
-            lus = [setval.lan_map(iota, u, kans=(lefts[xj], lefts[xi]))
+            lus = [kan.lan_map(iota, u, kans=(lefts[xj], lefts[xi]))
                    for u in us]
             for yi, Y in enumerate(codomain_diagrams):
                 fs = left_homs_of[(xi, yi)][:nb]
@@ -322,7 +322,7 @@ def certify_on_records(iota: CatFunctor,
                         for v in vs:
                             for f in fs:
                                 checked += 1
-                                lhs = setval.lan_transpose(
+                                lhs = kan.lan_transpose(
                                     iota, X2, Y2,
                                     compose_diagram_maps(
                                         v, compose_diagram_maps(f, lu)),
@@ -330,7 +330,7 @@ def certify_on_records(iota: CatFunctor,
                                 rhs = compose_diagram_maps(
                                     restrict_map(iota, v),
                                     compose_diagram_maps(
-                                        setval.lan_transpose(
+                                        kan.lan_transpose(
                                             iota, X, Y, f, kan=lefts[xi]),
                                         u))
                                 if lhs.key() != rhs.key():

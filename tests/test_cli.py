@@ -1,7 +1,11 @@
+import importlib
+import importlib.util
 import json
+import pathlib
 import subprocess
 import sys
 import time
+from types import ModuleType
 
 import pytest
 
@@ -584,6 +588,30 @@ CLI_SUITE = [
 COMPLEX_LINES = {"chain {doc} --complex C --truncate naive",
                  "paper-suite --case truncation", "paper-suite"}
 
+# The smallcat modules each cli-suite line loads.  Loading the suite
+# document takes the first seven; only the commands that run them load the
+# Kan half of setval (kan), the cyclic right adjoint (cycadj), the functor
+# searches (search) and the paper cases (paper).
+DOC_MODULES = "catspec cli cycops fincat nabla semidirect setval"
+LOADS = {
+    "validate {doc}": DOC_MODULES,
+    "kan {doc} --functor iota --diagram X": DOC_MODULES + " kan",
+    "kan {doc} --functor iota --diagram X --side right": DOC_MODULES + " kan",
+    "adjoint {doc} --functor iota": DOC_MODULES + " kan",
+    "lift {doc} --left ident --right ident --top ident --bottom ident":
+        DOC_MODULES + " catmodel search",
+    "rlp {doc} --maps ident --against ident": DOC_MODULES + " catmodel search",
+    "nabla --dim 1 --homcount 1 1": "cli fincat nabla semidirect",
+    "nabla --dim 2": "cli fincat nabla semidirect",
+    "rsset {doc} --name S --roundtrip": DOC_MODULES,
+    "cyclic {doc} --operad T": DOC_MODULES + " cycadj",
+    "chain {doc} --complex C --truncate naive": DOC_MODULES + " chaincx",
+    "paper-suite --case dagger": "catmodel cli fincat invcat paper search setval",
+    "paper-suite --case truncation": "chaincx cli fincat paper",
+    "paper-suite": "catmodel chaincx cli cycadj cycops fincat invcat kan nabla "
+                   "paper search semidirect setval",
+}
+
 
 @pytest.mark.parametrize("template", CLI_SUITE, ids=" ".join)
 def test_only_complex_commands_load_numpy(tmp_path, template):
@@ -595,6 +623,7 @@ def test_only_complex_commands_load_numpy(tmp_path, template):
     assert ("smallcat.chaincx" in loaded) is (" ".join(template) in COMPLEX_LINES)
     # records are made by fincat.record, which imports nothing
     assert "dataclasses" not in loaded and "inspect" not in loaded
+    assert loaded == {f"smallcat.{m}" for m in LOADS[" ".join(template)].split()}
 
 
 def test_package_attribute_loads_that_module_only():
@@ -607,3 +636,72 @@ def test_package_attribute_loads_that_module_only():
                           "else:\n"
                           "    raise SystemExit('no AttributeError')")
     assert loaded == {"smallcat.fincat"}
+
+
+def test_an_old_module_loads_the_new_one_only_for_a_moved_name():
+    loaded = loaded_after("import smallcat.setval\n"
+                          "assert not hasattr(smallcat.setval, 'no_such_name')")
+    assert loaded == {"smallcat.fincat", "smallcat.setval"}
+    loaded = loaded_after("import smallcat.setval\n"
+                          "lan = smallcat.setval.lan\n"
+                          "assert vars(smallcat.setval)['lan'] is lan")
+    assert loaded == {"smallcat.fincat", "smallcat.kan", "smallcat.setval"}
+
+
+# old module -> the module its cold half moved to
+MOVED = {"setval": "kan", "cycops": "cycadj", "fincat": "search",
+         "cli": "paper"}
+
+
+def defined_in(module: ModuleType) -> list[str]:
+    """The public names whose value ``module`` defines, not imports."""
+    return [n for n, v in vars(module).items()
+            if not n.startswith("_") and not isinstance(v, ModuleType)
+            and getattr(v, "__module__", module.__name__) == module.__name__]
+
+
+@pytest.mark.parametrize("old,new", MOVED.items())
+def test_moved_names_keep_their_old_paths(old, new):
+    old_module = importlib.import_module(f"smallcat.{old}")
+    new_module = importlib.import_module(f"smallcat.{new}")
+    names = defined_in(new_module)
+    assert names
+    for name in names:
+        assert getattr(old_module, name) is getattr(new_module, name), name
+
+
+def test_every_traced_function_resolves_where_the_tracer_looks():
+    # Tracer.install reads each SPANNED and COUNTED name on the module it
+    # names; a moved one is read through its old module's __getattr__
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for _, module, attr in spans.SPANNED + spans.COUNTED:
+        owner = importlib.import_module(f"smallcat.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module, attr)
+
+
+@pytest.mark.parametrize("side,arrows,src,tgt,name", [
+    ("left", ["x,y", "y"], "p", "q", "(a,x,y)"),
+    ("right", ["x", "x,y"], "q", "p", "(x,y,z)")])
+def test_kan_comma_object_collision_exits_2(tmp_path, capsys, side, arrows,
+                                            src, tgt, name):
+    # left printed "q":3 for an extension with four elements at q, and
+    # right merged two of the four comma objects under q
+    from test_setval import kan_collision_instance
+    cobjs = ["a", "a,x"] if side == "left" else ["z", "y,z"]
+    iota, X = kan_collision_instance(cobjs, arrows, src, tgt)
+    doc = CatspecDocument((
+        catspec.category_block("C", iota.domain),
+        catspec.category_block("D", iota.codomain),
+        catspec.functor_block("iota", iota, "C", "D"),
+        catspec.diagram_block("X", X, "C")))
+    path = write_doc(tmp_path, doc)
+    code, out = run_cli(["kan", path, "--functor", "iota", "--diagram", "X",
+                         "--side", side], capsys)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": f"comma object identifier {name} names two comma objects"}

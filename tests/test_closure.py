@@ -1,4 +1,4 @@
-"""``fincat.bounded_closure`` against the code it replaced, and its name checks.
+"""``search.bounded_closure`` against the code it replaced, and its name checks.
 
 ``closure_oracle`` keeps the former closure verbatim.  On pushouts of random
 spans and on random generator presentations both must give the same
@@ -12,7 +12,7 @@ import pytest
 import closure_oracle as oracle
 from test_acceptance import random_category, random_functor
 
-from smallcat import catmodel, fincat
+from smallcat import catmodel, fincat, search
 from smallcat.catmodel import pushout_category
 from smallcat.fincat import (
     BudgetError,
@@ -74,7 +74,7 @@ def test_closure_matches_the_oracle_on_pushouts_and_presentations(monkeypatch):
         budget = {"max_morphisms": rng.randint(6, 40),
                   "max_word_len": rng.randint(2, 6)}
         kinds.append(same_as_oracle(
-            monkeypatch, fincat,
+            monkeypatch, search,
             lambda: category_from_generators(objects, arrows, relations,
                                              **budget)).startswith("Budget"))
     # both outcomes are exercised

@@ -12,7 +12,7 @@ import pytest
 import cycops_oracle as oracle
 from test_cycops import positive_terminal_cyclic, sign_operad
 
-from smallcat import cycops
+from smallcat import cycadj, cycops
 from smallcat.cycops import (
     TruncatedCyclicOperad,
     TruncatedOperad,
@@ -95,13 +95,13 @@ def test_right_adjoint_R_tables_agree(build, bound):
 
 def test_sigma_i_computed_once_per_sigma_and_index(monkeypatch):
     calls = []
-    sigma_i = cycops._sigma_i
+    sigma_i = cycadj._sigma_i
 
     def counted(*args):
         calls.append(args)
         return sigma_i(*args)
 
-    monkeypatch.setattr(cycops, "_sigma_i", counted)
+    monkeypatch.setattr(cycadj, "_sigma_i", counted)
     right_adjoint_R(associative_operad(3))
     # sum over n = 1..3 of (n+1)! permutations times n+1 indices
     assert len(calls) == 2 * 2 + 6 * 3 + 24 * 4 == 118
@@ -110,13 +110,13 @@ def test_sigma_i_computed_once_per_sigma_and_index(monkeypatch):
 
 def test_tuple_name_rendered_once_per_element(monkeypatch):
     calls = []
-    tuple_name = cycops._tuple_name
+    tuple_name = cycadj._tuple_name
 
     def counted(parts):
         calls.append(parts)
         return tuple_name(parts)
 
-    monkeypatch.setattr(cycops, "_tuple_name", counted)
+    monkeypatch.setattr(cycadj, "_tuple_name", counted)
     RQ = right_adjoint_R(associative_operad(3))
     # 1 + 1 + 2**3 + 6**4 elements, and the unit
     assert sum(map(len, RQ.operad.elements.values())) == 1306

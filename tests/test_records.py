@@ -12,10 +12,10 @@ import inspect
 
 import pytest
 
+import smallcat
 from smallcat import fincat
 
-MODULES = ("catmodel", "catspec", "chaincx", "cycops", "fincat", "invcat",
-           "nabla", "semidirect", "setval")
+MODULES = smallcat._MODULES
 SHARED = {fincat._record_repr, fincat._record_hash, fincat._frozen_setattr,
           fincat._frozen_delattr}
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from smallcat import fincat, setval
+from smallcat import fincat, kan, setval
 from smallcat.fincat import (
     CatFunctor,
     NaturalTransformation,
@@ -604,12 +604,12 @@ def test_certify_builds_each_kan_extension_once(monkeypatch):
     calls = dict.fromkeys(("left_kan", "right_kan", "comma_over",
                            "comma_under"), 0)
     for name in calls:
-        original = getattr(setval, name)
+        original = getattr(kan, name)
 
         def counted(*args, _name=name, _original=original):
             calls[_name] += 1
             return _original(*args)
-        monkeypatch.setattr(setval, name, counted)
+        monkeypatch.setattr(kan, name, counted)
     iota, X, X2, Y = _arrow_into_chain()
     rep = certify_kan_adjunctions(iota, [X, X2], [Y])
     assert rep.ok and rep.checked > 2  # the naturality checks ran
@@ -721,11 +721,11 @@ def _certify_with_corrupted_record(monkeypatch, corruption, rng, iota,
     ``domain[0]`` carries one corruption, or None when it has no spot for
     it; the records of the other domain diagrams stay sound."""
     which, corrupt = CORRUPTIONS[corruption]
-    build = getattr(setval, which)
+    build = getattr(kan, which)
     bad = corrupt(build(iota, domain[0]), rng)
     if bad is None:
         return None
-    monkeypatch.setattr(setval, which, lambda iota, X: bad
+    monkeypatch.setattr(kan, which, lambda iota, X: bad
                         if X is domain[0] else build(iota, X))
     try:
         reports = [certify(iota, domain, codomain, 2) for certify in
@@ -816,3 +816,82 @@ def test_limit_rejects_two_families_with_one_name():
     with pytest.raises(ValueError,
                        match=r"identifier \(a=x,b=y,b=z\) names two families"):
         limit(X)
+
+
+def kan_collision_instance(cobjs, arrows, src, tgt, elements=("e",)):
+    """A functor from the discrete category on ``cobjs`` onto ``p`` of a
+    category with objects ``p``, ``q`` and the parallel ``arrows``
+    ``src -> tgt``, and the diagram with ``elements`` at every object."""
+    source = {"id_p": "p", "id_q": "q", **dict.fromkeys(arrows, src)}
+    target = {"id_p": "p", "id_q": "q", **dict.fromkeys(arrows, tgt)}
+    compose = {("id_p", "id_p"): "id_p", ("id_q", "id_q"): "id_q"}
+    for m in arrows:
+        compose[(m, f"id_{src}")] = compose[(f"id_{tgt}", m)] = m
+    D = fincat.FiniteCategory.build(["p", "q"], ["id_p", "id_q", *arrows],
+                                    source, target, {"p": "id_p", "q": "id_q"},
+                                    compose)
+    C = discrete_category(cobjs)
+    iota = CatFunctor(C, D, dict.fromkeys(cobjs, "p"),
+                      {f"id_{c}": "id_p" for c in cobjs})
+    X = SetDiagram.build(C, dict.fromkeys(cobjs, elements),
+                         {f"id_{c}": {e: e for e in elements} for c in cobjs})
+    return iota, X
+
+
+def test_left_kan_rejects_two_comma_objects_with_one_name():
+    # (a,x,y) names both (a, "x,y") and ("a,x", y) over q; merging them
+    # gave lan(q) three elements where there are four
+    iota, X = kan_collision_instance(["a", "a,x"], ["x,y", "y"], "p", "q")
+    for run in (lambda: lan(iota, X), lambda: comma_over(iota, "q")):
+        with pytest.raises(ValueError, match=r"^comma object identifier "
+                           r"\(a,x,y\) names two comma objects$"):
+            run()
+    iota, X = kan_collision_instance(["a", "b"], ["x,y", "y"], "p", "q")
+    assert lan(iota, X).values["q"] == ("((a,x,y),e)", "((a,y),e)",
+                                        "((b,x,y),e)", "((b,y),e)")
+
+
+def test_right_kan_rejects_two_comma_objects_with_one_name():
+    # (x,y,z) names both (x, "y,z") and ("x,y", z) under q
+    iota, X = kan_collision_instance(["z", "y,z"], ["x", "x,y"], "q", "p")
+    for run in (lambda: ran(iota, X), lambda: comma_under("q", iota)):
+        with pytest.raises(ValueError, match=r"^comma object identifier "
+                           r"\(x,y,z\) names two comma objects$"):
+            run()
+
+
+def test_left_kan_rejects_two_items_with_one_name():
+    # the comma objects (a,f) and (a,f),(g) differ, but the items of "(g),e"
+    # at the first and of "e" at the second both render ((a,f),(g),e)
+    iota, X = kan_collision_instance(["a"], ["f", "f),(g"], "p", "q",
+                                     ("e", "(g),e"))
+    with pytest.raises(ValueError, match=r"^Kan extension item identifier "
+                       r"\(\(a,f\),\(g\),e\) names two Kan extension items$"):
+        lan(iota, X)
+
+
+def test_comma_category_rejects_two_morphisms_with_one_name():
+    # u: a -> "a,f),(b" and "u,(a,f)": a -> b both map (a,f) onward, to
+    # ("a,f),(b", g) and to (b, g), and both render (u,(a,f),(a,f),(b,g))
+    cobjs = ["a", "a,f),(b", "b"]
+    arrows = {"u": ("a", "a,f),(b"), "u,(a,f)": ("a", "b")}
+    ids = {f"id_{c}": (c, c) for c in cobjs}
+    ends = {**ids, **arrows}
+    compose = {(i, i): i for i in ids}
+    for m, (s, t) in arrows.items():
+        compose[(m, f"id_{s}")] = compose[(f"id_{t}", m)] = m
+    C = fincat.FiniteCategory.build(
+        cobjs, list(ends), {m: s for m, (s, _) in ends.items()},
+        {m: t for m, (_, t) in ends.items()}, {c: f"id_{c}" for c in cobjs},
+        compose)
+    # one object d; g is its identity and f squares to it
+    D = group_category(fincat.FiniteGroup(
+        ("f", "g"), {("f", "f"): "g", ("f", "g"): "f", ("g", "f"): "f",
+                     ("g", "g"): "g"}, "g", {"f": "f", "g": "g"}), "d")
+    iota = CatFunctor(C, D, dict.fromkeys(cobjs, "d"),
+                      {**dict.fromkeys(ids, "g"), **dict.fromkeys(arrows, "f")})
+    assert fincat.validate_functor(iota) == []
+    with pytest.raises(ValueError, match=r"^comma morphism identifier "
+                       r"\(u,\(a,f\),\(a,f\),\(b,g\)\) names two comma "
+                       r"morphisms$"):
+        comma_over(iota, "d")
