@@ -6,36 +6,33 @@ Kan extensions, lifting-property tooling, involutive and semidirect-product
 constructions, truncated (real) simplicial sets, arity-truncated cyclic
 operads, and bounded chain-complex computations on top of it.
 
-Importing the package loads none of its modules: ``smallcat.fincat`` and
-the others are imported on first attribute access (PEP 562), and the
-command line imports each module in the command that uses it.
+Importing the package loads none of its modules (``_MODULES``): each is
+imported on first attribute access (PEP 562), and the command line
+imports each in the command that uses it.
 
-Code that only some commands run lives in a module of its own, so that a
-command compiles only what it can run: the Kan extensions and adjunction
-certificates in ``kan`` (split from ``setval``), the cyclic right adjoint
-and operad-map searches in ``cycadj`` (from ``cycops``), the functor
-searches, equivalence tests and word closure in ``search`` (from
-``fincat``), and the recorded paper cases in ``paper`` (from ``cli``).
-Each name keeps its old path: the old module's ``__getattr__``, made by
-:func:`moved`, imports the new module on first access and keeps the
-attribute, so ``setval.lan is kan.lan``.
+Code that few commands run lives in a module of its own, so that a
+command compiles only what it can run: ``kan`` and ``universal`` hold
+the cold halves of ``setval``, ``search`` and ``standard`` those of
+``fincat``, and ``cycadj``, ``sdcheck``, ``simplicial``, ``catwrite`` and
+``paper`` those of ``cycops``, ``semidirect``, ``nabla``, ``catspec`` and
+``cli``.  Each name keeps its old path: the old module's ``__getattr__``,
+made by :func:`moved`, imports the new module on first access, so
+``setval.lan is kan.lan``.  No module that loading a document needs
+imports a moved name at module level.
 
-A function that ``perfbench/spans.py`` times is called from other modules
-through the module spans.py names for it (``fincat.opposite(C)``), not
-through a ``from`` import; for a moved function that is its old module
-(``setval.validate_diagram`` from ``kan``, ``cycops.right_adjoint_R`` from
-``cycadj``).  The tracer rebinds it on that module; a ``from`` alias taken
-before the rebinding, as on-demand imports can make happen, would hide the
-calls from it.
+A function that ``perfbench/spans.py`` times is called through the module
+spans.py names for it (``fincat.opposite(C)``), also from the module it
+moved to (``nabla.delta_leq`` in ``simplicial``): the tracer rebinds it
+there, and a ``from`` alias or a bare name would hide the calls from it.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-_MODULES = ("catmodel", "catspec", "chaincx", "cycadj", "cycops", "fincat",
-            "invcat", "kan", "nabla", "paper", "search", "semidirect",
-            "setval")
+_MODULES = ("catmodel", "catspec", "catwrite", "chaincx", "cycadj", "cycops",
+            "fincat", "invcat", "kan", "nabla", "paper", "sdcheck", "search",
+            "semidirect", "setval", "simplicial", "standard", "universal")
 
 
 def __getattr__(name: str):
@@ -44,18 +41,20 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def moved(namespace: dict, module: str, names: str):
+def moved(namespace: dict, **homes: str):
     """A PEP 562 ``__getattr__`` for the module whose globals are
-    ``namespace``: each of the whitespace-separated ``names`` is read from
-    ``smallcat.<module>``, imported on first access, and kept in
-    ``namespace``, so that later reads are plain attribute lookups."""
-    names = frozenset(names.split())
+    ``namespace``: each of the whitespace-separated names given for a
+    ``home`` is read from ``smallcat.<home>``, imported on first access,
+    and kept in ``namespace``, so that later reads are plain lookups."""
+    home_of = {name: home for home, names in homes.items()
+               for name in names.split()}
 
     def __getattr__(name: str):
-        if name not in names:
+        home = home_of.get(name)
+        if home is None:
             raise AttributeError(f"module {namespace['__name__']!r} has no "
                                  f"attribute {name!r}")
         value = namespace[name] = getattr(
-            importlib.import_module(f"{__name__}.{module}"), name)
+            importlib.import_module(f"{__name__}.{home}"), name)
         return value
     return __getattr__

@@ -19,24 +19,13 @@ from .fincat import (
     NodeBudget,
     Partition,
     compose_functors,
-    empty_category,
     field,
-    parallel_pair,
     record,
-    terminal_category,
-    walking_arrow,
-    walking_iso,
 )
 from .search import _iter_functors, bounded_closure, coproduct
-from .setval import (
-    DiagramMap,
-    SetDiagram,
-    _iter_diagram_maps,
-    compose_diagram_maps,
-    coproduct_diagrams,
-    diagram_pushout,
-    identity_diagram_map,
-)
+from .setval import DiagramMap, SetDiagram
+
+# standard and universal are reached at call time: lift and rlp skip them
 
 
 @record(frozen=True)
@@ -227,6 +216,8 @@ def has_llp(i: CatFunctor, test_maps: list[CatFunctor],
 
 def default_generating_cofibrations() -> list[CatFunctor]:
     """{empty -> pt, pt + pt -> arrow, parallel pair -> arrow}."""
+    from .standard import (empty_category, parallel_pair, terminal_category,
+                           walking_arrow)
     pt = terminal_category()
     arrow = walking_arrow()
     g0 = CatFunctor(empty_category(), pt, {}, {})
@@ -243,6 +234,7 @@ def default_generating_cofibrations() -> list[CatFunctor]:
 
 def default_generating_acyclic_cofibrations() -> list[CatFunctor]:
     """{pt -> walking isomorphism}."""
+    from .standard import terminal_category, walking_iso
     pt = terminal_category()
     E = walking_iso()
     return [CatFunctor(pt, E, {"pt": "a"}, {"id_pt": "id_a"})]
@@ -331,7 +323,8 @@ def solve_diagram_lifting(i: DiagramMap, p: DiagramMap,
     if forced is None:
         return None
     budget = NodeBudget(node_budget, "diagram lifting search exceeded budget")
-    return next(_iter_diagram_maps(B, X, budget, forced, (p, bottom)), None)
+    return next(setval._iter_diagram_maps(B, X, budget, forced, (p, bottom)),
+                None)
 
 
 def diagram_squares(i: DiagramMap, p: DiagramMap,
@@ -342,9 +335,9 @@ def diagram_squares(i: DiagramMap, p: DiagramMap,
     bottoms = setval.enumerate_diagram_maps(i.target, p.target, node_budget)
     out = []
     for top in tops:
-        pt = compose_diagram_maps(p, top)
+        pt = setval.compose_diagram_maps(p, top)
         for bottom in bottoms:
-            if pt.key() == compose_diagram_maps(bottom, i).key():
+            if pt.key() == setval.compose_diagram_maps(bottom, i).key():
                 out.append((top, bottom))
     return out
 
@@ -376,7 +369,7 @@ def bounded_soa(gens: list[DiagramMap], f: DiagramMap,
     within ``max_stages``.
     """
     current = f.source
-    left = identity_diagram_map(f.source)
+    left = setval.identity_diagram_map(f.source)
     remainder = f
     cells: list[list[SoaStageCell]] = []
     stages = 0
@@ -385,9 +378,9 @@ def bounded_soa(gens: list[DiagramMap], f: DiagramMap,
         if not stage_cells:
             break
         shape = current.shape
-        dom_sum, dom_inj = coproduct_diagrams(
+        dom_sum, dom_inj = setval.coproduct_diagrams(
             [gens[c.generator].source for c in stage_cells])
-        cod_sum, cod_inj = coproduct_diagrams(
+        cod_sum, cod_inj = setval.coproduct_diagrams(
             [gens[c.generator].target for c in stage_cells])
         sum_gen = DiagramMap(dom_sum, cod_sum, {
             o: {dom_inj[k].components[o][e]:
@@ -400,7 +393,8 @@ def bounded_soa(gens: list[DiagramMap], f: DiagramMap,
                 for k in range(len(stage_cells))
                 for e in gens[stage_cells[k].generator].source.values[o]}
             for o in shape.objects})
-        new, from_current, from_cells = diagram_pushout(attach, sum_gen)
+        new, from_current, from_cells = setval.diagram_pushout(attach,
+                                                               sum_gen)
         q_comps = {}
         for o in shape.objects:
             comp = {}
@@ -416,7 +410,7 @@ def bounded_soa(gens: list[DiagramMap], f: DiagramMap,
                     comp[tag] = want
             q_comps[o] = comp
         remainder = DiagramMap(new, f.target, q_comps)
-        left = compose_diagram_maps(from_current, left)
+        left = setval.compose_diagram_maps(from_current, left)
         current = new
         cells.append(stage_cells)
         stages += 1

@@ -11,25 +11,24 @@ environment or the corresponding flags.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from . import moved
 
 # Only the standard library is imported here (``moved`` comes from the
-# package, which loads no module): each command imports the
-# modules it uses, so ``--help`` and argument errors load none of them and
-# chaincx is loaded only by commands that compute with a chain complex
-# (``chain`` and the truncation case): loading a document checks a complex
-# block without it.  The paper cases are in smallcat.paper, which only
-# ``paper-suite`` loads.
-__getattr__ = moved(globals(), "paper", "PAPER_CASES")
+# package, which loads no module), json only to print: each command
+# imports the modules it uses, so ``--help`` and argument errors load
+# none of them, and chaincx is loaded only by commands that compute with
+# a chain complex (``chain`` and the truncation case).  The paper cases
+# are in smallcat.paper, which only ``paper-suite`` loads.
+__getattr__ = moved(globals(), paper="PAPER_CASES")
 
 OK, FALSIFIED, BAD_INPUT = 0, 1, 2
 
 
 def _print(payload, pretty: bool) -> None:
+    import json
     if pretty:
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
@@ -199,12 +198,12 @@ def cmd_nabla(args) -> int:
     for k in args.homcount or ():
         if not 0 <= k <= args.dim:
             raise ValueError(f"no object [{k}] at level {args.dim}")
-    pres = nabla.build_nabla(args.dim)
     if args.homcount:
         m, n = args.homcount
-        count = len(pres.semidirect.category.hom(f"[{m}]", f"[{n}]"))
-        _print(count, args.pretty)
+        category = nabla.nabla_category(args.dim).category
+        _print(len(category.hom(f"[{m}]", f"[{n}]")), args.pretty)
         return OK
+    pres = nabla.build_nabla(args.dim)
     delta = nabla.delta_leq(args.dim)
     doubling = all(
         len(pres.semidirect.category.hom(f"[{m}]", f"[{n}]"))

@@ -9,10 +9,11 @@ Entries are computed on tuples of ``P``'s element codes, coded as in
 :mod:`smallcat.cycops`, and each element's name is rendered once.
 
 Also here: truncation and the forgetful functor, validation and
-enumeration of (cyclic) operad maps, and the hom-count and product
-reports.  Every name here is also reachable as an attribute of
-:mod:`smallcat.cycops`, where it lived before; only ``smallcat cyclic``
-and the paper suite load this module.
+enumeration of (cyclic) operad maps, the hom-count and product reports,
+and the standard operads: terminal, associative and monoid.  Every name
+here is also reachable as an attribute of :mod:`smallcat.cycops`, where
+it lived before; only ``smallcat cyclic`` and the paper suite load this
+module.
 """
 from __future__ import annotations
 
@@ -27,12 +28,12 @@ from .cycops import (
     TruncatedCyclicOperad,
     TruncatedOperad,
     _action_rows,
-    _check_unit_arity,
     _columns,
     _comp_tables,
     all_ext_perms,
     all_perms,
     ext_of_perm,
+    perm_compose,
 )
 from .fincat import NodeBudget, backtrack, constraint_lists, field, record
 
@@ -359,3 +360,93 @@ def check_FR_products(f: CyclicOperadMap) -> ProductActionReport:
             inj = False
             failures.append(f"injectivity lost at arity {n}")
     return ProductActionReport(not failures, surj, inj, failures)
+
+
+# ---------------------------------------------------------------------------
+# standard operads
+
+
+def perm_inverse(s: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(s)
+    for k, v in enumerate(s, start=1):
+        inv[v - 1] = k
+    return tuple(inv)
+
+
+def _check_unit_arity(A: int) -> None:
+    if A < 1:
+        raise ValueError(f"arity bound {A} is below 1: an operad needs its "
+                         f"unit in arity 1")
+
+
+def terminal_operad(A: int) -> TruncatedOperad:
+    """One element in every arity."""
+    _check_unit_arity(A)
+    elements = {n: (f"t{n}",) for n in range(A + 1)}
+    comp = {(i, f"t{m}", f"t{n}"): f"t{m + n - 1}"
+            for m in range(1, A + 1) for n in range(A + 2 - m)
+            for i in range(1, m + 1)}
+    action = {(n, s, f"t{n}"): f"t{n}"
+              for n in range(A + 1) for s in all_perms(n)}
+    return TruncatedOperad(A, elements, "t1", comp, action)
+
+
+def terminal_cyclic_operad(A: int) -> TruncatedCyclicOperad:
+    P = terminal_operad(A)
+    extended = {(n, s, f"t{n}"): f"t{n}"
+                for n in range(A + 1) for s in all_ext_perms(n)}
+    return TruncatedCyclicOperad(P, extended)
+
+
+def associative_operad(A: int) -> TruncatedOperad:
+    """Arity ``n`` is the permutations of ``{1..n}`` (multiplication orders);
+    composition splices words, the action is group multiplication."""
+    _check_unit_arity(A)
+    name = {n: {p: "".join(map(str, p)) for p in all_perms(n)}
+            for n in range(A + 1)}
+    elements = {n: tuple(name[n].values()) for n in range(A + 1)}
+    comp = {}
+    for m in range(1, A + 1):
+        for n in range(A + 1):
+            if m + n - 1 > A:
+                continue
+            for p in all_perms(m):
+                wp = perm_inverse(p)
+                for q in all_perms(n):
+                    wq = perm_inverse(q)
+                    for i in range(1, m + 1):
+                        spliced: list[int] = []
+                        for v in wp:
+                            if v < i:
+                                spliced.append(v)
+                            elif v == i:
+                                spliced.extend(i - 1 + u for u in wq)
+                            else:
+                                spliced.append(v + n - 1)
+                        comp[(i, name[m][p], name[n][q])] = \
+                            name[m + n - 1][perm_inverse(tuple(spliced))]
+    action = {(n, s, name[n][p]): name[n][perm_compose(p, s)]
+              for n in range(A + 1) for p in all_perms(n) for s in all_perms(n)}
+    return TruncatedOperad(A, elements, name[1][(1,)], comp, action)
+
+
+def monoid_operad(A: int, elements: tuple[str, ...],
+                  mult: dict[tuple[str, str], str],
+                  unit: str) -> TruncatedOperad:
+    """Every positive arity is the monoid; composition multiplies, the
+    symmetric action is trivial.  Element names carry their arity to keep
+    identifiers distinct across arities."""
+    _check_unit_arity(A)
+
+    def tag(x, n):
+        return f"{x}@{n}"
+
+    els: dict[int, tuple[str, ...]] = {0: ()}
+    els.update({n: tuple(sorted(tag(x, n) for x in elements))
+                for n in range(1, A + 1)})
+    comp = {(i, tag(a, m), tag(b, n)): tag(mult[(a, b)], m + n - 1)
+            for m in range(1, A + 1) for n in range(1, A + 2 - m)
+            for i in range(1, m + 1) for a in elements for b in elements}
+    action = {(n, s, tag(x, n)): tag(x, n)
+              for n in range(1, A + 1) for s in all_perms(n) for x in elements}
+    return TruncatedOperad(A, els, tag(unit, 1), comp, action)

@@ -26,10 +26,12 @@ right adjoint, and for each reported witness.  The public tables stay
 dictionaries keyed by names.
 
 The right adjoint to the forgetful functor from cyclic operads to
-operads, truncation, map validation and enumeration, and the adjunction
-reports live in :mod:`smallcat.cycadj`, which only ``smallcat cyclic`` and
-the paper suite load; their old names here (``cycops.right_adjoint_R``,
-...) still work through the module ``__getattr__``.
+operads, truncation, map validation and enumeration, the adjunction
+reports, and the standard operads (terminal, associative, monoid) live in
+:mod:`smallcat.cycadj`, which only ``smallcat cyclic`` and the paper
+suite load; their old names here (``cycops.right_adjoint_R``,
+``cycops.terminal_operad``, ...) still work through the module
+``__getattr__``.
 """
 from __future__ import annotations
 
@@ -39,14 +41,15 @@ from itertools import chain
 from . import moved
 from .fincat import record
 
-# The right adjoint and the map searches, read from smallcat.cycadj on
-# first access.
-__getattr__ = moved(globals(), "cycadj", """
+# Read from smallcat.cycadj on first access.
+__getattr__ = moved(globals(), cycadj="""
     _tuple_name _tuples SigmaIndexError _sigma_i right_adjoint_R
     right_adjoint_R_map truncate_operad forget_cyclic forget_cyclic_map
     validate_operad_map validate_cyclic_map _enumerate_maps
     enumerate_operad_maps enumerate_cyclic_maps AdjunctionCountReport
-    check_adjunction_count ProductActionReport check_FR_products""")
+    check_adjunction_count ProductActionReport check_FR_products
+    perm_inverse _check_unit_arity terminal_operad terminal_cyclic_operad
+    associative_operad monoid_operad""")
 
 
 # ---------------------------------------------------------------------------
@@ -64,13 +67,6 @@ def all_perms(n: int):
 def perm_compose(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
     """(s.t)(k) = s(t(k))."""
     return tuple(s[t[k] - 1] for k in range(len(t)))
-
-
-def perm_inverse(s: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(s)
-    for k, v in enumerate(s, start=1):
-        inv[v - 1] = k
-    return tuple(inv)
 
 
 def ext_identity(n: int) -> tuple[int, ...]:
@@ -452,86 +448,3 @@ def validate_cyclic(Q: TruncatedCyclicOperad) -> list[str]:
             errors += [f"cyclic compatibility fails at (i={i},{P.elements[m][a]},"
                        f"{P.elements[n][b]})" for a, b, i in sorted(witnesses)]
     return errors
-
-
-# ---------------------------------------------------------------------------
-# standard operads
-
-
-def _check_unit_arity(A: int) -> None:
-    if A < 1:
-        raise ValueError(f"arity bound {A} is below 1: an operad needs its "
-                         f"unit in arity 1")
-
-
-def terminal_operad(A: int) -> TruncatedOperad:
-    """One element in every arity."""
-    _check_unit_arity(A)
-    elements = {n: (f"t{n}",) for n in range(A + 1)}
-    comp = {(i, f"t{m}", f"t{n}"): f"t{m + n - 1}"
-            for m in range(1, A + 1) for n in range(A + 2 - m)
-            for i in range(1, m + 1)}
-    action = {(n, s, f"t{n}"): f"t{n}"
-              for n in range(A + 1) for s in all_perms(n)}
-    return TruncatedOperad(A, elements, "t1", comp, action)
-
-
-def terminal_cyclic_operad(A: int) -> TruncatedCyclicOperad:
-    P = terminal_operad(A)
-    extended = {(n, s, f"t{n}"): f"t{n}"
-                for n in range(A + 1) for s in all_ext_perms(n)}
-    return TruncatedCyclicOperad(P, extended)
-
-
-def associative_operad(A: int) -> TruncatedOperad:
-    """Arity ``n`` is the permutations of ``{1..n}`` (multiplication orders);
-    composition splices words, the action is group multiplication."""
-    _check_unit_arity(A)
-    name = {n: {p: "".join(map(str, p)) for p in all_perms(n)}
-            for n in range(A + 1)}
-    elements = {n: tuple(name[n].values()) for n in range(A + 1)}
-    comp = {}
-    for m in range(1, A + 1):
-        for n in range(A + 1):
-            if m + n - 1 > A:
-                continue
-            for p in all_perms(m):
-                wp = perm_inverse(p)
-                for q in all_perms(n):
-                    wq = perm_inverse(q)
-                    for i in range(1, m + 1):
-                        spliced: list[int] = []
-                        for v in wp:
-                            if v < i:
-                                spliced.append(v)
-                            elif v == i:
-                                spliced.extend(i - 1 + u for u in wq)
-                            else:
-                                spliced.append(v + n - 1)
-                        comp[(i, name[m][p], name[n][q])] = \
-                            name[m + n - 1][perm_inverse(tuple(spliced))]
-    action = {(n, s, name[n][p]): name[n][perm_compose(p, s)]
-              for n in range(A + 1) for p in all_perms(n) for s in all_perms(n)}
-    return TruncatedOperad(A, elements, name[1][(1,)], comp, action)
-
-
-def monoid_operad(A: int, elements: tuple[str, ...],
-                  mult: dict[tuple[str, str], str],
-                  unit: str) -> TruncatedOperad:
-    """Every positive arity is the monoid; composition multiplies, the
-    symmetric action is trivial.  Element names carry their arity to keep
-    identifiers distinct across arities."""
-    _check_unit_arity(A)
-
-    def tag(x, n):
-        return f"{x}@{n}"
-
-    els: dict[int, tuple[str, ...]] = {0: ()}
-    els.update({n: tuple(sorted(tag(x, n) for x in elements))
-                for n in range(1, A + 1)})
-    comp = {(i, tag(a, m), tag(b, n)): tag(mult[(a, b)], m + n - 1)
-            for m in range(1, A + 1) for n in range(1, A + 2 - m)
-            for i in range(1, m + 1) for a in elements for b in elements}
-    action = {(n, s, tag(x, n)): tag(x, n)
-              for n in range(1, A + 1) for s in all_perms(n) for x in elements}
-    return TruncatedOperad(A, els, tag(unit, 1), comp, action)

@@ -12,27 +12,31 @@ searches branch in lexicographic order.  Derived pairs are rendered
 with :func:`tabulate`, which visits only the composable pairs, in an order
 fixed by the list of morphisms.  :func:`backtrack` is the one search loop.
 
-Products, coproducts and cores, functor and natural-transformation
-enumeration, the equivalence tests and the word closure live in
-:mod:`smallcat.search`; their old names here (``fincat.product``,
-``fincat.enumerate_functors``, ...) still work through the module
-``__getattr__``.
+Products, functor searches, naturality checks, the equivalence tests
+and the word closure live in :mod:`smallcat.search`, and the named
+categories and groups in :mod:`smallcat.standard`; their old names here
+(``fincat.product``, ``fincat.walking_arrow``, ...) still work through
+the module ``__getattr__``.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from . import moved
 
-# The searches and constructions, read from smallcat.search on first access.
-__getattr__ = moved(globals(), "search", """
+# Read from smallcat.search and smallcat.standard on first access.
+__getattr__ = moved(globals(), search="""
     product coproduct core is_groupoid _iter_functors enumerate_functors
-    enumerate_naturals is_full is_faithful is_essentially_surjective
-    is_fully_faithful is_equivalence find_isomorphism _reduce_words
-    bounded_closure category_from_generators""")
+    enumerate_naturals validate_natural is_natural_iso is_full is_faithful
+    is_essentially_surjective is_fully_faithful is_equivalence
+    find_isomorphism _reduce_words bounded_closure category_from_generators
+    """, standard="""
+    identity_functor empty_category terminal_category discrete_category
+    indiscrete_category walking_arrow walking_iso parallel_pair
+    chain_category poset_category _thin_category symmetric_group
+    group_product opposite_group group_category validate_group""")
 
 
 class BudgetError(RuntimeError):
@@ -383,9 +387,10 @@ def validate_functor(F: CatFunctor) -> list[str]:
         if n not in morphisms:
             errors.append(f"morphism {m}: image missing")
             continue
-        if D.source[n] != F.ob_map[C.source[m]]:
+        # .get: an object without an image is reported above, not raised
+        if D.source[n] != F.ob_map.get(C.source[m]):
             errors.append(f"morphism {m}: source not preserved")
-        if D.target[n] != F.ob_map[C.target[m]]:
+        if D.target[n] != F.ob_map.get(C.target[m]):
             errors.append(f"morphism {m}: target not preserved")
     if errors:
         return errors
@@ -395,59 +400,6 @@ def validate_functor(F: CatFunctor) -> list[str]:
     for (f, g), h in C.compose.items():
         if D.compose[(F.mor_map[f], F.mor_map[g])] != F.mor_map[h]:
             errors.append(f"composition not preserved at ({f},{g})")
-    return errors
-
-
-def validate_natural(nt: NaturalTransformation) -> list[str]:
-    """Check endpoint typing and every naturality square."""
-    F, G = nt.source, nt.target
-    C, D = F.domain, F.codomain
-    morphisms = set(D.morphisms)
-    errors = []
-    for x in C.objects:
-        c = nt.components.get(x)
-        if c is None or c not in morphisms:
-            errors.append(f"component at {x}: missing")
-            continue
-        if D.source[c] != F.ob_map[x] or D.target[c] != G.ob_map[x]:
-            errors.append(f"component at {x}: wrong endpoints")
-    if errors:
-        return errors
-    for m in C.morphisms:
-        x, y = C.source[m], C.target[m]
-        left = D.compose[(nt.components[y], F.mor_map[m])]
-        right = D.compose[(G.mor_map[m], nt.components[x])]
-        if left != right:
-            errors.append(f"naturality fails at {m}")
-    return errors
-
-
-def is_natural_iso(nt: NaturalTransformation) -> bool:
-    return not validate_natural(nt) and all(
-        nt.source.codomain.is_iso(c) for c in nt.components.values())
-
-
-def validate_group(G: FiniteGroup) -> list[str]:
-    errors = []
-    els = set(G.elements)
-    if G.identity not in els:
-        return ["identity not an element"]
-    for a in G.elements:
-        for b in G.elements:
-            if G.mult.get((a, b)) not in els:
-                errors.append(f"product ({a},{b}) missing")
-    if errors:
-        return errors
-    for a in G.elements:
-        if G.mult[(G.identity, a)] != a or G.mult[(a, G.identity)] != a:
-            errors.append(f"unit law fails at {a}")
-        inv = G.inverse.get(a)
-        if inv not in els or G.mult[(a, inv)] != G.identity or G.mult[(inv, a)] != G.identity:
-            errors.append(f"inverse fails at {a}")
-        for b in G.elements:
-            for c in G.elements:
-                if G.mult[(G.mult[(a, b)], c)] != G.mult[(a, G.mult[(b, c)])]:
-                    errors.append(f"associativity fails at ({a},{b},{c})")
     return errors
 
 
@@ -470,11 +422,6 @@ def opposite_functor(F: CatFunctor) -> CatFunctor:
                       dict(F.ob_map), dict(F.mor_map))
 
 
-def identity_functor(C: FiniteCategory) -> CatFunctor:
-    return CatFunctor(C, C, {x: x for x in C.objects},
-                      {m: m for m in C.morphisms})
-
-
 def compose_functors(F: CatFunctor, G: CatFunctor) -> CatFunctor:
     """``F`` after ``G``."""
     if G.codomain != F.domain:
@@ -485,98 +432,7 @@ def compose_functors(F: CatFunctor, G: CatFunctor) -> CatFunctor:
 
 
 # ---------------------------------------------------------------------------
-# standard small categories and groups
-
-
-def empty_category() -> FiniteCategory:
-    return FiniteCategory.build([], [], {}, {}, {}, {})
-
-
-def terminal_category() -> FiniteCategory:
-    return FiniteCategory.build(["pt"], ["id_pt"], {"id_pt": "pt"},
-                                {"id_pt": "pt"}, {"pt": "id_pt"},
-                                {("id_pt", "id_pt"): "id_pt"})
-
-
-def discrete_category(names) -> FiniteCategory:
-    names = list(names)
-    return FiniteCategory.build(
-        names, [f"id_{x}" for x in names],
-        {f"id_{x}": x for x in names}, {f"id_{x}": x for x in names},
-        {x: f"id_{x}" for x in names},
-        {(f"id_{x}", f"id_{x}"): f"id_{x}" for x in names},
-    )
-
-
-def indiscrete_category(names) -> FiniteCategory:
-    """Exactly one morphism between any ordered pair of objects."""
-    names = sorted(names)
-    return _thin_category(names, {(x, y): f"to_{y}_from_{x}"
-                                  for x in names for y in names})
-
-
-def walking_arrow() -> FiniteCategory:
-    """The category with one nonidentity arrow ``f: a -> b``."""
-    return FiniteCategory.build(
-        ["a", "b"], ["id_a", "id_b", "f"],
-        {"id_a": "a", "id_b": "b", "f": "a"},
-        {"id_a": "a", "id_b": "b", "f": "b"},
-        {"a": "id_a", "b": "id_b"},
-        {("id_a", "id_a"): "id_a", ("id_b", "id_b"): "id_b",
-         ("f", "id_a"): "f", ("id_b", "f"): "f"},
-    )
-
-
-def walking_iso() -> FiniteCategory:
-    """The category with two objects and a single isomorphism between them."""
-    source = {"id_a": "a", "id_b": "b", "u": "a", "v": "b"}
-    target = {"id_a": "a", "id_b": "b", "u": "b", "v": "a"}
-    compose = {
-        ("id_a", "id_a"): "id_a", ("id_b", "id_b"): "id_b",
-        ("u", "id_a"): "u", ("id_b", "u"): "u",
-        ("v", "id_b"): "v", ("id_a", "v"): "v",
-        ("v", "u"): "id_a", ("u", "v"): "id_b",
-    }
-    return FiniteCategory.build(["a", "b"], ["id_a", "id_b", "u", "v"],
-                                source, target, {"a": "id_a", "b": "id_b"}, compose)
-
-
-def parallel_pair() -> FiniteCategory:
-    """Two objects with two parallel nonidentity arrows between them."""
-    source = {"id_a": "a", "id_b": "b", "f": "a", "g": "a"}
-    target = {"id_a": "a", "id_b": "b", "f": "b", "g": "b"}
-    compose = {("id_a", "id_a"): "id_a", ("id_b", "id_b"): "id_b"}
-    for m in ("f", "g"):
-        compose[(m, "id_a")] = m
-        compose[("id_b", m)] = m
-    return FiniteCategory.build(["a", "b"], ["id_a", "id_b", "f", "g"],
-                                source, target, {"a": "id_a", "b": "id_b"}, compose)
-
-
-def chain_category(n: int) -> FiniteCategory:
-    """The poset ``0 < 1 < ... < n`` viewed as a category."""
-    return _thin_category(
-        [str(i) for i in range(n + 1)],
-        {(str(i), str(j)): f"id_{i}" if i == j else f"le_{i}_{j}"
-         for i in range(n + 1) for j in range(i, n + 1)})
-
-
-def poset_category(names, leq: Callable[[str, str], bool]) -> FiniteCategory:
-    """The category of a finite poset; composition is forced."""
-    names = sorted(names)
-    return _thin_category(names, {(x, y): f"id_{x}" if x == y else f"le_{x}_{y}"
-                                  for x in names for y in names if leq(x, y)})
-
-
-def _thin_category(objects: list[str],
-                   name: dict[tuple[str, str], str]) -> FiniteCategory:
-    """The category with one morphism ``name[(x, y)]: x -> y`` per key, in
-    the order of ``name``; composition is forced."""
-    source = {m: x for (x, _), m in name.items()}
-    target = {m: y for (_, y), m in name.items()}
-    return tabulate(objects, list(name.values()), source, target,
-                    {x: name[(x, x)] for x in objects},
-                    lambda f, g: name[(source[g], target[f])])
+# cyclic groups
 
 
 def cyclic_group(n: int, prefix: str = "g") -> FiniteGroup:
@@ -585,50 +441,6 @@ def cyclic_group(n: int, prefix: str = "g") -> FiniteGroup:
             for i in range(n) for j in range(n)}
     inverse = {f"{prefix}{i}": f"{prefix}{(-i) % n}" for i in range(n)}
     return FiniteGroup(tuple(sorted(els)), mult, f"{prefix}0", inverse)
-
-
-def symmetric_group(n: int) -> FiniteGroup:
-    """The symmetric group on ``{0, ..., n-1}``, elements named by one-line notation."""
-    perms = list(itertools.permutations(range(n)))
-    name = {p: "".join(map(str, p)) for p in perms}
-    mult = {}
-    for p in perms:
-        for q in perms:
-            mult[(name[p], name[q])] = name[tuple(p[q[i]] for i in range(n))]
-    inverse = {}
-    for p in perms:
-        inv = tuple(p.index(i) for i in range(n))
-        inverse[name[p]] = name[inv]
-    return FiniteGroup(tuple(sorted(name.values())), mult,
-                       name[tuple(range(n))], inverse)
-
-
-def group_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
-    els = [pair_name(a, b) for a in G.elements for b in H.elements]
-    mult = {(pair_name(a, b), pair_name(c, d)):
-            pair_name(G.mult[(a, c)], H.mult[(b, d)])
-            for a in G.elements for b in H.elements
-            for c in G.elements for d in H.elements}
-    inverse = {pair_name(a, b): pair_name(G.inverse[a], H.inverse[b])
-               for a in G.elements for b in H.elements}
-    return FiniteGroup(tuple(sorted(els)), mult,
-                       pair_name(G.identity, H.identity), inverse)
-
-
-def opposite_group(G: FiniteGroup) -> FiniteGroup:
-    return FiniteGroup(G.elements,
-                       {(a, b): G.mult[(b, a)] for (a, b) in G.mult},
-                       G.identity, dict(G.inverse))
-
-
-def group_category(G: FiniteGroup, obj: str = "*") -> FiniteCategory:
-    """A group as a one-object category."""
-    return FiniteCategory.build(
-        [obj], list(G.elements),
-        {g: obj for g in G.elements}, {g: obj for g in G.elements},
-        {obj: G.identity},
-        {(a, b): G.mult[(a, b)] for a in G.elements for b in G.elements},
-    )
 
 
 # ---------------------------------------------------------------------------

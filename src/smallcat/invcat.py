@@ -27,7 +27,6 @@ from .fincat import (
     CatFunctor,
     FiniteCategory,
     compose_functors,
-    indiscrete_category,
     opposite_functor,
     pair_name,
     record,
@@ -373,6 +372,7 @@ def dagger_R_map(p: EquivariantFunctor) -> EquivariantFunctor:
 
 
 def _indiscrete_involutive(names, tau_ob: dict[str, str]) -> InvolutiveCategory:
+    from .standard import indiscrete_category
     C = indiscrete_category(names)
     mor = {}
     for m in C.morphisms:

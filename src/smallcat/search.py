@@ -3,11 +3,11 @@
 Functor enumeration runs on :func:`smallcat.fincat.backtrack`: the
 non-identity morphisms are the variables, and every composite of the
 domain is a constraint.  On top of it sit natural-transformation
-enumeration, the fullness, faithfulness and equivalence tests, the
-isomorphism search, and the bounded word closure that completes a
-category from generators and relations.  Products, coproducts and cores
-are here too.  Coproduct copies are suffixed ``#0`` / ``#1`` when the two
-identifier sets meet.
+enumeration and checking, the fullness, faithfulness and equivalence
+tests, the isomorphism search, and the bounded word closure that
+completes a category from generators and relations.  Products, coproducts
+and cores are here too.  Coproduct copies are suffixed ``#0`` / ``#1``
+when the two identifier sets meet.
 
 Every name here is also reachable as an attribute of
 :mod:`smallcat.fincat`, where it lived before; only the commands that
@@ -185,6 +185,35 @@ def enumerate_naturals(F: CatFunctor, G: CatFunctor,
                for m in C.morphisms):
             out.append(NaturalTransformation(F, G, comp))
     return out
+
+
+def validate_natural(nt: NaturalTransformation) -> list[str]:
+    """Check endpoint typing and every naturality square."""
+    F, G = nt.source, nt.target
+    C, D = F.domain, F.codomain
+    morphisms = set(D.morphisms)
+    errors = []
+    for x in C.objects:
+        c = nt.components.get(x)
+        if c is None or c not in morphisms:
+            errors.append(f"component at {x}: missing")
+            continue
+        if D.source[c] != F.ob_map[x] or D.target[c] != G.ob_map[x]:
+            errors.append(f"component at {x}: wrong endpoints")
+    if errors:
+        return errors
+    for m in C.morphisms:
+        x, y = C.source[m], C.target[m]
+        left = D.compose[(nt.components[y], F.mor_map[m])]
+        right = D.compose[(G.mor_map[m], nt.components[x])]
+        if left != right:
+            errors.append(f"naturality fails at {m}")
+    return errors
+
+
+def is_natural_iso(nt: NaturalTransformation) -> bool:
+    return not validate_natural(nt) and all(
+        nt.source.codomain.is_iso(c) for c in nt.components.values())
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import catspec_oracle
 import chaincx_numpy
@@ -330,6 +330,96 @@ def test_load_under_integer_token_mutations(data):
     except CatspecError:
         return
     _assert_entries_where_stated(text, loaded)
+
+
+# Canonical documents of every block kind, drawn from the grammar: the
+# writer must reproduce each one from its parse.
+
+_TOKEN = st.text(alphabet="abxyz019_(),:+-", min_size=1, max_size=4)
+_SLOT = {".": _TOKEN, "i": st.integers(-20, 20).map(str),
+         "n": st.integers(0, 20).map(str),
+         "p": st.integers(0, 999).map(lambda k: f"p{k}")}
+
+
+@st.composite
+def _blocks_of(draw, kind: str) -> list[Block]:
+    header, keywords = catspec._GRAMMAR[kind]
+    blocks = []
+    for name in draw(st.sets(_TOKEN, min_size=1, max_size=2)):
+        params = tuple(draw(_SLOT[slot]) for slot in header)
+        slots = dict(keywords)
+        if kind == "operad":    # a bound and arities within it
+            params = (str(draw(st.integers(0, 3))),)
+            slots["element"] = "A."
+        entries = []
+        for keyword in draw(st.lists(st.sampled_from(sorted(slots)),
+                                     max_size=4)):
+            entries.append((keyword, *(
+                str(draw(st.integers(0, int(params[0])))) if slot == "A"
+                else draw(_SLOT[slot]) for slot in slots[keyword])))
+        blocks.append(Block(kind, name, params, tuple(entries)))
+    return blocks
+
+
+@st.composite
+def canonical_documents(draw) -> str:
+    blocks = [b for kind in catspec.BLOCK_KINDS for b in draw(_blocks_of(kind))]
+    return emit(CatspecDocument(tuple(blocks)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(canonical_documents())
+def test_emit_reproduces_every_parsed_canonical_document(text):
+    doc = parse(text)
+    assert {b.kind for b in doc.blocks} == set(catspec.BLOCK_KINDS)
+    assert emit(doc) == text
+    assert parse(emit(doc)) == doc
+
+
+# Mutations of whole tokens and lines of two documents: a token becomes
+# another token of the document, a permutation or a block kind, or a line
+# is dropped.  ``load`` may fail only with CatspecError, whatever the
+# mutation.
+
+_REPRO = ("category pt\ncompose id_x id_x id_x\nidentity x id_x\n"
+          "morphism id_x x x\nobject x\nend\n"
+          "{kind} F {params}\nmorphism id_x id_x\nend\n")
+_FUZZED_DOCS = (
+    emit(full_document()),
+    _REPRO.format(kind="functor", params="pt pt").replace(
+        "id_x\nend\n", "id_x\nobject x x\nend\n"),
+)
+
+
+@st.composite
+def mutated_documents(draw) -> str:
+    lines = draw(st.sampled_from(_FUZZED_DOCS)).splitlines()
+    names = sorted({token for line in lines for token in line.split()})
+    replacement = st.one_of(st.sampled_from(names),
+                            st.integers(0, 321).map(lambda k: f"p{k}"),
+                            st.sampled_from(catspec.BLOCK_KINDS))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split()
+        if draw(st.booleans()):
+            del lines[i]
+            if not lines:
+                break
+            continue
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(replacement)
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(mutated_documents())
+@example(_REPRO.format(kind="functor", params="pt pt"))
+@example(_REPRO.format(kind="involution", params="pt"))
+def test_load_under_token_and_line_mutations(text):
+    try:
+        load(text)
+    except CatspecError:
+        pass
 
 
 # The complex-block check on sparse entries against the old eager path,

@@ -279,6 +279,49 @@ def test_nabla_homcount_outside_the_level_exits_2(capsys):
         assert code == 2
         assert json.loads(out) == {"error": f"no object [{missing}] at level 1"}
 
+
+# A morphism mapped with no ``object`` line: the loader raised KeyError (a
+# traceback, exit 1) on functor and involution blocks.
+MISSING_OBJECT_IMAGE = ("category pt\ncompose id_x id_x id_x\n"
+                        "identity x id_x\nmorphism id_x x x\nobject x\nend\n"
+                        "{kind} F {params}\nmorphism id_x id_x\nend\n")
+
+
+@pytest.mark.parametrize("kind,params", [("functor", "pt pt"),
+                                         ("involution", "pt")])
+def test_missing_object_image_exits_2(tmp_path, capsys, kind, params):
+    path = tmp_path / "bad.catspec"
+    path.write_text(MISSING_OBJECT_IMAGE.format(kind=kind, params=params),
+                    encoding="utf-8")
+    code, out = run_cli(["validate", str(path)], capsys)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": f"line 7: {kind} F: object x: image missing"}
+
+
+# The --homcount output for every dim in 0..3 (row m, column n).
+HOMCOUNTS = {
+    0: [[2]],
+    1: [[2, 4], [2, 6]],
+    2: [[2, 4, 6], [2, 6, 12], [2, 8, 20]],
+    3: [[2, 4, 6, 8], [2, 6, 12, 20], [2, 8, 20, 40], [2, 10, 30, 70]],
+}
+
+
+def test_nabla_homcount_builds_only_the_semidirect_presentation(
+        monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("--homcount built what it does not print")
+    monkeypatch.setattr(nabla, "build_nabla", refuse)
+    monkeypatch.setattr(nabla, "monotone_pair_category", refuse)
+    for dim, rows in HOMCOUNTS.items():
+        for m, row in enumerate(rows):
+            for n, count in enumerate(row):
+                code, out = run_cli(["nabla", "--dim", str(dim), "--homcount",
+                                     str(m), str(n)], capsys)
+                assert (code, out) == (0, f"{count}\n"), (dim, m, n)
+
+
 def test_nabla_summary(capsys):
     code, out = run_cli(["nabla", "--dim", "2"], capsys)
     assert code == 0
@@ -474,22 +517,23 @@ def test_unbounded_complex_window_exits_2_at_once(tmp_path, capsys):
 
 
 def loaded_after(code: str) -> set[str]:
-    """The ``smallcat.*``, numpy, ``dataclasses`` and ``inspect`` modules a
-    fresh interpreter holds after running ``code`` with its standard output
-    discarded."""
+    """The ``smallcat.*``, numpy, ``dataclasses``, ``inspect`` and ``json``
+    modules a fresh interpreter holds after running ``code`` with its
+    standard output discarded."""
     probe = ("import contextlib, io, sys\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              + "".join(f"    {line}\n" for line in code.splitlines())
              + "print(' '.join(m for m in sys.modules\n"
              "               if m.startswith('smallcat.')\n"
              "               or m.split('.')[0] == 'numpy'\n"
-             "               or m in ('dataclasses', 'inspect')))\n")
+             "               or m in ('dataclasses', 'inspect', 'json')))\n")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True)
     return set(done.stdout.split())
 
 
 def test_help_and_usage_errors_load_only_the_cli():
+    # json too is imported only to print a command's result
     for argv in (["--help"], ["nabla", "--dim", "x"], ["no-such-command"]):
         loaded = loaded_after(
             "import smallcat.cli\n"
@@ -591,7 +635,11 @@ COMPLEX_LINES = {"chain {doc} --complex C --truncate naive",
 # The smallcat modules each cli-suite line loads.  Loading the suite
 # document takes the first seven; only the commands that run them load the
 # Kan half of setval (kan), the cyclic right adjoint (cycadj), the functor
-# searches (search) and the paper cases (paper).
+# searches (search) and the paper cases (paper).  No line but the paper
+# cases loads the other cold halves: the named categories (standard), the
+# universal constructions (universal), the semidirect checks (sdcheck),
+# the simplicial sets beside nabla (simplicial) and the catspec writer
+# (catwrite).
 DOC_MODULES = "catspec cli cycops fincat nabla semidirect setval"
 LOADS = {
     "validate {doc}": DOC_MODULES,
@@ -606,10 +654,12 @@ LOADS = {
     "rsset {doc} --name S --roundtrip": DOC_MODULES,
     "cyclic {doc} --operad T": DOC_MODULES + " cycadj",
     "chain {doc} --complex C --truncate naive": DOC_MODULES + " chaincx",
-    "paper-suite --case dagger": "catmodel cli fincat invcat paper search setval",
+    "paper-suite --case dagger":
+        "catmodel cli fincat invcat paper search setval standard",
     "paper-suite --case truncation": "chaincx cli fincat paper",
     "paper-suite": "catmodel chaincx cli cycadj cycops fincat invcat kan nabla "
-                   "paper search semidirect setval",
+                   "paper sdcheck search semidirect setval simplicial standard "
+                   "universal",
 }
 
 
@@ -623,12 +673,13 @@ def test_only_complex_commands_load_numpy(tmp_path, template):
     assert ("smallcat.chaincx" in loaded) is (" ".join(template) in COMPLEX_LINES)
     # records are made by fincat.record, which imports nothing
     assert "dataclasses" not in loaded and "inspect" not in loaded
-    assert loaded == {f"smallcat.{m}" for m in LOADS[" ".join(template)].split()}
+    assert loaded == {"json"} | {f"smallcat.{m}"
+                                 for m in LOADS[" ".join(template)].split()}
 
 
 def test_package_attribute_loads_that_module_only():
     loaded = loaded_after("import smallcat\n"
-                          "smallcat.fincat.walking_arrow()\n"
+                          "smallcat.fincat.cyclic_group(2)\n"
                           "try:\n"
                           "    smallcat.no_such_module\n"
                           "except AttributeError:\n"
@@ -648,9 +699,11 @@ def test_an_old_module_loads_the_new_one_only_for_a_moved_name():
     assert loaded == {"smallcat.fincat", "smallcat.kan", "smallcat.setval"}
 
 
-# old module -> the module its cold half moved to
-MOVED = {"setval": "kan", "cycops": "cycadj", "fincat": "search",
-         "cli": "paper"}
+# (old module, a module that part of its cold half moved to)
+MOVED = [("setval", "kan"), ("setval", "universal"), ("cycops", "cycadj"),
+         ("fincat", "search"), ("fincat", "standard"), ("cli", "paper"),
+         ("semidirect", "sdcheck"), ("nabla", "simplicial"),
+         ("catspec", "catwrite")]
 
 
 def defined_in(module: ModuleType) -> list[str]:
@@ -660,7 +713,7 @@ def defined_in(module: ModuleType) -> list[str]:
             and getattr(v, "__module__", module.__name__) == module.__name__]
 
 
-@pytest.mark.parametrize("old,new", MOVED.items())
+@pytest.mark.parametrize("old,new", MOVED)
 def test_moved_names_keep_their_old_paths(old, new):
     old_module = importlib.import_module(f"smallcat.{old}")
     new_module = importlib.import_module(f"smallcat.{new}")

@@ -317,3 +317,13 @@ def test_equivalence_two_oracle_corpus_sweep():
                 assert is_equivalence(F) == equivalence_by_quasi_inverse(F)
                 checked += 1
     assert checked >= 60
+
+
+def test_functor_without_an_object_image_is_reported_not_raised():
+    # the morphism image exists but the object image does not: reading
+    # ob_map[source] raised KeyError instead of returning the error
+    pt = fincat.terminal_category()
+    F = CatFunctor(pt, pt, {}, {"id_pt": "id_pt"})
+    errors = validate_functor(F)
+    assert errors[0] == "object pt: image missing"
+    assert "morphism id_pt: source not preserved" in errors
