@@ -204,11 +204,7 @@ def cmd_nabla(args) -> int:
         _print(len(category.hom(f"[{m}]", f"[{n}]")), args.pretty)
         return OK
     pres = nabla.build_nabla(args.dim)
-    delta = nabla.delta_leq(args.dim)
-    doubling = all(
-        len(pres.semidirect.category.hom(f"[{m}]", f"[{n}]"))
-        == 2 * len(delta.hom(f"[{m}]", f"[{n}]"))
-        for m in range(args.dim + 1) for n in range(args.dim + 1))
+    doubling = nabla.hom_doubling(pres)
     payload = {
         "dim": args.dim,
         "objects": len(pres.semidirect.category.objects),

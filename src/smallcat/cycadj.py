@@ -35,7 +35,14 @@ from .cycops import (
     ext_of_perm,
     perm_compose,
 )
-from .fincat import NodeBudget, backtrack, constraint_lists, field, record
+from .fincat import (
+    NodeBudget,
+    backtrack,
+    constraint_lists,
+    distinct,
+    field,
+    record,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -52,13 +59,10 @@ def _tuples(P: TruncatedOperad) -> dict[int, dict[str, tuple[str, ...]]]:
     two tuples render to one name."""
     out = {}
     for n in range(P.arity_bound + 1):
-        named: dict[str, tuple[str, ...]] = {}
-        for t in itertools.product(P.elements[n], repeat=n + 1):
-            name = _tuple_name(t)
-            if name in named:
-                raise ValueError(f"tuple identifier {name} names two tuples")
-            named[name] = t
-        out[n] = named
+        tuples = list(itertools.product(P.elements[n], repeat=n + 1))
+        names = [_tuple_name(t) for t in tuples]
+        distinct(names, "tuple identifier {} names two tuples")
+        out[n] = dict(zip(names, tuples))
     return out
 
 

@@ -7,10 +7,18 @@ values are immutable after construction and every operation is a pure
 function, so concurrent use is safe.
 
 Enumerations are deterministic: objects and morphisms are kept sorted, and
-searches branch in lexicographic order.  Derived pairs are rendered
-``(a,b)``.  A constructor that computes its composites fills the table
-with :func:`tabulate`, which visits only the composable pairs, in an order
-fixed by the list of morphisms.  :func:`backtrack` is the one search loop.
+searches branch in lexicographic order.  A constructor that computes its
+composites fills the table with :func:`tabulate`, which visits only the
+composable pairs, in an order fixed by the list of morphisms.
+:func:`backtrack` is the one search loop.
+
+Derived names are rendered from their parts: pairs ``(a,b)`` (products,
+semidirect products, group products), tuples ``(x0,...,xn)`` of the
+cyclic right adjoint, families ``(o=v,...)`` of limits, colimit tags
+``(o,e)``, comma objects, comma morphisms and left Kan items, closure
+words, and the thin-category arrows ``le_x_y`` and ``to_y_from_x``.  Each
+constructor checks its names with :func:`distinct`, so two different parts
+that render alike raise ``ValueError`` instead of merging.
 
 Products, functor searches, naturality checks, the equivalence tests
 and the word closure live in :mod:`smallcat.search`, and the named
@@ -22,7 +30,7 @@ from __future__ import annotations
 
 import math
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 from . import moved
 
@@ -46,6 +54,17 @@ class BudgetError(RuntimeError):
 def pair_name(a: str, b: str) -> str:
     """The canonical identifier for an ordered pair."""
     return f"({a},{b})"
+
+
+def distinct(names: Collection[str], message: str) -> None:
+    """Raise ``ValueError(message.format(n))`` for the first name ``n`` that
+    occurs twice in ``names``: two different parts rendered alike."""
+    if len(set(names)) != len(names):
+        seen: set[str] = set()
+        for n in names:
+            if n in seen:
+                raise ValueError(message.format(n))
+            seen.add(n)
 
 
 def is_prime(p: int) -> bool:

@@ -235,41 +235,31 @@ def check_inv_adjunctions(corpus: list[FiniteCategory],
     bijections by exhaustive enumeration.
     """
     failures: list[str] = []
-    left_checked = right_checked = 0
+    checked = {"left": 0, "right": 0}
     Y = Ytau.base
     for k, X in enumerate(corpus):
-        plain = list(_iter_functors(X, Y))
-        LX = L_inv(X)
-        equis = enumerate_equivariant(LX, Ytau)
-        if len(plain) != len(equis):
-            failures.append(f"left hom count mismatch on corpus[{k}]")
-        image = set()
-        for f in plain:
-            g = extend_along_L(f, Ytau)
-            if validate_equivariant(g):
-                failures.append(f"left extension not equivariant on corpus[{k}]")
-                continue
-            image.add(g.functor.key())
-        if image != {e.functor.key() for e in equis}:
-            failures.append(f"left extension not bijective on corpus[{k}]")
-        left_checked += len(plain)
-
-        RX = R_inv(X)
-        equis_r = enumerate_equivariant(Ytau, RX)
-        plain_r = list(_iter_functors(Y, X))
-        if len(plain_r) != len(equis_r):
-            failures.append(f"right hom count mismatch on corpus[{k}]")
-        image_r = set()
-        for f in plain_r:
-            g = extend_along_R(f, Ytau)
-            if validate_equivariant(g):
-                failures.append(f"right extension not equivariant on corpus[{k}]")
-                continue
-            image_r.add(g.functor.key())
-        if image_r != {e.functor.key() for e in equis_r}:
-            failures.append(f"right extension not bijective on corpus[{k}]")
-        right_checked += len(plain_r)
-    return InvAdjunctionReport(not failures, left_checked, right_checked, failures)
+        # each side: the plain functors, the equivariant functors they
+        # should match, and the extension formula from one to the other
+        sides = (("left", list(_iter_functors(X, Y)),
+                  enumerate_equivariant(L_inv(X), Ytau), extend_along_L),
+                 ("right", list(_iter_functors(Y, X)),
+                  enumerate_equivariant(Ytau, R_inv(X)), extend_along_R))
+        for side, plain, equis, extend in sides:
+            if len(plain) != len(equis):
+                failures.append(f"{side} hom count mismatch on corpus[{k}]")
+            image = set()
+            for f in plain:
+                g = extend(f, Ytau)
+                if validate_equivariant(g):
+                    failures.append(
+                        f"{side} extension not equivariant on corpus[{k}]")
+                    continue
+                image.add(g.functor.key())
+            if image != {e.functor.key() for e in equis}:
+                failures.append(f"{side} extension not bijective on corpus[{k}]")
+            checked[side] += len(plain)
+    return InvAdjunctionReport(not failures, checked["left"], checked["right"],
+                               failures)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .fincat import (
     NaturalTransformation,
     NodeBudget,
     Partition,
+    distinct,
     field,
     pair_name,
     record,
@@ -81,22 +82,24 @@ class AdjunctionReport:
 # comma categories
 
 
-def _distinct(names: list[str], what: str) -> None:
-    """Raise :class:`ValueError` naming the first identifier that occurs
-    twice in ``names``: two different ``what``s rendered alike."""
-    if len(set(names)) != len(names):
-        seen: set[str] = set()
-        for n in names:
-            if n in seen:
-                raise ValueError(f"{what} identifier {n} names two {what}s")
-            seen.add(n)
-
-
-def _by_name(pairs: list[tuple[str, str]]) -> dict[str, tuple[str, str]]:
-    """The comma objects ``pairs``, keyed by their pair names."""
-    names = [pair_name(a, b) for a, b in pairs]
-    _distinct(names, "comma object")
-    return dict(zip(names, pairs))
+def _comma_objects(iota: CatFunctor, homs: dict[tuple[str, str], list[str]],
+                   d: str, under: bool) -> dict[str, tuple[str, str]]:
+    """The objects of the comma category over ``d``, or under it when
+    ``under``, keyed by their pair names: ``(c,phi)`` for ``phi: iota c ->
+    d``, or ``(phi,c)`` for ``phi: d -> iota c``; ``homs`` is the
+    :func:`~smallcat.fincat.hom_index` of the codomain of ``iota``."""
+    objects: dict[str, tuple[str, str]] = {}
+    pairs = []
+    ob = iota.ob_map
+    for c in iota.domain.objects:
+        for phi in homs.get((d, ob[c]) if under else (ob[c], d), ()):
+            pair = (phi, c) if under else (c, phi)
+            pairs.append(pair)
+            objects[pair_name(*pair)] = pair
+    if len(objects) != len(pairs):      # two pairs, one name
+        distinct([pair_name(*pair) for pair in pairs],
+                 "comma object identifier {} names two comma objects")
+    return objects
 
 
 def _comma_category(object_data: dict[str, tuple],
@@ -117,7 +120,7 @@ def _comma_category(object_data: dict[str, tuple],
                     morphisms.append(name)
                     source[name], target[name] = o1, o2
                     morphism_data[name] = m
-    _distinct(morphisms, "comma morphism")
+    distinct(morphisms, "comma morphism identifier {} names two comma morphisms")
     for o in objects:
         c = object_data[o][proj_index]
         identity[o] = f"({C.identity[c]},{o},{o})"
@@ -137,8 +140,7 @@ def _comma_category(object_data: dict[str, tuple],
 def comma_over(iota: CatFunctor, d: str) -> CommaCategory:
     """The comma category of arrows ``iota(c) -> d``; objects are ``(c,arrow)``."""
     C, D = iota.domain, iota.codomain
-    object_data = _by_name([(c, phi) for c in C.objects
-                            for phi in D.hom(iota.ob_map[c], d)])
+    object_data = _comma_objects(iota, fincat.hom_index(D), d, False)
 
     def arrow_ok(p1, p2, m):
         return D.compose[(p2[1], iota.mor_map[m])] == p1[1]
@@ -149,8 +151,7 @@ def comma_over(iota: CatFunctor, d: str) -> CommaCategory:
 def comma_under(d: str, iota: CatFunctor) -> CommaCategory:
     """The comma category of arrows ``d -> iota(c)``; objects are ``(arrow,c)``."""
     C, D = iota.domain, iota.codomain
-    object_data = _by_name([(phi, c) for c in C.objects
-                            for phi in D.hom(d, iota.ob_map[c])])
+    object_data = _comma_objects(iota, fincat.hom_index(D), d, True)
 
     def arrow_ok(p1, p2, m):
         return D.compose[(iota.mor_map[m], p1[0])] == p2[0]
@@ -203,19 +204,7 @@ def left_kan(iota: CatFunctor, X: SetDiagram) -> LeftKan:
     """
     C, D = iota.domain, iota.codomain
     homs = fincat.hom_index(D)
-    # objects[d] as comma_over(iota, d).object_data lists them
-    objects: dict[str, dict[str, tuple[str, str]]] = {d: {} for d in D.objects}
-    count = 0
-    for c in C.objects:
-        for d in D.objects:
-            phis = homs.get((iota.ob_map[c], d), ())
-            count += len(phis)
-            for phi in phis:
-                objects[d][pair_name(c, phi)] = (c, phi)
-    if sum(map(len, objects.values())) != count:    # two pairs, one name
-        for d in D.objects:
-            _by_name([(c, phi) for c in C.objects
-                      for phi in homs.get((iota.ob_map[c], d), ())])
+    objects = {d: _comma_objects(iota, homs, d, False) for d in D.objects}
     # tags[d][o][x] is the item of x at the comma object o over d
     tags = {d: {o: {x: (d, pair_name(o, x)) for x in X.values[c]}
                 for o, (c, _) in objects[d].items()} for d in D.objects}
@@ -224,8 +213,9 @@ def left_kan(iota: CatFunctor, X: SetDiagram) -> LeftKan:
     classes = Partition(items)
     if len(classes.parent) != len(items):           # two items, one name
         for by_o in tags.values():
-            _distinct([t for by_x in by_o.values() for _, t in by_x.values()],
-                      "Kan extension item")
+            distinct([t for by_x in by_o.values() for _, t in by_x.values()],
+                     "Kan extension item identifier {} names two Kan "
+                     "extension items")
     for u in C.morphisms:
         c, c2 = C.source[u], C.target[u]
         if u == C.identity[c]:
@@ -305,19 +295,7 @@ def right_kan(iota: CatFunctor, X: SetDiagram) -> RightKan:
     """
     C, D = iota.domain, iota.codomain
     homs = fincat.hom_index(D)
-    # objects[d] as comma_under(d, iota).object_data lists them
-    objects: dict[str, dict[str, tuple[str, str]]] = {d: {} for d in D.objects}
-    count = 0
-    for c in C.objects:
-        for d in D.objects:
-            phis = homs.get((d, iota.ob_map[c]), ())
-            count += len(phis)
-            for phi in phis:
-                objects[d][pair_name(phi, c)] = (phi, c)
-    if sum(map(len, objects.values())) != count:    # two pairs, one name
-        for d in D.objects:
-            _by_name([(phi, c) for c in C.objects
-                      for phi in homs.get((d, iota.ob_map[c]), ())])
+    objects = {d: _comma_objects(iota, homs, d, True) for d in D.objects}
     constraints: dict[str, list] = {d: [] for d in D.objects}
     for u in C.morphisms:
         c, c2 = C.source[u], C.target[u]

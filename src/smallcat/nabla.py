@@ -214,6 +214,15 @@ def build_nabla(N: int) -> NablaPresentations:
     return NablaPresentations(sd, pairs, iso, isomorphic)
 
 
+def hom_doubling(pres: NablaPresentations) -> bool:
+    """Whether each hom-set ``[m] -> [n]`` of the signed simplex category
+    has twice the maps of the simplex category: one per sign."""
+    delta = pres.semidirect.action.target
+    signed = pres.semidirect.category
+    return all(len(signed.hom(x, y)) == 2 * len(delta.hom(x, y))
+               for x in delta.objects for y in delta.objects)
+
+
 @functools.cache
 def nabla_category(N: int) -> SemidirectCategory:
     """The semidirect presentation (canonical shape for presheaves)."""
@@ -255,11 +264,8 @@ def validate_rsset(X: TruncatedRealSimplicialSet) -> list[str]:
         return errors
     # the involution levels square to the identity by functoriality; check
     # explicitly anyway, it is the structural heart of the object
-    delta = delta_leq(X.level)
-    for n in range(X.level + 1):
-        obj = f"[{n}]"
-        sig = X.diagram.action[pair_name(delta.identity[obj], SWAP)]
-        for e in X.diagram.values[obj]:
+    for n, sig in involution_levels(X).items():
+        for e in X.diagram.values[f"[{n}]"]:
             if sig[sig[e]] != e:
                 errors.append(f"involution at level {n} does not square to one")
                 break
@@ -302,7 +308,6 @@ def from_involutive(A: TruncatedSimplicialSet,
     """
     from . import setval
     N = A.level
-    delta = delta_leq(N)
     for n in range(N + 1):
         obj = f"[{n}]"
         s = sigma.get(n)
@@ -311,14 +316,9 @@ def from_involutive(A: TruncatedSimplicialSet,
         for e in A.diagram.values[obj]:
             if s[s[e]] != e:
                 raise ValueError(f"involution at level {n} does not square to one")
-    for alpha in delta.morphisms:
-        m = object_level(delta.source[alpha])
-        n = object_level(delta.target[alpha])
-        flip = flip_delta_morphism(alpha)
-        for e in A.diagram.values[f"[{n}]"]:
-            if A.diagram.action[alpha][sigma[n][e]] != \
-                    sigma[m][A.diagram.action[flip][e]]:
-                raise ValueError(f"involution does not conjugate {alpha}")
+    alpha = _unconjugated(N, A.diagram.values, A.diagram.action, sigma)
+    if alpha is not None:
+        raise ValueError(f"involution does not conjugate {alpha}")
     sd = nabla_category(N)
     shape = fincat.opposite(sd.category)
     values = {o: A.diagram.values[o] for o in shape.objects}
@@ -342,15 +342,24 @@ def conjugation_squares_hold(X: TruncatedRealSimplicialSet) -> bool:
     """Check ``(alpha,1)^* . sigma_n == sigma_m . (flip(alpha),1)^*`` for
     every order-preserving ``alpha``."""
     N = X.level
+    action = {alpha: X.diagram.action[pair_name(alpha, UNIT)]
+              for alpha in delta_leq(N).morphisms}
+    return _unconjugated(N, X.diagram.values, action,
+                         involution_levels(X)) is None
+
+
+def _unconjugated(N: int, values: dict[str, tuple[str, ...]],
+                  action: dict[str, dict[str, str]],
+                  sigma: dict[int, dict[str, str]]) -> str | None:
+    """The first order-preserving ``alpha: [m] -> [n]`` whose square
+    ``action[alpha] . sigma[n] == sigma[m] . action[flip(alpha)]`` fails
+    on the simplices ``values["[n]"]``, or ``None`` if every square holds."""
     delta = delta_leq(N)
-    sigma = involution_levels(X)
     for alpha in delta.morphisms:
         m = object_level(delta.source[alpha])
         n = object_level(delta.target[alpha])
-        flip = flip_delta_morphism(alpha)
-        act = X.diagram.action
-        for e in X.diagram.values[f"[{n}]"]:
-            if act[pair_name(alpha, UNIT)][sigma[n][e]] != \
-                    sigma[m][act[pair_name(flip, UNIT)][e]]:
-                return False
-    return True
+        act, flipped = action[alpha], action[flip_delta_morphism(alpha)]
+        if any(act[sigma[n][e]] != sigma[m][flipped[e]]
+               for e in values[f"[{n}]"]):
+            return alpha
+    return None

@@ -29,12 +29,8 @@ def _case_truncation() -> tuple[dict, bool]:
 def _case_nabla() -> tuple[dict, bool]:
     from . import nabla
     pres = nabla.build_nabla(2)
-    delta = nabla.delta_leq(2)
     two = len(pres.semidirect.category.hom("[0]", "[0]"))
-    doubling = all(
-        len(pres.semidirect.category.hom(f"[{m}]", f"[{n}]"))
-        == 2 * len(delta.hom(f"[{m}]", f"[{n}]"))
-        for m in range(3) for n in range(3))
+    doubling = nabla.hom_doubling(pres)
     return ({"hom_0_0": two, "hom_doubling": doubling,
              "presentations_isomorphic": pres.isomorphic},
             two == 2 and doubling and pres.isomorphic)

@@ -8,8 +8,7 @@ reachable through :mod:`smallcat.semidirect`, where it lived before.
 """
 from __future__ import annotations
 
-import typing
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 # Timed functions are called via their module: see the package docstring.
 from . import fincat, semidirect
@@ -27,7 +26,7 @@ from .semidirect import GroupAction, SemidirectCategory, inclusion_iota
 from .standard import identity_functor, opposite_group, validate_group
 
 # setval is imported in the functions, so that action blocks load none
-if typing.TYPE_CHECKING:
+if TYPE_CHECKING:
     from .setval import DiagramMap, SetDiagram
 
 

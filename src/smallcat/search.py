@@ -27,6 +27,7 @@ from .fincat import (
     NodeBudget,
     backtrack,
     constraint_lists,
+    distinct,
     hom_index,
     pair_name,
 )
@@ -53,11 +54,7 @@ def product(C: FiniteCategory, D: FiniteCategory) -> FiniteCategory:
         for (g1, g2), g3 in D.compose.items():
             compose[(pair_name(f1, g1), pair_name(f2, g2))] = pair_name(f3, g3)
     for names in (objects, morphisms):
-        seen: set[str] = set()
-        for n in names:
-            if n in seen:
-                raise ValueError(f"product identifier {n} names two pairs")
-            seen.add(n)
+        distinct(names, "product identifier {} names two pairs")
     return FiniteCategory.build(objects, morphisms, source, target, identity, compose)
 
 
@@ -413,14 +410,11 @@ def bounded_closure(objects: list[str],
 
     # build the category
     names: dict[int, str] = {}
-    taken: set[str] = set()
     for i in live:
         w = min(classes[i]["words"], key=lambda t: (len(t), t))
         names[i] = w[0] if len(w) == 1 else "*".join(w)
-        if names[i] in taken:
-            raise ValueError(f"closure identifier {names[i]} names two morphisms")
-        taken.add(names[i])
     morphisms = [names[i] for i in live]
+    distinct(morphisms, "closure identifier {} names two morphisms")
     source = {names[i]: classes[i]["src"] for i in live}
     target = {names[i]: classes[i]["tgt"] for i in live}
     identity = {o: names[class_of[(f"1@{o}",)]] for o in objects}

@@ -18,6 +18,7 @@ from .fincat import (
     CatFunctor,
     FiniteCategory,
     FiniteGroup,
+    distinct,
     pair_name,
     record,
     tabulate,
@@ -59,12 +60,11 @@ def semidirect(action: GroupAction) -> SemidirectCategory:
     for phi in C.morphisms:
         for g in G.elements:
             m = pair_name(phi, g)
-            if m in pair_of:
-                raise ValueError(f"semidirect identifier {m} names two pairs")
             morphisms.append(m)
             pair_of[m] = (phi, g)
             source[m] = action.rho[G.inverse[g]].ob_map[C.source[phi]]
             target[m] = C.target[phi]
+    distinct(morphisms, "semidirect identifier {} names two pairs")
     identity = {x: pair_name(C.identity[x], G.identity) for x in C.objects}
 
     def composite(m2: str, m1: str) -> str:

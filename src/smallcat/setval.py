@@ -27,6 +27,7 @@ from .fincat import (
     NodeBudget,
     backtrack,
     constraint_lists,
+    distinct,
     record,
 )
 
@@ -199,17 +200,15 @@ def _families(obs, values, constraints, budget: int) -> LimitResult:
     checks = constraint_lists(len(obs), ((table, (slot[o1],), slot[o2])
                                          for o1, table, o2 in constraints))
     projections: dict[str, dict[str, str]] = {o: {} for o in obs}
-    named = projections[obs[0]]     # every family so far, by name
     names = []
     for a in backtrack([values[o] for o in obs], checks,
                        NodeBudget(None, "unbounded")):
         fam = dict(zip(obs, a))
         n = _family_name(fam)
-        if n in named:
-            raise ValueError(f"family identifier {n} names two families")
         names.append(n)
         for o, v in fam.items():
             projections[o][n] = v
+    distinct(names, "family identifier {} names two families")
     return LimitResult(tuple(sorted(names)), projections)
 
 

@@ -3,8 +3,9 @@
 Chains, posets and indiscrete categories are thin: composition is forced.
 Identifiers are ``id_x`` for identities, ``le_x_y`` in chains and posets,
 ``to_y_from_x`` in indiscrete categories, and the one-line notation of a
-permutation.  Every name here is also reachable through
-:mod:`smallcat.fincat`, where it lived before.
+permutation; an arrow name, or a group-product pair, that two different
+parts render raises ``ValueError``.  Every name here is also reachable
+through :mod:`smallcat.fincat`, where it lived before.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from .fincat import (
     CatFunctor,
     FiniteCategory,
     FiniteGroup,
+    distinct,
     pair_name,
     tabulate,
 )
@@ -109,6 +111,7 @@ def _thin_category(objects: list[str],
                    name: dict[tuple[str, str], str]) -> FiniteCategory:
     """The category with one morphism ``name[(x, y)]: x -> y`` per key, in
     the order of ``name``; composition is forced."""
+    distinct(name.values(), "morphism identifier {} names two morphisms")
     source = {m: x for (x, _), m in name.items()}
     target = {m: y for (_, y), m in name.items()}
     return tabulate(objects, list(name.values()), source, target,
@@ -134,6 +137,7 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 def group_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     els = [pair_name(a, b) for a in G.elements for b in H.elements]
+    distinct(els, "group product identifier {} names two pairs")
     mult = {(pair_name(a, b), pair_name(c, d)):
             pair_name(G.mult[(a, c)], H.mult[(b, d)])
             for a in G.elements for b in H.elements

@@ -15,6 +15,7 @@ from .fincat import (
     FiniteCategory,
     NodeBudget,
     Partition,
+    distinct,
     pair_name,
 )
 from .setval import (
@@ -129,12 +130,8 @@ def colimit(X: SetDiagram) -> ColimitResult:
     """
     C = X.shape
     tag = {(o, e): pair_name(o, e) for o in C.objects for e in X.values[o]}
-    seen: set[str] = set()
-    for t in tag.values():
-        if t in seen:
-            raise ValueError(f"colimit tag {t} names two elements")
-        seen.add(t)
-    classes = Partition(seen)
+    distinct(tag.values(), "colimit tag {} names two elements")
+    classes = Partition(tag.values())
     for m in C.morphisms:
         o, o2 = C.source[m], C.target[m]
         for e in X.values[o]:

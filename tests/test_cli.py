@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import json
@@ -707,10 +708,17 @@ MOVED = [("setval", "kan"), ("setval", "universal"), ("cycops", "cycadj"),
 
 
 def defined_in(module: ModuleType) -> list[str]:
-    """The public names whose value ``module`` defines, not imports."""
-    return [n for n, v in vars(module).items()
-            if not n.startswith("_") and not isinstance(v, ModuleType)
-            and getattr(v, "__module__", module.__name__) == module.__name__]
+    """The public names that ``module``'s own top-level statements bind:
+    its functions, classes and assignments, not its imports."""
+    tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+    names = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.append(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if not n.startswith("_")]
 
 
 @pytest.mark.parametrize("old,new", MOVED)

@@ -1,4 +1,6 @@
+import ast
 import itertools
+import pathlib
 
 import pytest
 
@@ -21,12 +23,14 @@ from smallcat.fincat import (
     group_category,
     group_product,
     identity_functor,
+    indiscrete_category,
     is_equivalence,
     is_full,
     is_groupoid,
     is_natural_iso,
     opposite,
     parallel_pair,
+    poset_category,
     product,
     symmetric_group,
     terminal_category,
@@ -113,6 +117,60 @@ def test_product_rejects_colliding_pair_names():
     D = discrete_category(["b", "c", "b,c"])
     with pytest.raises(ValueError, match=r"\(a,b,c\)"):
         product(C, D)
+
+
+def two_element_group(identity: str, other: str) -> fincat.FiniteGroup:
+    e, g = identity, other
+    return fincat.FiniteGroup(tuple(sorted((e, g))),
+                              {(e, e): e, (e, g): g, (g, e): g, (g, g): e},
+                              e, {e: e, g: g})
+
+
+def test_group_product_rejects_colliding_pair_names():
+    # (a,b,c) names both (a, "b,c") and ("a,b", c); the product used to
+    # keep three elements for four and a 9-entry table
+    G = two_element_group("a", "a,b")
+    H = two_element_group("c", "b,c")
+    with pytest.raises(ValueError, match=r"^group product identifier "
+                       r"\(a,b,c\) names two pairs$"):
+        group_product(G, H)
+
+
+@pytest.mark.parametrize("build,name", [
+    # a <= b_c and a_b <= c both render le_a_b_c
+    (lambda: poset_category(["a", "a_b", "b_c", "c"], lambda x, y: x == y
+                            or (x, y) in {("a", "b_c"), ("a_b", "c")}),
+     "le_a_b_c"),
+    # b -> c_from_a and a_from_b -> c both render to_c_from_a_from_b
+    (lambda: indiscrete_category(["b", "a_from_b", "c_from_a", "c"]),
+     "to_c_from_a_from_b"),
+], ids=["poset", "indiscrete"])
+def test_thin_categories_reject_colliding_morphism_names(build, name):
+    # the category used to lose one of the two arrows and still validate
+    with pytest.raises(ValueError, match=f"^morphism identifier {name} "
+                       "names two morphisms$"):
+        build()
+
+
+def test_distinct_names_the_first_repeat():
+    fincat.distinct(["a", "b"], "{} twice")
+    with pytest.raises(ValueError, match="^a twice$"):
+        fincat.distinct(["b", "a", "a", "b"], "{} twice")
+
+
+def test_only_fincat_raises_a_name_collision():
+    # every constructor that renders names from parts checks them with
+    # fincat.distinct instead of raising its own collision error
+    package = pathlib.Path(fincat.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "fincat.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                text = "".join(c.value for c in ast.walk(node.exc)
+                               if isinstance(c, ast.Constant)
+                               and isinstance(c.value, str))
+                assert "names two" not in text, f"{path.name}:{node.lineno}"
 
 
 def test_product_with_terminal_is_isomorphic():
