@@ -2,14 +2,19 @@
 certificates.
 
 The Kan extensions are the pointwise (co)limits over comma categories,
-computed without building those categories: the left one by one
-union-find chase over every codomain object, the right one as compatible
-families over the under-comma objects.  :func:`left_kan` and
-:func:`right_kan` build a :class:`LeftKan` or :class:`RightKan` record per
-functor and diagram, holding the comma objects, (co)limits, extension and
-(co)unit; the transposes and :func:`lan_map` read a record passed to them
-instead of rebuilding it, and the plain functions (:func:`lan`,
-:func:`lan_unit`, ...) build one per call.
+computed without building those categories, by one coded core per side:
+:func:`_lan_core` chases union-find classes over each codomain object,
+and :func:`_ran_core` finds the compatible families over the
+under-comma objects.  Each takes a diagram coded once
+(:class:`~smallcat.coded.CodedDiagram`) and returns a :class:`CodedKan`:
+the comma objects, the coded extension and the injection or projection
+tables.  The cores name classes and families only to order them by name.
+:func:`left_kan`, :func:`right_kan`, :func:`lan`, :func:`ran`,
+:func:`lan_unit` and :func:`ran_counit` render their records from a core,
+reusing its names; :func:`certify_kan_adjunctions` reads the cores
+directly and never renders.  Nothing is cached across calls: codes are
+built inside a call and dropped at its return.  The transposes and
+:func:`lan_map` read a record passed to them instead of rebuilding it.
 
 A comma object is named by the pair string of its two parts, a comma
 morphism by the triple of its morphism and ends, and an item of the left
@@ -23,7 +28,8 @@ compute a Kan extension or a certificate load this module.
 """
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, islice, repeat
+from operator import add, getitem, itemgetter
 from typing import Iterator
 
 # Timed functions are called via their module: see the package docstring.
@@ -34,21 +40,26 @@ from .fincat import (
     NaturalTransformation,
     NodeBudget,
     Partition,
+    backtrack,
     distinct,
     field,
     pair_name,
     record,
+)
+from .coded import (
+    CodedDiagram,
+    _code,
+    _coded_error,
+    _map_search,
+    _offsets,
+    _squares,
 )
 from .setval import (
     ColimitResult,
     DiagramMap,
     LimitResult,
     SetDiagram,
-    _coded_maps,
-    _families,
     _family_name,
-    _naturality_checks,
-    _slots,
     restrict,
 )
 
@@ -169,7 +180,7 @@ class LeftKan:
     each object ``(c,phi)`` of the comma category over ``d`` to its pair
     ``(c, phi: iota c -> d)``, ``colims[d]`` is the colimit of ``X`` over
     that comma, and ``unit`` maps ``X`` to the restricted ``extension``.
-    Built by :func:`left_kan`; :func:`lan_transpose` and :func:`lan_map`
+    Rendered by :func:`left_kan`; :func:`lan_transpose` and :func:`lan_map`
     take it."""
 
     objects: dict[str, dict[str, tuple[str, str]]]
@@ -184,7 +195,7 @@ class RightKan:
     decodes each object ``(phi,c)`` of the comma category under ``d`` to its
     pair ``(phi: d -> iota c, c)``, ``lims[d]`` is the limit of ``X`` over
     that comma, and ``counit`` maps the restricted ``extension`` to ``X``.
-    Built by :func:`right_kan`; :func:`ran_transpose` takes it."""
+    Rendered by :func:`right_kan`; :func:`ran_transpose` takes it."""
 
     objects: dict[str, dict[str, tuple[str, str]]]
     lims: dict[str, LimitResult]
@@ -192,76 +203,206 @@ class RightKan:
     counit: DiagramMap
 
 
-def left_kan(iota: CatFunctor, X: SetDiagram) -> LeftKan:
-    """The left Kan extension of ``X`` along ``iota``, with its unit.
+@record(frozen=True)
+class CodedKan:
+    """A Kan extension of a coded diagram ``X`` along ``iota``, on codes.
 
-    One union-find chase over every codomain object at once (Meyers,
-    Spivak and Wisnesky, *Fast Left Kan Extensions Using Union Find*): the
-    items are ``(d, ((c,phi),x))`` for ``phi: iota c -> d`` and ``x`` in
-    ``X c``, and each ``u: c -> c2`` joins ``(c, phi2 . iota u, x)`` with
-    ``(c2, phi2, X u x)``.  Each class is named by its minimal tag, as
-    :func:`colimit` names it over the comma category.
+    ``objects[d]`` lists the comma objects over ``d`` (left) or under it
+    (right) as :func:`_comma_objects` does.  ``extension`` is the coded
+    extension; its elements at ``d`` are the colimit classes or limit
+    families, sorted by name.  ``tables[d][pair]`` is, at the comma object
+    ``pair``, the injection (code in ``X c`` to class) on the left, in the
+    order of ``objects[d]``, and the projection (family to code in ``X
+    c``) on the right, in the name order of the comma objects.  The unit
+    and the counit are the tables at the pairs of identities.
+    """
+
+    objects: dict[str, dict[str, tuple[str, str]]]
+    extension: CodedDiagram
+    tables: dict[str, dict[tuple[str, str], tuple[int, ...]]]
+
+
+def _lan_core(iota: CatFunctor, X: CodedDiagram) -> CodedKan:
+    """The left Kan extension of ``X`` along ``iota``.
+
+    A union-find chase per codomain object ``d`` (Meyers, Spivak and
+    Wisnesky, *Fast Left Kan Extensions Using Union Find*): the items are
+    ``((c,phi),x)`` for ``phi: iota c -> d`` and ``x`` in ``X c``, and each
+    ``u: c -> c2`` joins ``(c, phi2 . iota u, x)`` with ``(c2, phi2, X
+    u x)``.  The :class:`~smallcat.fincat.Partition` is over the item
+    names, so each class is named by its minimal item, as :func:`colimit`
+    names it over the comma category.
     """
     C, D = iota.domain, iota.codomain
     homs = fincat.hom_index(D)
     objects = {d: _comma_objects(iota, homs, d, False) for d in D.objects}
-    # tags[d][o][x] is the item of x at the comma object o over d
-    tags = {d: {o: {x: (d, pair_name(o, x)) for x in X.values[c]}
-                for o, (c, _) in objects[d].items()} for d in D.objects}
-    items = [t for by_o in tags.values() for by_x in by_o.values()
-             for t in by_x.values()]
-    classes = Partition(items)
-    if len(classes.parent) != len(items):           # two items, one name
-        for by_o in tags.values():
-            distinct([t for by_x in by_o.values() for _, t in by_x.values()],
-                     "Kan extension item identifier {} names two Kan "
-                     "extension items")
-    for u in C.morphisms:
-        c, c2 = C.source[u], C.target[u]
-        if u == C.identity[c]:
-            continue    # an identity joins each item to itself
-        iu, Xu = iota.mor_map[u], X.action[u]
-        for d in D.objects:
-            for phi2 in homs.get((iota.ob_map[c2], d), ()):
-                to = tags[d][pair_name(c2, phi2)]
-                for x, t in tags[d][pair_name(c, D.compose[(phi2, iu)])].items():
-                    classes.union(t, to[Xu[x]])
-    colims = {}
+    moves = [(C.source[u], C.target[u], iota.mor_map[u], X.action[u])
+             for u in C.morphisms if u != C.identity[C.source[u]]]
+    render = "({},{})".format   # pair_name, without a frame per item
+    values, tables, classes = {}, {}, {}
     for d in D.objects:
-        injections = {o: {x: classes.find(t)[1] for x, t in tags[d][o].items()}
-                      for o in sorted(objects[d])}
-        elements = {t for inj in injections.values() for t in inj.values()}
-        colims[d] = ColimitResult(tuple(sorted(elements)), injections)
-    values = {d: colims[d].elements for d in D.objects}
+        # items[start[c, phi] + i] names element i of X c at (c,phi)
+        items: list[str] = []
+        start = {}
+        for o, (c, phi) in objects[d].items():
+            start[c, phi] = len(items)
+            items += map(render, repeat(o), X.values[c])
+        distinct(items, "Kan extension item identifier {} names two Kan "
+                        "extension items")
+        part = Partition(items)
+        for c, c2, iu, Xu in moves:
+            for phi2 in homs.get((iota.ob_map[c2], d), ()):
+                to = start[c2, phi2]
+                for i, j in enumerate(Xu, start[c, D.compose[(phi2, iu)]]):
+                    part.union(items[i], items[to + j])
+        roots = list(map(part.find, items))
+        values[d] = ranked = tuple(sorted(set(roots)))
+        code = dict(zip(ranked, range(len(ranked))))
+        # the class of every item, in item order
+        classes[d] = cls = list(map(code.__getitem__, roots))
+        tables[d] = {pair: tuple(cls[s:s + len(X.values[pair[0]])])
+                     for pair, s in start.items()}
+    identities = set(D.identity.values())
     action = {}
     for psi in D.morphisms:
         d, d2 = D.source[psi], D.target[psi]
-        mapping: dict[str, str] = {}
-        for o, (c, phi) in objects[d].items():
-            # both injections list the elements of X c in one order
-            o2 = pair_name(c, D.compose[(psi, phi)])
-            for src_class, tgt_class in zip(
-                    colims[d].injections[o].values(),
-                    colims[d2].injections[o2].values()):
-                prev = mapping.setdefault(src_class, tgt_class)
-                if prev != tgt_class:
-                    raise AssertionError("left Kan extension action ill-defined")
-        action[psi] = mapping
-    LX = SetDiagram(D, values, action)   # sorted values, fresh maps
-    errs = setval.validate_diagram(LX)
-    if errs:
-        raise AssertionError("left Kan extension not functorial: " + errs[0])
+        if psi in identities:   # it sends each comma object to itself
+            action[psi] = tuple(range(len(values[d])))
+            continue
+        images: list[int] = []
+        for c, phi in objects[d].values():
+            images += tables[d2][c, D.compose[(psi, phi)]]
+        image = dict(zip(classes[d], images))
+        if list(map(image.__getitem__, classes[d])) != images:
+            raise AssertionError("left Kan extension action ill-defined")
+        action[psi] = tuple(map(image.__getitem__, range(len(values[d]))))
+    LX = CodedDiagram(D, values, action)
+    err = _coded_error(LX)
+    if err:
+        raise AssertionError("left Kan extension not functorial: " + err)
+    return CodedKan(objects, LX, tables)
+
+
+def _ran_core(iota: CatFunctor, X: CodedDiagram) -> CodedKan:
+    """The right Kan extension of ``X`` along ``iota``.
+
+    ``RX d`` holds the compatible families over the objects ``(phi,c)`` of
+    the comma category under ``d``, taken in name order: each ``u: c ->
+    c2`` requires the component at ``(iota u . phi, c2)`` to be ``X u`` of
+    the one at ``(phi, c)``.
+    """
+    C, D = iota.domain, iota.codomain
+    homs = fincat.hom_index(D)
+    objects = {d: _comma_objects(iota, homs, d, True) for d in D.objects}
+    # slot[d][pair]: the place of the comma object pair in name order, and
+    # heads[d] the names in that order; checks[d][k] will hold the
+    # constraints on a family at d whose last slot is k
+    slot, heads, checks = {}, {}, {}
+    for d, objs in objects.items():
+        names = sorted(objs)
+        slot[d] = {objs[o]: k for k, o in enumerate(names)}
+        heads[d] = [o + "=" for o in names]
+        checks[d] = [[] for _ in names]
+    keys = [itemgetter(k) for k in range(max(map(len, heads.values()),
+                                             default=0))]
+    for u in C.morphisms:
+        c, c2 = C.source[u], C.target[u]
+        if u == C.identity[c]:
+            continue    # an identity asks each component to be itself
+        iu, Xu = iota.mor_map[u], X.action[u]
+        for d in D.objects:
+            at = slot[d]
+            for phi in homs.get((d, iota.ob_map[c]), ()):
+                k, k2 = at[phi, c], at[D.compose[(iu, phi)], c2]
+                checks[d][k if k > k2 else k2].append((Xu, keys[k], k2))
+    values, tables, lookup = {}, {}, {}
+    for d in D.objects:
+        pairs = list(slot[d])
+        found = list(map(tuple, setval._compatible(
+            [range(len(X.values[c])) for _, c in pairs], checks[d],
+            2_000_000)))
+        elements = [X.values[c] for _, c in pairs]
+        fams = [f"({','.join(map(add, heads[d], map(getitem, elements, a)))})"
+                for a in found]
+        if len(set(fams)) != len(fams):
+            distinct(fams, "family identifier {} names two families")
+        ranked = sorted(zip(fams, found))
+        values[d] = tuple([name for name, _ in ranked])
+        found = [a for _, a in ranked]
+        lookup[d] = dict(zip(found, range(len(found))))
+        tables[d] = dict(zip(pairs, zip(*found))) if found \
+            else dict.fromkeys(pairs, ())
+    identities = set(D.identity.values())
+    action = {}
+    for psi in D.morphisms:
+        d, d2 = D.source[psi], D.target[psi]
+        if psi in identities:   # it sends each comma object to itself
+            action[psi] = tuple(range(len(values[d])))
+            continue
+        # the component at (phi2,c) of the image is the one at (phi2 psi,c)
+        at = [slot[d][D.compose[(phi2, psi)], c] for phi2, c in slot[d2]]
+        image = lookup[d2]
+        action[psi] = table = tuple([image.get(tuple(map(fam.__getitem__, at)))
+                                     for fam in lookup[d]])
+        if None in table:
+            raise AssertionError("right Kan extension not functorial: "
+                                 f"morphism {psi}: values escape target set")
+    RX = CodedDiagram(D, values, action)
+    err = _coded_error(RX)
+    if err:
+        raise AssertionError("right Kan extension not functorial: " + err)
+    return CodedKan(objects, RX, tables)
+
+
+def _render(E: CodedDiagram, order: dict[str, list[int]] | None = None
+            ) -> SetDiagram:
+    """``E`` with names for codes; ``order[d]``, when given, lists the codes
+    at ``d`` in the order each action from ``d`` lists them, and code
+    order is the default."""
+    D, names = E.shape, E.values
+    action = {}
+    for psi in D.morphisms:
+        d = D.source[psi]
+        src, tgt, table = names[d], names[D.target[psi]], E.action[psi]
+        codes = range(len(src)) if order is None else order[d]
+        action[psi] = {src[s]: tgt[table[s]] for s in codes}
+    return SetDiagram(D, names, action)
+
+
+def _render_lan(core: CodedKan) -> SetDiagram:
+    """The extension of a left core with names; each action lists the
+    classes in the order of their first items, comma object by comma
+    object, as the named builder met them."""
+    return _render(core.extension, {
+        d: list(dict.fromkeys(chain.from_iterable(tables.values())))
+        for d, tables in core.tables.items()})
+
+
+def left_kan(iota: CatFunctor, X: SetDiagram) -> LeftKan:
+    """The left Kan extension of ``X`` along ``iota``, with its unit,
+    rendered from :func:`_lan_core`."""
+    D = iota.codomain
+    core = _lan_core(iota, _code(X))
+    LX = _render_lan(core)
+    colims = {}
+    for d, objs in core.objects.items():
+        names, tables = LX.values[d], core.tables[d]
+        colims[d] = ColimitResult(names, {
+            o: dict(zip(X.values[objs[o][0]],
+                        map(names.__getitem__, tables[objs[o]])))
+            for o in sorted(objs)})
     unit = {}
-    for c in C.objects:
+    for c in iota.domain.objects:
         d = iota.ob_map[c]
-        o = pair_name(c, D.identity[d])
-        unit[c] = {e: colims[d].injections[o][e] for e in X.values[c]}
-    return LeftKan(objects, colims, LX, DiagramMap(X, restrict(iota, LX), unit))
+        unit[c] = dict(zip(X.values[c], map(LX.values[d].__getitem__,
+                                            core.tables[d][c, D.identity[d]])))
+    return LeftKan(core.objects, colims, LX,
+                   DiagramMap(X, restrict(iota, LX), unit))
 
 
 def lan(iota: CatFunctor, X: SetDiagram) -> SetDiagram:
     """Pointwise left Kan extension of ``X`` along ``iota``."""
-    return left_kan(iota, X).extension
+    return _render_lan(_lan_core(iota, _code(X)))
 
 
 def lan_map(iota: CatFunctor, h: DiagramMap, *,
@@ -286,56 +427,33 @@ def lan_unit(iota: CatFunctor, X: SetDiagram) -> DiagramMap:
 
 
 def right_kan(iota: CatFunctor, X: SetDiagram) -> RightKan:
-    """The right Kan extension of ``X`` along ``iota``, with its counit.
-
-    ``RX d`` holds the compatible families over the objects ``(phi,c)`` of
-    the comma category under ``d``: each ``u: c -> c2`` requires the
-    component at ``(iota u . phi, c2)`` to be ``X u`` of the one at
-    ``(phi, c)``.
-    """
-    C, D = iota.domain, iota.codomain
-    homs = fincat.hom_index(D)
-    objects = {d: _comma_objects(iota, homs, d, True) for d in D.objects}
-    constraints: dict[str, list] = {d: [] for d in D.objects}
-    for u in C.morphisms:
-        c, c2 = C.source[u], C.target[u]
-        if u == C.identity[c]:
-            continue    # an identity asks each component to be itself
-        iu, Xu = iota.mor_map[u], X.action[u]
-        for d in D.objects:
-            for phi in homs.get((d, iota.ob_map[c]), ()):
-                constraints[d].append((pair_name(phi, c), Xu,
-                                       pair_name(D.compose[(iu, phi)], c2)))
+    """The right Kan extension of ``X`` along ``iota``, with its counit,
+    rendered from :func:`_ran_core`."""
+    D = iota.codomain
+    core = _ran_core(iota, _code(X))
+    RX = _render(core.extension)
     lims = {}
-    for d in D.objects:
-        obs = sorted(objects[d])
-        lims[d] = _families(obs, {o: X.values[objects[d][o][1]] for o in obs},
-                            constraints[d], 2_000_000)
-    values = {d: lims[d].elements for d in D.objects}
-    action = {}
-    for psi in D.morphisms:
-        d, d2 = D.source[psi], D.target[psi]
-        # the component at (phi2,c) of the image is the one at (phi2 psi,c)
-        parts = {o2: lims[d].projections[pair_name(D.compose[(phi2, psi)], c)]
-                 for o2, (phi2, c) in objects[d2].items()}
-        action[psi] = {fam: _family_name({o2: proj[fam]
-                                          for o2, proj in parts.items()})
-                       for fam in lims[d].elements}
-    RX = SetDiagram(D, values, action)   # sorted values, fresh maps
-    errs = setval.validate_diagram(RX)
-    if errs:
-        raise AssertionError("right Kan extension not functorial: " + errs[0])
+    for d, objs in core.objects.items():
+        names, tables = RX.values[d], core.tables[d]
+        # the families in search order: by their tuples of component codes
+        codes = list(zip(*tables.values())) if tables else [()]
+        found = sorted(range(len(codes)), key=codes.__getitem__)
+        lims[d] = LimitResult(names, {
+            o: {names[f]: X.values[objs[o][1]][tables[objs[o]][f]]
+                for f in found}
+            for o in sorted(objs)})
     counit = {}
-    for c in C.objects:
+    for c in iota.domain.objects:
         d = iota.ob_map[c]
-        o = pair_name(D.identity[d], c)
-        counit[c] = {fam: lims[d].projections[o][fam] for fam in RX.values[d]}
-    return RightKan(objects, lims, RX, DiagramMap(restrict(iota, RX), X, counit))
+        counit[c] = dict(zip(RX.values[d], map(X.values[c].__getitem__,
+                                               core.tables[d][D.identity[d], c])))
+    return RightKan(core.objects, lims, RX,
+                    DiagramMap(restrict(iota, RX), X, counit))
 
 
 def ran(iota: CatFunctor, X: SetDiagram) -> SetDiagram:
     """Pointwise right Kan extension of ``X`` along ``iota``."""
-    return right_kan(iota, X).extension
+    return _render(_ran_core(iota, _code(X)).extension)
 
 
 def ran_counit(iota: CatFunctor, X: SetDiagram) -> DiagramMap:
@@ -444,27 +562,32 @@ def certify_kan_adjunctions(iota: CatFunctor,
     are searched for, so ``node_budget`` bounds each bijection search and
     each such prefix, never a whole hom-set.
 
-    Maps are coded as in :func:`_coded_maps`: a left transpose gathers
-    ``f`` at the slots of the unit's images, a right transpose looks each
-    family up by its components, and names appear only in the witnesses.
+    It runs on codes end to end: each diagram is coded once, the Kan
+    extensions come from :func:`_lan_core` and :func:`_ran_core`, a
+    restriction is a gather, a map is searched for as in
+    :func:`~smallcat.coded._map_search`, a left transpose gathers ``f`` at
+    the slots of the unit's images, and a right transpose looks each family
+    up by its components.  No element is named after the diagrams are
+    coded; the witnesses name the diagrams by their places in the corpus.
     """
     C, D = iota.domain, iota.codomain
     nb = naturality_budget
     failures: list[str] = []
     checked = 0
 
-    def maps(S: SetDiagram, T: SetDiagram) -> Iterator[tuple[str, ...]]:
-        if S.shape != T.shape:
+    def maps(S: CodedDiagram, T: CodedDiagram, squares
+             ) -> Iterator[tuple[int, ...]]:
+        if S.shape is not T.shape and S.shape != T.shape:
             raise ValueError("shapes differ")
-        return _coded_maps(S, T, NodeBudget(
-            node_budget, "diagram map search exceeded budget"))
+        return map(tuple, backtrack(*_map_search(S, T, squares), NodeBudget(
+            node_budget, "diagram map search exceeded budget")))
 
-    def bijection(side, where, homs, transpose, targets, checks):
+    def bijection(side, where, homs, transpose, targets):
+        # a transpose is natural iff it is among the maps found
         image = set()
         for f in homs:
             t = transpose(f)
-            if t is not None and all(table[t[k]] == t[k2]
-                                     for table, k, k2 in checks):
+            if t in targets:
                 image.add(t)
             else:
                 failures.append(f"{side} transpose not natural {where}")
@@ -473,94 +596,97 @@ def certify_kan_adjunctions(iota: CatFunctor,
         if image != targets:
             failures.append(f"{side} transpose not surjective {where}")
 
-    lefts = [left_kan(iota, X) for X in domain_diagrams]
-    rights = [right_kan(iota, X) for X in domain_diagrams]
-    slots = [_slots(X) for X in domain_diagrams]
-    lslots = [_slots(L.extension) for L in lefts]
-    # lan_idx[xi][k]: the slot in LX of the unit's image of slot k of X;
-    # typed[xi]: the unit is defined on X, so transposes are maps out of X
-    lan_idx, typed = [], []
-    for X, L, slot, lslot in zip(domain_diagrams, lefts, slots, lslots):
-        unit = L.unit.components
-        lan_idx.append([lslot[(iota.ob_map[c], unit[c][x])] for c, x in slot])
-        typed.append(all(set(unit[c]) == set(X.values[c]) for c in C.objects))
-    yslots = [_slots(Y) for Y in codomain_diagrams]
-    firsts: dict[tuple[int, int], list[tuple[str, ...]]] = {}
-    for xi, X in enumerate(domain_diagrams):
+    xs = [_code(X) for X in domain_diagrams]
+    ys = [_code(Y) for Y in codomain_diagrams]
+    lefts = [_lan_core(iota, X) for X in xs]
+    rights = [_ran_core(iota, X) for X in xs]
+    rys = [restrict(iota, Y) for Y in ys]
+    xsq, ysq, rysq = ([_squares(S) for S in Ss] for Ss in (xs, ys, rys))
+    lsq = [_squares(L.extension) for L in lefts]
+    xat, yat, ryat = ([_offsets(S) for S in Ss] for Ss in (xs, ys, rys))
+    lat = [_offsets(L.extension) for L in lefts]
+    # lan_idx[xi][k]: the slot in LX of the unit's image of slot k of X
+    lan_idx = []
+    for L, at in zip(lefts, lat):
+        idx: list[int] = []
+        for c in C.objects:
+            d = iota.ob_map[c]
+            idx += [at[d] + s for s in L.tables[d][c, D.identity[d]]]
+        lan_idx.append(idx)
+    firsts: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for xi, X in enumerate(xs):
         R = rights[xi]
-        families = {}   # the names of the families at d by their components
+        families = {}   # the families at d by their components
         for d in D.objects:
-            projs = [R.lims[d].projections[o] for o in R.objects[d]]
-            families[d] = {tuple(p[n] for p in projs): n
-                           for n in R.lims[d].elements}
-        for yi, Y in enumerate(codomain_diagrams):
+            columns = list(R.tables[d].values())
+            families[d] = dict(zip(zip(*columns), range(len(
+                R.extension.values[d])))) if columns else {(): 0}
+        for yi, Y in enumerate(ys):
             checked += 1
             where = f"(X{xi},Y{yi})"
-            rY = restrict(iota, Y)
-            left_homs = list(maps(lefts[xi].extension, Y))
+            rY, at = rys[yi], ryat[yi]
+            left_homs = list(maps(lefts[xi].extension, Y, lsq[xi]))
             firsts[(xi, yi)] = left_homs[:nb]
             gather = lan_idx[xi]
             bijection("lan", where, left_homs,
-                      lambda f: (tuple(map(f.__getitem__, gather))
-                                 if typed[xi] else None),
-                      set(maps(X, rY)), _naturality_checks(X, rY, slots[xi]))
+                      lambda f: tuple(map(f.__getitem__, gather)),
+                      set(maps(X, rY, xsq[xi])))
             # the family of y at d reads g at the slots of Y phi y in rY
-            ryslot = _slots(rY)
-            ran_idx = [(families[d], [ryslot[(c, Y.action[phi][y])]
-                                      for phi, c in R.objects[d].values()])
-                       for d, y in yslots[yi]]
-
-            def ran_transpose_coded(g):
-                t = tuple([fams.get(tuple(map(g.__getitem__, idx)))
-                           for fams, idx in ran_idx])
-                return None if None in t else t
-            bijection("ran", where, list(maps(rY, X)), ran_transpose_coded,
-                      set(maps(Y, R.extension)),
-                      _naturality_checks(Y, R.extension, yslots[yi]))
+            ran_idx = [(families[d], [at[c] + Y.action[phi][y]
+                                      for phi, c in R.tables[d]])
+                       for d in D.objects for y in range(len(Y.values[d]))]
+            bijection("ran", where, list(maps(rY, X, rysq[yi])),
+                      lambda g: tuple([fams.get(tuple(map(g.__getitem__, idx)))
+                                       for fams, idx in ran_idx]),
+                      set(maps(Y, R.extension, ysq[yi])))
 
     # naturality of the lan transposition in both variables: for u: X2 ->
     # X, f: LX -> Y and v: Y -> Y2, the transpose of v.f.lan(u) at slot k
     # of X2 is v at the slot in Y of f[A[k]], and restrict(v) after the
     # transpose of f after u is v at that of f[B[k]]
-    ends: dict[tuple[int, int], list[tuple[str, ...]]] = {}
-    for xi, X in enumerate(domain_diagrams):
-        for xj, X2 in enumerate(domain_diagrams):
-            us = list(islice(maps(X2, X), nb))
+    ends: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for xi, X in enumerate(xs):
+        for xj, X2 in enumerate(xs):
+            us = list(islice(maps(X2, X, xsq[xj]), nb))
             if not us:
                 continue
-            src, tgt, slot2 = lefts[xj], lefts[xi], slots[xj]
-            # lan(u) at the slot p of LX2 is inj[u[k]], as in lan_map
-            plan = [(lslots[xj][(d, src.colims[d].injections[o][e])],
-                     tgt.colims[d].injections[o], slot2[(c, e)])
-                    for d in D.objects for o, (c, _) in src.objects[d].items()
-                    for e in X2.values[c]]
+            src, tgt = lefts[xj], lefts[xi]
+            # lan(u) sends the class of item (pair, i) of LX2 to that of
+            # (pair, u[i]) of LX, as in lan_map
+            plan = []
+            for d in D.objects:
+                base, into = lat[xj][d], lat[xi][d]
+                for pair in src.objects[d].values():
+                    first, inj = xat[xj][pair[0]], tgt.tables[d][pair]
+                    plan += [(base + s, into, inj, first + i)
+                             for i, s in enumerate(src.tables[d][pair])]
+            # the slot in X of element 0 of the object of each slot of X2
+            x_first = [xat[xi][c] for c in C.objects for _ in X2.values[c]]
             sides = []
             for u in us:
-                lu: list = [None] * len(lslots[xj])
-                for p, inj, k in plan:
-                    lu[p] = inj[u[k]]
-                sides.append(
-                    ([lslots[xi][(iota.ob_map[c], lu[lan_idx[xj][k]])]
-                      for k, (c, _) in enumerate(slot2)],
-                     [lan_idx[xi][slots[xi][(c, u[k])]]
-                      for k, (c, _) in enumerate(slot2)]))
-            for yi, Y in enumerate(codomain_diagrams):
+                lu: list = [None] * len(lsq[xj])
+                for p, into, inj, k in plan:
+                    lu[p] = into + inj[u[k]]
+                sides.append(([lu[s] for s in lan_idx[xj]],
+                              [lan_idx[xi][b + v] for b, v in zip(x_first, u)]))
+            for yi, Y in enumerate(ys):
+                # the slot in Y of element 0 of the object of each slot of LX
+                y_first = [yat[yi][d] for d in D.objects
+                           for _ in tgt.extension.values[d]]
                 # per (f, u): the pairs of slots of Y that v must identify
                 needs = []
                 for f in firsts[(xi, yi)]:
-                    fy = [yslots[yi][(d, y)]
-                          for (d, _), y in zip(lslots[xi], f)]
+                    fy = [b + v for b, v in zip(y_first, f)]
                     needs += [[(fy[a], fy[b]) for a, b in zip(A, B)
                                if fy[a] != fy[b]] for A, B in sides]
                 if not needs:
                     continue
-                for yj, Y2 in enumerate(codomain_diagrams):
+                for yj, Y2 in enumerate(ys):
                     if (yi, yj) not in ends:
-                        ends[(yi, yj)] = list(islice(maps(Y, Y2), nb))
+                        ends[(yi, yj)] = list(islice(maps(Y, Y2, ysq[yi]), nb))
                     vs = ends[(yi, yj)]
                     checked += len(needs) * len(vs)
-                    bad = sum(not typed[xj]
-                              or any(v[a] != v[b] for a, b in need)
+                    bad = sum(any(v[a] != v[b] for a, b in need)
                               for need in needs for v in vs)
                     failures += ["transpose unnatural "
                                  f"(X{xj}->X{xi},Y{yi}->Y{yj})"] * bad

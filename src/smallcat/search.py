@@ -272,6 +272,11 @@ def find_isomorphism(C: FiniteCategory, D: FiniteCategory,
 # ---------------------------------------------------------------------------
 # bounded word closure (generators -> total table)
 
+# Forms one word reduction may visit.  Rules with several outcomes per pair
+# can reach a number of forms exponential in the word length; the closures
+# of the test suite visit at most six per word.
+_REDUCTION_BUDGET = 20_000
+
 
 def _reduce_words(word: tuple[str, ...],
                   identity_letters: set[str],
@@ -281,14 +286,20 @@ def _reduce_words(word: tuple[str, ...],
 
     A pair rule replaces two adjacent letters (application order: the right
     letter acts first) by a single letter; several outcomes per pair are
-    allowed, and every reachable irreducible form is returned.
+    allowed, and every reachable irreducible form is returned.  Raises
+    :class:`BudgetError` for a word longer than ``max_word_len`` or one
+    whose reduction visits more than ``_REDUCTION_BUDGET`` forms.
     """
     if len(word) > max_word_len:
         raise BudgetError("word length exceeded closure budget")
+    left = _REDUCTION_BUDGET
     seen = {word}
     frontier = [word]
     irreducible = set()
     while frontier:
+        left -= 1
+        if left < 0:
+            raise BudgetError("word reduction exceeded closure budget")
         w = frontier.pop()
         reduced_any = False
         for i, letter in enumerate(w):

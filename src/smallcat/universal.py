@@ -18,14 +18,13 @@ from .fincat import (
     distinct,
     pair_name,
 )
+from .coded import _coded_maps
 from .setval import (
     ColimitResult,
     DiagramMap,
     LimitResult,
     SetDiagram,
-    _coded_maps,
     _families,
-    _slots,
     restrict,
 )
 
@@ -101,10 +100,10 @@ def _iter_diagram_maps(X: SetDiagram, Y: SetDiagram, budget: NodeBudget,
                        ) -> Iterator[DiagramMap]:
     """Yield the diagram maps ``X -> Y`` of :func:`_coded_maps` as
     :class:`DiagramMap` records."""
-    slot = _slots(X)
+    slots = [(o, e) for o in X.shape.objects for e in X.values[o]]
     for a in _coded_maps(X, Y, budget, forced, fibre):
         comps: dict[str, dict[str, str]] = {o: {} for o in X.shape.objects}
-        for (o, e), img in zip(slot, a):
+        for (o, e), img in zip(slots, a):
             comps[o][e] = img
         yield DiagramMap(X, Y, comps)
 

@@ -4,17 +4,25 @@ Every function here recomputes its comma categories and (co)limits from
 scratch.  It is kept, unchanged, as the exhaustive reference that
 ``test_setval`` compares :mod:`smallcat.kan` against.
 
+:func:`left_kan` and :func:`right_kan` are the record builders as they were
+before the coded Kan core, unchanged: they work on names throughout, and
+the records :mod:`smallcat.kan` renders from its core must equal theirs
+up to ``repr``.
+
 :func:`certify_on_records` is the certifier as it was before coded maps,
 copied unchanged but for its name and for calling the Kan records and
 transposes through :mod:`smallcat.kan`: it handles every map as a
 :class:`DiagramMap`.
 """
-from smallcat import kan
-from smallcat.fincat import CatFunctor, pair_name
+from smallcat import fincat, kan, setval
+from smallcat.fincat import CatFunctor, Partition, distinct, pair_name
+from smallcat.kan import LeftKan, RightKan, _comma_objects
 from smallcat.setval import (
     AdjunctionReport,
+    ColimitResult,
     DiagramMap,
     SetDiagram,
+    _families,
     _family_name,
     colimit,
     comma_over,
@@ -162,6 +170,121 @@ def ran_transpose(iota: CatFunctor, Y: SetDiagram, X: SetDiagram,
             mapping[y] = _family_name(fam)
         comps[d] = mapping
     return DiagramMap(Y, RX, comps)
+
+
+def left_kan(iota: CatFunctor, X: SetDiagram) -> LeftKan:
+    """The left Kan extension of ``X`` along ``iota``, with its unit.
+
+    One union-find chase over every codomain object at once (Meyers,
+    Spivak and Wisnesky, *Fast Left Kan Extensions Using Union Find*): the
+    items are ``(d, ((c,phi),x))`` for ``phi: iota c -> d`` and ``x`` in
+    ``X c``, and each ``u: c -> c2`` joins ``(c, phi2 . iota u, x)`` with
+    ``(c2, phi2, X u x)``.  Each class is named by its minimal tag, as
+    :func:`colimit` names it over the comma category.
+    """
+    C, D = iota.domain, iota.codomain
+    homs = fincat.hom_index(D)
+    objects = {d: _comma_objects(iota, homs, d, False) for d in D.objects}
+    # tags[d][o][x] is the item of x at the comma object o over d
+    tags = {d: {o: {x: (d, pair_name(o, x)) for x in X.values[c]}
+                for o, (c, _) in objects[d].items()} for d in D.objects}
+    items = [t for by_o in tags.values() for by_x in by_o.values()
+             for t in by_x.values()]
+    classes = Partition(items)
+    if len(classes.parent) != len(items):           # two items, one name
+        for by_o in tags.values():
+            distinct([t for by_x in by_o.values() for _, t in by_x.values()],
+                     "Kan extension item identifier {} names two Kan "
+                     "extension items")
+    for u in C.morphisms:
+        c, c2 = C.source[u], C.target[u]
+        if u == C.identity[c]:
+            continue    # an identity joins each item to itself
+        iu, Xu = iota.mor_map[u], X.action[u]
+        for d in D.objects:
+            for phi2 in homs.get((iota.ob_map[c2], d), ()):
+                to = tags[d][pair_name(c2, phi2)]
+                for x, t in tags[d][pair_name(c, D.compose[(phi2, iu)])].items():
+                    classes.union(t, to[Xu[x]])
+    colims = {}
+    for d in D.objects:
+        injections = {o: {x: classes.find(t)[1] for x, t in tags[d][o].items()}
+                      for o in sorted(objects[d])}
+        elements = {t for inj in injections.values() for t in inj.values()}
+        colims[d] = ColimitResult(tuple(sorted(elements)), injections)
+    values = {d: colims[d].elements for d in D.objects}
+    action = {}
+    for psi in D.morphisms:
+        d, d2 = D.source[psi], D.target[psi]
+        mapping: dict[str, str] = {}
+        for o, (c, phi) in objects[d].items():
+            # both injections list the elements of X c in one order
+            o2 = pair_name(c, D.compose[(psi, phi)])
+            for src_class, tgt_class in zip(
+                    colims[d].injections[o].values(),
+                    colims[d2].injections[o2].values()):
+                prev = mapping.setdefault(src_class, tgt_class)
+                if prev != tgt_class:
+                    raise AssertionError("left Kan extension action ill-defined")
+        action[psi] = mapping
+    LX = SetDiagram(D, values, action)   # sorted values, fresh maps
+    errs = setval.validate_diagram(LX)
+    if errs:
+        raise AssertionError("left Kan extension not functorial: " + errs[0])
+    unit = {}
+    for c in C.objects:
+        d = iota.ob_map[c]
+        o = pair_name(c, D.identity[d])
+        unit[c] = {e: colims[d].injections[o][e] for e in X.values[c]}
+    return LeftKan(objects, colims, LX, DiagramMap(X, restrict(iota, LX), unit))
+
+
+def right_kan(iota: CatFunctor, X: SetDiagram) -> RightKan:
+    """The right Kan extension of ``X`` along ``iota``, with its counit.
+
+    ``RX d`` holds the compatible families over the objects ``(phi,c)`` of
+    the comma category under ``d``: each ``u: c -> c2`` requires the
+    component at ``(iota u . phi, c2)`` to be ``X u`` of the one at
+    ``(phi, c)``.
+    """
+    C, D = iota.domain, iota.codomain
+    homs = fincat.hom_index(D)
+    objects = {d: _comma_objects(iota, homs, d, True) for d in D.objects}
+    constraints: dict[str, list] = {d: [] for d in D.objects}
+    for u in C.morphisms:
+        c, c2 = C.source[u], C.target[u]
+        if u == C.identity[c]:
+            continue    # an identity asks each component to be itself
+        iu, Xu = iota.mor_map[u], X.action[u]
+        for d in D.objects:
+            for phi in homs.get((d, iota.ob_map[c]), ()):
+                constraints[d].append((pair_name(phi, c), Xu,
+                                       pair_name(D.compose[(iu, phi)], c2)))
+    lims = {}
+    for d in D.objects:
+        obs = sorted(objects[d])
+        lims[d] = _families(obs, {o: X.values[objects[d][o][1]] for o in obs},
+                            constraints[d], 2_000_000)
+    values = {d: lims[d].elements for d in D.objects}
+    action = {}
+    for psi in D.morphisms:
+        d, d2 = D.source[psi], D.target[psi]
+        # the component at (phi2,c) of the image is the one at (phi2 psi,c)
+        parts = {o2: lims[d].projections[pair_name(D.compose[(phi2, psi)], c)]
+                 for o2, (phi2, c) in objects[d2].items()}
+        action[psi] = {fam: _family_name({o2: proj[fam]
+                                          for o2, proj in parts.items()})
+                       for fam in lims[d].elements}
+    RX = SetDiagram(D, values, action)   # sorted values, fresh maps
+    errs = setval.validate_diagram(RX)
+    if errs:
+        raise AssertionError("right Kan extension not functorial: " + errs[0])
+    counit = {}
+    for c in C.objects:
+        d = iota.ob_map[c]
+        o = pair_name(D.identity[d], c)
+        counit[c] = {fam: lims[d].projections[o][fam] for fam in RX.values[d]}
+    return RightKan(objects, lims, RX, DiagramMap(restrict(iota, RX), X, counit))
 
 
 def certify_kan_adjunctions(iota: CatFunctor,

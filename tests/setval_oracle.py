@@ -1,0 +1,37 @@
+"""The diagram validator as it was before it built each value set once.
+
+It is kept, unchanged, as the reference that ``test_setval`` compares
+:func:`smallcat.setval.validate_diagram` against on seeded corruptions.
+"""
+from smallcat.setval import SetDiagram
+
+
+def validate_diagram(X: SetDiagram) -> list[str]:
+    """Check functoriality of ``X`` on the full composition table."""
+    C = X.shape
+    errors = []
+    for o in C.objects:
+        if o not in X.values:
+            errors.append(f"object {o}: missing value set")
+    for m in C.morphisms:
+        f = X.action.get(m)
+        if f is None:
+            errors.append(f"morphism {m}: missing function")
+            continue
+        src, tgt = C.source[m], C.target[m]
+        if set(f.keys()) != set(X.values.get(src, ())):
+            errors.append(f"morphism {m}: domain mismatch")
+        elif not set(f.values()) <= set(X.values.get(tgt, ())):
+            errors.append(f"morphism {m}: values escape target set")
+    if errors:
+        return errors
+    for o in C.objects:
+        i = C.identity[o]
+        if any(X.action[i][e] != e for e in X.values[o]):
+            errors.append(f"identity of {o} does not act as identity")
+    for (f, g), h in C.compose.items():
+        for e in X.values[C.source[g]]:
+            if X.action[f][X.action[g][e]] != X.action[h][e]:
+                errors.append(f"functoriality fails at ({f},{g}) on {e}")
+                break
+    return errors

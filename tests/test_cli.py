@@ -644,9 +644,10 @@ COMPLEX_LINES = {"chain {doc} --complex C --truncate naive",
 DOC_MODULES = "catspec cli cycops fincat nabla semidirect setval"
 LOADS = {
     "validate {doc}": DOC_MODULES,
-    "kan {doc} --functor iota --diagram X": DOC_MODULES + " kan",
-    "kan {doc} --functor iota --diagram X --side right": DOC_MODULES + " kan",
-    "adjoint {doc} --functor iota": DOC_MODULES + " kan",
+    "kan {doc} --functor iota --diagram X": DOC_MODULES + " coded kan",
+    "kan {doc} --functor iota --diagram X --side right":
+        DOC_MODULES + " coded kan",
+    "adjoint {doc} --functor iota": DOC_MODULES + " coded kan",
     "lift {doc} --left ident --right ident --top ident --bottom ident":
         DOC_MODULES + " catmodel search",
     "rlp {doc} --maps ident --against ident": DOC_MODULES + " catmodel search",
@@ -658,9 +659,9 @@ LOADS = {
     "paper-suite --case dagger":
         "catmodel cli fincat invcat paper search setval standard",
     "paper-suite --case truncation": "chaincx cli fincat paper",
-    "paper-suite": "catmodel chaincx cli cycadj cycops fincat invcat kan nabla "
-                   "paper sdcheck search semidirect setval simplicial standard "
-                   "universal",
+    "paper-suite": "catmodel chaincx cli coded cycadj cycops fincat invcat kan "
+                   "nabla paper sdcheck search semidirect setval simplicial "
+                   "standard universal",
 }
 
 
@@ -697,13 +698,14 @@ def test_an_old_module_loads_the_new_one_only_for_a_moved_name():
     loaded = loaded_after("import smallcat.setval\n"
                           "lan = smallcat.setval.lan\n"
                           "assert vars(smallcat.setval)['lan'] is lan")
-    assert loaded == {"smallcat.fincat", "smallcat.kan", "smallcat.setval"}
+    assert loaded == {"smallcat.coded", "smallcat.fincat", "smallcat.kan",
+                      "smallcat.setval"}
 
 
 # (old module, a module that part of its cold half moved to)
-MOVED = [("setval", "kan"), ("setval", "universal"), ("cycops", "cycadj"),
-         ("fincat", "search"), ("fincat", "standard"), ("cli", "paper"),
-         ("semidirect", "sdcheck"), ("nabla", "simplicial"),
+MOVED = [("setval", "coded"), ("setval", "kan"), ("setval", "universal"),
+         ("cycops", "cycadj"), ("fincat", "search"), ("fincat", "standard"),
+         ("cli", "paper"), ("semidirect", "sdcheck"), ("nabla", "simplicial"),
          ("catspec", "catwrite")]
 
 

@@ -112,3 +112,17 @@ def test_a_prefix_that_names_no_object_makes_an_ordinary_letter():
     cat, letters = category_from_generators(["x", "y"], {"1@z": ("x", "y")})
     assert validate_category(cat) == [] and letters["1@z"] == "1@z"
     assert (cat.source["1@z"], cat.target["1@z"]) == ("x", "y")
+
+
+def test_word_reduction_is_bounded_in_the_forms_it_visits():
+    # every pair of six letters reduces to each of them, so a word of ten
+    # letters reaches every word of up to five letters, and far more forms
+    # than the budget allows; without the budget this ran for minutes
+    letters = "abcdef"
+    rules = {(x, y): set(letters) for x in letters for y in letters}
+    with pytest.raises(BudgetError,
+                       match="^word reduction exceeded closure budget$"):
+        search._reduce_words(tuple("a" * 10), set(), rules, 10)
+    # a word of two letters reaches only the six one-letter forms
+    assert search._reduce_words(("a", "b"), set(), rules, 10) == \
+        {(x,) for x in letters}

@@ -10,6 +10,7 @@ through their old paths in :mod:`smallcat.fincat`.
 """
 import itertools
 import math
+import random
 
 import pytest
 
@@ -119,3 +120,43 @@ def test_monoids_match_the_published_counts(n):
     for C in cats:
         assert fincat.validate_category(C) == []
     assert classes(cats) == MONOIDS[n]
+
+
+def brute_force_faults(table: dict[tuple[int, int], int], n: int) -> set[str]:
+    """Which monoid axioms ``table`` breaks, with 0 as its identity."""
+    faults = set()
+    if any(table[0, a] != a or table[a, 0] != a for a in range(n)):
+        faults.add("unit")
+    if any(table[table[a, b], c] != table[a, table[b, c]]
+           for a, b, c in itertools.product(range(n), repeat=3)):
+        faults.add("associativity")
+    return faults
+
+
+def flagged(errors: list[str]) -> set[str]:
+    """The axioms :func:`validate_category` reports broken; any other
+    message stands for itself and fails the comparison."""
+    return {"unit" if " unit fails at " in e
+            else "associativity" if e.startswith("associativity fails at ")
+            else e for e in errors}
+
+
+@pytest.mark.parametrize("n", [n for n in sorted(MONOIDS) if n > 1])
+def test_validate_category_flags_exactly_the_corrupted_monoids(n):
+    # four seeded single-entry corruptions of every monoid table: each
+    # moves one product, identity row and column included, to another
+    # element
+    rng = random.Random(f"monoid-corruptions-{n}")
+    seen = set()
+    for table in monoid_tables(n):
+        assert brute_force_faults(table, n) == set()
+        for _ in range(4):
+            cell = rng.choice(sorted(table))
+            bad = {**table, cell: rng.choice(
+                [v for v in range(n) if v != table[cell]])}
+            faults = brute_force_faults(bad, n)
+            assert flagged(fincat.validate_category(
+                one_object_category(bad))) == faults, (table, cell, bad[cell])
+            seen.add(frozenset(faults))
+    # some corruptions give another monoid, and some break an axiom
+    assert frozenset() in seen and len(seen) > 1

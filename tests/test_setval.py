@@ -48,6 +48,7 @@ from smallcat.setval import (
 )
 
 import kan_oracle as oracle
+import setval_oracle
 from test_acceptance import tractable_instance
 
 
@@ -71,6 +72,62 @@ def test_validate_diagram_positive_and_negative():
     assert validate_diagram(X) == []
     bad = SetDiagram.build(X.shape, X.values, {"id_pt": {"x": "y", "y": "y", "z": "z"}})
     assert validate_diagram(bad) != []
+
+
+def _corrupt_diagram(X: SetDiagram, kind: str, rng) -> SetDiagram | None:
+    """``X`` with one seeded single-entry corruption of ``kind``, or None
+    when ``X`` has no spot for it."""
+    C = X.shape
+    values = dict(X.values)
+    action = {m: dict(f) for m, f in X.action.items()}
+    identities = set(C.identity.values())
+    if kind == "missing value set":
+        del values[rng.choice(C.objects)]
+    elif kind == "missing function":
+        del action[rng.choice(C.morphisms)]
+    elif kind == "domain mismatch":
+        m = rng.choice(C.morphisms)
+        if action[m] and rng.random() < 0.5:
+            del action[m][rng.choice(sorted(action[m]))]
+        else:
+            action[m]["?"] = (X.values[C.target[m]] or ("?",))[0]
+    else:
+        if kind == "escaping value":
+            spots = [(m, e, "?") for m in C.morphisms for e in action[m]]
+        else:
+            # another element of the target, at an identity or not
+            spots = [(m, e, v) for m in C.morphisms
+                     if (m in identities) == (kind == "identity")
+                     for e in action[m] for v in X.values[C.target[m]]
+                     if v != action[m][e]]
+        if not spots:
+            return None
+        m, e, v = rng.choice(spots)
+        action[m][e] = v
+    return SetDiagram(C, values, action)
+
+
+def test_validate_diagram_matches_the_old_scan_on_corruptions():
+    # the same errors in the same order as the validator that built its
+    # sets anew for every morphism, on seeded single-entry corruptions
+    from smallcat import nabla
+    rng = random.Random(20261019)
+    diagrams = [nabla.representable_rsset(2, n).diagram for n in range(3)]
+    for _ in range(40):
+        iota, X, Y = tractable_instance(rng)
+        diagrams += [X, Y, lan(iota, X), ran(iota, X)]
+    kinds = ("missing value set", "missing function", "domain mismatch",
+             "escaping value", "identity", "functoriality")
+    flagged = set()
+    for X in diagrams:
+        assert validate_diagram(X) == setval_oracle.validate_diagram(X) == []
+        for kind in kinds:
+            bad = _corrupt_diagram(X, kind, rng) if X.shape.objects else None
+            if bad is not None:
+                errors = validate_diagram(bad)
+                assert errors == setval_oracle.validate_diagram(bad), kind
+                flagged |= {kind} if errors else set()
+    assert flagged == set(kinds)
 
 
 def test_limit_one_object_shape_is_value_set():
@@ -539,10 +596,29 @@ def _check_records(iota, X):
             repr(product_filter_limit(restrict(U.projection, X)))
 
 
+def _outcome(build, *args) -> str:
+    """The ``repr`` of ``build(*args)``, or of the budget error it raises."""
+    try:
+        return repr(build(*args))
+    except fincat.BudgetError as exc:
+        return repr(exc)
+
+
+def _check_rendered_records(iota, X):
+    """The records rendered from the coded cores against the name-level
+    builders they replaced, by ``repr``: every name and every dict order."""
+    for new, old in ((setval.left_kan, oracle.left_kan),
+                     (setval.right_kan, oracle.right_kan),
+                     (lan, lambda *a: oracle.left_kan(*a).extension),
+                     (ran, lambda *a: oracle.right_kan(*a).extension)):
+        assert _outcome(new, iota, X) == _outcome(old, iota, X)
+
+
 def _check_against_oracle(iota, X, Y, certify_args):
     """Compare every Kan function with its recomputing copy in
     ``kan_oracle``; returns the certification report."""
     _check_records(iota, X)
+    _check_rendered_records(iota, X)
     assert lan(iota, X) == oracle.lan(iota, X)
     assert ran(iota, X) == oracle.ran(iota, X)
     unit, counit = lan_unit(iota, X), ran_counit(iota, X)
@@ -599,10 +675,26 @@ def test_kan_records_keep_the_comma_order_when_names_sort_apart():
     _check_against_oracle(iota, X, Y, ([X], [Y], 2))
 
 
+def test_rendered_records_match_the_named_builders_on_the_cofibrations():
+    # the six diagrams of generating_cofibrations(2): each boundary and
+    # simplex presheaf, extended along the opposite of the inclusion of the
+    # simplex category into the signed one
+    from smallcat import nabla
+    iota_op = fincat.opposite_functor(
+        nabla.inclusion_iota(nabla.nabla_category(2)))
+    # the right extensions of dimensions 1 and 2 exceed the limit budget
+    for n in range(3):
+        inc = nabla.boundary_inclusion_sset(2, n)
+        for X in (inc.source, inc.target):
+            _check_rendered_records(iota_op, X)
+    with pytest.raises(fincat.BudgetError):
+        setval.right_kan(iota_op, inc.target)
+
+
 def test_certify_builds_each_kan_extension_once(monkeypatch):
-    # one record per domain diagram and side, and no comma category at all
-    calls = dict.fromkeys(("left_kan", "right_kan", "comma_over",
-                           "comma_under"), 0)
+    # one core per domain diagram and side, and no record or comma category
+    calls = dict.fromkeys(("_lan_core", "_ran_core", "left_kan", "right_kan",
+                           "comma_over", "comma_under"), 0)
     for name in calls:
         original = getattr(kan, name)
 
@@ -613,120 +705,142 @@ def test_certify_builds_each_kan_extension_once(monkeypatch):
     iota, X, X2, Y = _arrow_into_chain()
     rep = certify_kan_adjunctions(iota, [X, X2], [Y])
     assert rep.ok and rep.checked > 2  # the naturality checks ran
-    assert calls == {"left_kan": 2, "right_kan": 2,
-                     "comma_over": 0, "comma_under": 0}
+    assert calls == {"_lan_core": 2, "_ran_core": 2, "left_kan": 0,
+                     "right_kan": 0, "comma_over": 0, "comma_under": 0}
 
 
-def _rotated(comp: dict) -> dict:
-    """``comp`` with its values moved one key on."""
-    keys, values = list(comp), list(comp.values())
-    return dict(zip(keys, values[1:] + values[:1]))
+def _rotated(table: tuple) -> tuple:
+    """``table`` with its entries moved one place on."""
+    return table[1:] + table[:1]
 
 
-def _rotate_a_component(h: DiagramMap, rng) -> DiagramMap | None:
-    """``h`` with the values of one component moved one key on, or None
-    when no component has two distinct values."""
-    cs = [c for c, comp in h.components.items() if len(set(comp.values())) > 1]
-    if not cs:
-        return None
-    c = rng.choice(cs)
-    return DiagramMap(h.source, h.target,
-                      {**h.components, c: _rotated(h.components[c])})
+def _with_tables(core, d, pair, table):
+    return kan.CodedKan(core.objects, core.extension,
+                        {**core.tables, d: {**core.tables[d], pair: table}})
 
 
 def _permute_unit(L, rng):
-    unit = _rotate_a_component(L.unit, rng)
-    return unit and setval.LeftKan(L.objects, L.colims, L.extension, unit)
-
-
-def _widen_unit(L, rng):
-    # a component defined on one element too many: the transposes are not
-    # maps out of X
-    comps, values = L.unit.components, L.unit.target.values
-    cs = [c for c in comps if values[c]]
-    if not cs:
+    # the unit is the injection at (c,id), so lan_map and the colimits
+    # read the permuted component too
+    D = L.extension.shape
+    spots = [(d, pair) for d in D.objects for pair in L.tables[d]
+             if pair[1] == D.identity[d] and len(set(L.tables[d][pair])) > 1]
+    if not spots:
         return None
-    c = rng.choice(cs)
-    extra = "".join(comps[c]) + "'"
-    unit = DiagramMap(L.unit.source, L.unit.target,
-                      {**comps, c: {**comps[c], extra: values[c][0]}})
-    return setval.LeftKan(L.objects, L.colims, L.extension, unit)
-
-
-def _permute_counit(R, rng):
-    counit = _rotate_a_component(R.counit, rng)
-    return counit and setval.RightKan(R.objects, R.lims, R.extension, counit)
+    d, pair = rng.choice(spots)
+    return _with_tables(L, d, pair, _rotated(L.tables[d][pair]))
 
 
 def _swap_injection(L, rng):
-    spots = [(d, o) for d, colim in L.colims.items()
-             for o, inj in colim.injections.items()
-             if len(set(inj.values())) > 1]
+    spots = [(d, pair) for d in L.tables for pair, inj in L.tables[d].items()
+             if len(set(inj)) > 1]
     if not spots:
         return None
-    d, o = rng.choice(spots)
-    inj = dict(L.colims[d].injections[o])
-    a, b = rng.sample(list(inj), 2)
+    d, pair = rng.choice(spots)
+    inj = list(L.tables[d][pair])
+    a, b = rng.sample(range(len(inj)), 2)
     while inj[a] == inj[b]:
-        a, b = rng.sample(list(inj), 2)
+        a, b = rng.sample(range(len(inj)), 2)
     inj[a], inj[b] = inj[b], inj[a]
-    colims = {**L.colims, d: setval.ColimitResult(
-        L.colims[d].elements, {**L.colims[d].injections, o: inj})}
-    return setval.LeftKan(L.objects, colims, L.extension, L.unit)
+    return _with_tables(L, d, pair, tuple(inj))
 
 
 def _drop_family(R, rng):
-    # from the limit and from the extension alike, as if never found
-    ds = [d for d, lim in R.lims.items() if lim.elements]
+    # from the limit and from the extension alike, as if never found; maps
+    # into it go to the first family kept
+    E = R.extension
+    ds = [d for d, fams in E.values.items() if len(fams) > 1]
     if not ds:
         return None
     d = rng.choice(ds)
-    n = rng.choice(R.lims[d].elements)
-    lim = setval.LimitResult(
-        tuple(e for e in R.lims[d].elements if e != n),
-        {o: {k: v for k, v in p.items() if k != n}
-         for o, p in R.lims[d].projections.items()})
-    E = R.extension
-    values = {**E.values, d: tuple(e for e in E.values[d] if e != n)}
-    action = {m: {k: v for k, v in f.items() if k != n}
-              if E.shape.source[m] == d else f for m, f in E.action.items()}
-    return setval.RightKan(R.objects, {**R.lims, d: lim},
-                           SetDiagram(E.shape, values, action), R.counit)
+    j = rng.randrange(len(E.values[d]))
+    keep = [k for k in range(len(E.values[d])) if k != j]
+    code = {k: i for i, k in enumerate(keep)}
+    code[j] = 0
+    action = {}
+    for m, table in E.action.items():
+        if E.shape.source[m] == d:
+            table = tuple(table[k] for k in keep)
+        if E.shape.target[m] == d:
+            table = tuple(code[t] for t in table)
+        action[m] = table
+    values = {**E.values, d: tuple(E.values[d][k] for k in keep)}
+    tables = {**R.tables, d: {pair: tuple(col[k] for k in keep)
+                              for pair, col in R.tables[d].items()}}
+    return kan.CodedKan(R.objects, setval.CodedDiagram(E.shape, values, action),
+                        tables)
 
 
 def _permute_extension_action(R, rng):
     E = R.extension
-    ms = [m for m in E.shape.morphisms if len(set(E.action[m].values())) > 1]
+    ms = [m for m in E.shape.morphisms if len(set(E.action[m])) > 1]
     if not ms:
         return None
     m = rng.choice(ms)
-    extension = SetDiagram(E.shape, E.values,
-                           {**E.action, m: _rotated(E.action[m])})
-    return setval.RightKan(R.objects, R.lims, extension, R.counit)
+    extension = setval.CodedDiagram(E.shape, E.values,
+                                    {**E.action, m: _rotated(E.action[m])})
+    return kan.CodedKan(R.objects, extension, R.tables)
 
 
+def _permute_counit(R, rng):
+    # the counit is the projection at (id,c), so the limits read the
+    # permuted column too
+    D = R.extension.shape
+    spots = [(d, pair) for d in D.objects for pair in R.tables[d]
+             if pair[0] == D.identity[d] and len(set(R.tables[d][pair])) > 1]
+    if not spots:
+        return None
+    d, pair = rng.choice(spots)
+    return _with_tables(R, d, pair, _rotated(R.tables[d][pair]))
+
+
+def _ran_transpose_by_projections(iota, Y, X, g, *, kan):
+    """:func:`~smallcat.kan.ran_transpose` finding each family by its
+    projections, as the coded certifier does, not by its name: a tuple of
+    components that two families share goes to the later one, and one
+    that no family has to ``None``, which no extension holds."""
+    comps = {}
+    for d, objs in kan.objects.items():
+        proj = kan.lims[d].projections
+        family = {tuple(proj[o][f] for o in objs): f
+                  for f in kan.lims[d].elements}
+        comps[d] = {y: family.get(tuple(g.components[c][Y.action[phi][y]]
+                                        for phi, c in objs.values()))
+                    for y in Y.values[d]}
+    return DiagramMap(Y, kan.extension, comps)
+
+
+# corruption: (core it corrupts, corrupt, whether the record-based
+# certifier must read the projections to see it).  A unit gather has one
+# entry per element, so a unit defined on an extra element has no coded
+# form; the record-based certifier finds a family by its name and never
+# reads the projections, the counit among them.
 CORRUPTIONS = {
-    "permuted unit component": ("left_kan", _permute_unit),
-    "unit component on an extra element": ("left_kan", _widen_unit),
-    "permuted counit component": ("right_kan", _permute_counit),
-    "swapped colimit injection": ("left_kan", _swap_injection),
-    "dropped limit family": ("right_kan", _drop_family),
-    "permuted right Kan action": ("right_kan", _permute_extension_action),
+    "permuted unit component": ("_lan_core", _permute_unit, False),
+    "permuted counit component": ("_ran_core", _permute_counit, True),
+    "swapped colimit injection": ("_lan_core", _swap_injection, False),
+    "dropped limit family": ("_ran_core", _drop_family, False),
+    "permuted right Kan action": ("_ran_core", _permute_extension_action,
+                                  False),
 }
 
 
-def _certify_with_corrupted_record(monkeypatch, corruption, rng, iota,
-                                   domain, codomain):
-    """Both certifiers' ``(ok, checked, failures)`` when the Kan record of
+def _certify_with_corrupted_core(monkeypatch, corruption, rng, iota,
+                                 domain, codomain):
+    """Both certifiers' ``(ok, checked, failures)`` when the Kan core of
     ``domain[0]`` carries one corruption, or None when it has no spot for
-    it; the records of the other domain diagrams stay sound."""
-    which, corrupt = CORRUPTIONS[corruption]
+    it; the cores of the other domain diagrams stay sound.  The coded
+    certifier reads the core, the record-based one the records rendered
+    from it."""
+    which, corrupt, by_projections = CORRUPTIONS[corruption]
     build = getattr(kan, which)
-    bad = corrupt(build(iota, domain[0]), rng)
+    bad = corrupt(build(iota, setval._code(domain[0])), rng)
     if bad is None:
         return None
     monkeypatch.setattr(kan, which, lambda iota, X: bad
-                        if X is domain[0] else build(iota, X))
+                        if X.values is domain[0].values else build(iota, X))
+    if by_projections:
+        monkeypatch.setattr(kan, "ran_transpose", _ran_transpose_by_projections)
     try:
         reports = [certify(iota, domain, codomain, 2) for certify in
                    (certify_kan_adjunctions, oracle.certify_on_records)]
@@ -744,19 +858,21 @@ def test_certify_matches_record_oracle_on_corrupted_records(monkeypatch):
     for _ in range(150):
         iota, X, Y = tractable_instance(rng)
         cases.append((iota, [X], [Y]))
-    reached = set()
+    reached = {corruption: set() for corruption in CORRUPTIONS}
     for case in cases:
         for corruption in CORRUPTIONS:
-            out = _certify_with_corrupted_record(monkeypatch, corruption,
-                                                 rng, *case)
+            out = _certify_with_corrupted_core(monkeypatch, corruption,
+                                               rng, *case)
             if out is not None:
                 new, old = out
                 assert new == old, (corruption, case)
-                reached |= {msg.split(" (")[0] for msg in new[2]}
-    assert reached == {f"{side} transpose not {what}"
-                       for side in ("lan", "ran")
-                       for what in ("natural", "injective", "surjective")
-                       } | {"transpose unnatural"}
+                reached[corruption] |= {msg.split(" (")[0] for msg in new[2]}
+    assert set().union(*reached.values()) == {
+        f"{side} transpose not {what}" for side in ("lan", "ran")
+        for what in ("natural", "injective", "surjective")
+    } | {"transpose unnatural"}
+    # each corruption is caught somewhere
+    assert all(reached.values()), reached
 
 
 def test_certify_samples_only_a_prefix_of_each_end_set():
