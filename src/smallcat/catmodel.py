@@ -9,6 +9,7 @@ categories, where pushouts are computed level-wise.
 """
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterator
 
 # Timed functions are called via their module: see the package docstring.
@@ -18,6 +19,7 @@ from .fincat import (
     FiniteCategory,
     NodeBudget,
     Partition,
+    backtrack,
     compose_functors,
     field,
     record,
@@ -316,15 +318,30 @@ def pushout_category(i: CatFunctor, f: CatFunctor,
 def solve_diagram_lifting(i: DiagramMap, p: DiagramMap,
                           top: DiagramMap, bottom: DiagramMap,
                           node_budget: int = 500_000) -> DiagramMap | None:
-    """A filler for a commuting square of diagram maps, or None."""
+    """A filler for a commuting square of diagram maps, or None: the first
+    map ``cod(i) -> dom(p)`` of the coded search that agrees with ``top``
+    on the image of ``i`` and lies over ``bottom``."""
+    from .coded import _code, _map_search, _squares
+    from .universal import _decode_map
     B, X = i.target, p.source
     forced = _forced(((o, i.components[o][a]), top.components[o][a])
                      for o in B.shape.objects for a in i.source.values[o])
     if forced is None:
         return None
+    S = _code(B)
+    candidates, checks = _map_search(S, _code(X), _squares(S))
+    over = {o: tuple(map(p.components[o].__getitem__, vs))
+            for o, vs in X.values.items()}
+    slots = [(o, e) for o in B.shape.objects for e in B.values[o]]
+    for k, (o, e) in enumerate(slots):
+        if (o, e) in forced:
+            candidates[k] = (X.values[o].index(forced[o, e]),)
+        # p of the image of e is bottom(e), the constant at slot -1 - k
+        checks[k].append((over[o], itemgetter(k), -1 - k))
     budget = NodeBudget(node_budget, "diagram lifting search exceeded budget")
-    return next(setval._iter_diagram_maps(B, X, budget, forced, (p, bottom)),
-                None)
+    a = next(backtrack(candidates, checks, budget,
+                       [bottom.components[o][e] for o, e in slots]), None)
+    return None if a is None else _decode_map(B, X, a)
 
 
 def diagram_squares(i: DiagramMap, p: DiagramMap,
@@ -333,12 +350,12 @@ def diagram_squares(i: DiagramMap, p: DiagramMap,
     """All commuting squares (top, bottom) from ``i`` to ``p``."""
     tops = setval.enumerate_diagram_maps(i.source, p.source, node_budget)
     bottoms = setval.enumerate_diagram_maps(i.target, p.target, node_budget)
+    bis = [(bottom, setval.compose_diagram_maps(bottom, i).key())
+           for bottom in bottoms]
     out = []
     for top in tops:
-        pt = setval.compose_diagram_maps(p, top)
-        for bottom in bottoms:
-            if pt.key() == setval.compose_diagram_maps(bottom, i).key():
-                out.append((top, bottom))
+        pt = setval.compose_diagram_maps(p, top).key()
+        out += [(top, bottom) for bottom, bi in bis if bi == pt]
     return out
 
 

@@ -8,9 +8,9 @@ tuple of the codes of its images, one slot per element of the source in
 object order.  Its naturality squares are filed once by their last slot
 (:func:`_squares`), and :func:`_map_search` feeds them with the target's
 tables to :func:`~smallcat.fincat.backtrack`: the one index search.
-:func:`_coded_maps` is its named wrapper, behind
-``setval.enumerate_diagram_maps`` and the lifting search, and
-:mod:`smallcat.kan` builds and certifies Kan extensions on codes.
+``setval.enumerate_diagram_maps`` decodes its solutions to named maps,
+the diagram lifting search pins candidates and adds fibre checks to it,
+and :mod:`smallcat.kan` builds and certifies Kan extensions on codes.
 
 Codes are built inside a call and dropped at its return; nothing here
 caches them.  Only the commands that search for diagram maps or compute a
@@ -19,11 +19,10 @@ Kan extension load this module; its names are also reachable through
 """
 from __future__ import annotations
 
-from operator import getitem, itemgetter
-from typing import Iterator
+from operator import itemgetter
 
-from .fincat import FiniteCategory, NodeBudget, backtrack, record
-from .setval import DiagramMap, SetDiagram
+from .fincat import FiniteCategory, record
+from .setval import SetDiagram
 
 
 @record(frozen=True)
@@ -93,38 +92,6 @@ def _map_search(X: CodedDiagram, Y: CodedDiagram, squares: list[list[tuple]]
             slot.append((tables[m], key, k2))
         checks.append(slot)
     return candidates, checks
-
-
-def _coded_maps(X: SetDiagram, Y: SetDiagram, budget: NodeBudget,
-                forced: dict[tuple[str, str], str] | None = None,
-                fibre: tuple[DiagramMap, DiagramMap] | None = None
-                ) -> Iterator[tuple[str, ...]]:
-    """Yield the diagram maps ``X -> Y`` in lexicographic order, each as the
-    tuple of images of the ``(object, element)`` pairs of ``X`` in object
-    order.
-
-    The search runs on codes (:func:`_map_search`).  A pair ``(o, e)`` in
-    ``forced`` has only the candidate ``forced[(o, e)]``, and ``fibre = (p,
-    bottom)`` also requires ``p.components[o][a[e]] ==
-    bottom.components[o][e]``.
-    """
-    S, T = _code(X), _code(Y)
-    candidates, checks = _map_search(S, T, _squares(S))
-    slots = [(o, e) for o in X.shape.objects for e in X.values[o]]
-    for k, (o, e) in enumerate(slots if forced else ()):
-        if (o, e) in forced:
-            candidates[k] = (Y.values[o].index(forced[o, e]),)
-    constants = []
-    if fibre is not None:
-        p, bottom = fibre
-        images = {o: tuple(map(p.components[o].__getitem__, vs))
-                  for o, vs in Y.values.items()}
-        for k, (o, e) in enumerate(slots):
-            checks[k].append((images[o], itemgetter(k), -1 - k))
-        constants = [bottom.components[o][e] for o, e in slots]
-    names = [Y.values[o] for o, _ in slots]
-    for a in backtrack(candidates, checks, budget, constants):
-        yield tuple(map(getitem, names, a))
 
 
 def _coded_error(X: CodedDiagram) -> str | None:

@@ -11,10 +11,11 @@ the comma objects, the coded extension and the injection or projection
 tables.  The cores name classes and families only to order them by name.
 :func:`left_kan`, :func:`right_kan`, :func:`lan`, :func:`ran`,
 :func:`lan_unit` and :func:`ran_counit` render their records from a core,
-reusing its names; :func:`certify_kan_adjunctions` reads the cores
+reusing its names, and the transposes read those records.
+:func:`lan_map` reads the injection tables of two left cores and renders
+only the two extensions; :func:`certify_kan_adjunctions` reads the cores
 directly and never renders.  Nothing is cached across calls: codes are
-built inside a call and dropped at its return.  The transposes and
-:func:`lan_map` read a record passed to them instead of rebuilding it.
+built inside a call and dropped at its return.
 
 A comma object is named by the pair string of its two parts, a comma
 morphism by the triple of its morphism and ends, and an item of the left
@@ -180,8 +181,8 @@ class LeftKan:
     each object ``(c,phi)`` of the comma category over ``d`` to its pair
     ``(c, phi: iota c -> d)``, ``colims[d]`` is the colimit of ``X`` over
     that comma, and ``unit`` maps ``X`` to the restricted ``extension``.
-    Rendered by :func:`left_kan`; :func:`lan_transpose` and :func:`lan_map`
-    take it."""
+    Rendered by :func:`left_kan`, which :func:`lan_unit` and
+    :func:`lan_transpose` call."""
 
     objects: dict[str, dict[str, tuple[str, str]]]
     colims: dict[str, ColimitResult]
@@ -195,7 +196,8 @@ class RightKan:
     decodes each object ``(phi,c)`` of the comma category under ``d`` to its
     pair ``(phi: d -> iota c, c)``, ``lims[d]`` is the limit of ``X`` over
     that comma, and ``counit`` maps the restricted ``extension`` to ``X``.
-    Rendered by :func:`right_kan`; :func:`ran_transpose` takes it."""
+    Rendered by :func:`right_kan`, which :func:`ran_counit` and
+    :func:`ran_transpose` call."""
 
     objects: dict[str, dict[str, tuple[str, str]]]
     lims: dict[str, LimitResult]
@@ -405,20 +407,22 @@ def lan(iota: CatFunctor, X: SetDiagram) -> SetDiagram:
     return _render_lan(_lan_core(iota, _code(X)))
 
 
-def lan_map(iota: CatFunctor, h: DiagramMap, *,
-            kans: tuple[LeftKan, LeftKan] | None = None) -> DiagramMap:
-    """The induced map between left Kan extensions; ``kans``, if given, is
-    the pair of records of ``h.source`` and ``h.target``."""
-    src, tgt = kans or (left_kan(iota, h.source), left_kan(iota, h.target))
+def lan_map(iota: CatFunctor, h: DiagramMap) -> DiagramMap:
+    """The induced map between left Kan extensions: the class of each item
+    ``((c,phi),e)`` goes to the class of ``((c,phi),h e)``, read through
+    the injection tables of the two left cores."""
+    X, Y = h.source, h.target
+    src, tgt = _lan_core(iota, _code(X)), _lan_core(iota, _code(Y))
+    LX, LY = _render_lan(src), _render_lan(tgt)
     comps = {}
-    for d in iota.codomain.objects:
-        mapping = {}
-        for o, (c, phi) in src.objects[d].items():
-            for e in h.source.values[c]:
-                mapping[src.colims[d].injections[o][e]] = \
-                    tgt.colims[d].injections[o][h.components[c][e]]
-        comps[d] = mapping
-    return DiagramMap(src.extension, tgt.extension, comps)
+    for d, objs in src.objects.items():
+        names, names2 = LX.values[d], LY.values[d]
+        mapping = comps[d] = {}
+        for c, phi in objs.values():
+            into = dict(zip(Y.values[c], tgt.tables[d][c, phi]))
+            for e, s in zip(X.values[c], src.tables[d][c, phi]):
+                mapping[names[s]] = names2[into[h.components[c][e]]]
+    return DiagramMap(LX, LY, comps)
 
 
 def lan_unit(iota: CatFunctor, X: SetDiagram) -> DiagramMap:
@@ -462,11 +466,11 @@ def ran_counit(iota: CatFunctor, X: SetDiagram) -> DiagramMap:
 
 
 def lan_transpose(iota: CatFunctor, X: SetDiagram, Y: SetDiagram,
-                  f: DiagramMap, *, kan: LeftKan | None = None) -> DiagramMap:
+                  f: DiagramMap) -> DiagramMap:
     """Send ``f: lan(iota, X) -> Y`` to its adjunct ``X -> restrict(iota, Y)``:
     ``restrict(iota, f)`` after the unit, read off ``f`` without restricting
     its source."""
-    unit = (kan or left_kan(iota, X)).unit
+    unit = left_kan(iota, X).unit
     return DiagramMap(unit.source, restrict(iota, f.target),
                       {c: {x: f.components[iota.ob_map[c]][u]
                            for x, u in unit.components[c].items()}
@@ -474,9 +478,9 @@ def lan_transpose(iota: CatFunctor, X: SetDiagram, Y: SetDiagram,
 
 
 def ran_transpose(iota: CatFunctor, Y: SetDiagram, X: SetDiagram,
-                  g: DiagramMap, *, kan: RightKan | None = None) -> DiagramMap:
+                  g: DiagramMap) -> DiagramMap:
     """Send ``g: restrict(iota, Y) -> X`` to its adjunct ``Y -> ran(iota, X)``."""
-    R = kan or right_kan(iota, X)
+    R = right_kan(iota, X)
     comps = {}
     for d in iota.codomain.objects:
         mapping = {}

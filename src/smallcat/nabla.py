@@ -54,9 +54,8 @@ if TYPE_CHECKING:
 
 # Read from smallcat.simplicial on first access.
 __getattr__ = moved(globals(), simplicial="""
-    monotone_pair_data validate_sset degenerate_simplices is_normal_mono
-    representable_sset boundary_inclusion_sset representable_rsset
-    generating_cofibrations""")
+    validate_sset degenerate_simplices is_normal_mono representable_sset
+    boundary_inclusion_sset representable_rsset generating_cofibrations""")
 
 SWAP = "g1"      # the nonidentity element of the two-element group
 UNIT = "g0"

@@ -11,7 +11,7 @@ Coded diagrams and the diagram-map search live in :mod:`smallcat.coded`,
 the Kan extensions and adjunction certificates in :mod:`smallcat.kan`,
 and the other limits and colimits and the algebra of diagram maps in
 :mod:`smallcat.universal`; only the code that uses them loads them.
-Their old names here (``setval.lan``, ``setval._coded_maps``, ...) still
+Their old names here (``setval.lan``, ``setval._code``, ...) still
 work through the module ``__getattr__``.
 """
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .fincat import (
 # Read from smallcat.coded, smallcat.kan and smallcat.universal on first
 # access.
 __getattr__ = moved(globals(), coded="""
-    CodedDiagram _code _coded_maps""", kan="""
+    CodedDiagram _code""", kan="""
     CommaCategory AdjunctionReport _comma_category comma_over comma_under
     LeftKan RightKan CodedKan left_kan lan lan_map lan_unit right_kan ran
     ran_counit lan_transpose ran_transpose representable corepresentable
@@ -93,7 +93,8 @@ class ColimitResult:
 
 
 def validate_diagram(X: SetDiagram) -> list[str]:
-    """Check functoriality of ``X`` on the full composition table.
+    """Check that no value set lists an element twice, and functoriality of
+    ``X`` on the full composition table.
 
     Each object's value set is built once, and each composable pair binds
     its three action maps once."""
@@ -104,6 +105,10 @@ def validate_diagram(X: SetDiagram) -> list[str]:
         if o not in values:
             errors.append(f"object {o}: missing value set")
     sets = {o: set(vs) for o, vs in values.items()}
+    for o, vs in values.items():
+        if len(sets[o]) != len(vs):     # name the first repeat
+            twice = next(e for i, e in enumerate(vs) if e in vs[:i])
+            errors.append(f"object {o}: element {twice} listed twice")
     empty: set = set()
     for m in C.morphisms:
         f = action.get(m)

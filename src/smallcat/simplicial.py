@@ -24,13 +24,6 @@ from .semidirect import inclusion_iota
 from .setval import DiagramMap
 
 
-def monotone_pair_data(name: str) -> tuple[tuple[int, ...], int, int]:
-    """Decode a pair-presentation morphism into (images, target, sign)."""
-    imgs, target, sign = name.split(":")
-    return (tuple(int(c) for c in imgs), int(target),
-            1 if sign == "+" else -1)
-
-
 def validate_sset(X: TruncatedSimplicialSet) -> list[str]:
     if X.diagram.shape != fincat.opposite(nabla.delta_leq(X.level)):
         return ["shape is not the opposite truncated simplex category"]

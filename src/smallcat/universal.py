@@ -15,10 +15,11 @@ from .fincat import (
     FiniteCategory,
     NodeBudget,
     Partition,
+    backtrack,
     distinct,
     pair_name,
 )
-from .coded import _coded_maps
+from .coded import _code, _map_search, _squares
 from .setval import (
     ColimitResult,
     DiagramMap,
@@ -94,18 +95,23 @@ def enumerate_diagram_maps(X: SetDiagram, Y: SetDiagram,
     return list(_iter_diagram_maps(X, Y, budget))
 
 
-def _iter_diagram_maps(X: SetDiagram, Y: SetDiagram, budget: NodeBudget,
-                       forced: dict[tuple[str, str], str] | None = None,
-                       fibre: tuple[DiagramMap, DiagramMap] | None = None
+def _iter_diagram_maps(X: SetDiagram, Y: SetDiagram, budget: NodeBudget
                        ) -> Iterator[DiagramMap]:
-    """Yield the diagram maps ``X -> Y`` of :func:`_coded_maps` as
-    :class:`DiagramMap` records."""
-    slots = [(o, e) for o in X.shape.objects for e in X.values[o]]
-    for a in _coded_maps(X, Y, budget, forced, fibre):
-        comps: dict[str, dict[str, str]] = {o: {} for o in X.shape.objects}
-        for (o, e), img in zip(slots, a):
-            comps[o][e] = img
-        yield DiagramMap(X, Y, comps)
+    """Yield the diagram maps ``X -> Y`` in lexicographic order: the
+    solutions of the coded search (:func:`~smallcat.coded._map_search`),
+    decoded."""
+    S = _code(X)
+    for a in backtrack(*_map_search(S, _code(Y), _squares(S)), budget):
+        yield _decode_map(X, Y, a)
+
+
+def _decode_map(X: SetDiagram, Y: SetDiagram, a) -> DiagramMap:
+    """The map ``X -> Y`` whose slot ``k``, the ``k``-th element of ``X`` in
+    object order, holds the code in ``Y`` of its image."""
+    codes = iter(a)
+    return DiagramMap(X, Y, {o: {e: Y.values[o][next(codes)]
+                                 for e in X.values[o]}
+                             for o in X.shape.objects})
 
 
 # ---------------------------------------------------------------------------

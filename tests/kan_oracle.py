@@ -402,7 +402,7 @@ def certify_on_records(iota: CatFunctor,
             right_homs = enumerate_diagram_maps(X, rY, node_budget)
             image = {}
             for f in left_homs:
-                t = kan.lan_transpose(iota, X, Y, f, kan=lefts[xi])
+                t = kan.lan_transpose(iota, X, Y, f)
                 if validate_diagram_map(t):
                     failures.append(f"lan transpose not natural (X{xi},Y{yi})")
                     continue
@@ -416,7 +416,7 @@ def certify_on_records(iota: CatFunctor,
             right2 = enumerate_diagram_maps(Y, RX, node_budget)
             image2 = {}
             for g in left2:
-                t = kan.ran_transpose(iota, Y, X, g, kan=rights[xi])
+                t = kan.ran_transpose(iota, Y, X, g)
                 if validate_diagram_map(t):
                     failures.append(f"ran transpose not natural (X{xi},Y{yi})")
                     continue
@@ -433,8 +433,7 @@ def certify_on_records(iota: CatFunctor,
             us = enumerate_diagram_maps(X2, X, node_budget)[:nb]
             if not us:
                 continue
-            lus = [kan.lan_map(iota, u, kans=(lefts[xj], lefts[xi]))
-                   for u in us]
+            lus = [kan.lan_map(iota, u) for u in us]
             for yi, Y in enumerate(codomain_diagrams):
                 fs = left_homs_of[(xi, yi)][:nb]
                 if not fs:
@@ -448,13 +447,11 @@ def certify_on_records(iota: CatFunctor,
                                 lhs = kan.lan_transpose(
                                     iota, X2, Y2,
                                     compose_diagram_maps(
-                                        v, compose_diagram_maps(f, lu)),
-                                    kan=lefts[xj])
+                                        v, compose_diagram_maps(f, lu)))
                                 rhs = compose_diagram_maps(
                                     restrict_map(iota, v),
                                     compose_diagram_maps(
-                                        kan.lan_transpose(
-                                            iota, X, Y, f, kan=lefts[xi]),
+                                        kan.lan_transpose(iota, X, Y, f),
                                         u))
                                 if lhs.key() != rhs.key():
                                     failures.append(

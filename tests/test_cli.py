@@ -263,6 +263,24 @@ def test_semidirect_identifier_collision_exits_2(tmp_path, capsys):
         "error": "semidirect identifier (a,b,c) names two pairs"}
 
 
+# A value line given twice: the diagram loaded as valid with the element
+# twice in its value tuple, and kan then failed on a name collision.
+@pytest.mark.parametrize("line,header,argv,error", [
+    ("element a u", "diagram X arrow", ["validate"],
+     "diagram X: object a: element u listed twice"),
+    ("simplex 0 (0:0,g0)", "rsset S 1", ["rsset", "--name", "S"],
+     "rsset S: object [0]: element (0:0,g0) listed twice")])
+def test_repeated_value_line_exits_2_at_the_block_header(
+        tmp_path, capsys, line, header, argv, error):
+    text = emit(suite_doc())
+    path = tmp_path / "twice.catspec"
+    path.write_text(text.replace(f"\n{line}\n", f"\n{line}\n{line}\n", 1),
+                    encoding="utf-8")
+    code, out = run_cli([argv[0], str(path), *argv[1:]], capsys)
+    at = text.splitlines().index(header) + 1
+    assert (code, json.loads(out)) == (2, {"error": f"line {at}: {error}"})
+
+
 def test_nabla_homcount_is_bare_number(capsys):
     code, out = run_cli(["nabla", "--dim", "1", "--homcount", "1", "1"],
                         capsys)

@@ -262,12 +262,6 @@ def test_pushouts_of_generators_stay_normal():
         assert is_normal_mono(from_X)
 
 
-def test_monotone_pair_decode():
-    from smallcat.nabla import monotone_pair_data
-    assert monotone_pair_data("011:1:+") == ((0, 1, 1), 1, 1)
-    assert monotone_pair_data("110:1:-") == ((1, 1, 0), 1, -1)
-
-
 def test_normal_monos_closed_under_composition():
     N = 1
     gens = generating_cofibrations(N)
