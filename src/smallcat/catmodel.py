@@ -383,13 +383,15 @@ def bounded_soa(gens: list[DiagramMap], f: DiagramMap,
     pose no problem and are skipped, so the procedure can stabilize in
     finitely many stages).  Stops early once the remainder has the right
     lifting property; the ``saturated`` flag records whether that happened
-    within ``max_stages``.
+    within ``max_stages``, which must be at least 0.
     """
+    if max_stages < 0:
+        raise ValueError(f"max_stages {max_stages} is not an integer of "
+                         f"at least 0")
     current = f.source
     left = setval.identity_diagram_map(f.source)
     remainder = f
     cells: list[list[SoaStageCell]] = []
-    stages = 0
     for _ in range(max_stages):
         stage_cells = list(_unsolved_cells(gens, remainder, node_budget))
         if not stage_cells:
@@ -430,7 +432,6 @@ def bounded_soa(gens: list[DiagramMap], f: DiagramMap,
         left = setval.compose_diagram_maps(from_current, left)
         current = new
         cells.append(stage_cells)
-        stages += 1
     saturated = diagram_has_rlp(gens, remainder, node_budget)
-    return FactorizationResult(current, left, remainder, stages,
+    return FactorizationResult(current, left, remainder, len(cells),
                                saturated, cells)

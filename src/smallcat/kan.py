@@ -9,13 +9,14 @@ under-comma objects.  Each takes a diagram coded once
 (:class:`~smallcat.coded.CodedDiagram`) and returns a :class:`CodedKan`:
 the comma objects, the coded extension and the injection or projection
 tables.  The cores name classes and families only to order them by name.
-:func:`left_kan`, :func:`right_kan`, :func:`lan`, :func:`ran`,
-:func:`lan_unit` and :func:`ran_counit` render their records from a core,
-reusing its names, and the transposes read those records.
-:func:`lan_map` reads the injection tables of two left cores and renders
-only the two extensions; :func:`certify_kan_adjunctions` reads the cores
-directly and never renders.  Nothing is cached across calls: codes are
-built inside a call and dropped at its return.
+:func:`lan` and :func:`ran` render the extension of a core, reusing its
+names; :func:`lan_unit` and :func:`ran_counit` also read its tables at the
+identity comma objects, :func:`lan_transpose` calls :func:`lan_unit`,
+:func:`ran_transpose` names families over the comma objects of a right
+core, and :func:`lan_map` reads the injection tables of two left cores.
+:func:`certify_kan_adjunctions` reads the cores directly and never
+renders.  Nothing is cached across calls: codes are built inside a call
+and dropped at its return.
 
 A comma object is named by the pair string of its two parts, a comma
 morphism by the triple of its morphism and ends, and an item of the left
@@ -23,7 +24,7 @@ chase by the pair string of its comma object and element.  Names with
 commas in them can make two of these render alike; that raises
 :class:`ValueError` instead of merging them.
 
-Every name here is also reachable as an attribute of
+Every public name here is also reachable as an attribute of
 :mod:`smallcat.setval`, where it lived before; only the commands that
 compute a Kan extension or a certificate load this module.
 """
@@ -55,14 +56,7 @@ from .coded import (
     _offsets,
     _squares,
 )
-from .setval import (
-    ColimitResult,
-    DiagramMap,
-    LimitResult,
-    SetDiagram,
-    _family_name,
-    restrict,
-)
+from .setval import DiagramMap, SetDiagram, _family_name, restrict
 
 
 @record(frozen=True)
@@ -173,36 +167,6 @@ def comma_under(d: str, iota: CatFunctor) -> CommaCategory:
 
 # ---------------------------------------------------------------------------
 # Kan extensions
-
-
-@record(frozen=True)
-class LeftKan:
-    """The left Kan extension of ``X`` along ``iota``: ``objects[d]`` decodes
-    each object ``(c,phi)`` of the comma category over ``d`` to its pair
-    ``(c, phi: iota c -> d)``, ``colims[d]`` is the colimit of ``X`` over
-    that comma, and ``unit`` maps ``X`` to the restricted ``extension``.
-    Rendered by :func:`left_kan`, which :func:`lan_unit` and
-    :func:`lan_transpose` call."""
-
-    objects: dict[str, dict[str, tuple[str, str]]]
-    colims: dict[str, ColimitResult]
-    extension: SetDiagram
-    unit: DiagramMap
-
-
-@record(frozen=True)
-class RightKan:
-    """The right Kan extension of ``X`` along ``iota``: ``objects[d]``
-    decodes each object ``(phi,c)`` of the comma category under ``d`` to its
-    pair ``(phi: d -> iota c, c)``, ``lims[d]`` is the limit of ``X`` over
-    that comma, and ``counit`` maps the restricted ``extension`` to ``X``.
-    Rendered by :func:`right_kan`, which :func:`ran_counit` and
-    :func:`ran_transpose` call."""
-
-    objects: dict[str, dict[str, tuple[str, str]]]
-    lims: dict[str, LimitResult]
-    extension: SetDiagram
-    counit: DiagramMap
 
 
 @record(frozen=True)
@@ -380,28 +344,6 @@ def _render_lan(core: CodedKan) -> SetDiagram:
         for d, tables in core.tables.items()})
 
 
-def left_kan(iota: CatFunctor, X: SetDiagram) -> LeftKan:
-    """The left Kan extension of ``X`` along ``iota``, with its unit,
-    rendered from :func:`_lan_core`."""
-    D = iota.codomain
-    core = _lan_core(iota, _code(X))
-    LX = _render_lan(core)
-    colims = {}
-    for d, objs in core.objects.items():
-        names, tables = LX.values[d], core.tables[d]
-        colims[d] = ColimitResult(names, {
-            o: dict(zip(X.values[objs[o][0]],
-                        map(names.__getitem__, tables[objs[o]])))
-            for o in sorted(objs)})
-    unit = {}
-    for c in iota.domain.objects:
-        d = iota.ob_map[c]
-        unit[c] = dict(zip(X.values[c], map(LX.values[d].__getitem__,
-                                            core.tables[d][c, D.identity[d]])))
-    return LeftKan(core.objects, colims, LX,
-                   DiagramMap(X, restrict(iota, LX), unit))
-
-
 def lan(iota: CatFunctor, X: SetDiagram) -> SetDiagram:
     """Pointwise left Kan extension of ``X`` along ``iota``."""
     return _render_lan(_lan_core(iota, _code(X)))
@@ -426,33 +368,17 @@ def lan_map(iota: CatFunctor, h: DiagramMap) -> DiagramMap:
 
 
 def lan_unit(iota: CatFunctor, X: SetDiagram) -> DiagramMap:
-    """The unit ``X -> restrict(iota, lan(iota, X))`` of the Kan adjunction."""
-    return left_kan(iota, X).unit
-
-
-def right_kan(iota: CatFunctor, X: SetDiagram) -> RightKan:
-    """The right Kan extension of ``X`` along ``iota``, with its counit,
-    rendered from :func:`_ran_core`."""
+    """The unit ``X -> restrict(iota, lan(iota, X))`` of the Kan adjunction:
+    at ``c``, the injection of the left core at ``(c, id)``."""
     D = iota.codomain
-    core = _ran_core(iota, _code(X))
-    RX = _render(core.extension)
-    lims = {}
-    for d, objs in core.objects.items():
-        names, tables = RX.values[d], core.tables[d]
-        # the families in search order: by their tuples of component codes
-        codes = list(zip(*tables.values())) if tables else [()]
-        found = sorted(range(len(codes)), key=codes.__getitem__)
-        lims[d] = LimitResult(names, {
-            o: {names[f]: X.values[objs[o][1]][tables[objs[o]][f]]
-                for f in found}
-            for o in sorted(objs)})
-    counit = {}
+    core = _lan_core(iota, _code(X))
+    LX = _render_lan(core)
+    unit = {}
     for c in iota.domain.objects:
         d = iota.ob_map[c]
-        counit[c] = dict(zip(RX.values[d], map(X.values[c].__getitem__,
-                                               core.tables[d][D.identity[d], c])))
-    return RightKan(core.objects, lims, RX,
-                    DiagramMap(restrict(iota, RX), X, counit))
+        unit[c] = dict(zip(X.values[c], map(LX.values[d].__getitem__,
+                                            core.tables[d][c, D.identity[d]])))
+    return DiagramMap(X, restrict(iota, LX), unit)
 
 
 def ran(iota: CatFunctor, X: SetDiagram) -> SetDiagram:
@@ -461,8 +387,17 @@ def ran(iota: CatFunctor, X: SetDiagram) -> SetDiagram:
 
 
 def ran_counit(iota: CatFunctor, X: SetDiagram) -> DiagramMap:
-    """The counit ``restrict(iota, ran(iota, X)) -> X`` of the Kan adjunction."""
-    return right_kan(iota, X).counit
+    """The counit ``restrict(iota, ran(iota, X)) -> X`` of the Kan adjunction:
+    at ``c``, the projection of the right core at ``(id, c)``."""
+    D = iota.codomain
+    core = _ran_core(iota, _code(X))
+    RX = _render(core.extension)
+    counit = {}
+    for c in iota.domain.objects:
+        d = iota.ob_map[c]
+        counit[c] = dict(zip(RX.values[d], map(X.values[c].__getitem__,
+                                               core.tables[d][D.identity[d], c])))
+    return DiagramMap(restrict(iota, RX), X, counit)
 
 
 def lan_transpose(iota: CatFunctor, X: SetDiagram, Y: SetDiagram,
@@ -470,7 +405,7 @@ def lan_transpose(iota: CatFunctor, X: SetDiagram, Y: SetDiagram,
     """Send ``f: lan(iota, X) -> Y`` to its adjunct ``X -> restrict(iota, Y)``:
     ``restrict(iota, f)`` after the unit, read off ``f`` without restricting
     its source."""
-    unit = left_kan(iota, X).unit
+    unit = lan_unit(iota, X)
     return DiagramMap(unit.source, restrict(iota, f.target),
                       {c: {x: f.components[iota.ob_map[c]][u]
                            for x, u in unit.components[c].items()}
@@ -480,17 +415,17 @@ def lan_transpose(iota: CatFunctor, X: SetDiagram, Y: SetDiagram,
 def ran_transpose(iota: CatFunctor, Y: SetDiagram, X: SetDiagram,
                   g: DiagramMap) -> DiagramMap:
     """Send ``g: restrict(iota, Y) -> X`` to its adjunct ``Y -> ran(iota, X)``."""
-    R = right_kan(iota, X)
+    core = _ran_core(iota, _code(X))
     comps = {}
-    for d in iota.codomain.objects:
+    for d, objs in core.objects.items():
         mapping = {}
         for y in Y.values[d]:
             fam = {}
-            for o, (phi, c) in R.objects[d].items():
+            for o, (phi, c) in objs.items():
                 fam[o] = g.components[c][Y.action[phi][y]]
             mapping[y] = _family_name(fam)
         comps[d] = mapping
-    return DiagramMap(Y, R.extension, comps)
+    return DiagramMap(Y, _render(core.extension), comps)
 
 
 def representable(C: FiniteCategory, x: str) -> SetDiagram:

@@ -115,19 +115,24 @@ def verify_lan_formula(action: GroupAction, F: SetDiagram) -> LanFormulaReport:
     """Certify the coproduct decomposition of restrict-of-extend.
 
     Computes the left Kan extension of ``F`` along the inclusion into the
-    semidirect product, restricts it back, and compares with the coproduct
+    semidirect product as a left core (:func:`~smallcat.kan._lan_core`),
+    restricts its rendered extension back, and compares with the coproduct
     of the twisted restrictions via the explicit comparison map through the
     terminal object ``(id_x, g)`` of each connected component of the comma
-    category.  Also checks that those components are in bijection with the
-    group, each with a terminal object.
+    category; the class of each element at a comma object is read through
+    the core's injection table there.  Also checks that those components
+    are in bijection with the group, each with a terminal object.
     """
     from . import setval
+    from .coded import _code
+    from .kan import _lan_core, _render_lan
     failures: list[str] = []
     G, C = action.group, action.target
     sd = semidirect.semidirect(action)
     iota = inclusion_iota(sd)
-    kan = setval.left_kan(iota, F)
-    left = setval.restrict(iota, kan.extension)
+    core = _lan_core(iota, _code(F))
+    LF = _render_lan(core)
+    left = setval.restrict(iota, LF)
     right, injections = twisted_coproduct(action, F)
 
     # comma component structure at every object
@@ -151,14 +156,14 @@ def verify_lan_formula(action: GroupAction, F: SetDiagram) -> LanFormulaReport:
     components: dict[str, dict[str, str]] = {}
     bijections: dict[str, bool] = {}
     for x in C.objects:
-        colim = kan.colims[x]
+        names, tables = LF.values[x], core.tables[x]
         mapping: dict[str, str] = {}
-        for o, (c, m) in kan.objects[x].items():
+        for c, m in core.objects[x].values():
             phi, g = sd.pair_of[m]
             ginv = G.inverse[g]
             u = action.rho[ginv].mor_map[phi]    # the map to the terminal object
-            for e in F.values[c]:
-                cls = colim.injections[o][e]
+            for e, i in zip(F.values[c], tables[c, m]):
+                cls = names[i]
                 img = injections[g].components[x][F.action[u][e]]
                 prev = mapping.get(cls)
                 if prev is not None and prev != img:

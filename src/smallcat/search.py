@@ -67,20 +67,19 @@ def coproduct(C: FiniteCategory, D: FiniteCategory) -> FiniteCategory:
     """
     disjoint = (not set(C.objects) & set(D.objects)
                 and not set(C.morphisms) & set(D.morphisms))
-    lo, lm = ((lambda s: s), (lambda s: s)) if disjoint else \
-        ((lambda s: s + "#0"), (lambda s: s + "#0"))
-    ro, rm = ((lambda s: s), (lambda s: s)) if disjoint else \
-        ((lambda s: s + "#1"), (lambda s: s + "#1"))
-    objects = [lo(x) for x in C.objects] + [ro(x) for x in D.objects]
-    morphisms = [lm(m) for m in C.morphisms] + [rm(m) for m in D.morphisms]
-    source = {lm(m): lo(C.source[m]) for m in C.morphisms}
-    source.update({rm(m): ro(D.source[m]) for m in D.morphisms})
-    target = {lm(m): lo(C.target[m]) for m in C.morphisms}
-    target.update({rm(m): ro(D.target[m]) for m in D.morphisms})
-    identity = {lo(x): lm(C.identity[x]) for x in C.objects}
-    identity.update({ro(x): rm(D.identity[x]) for x in D.objects})
-    compose = {(lm(f), lm(g)): lm(h) for (f, g), h in C.compose.items()}
-    compose.update({(rm(f), rm(g)): rm(h) for (f, g), h in D.compose.items()})
+    left, right = ("", "") if disjoint else ("#0", "#1")
+    objects = [x + left for x in C.objects] + [x + right for x in D.objects]
+    morphisms = [m + left for m in C.morphisms] + \
+        [m + right for m in D.morphisms]
+    source, target, identity, compose = {}, {}, {}, {}
+    for E, tag in ((C, left), (D, right)):
+        for m in E.morphisms:
+            source[m + tag] = E.source[m] + tag
+            target[m + tag] = E.target[m] + tag
+        for x in E.objects:
+            identity[x + tag] = E.identity[x] + tag
+        for (f, g), h in E.compose.items():
+            compose[(f + tag, g + tag)] = h + tag
     return FiniteCategory.build(objects, morphisms, source, target, identity, compose)
 
 

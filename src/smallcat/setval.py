@@ -8,8 +8,9 @@ limit families list their components in object order, and the limit over
 the empty shape is a one-point set.
 
 Coded diagrams and the diagram-map search live in :mod:`smallcat.coded`,
-the Kan extensions and adjunction certificates in :mod:`smallcat.kan`,
-and the other limits and colimits and the algebra of diagram maps in
+the Kan extensions (coded cores, whose tables give the units, counits and
+transposes) and adjunction certificates in :mod:`smallcat.kan`, and the
+other limits and colimits and the algebra of diagram maps in
 :mod:`smallcat.universal`; only the code that uses them loads them.
 Their old names here (``setval.lan``, ``setval._code``, ...) still
 work through the module ``__getattr__``.
@@ -35,9 +36,9 @@ from .fincat import (
 __getattr__ = moved(globals(), coded="""
     CodedDiagram _code""", kan="""
     CommaCategory AdjunctionReport _comma_category comma_over comma_under
-    LeftKan RightKan CodedKan left_kan lan lan_map lan_unit right_kan ran
-    ran_counit lan_transpose ran_transpose representable corepresentable
-    certify_adjunction certify_kan_adjunctions""", universal="""
+    CodedKan lan lan_map lan_unit ran ran_counit lan_transpose ran_transpose
+    representable corepresentable certify_adjunction
+    certify_kan_adjunctions""", universal="""
     validate_diagram_map identity_diagram_map compose_diagram_maps
     is_iso_diagram_map is_mono_diagram_map is_epi_diagram_map
     enumerate_diagram_maps _iter_diagram_maps limit colimit

@@ -5,22 +5,24 @@ scratch.  It is kept, unchanged, as the exhaustive reference that
 ``test_setval`` compares :mod:`smallcat.kan` against.
 
 :func:`left_kan` and :func:`right_kan` are the record builders as they were
-before the coded Kan core, unchanged: they work on names throughout, and
-the records :mod:`smallcat.kan` renders from its core must equal theirs
-up to ``repr``.
+before the coded Kan core, unchanged, with their records :class:`LeftKan`
+and :class:`RightKan`: they work on names throughout, and the extensions,
+units and counits :mod:`smallcat.kan` renders from its cores must equal
+theirs up to ``repr``.
 
 :func:`certify_on_records` is the certifier as it was before coded maps,
-copied unchanged but for its name and for calling the Kan records and
+copied unchanged but for its name and for calling the Kan extensions and
 transposes through :mod:`smallcat.kan`: it handles every map as a
 :class:`DiagramMap`.
 """
 from smallcat import fincat, kan, setval
-from smallcat.fincat import CatFunctor, Partition, distinct, pair_name
-from smallcat.kan import LeftKan, RightKan, _comma_objects
+from smallcat.fincat import CatFunctor, Partition, distinct, pair_name, record
+from smallcat.kan import _comma_objects
 from smallcat.setval import (
     AdjunctionReport,
     ColimitResult,
     DiagramMap,
+    LimitResult,
     SetDiagram,
     _families,
     _family_name,
@@ -170,6 +172,32 @@ def ran_transpose(iota: CatFunctor, Y: SetDiagram, X: SetDiagram,
             mapping[y] = _family_name(fam)
         comps[d] = mapping
     return DiagramMap(Y, RX, comps)
+
+
+@record(frozen=True)
+class LeftKan:
+    """The left Kan extension of ``X`` along ``iota``: ``objects[d]`` decodes
+    each object ``(c,phi)`` of the comma category over ``d`` to its pair
+    ``(c, phi: iota c -> d)``, ``colims[d]`` is the colimit of ``X`` over
+    that comma, and ``unit`` maps ``X`` to the restricted ``extension``."""
+
+    objects: dict[str, dict[str, tuple[str, str]]]
+    colims: dict[str, ColimitResult]
+    extension: SetDiagram
+    unit: DiagramMap
+
+
+@record(frozen=True)
+class RightKan:
+    """The right Kan extension of ``X`` along ``iota``: ``objects[d]``
+    decodes each object ``(phi,c)`` of the comma category under ``d`` to its
+    pair ``(phi: d -> iota c, c)``, ``lims[d]`` is the limit of ``X`` over
+    that comma, and ``counit`` maps the restricted ``extension`` to ``X``."""
+
+    objects: dict[str, dict[str, tuple[str, str]]]
+    lims: dict[str, LimitResult]
+    extension: SetDiagram
+    counit: DiagramMap
 
 
 def left_kan(iota: CatFunctor, X: SetDiagram) -> LeftKan:
@@ -387,13 +415,13 @@ def certify_on_records(iota: CatFunctor,
     failures: list[str] = []
     checked = 0
 
-    lefts = [kan.left_kan(iota, X) for X in domain_diagrams]
-    rights = [kan.right_kan(iota, X) for X in domain_diagrams]
+    lans = [kan.lan(iota, X) for X in domain_diagrams]
+    rans = [kan.ran(iota, X) for X in domain_diagrams]
     left_homs_of: dict[tuple[int, int], list[DiagramMap]] = {}
 
     for xi, X in enumerate(domain_diagrams):
-        LX = lefts[xi].extension
-        RX = rights[xi].extension
+        LX = lans[xi]
+        RX = rans[xi]
         for yi, Y in enumerate(codomain_diagrams):
             checked += 1
             rY = restrict(iota, Y)

@@ -182,6 +182,18 @@ def soa_doc() -> CatspecDocument:
 SOA = ["--generators", "gen", "--map", "f", "--max-stages", "2"]
 
 
+def test_negative_max_stages_exits_2(tmp_path, capsys):
+    # it used to print "stages":0 and exit 0
+    path = write_doc(tmp_path, soa_doc())
+    argv = ["soa", path, "--generators", "gen", "--map", "f", "--max-stages"]
+    for value in ("-1", "-3"):
+        code, out = run_cli(argv + [value], capsys)
+        assert (code, json.loads(out)) == (2, {"error": (
+            f"max_stages {value} is not an integer of at least 0")})
+    code, out = run_cli(argv + ["0"], capsys)
+    assert code == 0 and json.loads(out)["stages"] == 0
+
+
 def test_soa_subcommand(tmp_path, capsys):
     # factor the collapse of a two-point discrete diagram onto a point
     path = write_doc(tmp_path, soa_doc())
@@ -727,9 +739,10 @@ MOVED = [("setval", "coded"), ("setval", "kan"), ("setval", "universal"),
          ("catspec", "catwrite")]
 
 
-def defined_in(module: ModuleType) -> list[str]:
-    """The public names that ``module``'s own top-level statements bind:
-    its functions, classes and assignments, not its imports."""
+def defined_in(module: ModuleType, private: bool = False) -> list[str]:
+    """The public names, and the private ones too when ``private``, that
+    ``module``'s own top-level statements bind: its functions, classes and
+    assignments, not its imports."""
     tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
     names = []
     for stmt in tree.body:
@@ -738,7 +751,21 @@ def defined_in(module: ModuleType) -> list[str]:
         elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
             targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
             names += [t.id for t in targets if isinstance(t, ast.Name)]
-    return [n for n in names if not n.startswith("_")]
+    return [n for n in names if private or not n.startswith("_")]
+
+
+def moved_tables(module: ModuleType) -> dict[str, list[str]]:
+    """The names listed for each home in the ``moved(globals(), ...)``
+    table of ``module``, read from its source."""
+    tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+    tables = {}
+    for stmt in tree.body:
+        call = stmt.value if isinstance(stmt, ast.Assign) else None
+        if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and call.func.id == "moved"):
+            for kw in call.keywords:
+                tables[kw.arg] = ast.literal_eval(kw.value).split()
+    return tables
 
 
 @pytest.mark.parametrize("old,new", MOVED)
@@ -749,6 +776,18 @@ def test_moved_names_keep_their_old_paths(old, new):
     assert names
     for name in names:
         assert getattr(old_module, name) is getattr(new_module, name), name
+
+
+@pytest.mark.parametrize("old", sorted({old for old, _ in MOVED}))
+def test_every_moved_name_is_bound_at_its_home(old):
+    # the reverse of the test above: a name left in a table after its home
+    # stopped defining it would raise AttributeError only when read
+    tables = moved_tables(importlib.import_module(f"smallcat.{old}"))
+    assert set(tables) == {new for o, new in MOVED if o == old}
+    for home, names in tables.items():
+        bound = defined_in(importlib.import_module(f"smallcat.{home}"),
+                           private=True)
+        assert sorted(set(names) - set(bound)) == [], home
 
 
 def test_every_traced_function_resolves_where_the_tracer_looks():

@@ -86,7 +86,7 @@ def signature_of(cls) -> list:
 
 
 def test_every_record_class_is_found():
-    assert len(RECORDS) == 46
+    assert len(RECORDS) == 44
     assert all(dataclasses.fields(twin(cls)) for cls in RECORDS)
 
 

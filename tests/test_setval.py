@@ -418,9 +418,7 @@ def test_validate_diagram_names_an_element_listed_twice():
     assert validate_diagram(X) == ["object pt: element x listed twice"]
 
 
-def test_lan_map_functorial(monkeypatch):
-    # lan_map reads the cores' injection tables and renders no record
-    monkeypatch.setattr(kan, "left_kan", None)
+def test_lan_map_functorial():
     C = walking_arrow()
     D = chain_category(2)
     iota = CatFunctor(C, D, {"a": "0", "b": "1"},
@@ -592,16 +590,34 @@ def product_filter_limit(X, budget=2_000_000):
 
 
 def _check_records(iota, X):
-    """The comma objects and (co)limits of the Kan records against comma
-    categories built by :func:`comma_over`/:func:`comma_under`; ``repr``
-    checks the order of every dict too."""
-    kan, rkan = setval.left_kan(iota, X), setval.right_kan(iota, X)
+    """The comma objects and the injection and projection tables of the
+    Kan cores against comma categories built by
+    :func:`comma_over`/:func:`comma_under` and their (co)limits, with each
+    table read as the (co)limit it stands for; ``repr`` checks the order of
+    every dict too."""
+    left = kan._lan_core(iota, setval._code(X))
+    right = kan._ran_core(iota, setval._code(X))
     for d in iota.codomain.objects:
         K, U = comma_over(iota, d), comma_under(d, iota)
-        assert repr(kan.objects[d]) == repr(K.object_data)
-        assert repr(rkan.objects[d]) == repr(U.object_data)
-        assert repr(kan.colims[d]) == repr(colimit(restrict(K.projection, X)))
-        assert repr(rkan.lims[d]) == \
+        assert repr(left.objects[d]) == repr(K.object_data)
+        assert repr(right.objects[d]) == repr(U.object_data)
+        objs, tables = left.objects[d], left.tables[d]
+        names = left.extension.values[d]
+        colim = setval.ColimitResult(names, {
+            o: dict(zip(X.values[objs[o][0]],
+                        map(names.__getitem__, tables[objs[o]])))
+            for o in sorted(objs)})
+        assert repr(colim) == repr(colimit(restrict(K.projection, X)))
+        objs, tables = right.objects[d], right.tables[d]
+        names = right.extension.values[d]
+        # the families in search order: by their tuples of component codes
+        codes = list(zip(*tables.values())) if tables else [()]
+        found = sorted(range(len(codes)), key=codes.__getitem__)
+        lim = setval.LimitResult(names, {
+            o: {names[f]: X.values[objs[o][1]][tables[objs[o]][f]]
+                for f in found}
+            for o in sorted(objs)})
+        assert repr(lim) == \
             repr(product_filter_limit(restrict(U.projection, X)))
 
 
@@ -614,12 +630,13 @@ def _outcome(build, *args) -> str:
 
 
 def _check_rendered_records(iota, X):
-    """The records rendered from the coded cores against the name-level
-    builders they replaced, by ``repr``: every name and every dict order."""
-    for new, old in ((setval.left_kan, oracle.left_kan),
-                     (setval.right_kan, oracle.right_kan),
-                     (lan, lambda *a: oracle.left_kan(*a).extension),
-                     (ran, lambda *a: oracle.right_kan(*a).extension)):
+    """The extensions, the unit and the counit rendered from the coded cores
+    against the records of the name-level builders they replaced, by
+    ``repr``: every name and every dict order."""
+    for new, old in ((lan, lambda *a: oracle.left_kan(*a).extension),
+                     (lan_unit, lambda *a: oracle.left_kan(*a).unit),
+                     (ran, lambda *a: oracle.right_kan(*a).extension),
+                     (ran_counit, lambda *a: oracle.right_kan(*a).counit)):
         assert _outcome(new, iota, X) == _outcome(old, iota, X)
 
 
@@ -677,7 +694,7 @@ def test_kan_records_keep_the_comma_order_when_names_sort_apart():
                          {"id_x": {"v": "v", "v#": "v#"}, "id_x#": {"w": "w"}})
     Y = SetDiagram.build(pt, {"pt": ("y", "y#")},
                          {"id_pt": {"y": "y", "y#": "y#"}})
-    under = setval.right_kan(iota, X).objects["pt"]
+    under = kan._ran_core(iota, setval._code(X)).objects["pt"]
     assert list(under) == ["(id_pt,x)", "(id_pt,x#)"]
     assert sorted(under) == ["(id_pt,x#)", "(id_pt,x)"]
     _check_against_oracle(iota, X, Y, ([X], [Y], 2))
@@ -698,13 +715,14 @@ def test_rendered_records_match_the_named_builders_on_the_cofibrations():
         # the maps generating_cofibrations(2) takes from lan_map
         _same_map(lan_map(iota_op, inc), oracle.lan_map(iota_op, inc))
     with pytest.raises(fincat.BudgetError):
-        setval.right_kan(iota_op, inc.target)
+        ran(iota_op, inc.target)
 
 
 def test_certify_builds_each_kan_extension_once(monkeypatch):
-    # one core per domain diagram and side, and no record or comma category
-    calls = dict.fromkeys(("_lan_core", "_ran_core", "left_kan", "right_kan",
-                           "comma_over", "comma_under"), 0)
+    # one core per domain diagram and side, no rendered extension and no
+    # comma category
+    calls = dict.fromkeys(("_lan_core", "_ran_core", "_render", "comma_over",
+                           "comma_under"), 0)
     for name in calls:
         original = getattr(kan, name)
 
@@ -715,8 +733,8 @@ def test_certify_builds_each_kan_extension_once(monkeypatch):
     iota, X, X2, Y = _arrow_into_chain()
     rep = certify_kan_adjunctions(iota, [X, X2], [Y])
     assert rep.ok and rep.checked > 2  # the naturality checks ran
-    assert calls == {"_lan_core": 2, "_ran_core": 2, "left_kan": 0,
-                     "right_kan": 0, "comma_over": 0, "comma_under": 0}
+    assert calls == {"_lan_core": 2, "_ran_core": 2, "_render": 0,
+                     "comma_over": 0, "comma_under": 0}
 
 
 def _rotated(table: tuple) -> tuple:
@@ -809,16 +827,18 @@ def _ran_transpose_by_projections(iota, Y, X, g):
     projections, as the coded certifier does, not by its name: a tuple of
     components that two families share goes to the later one, and one
     that no family has to ``None``, which no extension holds."""
-    R = kan.right_kan(iota, X)
+    R = kan._ran_core(iota, setval._code(X))
+    RX = kan._render(R.extension)
     comps = {}
     for d, objs in R.objects.items():
-        proj = R.lims[d].projections
-        family = {tuple(proj[o][f] for o in objs): f
-                  for f in R.lims[d].elements}
+        tables = R.tables[d]
+        family = {tuple(X.values[c][tables[phi, c][f]]
+                        for phi, c in objs.values()): name
+                  for f, name in enumerate(RX.values[d])}
         comps[d] = {y: family.get(tuple(g.components[c][Y.action[phi][y]]
                                         for phi, c in objs.values()))
                     for y in Y.values[d]}
-    return DiagramMap(Y, R.extension, comps)
+    return DiagramMap(Y, RX, comps)
 
 
 # corruption: (core it corrupts, corrupt, whether the record-based
@@ -841,8 +861,8 @@ def _certify_with_corrupted_core(monkeypatch, corruption, rng, iota,
     """Both certifiers' ``(ok, checked, failures)`` when the Kan core of
     ``domain[0]`` carries one corruption, or None when it has no spot for
     it; the cores of the other domain diagrams stay sound.  The coded
-    certifier reads the core, the record-based one the records rendered
-    from it."""
+    certifier reads the core, the record-based one the extensions and
+    maps rendered from it."""
     which, corrupt, by_projections = CORRUPTIONS[corruption]
     build = getattr(kan, which)
     bad = corrupt(build(iota, setval._code(domain[0])), rng)
