@@ -9,7 +9,7 @@ categories, where pushouts are computed level-wise.
 """
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import Iterator
 
 # Timed functions are called via their module: see the package docstring.
@@ -347,15 +347,34 @@ def solve_diagram_lifting(i: DiagramMap, p: DiagramMap,
 def diagram_squares(i: DiagramMap, p: DiagramMap,
                     node_budget: int = 500_000
                     ) -> list[tuple[DiagramMap, DiagramMap]]:
-    """All commuting squares (top, bottom) from ``i`` to ``p``."""
-    tops = setval.enumerate_diagram_maps(i.source, p.source, node_budget)
-    bottoms = setval.enumerate_diagram_maps(i.target, p.target, node_budget)
-    bis = [(bottom, setval.compose_diagram_maps(bottom, i).key())
-           for bottom in bottoms]
+    """All commuting squares (top, bottom) from ``i`` to ``p``, by top, then
+    by bottom: both hom-sets are searched on codes, each under
+    ``node_budget``, ``p . top`` and ``bottom . i`` are compared as codes,
+    and only the squares found are decoded."""
+    from .coded import _code, _maps, _squares
+    from .universal import _decode_map
+    A, B, X, Y = i.source, i.target, p.source, p.target
+    tops, found = (_maps(S, _code(T), _squares(S), node_budget)
+                   for S, T in ((_code(A), X), (_code(B), Y)))
+    slot = {pair: k for k, pair in enumerate(
+        (o, e) for o in B.shape.objects for e in B.values[o])}
+    # per slot of a top: the slot of its image under i, and p's codes there
+    at, over = [], []
+    for o in A.shape.objects:
+        code = {y: j for j, y in enumerate(Y.values[o])}
+        table = tuple([code[p.components[o][x]] for x in X.values[o]])
+        for a in A.values[o]:
+            at.append(slot[o, i.components[o][a]])
+            over.append(table)
+    bottoms: dict[tuple, list] = {}
+    for b in found:
+        bottoms.setdefault(tuple([b[k] for k in at]), []).append(b)
     out = []
-    for top in tops:
-        pt = setval.compose_diagram_maps(p, top).key()
-        out += [(top, bottom) for bottom, bi in bis if bi == pt]
+    for t in tops:
+        fits = bottoms.get(tuple(map(getitem, over, t)), ())
+        if fits:
+            top = _decode_map(A, X, t)
+            out += [(top, _decode_map(B, Y, b)) for b in fits]
     return out
 
 

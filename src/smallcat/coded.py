@@ -8,9 +8,9 @@ tuple of the codes of its images, one slot per element of the source in
 object order.  Its naturality squares are filed once by their last slot
 (:func:`_squares`), and :func:`_map_search` feeds them with the target's
 tables to :func:`~smallcat.fincat.backtrack`: the one index search.
-``setval.enumerate_diagram_maps`` decodes its solutions to named maps,
-the diagram lifting search pins candidates and adds fibre checks to it,
-and :mod:`smallcat.kan` builds and certifies Kan extensions on codes.
+:func:`_maps` runs it under a node budget for ``enumerate_diagram_maps``,
+the commuting squares and :mod:`smallcat.kan`; the diagram lifting search
+pins candidates and adds fibre checks to it.
 
 Codes are built inside a call and dropped at its return; nothing here
 caches them.  Only the commands that search for diagram maps or compute a
@@ -20,8 +20,9 @@ Kan extension load this module; its names are also reachable through
 from __future__ import annotations
 
 from operator import itemgetter
+from typing import Iterator
 
-from .fincat import FiniteCategory, record
+from .fincat import FiniteCategory, NodeBudget, backtrack, record
 from .setval import SetDiagram
 
 
@@ -92,6 +93,17 @@ def _map_search(X: CodedDiagram, Y: CodedDiagram, squares: list[list[tuple]]
             slot.append((tables[m], key, k2))
         checks.append(slot)
     return candidates, checks
+
+
+def _maps(X: CodedDiagram, Y: CodedDiagram, squares: list[list[tuple]],
+          node_budget: int) -> Iterator[tuple[int, ...]]:
+    """The maps ``X -> Y`` in lexicographic order, each as its tuple of
+    codes: the solutions of :func:`_map_search` (``squares`` are those of
+    ``X``) under ``node_budget`` nodes."""
+    if X.shape is not Y.shape and X.shape != Y.shape:
+        raise ValueError("shapes differ")
+    return map(tuple, backtrack(*_map_search(X, Y, squares), NodeBudget(
+        node_budget, "diagram map search exceeded budget")))
 
 
 def _coded_error(X: CodedDiagram) -> str | None:

@@ -32,10 +32,9 @@ from __future__ import annotations
 
 from itertools import chain, islice, repeat
 from operator import add, getitem, itemgetter
-from typing import Iterator
 
 # Timed functions are called via their module: see the package docstring.
-from . import fincat, setval
+from . import fincat
 from .fincat import (
     CatFunctor,
     FiniteCategory,
@@ -52,7 +51,7 @@ from .coded import (
     CodedDiagram,
     _code,
     _coded_error,
-    _map_search,
+    _maps,
     _offsets,
     _squares,
 )
@@ -255,7 +254,8 @@ def _ran_core(iota: CatFunctor, X: CodedDiagram) -> CodedKan:
     ``RX d`` holds the compatible families over the objects ``(phi,c)`` of
     the comma category under ``d``, taken in name order: each ``u: c ->
     c2`` requires the component at ``(iota u . phi, c2)`` to be ``X u`` of
-    the one at ``(phi, c)``.
+    the one at ``(phi, c)``.  The families at each ``d`` are one search
+    under a budget of 2,000,000 nodes, as in :func:`setval._families`.
     """
     C, D = iota.domain, iota.codomain
     homs = fincat.hom_index(D)
@@ -284,9 +284,9 @@ def _ran_core(iota: CatFunctor, X: CodedDiagram) -> CodedKan:
     values, tables, lookup = {}, {}, {}
     for d in D.objects:
         pairs = list(slot[d])
-        found = list(map(tuple, setval._compatible(
+        found = list(map(tuple, backtrack(
             [range(len(X.values[c])) for _, c in pairs], checks[d],
-            2_000_000)))
+            NodeBudget(2_000_000, "limit product exceeds budget"))))
         elements = [X.values[c] for _, c in pairs]
         fams = [f"({','.join(map(add, heads[d], map(getitem, elements, a)))})"
                 for a in found]
@@ -430,7 +430,8 @@ def ran_transpose(iota: CatFunctor, Y: SetDiagram, X: SetDiagram,
 
 def representable(C: FiniteCategory, x: str) -> SetDiagram:
     """The presheaf ``hom(-, x)`` as a diagram over ``opposite(C)``."""
-    values = {o: C.hom(o, x) for o in C.objects}
+    homs = fincat.hom_index(C)
+    values = {o: homs.get((o, x), ()) for o in C.objects}
     action = {m: {u: C.compose[(u, m)] for u in values[C.target[m]]}
               for m in C.morphisms}
     return SetDiagram.build(fincat.opposite(C), values, action)
@@ -438,7 +439,8 @@ def representable(C: FiniteCategory, x: str) -> SetDiagram:
 
 def corepresentable(C: FiniteCategory, x: str) -> SetDiagram:
     """The covariant functor ``hom(x, -)`` as a diagram over ``C``."""
-    values = {o: C.hom(x, o) for o in C.objects}
+    homs = fincat.hom_index(C)
+    values = {o: homs.get((x, o), ()) for o in C.objects}
     action = {m: {u: C.compose[(m, u)] for u in values[C.source[m]]}
               for m in C.morphisms}
     return SetDiagram.build(C, values, action)
@@ -503,8 +505,8 @@ def certify_kan_adjunctions(iota: CatFunctor,
 
     It runs on codes end to end: each diagram is coded once, the Kan
     extensions come from :func:`_lan_core` and :func:`_ran_core`, a
-    restriction is a gather, a map is searched for as in
-    :func:`~smallcat.coded._map_search`, a left transpose gathers ``f`` at
+    restriction is a gather, maps are searched for by
+    :func:`~smallcat.coded._maps`, a left transpose gathers ``f`` at
     the slots of the unit's images, and a right transpose looks each family
     up by its components.  No element is named after the diagrams are
     coded; the witnesses name the diagrams by their places in the corpus.
@@ -513,13 +515,6 @@ def certify_kan_adjunctions(iota: CatFunctor,
     nb = naturality_budget
     failures: list[str] = []
     checked = 0
-
-    def maps(S: CodedDiagram, T: CodedDiagram, squares
-             ) -> Iterator[tuple[int, ...]]:
-        if S.shape is not T.shape and S.shape != T.shape:
-            raise ValueError("shapes differ")
-        return map(tuple, backtrack(*_map_search(S, T, squares), NodeBudget(
-            node_budget, "diagram map search exceeded budget")))
 
     def bijection(side, where, homs, transpose, targets):
         # a transpose is natural iff it is among the maps found
@@ -564,20 +559,20 @@ def certify_kan_adjunctions(iota: CatFunctor,
             checked += 1
             where = f"(X{xi},Y{yi})"
             rY, at = rys[yi], ryat[yi]
-            left_homs = list(maps(lefts[xi].extension, Y, lsq[xi]))
+            left_homs = list(_maps(lefts[xi].extension, Y, lsq[xi], node_budget))
             firsts[(xi, yi)] = left_homs[:nb]
             gather = lan_idx[xi]
             bijection("lan", where, left_homs,
                       lambda f: tuple(map(f.__getitem__, gather)),
-                      set(maps(X, rY, xsq[xi])))
+                      set(_maps(X, rY, xsq[xi], node_budget)))
             # the family of y at d reads g at the slots of Y phi y in rY
             ran_idx = [(families[d], [at[c] + Y.action[phi][y]
                                       for phi, c in R.tables[d]])
                        for d in D.objects for y in range(len(Y.values[d]))]
-            bijection("ran", where, list(maps(rY, X, rysq[yi])),
+            bijection("ran", where, list(_maps(rY, X, rysq[yi], node_budget)),
                       lambda g: tuple([fams.get(tuple(map(g.__getitem__, idx)))
                                        for fams, idx in ran_idx]),
-                      set(maps(Y, R.extension, ysq[yi])))
+                      set(_maps(Y, R.extension, ysq[yi], node_budget)))
 
     # naturality of the lan transposition in both variables: for u: X2 ->
     # X, f: LX -> Y and v: Y -> Y2, the transpose of v.f.lan(u) at slot k
@@ -586,7 +581,7 @@ def certify_kan_adjunctions(iota: CatFunctor,
     ends: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for xi, X in enumerate(xs):
         for xj, X2 in enumerate(xs):
-            us = list(islice(maps(X2, X, xsq[xj]), nb))
+            us = list(islice(_maps(X2, X, xsq[xj], node_budget), nb))
             if not us:
                 continue
             src, tgt = lefts[xj], lefts[xi]
@@ -622,7 +617,8 @@ def certify_kan_adjunctions(iota: CatFunctor,
                     continue
                 for yj, Y2 in enumerate(ys):
                     if (yi, yj) not in ends:
-                        ends[(yi, yj)] = list(islice(maps(Y, Y2, ysq[yi]), nb))
+                        ends[(yi, yj)] = list(islice(
+                            _maps(Y, Y2, ysq[yi], node_budget), nb))
                     vs = ends[(yi, yj)]
                     checked += len(needs) * len(vs)
                     bad = sum(any(v[a] != v[b] for a, b in need)

@@ -139,6 +139,7 @@ def verify_lan_formula(action: GroupAction, F: SetDiagram) -> LanFormulaReport:
     comps_ok = True
     for x in C.objects:
         K = setval.comma_over(iota, x)
+        homs = fincat.hom_index(K.category)
         comps = setval.connected_components(K.category)
         if len(comps) != len(G.elements):
             comps_ok = False
@@ -147,7 +148,7 @@ def verify_lan_formula(action: GroupAction, F: SetDiagram) -> LanFormulaReport:
             # an object of the component that every object of the component
             # maps to uniquely
             wide = [t for t in comp if all(
-                len(K.category.hom(o, t)) == 1 for o in comp)]
+                len(homs.get((o, t), ())) == 1 for o in comp)]
             if not wide:
                 comps_ok = False
                 failures.append(f"comma component at {x} lacks a terminal object")

@@ -162,25 +162,30 @@ def enumerate_functors(C: FiniteCategory, D: FiniteCategory,
 
 def enumerate_naturals(F: CatFunctor, G: CatFunctor,
                        budget: int = 1_000_000) -> list[NaturalTransformation]:
-    """All natural transformations ``F => G``, in lexicographic order."""
+    """All natural transformations ``F => G``, in lexicographic order: one
+    :func:`backtrack` over the components, where the square of each
+    non-identity ``m: x -> y`` is a table from the components at ``y`` and
+    ``x`` to whether it commutes.  ``budget`` bounds the nodes searched."""
     if F.domain != G.domain or F.codomain != G.codomain:
         raise ValueError("parallel functors required")
     C, D = F.domain, F.codomain
     obs = list(C.objects)
-    choices = [D.hom(F.ob_map[x], G.ob_map[x]) for x in obs]
-    total = 1
-    for ch in choices:
-        total *= max(len(ch), 1)
-        if total > budget:
-            raise BudgetError("too many candidate transformations")
-    out = []
-    for combo in itertools.product(*choices):
-        comp = dict(zip(obs, combo))
-        if all(D.compose[(comp[C.target[m]], F.mor_map[m])]
-               == D.compose[(G.mor_map[m], comp[C.source[m]])]
-               for m in C.morphisms):
-            out.append(NaturalTransformation(F, G, comp))
-    return out
+    hom = hom_index(D)
+    choices = [hom.get((F.ob_map[x], G.ob_map[x]), ()) for x in obs]
+    slot = {x: k for k, x in enumerate(obs)}
+    squares = []
+    for m in C.morphisms:
+        if C.is_identity(m):
+            continue    # its square commutes for any functor
+        i, j = slot[C.source[m]], slot[C.target[m]]
+        Fm, Gm = F.mor_map[m], G.mor_map[m]
+        squares.append(({(cy, cx): D.compose[(cy, Fm)] == D.compose[(Gm, cx)]
+                         for cy in choices[j] for cx in choices[i]},
+                        (j, i), -1))
+    found = backtrack(choices, constraint_lists(len(obs), squares),
+                      NodeBudget(budget, "too many candidate transformations"),
+                      (True,))
+    return [NaturalTransformation(F, G, dict(zip(obs, a))) for a in found]
 
 
 def validate_natural(nt: NaturalTransformation) -> list[str]:
@@ -218,33 +223,27 @@ def is_natural_iso(nt: NaturalTransformation) -> bool:
 
 def is_full(F: CatFunctor) -> bool:
     C, D = F.domain, F.codomain
+    homs, targets = hom_index(C), hom_index(D)
     for x in C.objects:
         for y in C.objects:
-            images = {F.mor_map[m] for m in C.hom(x, y)}
-            if not set(D.hom(F.ob_map[x], F.ob_map[y])) <= images:
+            images = {F.mor_map[m] for m in homs.get((x, y), ())}
+            if not images.issuperset(targets.get((F.ob_map[x], F.ob_map[y]), ())):
                 return False
     return True
 
 
 def is_faithful(F: CatFunctor) -> bool:
-    C = F.domain
-    for x in C.objects:
-        for y in C.objects:
-            h = C.hom(x, y)
-            if len({F.mor_map[m] for m in h}) != len(h):
-                return False
-    return True
+    return all(len({F.mor_map[m] for m in h}) == len(h)
+               for h in hom_index(F.domain).values())
 
 
 def is_essentially_surjective(F: CatFunctor) -> bool:
     D = F.codomain
+    homs = hom_index(D)
     hit = {F.ob_map[x] for x in F.domain.objects}
-    for d in D.objects:
-        if d in hit:
-            continue
-        if not any(any(D.is_iso(m) for m in D.hom(h, d)) for h in hit):
-            return False
-    return True
+    return all(d in hit or any(D.is_iso(m) for h in hit
+                               for m in homs.get((h, d), ()))
+               for d in D.objects)
 
 
 def is_fully_faithful(F: CatFunctor) -> bool:

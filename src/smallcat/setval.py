@@ -3,9 +3,9 @@ compatible families and restriction.
 
 A :class:`SetDiagram` is a functor from a finite category to finite sets,
 stored as one value set per object and one function per morphism.
-Limits are compatible families inside the product (:func:`_families`);
-limit families list their components in object order, and the limit over
-the empty shape is a one-point set.
+Limits are compatible families inside the product, searched for under a
+node budget (:func:`_families`); limit families list their components in
+object order, and the limit over the empty shape is a one-point set.
 
 Coded diagrams and the diagram-map search live in :mod:`smallcat.coded`,
 the Kan extensions (coded cores, whose tables give the units, counits and
@@ -17,11 +17,8 @@ work through the module ``__getattr__``.
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 from . import moved
 from .fincat import (
-    BudgetError,
     CatFunctor,
     FiniteCategory,
     NodeBudget,
@@ -41,7 +38,7 @@ __getattr__ = moved(globals(), coded="""
     certify_kan_adjunctions""", universal="""
     validate_diagram_map identity_diagram_map compose_diagram_maps
     is_iso_diagram_map is_mono_diagram_map is_epi_diagram_map
-    enumerate_diagram_maps _iter_diagram_maps limit colimit
+    enumerate_diagram_maps limit colimit
     coproduct_diagrams quotient_diagram diagram_pushout terminal_objects
     connected_components restrict_map""")
 
@@ -144,34 +141,23 @@ def _family_name(fam: dict[str, str]) -> str:
     return "(" + ",".join(f"{o}={fam[o]}" for o in sorted(fam)) + ")"
 
 
-def _compatible(candidates: list, checks: list[list[tuple]], budget: int
-                ) -> Iterator[list]:
-    """:func:`~smallcat.fincat.backtrack` under ``checks``, with no node
-    budget.  Raises :class:`BudgetError` at once if the product of the
-    candidate counts (an empty one counted as one) exceeds ``budget``."""
-    size = 1
-    for c in candidates:
-        size *= max(len(c), 1)
-        if size > budget:
-            raise BudgetError("limit product exceeds budget")
-    return backtrack(candidates, checks, NodeBudget(None, "unbounded"))
-
-
 def _families(obs, values, constraints, budget: int) -> LimitResult:
     """The families ``fam`` over ``obs`` with ``fam[o]`` in ``values[o]``
     and ``table[fam[o1]] == fam[o2]`` for each ``(o1, table, o2)`` in
     ``constraints``: the limit, with the families found in product order.
 
-    Raises :class:`BudgetError` if the product of the value sets (an empty
-    set counted as one) exceeds ``budget``, and :class:`ValueError` when two
-    families render to one name.
+    ``budget`` bounds the nodes of the search (``backtrack``), each
+    component tried counting one: past it, ``BudgetError`` is raised
+    (``limit product exceeds budget``).  Raises :class:`ValueError` when
+    two families render to one name.
     """
     slot = {o: k for k, o in enumerate(obs)}
-    found = _compatible([values[o] for o in obs], constraint_lists(
-        len(obs), [(table, (slot[o1],), slot[o2])
-                   for o1, table, o2 in constraints]), budget)
-    if not obs:
-        return LimitResult(("()",), {})
+    # the whole search runs, or fails its budget, before a family is named
+    found = list(map(tuple, backtrack(
+        [values[o] for o in obs],
+        constraint_lists(len(obs), [(table, (slot[o1],), slot[o2])
+                                    for o1, table, o2 in constraints]),
+        NodeBudget(budget, "limit product exceeds budget"))))
     projections: dict[str, dict[str, str]] = {o: {} for o in obs}
     names = []
     for a in found:

@@ -8,18 +8,14 @@ the empty shape is empty.  Every name here is also reachable through
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 from .fincat import (
     CatFunctor,
     FiniteCategory,
-    NodeBudget,
     Partition,
-    backtrack,
     distinct,
     pair_name,
 )
-from .coded import _code, _map_search, _squares
+from .coded import _code, _maps, _squares
 from .setval import (
     ColimitResult,
     DiagramMap,
@@ -88,21 +84,11 @@ def is_epi_diagram_map(h: DiagramMap) -> bool:
 
 def enumerate_diagram_maps(X: SetDiagram, Y: SetDiagram,
                            node_budget: int = 2_000_000) -> list[DiagramMap]:
-    """All diagram maps ``X -> Y``, by element-level backtracking."""
-    if X.shape != Y.shape:
-        raise ValueError("shapes differ")
-    budget = NodeBudget(node_budget, "diagram map search exceeded budget")
-    return list(_iter_diagram_maps(X, Y, budget))
-
-
-def _iter_diagram_maps(X: SetDiagram, Y: SetDiagram, budget: NodeBudget
-                       ) -> Iterator[DiagramMap]:
-    """Yield the diagram maps ``X -> Y`` in lexicographic order: the
-    solutions of the coded search (:func:`~smallcat.coded._map_search`),
-    decoded."""
+    """All diagram maps ``X -> Y`` in lexicographic order: the solutions of
+    the coded search (:func:`~smallcat.coded._maps`), decoded."""
     S = _code(X)
-    for a in backtrack(*_map_search(S, _code(Y), _squares(S)), budget):
-        yield _decode_map(X, Y, a)
+    return [_decode_map(X, Y, a)
+            for a in _maps(S, _code(Y), _squares(S), node_budget)]
 
 
 def _decode_map(X: SetDiagram, Y: SetDiagram, a) -> DiagramMap:
@@ -119,7 +105,8 @@ def _decode_map(X: SetDiagram, Y: SetDiagram, a) -> DiagramMap:
 
 
 def limit(X: SetDiagram, budget: int = 2_000_000) -> LimitResult:
-    """Compatible families in the product of the value sets."""
+    """Compatible families in the product of the value sets, searched for
+    under ``budget`` nodes (see :func:`~smallcat.setval._families`)."""
     C = X.shape
     return _families(C.objects, X.values,
                      [(C.source[m], X.action[m], C.target[m])

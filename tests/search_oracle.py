@@ -8,15 +8,28 @@ searches) the same minimal node budget.  The lifting search is kept as it
 was too, one functor search per choice of object images: the lifting
 search now spends one budget on all the choices, so its minimal budget is
 the sum of the per-choice ones.
+
+Kept the same way: the natural-transformation enumeration as it was before
+it ran on :func:`~smallcat.fincat.backtrack` (a product of the hom-sets,
+refused past its size budget, then filtered), the fullness, faithfulness
+and essential surjectivity tests as they were before they read
+:func:`~smallcat.fincat.hom_index`, and the search for commuting squares
+as it was before it compared coded composites.
 """
 from __future__ import annotations
 
 import itertools
 from typing import Callable, Iterator
 
+from smallcat import setval
 from smallcat.catmodel import _forced
 from smallcat.cycops import TruncatedOperad, all_ext_perms, all_perms
-from smallcat.fincat import BudgetError, CatFunctor, FiniteCategory
+from smallcat.fincat import (
+    BudgetError,
+    CatFunctor,
+    FiniteCategory,
+    NaturalTransformation,
+)
 from smallcat.setval import DiagramMap, SetDiagram
 
 
@@ -298,4 +311,73 @@ def _enumerate_maps(P: TruncatedOperad, Q: TruncatedOperad,
                 del assign[(n, x)]
 
     extend(0)
+    return out
+
+
+def enumerate_naturals(F: CatFunctor, G: CatFunctor,
+                       budget: int = 1_000_000) -> list[NaturalTransformation]:
+    """All natural transformations ``F => G``, in lexicographic order."""
+    if F.domain != G.domain or F.codomain != G.codomain:
+        raise ValueError("parallel functors required")
+    C, D = F.domain, F.codomain
+    obs = list(C.objects)
+    choices = [D.hom(F.ob_map[x], G.ob_map[x]) for x in obs]
+    total = 1
+    for ch in choices:
+        total *= max(len(ch), 1)
+        if total > budget:
+            raise BudgetError("too many candidate transformations")
+    out = []
+    for combo in itertools.product(*choices):
+        comp = dict(zip(obs, combo))
+        if all(D.compose[(comp[C.target[m]], F.mor_map[m])]
+               == D.compose[(G.mor_map[m], comp[C.source[m]])]
+               for m in C.morphisms):
+            out.append(NaturalTransformation(F, G, comp))
+    return out
+
+
+def is_full(F: CatFunctor) -> bool:
+    C, D = F.domain, F.codomain
+    for x in C.objects:
+        for y in C.objects:
+            images = {F.mor_map[m] for m in C.hom(x, y)}
+            if not set(D.hom(F.ob_map[x], F.ob_map[y])) <= images:
+                return False
+    return True
+
+
+def is_faithful(F: CatFunctor) -> bool:
+    C = F.domain
+    for x in C.objects:
+        for y in C.objects:
+            h = C.hom(x, y)
+            if len({F.mor_map[m] for m in h}) != len(h):
+                return False
+    return True
+
+
+def is_essentially_surjective(F: CatFunctor) -> bool:
+    D = F.codomain
+    hit = {F.ob_map[x] for x in F.domain.objects}
+    for d in D.objects:
+        if d in hit:
+            continue
+        if not any(any(D.is_iso(m) for m in D.hom(h, d)) for h in hit):
+            return False
+    return True
+
+
+def diagram_squares(i: DiagramMap, p: DiagramMap,
+                    node_budget: int = 500_000
+                    ) -> list[tuple[DiagramMap, DiagramMap]]:
+    """All commuting squares (top, bottom) from ``i`` to ``p``."""
+    tops = setval.enumerate_diagram_maps(i.source, p.source, node_budget)
+    bottoms = setval.enumerate_diagram_maps(i.target, p.target, node_budget)
+    bis = [(bottom, setval.compose_diagram_maps(bottom, i).key())
+           for bottom in bottoms]
+    out = []
+    for top in tops:
+        pt = setval.compose_diagram_maps(p, top).key()
+        out += [(top, bottom) for bottom, bi in bis if bi == pt]
     return out

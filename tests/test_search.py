@@ -3,7 +3,10 @@
 ``search_oracle`` keeps the old searches verbatim.  On seeded instances the
 new searches must give the same results in the same order; the functor,
 diagram-map and diagram-lifting searches must also need the same minimal
-node budget and fail past it with the same message.
+node budget and fail past it with the same message.  The natural
+transformations, the fullness, faithfulness and essential surjectivity
+tests and the commuting squares are compared with their old code the same
+way, by results and order.
 """
 import random
 import sys
@@ -26,12 +29,20 @@ from smallcat.catmodel import (
 )
 from smallcat.fincat import (
     BudgetError,
+    CatFunctor,
     NodeBudget,
     _iter_functors,
     backtrack,
     chain_category,
     constraint_lists,
+    cyclic_group,
     discrete_category,
+    enumerate_functors,
+    enumerate_naturals,
+    group_category,
+    is_essentially_surjective,
+    is_faithful,
+    is_full,
     parallel_pair,
     walking_arrow,
     walking_iso,
@@ -214,6 +225,57 @@ def test_lifting_budget_is_the_total_over_object_choices():
         for pinned, f in oracle.lifting_choices(sq)) == 1
 
 
+def random_functor_pairs(count):
+    """Seeded pairs of parallel functors between the categories of the Kan
+    generator (posets, discrete categories, ``walking_iso``, the parallel
+    pair, Z/2) and Z/3."""
+    rng = random.Random(20261019)
+    z3 = group_category(cyclic_group(3))
+    for _ in range(count):
+        C, D = (rng.choice([random_category(rng), walking_iso(), z3])
+                for _ in range(2))
+        functors = enumerate_functors(C, D)
+        yield rng.choice(functors), rng.choice(functors)
+
+
+def test_natural_search_matches_the_product_loop():
+    shapes = set()
+    counts = []
+    for F, G in random_functor_pairs(250):
+        new, old = enumerate_naturals(F, G), oracle.enumerate_naturals(F, G)
+        assert [list(nt.components.items()) for nt in new] == \
+            [list(nt.components.items()) for nt in old]
+        assert repr(new) == repr(old)
+        for check, old_check in (
+                (is_full, oracle.is_full), (is_faithful, oracle.is_faithful),
+                (is_essentially_surjective, oracle.is_essentially_surjective)):
+            assert check(F) == old_check(F)
+        shapes.add((F.domain.objects, F.codomain.objects))
+        counts.append(len(new))
+    # the pairs reach several shapes, and hom-sets with none, one and
+    # several transformations
+    assert len(shapes) > 20 and {0, 1} < set(counts) and max(counts) > 2
+
+
+def test_natural_search_budget_counts_nodes_not_the_product():
+    # constant functors from the 3-chain onto Z/101: a component per object,
+    # 101^3 tuples, past the old product bound of 1,000,000; each square
+    # asks two components to agree, so the search tries 101 + 2 * 101^2
+    # = 20,503 nodes and finds the 101 constant transformations
+    C, D = chain_category(2), group_category(cyclic_group(101))
+    F = CatFunctor(C, D, dict.fromkeys(C.objects, "*"),
+                   dict.fromkeys(C.morphisms, D.identity["*"]))
+    with pytest.raises(BudgetError,
+                       match="^too many candidate transformations$"):
+        oracle.enumerate_naturals(F, F)
+    nts = enumerate_naturals(F, F, budget=20_503)
+    assert [set(nt.components.values()) for nt in nts] == \
+        [{g} for g in D.hom("*", "*")]
+    with pytest.raises(BudgetError,
+                       match="^too many candidate transformations$"):
+        enumerate_naturals(F, F, budget=20_502)
+
+
 # ---------------------------------------------------------------------------
 # diagram maps and diagram liftings
 
@@ -253,9 +315,9 @@ def test_diagram_map_search_needs_the_oracle_budget():
             map_keys(oracle.enumerate_diagram_maps(X, Y))
 
 
-def soa_lifting_problems():
-    """The generating squares of the small-object-argument tests, and
-    squares between maps into and out of two disjoint intervals."""
+def soa_square_cases():
+    """The generators of the small-object-argument tests against two maps,
+    and maps into two disjoint intervals against maps out of them."""
     shape = delta_leq1_op()
     gens, point, interval = soa_generators(shape)
     maps = [
@@ -270,9 +332,39 @@ def soa_lifting_problems():
              + enumerate_diagram_maps(point, two)[:2])
     cases += [(i, p) for i in lefts
               for p in enumerate_diagram_maps(two, interval)[:3]]
-    for i, p in cases:
+    return cases
+
+
+def soa_lifting_problems():
+    """The commuting squares on :func:`soa_square_cases`."""
+    for i, p in soa_square_cases():
         for top, bottom in diagram_squares(i, p):
             yield i, p, top, bottom
+
+
+def kan_diagram_maps(count):
+    """Seeded maps between small diagrams over the shapes of the Kan
+    generator: per instance, the unit and the counit of the Kan extensions
+    and the first two maps each way between ``X`` and its restricted ``Y``."""
+    rng = random.Random(20260809)
+    for _ in range(count):
+        iota, X, Y = tractable_instance(rng)
+        rY = setval.restrict(iota, Y)
+        yield ([setval.lan_unit(iota, X), setval.ran_counit(iota, X)]
+               + enumerate_diagram_maps(rY, X)[:2]
+               + enumerate_diagram_maps(X, rY)[:2])
+
+
+def test_commuting_squares_match_the_named_search():
+    cases = soa_square_cases()
+    for maps in kan_diagram_maps(30):
+        cases += [(i, p) for i in maps for p in maps]
+    sizes = []
+    for i, p in cases:
+        new = diagram_squares(i, p)
+        assert repr(new) == repr(oracle.diagram_squares(i, p))
+        sizes.append(len(new))
+    assert 0 in sizes and max(sizes) > 1
 
 
 def test_diagram_lifting_search_matches_oracle():

@@ -675,6 +675,25 @@ def test_kan_records_match_recomputing_oracle():
         _check_against_oracle(iota, X, Y, ([X], [Y], 2))
 
 
+def _end_formula(iota, X):
+    """The size of ``Ran_iota X`` at each object ``d`` by the end formula
+    ``Ran_iota X(d) = Nat(D(d, iota -), X)`` (Mac Lane, *Categories for the
+    Working Mathematician*, X.4): the number of diagram maps from the
+    restricted corepresentable to ``X``.  No limit is computed."""
+    D = iota.codomain
+    return {d: len(enumerate_diagram_maps(
+        restrict(iota, corepresentable(D, d)), X)) for d in D.objects}
+
+
+def test_ran_sizes_match_the_end_formula():
+    rng = random.Random(20260809)
+    for _ in range(300):
+        iota, X, _ = tractable_instance(rng)
+        RX = ran(iota, X)
+        assert {d: len(v) for d, v in RX.values.items()} == \
+            _end_formula(iota, X)
+
+
 def test_kan_records_match_oracle_on_two_domain_diagrams():
     iota, X, X2, Y = _arrow_into_chain()
     rep = _check_against_oracle(
@@ -707,15 +726,21 @@ def test_rendered_records_match_the_named_builders_on_the_cofibrations():
     from smallcat import nabla
     iota_op = fincat.opposite_functor(
         nabla.inclusion_iota(nabla.nabla_category(2)))
-    # the right extensions of dimensions 1 and 2 exceed the limit budget
+    # the right extensions of dimensions 1 and 2 have products of up to
+    # 2.7e11 families under [2], yet each search fits its node budget
+    sizes = []
     for n in range(3):
         inc = nabla.boundary_inclusion_sset(2, n)
         for X in (inc.source, inc.target):
             _check_rendered_records(iota_op, X)
+            RX, counit = ran(iota_op, X), ran_counit(iota_op, X)
+            assert counit.target == X and validate_diagram_map(counit) == []
+            sizes.append([len(RX.values[d]) for d in RX.shape.objects])
+            assert sizes[-1] == list(_end_formula(iota_op, X).values())
         # the maps generating_cofibrations(2) takes from lan_map
         _same_map(lan_map(iota_op, inc), oracle.lan_map(iota_op, inc))
-    with pytest.raises(fincat.BudgetError):
-        ran(iota_op, inc.target)
+    # at [0], [1] and [2]: the boundary and the simplex of dimension 2
+    assert sizes[4:] == [[9, 36, 81], [9, 36, 100]]
 
 
 def test_certify_builds_each_kan_extension_once(monkeypatch):
@@ -928,7 +953,9 @@ def test_certify_samples_only_a_prefix_of_each_end_set():
 
 
 def test_wide_right_kan_exceeds_the_limit_budget_on_both_paths():
-    # seven objects of nine elements over the point: a product of 9^7
+    # seven objects of nine elements over the point: a product of 9^7, no
+    # constraint, so ran and the oracle search their 2,000,000 nodes before
+    # they raise, and the old product-filter limit refuses at once
     C = discrete_category([f"c{k}" for k in range(7)])
     pt = terminal_category()
     iota = CatFunctor(C, pt, {c: "pt" for c in C.objects},
@@ -951,6 +978,32 @@ def test_colimit_rejects_two_elements_with_one_tag():
                          {"id_a,": {"b": "b"}, "id_a": {",b": ",b"}})
     with pytest.raises(ValueError, match=r"tag \(a,,b\) names two elements"):
         colimit(X)
+
+
+def test_limit_budget_counts_search_nodes_not_the_product():
+    # an arrow a -> b acting as a constant: with 1414 elements at each end
+    # the product, 1,999,396, is under the old bound of 2,000,000, but every
+    # component at b is tried under each one at a, 1414 + 1414^2 =
+    # 2,000,810 nodes, so the limit is now refused
+    C = walking_arrow()
+
+    def arrow(na, nb):
+        a, b = [f"a{k}" for k in range(na)], [f"b{k}" for k in range(nb)]
+        return SetDiagram.build(C, {"a": a, "b": b},
+                                {"id_a": {e: e for e in a},
+                                 "id_b": {e: e for e in b},
+                                 "f": dict.fromkeys(a, "b0")})
+
+    assert 1414 ** 2 <= 2_000_000
+    with pytest.raises(fincat.BudgetError,
+                       match="^limit product exceeds budget$"):
+        limit(arrow(1414, 1414))
+    # a budget of exactly the nodes a search tries is enough: 10 + 10 * 20
+    X = arrow(10, 20)
+    assert len(limit(X, 210).elements) == 10
+    with pytest.raises(fincat.BudgetError,
+                       match="^limit product exceeds budget$"):
+        limit(X, 209)
 
 
 def test_limit_rejects_two_families_with_one_name():
