@@ -97,20 +97,19 @@ def validate_square(sq: LiftingSquare) -> list[str]:
 def is_isofibration(p: CatFunctor) -> bool:
     """Every isomorphism out of a lifted object lifts with that source."""
     X, Y = p.domain, p.codomain
-    for x in X.objects:
-        px = p.ob_map[x]
-        for psi in Y.morphisms:
-            if Y.source[psi] != px or not Y.is_iso(psi):
-                continue
-            found = False
-            for phi in X.morphisms:
-                if (X.source[phi] == x and X.is_iso(phi)
-                        and p.mor_map[phi] == psi):
-                    found = True
-                    break
-            if not found:
-                return False
-    return True
+    lifts = {(X.source[phi], p.mor_map[phi]) for phi in _isomorphisms(X)}
+    isos = _isomorphisms(Y)
+    return all((x, psi) in lifts for x in X.objects for psi in isos
+               if Y.source[psi] == p.ob_map[x])
+
+
+def _isomorphisms(C: FiniteCategory) -> list[str]:
+    """The invertible morphisms of ``C``, each hom-set indexed once."""
+    homs = fincat.hom_index(C)
+    return [m for m in C.morphisms if any(
+        C.compose[n, m] == C.identity[C.source[m]]
+        and C.compose[m, n] == C.identity[C.target[m]]
+        for n in homs.get((C.target[m], C.source[m]), ()))]
 
 
 def is_injective_on_objects(i: CatFunctor) -> bool:

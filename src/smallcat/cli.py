@@ -240,7 +240,7 @@ def cmd_rsset(args) -> int:
 
 
 def cmd_cyclic(args) -> int:
-    from . import cycops
+    from . import cycadj
     from .catspec import CatspecError
     loaded = _load(args.file)
     P = _need(loaded.operads, args.operad, "operad")
@@ -248,17 +248,15 @@ def cmd_cyclic(args) -> int:
         if args.arity_bound > P.arity_bound:
             raise CatspecError(
                 "arity bound exceeds the bound stored in the document")
-        P = cycops.truncate_operad(P, args.arity_bound)
-    RQ = cycops.right_adjoint_R(P)
-    errs = cycops.validate_cyclic(RQ)
+        P = cycadj.truncate_operad(P, args.arity_bound)
+    R_sizes, errs = cycadj.check_right_adjoint(P)
     payload = {
         "arity_bound": P.arity_bound,
         "sizes": {str(n): len(P.elements[n])
                   for n in range(P.arity_bound + 1)},
-        "R_sizes": {str(n): len(RQ.operad.elements[n])
-                    for n in range(P.arity_bound + 1)},
+        "R_sizes": {str(n): R_sizes[n] for n in range(P.arity_bound + 1)},
         "R_sizes_are_powers": all(
-            len(RQ.operad.elements[n]) == len(P.elements[n]) ** (n + 1)
+            R_sizes[n] == len(P.elements[n]) ** (n + 1)
             for n in range(P.arity_bound + 1)),
         "R_cyclic_valid": errs == [],
     }

@@ -5,8 +5,10 @@ Its value on ``P`` has ``(n+1)``-tuples of ``P(n)`` elements in arity
 ``n``, compositions given coordinatewise by a three-case splice formula,
 and the extended action by an index-shuffling formula whose modular
 representative is pinned down by exhaustive validation of the axioms.
-Entries are computed on tuples of ``P``'s element codes, coded as in
-:mod:`smallcat.cycops`, and each element's name is rendered once.
+Tables are computed on ``P``'s element codes by :func:`_right_adjoint_core`.
+``smallcat cyclic`` and the paper suite's ``cyclic`` case check that core
+(:func:`check_right_adjoint`); :func:`right_adjoint_R` renders it for the
+map reports.
 
 Also here: truncation and the forgetful functor, validation and
 enumeration of (cyclic) operad maps, the hom-count and product reports,
@@ -56,14 +58,13 @@ def _tuple_name(parts: tuple[str, ...]) -> str:
 def _tuples(P: TruncatedOperad) -> dict[int, dict[str, tuple[str, ...]]]:
     """Each arity ``n`` of the right adjoint on ``P``: every ``(n+1)``-tuple
     of ``P(n)`` elements, keyed by its name.  Raises :class:`ValueError` when
-    two tuples render to one name."""
-    out = {}
-    for n in range(P.arity_bound + 1):
-        tuples = list(itertools.product(P.elements[n], repeat=n + 1))
-        names = [_tuple_name(t) for t in tuples]
-        distinct(names, "tuple identifier {} names two tuples")
-        out[n] = dict(zip(names, tuples))
-    return out
+    two tuples, of one arity or of two, render to one name."""
+    tuples = {n: list(itertools.product(P.elements[n], repeat=n + 1))
+              for n in range(P.arity_bound + 1)}
+    names = {n: list(map(_tuple_name, ts)) for n, ts in tuples.items()}
+    distinct(list(chain.from_iterable(names.values())),
+             "tuple identifier {} names two tuples")
+    return {n: dict(zip(names[n], tuples[n])) for n in tuples}
 
 
 class SigmaIndexError(ValueError):
@@ -84,15 +85,16 @@ def _sigma_i(sigma: tuple[int, ...], i: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def right_adjoint_R(P: TruncatedOperad) -> TruncatedCyclicOperad:
-    """The value of the right adjoint on ``P``.
+def _right_adjoint_core(P: TruncatedOperad):
+    """The right adjoint on ``P`` as the arguments of
+    :func:`cycops._check_coded`, each entry a position in its arity (the
+    unit is ``None`` if ``P``'s is not in arity 1).
 
     Arity ``n`` is the set of ``(n+1)``-tuples of ``P(n)`` elements.  The
     partial composition splices coordinatewise in three ranges, the
     extended action permutes and twists coordinates, and the unit doubles
-    the unit of ``P``.  Entries are computed on tuples of ``P``'s element
-    codes; each element's name is rendered once.  Raises
-    :class:`ValueError` when a table of ``P`` has a gap or an escape.
+    the unit of ``P``.  Raises :class:`ValueError` when a table of ``P``
+    has a gap or an escape, or when two tuples render to one name.
     """
     A = P.arity_bound
     decode = _tuples(P)
@@ -102,12 +104,12 @@ def right_adjoint_R(P: TruncatedOperad) -> TruncatedCyclicOperad:
     Prows = _action_rows(P, code, P.action, all_perms, "action", errors)
     if errors:
         raise ValueError(f"right adjoint of a partial operad: {errors[0]}")
-    elements, parts, named = {}, {}, {}
+    elements, parts, pos = {}, {}, {}
     for n in range(A + 1):
         elements[n] = tuple(sorted(decode[n]))
         parts[n] = [tuple(map(code[n].__getitem__, decode[n][xn]))
                     for xn in elements[n]]
-        named[n] = dict(zip(parts[n], elements[n]))
+        pos[n] = {x: k for k, x in enumerate(parts[n])}
 
     comp = {}
     for m in range(1, A + 1):
@@ -115,42 +117,78 @@ def right_adjoint_R(P: TruncatedOperad) -> TruncatedCyclicOperad:
             r = m + n - 1
             if r > A:
                 continue
-            # coordinate j of p o_i q is T[q[u]][p[v]] for one table T of
-            # P's compositions, read by rows or by columns
-            recipes = [[(Pcomp[i + j, m, n][2], 0, j) if j <= m - i else
-                        (Pcomp[i + j - m, n, m][1], i + j - m, m + 1 - i)
-                        if j <= m + n - i else
-                        (Pcomp[i + j - m - n, m, n][2], 0, j - n + 1)
-                        for j in range(r + 1)] for i in range(1, m + 1)]
-            pcols = _columns(parts[m], m + 1)
-            # each column lists p o_i q over p, for one q and one i
-            columns = [map(named[r].__getitem__, zip(*[
-                map(T[q[u]].__getitem__, pcols[v]) for T, u, v in recipe]))
-                for q in parts[n] for recipe in recipes]
-            comp.update(zip([(i, pn, qn) for pn in elements[m] for qn in elements[n]
-                             for i in range(1, m + 1)],
-                            chain.from_iterable(zip(*columns))))
+            pcols, width = _columns(parts[m], m + 1), len(parts[n])
+            for i in range(1, m + 1):
+                # coordinate j of p o_i q is T[q[u]][p[v]] for one table T of
+                # P's compositions, read by rows or by columns
+                recipe = [(Pcomp[i + j, m, n][2], 0, j) if j <= m - i else
+                          (Pcomp[i + j - m, n, m][1], i + j - m, m + 1 - i)
+                          if j <= m + n - i else
+                          (Pcomp[i + j - m - n, m, n][2], 0, j - n + 1)
+                          for j in range(r + 1)]
+                # each column lists p o_i q over p, for one q
+                cols = [list(map(pos[r].__getitem__, zip(*[
+                    map(T[q[u]].__getitem__, pcols[v]) for T, u, v in recipe])))
+                    for q in parts[n]]
+                flat = list(chain.from_iterable(zip(*cols)))
+                comp[i, m, n] = flat, [flat[k * width:(k + 1) * width]
+                                       for k in range(len(parts[m]))], cols
 
-    extended, action = {}, {}
+    rows, extended = {}, {}
     for n in range(A + 1):
         cols = _columns(parts[n], n + 1)
         ident = list(range(len(P.elements[n])))
-        moved = {}
+        extended[n] = {}
         for sigma in all_ext_perms(n):
             # coordinate i of x.sigma is x[src] acted on by sigma_i
             coords = [map((Prows[n][_sigma_i(sigma, i, n)] if n else ident).__getitem__,
                           cols[(n + 1 - sigma[(n + 1 - i) % (n + 1)]) % (n + 1)])
                       for i in range(n + 1)]
-            moved[sigma] = list(map(named[n].__getitem__, zip(*coords)))
-            extended.update(zip(itertools.product((n,), (sigma,), elements[n]),
-                                moved[sigma]))
-        for s in all_perms(n):
-            action.update(zip(itertools.product((n,), (s,), elements[n]),
-                              moved[ext_of_perm(s)]))
+            extended[n][sigma] = list(map(pos[n].__getitem__, zip(*coords)))
+        rows[n] = {s: extended[n][ext_of_perm(s)] for s in all_perms(n)}
+    u = code.get(1, {}).get(P.unit)
+    return elements, pos.get(1, {}).get((u, u)), comp, rows, extended
 
+
+def right_adjoint_R(P: TruncatedOperad) -> TruncatedCyclicOperad:
+    """The value of the right adjoint on ``P``: :func:`_right_adjoint_core`
+    rendered as name-keyed tables."""
+    elements, _, comp, rows, extended = _right_adjoint_core(P)
+    A = P.arity_bound
+    named = {}
+    for m in range(1, A + 1):
+        for n in range(0, A + 1):
+            if m + n - 1 <= A:
+                named.update(zip(
+                    [(i, pn, qn) for pn in elements[m] for qn in elements[n]
+                     for i in range(1, m + 1)],
+                    map(elements[m + n - 1].__getitem__, chain.from_iterable(
+                        zip(*[comp[i, m, n][0] for i in range(1, m + 1)])))))
+
+    def render(table):
+        return {(n, s, x): elements[n][y] for n in range(A + 1)
+                for s, row in table[n].items() for x, y in zip(elements[n], row)}
     unit = _tuple_name((P.unit, P.unit))
-    RP = TruncatedOperad(A, elements, unit, comp, action)
-    return TruncatedCyclicOperad(RP, extended)
+    RP = TruncatedOperad(A, elements, unit, named, render(rows))
+    return TruncatedCyclicOperad(RP, render(extended))
+
+
+def check_right_adjoint(P: TruncatedOperad) -> tuple[dict[int, int], list[str]]:
+    """The size of each arity of the right adjoint on ``P`` and its errors
+    under :func:`cycops.validate_cyclic`, read off the unrendered core."""
+    core = _right_adjoint_core(P)
+    return ({n: len(xs) for n, xs in core[0].items()},
+            cycops._check_coded(*core))
+
+
+def restricted_action_matches(Q: TruncatedCyclicOperad) -> list[str]:
+    """The extended action at permutations fixing 0 must be the operad
+    action; :func:`cycops.validate_cyclic` checks this on codes."""
+    P = Q.operad
+    return [f"restriction differs at ({n},{s},{x})"
+            for n in range(P.arity_bound + 1) for s in all_perms(n)
+            for x in P.elements[n]
+            if Q.extended.get((n, ext_of_perm(s), x)) != P.action[n, s, x]]
 
 
 def right_adjoint_R_map(g: OperadMap) -> CyclicOperadMap:

@@ -22,8 +22,11 @@ rerun on every permutation, so it reports the exhaustive witnesses.
 
 Tables are checked and built on integer codes (a name's position in its
 arity), with names rendered only at the edges: once per element of the
-right adjoint, and for each reported witness.  The public tables stay
-dictionaries keyed by names.
+right adjoint, and for each reported witness.  One checker,
+:func:`_check_coded`, runs every axiom on coded tables: the validators
+code a record's name-keyed tables for it, and
+:func:`smallcat.cycadj.check_right_adjoint` hands it the right adjoint's
+coded core, never rendered.
 
 The right adjoint to the forgetful functor from cyclic operads to
 operads, truncation, map validation and enumeration, the adjunction
@@ -44,12 +47,12 @@ from .fincat import record
 # Read from smallcat.cycadj on first access.
 __getattr__ = moved(globals(), cycadj="""
     _tuple_name _tuples SigmaIndexError _sigma_i right_adjoint_R
-    right_adjoint_R_map truncate_operad forget_cyclic forget_cyclic_map
-    validate_operad_map validate_cyclic_map _enumerate_maps
+    check_right_adjoint right_adjoint_R_map truncate_operad forget_cyclic
+    forget_cyclic_map validate_operad_map validate_cyclic_map _enumerate_maps
     enumerate_operad_maps enumerate_cyclic_maps AdjunctionCountReport
-    check_adjunction_count ProductActionReport check_FR_products
-    perm_inverse _check_unit_arity terminal_operad terminal_cyclic_operad
-    associative_operad monoid_operad""")
+    check_adjunction_count ProductActionReport check_FR_products perm_inverse
+    _check_unit_arity terminal_operad terminal_cyclic_operad
+    associative_operad monoid_operad restricted_action_matches""")
 
 
 # ---------------------------------------------------------------------------
@@ -249,39 +252,38 @@ def _on_generators(check, identity, everything) -> list[str]:
     return check(everything) if errors else errors
 
 
-def _action_errors(P: TruncatedOperad, rows, perms, compose, identity,
-                   identity_msg: str, assoc_msg: str) -> list[str]:
+def _action_errors(els, rows, perms, compose, identity, identity_msg: str,
+                   assoc_msg: str) -> list[str]:
     """Identity and ``x.(s t) = (x.s).t`` for total coded action ``rows``,
     with ``s`` over ``perms`` and ``t`` over generators first."""
     def check(right) -> list[str]:
         errors = []
-        for n in range(P.arity_bound + 1):
-            els, row = P.elements[n], rows[n]
-            errors += [identity_msg.format(n=n, x=els[k]) for k in
-                       _differ(row[identity(n)], list(range(len(els))))]
+        for n, row in rows.items():
+            errors += [identity_msg.format(n=n, x=els[n][k]) for k in
+                       _differ(row[identity(n)], list(range(len(els[n]))))]
             for s in perms(n):
                 for t in right(n):
                     moved = list(map(row[t].__getitem__, row[s]))
-                    errors += [assoc_msg.format(n=n, s=s, t=t, x=els[k]) for k
+                    errors += [assoc_msg.format(n=n, s=s, t=t, x=els[n][k]) for k
                                in _differ(moved, row[compose(s, t)])]
         return errors
     return _on_generators(check, identity, perms)
 
 
-def _associativity_errors(P: TruncatedOperad, comp) -> list[str]:
+def _associativity_errors(els, comp) -> list[str]:
     """``(a o_i b) o_j c`` against its other bracketing, wherever all
     intermediate arities are within the bound."""
-    A = P.arity_bound
+    A = len(els) - 1
     errors = []
     for m in range(1, A + 1):
         for n in range(0, A + 1):
             for k in range(0, A + 1):
                 if m + n - 1 > A or m + n + k - 2 > A:
                     continue
-                nb, nc = len(P.elements[n]), len(P.elements[k])
+                nb, nc = len(els[n]), len(els[k])
                 # (a, c, b) order to (a, b, c) order
                 swap = None if nb <= 1 or nc <= 1 else [
-                    (a * nc + c) * nb + b for a in range(len(P.elements[m]))
+                    (a * nc + c) * nb + b for a in range(len(els[m]))
                     for b in range(nb) for c in range(nc)]
                 witnesses = []
                 for i in range(1, m + 1):
@@ -305,22 +307,22 @@ def _associativity_errors(P: TruncatedOperad, comp) -> list[str]:
                         lhs = _take(comp[j, m + n - 1, k], ab)
                         witnesses += [(p // (nb * nc), p // nc % nb, p % nc, i, j)
                                       for p in _differ(lhs, rhs)]
-                errors += [f"associativity fails at ({P.elements[m][a]} o_{i} "
-                           f"{P.elements[n][b]}) o_{j} {P.elements[k][c]}"
+                errors += [f"associativity fails at ({els[m][a]} o_{i} "
+                           f"{els[n][b]}) o_{j} {els[k][c]}"
                            for a, b, c, i, j in sorted(witnesses)]
     return errors
 
 
-def _equivariance_errors(P: TruncatedOperad, comp, rows, perms) -> list[str]:
+def _equivariance_errors(els, comp, rows, perms) -> list[str]:
     """Outer equivariance for ``s`` and inner for ``t`` over ``perms``."""
-    A = P.arity_bound
+    A = len(els) - 1
     errors = []
     for m in range(1, A + 1):
         for n in range(0, A + 1):
             r = m + n - 1
             if r > A:
                 continue
-            nb, outer, inner = len(P.elements[n]), perms(m), perms(n)
+            nb, outer, inner = len(els[n]), perms(m), perms(n)
             witnesses = []
             for i in range(1, m + 1):
                 F = comp[i, m, n]
@@ -335,108 +337,85 @@ def _equivariance_errors(P: TruncatedOperad, comp, rows, perms) -> list[str]:
                     rhs = list(map(rows[r][shift_perm(t, i, m)].__getitem__, F[0]))
                     witnesses += [(*divmod(p, nb), i, 1, z) for p in _differ(lhs, rhs)]
             errors += [f"equivariance ({('outer', 'inner')[w]}) fails at "
-                       f"({(outer, inner)[w][z]},{i},{P.elements[m][a]},"
-                       f"{P.elements[n][b]})" for a, b, i, w, z in sorted(witnesses)]
+                       f"({(outer, inner)[w][z]},{i},{els[m][a]},{els[n][b]})"
+                       for a, b, i, w, z in sorted(witnesses)]
     return errors
 
 
-def _check_operad(P: TruncatedOperad):
-    """The errors of :func:`validate_operad`, and when there are none the
-    code of each name per arity and the coded composition tables."""
+def _code_operad(P: TruncatedOperad):
+    """The errors of coding ``P`` (missing arities, colliding names, a stray
+    unit, gaps and escapes), or the code of each name per arity and the
+    arguments of :func:`_check_coded` for ``P``."""
     A = P.arity_bound
-    errors: list[str] = []
-    for n in range(A + 1):
-        if n not in P.elements:
-            errors.append(f"missing arity {n}")
+    errors = [f"missing arity {n}" for n in range(A + 1) if n not in P.elements]
     if errors:
         return errors, None, None
-    names = [x for n in range(A + 1) for x in P.elements[n]]
+    els = {n: P.elements[n] for n in range(A + 1)}
+    names = [x for xs in els.values() for x in xs]
     if len(set(names)) != len(names):
         return ["element identifiers collide across arities"], None, None
     if P.unit not in P.elements.get(1, ()):
         errors.append("unit is not an element of arity 1")
-    code = {n: {x: k for k, x in enumerate(P.elements[n])} for n in range(A + 1)}
+    code = {n: {x: k for k, x in enumerate(xs)} for n, xs in els.items()}
     comp = _comp_tables(P, code, errors)
     rows = _action_rows(P, code, P.action, all_perms, "action", errors)
     if errors:
         return errors, None, None
+    return errors, code, (els, code[1][P.unit], comp, rows)
 
+
+def _check_coded(els, unit: int, comp, rows, ext=None, ext_gaps=()) -> list[str]:
+    """Every axiom of :func:`validate_operad` on total coded tables, and of
+    :func:`validate_cyclic` when ``ext`` holds the extended action's rows;
+    ``ext_gaps``, that table's gaps and escapes, are reported once the
+    operad axioms hold.  The names ``els[n]`` of arity ``n``, distinct
+    across arities, are read only for messages."""
+    A = len(els) - 1
     action_errors = _action_errors(
-        P, rows, all_perms, perm_compose, identity_perm,
+        els, rows, all_perms, perm_compose, identity_perm,
         "identity action fails at ({n},{x})",
         "action not associative at ({n},{s},{t},{x})")
-    errors += action_errors
+    errors = list(action_errors)
 
     # unit axioms
-    u = code[1][P.unit]
     for n in range(A + 1):
-        errors += [f"left unit fails at {P.elements[n][b]}" for b in
-                   _differ(comp[1, 1, n][1][u], list(range(len(P.elements[n]))))]
+        errors += [f"left unit fails at {els[n][b]}" for b in
+                   _differ(comp[1, 1, n][1][unit], list(range(len(els[n]))))]
     for m in range(1, A + 1):
-        ident = list(range(len(P.elements[m])))
-        errors += [f"right unit fails at ({i},{P.elements[m][a]})" for a, i in sorted(
+        ident = list(range(len(els[m])))
+        errors += [f"right unit fails at ({i},{els[m][a]})" for a, i in sorted(
             (a, i) for i in range(1, m + 1)
-            for a in _differ([row[u] for row in comp[i, m, 1][1]], ident))]
+            for a in _differ([row[unit] for row in comp[i, m, 1][1]], ident))]
 
-    errors += _associativity_errors(P, comp)
+    errors += _associativity_errors(els, comp)
 
     # equivariance: generators suffice once the actions are actions
     def equivariance(perms):
-        return _equivariance_errors(P, comp, rows, perms)
+        return _equivariance_errors(els, comp, rows, perms)
     errors += (equivariance(all_perms) if action_errors
                else _on_generators(equivariance, identity_perm, all_perms))
-    return errors, code, comp
+    if errors or ext is None or ext_gaps:
+        return errors or list(ext_gaps)
 
-
-def validate_operad(P: TruncatedOperad) -> list[str]:
-    """Every axiom within the arity bound, exactly (the action axioms via
-    generators, see the module docstring); lists witnesses."""
-    return _check_operad(P)[0]
-
-
-def restricted_action_matches(Q: TruncatedCyclicOperad) -> list[str]:
-    """The extended action at permutations fixing 0 must be the operad action."""
-    P = Q.operad
-    errors = []
-    for n in range(P.arity_bound + 1):
-        els = P.elements[n]
-        for s in all_perms(n):
-            moved = list(map(Q.extended.get,
-                             itertools.product((n,), (ext_of_perm(s),), els)))
-            acted = list(map(P.action.__getitem__, itertools.product((n,), (s,), els)))
-            errors += [f"restriction differs at ({n},{s},{els[k]})"
-                       for k in _differ(moved, acted)]
-    return errors
-
-
-def validate_cyclic(Q: TruncatedCyclicOperad) -> list[str]:
-    """Operad axioms, extended group action, restriction, and compatibility
-    of the cyclic generator with every partial composition."""
-    P = Q.operad
-    errors, code, comp = _check_operad(P)
-    if errors:
-        return errors
-    A = P.arity_bound
-    rows = _action_rows(P, code, Q.extended, all_ext_perms, "extended action",
-                        errors)
-    if errors:
-        return errors
     errors = _action_errors(
-        P, rows, all_ext_perms, ext_compose, ext_identity,
+        els, ext, all_ext_perms, ext_compose, ext_identity,
         "extended identity fails at ({n},{x})",
         "extended action not associative at ({n},{s},{t})")
-    errors.extend(restricted_action_matches(Q))
+    # the extended action at permutations fixing 0 is the operad action
+    errors += [f"restriction differs at ({n},{s},{els[n][k]})"
+               for n in range(A + 1) for s in all_perms(n)
+               for k in _differ(ext[n][ext_of_perm(s)], rows[n][s])]
     if errors:
         return errors
 
     # compatibility of the cyclic generator with partial composition
-    turn = {n: rows[n][cyclic_generator(n)] for n in range(A + 1)}
+    turn = {n: ext[n][cyclic_generator(n)] for n in range(A + 1)}
     for m in range(1, A + 1):
         for n in range(1, A + 1):
             r = m + n - 1
             if r > A:
                 continue
-            nb, witnesses = len(P.elements[n]), []
+            nb, witnesses = len(els[n]), []
             for i in range(1, m + 1):
                 lhs = list(map(turn[r].__getitem__, comp[i, m, n][0]))
                 if i >= 2:
@@ -445,6 +424,25 @@ def validate_cyclic(Q: TruncatedCyclicOperad) -> list[str]:
                     G = comp[n, n, m][1]
                     rhs = [G[y][x] for x in turn[m] for y in turn[n]]
                 witnesses += [(*divmod(p, nb), i) for p in _differ(lhs, rhs)]
-            errors += [f"cyclic compatibility fails at (i={i},{P.elements[m][a]},"
-                       f"{P.elements[n][b]})" for a, b, i in sorted(witnesses)]
+            errors += [f"cyclic compatibility fails at (i={i},{els[m][a]},"
+                       f"{els[n][b]})" for a, b, i in sorted(witnesses)]
     return errors
+
+
+def validate_operad(P: TruncatedOperad) -> list[str]:
+    """Every axiom within the arity bound, exactly (the action axioms via
+    generators, see the module docstring); lists witnesses."""
+    errors, _, coded = _code_operad(P)
+    return errors or _check_coded(*coded)
+
+
+def validate_cyclic(Q: TruncatedCyclicOperad) -> list[str]:
+    """Operad axioms, extended group action, restriction, and compatibility
+    of the cyclic generator with every partial composition."""
+    errors, code, coded = _code_operad(Q.operad)
+    if errors:
+        return errors
+    gaps: list[str] = []
+    ext = _action_rows(Q.operad, code, Q.extended, all_ext_perms,
+                       "extended action", gaps)
+    return _check_coded(*coded, ext, gaps)

@@ -129,12 +129,11 @@ def _case_joyal_generators() -> tuple[dict, bool]:
 
 
 def _case_cyclic() -> tuple[dict, bool]:
-    from . import cycops
+    from . import cycadj, cycops
     P = cycops.associative_operad(3)
-    RQ = cycops.right_adjoint_R(P)
-    sizes = all(len(RQ.operad.elements[n]) == len(P.elements[n]) ** (n + 1)
-                for n in range(4))
-    valid = cycops.validate_cyclic(RQ) == []
+    R_sizes, errs = cycadj.check_right_adjoint(P)
+    sizes = all(R_sizes[n] == len(P.elements[n]) ** (n + 1) for n in range(4))
+    valid = errs == []
     T = cycops.terminal_operad(3)
     RT = cycops.right_adjoint_R(T)
     ident = cycops.CyclicOperadMap(

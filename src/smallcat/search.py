@@ -160,6 +160,17 @@ def enumerate_functors(C: FiniteCategory, D: FiniteCategory,
     return out
 
 
+class _Square:
+    """Whether the naturality square of ``Fm`` and ``Gm`` commutes at the
+    components ``(cy, cx)``, computed when :func:`backtrack` reads it."""
+
+    def __init__(self, compose, Fm: str, Gm: str):
+        self.compose, self.Fm, self.Gm = compose, Fm, Gm
+
+    def __getitem__(self, key: tuple[str, str]) -> bool:
+        return self.compose[key[0], self.Fm] == self.compose[self.Gm, key[1]]
+
+
 def enumerate_naturals(F: CatFunctor, G: CatFunctor,
                        budget: int = 1_000_000) -> list[NaturalTransformation]:
     """All natural transformations ``F => G``, in lexicographic order: one
@@ -178,10 +189,7 @@ def enumerate_naturals(F: CatFunctor, G: CatFunctor,
         if C.is_identity(m):
             continue    # its square commutes for any functor
         i, j = slot[C.source[m]], slot[C.target[m]]
-        Fm, Gm = F.mor_map[m], G.mor_map[m]
-        squares.append(({(cy, cx): D.compose[(cy, Fm)] == D.compose[(Gm, cx)]
-                         for cy in choices[j] for cx in choices[i]},
-                        (j, i), -1))
+        squares.append((_Square(D.compose, F.mor_map[m], G.mor_map[m]), (j, i), -1))
     found = backtrack(choices, constraint_lists(len(obs), squares),
                       NodeBudget(budget, "too many candidate transformations"),
                       (True,))

@@ -1,5 +1,7 @@
 import pytest
 
+import catmodel_oracle as oracle
+
 from smallcat import fincat
 from smallcat.catmodel import (
     LiftingSquare,
@@ -127,6 +129,36 @@ def test_rlp_oracle_matches_isofibration_on_corpus():
                 assert has_rlp(J, F) == is_isofibration(F)
                 checked += 1
     assert checked >= 30
+
+
+def isofibration_case_functors():
+    """The section functor of the paper suite's ``isofibration`` case, every
+    functor of its ``enumerate_functors`` pairs (it checks the first six of
+    each), every functor between categories of ``small_corpus`` with at
+    most three objects, and every functor from an isomorphism beside a
+    point, where an isomorphism can lift from one object and not another."""
+    X = indiscrete_category(["x", "xp", "y"])
+    Y = indiscrete_category(["z", "y"])
+    ob = {"x": "z", "xp": "z", "y": "y"}
+    yield CatFunctor(X, Y, ob, {m: f"to_{ob[X.target[m]]}_from_{ob[X.source[m]]}"
+                                for m in X.morphisms})
+    for C in (terminal_category(), walking_arrow(), walking_iso()):
+        for D in (terminal_category(), walking_iso()):
+            yield from fincat.enumerate_functors(C, D)
+    cats = [C for C in small_corpus() if len(C.objects) <= 3]
+    for C in cats:
+        for D in cats:
+            yield from fincat.enumerate_functors(C, D)
+    for D in cats:
+        yield from fincat.enumerate_functors(
+            coproduct(walking_iso(), terminal_category()), D)
+
+
+def test_isofibration_matches_the_scanning_oracle():
+    verdicts = [is_isofibration(F) for F in isofibration_case_functors()]
+    assert verdicts == [oracle.is_isofibration(F)
+                        for F in isofibration_case_functors()]
+    assert verdicts[0] and verdicts.count(False) > 50 and verdicts.count(True) > 50
 
 
 def test_every_functor_has_rlp_against_identities():

@@ -445,6 +445,69 @@ def test_cyclic_subcommand_rejects_two_tuples_with_one_name(tmp_path, capsys):
         "error": "tuple identifier (a,b,c) names two tuples"}
 
 
+def test_cyclic_subcommand_rejects_one_tuple_name_in_two_arities(tmp_path, capsys):
+    # R(P) is always cyclic: this collision used to print
+    # "R_cyclic_valid": false and exit 1
+    from test_cycops import arity_crossing_operad
+    doc = CatspecDocument((catspec.operad_block("P", arity_crossing_operad()),))
+    path = write_doc(tmp_path, doc)
+    code, out = run_cli(["cyclic", path, "--operad", "P"], capsys)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "tuple identifier (x,y) names two tuples"}
+
+
+def renamed_associative_operad(A):
+    """``associative_operad(A)`` with each name prefixed by ``w``, so that
+    arity 0 has a name a document can hold."""
+    from smallcat.cycops import TruncatedOperad, associative_operad
+    P = associative_operad(A)
+
+    def w(x):
+        return "w" + x
+    return TruncatedOperad(
+        A, {n: tuple(map(w, xs)) for n, xs in P.elements.items()}, w(P.unit),
+        {(i, w(a), w(b)): w(c) for (i, a, b), c in P.comp.items()},
+        {(n, s, w(x)): w(y) for (n, s, x), y in P.action.items()})
+
+
+def test_cyclic_commands_check_the_core_without_rendering_it(
+        tmp_path, capsys, monkeypatch):
+    # R(P) is rendered only for an operad with one element per arity (the
+    # paper suite's product check on R of the terminal operad), and no
+    # record is validated: both commands check the coded core
+    from test_cycops import sign_operad
+
+    from smallcat import cycadj, cycops
+    render = cycadj.right_adjoint_R
+
+    def small_only(P):
+        assert all(len(xs) <= 1 for xs in P.elements.values()), "rendered"
+        return render(P)
+
+    def never(Q):
+        raise AssertionError("validated a record")
+    for module in (cycadj, cycops):
+        monkeypatch.setattr(module, "right_adjoint_R", small_only)
+    monkeypatch.setattr(cycops, "validate_cyclic", never)
+    doc = CatspecDocument((
+        catspec.operad_block("A", renamed_associative_operad(3)),
+        catspec.operad_block("S", sign_operad(3))))
+    path = write_doc(tmp_path, doc)
+    assert run_cli(["cyclic", path, "--operad", "A"], capsys) == (0, (
+        '{"R_cyclic_valid":true,"R_sizes":{"0":1,"1":1,"2":8,"3":1296},'
+        '"R_sizes_are_powers":true,"arity_bound":3,'
+        '"sizes":{"0":1,"1":1,"2":2,"3":6}}\n'))
+    assert run_cli(["cyclic", path, "--operad", "S", "--arity-bound", "2"],
+                   capsys) == (0, (
+        '{"R_cyclic_valid":true,"R_sizes":{"0":0,"1":4,"2":8},'
+        '"R_sizes_are_powers":true,"arity_bound":2,'
+        '"sizes":{"0":0,"1":2,"2":2}}\n'))
+    assert run_cli(["paper-suite", "--case", "cyclic"], capsys) == (0, (
+        '{"FR_products":true,"R_assoc_cyclic":true,'
+        '"R_sizes_are_powers":true}\n'))
+
+
 def test_chain_subcommand(tmp_path, capsys):
     from smallcat.chaincx import two_term_identity_complex
     doc = CatspecDocument((

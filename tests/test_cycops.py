@@ -13,6 +13,7 @@ from smallcat.cycops import (
     block_perm,
     check_FR_products,
     check_adjunction_count,
+    check_right_adjoint,
     cyclic_generator,
     enumerate_operad_maps,
     ext_compose,
@@ -309,6 +310,27 @@ def test_R_rejects_two_tuples_with_one_name():
     assert validate_operad(P) == []
     with pytest.raises(ValueError, match=r"\(a,b,c\) names two tuples"):
         right_adjoint_R(P)
+
+
+def arity_crossing_operad():
+    """Z/2 on ``x`` (the unit) and ``y`` in arity 1 and one element ``x,y``
+    in arity 0, so that ``(x,y)`` renders an element of ``R``'s arity 0 and
+    one of its arity 1."""
+    els = ("x", "y")
+    comp = {(1, a, b): "x" if a == b else "y" for a in els for b in els}
+    comp.update({(1, a, "x,y"): "x,y" for a in els})
+    return TruncatedOperad(1, {0: ("x,y",), 1: els}, "x", comp,
+                           {(n, s, x): x for n, xs in ((0, ("x,y",)), (1, els))
+                            for s in all_perms(n) for x in xs})
+
+
+def test_R_rejects_one_name_in_two_arities():
+    P = arity_crossing_operad()
+    assert validate_operad(P) == []
+    for build in (right_adjoint_R, check_right_adjoint):
+        with pytest.raises(ValueError, match=r"^tuple identifier \(x,y\) "
+                                             r"names two tuples$"):
+            build(P)
 
 
 def test_R_rejects_partial_tables():

@@ -17,6 +17,7 @@ from smallcat.cycops import (
     TruncatedCyclicOperad,
     TruncatedOperad,
     associative_operad,
+    monoid_operad,
     right_adjoint_R,
     terminal_cyclic_operad,
     terminal_operad,
@@ -25,6 +26,14 @@ from smallcat.cycops import (
 
 BUILDERS = {"terminal": terminal_operad, "associative": associative_operad,
             "sign": sign_operad}
+
+
+def nilpotent_operad(A):
+    """The monoid operad of ``{1, a, z}`` with ``a a = z`` and ``z`` a
+    zero: three elements in each positive arity, and not a group."""
+    return monoid_operad(A, ("1", "a", "z"), {
+        (x, y): y if x == "1" else x if y == "1" else "z"
+        for x in "1az" for y in "1az"}, "1")
 
 
 def truncate_cyclic(Q: TruncatedCyclicOperad, bound: int) -> TruncatedCyclicOperad:
@@ -84,13 +93,17 @@ def test_R_of_associative_3_agrees():
 
 
 @pytest.mark.parametrize("build", [terminal_operad, associative_operad,
-                                   sign_operad])
+                                   sign_operad, nilpotent_operad])
 @pytest.mark.parametrize("bound", [1, 2, 3])
 def test_right_adjoint_R_tables_agree(build, bound):
+    # right_adjoint_R renders the coded core
     P = build(bound)
     RQ, RQ_old = right_adjoint_R(P), oracle.right_adjoint_R(P)
     assert RQ == RQ_old
     assert repr(RQ) == repr(RQ_old)
+    sizes, errors = cycadj.check_right_adjoint(P)
+    assert sizes == {n: len(xs) for n, xs in RQ_old.operad.elements.items()}
+    assert errors == oracle.validate_cyclic(RQ_old) == []
 
 
 def test_sigma_i_computed_once_per_sigma_and_index(monkeypatch):
@@ -281,3 +294,90 @@ def test_map_validators_agree_on_R_associative_3_identity():
     plain = cycops.forget_cyclic_map(bad)
     assert cycops.validate_operad_map(plain) == \
         oracle.validate_operad_map(plain) == errors
+
+
+# ---------------------------------------------------------------------------
+# the coded checker on the right adjoint's core
+
+CORE_BASES = {
+    "associative(2)": lambda: associative_operad(2),
+    "sign(2)": lambda: sign_operad(2),
+    "nilpotent(2)": lambda: nilpotent_operad(2),
+    "terminal(3)": lambda: terminal_operad(3),
+}
+
+
+def _copy_core(core):
+    elements, unit, comp, rows, ext = core
+    return (elements, unit, {k: list(t[0]) for k, t in comp.items()},
+            {n: {s: list(r) for s, r in rs.items()} for n, rs in rows.items()},
+            {n: {s: list(r) for s, r in rs.items()} for n, rs in ext.items()})
+
+
+def _table(flat, height, width):
+    rows = [flat[k * width:(k + 1) * width] for k in range(height)]
+    return flat, rows, cycops._columns(rows, width)
+
+
+def _corrupt(P, table_name, rng):
+    """One entry of one table of ``R(P)`` changed to another element of its
+    arity, in the coded core and in the rendered record alike."""
+    RQ = right_adjoint_R(P)
+    R = RQ.operad
+    elements, unit, flats, rows, ext = _copy_core(cycadj._right_adjoint_core(P))
+    arity = R.arity_of()
+    tables = {"comp": R.comp, "action": R.action, "extended": RQ.extended}
+    key = rng.choice(sorted(tables[table_name], key=repr))
+    target = arity[tables[table_name][key]]
+    if len(elements[target]) < 2:
+        return None
+    name = rng.choice([x for x in elements[target]
+                       if x != tables[table_name][key]])
+    new = elements[target].index(name)
+    if table_name == "comp":
+        i, a, b = key
+        m, n = arity[a], arity[b]
+        flats[i, m, n][elements[m].index(a) * len(elements[n])
+                       + elements[n].index(b)] = new
+    else:
+        n, s, x = key
+        (rows if table_name == "action" else ext)[n][s][elements[n].index(x)] = new
+    comp = {(i, m, n): _table(flat, len(elements[m]), len(elements[n]))
+            for (i, m, n), flat in flats.items()}
+    changed = dict(tables[table_name])
+    changed[key] = name
+    if table_name == "extended":
+        M = TruncatedCyclicOperad(R, changed)
+    else:
+        M = TruncatedCyclicOperad(TruncatedOperad(
+            R.arity_bound, R.elements, R.unit,
+            changed if table_name == "comp" else R.comp,
+            changed if table_name == "action" else R.action), RQ.extended)
+    return (elements, unit, comp, rows, ext), M
+
+
+@pytest.mark.parametrize("table_name,seed", [("comp", 61), ("action", 62),
+                                             ("extended", 63)])
+def test_coded_checker_matches_the_oracle_on_corrupted_cores(table_name, seed):
+    rng = random.Random(seed)
+    bases = [build() for build in CORE_BASES.values()]
+    checked = failing = 0
+    for k in range(120):
+        corrupted = _corrupt(bases[k % len(bases)], table_name, rng)
+        if corrupted is None:
+            continue
+        core, M = corrupted
+        errors = cycops._check_coded(*core)
+        assert errors == oracle.validate_cyclic(M) == cycops.validate_cyclic(M)
+        checked += 1
+        failing += bool(errors)
+    assert checked >= 60 and failing >= checked // 2
+
+
+def test_coded_checker_on_the_uncorrupted_cores():
+    for build in CORE_BASES.values():
+        core = cycadj._right_adjoint_core(build())
+        assert cycops._check_coded(*core) == []
+        # without the extended action, the operad axioms only
+        assert cycops._check_coded(*core[:4]) == []
+        assert cycops.validate_operad(right_adjoint_R(build()).operad) == []

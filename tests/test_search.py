@@ -10,6 +10,7 @@ way, by results and order.
 """
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -274,6 +275,44 @@ def test_natural_search_budget_counts_nodes_not_the_product():
     with pytest.raises(BudgetError,
                        match="^too many candidate transformations$"):
         enumerate_naturals(F, F, budget=20_502)
+
+
+def parallel_arrows(k):
+    """Two objects and ``k`` parallel arrows ``a -> b``."""
+    arrows = [f"f{j}" for j in range(k)]
+    source = {"id_a": "a", "id_b": "b", **dict.fromkeys(arrows, "a")}
+    target = {"id_a": "a", "id_b": "b", **dict.fromkeys(arrows, "b")}
+    compose = {("id_a", "id_a"): "id_a", ("id_b", "id_b"): "id_b"}
+    for m in arrows:
+        compose[m, "id_a"] = compose["id_b", m] = m
+    return fincat.FiniteCategory.build(["a", "b"], ["id_a", "id_b", *arrows],
+                                       source, target,
+                                       {"a": "id_a", "b": "id_b"}, compose)
+
+
+def test_natural_search_memory_does_not_grow_with_the_product():
+    # from the constant functor at a to the one at b, both components range
+    # over the 300 arrows and the square asks them to agree: a table of the
+    # square held 90,000 entries (12.7 MB peak), computed on read it holds
+    # none, and the search keeps only its 300 transformations
+    C, D = walking_arrow(), parallel_arrows(300)
+
+    def constant(o):
+        return CatFunctor(C, D, dict.fromkeys(C.objects, o),
+                          dict.fromkeys(C.morphisms, D.identity[o]))
+    F, G = constant("a"), constant("b")
+    tracemalloc.start()
+    try:
+        nts = enumerate_naturals(F, G, budget=300 + 300 ** 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert repr(nts) == repr(oracle.enumerate_naturals(F, G))
+    assert [nt.components for nt in nts] == [dict.fromkeys(C.objects, f)
+                                             for f in D.hom("a", "b")]
+    with pytest.raises(BudgetError):
+        enumerate_naturals(F, G, budget=300 + 300 ** 2 - 1)
 
 
 # ---------------------------------------------------------------------------
