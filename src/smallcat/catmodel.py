@@ -97,19 +97,11 @@ def validate_square(sq: LiftingSquare) -> list[str]:
 def is_isofibration(p: CatFunctor) -> bool:
     """Every isomorphism out of a lifted object lifts with that source."""
     X, Y = p.domain, p.codomain
-    lifts = {(X.source[phi], p.mor_map[phi]) for phi in _isomorphisms(X)}
-    isos = _isomorphisms(Y)
+    lifts = {(X.source[phi], p.mor_map[phi])
+             for phi in fincat.isomorphisms(X)}
+    isos = fincat.isomorphisms(Y)
     return all((x, psi) in lifts for x in X.objects for psi in isos
                if Y.source[psi] == p.ob_map[x])
-
-
-def _isomorphisms(C: FiniteCategory) -> list[str]:
-    """The invertible morphisms of ``C``, each hom-set indexed once."""
-    homs = fincat.hom_index(C)
-    return [m for m in C.morphisms if any(
-        C.compose[n, m] == C.identity[C.source[m]]
-        and C.compose[m, n] == C.identity[C.target[m]]
-        for n in homs.get((C.target[m], C.source[m]), ()))]
 
 
 def is_injective_on_objects(i: CatFunctor) -> bool:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterator
 
-from .fincat import FiniteCategory, NodeBudget, backtrack, record
+from .fincat import FiniteCategory, NodeBudget, backtrack, generators, record
 from .setval import SetDiagram
 
 
@@ -110,15 +110,30 @@ def _coded_error(X: CodedDiagram) -> str | None:
     """The first error :func:`~smallcat.setval.validate_diagram` reports on
     the names of ``X``, whose tables are total and stay inside their
     targets: an identity that moves an element, then a composable pair on
-    which the action is not functorial.  Once every identity acts as one,
-    a pair with an identity in it is functorial, so only the other pairs
-    are checked."""
-    C = X.shape
+    which the action is not functorial.
+
+    Once every identity acts as one, a pair with an identity in it is
+    functorial, and the pairs whose left factor is one of the
+    :func:`~smallcat.fincat.generators` of the shape decide the rest.  Only
+    when one of those fails are all pairs scanned for the first failure."""
+    C, action = X.shape, X.action
     for o in C.objects:
-        t = X.action[C.identity[o]]
+        t = action[C.identity[o]]
         if t != tuple(range(len(t))):
             return f"identity of {o} does not act as identity"
+    lefts = set(generators(C))
     identities = set(C.identity.values())
+    for (f, g), h in C.compose.items():
+        if f in lefts and g not in identities and \
+                tuple(map(action[f].__getitem__, action[g])) != action[h]:
+            return _first_pair_error(X, identities)
+    return None
+
+
+def _first_pair_error(X: CodedDiagram, identities: set[str]) -> str | None:
+    """The first composable pair of non-identities, in table order, on which
+    ``X`` is not functorial."""
+    C = X.shape
     for (f, g), h in C.compose.items():
         if f in identities or g in identities:
             continue

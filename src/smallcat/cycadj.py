@@ -32,6 +32,7 @@ from .cycops import (
     _action_rows,
     _columns,
     _comp_tables,
+    _rows,
     all_ext_perms,
     all_perms,
     ext_of_perm,
@@ -106,9 +107,12 @@ def _right_adjoint_core(P: TruncatedOperad):
         raise ValueError(f"right adjoint of a partial operad: {errors[0]}")
     elements, parts, pos = {}, {}, {}
     for n in range(A + 1):
-        elements[n] = tuple(sorted(decode[n]))
-        parts[n] = [tuple(map(code[n].__getitem__, decode[n][xn]))
-                    for xn in elements[n]]
+        # the names and the codes of the tuples, both in product order
+        names = list(decode[n])
+        codes = list(itertools.product(range(len(P.elements[n])), repeat=n + 1))
+        order = sorted(range(len(names)), key=names.__getitem__)
+        elements[n] = tuple(map(names.__getitem__, order))
+        parts[n] = list(map(codes.__getitem__, order))
         pos[n] = {x: k for k, x in enumerate(parts[n])}
 
     comp = {}
@@ -117,22 +121,31 @@ def _right_adjoint_core(P: TruncatedOperad):
             r = m + n - 1
             if r > A:
                 continue
-            pcols, width = _columns(parts[m], m + 1), len(parts[n])
+            width = len(parts[n])
+            by_rows = width > len(parts[m])
+            pcols, qcols = _columns(parts[m], m + 1), _columns(parts[n], n + 1)
             for i in range(1, m + 1):
-                # coordinate j of p o_i q is T[q[u]][p[v]] for one table T of
-                # P's compositions, read by rows or by columns
-                recipe = [(Pcomp[i + j, m, n][2], 0, j) if j <= m - i else
-                          (Pcomp[i + j - m, n, m][1], i + j - m, m + 1 - i)
+                # coordinate j of p o_i q is p[v] o_k q[u], or q[u] o_k p[v]
+                # when the flag is set, in the table F of P's o_k
+                recipe = [(Pcomp[i + j, m, n], 0, j, False) if j <= m - i else
+                          (Pcomp[i + j - m, n, m], i + j - m, m + 1 - i, True)
                           if j <= m + n - i else
-                          (Pcomp[i + j - m - n, m, n][2], 0, j - n + 1)
+                          (Pcomp[i + j - m - n, m, n], 0, j - n + 1, False)
                           for j in range(r + 1)]
-                # each column lists p o_i q over p, for one q
+                # along the longer side: each row lists p o_i q over q, for
+                # one p, or each column over p, for one q
+                if by_rows:
+                    rows = [list(map(pos[r].__getitem__, zip(*[
+                        map(F[2 if flip else 1][p[v]].__getitem__, qcols[u])
+                        for F, u, v, flip in recipe]))) for p in parts[m]]
+                    flat = list(chain.from_iterable(rows))
+                    comp[i, m, n] = flat, rows, _columns(rows, width)
+                    continue
                 cols = [list(map(pos[r].__getitem__, zip(*[
-                    map(T[q[u]].__getitem__, pcols[v]) for T, u, v in recipe])))
-                    for q in parts[n]]
+                    map(F[1 if flip else 2][q[u]].__getitem__, pcols[v])
+                    for F, u, v, flip in recipe]))) for q in parts[n]]
                 flat = list(chain.from_iterable(zip(*cols)))
-                comp[i, m, n] = flat, [flat[k * width:(k + 1) * width]
-                                       for k in range(len(parts[m]))], cols
+                comp[i, m, n] = flat, _rows(flat, width, len(parts[m])), cols
 
     rows, extended = {}, {}
     for n in range(A + 1):

@@ -201,6 +201,14 @@ def _columns(rows, width: int) -> list[tuple]:
     return list(zip(*rows)) or [()] * width
 
 
+def _rows(flat: list, width: int, count: int) -> list[list]:
+    """The ``count`` rows of a table with ``width`` columns that ``flat``
+    lists row by row."""
+    if not width:
+        return [[] for _ in range(count)]
+    return list(map(list, zip(*[iter(flat)] * width)))
+
+
 def _take(table, keys) -> list[int]:
     """The rows of a coded table at ``keys``, concatenated."""
     flat, rows, _ = table
@@ -230,8 +238,7 @@ def _comp_tables(P: TruncatedOperad, code, errors: list[str]) -> dict:
             for i in range(1, m + 1):
                 flat = _coded(P.comp, code[m + n - 1], "composition", errors,
                               (i,), P.elements[m], P.elements[n])
-                rows = [flat[k * width:(k + 1) * width]
-                        for k in range(len(P.elements[m]))]
+                rows = _rows(flat, width, len(P.elements[m]))
                 comp[i, m, n] = flat, rows, _columns(rows, width)
     return comp
 

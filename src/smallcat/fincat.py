@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from . import moved
 
@@ -277,6 +277,68 @@ def hom_index(C: FiniteCategory) -> dict[tuple[str, str], list[str]]:
     return homs
 
 
+def isomorphisms(C: FiniteCategory) -> list[str]:
+    """The invertible morphisms of ``C`` in ``morphisms`` order, each inverse
+    looked for in one :func:`hom_index`."""
+    homs = hom_index(C)
+    return [m for m in C.morphisms if any(
+        C.compose[n, m] == C.identity[C.source[m]]
+        and C.compose[m, n] == C.identity[C.target[m]]
+        for n in homs.get((C.target[m], C.source[m]), ()))]
+
+
+def generators(C: FiniteCategory) -> tuple[str, ...]:
+    """Non-identity morphisms of which every non-identity morphism of ``C``
+    is a composite: those that are no composite of two non-identity
+    morphisms, then, in ``morphisms`` order, each that these do not yet
+    generate.
+
+    A check of functoriality needs only these: if a map ``t`` of tables
+    sends identities to identities and ``t(s.g) = t(s).t(g)`` for every
+    generator ``s`` and every ``g`` composable with it, then ``t(f.g) =
+    t(f).t(g)`` for all composable ``f`` and ``g``.  Write ``f = s.f2``
+    with ``s`` a generator and ``f2`` a shorter composite or an identity;
+    then ``t(f.g) = t(s.(f2.g)) = t(s).t(f2.g) = t(s).t(f2).t(g) =
+    t(f).t(g)``, by associativity and induction on the length of ``f``.
+    For the same reason the left Kan chase joins along generators only: a
+    join along ``s.f2`` is one along ``f2`` followed by one along ``s``.
+
+    Computed once per category and kept on it, outside its fields, so a
+    category's tables must not change after the first call.
+    """
+    # getattr, not C.__dict__: reading __dict__ would give C a dict of its
+    # own, and every attribute read on C would then take the slow path
+    found = getattr(C, "_generators", None)
+    if found is not None:
+        return found
+    identities = set(C.identity.values())
+    composites = {h for (f, g), h in C.compose.items()
+                  if f not in identities and g not in identities}
+    gens: list[str] = []
+    # made holds the composites of gens: it is closed under composition
+    # once each member has been composed with every earlier one both ways.
+    # No indecomposable is a composite of others, so each one is taken.
+    made: set[str] = set()
+    leaving: dict[str, list[str]] = {}    # members of made by source
+    arriving: dict[str, list[str]] = {}   # and by target
+    for m in [m for m in C.morphisms if m not in composites] + list(C.morphisms):
+        if m in made or m in identities:
+            continue
+        gens.append(m)
+        todo = [m]
+        while todo:
+            x = todo.pop()
+            if x not in made:
+                made.add(x)
+                leaving.setdefault(C.source[x], []).append(x)
+                arriving.setdefault(C.target[x], []).append(x)
+                todo += [C.compose[x, y] for y in arriving.get(C.source[x], ())]
+                todo += [C.compose[y, x] for y in leaving.get(C.target[x], ())]
+    found = tuple(gens)
+    object.__setattr__(C, "_generators", found)
+    return found
+
+
 def tabulate(objects, morphisms, source, target, identity,
              composite: Callable[[str, str], str]) -> FiniteCategory:
     """The category whose table holds ``composite(f, g)`` at each composable
@@ -492,6 +554,34 @@ class Partition:
             a, b = b, a
         self.parent[b] = a
         return True
+
+
+def least_members(items: Sequence, links: Iterable[tuple[int, int]]) -> list:
+    """For each of ``items``, the minimal item of its class in the partition
+    joining ``items[i]`` with ``items[j]`` for each ``(i, j)`` in ``links``:
+    what :meth:`Partition.find` names it after those :meth:`Partition.union`
+    calls, found on positions instead of items.
+
+    The larger root is linked under the smaller, so a parent never comes
+    after its child; one pass in position order then reads each root from
+    its parent's and keeps the minimal item of each class.
+    """
+    parent = list(range(len(items)))
+    for i, j in links:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]   # i skips to its grandparent
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i < j:
+            parent[j] = i
+        elif j < i:
+            parent[i] = j
+    least = list(items)
+    for k, x in enumerate(items):
+        parent[k] = r = parent[parent[k]]
+        if x < least[r]:
+            least[r] = x
+    return list(map(least.__getitem__, parent))
 
 
 # ---------------------------------------------------------------------------

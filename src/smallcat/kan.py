@@ -40,10 +40,10 @@ from .fincat import (
     FiniteCategory,
     NaturalTransformation,
     NodeBudget,
-    Partition,
     backtrack,
     distinct,
     field,
+    least_members,
     pair_name,
     record,
 )
@@ -194,15 +194,16 @@ def _lan_core(iota: CatFunctor, X: CodedDiagram) -> CodedKan:
     Wisnesky, *Fast Left Kan Extensions Using Union Find*): the items are
     ``((c,phi),x)`` for ``phi: iota c -> d`` and ``x`` in ``X c``, and each
     ``u: c -> c2`` joins ``(c, phi2 . iota u, x)`` with ``(c2, phi2, X
-    u x)``.  The :class:`~smallcat.fincat.Partition` is over the item
-    names, so each class is named by its minimal item, as :func:`colimit`
-    names it over the comma category.
+    u x)``; the :func:`~smallcat.fincat.generators` of ``C`` join what all
+    its morphisms do.  :func:`~smallcat.fincat.least_members` runs the
+    chase on item positions and names each class by its minimal item, as
+    :func:`colimit` names it over the comma category.
     """
     C, D = iota.domain, iota.codomain
     homs = fincat.hom_index(D)
     objects = {d: _comma_objects(iota, homs, d, False) for d in D.objects}
     moves = [(C.source[u], C.target[u], iota.mor_map[u], X.action[u])
-             for u in C.morphisms if u != C.identity[C.source[u]]]
+             for u in fincat.generators(C)]
     render = "({},{})".format   # pair_name, without a frame per item
     values, tables, classes = {}, {}, {}
     for d in D.objects:
@@ -214,13 +215,14 @@ def _lan_core(iota: CatFunctor, X: CodedDiagram) -> CodedKan:
             items += map(render, repeat(o), X.values[c])
         distinct(items, "Kan extension item identifier {} names two Kan "
                         "extension items")
-        part = Partition(items)
+        # item joins[0][k] is joined with item joins[1][k]
+        joins: tuple[list[int], list[int]] = ([], [])
         for c, c2, iu, Xu in moves:
             for phi2 in homs.get((iota.ob_map[c2], d), ()):
-                to = start[c2, phi2]
-                for i, j in enumerate(Xu, start[c, D.compose[(phi2, iu)]]):
-                    part.union(items[i], items[to + j])
-        roots = list(map(part.find, items))
+                s = start[c, D.compose[(phi2, iu)]]
+                joins[0].extend(range(s, s + len(Xu)))
+                joins[1].extend(map(start[c2, phi2].__add__, Xu))
+        roots = least_members(items, zip(*joins))
         values[d] = ranked = tuple(sorted(set(roots)))
         code = dict(zip(ranked, range(len(ranked))))
         # the class of every item, in item order

@@ -217,8 +217,9 @@ def hom_doubling(pres: NablaPresentations) -> bool:
     """Whether each hom-set ``[m] -> [n]`` of the signed simplex category
     has twice the maps of the simplex category: one per sign."""
     delta = pres.semidirect.action.target
-    signed = pres.semidirect.category
-    return all(len(signed.hom(x, y)) == 2 * len(delta.hom(x, y))
+    signed = fincat.hom_index(pres.semidirect.category)
+    homs = fincat.hom_index(delta)
+    return all(len(signed.get((x, y), ())) == 2 * len(homs.get((x, y), ()))
                for x in delta.objects for y in delta.objects)
 
 

@@ -29,6 +29,7 @@ from .fincat import (
     constraint_lists,
     distinct,
     hom_index,
+    isomorphisms,
     pair_name,
 )
 
@@ -85,7 +86,7 @@ def coproduct(C: FiniteCategory, D: FiniteCategory) -> FiniteCategory:
 
 def core(C: FiniteCategory) -> FiniteCategory:
     """The wide subcategory on exactly the invertible morphisms."""
-    keep = [m for m in C.morphisms if C.is_iso(m)]
+    keep = isomorphisms(C)
     keepset = set(keep)
     return FiniteCategory.build(
         C.objects, keep,
@@ -98,7 +99,7 @@ def core(C: FiniteCategory) -> FiniteCategory:
 
 
 def is_groupoid(C: FiniteCategory) -> bool:
-    return all(C.is_iso(m) for m in C.morphisms)
+    return len(isomorphisms(C)) == len(C.morphisms)
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +248,9 @@ def is_faithful(F: CatFunctor) -> bool:
 
 def is_essentially_surjective(F: CatFunctor) -> bool:
     D = F.codomain
-    homs = hom_index(D)
     hit = {F.ob_map[x] for x in F.domain.objects}
-    return all(d in hit or any(D.is_iso(m) for h in hit
-                               for m in homs.get((h, d), ()))
-               for d in D.objects)
+    near = {D.target[m] for m in isomorphisms(D) if D.source[m] in hit}
+    return (hit | near).issuperset(D.objects)
 
 
 def is_fully_faithful(F: CatFunctor) -> bool:

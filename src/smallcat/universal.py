@@ -13,6 +13,7 @@ from .fincat import (
     FiniteCategory,
     Partition,
     distinct,
+    hom_index,
     pair_name,
 )
 from .coded import _code, _maps, _squares
@@ -225,8 +226,9 @@ def diagram_pushout(f: DiagramMap, g: DiagramMap
 
 
 def terminal_objects(C: FiniteCategory) -> list[str]:
+    homs = hom_index(C)
     return [t for t in C.objects
-            if all(len(C.hom(x, t)) == 1 for x in C.objects)]
+            if all(len(homs.get((x, t), ())) == 1 for x in C.objects)]
 
 
 def connected_components(C: FiniteCategory) -> list[set[str]]:

@@ -1,7 +1,9 @@
 import ast
+import hashlib
 import importlib
 import importlib.util
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -865,6 +867,29 @@ def test_every_traced_function_resolves_where_the_tracer_looks():
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), (module, attr)
+
+
+def test_cli_suite_outputs_match_the_recorded_digests(tmp_path):
+    # the exit code and stdout SHA-256 of each benchmark command line on the
+    # benchmark's own document, as perfbench/expected.json records them
+    root = pathlib.Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_corpus", root / "perfbench" / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    doc = tmp_path / "cli-suite.catspec"
+    doc.write_text(corpus.cli_suite_document(), encoding="utf-8")
+    expected = json.loads((root / "perfbench" / "expected.json").read_text())
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    assert len(expected["cli"]) == 14
+    for line, want in expected["cli"].items():
+        args = [str(doc) if a == "{doc}" else a for a in line.split(" ")]
+        done = subprocess.run([sys.executable, "-m", "smallcat.cli", *args],
+                              capture_output=True, env=env, cwd=root)
+        got = {"exit": done.returncode,
+               "stdout_sha256": hashlib.sha256(done.stdout).hexdigest()}
+        assert got == want, (line, done.stderr[-500:])
 
 
 @pytest.mark.parametrize("side,arrows,src,tgt,name", [
