@@ -11,15 +11,14 @@ imported on first attribute access (PEP 562), and the command line
 imports each in the command that uses it.
 
 Code that few commands run lives in a module of its own, so that a
-command compiles only what it can run: ``coded``, ``kan`` and
-``universal`` hold the cold halves of ``setval``, ``search`` and
-``standard`` those of ``fincat``, and ``cycadj``, ``sdcheck``,
-``simplicial``, ``catwrite`` and ``paper`` those of ``cycops``,
-``semidirect``, ``nabla``, ``catspec`` and ``cli``.  Each name keeps its
-old path: the old module's ``__getattr__``, made by :func:`moved`,
-imports the new module on first access, so ``setval.lan is kan.lan``.
-No module that loading a document needs imports a moved name at module
-level.
+command compiles only what it can run.  Each old module, then those that
+took its cold code: setval: coded, kan, universal; fincat: search,
+standard; kan: certify; search: closure; catmodel: soa; chaincx: rings;
+cycops: cycadj; semidirect: sdcheck; nabla: simplicial; catspec:
+catwrite; cli: paper.  Each name keeps its old path: the old module's
+``__getattr__``, made by :func:`moved`, imports the new module on first
+access, so ``setval.lan is kan.lan``.  No module that loading a document
+needs imports a moved name at module level.
 
 A function that ``perfbench/spans.py`` times is called through the module
 spans.py names for it (``fincat.opposite(C)``), also from the module it
@@ -31,10 +30,9 @@ import importlib
 
 __version__ = "0.1.0"
 
-_MODULES = ("catmodel", "catspec", "catwrite", "chaincx", "coded", "cycadj",
-            "cycops", "fincat", "invcat", "kan", "nabla", "paper", "sdcheck",
-            "search", "semidirect", "setval", "simplicial", "standard",
-            "universal")
+_MODULES = tuple("""catmodel catspec catwrite certify chaincx cli closure
+    coded cycadj cycops fincat invcat kan nabla paper rings sdcheck search
+    semidirect setval simplicial soa standard universal""".split())
 
 
 def __getattr__(name: str):

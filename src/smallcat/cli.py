@@ -147,7 +147,7 @@ def cmd_rlp(args) -> int:
 
 def cmd_soa(args) -> int:
     from . import setval
-    from .catmodel import bounded_soa
+    from .soa import bounded_soa
     budget = _max_morphisms(args) * 5000
     loaded = _load(args.file)
     gens = [_need(loaded.dmaps, n, "dmap") for n in args.generators.split(",")]

@@ -20,11 +20,10 @@ words, and the thin-category arrows ``le_x_y`` and ``to_y_from_x``.  Each
 constructor checks its names with :func:`distinct`, so two different parts
 that render alike raise ``ValueError`` instead of merging.
 
-Products, functor searches, naturality checks, the equivalence tests
-and the word closure live in :mod:`smallcat.search`, and the named
-categories and groups in :mod:`smallcat.standard`; their old names here
-(``fincat.product``, ``fincat.walking_arrow``, ...) still work through
-the module ``__getattr__``.
+Products, functor searches, naturality checks and the equivalence tests
+live in ``search``, the word closure in ``closure``, and the named
+categories and groups in ``standard``; their old names here
+(``fincat.product``, ...) still work through the module ``__getattr__``.
 """
 from __future__ import annotations
 
@@ -34,13 +33,13 @@ from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from . import moved
 
-# Read from smallcat.search and smallcat.standard on first access.
+# Each name is read from its home module on first access.
 __getattr__ = moved(globals(), search="""
     product coproduct core is_groupoid _iter_functors enumerate_functors
     enumerate_naturals validate_natural is_natural_iso is_full is_faithful
     is_essentially_surjective is_fully_faithful is_equivalence
-    find_isomorphism _reduce_words bounded_closure category_from_generators
-    """, standard="""
+    find_isomorphism""", closure="""
+    _reduce_words bounded_closure category_from_generators""", standard="""
     identity_functor empty_category terminal_category discrete_category
     indiscrete_category walking_arrow walking_iso parallel_pair
     chain_category poset_category _thin_category symmetric_group
@@ -289,9 +288,9 @@ def isomorphisms(C: FiniteCategory) -> list[str]:
 
 def generators(C: FiniteCategory) -> tuple[str, ...]:
     """Non-identity morphisms of which every non-identity morphism of ``C``
-    is a composite: those that are no composite of two non-identity
-    morphisms, then, in ``morphisms`` order, each that these do not yet
-    generate.
+    is a composite: in increasing number of factorisations into two
+    non-identities (ties in ``morphisms`` order), each that the earlier
+    ones do not yet generate.
 
     A check of functoriality needs only these: if a map ``t`` of tables
     sends identities to identities and ``t(s.g) = t(s).t(g)`` for every
@@ -312,16 +311,18 @@ def generators(C: FiniteCategory) -> tuple[str, ...]:
     if found is not None:
         return found
     identities = set(C.identity.values())
-    composites = {h for (f, g), h in C.compose.items()
-                  if f not in identities and g not in identities}
+    factorisations = dict.fromkeys(C.morphisms, 0)
+    for (f, g), h in C.compose.items():
+        if f not in identities and g not in identities:
+            factorisations[h] += 1
     gens: list[str] = []
     # made holds the composites of gens: it is closed under composition
     # once each member has been composed with every earlier one both ways.
-    # No indecomposable is a composite of others, so each one is taken.
+    # The indecomposables, with no factorisation, come first: each is taken.
     made: set[str] = set()
     leaving: dict[str, list[str]] = {}    # members of made by source
     arriving: dict[str, list[str]] = {}   # and by target
-    for m in [m for m in C.morphisms if m not in composites] + list(C.morphisms):
+    for m in sorted(C.morphisms, key=factorisations.__getitem__):
         if m in made or m in identities:
             continue
         gens.append(m)

@@ -7,11 +7,11 @@ Limits are compatible families inside the product, searched for under a
 node budget (:func:`_families`); limit families list their components in
 object order, and the limit over the empty shape is a one-point set.
 
-Coded diagrams and the diagram-map search live in :mod:`smallcat.coded`,
-the Kan extensions (coded cores, whose tables give the units, counits and
-transposes) and adjunction certificates in :mod:`smallcat.kan`, and the
-other limits and colimits and the algebra of diagram maps in
-:mod:`smallcat.universal`; only the code that uses them loads them.
+Coded diagrams and the diagram-map search live in ``coded``, the Kan
+extensions (coded cores, whose tables give the units, counits and
+transposes) in ``kan``, the adjunction certificates in ``certify``, and
+the other limits and colimits and the algebra of diagram maps in
+``universal``; only the code that uses them loads them.
 Their old names here (``setval.lan``, ``setval._code``, ...) still
 work through the module ``__getattr__``.
 """
@@ -28,14 +28,14 @@ from .fincat import (
     record,
 )
 
-# Read from smallcat.coded, smallcat.kan and smallcat.universal on first
-# access.
+# Each name is read from its home module on first access.
 __getattr__ = moved(globals(), coded="""
     CodedDiagram _code""", kan="""
-    CommaCategory AdjunctionReport _comma_category comma_over comma_under
+    CommaCategory _comma_category comma_over comma_under
     CodedKan lan lan_map lan_unit ran ran_counit lan_transpose ran_transpose
-    representable corepresentable certify_adjunction
-    certify_kan_adjunctions""", universal="""
+    representable corepresentable""", certify="""
+    AdjunctionReport certify_adjunction certify_kan_adjunctions""",
+    universal="""
     validate_diagram_map identity_diagram_map compose_diagram_maps
     is_iso_diagram_map is_mono_diagram_map is_epi_diagram_map
     enumerate_diagram_maps limit colimit

@@ -12,6 +12,7 @@ from types import ModuleType
 
 import pytest
 
+import smallcat
 from smallcat import catspec, fincat, nabla, setval
 from smallcat.catspec import Block, CatspecDocument, emit
 from smallcat.cli import main
@@ -730,19 +731,21 @@ COMPLEX_LINES = {"chain {doc} --complex C --truncate naive",
 
 # The smallcat modules each cli-suite line loads.  Loading the suite
 # document takes the first seven; only the commands that run them load the
-# Kan half of setval (kan), the cyclic right adjoint (cycadj), the functor
-# searches (search) and the paper cases (paper).  No line but the paper
-# cases loads the other cold halves: the named categories (standard), the
-# universal constructions (universal), the semidirect checks (sdcheck),
-# the simplicial sets beside nabla (simplicial) and the catspec writer
-# (catwrite).
+# Kan half of setval (kan), the adjunction certificates (certify), the
+# cyclic right adjoint (cycadj), the functor searches (search) and the
+# paper cases (paper).  No line but the paper cases loads the other cold
+# halves: the named categories (standard), the universal constructions
+# (universal), the semidirect checks (sdcheck), the simplicial sets beside
+# nabla (simplicial) and the catspec writer (catwrite).  No line loads the
+# word closure (closure), the small object argument (soa) or change of
+# rings (rings).
 DOC_MODULES = "catspec cli cycops fincat nabla semidirect setval"
 LOADS = {
     "validate {doc}": DOC_MODULES,
     "kan {doc} --functor iota --diagram X": DOC_MODULES + " coded kan",
     "kan {doc} --functor iota --diagram X --side right":
         DOC_MODULES + " coded kan",
-    "adjoint {doc} --functor iota": DOC_MODULES + " coded kan",
+    "adjoint {doc} --functor iota": DOC_MODULES + " certify coded kan",
     "lift {doc} --left ident --right ident --top ident --bottom ident":
         DOC_MODULES + " catmodel search",
     "rlp {doc} --maps ident --against ident": DOC_MODULES + " catmodel search",
@@ -752,7 +755,7 @@ LOADS = {
     "cyclic {doc} --operad T": DOC_MODULES + " cycadj",
     "chain {doc} --complex C --truncate naive": DOC_MODULES + " chaincx",
     "paper-suite --case dagger":
-        "catmodel cli fincat invcat paper search setval standard",
+        "catmodel cli fincat invcat paper search standard",
     "paper-suite --case truncation": "chaincx cli fincat paper",
     "paper-suite": "catmodel chaincx cli coded cycadj cycops fincat invcat kan "
                    "nabla paper sdcheck search semidirect setval simplicial "
@@ -797,11 +800,42 @@ def test_an_old_module_loads_the_new_one_only_for_a_moved_name():
                       "smallcat.setval"}
 
 
+# (old module, a name moved out of it, the modules reading that name loads)
+COLD = [("chaincx", "induce", "rings"),
+        ("catmodel", "bounded_soa", "setval soa"),
+        ("search", "bounded_closure", "closure"),
+        ("fincat", "category_from_generators", "closure"),
+        ("kan", "certify_kan_adjunctions", "certify"),
+        ("setval", "certify_adjunction", "certify coded kan")]
+
+
+@pytest.mark.parametrize("old,name,loads", COLD)
+def test_an_old_module_loads_a_cold_module_only_for_its_name(old, name,
+                                                              loads):
+    imported = loaded_after(f"import smallcat.{old}")
+    assert not {"smallcat.rings", "smallcat.soa", "smallcat.closure",
+                "smallcat.certify"} & imported
+    loaded = loaded_after(f"import smallcat.{old}\n"
+                          f"value = smallcat.{old}.{name}\n"
+                          f"assert vars(smallcat.{old})[{name!r}] is value")
+    assert loaded - imported == {f"smallcat.{m}" for m in loads.split()}
+
+
+def test_the_package_lists_every_module():
+    # smallcat.<name> reads _MODULES: a module left out of it would raise
+    # AttributeError only when read
+    package = pathlib.Path(smallcat.__file__).parent
+    assert sorted(smallcat._MODULES) == sorted(
+        path.stem for path in package.glob("*.py") if path.stem != "__init__")
+
+
 # (old module, a module that part of its cold half moved to)
 MOVED = [("setval", "coded"), ("setval", "kan"), ("setval", "universal"),
          ("cycops", "cycadj"), ("fincat", "search"), ("fincat", "standard"),
          ("cli", "paper"), ("semidirect", "sdcheck"), ("nabla", "simplicial"),
-         ("catspec", "catwrite")]
+         ("catspec", "catwrite"), ("chaincx", "rings"), ("catmodel", "soa"),
+         ("search", "closure"), ("fincat", "closure"), ("kan", "certify"),
+         ("setval", "certify")]
 
 
 def defined_in(module: ModuleType, private: bool = False) -> list[str]:

@@ -1,4 +1,4 @@
-"""``search.bounded_closure`` against the code it replaced, and its name checks.
+"""``closure.bounded_closure`` against the code it replaced, and its name checks.
 
 ``closure_oracle`` keeps the former closure verbatim.  On pushouts of random
 spans and on random generator presentations both must give the same
@@ -12,7 +12,7 @@ import pytest
 import closure_oracle as oracle
 from test_acceptance import random_category, random_functor
 
-from smallcat import catmodel, fincat, search
+from smallcat import closure, fincat, search
 from smallcat.catmodel import pushout_category
 from smallcat.fincat import (
     BudgetError,
@@ -29,12 +29,12 @@ def outcome(run):
         return f"BudgetError: {exc}"
 
 
-def same_as_oracle(monkeypatch, module, run) -> str:
-    """The outcome of ``run``, which must not change when ``module`` calls
-    the former closure instead."""
+def same_as_oracle(monkeypatch, run) -> str:
+    """The outcome of ``run``, which must not change when the former
+    closure replaces ``closure.bounded_closure``."""
     new = outcome(run)
     with monkeypatch.context() as m:
-        m.setattr(module, "bounded_closure", oracle.bounded_closure)
+        m.setattr(closure, "bounded_closure", oracle.bounded_closure)
         assert outcome(run) == new
     return new
 
@@ -67,14 +67,14 @@ def test_closure_matches_the_oracle_on_pushouts_and_presentations(monkeypatch):
         budget = {"max_morphisms": rng.randint(6, 40),
                   "max_word_len": rng.randint(2, 6)}
         kinds.append(same_as_oracle(
-            monkeypatch, catmodel,
+            monkeypatch,
             lambda: pushout_category(i, f, **budget)).startswith("Budget"))
     for _ in range(500):
         objects, arrows, relations = random_presentation(rng)
         budget = {"max_morphisms": rng.randint(6, 40),
                   "max_word_len": rng.randint(2, 6)}
         kinds.append(same_as_oracle(
-            monkeypatch, search,
+            monkeypatch,
             lambda: category_from_generators(objects, arrows, relations,
                                              **budget)).startswith("Budget"))
     # both outcomes are exercised

@@ -72,9 +72,9 @@ def test_generators_of_the_joyal_shape():
     C = SHAPES["joyal"]()
     gens = fincat.generators(C)
     ids = set(C.identity.values())
-    assert (len(gens), len(C.morphisms)) == (16, 62)
+    assert (len(gens), len(C.morphisms)) == (8, 62)
     pairs = [(f, g) for f, g in C.compose if f not in ids and g not in ids]
-    assert (sum(f in gens for f, _ in pairs), len(pairs)) == (332, 1451)
+    assert (sum(f in gens for f, _ in pairs), len(pairs)) == (166, 1451)
 
 
 def corrupted(X: CodedDiagram, rng, k: int):
