@@ -16,7 +16,7 @@ from typing import Iterator
 
 # Timed functions are called via their module: see the package docstring.
 from . import fincat, moved
-from .fincat import CatFunctor, compose_functors, record
+from .fincat import CatFunctor, _forced, compose_functors, record
 from .search import _iter_functors, coproduct
 
 # Read from smallcat.soa on first access.
@@ -82,16 +82,6 @@ def is_injective_on_objects(i: CatFunctor) -> bool:
 
 # ---------------------------------------------------------------------------
 # lifting problems
-
-
-def _forced(pairs) -> dict | None:
-    """The map sending each key to its value, or None if some key is sent
-    to two values (the square's top contradicts itself along ``i``)."""
-    out: dict = {}
-    for key, value in pairs:
-        if out.setdefault(key, value) != value:
-            return None
-    return out
 
 
 def iter_liftings(sq: LiftingSquare,

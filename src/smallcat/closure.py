@@ -39,7 +39,8 @@ def _reduce_words(word: tuple[str, ...],
     whose reduction visits more than ``_REDUCTION_BUDGET`` forms.
     """
     if len(word) > max_word_len:
-        raise BudgetError("word length exceeded closure budget")
+        raise BudgetError("word length exceeded closure budget",
+                          "word_length", max_word_len, len(word))
     left = _REDUCTION_BUDGET
     seen = {word}
     frontier = [word]
@@ -47,7 +48,9 @@ def _reduce_words(word: tuple[str, ...],
     while frontier:
         left -= 1
         if left < 0:
-            raise BudgetError("word reduction exceeded closure budget")
+            raise BudgetError("word reduction exceeded closure budget",
+                              "word_reduction", _REDUCTION_BUDGET,
+                              _REDUCTION_BUDGET + 1)
         w = frontier.pop()
         reduced_any = False
         for i, letter in enumerate(w):
@@ -126,7 +129,9 @@ def bounded_closure(objects: list[str],
             hits = [len(classes)]
             classes.append({"words": set(), "src": src, "tgt": tgt})
             if len(classes) > max_morphisms:
-                raise BudgetError("closure exceeded morphism budget")
+                raise BudgetError("closure exceeded morphism budget",
+                                  "closure_morphisms", max_morphisms,
+                                  len(classes))
         keep = hits[0]
         for other in hits[1:]:
             merge(keep, other)

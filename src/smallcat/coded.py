@@ -103,7 +103,7 @@ def _maps(X: CodedDiagram, Y: CodedDiagram, squares: list[list[tuple]],
     if X.shape is not Y.shape and X.shape != Y.shape:
         raise ValueError("shapes differ")
     return map(tuple, backtrack(*_map_search(X, Y, squares), NodeBudget(
-        node_budget, "diagram map search exceeded budget")))
+        node_budget, "diagram map search exceeded budget", "diagram_maps")))
 
 
 def _coded_error(X: CodedDiagram) -> str | None:

@@ -312,7 +312,8 @@ def _enumerate_maps(P: TruncatedOperad, Q: TruncatedOperad,
                     for (i, a, b), c in P.comp.items()]
     candidates = [[y for y in Q.elements[n] if (n, x) != (1, P.unit) or y == Q.unit]
                   for n, x in variables]
-    budget = NodeBudget(node_budget, "operad map search exceeded budget")
+    budget = NodeBudget(node_budget, "operad map search exceeded budget",
+                        "operad_maps")
     out = []
     for a in backtrack(candidates, constraint_lists(len(variables), constraints),
                        budget, list(consts)):

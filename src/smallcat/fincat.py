@@ -10,7 +10,8 @@ Enumerations are deterministic: objects and morphisms are kept sorted, and
 searches branch in lexicographic order.  A constructor that computes its
 composites fills the table with :func:`tabulate`, which visits only the
 composable pairs, in an order fixed by the list of morphisms.
-:func:`backtrack` is the one search loop.
+:func:`backtrack` is the one search loop and :func:`least_members` the one
+union-find.
 
 Derived names are rendered from their parts: pairs ``(a,b)`` (products,
 semidirect products, group products), tuples ``(x0,...,xn)`` of the
@@ -47,7 +48,16 @@ __getattr__ = moved(globals(), search="""
 
 
 class BudgetError(RuntimeError):
-    """An exhaustive search exceeded its configured budget."""
+    """An exhaustive search exceeded its configured budget: ``kind`` names
+    the budget, ``limit`` is its value and ``reached`` the count that went
+    past it.  ``str`` of the error is its message alone."""
+
+    def __init__(self, message: str, kind: str | None = None,
+                 limit: int | None = None, reached: int | None = None):
+        super().__init__(message)
+        self.kind = kind
+        self.limit = limit
+        self.reached = reached
 
 
 def pair_name(a: str, b: str) -> str:
@@ -529,43 +539,15 @@ def cyclic_group(n: int, prefix: str = "g") -> FiniteGroup:
 # partitions
 
 
-class Partition:
-    """Union-find (Tarjan 1975) over hashable, mutually comparable items.
-
-    :meth:`union` links the larger root under the smaller, so :meth:`find`
-    names each class by its minimal member.  :meth:`find` halves paths and
-    raises ``KeyError`` for an item the partition was not built over.
-    """
-
-    def __init__(self, items: Iterable):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]   # x skips to its grandparent
-        return x
-
-    def union(self, a, b) -> bool:
-        """Join the classes of ``a`` and ``b``; ``False`` if already one."""
-        a, b = self.find(a), self.find(b)
-        if a == b:
-            return False
-        if b < a:
-            a, b = b, a
-        self.parent[b] = a
-        return True
-
-
 def least_members(items: Sequence, links: Iterable[tuple[int, int]]) -> list:
     """For each of ``items``, the minimal item of its class in the partition
-    joining ``items[i]`` with ``items[j]`` for each ``(i, j)`` in ``links``:
-    what :meth:`Partition.find` names it after those :meth:`Partition.union`
-    calls, found on positions instead of items.
+    joining ``items[i]`` with ``items[j]`` for each ``(i, j)`` in ``links``.
 
-    The larger root is linked under the smaller, so a parent never comes
-    after its child; one pass in position order then reads each root from
-    its parent's and keeps the minimal item of each class.
+    The one union-find of the package (Tarjan 1975), run on positions: the
+    items need only be mutually comparable.  Paths are halved, and the
+    larger root is linked under the smaller, so a parent never comes after
+    its child; one pass in position order then reads each root from its
+    parent's and keeps the minimal item of each class.
     """
     parent = list(range(len(items)))
     for i, j in links:
@@ -591,13 +573,17 @@ def least_members(items: Sequence, links: Iterable[tuple[int, int]]) -> list:
 
 class NodeBudget:
     """How many candidates a search may still try (``limit=None``: no
-    limit); trying one more raises :class:`BudgetError` with ``message``."""
+    limit); trying one more raises :class:`BudgetError` with ``message``,
+    the search's ``kind`` and ``limit``, and ``reached`` one past it."""
 
-    __slots__ = ("left", "message")
+    __slots__ = ("left", "limit", "message", "kind")
 
-    def __init__(self, limit: int | None, message: str):
+    def __init__(self, limit: int | None, message: str,
+                 kind: str | None = None):
         self.left = math.inf if limit is None else limit
+        self.limit = limit
         self.message = message
+        self.kind = kind
 
 
 def constraint_lists(n: int, constraints: Iterable[tuple]) -> list[list[tuple]]:
@@ -646,7 +632,8 @@ def backtrack(candidates: list, constraints: list[list[tuple]],
             for c in pending[k]:
                 left -= 1
                 if left < 0:
-                    raise BudgetError(budget.message)
+                    raise BudgetError(budget.message, budget.kind,
+                                      budget.limit, budget.limit + 1)
                 a[k] = c
                 for table, key, value in constraints[k]:
                     if table[key(a)] != a[value]:
@@ -662,3 +649,14 @@ def backtrack(candidates: list, constraints: list[list[tuple]],
                 k -= 1
     finally:
         budget.left = left
+
+
+def _forced(pairs) -> dict | None:
+    """The map sending each key to its value, or None if some key is sent
+    to two values: the pinned candidates of a lifting search, None when the
+    square's top contradicts itself along its left map."""
+    out: dict = {}
+    for key, value in pairs:
+        if out.setdefault(key, value) != value:
+            return None
+    return out

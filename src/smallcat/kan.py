@@ -2,12 +2,15 @@
 
 The Kan extensions are the pointwise (co)limits over comma categories,
 computed without building those categories, by one coded core per side:
-:func:`_lan_core` chases union-find classes over each codomain object,
+:func:`_lan_core` chases union-find classes over each codomain object
+(:func:`~smallcat.fincat.least_members`, which names every quotient),
 and :func:`_ran_core` finds the compatible families over the
-under-comma objects.  Each takes a diagram coded once
-(:class:`~smallcat.coded.CodedDiagram`) and returns a :class:`CodedKan`:
-the comma objects, the coded extension and the injection or projection
-tables.  The cores name classes and families only to order them by name.
+under-comma objects by the family search behind ``limit``
+(:func:`~smallcat.setval._search_families`).  Each takes a diagram
+coded once (:class:`~smallcat.coded.CodedDiagram`) and returns a
+:class:`CodedKan`: the comma objects, the coded extension and the
+injection or projection tables.  The cores name classes and families
+only to order them by name.
 :func:`lan` and :func:`ran` render the extension of a core, reusing its
 names; :func:`lan_unit` and :func:`ran_counit` also read its tables at the
 identity comma objects, :func:`lan_transpose` calls :func:`lan_unit`,
@@ -33,22 +36,25 @@ certificates, which read the cores directly and never render, live in
 from __future__ import annotations
 
 from itertools import chain, repeat
-from operator import add, getitem, itemgetter
 
 # Timed functions are called via their module: see the package docstring.
 from . import fincat, moved
 from .fincat import (
     CatFunctor,
     FiniteCategory,
-    NodeBudget,
-    backtrack,
     distinct,
     least_members,
     pair_name,
     record,
 )
 from .coded import CodedDiagram, _code, _coded_error
-from .setval import DiagramMap, SetDiagram, _family_name, restrict
+from .setval import (
+    DiagramMap,
+    SetDiagram,
+    _family_name,
+    _search_families,
+    restrict,
+)
 
 # Read from smallcat.certify on first access.
 __getattr__ = moved(globals(), certify="""
@@ -244,23 +250,22 @@ def _ran_core(iota: CatFunctor, X: CodedDiagram) -> CodedKan:
     ``RX d`` holds the compatible families over the objects ``(phi,c)`` of
     the comma category under ``d``, taken in name order: each ``u: c ->
     c2`` requires the component at ``(iota u . phi, c2)`` to be ``X u`` of
-    the one at ``(phi, c)``.  The families at each ``d`` are one search
-    under a budget of 2,000,000 nodes, as in :func:`setval._families`.
+    the one at ``(phi, c)``.  The families at each ``d`` are one
+    :func:`~smallcat.setval._search_families` under a budget of 2,000,000
+    nodes, the search behind :func:`~smallcat.universal.limit`.
     """
     C, D = iota.domain, iota.codomain
     homs = fincat.hom_index(D)
     objects = {d: _comma_objects(iota, homs, d, True) for d in D.objects}
     # slot[d][pair]: the place of the comma object pair in name order, and
-    # heads[d] the names in that order; checks[d][k] will hold the
-    # constraints on a family at d whose last slot is k
-    slot, heads, checks = {}, {}, {}
+    # heads[d] the names in that order; links[d] will hold the constraints
+    # on a family at d
+    slot, heads, links = {}, {}, {}
     for d, objs in objects.items():
         names = sorted(objs)
         slot[d] = {objs[o]: k for k, o in enumerate(names)}
         heads[d] = [o + "=" for o in names]
-        checks[d] = [[] for _ in names]
-    keys = [itemgetter(k) for k in range(max(map(len, heads.values()),
-                                             default=0))]
+        links[d] = []
     for u in C.morphisms:
         c, c2 = C.source[u], C.target[u]
         if u == C.identity[c]:
@@ -269,20 +274,13 @@ def _ran_core(iota: CatFunctor, X: CodedDiagram) -> CodedKan:
         for d in D.objects:
             at = slot[d]
             for phi in homs.get((d, iota.ob_map[c]), ()):
-                k, k2 = at[phi, c], at[D.compose[(iu, phi)], c2]
-                checks[d][k if k > k2 else k2].append((Xu, keys[k], k2))
+                links[d].append((Xu, (at[phi, c],),
+                                 at[D.compose[(iu, phi)], c2]))
     values, tables, lookup = {}, {}, {}
     for d in D.objects:
         pairs = list(slot[d])
-        found = list(map(tuple, backtrack(
-            [range(len(X.values[c])) for _, c in pairs], checks[d],
-            NodeBudget(2_000_000, "limit product exceeds budget"))))
-        elements = [X.values[c] for _, c in pairs]
-        fams = [f"({','.join(map(add, heads[d], map(getitem, elements, a)))})"
-                for a in found]
-        if len(set(fams)) != len(fams):
-            distinct(fams, "family identifier {} names two families")
-        ranked = sorted(zip(fams, found))
+        ranked = _search_families(heads[d], [X.values[c] for _, c in pairs],
+                                  links[d], 2_000_000)
         values[d] = tuple([name for name, _ in ranked])
         found = [a for _, a in ranked]
         lookup[d] = dict(zip(found, range(len(found))))

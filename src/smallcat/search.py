@@ -136,7 +136,8 @@ def _iter_functors(C: FiniteCategory, D: FiniteCategory,
         (D.compose, (slot[f], slot[g]), slot[h])
         for (f, g), h in C.compose.items()))
     hom = hom_index(D)
-    budget = NodeBudget(node_budget, "functor search exceeded node budget")
+    budget = NodeBudget(node_budget, "functor search exceeded node budget",
+                        "functor_search")
     ob_choices = ob_choices or {}
     for ob_imgs in itertools.product(*(ob_choices.get(x, D.objects)
                                        for x in obs)):
@@ -164,7 +165,8 @@ def enumerate_functors(C: FiniteCategory, D: FiniteCategory,
     for F in _iter_functors(C, D, node_budget=node_budget):
         out.append(F)
         if len(out) > max_results:
-            raise BudgetError("too many functors")
+            raise BudgetError("too many functors", "functor_count",
+                              max_results, len(out))
     return out
 
 
@@ -199,7 +201,8 @@ def enumerate_naturals(F: CatFunctor, G: CatFunctor,
         i, j = slot[C.source[m]], slot[C.target[m]]
         squares.append((_Square(D.compose, F.mor_map[m], G.mor_map[m]), (j, i), -1))
     found = backtrack(choices, constraint_lists(len(obs), squares),
-                      NodeBudget(budget, "too many candidate transformations"),
+                      NodeBudget(budget, "too many candidate transformations",
+                                 "natural_transformations"),
                       (True,))
     return [NaturalTransformation(F, G, dict(zip(obs, a))) for a in found]
 

@@ -3,9 +3,10 @@ compatible families and restriction.
 
 A :class:`SetDiagram` is a functor from a finite category to finite sets,
 stored as one value set per object and one function per morphism.
-Limits are compatible families inside the product, searched for under a
-node budget (:func:`_families`); limit families list their components in
-object order, and the limit over the empty shape is a one-point set.
+Limits are compatible families inside the product, found on codes by one
+search under a node budget (:func:`_search_families`), which the right
+Kan core shares; limit families list their components in object order,
+and the limit over the empty shape is a one-point set.
 
 Coded diagrams and the diagram-map search live in ``coded``, the Kan
 extensions (coded cores, whose tables give the units, counits and
@@ -16,6 +17,8 @@ Their old names here (``setval.lan``, ``setval._code``, ...) still
 work through the module ``__getattr__``.
 """
 from __future__ import annotations
+
+from operator import add, getitem
 
 from . import moved
 from .fincat import (
@@ -141,33 +144,28 @@ def _family_name(fam: dict[str, str]) -> str:
     return "(" + ",".join(f"{o}={fam[o]}" for o in sorted(fam)) + ")"
 
 
-def _families(obs, values, constraints, budget: int) -> LimitResult:
-    """The families ``fam`` over ``obs`` with ``fam[o]`` in ``values[o]``
-    and ``table[fam[o1]] == fam[o2]`` for each ``(o1, table, o2)`` in
-    ``constraints``: the limit, with the families found in product order.
+def _search_families(heads: list[str], elements: list, links,
+                     budget: int) -> list[tuple[str, tuple[int, ...]]]:
+    """The families ``a`` with slot ``k`` a code of ``elements[k]`` that
+    meet each constraint ``(table, (k,), k2)`` of ``links``, ``table[a[k]]
+    == a[k2]``: ``(name, a)`` pairs in name order, the name ``(h0v0,...)``
+    joining each ``heads[k]`` and ``elements[k][a[k]]``.  The one family
+    search of the limit and the right Kan core.
 
-    ``budget`` bounds the nodes of the search (``backtrack``), each
-    component tried counting one: past it, ``BudgetError`` is raised
-    (``limit product exceeds budget``).  Raises :class:`ValueError` when
-    two families render to one name.
+    ``budget`` bounds the nodes of the search (``backtrack``): past it,
+    ``BudgetError`` is raised (``limit product exceeds budget``), before a
+    family is named.  Raises :class:`ValueError` when two families render
+    to one name.
     """
-    slot = {o: k for k, o in enumerate(obs)}
-    # the whole search runs, or fails its budget, before a family is named
     found = list(map(tuple, backtrack(
-        [values[o] for o in obs],
-        constraint_lists(len(obs), [(table, (slot[o1],), slot[o2])
-                                    for o1, table, o2 in constraints]),
-        NodeBudget(budget, "limit product exceeds budget"))))
-    projections: dict[str, dict[str, str]] = {o: {} for o in obs}
-    names = []
-    for a in found:
-        fam = dict(zip(obs, a))
-        n = _family_name(fam)
-        names.append(n)
-        for o, v in fam.items():
-            projections[o][n] = v
-    distinct(names, "family identifier {} names two families")
-    return LimitResult(tuple(sorted(names)), projections)
+        [range(len(vs)) for vs in elements],
+        constraint_lists(len(heads), links),
+        NodeBudget(budget, "limit product exceeds budget", "limit_families"))))
+    names = [f"({','.join(map(add, heads, map(getitem, elements, a)))})"
+             for a in found]
+    if len(set(names)) != len(names):
+        distinct(names, "family identifier {} names two families")
+    return sorted(zip(names, found))
 
 
 # ---------------------------------------------------------------------------

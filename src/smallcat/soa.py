@@ -1,8 +1,9 @@
 """Pushouts of categories and the bounded small object argument.
 
-Pushouts of categories are completed by a bounded word closure
-(:mod:`smallcat.closure`; they can be infinite, so the computation fails
-loudly past its budget).  The bounded small object argument factors a map
+Pushouts of categories glue objects and letters with
+:func:`~smallcat.fincat.least_members` and are completed by a bounded
+word closure (:mod:`smallcat.closure`; they can be infinite, so the
+computation fails loudly past its budget).  The bounded small object argument factors a map
 of set-valued diagrams against a set of generating maps, gluing on the
 unsolved lifting problems of each stage by a level-wise pushout; lifting
 problems between diagram maps are solved by one coded search.
@@ -21,15 +22,16 @@ from .fincat import (
     CatFunctor,
     FiniteCategory,
     NodeBudget,
-    Partition,
+    _forced,
     backtrack,
     field,
+    least_members,
     record,
 )
 from .setval import DiagramMap, SetDiagram
 
-# closure and catmodel (with search) are imported by the functions that
-# call them: the small object argument never runs the word closure
+# closure is imported by the function that calls it: the small object
+# argument never runs the word closure
 
 
 @record(frozen=True)
@@ -77,55 +79,56 @@ def pushout_category(i: CatFunctor, f: CatFunctor,
 
     # glue objects, then letters; each class is named by its least label
     sides = {"B": B, "C": C}
-    ob_classes = Partition(f"{s}:{x}" for s, S in sides.items()
-                           for x in S.objects)
-    for a in A.objects:
-        ob_classes.union(f"B:{i.ob_map[a]}", f"C:{f.ob_map[a]}")
-    keys = [(s, m) for s, S in sides.items() for m in S.morphisms]
-    letter_classes = Partition(f"{s}:{m}" for s, m in keys)
-    for m in A.morphisms:
-        letter_classes.union(f"B:{i.mor_map[m]}", f"C:{f.mor_map[m]}")
-
-    def ob_label(side, x):
-        return ob_classes.find(f"{side}:{x}")
-
-    def letter_label(side, m):
-        return letter_classes.find(f"{side}:{m}")
-
-    objects = sorted({ob_label(s, x) for s, S in sides.items()
-                      for x in S.objects})
+    ob_label = _glue(B.objects, C.objects,
+                     [(i.ob_map[a], f.ob_map[a]) for a in A.objects])
+    letter_label = _glue(B.morphisms, C.morphisms,
+                         [(i.mor_map[m], f.mor_map[m]) for m in A.morphisms])
+    objects = sorted(set(ob_label.values()))
     members: dict[str, list[tuple[str, str]]] = {}
-    for key in keys:
-        members.setdefault(letter_label(*key), []).append(key)
+    for key, lab in letter_label.items():
+        members.setdefault(lab, []).append(key)
 
     letters: dict[str, tuple[str, str]] = {}
     identity_letters: set[str] = set()
     for lab, mem in members.items():
         side, m = mem[0]
         S = sides[side]
-        letters[lab] = (ob_label(side, S.source[m]),
-                        ob_label(side, S.target[m]))
+        letters[lab] = (ob_label[side, S.source[m]],
+                        ob_label[side, S.target[m]])
         if any(sides[s].is_identity(mm) for s, mm in mem):
             identity_letters.add(lab)
 
     rules: dict[tuple[str, str], set[str]] = {}
     for side, S in sides.items():
         for (m1, m2), m3 in S.compose.items():
-            key = (letter_label(side, m1), letter_label(side, m2))
-            rules.setdefault(key, set()).add(letter_label(side, m3))
+            key = (letter_label[side, m1], letter_label[side, m2])
+            rules.setdefault(key, set()).add(letter_label[side, m3])
 
     cat, letter_map = bounded_closure(objects, letters, rules,
                                       identity_letters,
                                       max_morphisms, max_word_len)
     from_left = CatFunctor(B, cat,
-                           {x: ob_label("B", x) for x in B.objects},
-                           {m: letter_map[letter_label("B", m)]
+                           {x: ob_label["B", x] for x in B.objects},
+                           {m: letter_map[letter_label["B", m]]
                             for m in B.morphisms})
     from_right = CatFunctor(C, cat,
-                            {x: ob_label("C", x) for x in C.objects},
-                            {m: letter_map[letter_label("C", m)]
+                            {x: ob_label["C", x] for x in C.objects},
+                            {m: letter_map[letter_label["C", m]]
                              for m in C.morphisms})
     return PushoutResult(cat, from_left, from_right)
+
+
+def _glue(left, right, pairs: list[tuple[str, str]]
+          ) -> dict[tuple[str, str], str]:
+    """The label of the class of each ``("B", x)``, ``x`` in ``left``, and
+    each ``("C", y)``, ``y`` in ``right``, in the partition joining
+    ``("B", b)`` with ``("C", c)`` for each ``(b, c)`` in ``pairs``: the
+    least ``side:x`` of its members."""
+    keys = [("B", x) for x in left] + [("C", y) for y in right]
+    at = {key: k for k, key in enumerate(keys)}
+    return dict(zip(keys, least_members(
+        [f"{s}:{x}" for s, x in keys],
+        [(at["B", b], at["C", c]) for b, c in pairs])))
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +141,6 @@ def solve_diagram_lifting(i: DiagramMap, p: DiagramMap,
     """A filler for a commuting square of diagram maps, or None: the first
     map ``cod(i) -> dom(p)`` of the coded search that agrees with ``top``
     on the image of ``i`` and lies over ``bottom``."""
-    from .catmodel import _forced
     from .coded import _code, _map_search, _squares
     from .universal import _decode_map
     B, X = i.target, p.source
@@ -156,7 +158,8 @@ def solve_diagram_lifting(i: DiagramMap, p: DiagramMap,
             candidates[k] = (X.values[o].index(forced[o, e]),)
         # p of the image of e is bottom(e), the constant at slot -1 - k
         checks[k].append((over[o], itemgetter(k), -1 - k))
-    budget = NodeBudget(node_budget, "diagram lifting search exceeded budget")
+    budget = NodeBudget(node_budget, "diagram lifting search exceeded budget",
+                        "diagram_lifting")
     a = next(backtrack(candidates, checks, budget,
                        [bottom.components[o][e] for o, e in slots]), None)
     return None if a is None else _decode_map(B, X, a)

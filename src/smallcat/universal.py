@@ -1,19 +1,22 @@
 """Limits, colimits, coproducts, quotients and pushouts of set-valued
 diagrams, and the algebra of diagram maps.
 
-Colimit classes are named by their minimal ``(object,element)`` tag,
-coproduct summand ``k`` tags its elements ``(k,e)``, and the colimit over
-the empty shape is empty.  Every name here is also reachable through
+Colimit classes, found by :func:`~smallcat.fincat.least_members`, are
+named by their minimal ``(object,element)`` tag, coproduct summand ``k``
+tags its elements ``(k,e)``, and the colimit over the empty shape is
+empty.  Every name here is also reachable through
 :mod:`smallcat.setval`, where it lived before.
 """
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .fincat import (
     CatFunctor,
     FiniteCategory,
-    Partition,
     distinct,
     hom_index,
+    least_members,
     pair_name,
 )
 from .coded import _code, _maps, _squares
@@ -22,7 +25,7 @@ from .setval import (
     DiagramMap,
     LimitResult,
     SetDiagram,
-    _families,
+    _search_families,
     restrict,
 )
 
@@ -106,33 +109,38 @@ def _decode_map(X: SetDiagram, Y: SetDiagram, a) -> DiagramMap:
 
 
 def limit(X: SetDiagram, budget: int = 2_000_000) -> LimitResult:
-    """Compatible families in the product of the value sets, searched for
-    under ``budget`` nodes (see :func:`~smallcat.setval._families`)."""
-    C = X.shape
-    return _families(C.objects, X.values,
-                     [(C.source[m], X.action[m], C.target[m])
-                      for m in C.morphisms], budget)
+    """Compatible families in the product of the value sets: the coded
+    family search (:func:`~smallcat.setval._search_families`) over the
+    objects of the shape, under ``budget`` nodes."""
+    C, Y = X.shape, _code(X)
+    slot = dict(zip(C.objects, range(len(C.objects))))
+    ranked = _search_families(
+        [o + "=" for o in C.objects], [X.values[o] for o in C.objects],
+        [(Y.action[m], (slot[C.source[m]],), slot[C.target[m]])
+         for m in C.morphisms], budget)
+    found = sorted(ranked, key=itemgetter(1))   # in search order
+    return LimitResult(tuple([name for name, _ in ranked]),
+                       {o: {name: X.values[o][a[k]] for name, a in found}
+                        for k, o in enumerate(C.objects)})
 
 
 def colimit(X: SetDiagram) -> ColimitResult:
     """Quotient of the tagged disjoint union by the action-generated relation.
 
-    Classes come from a :class:`~smallcat.fincat.Partition` of the tags and
-    are named by their lexicographically minimal member tag.  Raises
+    Classes come from :func:`~smallcat.fincat.least_members` on the tags
+    and are named by their lexicographically minimal member tag.  Raises
     :class:`ValueError` when two elements' tags render alike.
     """
     C = X.shape
     tag = {(o, e): pair_name(o, e) for o in C.objects for e in X.values[o]}
     distinct(tag.values(), "colimit tag {} names two elements")
-    classes = Partition(tag.values())
-    for m in C.morphisms:
-        o, o2 = C.source[m], C.target[m]
-        for e in X.values[o]:
-            classes.union(tag[o, e], tag[o2, X.action[m][e]])
-    injections = {o: {e: classes.find(tag[o, e]) for e in X.values[o]}
+    at = dict(zip(tag, range(len(tag))))
+    name = dict(zip(tag, least_members(list(tag.values()), [
+        (at[C.source[m], e], at[C.target[m], X.action[m][e]])
+        for m in C.morphisms for e in X.values[C.source[m]]])))
+    injections = {o: {e: name[o, e] for e in X.values[o]}
                   for o in C.objects}
-    elements = {t for inj in injections.values() for t in inj.values()}
-    return ColimitResult(tuple(sorted(elements)), injections)
+    return ColimitResult(tuple(sorted(set(name.values()))), injections)
 
 
 def coproduct_diagrams(diagrams: list[SetDiagram]
@@ -165,28 +173,21 @@ def quotient_diagram(X: SetDiagram, pairs: list[tuple[str, str, str]]
     """Quotient ``X`` by the congruence generated by ``(object, e, e')`` pairs.
 
     The relation is closed under every structure map, so the result is again
-    a valid diagram.  Classes come from a :class:`~smallcat.fincat.Partition`
-    of the ``(object, element)`` pairs and are named by their minimal element.
+    a valid diagram.  Classes come from :func:`~smallcat.fincat.least_members`
+    on the ``(object, element)`` pairs and are named by their minimal
+    element.
     """
     C = X.shape
-    classes = Partition((o, e) for o in C.objects for e in X.values[o])
-    for o, a, b in pairs:
-        classes.union((o, a), (o, b))
-    changed = True
-    while changed:
-        changed = False
-        for m in C.morphisms:
-            src, tgt = C.source[m], C.target[m]
-            image_of: dict[tuple[str, str], str] = {}
-            for e in X.values[src]:
-                cls = classes.find((src, e))
-                img = X.action[m][e]
-                if cls in image_of:
-                    changed |= classes.union((tgt, image_of[cls]), (tgt, img))
-                else:
-                    image_of[cls] = img
-    name = {(o, e): classes.find((o, e))[1]
-            for o in C.objects for e in X.values[o]}
+    keys = [(o, e) for o in C.objects for e in X.values[o]]
+    at = dict(zip(keys, range(len(keys))))
+    leaving: dict[str, list[str]] = {o: [] for o in C.objects}
+    for m in C.morphisms:
+        leaving[C.source[m]].append(m)
+    # the images of the pairs under the morphisms out of their objects
+    # already form a congruence: those morphisms are closed under composition
+    name = dict(zip(keys, least_members([e for _, e in keys], [
+        (at[C.target[m], X.action[m][a]], at[C.target[m], X.action[m][b]])
+        for o, a, b in pairs for m in leaving[o]])))
     values = {o: sorted({name[(o, e)] for e in X.values[o]})
               for o in C.objects}
     action = {}
@@ -233,12 +234,11 @@ def terminal_objects(C: FiniteCategory) -> list[str]:
 
 def connected_components(C: FiniteCategory) -> list[set[str]]:
     """Partition of the objects by zig-zags of morphisms."""
-    classes = Partition(C.objects)
-    for m in C.morphisms:
-        classes.union(C.source[m], C.target[m])
+    at = dict(zip(C.objects, range(len(C.objects))))
     comps: dict[str, set[str]] = {}
-    for o in C.objects:
-        comps.setdefault(classes.find(o), set()).add(o)
+    for o, least in zip(C.objects, least_members(C.objects, [
+            (at[C.source[m]], at[C.target[m]]) for m in C.morphisms])):
+        comps.setdefault(least, set()).add(o)
     return [comps[k] for k in sorted(comps)]
 
 

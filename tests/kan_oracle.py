@@ -14,9 +14,26 @@ theirs up to ``repr``.
 copied unchanged but for its name and for calling the Kan extensions and
 transposes through :mod:`smallcat.kan`: it handles every map as a
 :class:`DiagramMap`.
+
+:class:`Partition` (behind :func:`left_kan`) and :func:`_families` with
+:func:`limit` are the union-find and the name-level family search as they
+were before every quotient read :func:`smallcat.fincat.least_members` and
+``limit`` shared the right Kan core's coded search, copied unchanged; the
+colimits are those of ``partition_oracle``.  So the union-find and the
+family naming here share no code with :mod:`smallcat`; the family search
+still runs on :func:`smallcat.fincat.backtrack`.
 """
+from partition_oracle import colimit
 from smallcat import fincat, kan, setval
-from smallcat.fincat import CatFunctor, Partition, distinct, pair_name, record
+from smallcat.fincat import (
+    CatFunctor,
+    NodeBudget,
+    backtrack,
+    constraint_lists,
+    distinct,
+    pair_name,
+    record,
+)
 from smallcat.kan import _comma_objects
 from smallcat.setval import (
     AdjunctionReport,
@@ -24,19 +41,82 @@ from smallcat.setval import (
     DiagramMap,
     LimitResult,
     SetDiagram,
-    _families,
     _family_name,
-    colimit,
     comma_over,
     comma_under,
     compose_diagram_maps,
     enumerate_diagram_maps,
-    limit,
     restrict,
     restrict_map,
     validate_diagram,
     validate_diagram_map,
 )
+
+
+class Partition:
+    """Union-find (Tarjan 1975) over hashable, mutually comparable items.
+
+    :meth:`union` links the larger root under the smaller, so :meth:`find`
+    names each class by its minimal member.  :meth:`find` halves paths and
+    raises ``KeyError`` for an item the partition was not built over.
+    """
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]   # x skips to its grandparent
+        return x
+
+    def union(self, a, b) -> bool:
+        """Join the classes of ``a`` and ``b``; ``False`` if already one."""
+        a, b = self.find(a), self.find(b)
+        if a == b:
+            return False
+        if b < a:
+            a, b = b, a
+        self.parent[b] = a
+        return True
+
+
+def _families(obs, values, constraints, budget: int) -> LimitResult:
+    """The families ``fam`` over ``obs`` with ``fam[o]`` in ``values[o]``
+    and ``table[fam[o1]] == fam[o2]`` for each ``(o1, table, o2)`` in
+    ``constraints``: the limit, with the families found in product order.
+
+    ``budget`` bounds the nodes of the search (``backtrack``), each
+    component tried counting one: past it, ``BudgetError`` is raised
+    (``limit product exceeds budget``).  Raises :class:`ValueError` when
+    two families render to one name.
+    """
+    slot = {o: k for k, o in enumerate(obs)}
+    # the whole search runs, or fails its budget, before a family is named
+    found = list(map(tuple, backtrack(
+        [values[o] for o in obs],
+        constraint_lists(len(obs), [(table, (slot[o1],), slot[o2])
+                                    for o1, table, o2 in constraints]),
+        NodeBudget(budget, "limit product exceeds budget"))))
+    projections: dict[str, dict[str, str]] = {o: {} for o in obs}
+    names = []
+    for a in found:
+        fam = dict(zip(obs, a))
+        n = _family_name(fam)
+        names.append(n)
+        for o, v in fam.items():
+            projections[o][n] = v
+    distinct(names, "family identifier {} names two families")
+    return LimitResult(tuple(sorted(names)), projections)
+
+
+def limit(X: SetDiagram, budget: int = 2_000_000) -> LimitResult:
+    """Compatible families in the product of the value sets, searched for
+    under ``budget`` nodes (see :func:`_families`)."""
+    C = X.shape
+    return _families(C.objects, X.values,
+                     [(C.source[m], X.action[m], C.target[m])
+                      for m in C.morphisms], budget)
 
 
 def _lan_data(iota: CatFunctor, X: SetDiagram):

@@ -1,8 +1,10 @@
-"""The partition code as it was before :class:`smallcat.fincat.Partition`.
+"""The partition code as it was before the union-find (``fincat.Partition``,
+since replaced by :func:`smallcat.fincat.least_members`).
 
 Each function names its classes by iterating a minimum-label relabelling
 over a dictionary of labels.  They are kept, unchanged, as the reference
-that ``test_partition`` compares the union-find versions against.
+that ``test_partition`` compares the union-find versions against, and
+``kan_oracle`` takes its colimits from here.
 """
 from smallcat.catmodel import PushoutResult
 from smallcat.fincat import (

@@ -22,13 +22,13 @@ import itertools
 from typing import Callable, Iterator
 
 from smallcat import setval
-from smallcat.catmodel import _forced
 from smallcat.cycops import TruncatedOperad, all_ext_perms, all_perms
 from smallcat.fincat import (
     BudgetError,
     CatFunctor,
     FiniteCategory,
     NaturalTransformation,
+    _forced,
 )
 from smallcat.setval import DiagramMap, SetDiagram
 

@@ -692,6 +692,15 @@ def test_kan_loads_neither_invcat_nor_catmodel(tmp_path):
         assert f"smallcat.{module}" not in loaded, module
 
 
+def test_soa_loads_neither_catmodel_nor_search(tmp_path):
+    # the small object argument runs no functor search
+    path = write_doc(tmp_path, soa_doc())
+    loaded = loaded_after("from smallcat import cli\n"
+                          f"assert cli.main(['soa', {path!r}, *{SOA!r}]) == 0")
+    assert loaded == {"json"} | {f"smallcat.{m}" for m in (
+        "catspec cli coded fincat setval soa universal".split())}
+
+
 def suite_doc() -> CatspecDocument:
     """kan_doc's blocks, an identity functor, an rsset, an operad and a
     complex: every block the cli-suite command lines read."""
@@ -775,6 +784,55 @@ def test_only_complex_commands_load_numpy(tmp_path, template):
     assert "dataclasses" not in loaded and "inspect" not in loaded
     assert loaded == {"json"} | {f"smallcat.{m}"
                                  for m in LOADS[" ".join(template)].split()}
+
+
+def loaded_source_bytes(code: str) -> int:
+    """The bytes of the smallcat source files, package ``__init__``
+    included, of every smallcat module a fresh interpreter holds after
+    running ``code`` with its standard output discarded."""
+    probe = ("import contextlib, io, os, sys\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             + "".join(f"    {line}\n" for line in code.splitlines())
+             + "print(sum(os.path.getsize(m.__file__)\n"
+             "          for name, m in list(sys.modules.items())\n"
+             "          if name.split('.')[0] == 'smallcat'))\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True)
+    return int(done.stdout)
+
+
+# The most smallcat source each cli-suite line, and --help, may load: every
+# command compiles what it imports when bytecode is not cached, as in the
+# benchmark.  A change that raises a ceiling edits it here and says why.
+SOURCE_CEILINGS = {
+    "validate {doc}": 110487,
+    "kan {doc} --functor iota --diagram X": 135256,
+    "kan {doc} --functor iota --diagram X --side right": 135256,
+    "adjoint {doc} --functor iota": 145152,
+    "lift {doc} --left ident --right ident --top ident --bottom ident": 129542,
+    "rlp {doc} --maps ident --against ident": 129542,
+    "nabla --dim 1 --homcount 1 1": 61025,
+    "nabla --dim 2": 61025,
+    "rsset {doc} --name S --roundtrip": 110487,
+    "cyclic {doc} --operad T": 131280,
+    "chain {doc} --complex C --truncate naive": 128045,
+    "paper-suite --case dagger": 93054,
+    "paper-suite --case truncation": 68878,
+    "paper-suite": 224715,
+    "--help": 17934,
+}
+
+
+@pytest.mark.parametrize("template", CLI_SUITE + [["--help"]], ids=" ".join)
+def test_each_command_loads_at_most_its_ceiling_of_source(tmp_path, template):
+    path = write_doc(tmp_path, suite_doc())
+    argv = [path if a == "{doc}" else a for a in template]
+    loaded = loaded_source_bytes("from smallcat import cli\n"
+                                 "try:\n"
+                                 f"    assert cli.main({argv!r}) == 0\n"
+                                 "except SystemExit as exc:\n"
+                                 "    assert exc.code == 0")
+    assert loaded <= SOURCE_CEILINGS[" ".join(template)]
 
 
 def test_package_attribute_loads_that_module_only():

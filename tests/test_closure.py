@@ -126,3 +126,24 @@ def test_word_reduction_is_bounded_in_the_forms_it_visits():
     # a word of two letters reaches only the six one-letter forms
     assert search._reduce_words(("a", "b"), set(), rules, 10) == \
         {(x,) for x in letters}
+
+
+def test_closure_budget_errors_name_their_kind_limit_and_reach():
+    letters = "abcdef"
+    rules = {(x, y): set(letters) for x in letters for y in letters}
+    with pytest.raises(BudgetError,
+                       match="^word reduction exceeded closure budget$") as err:
+        closure._reduce_words(tuple("a" * 10), set(), rules, 10)
+    assert (err.value.kind, err.value.limit, err.value.reached) == \
+        ("word_reduction", 20_000, 20_001)
+    with pytest.raises(BudgetError,
+                       match="^word length exceeded closure budget$") as err:
+        closure._reduce_words(tuple("a" * 4), set(), {}, 3)
+    assert (err.value.kind, err.value.limit, err.value.reached) == \
+        ("word_length", 3, 4)
+    # a free loop has a morphism for every word: the identity, then f, ff, ...
+    with pytest.raises(BudgetError,
+                       match="^closure exceeded morphism budget$") as err:
+        category_from_generators(["x"], {"f": ("x", "x")}, max_morphisms=5)
+    assert (err.value.kind, err.value.limit, err.value.reached) == \
+        ("closure_morphisms", 5, 6)

@@ -4,7 +4,7 @@
 functoriality check (``coded._coded_error``), which tries the pairs whose
 left factor is a generator first, against its exhaustive form in
 ``setval_oracle``, and the positional chase ``fincat.least_members``
-against ``fincat.Partition``.
+against a brute-force closure.
 """
 import random
 
@@ -13,7 +13,7 @@ import pytest
 import setval_oracle
 from smallcat import fincat, kan, nabla, standard
 from smallcat.coded import CodedDiagram, _code, _coded_error
-from smallcat.fincat import Partition, least_members, opposite
+from smallcat.fincat import least_members, opposite
 
 
 SHAPES = {
@@ -117,7 +117,12 @@ def test_least_members_names_the_classes_partition_names(seed):
     items = rng.sample([f"({rng.choice('abc')},{k})" for k in range(400)], n)
     links = [(rng.randrange(n), rng.randrange(n))
              for _ in range(rng.randrange(2 * n))]
-    part = Partition(items)
+    # the class of each position: everything a zig-zag of links reaches
+    classes = [{k} for k in range(n)]
     for i, j in links:
-        part.union(items[i], items[j])
-    assert least_members(items, links) == list(map(part.find, items))
+        if classes[i] is not classes[j]:
+            joined = classes[i] | classes[j]
+            for k in joined:
+                classes[k] = joined
+    assert least_members(items, links) == [min(items[k] for k in cls)
+                                           for cls in classes]

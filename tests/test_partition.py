@@ -1,9 +1,10 @@
-"""``fincat.Partition`` against the relabelling code it replaced.
+"""The quotients on ``fincat.least_members`` against the relabelling code
+they replaced.
 
 ``partition_oracle`` keeps the old colimit, quotient, component and
 category-pushout code verbatim.  On seeded inputs the union-find versions
 must give the same class names, in the same order.  A property test checks
-``Partition`` itself against a brute-force reachability closure.
+``least_members`` itself against a brute-force reachability closure.
 """
 import random
 import re
@@ -19,13 +20,14 @@ from smallcat.catmodel import pushout_category
 from smallcat.fincat import (
     BudgetError,
     CatFunctor,
-    Partition,
     chain_category,
     cyclic_group,
     coproduct,
     discrete_category,
+    generators,
     group_category,
     identity_functor,
+    least_members,
     parallel_pair,
     terminal_category,
     walking_arrow,
@@ -115,6 +117,54 @@ def test_quotients_of_sums_of_corepresentables():
         same(colimit(Q), oracle.colimit(Q))
 
 
+def constant(C, points):
+    """The constant diagram on ``points``: every morphism acts as the
+    identity."""
+    return SetDiagram.build(C, dict.fromkeys(C.objects, points),
+                            {m: {x: x for x in points} for m in C.morphisms})
+
+
+def test_one_pass_quotients_of_sums_of_corepresentables_and_constants():
+    rng = random.Random(20261020)
+    shapes = [parallel_pair(), walking_arrow(), chain_category(3),
+              walking_iso(), group_category(cyclic_group(3)),
+              discrete_category("pq")]
+    for _ in range(200):
+        C = rng.choice(shapes)
+        total, _ = coproduct_diagrams([
+            corepresentable(C, rng.choice(C.objects)) if rng.random() < 0.7
+            else constant(C, [f"c{k}" for k in range(rng.randint(1, 3))])
+            for _ in range(rng.randint(1, 3))])
+        pairs = random_pairs(rng, total, 3)
+        same(quotient_diagram(total, pairs),
+             oracle.quotient_diagram(total, pairs))
+
+
+def test_a_quotient_joins_the_images_of_a_pair_under_a_composite():
+    # le_0_2 is no generator of the chain, yet the pair at 0 must join its
+    # two images under it at 2
+    C = chain_category(2)
+    assert "le_0_2" not in generators(C)
+    total, _ = coproduct_diagrams([corepresentable(C, "0")] * 2)
+    pairs = [("0", "(0,id_0)", "(1,id_0)")]
+    Q, proj = quotient_diagram(total, pairs)
+    same((Q, proj), oracle.quotient_diagram(total, pairs))
+    assert Q.values == {"0": ("(0,id_0)",), "1": ("(0,le_0_1)",),
+                        "2": ("(0,le_0_2)",)}
+
+
+def test_a_quotient_by_pairs_in_two_objects():
+    C = chain_category(2)
+    total, _ = coproduct_diagrams([corepresentable(C, "1"),
+                                   corepresentable(C, "0"),
+                                   constant(C, ["c"])])
+    pairs = [("1", "(0,id_1)", "(2,c)"), ("0", "(1,id_0)", "(2,c)")]
+    Q, proj = quotient_diagram(total, pairs)
+    same((Q, proj), oracle.quotient_diagram(total, pairs))
+    assert Q.values == {"0": ("(1,id_0)",), "1": ("(0,id_1)",),
+                        "2": ("(0,le_1_2)",)}
+
+
 def cyclic_action(rng, n, k):
     """``Z/n`` acting on ``k`` points by a random permutation whose cycles
     have length 1 or ``n``."""
@@ -136,8 +186,8 @@ def cyclic_action(rng, n, k):
 
 
 def test_quotients_under_cyclic_group_actions():
-    # with an endomorphism a merge can rename a class while the closure
-    # loop is still walking it, so these need more than one pass
+    # with endomorphisms only, every image of a pair lands at its own
+    # object, and the group's elements are closed under composition
     rng = random.Random(5)
     for _ in range(200):
         X = cyclic_action(rng, rng.choice((2, 3)), rng.randint(3, 7))
@@ -206,20 +256,10 @@ def test_partition_matches_reachability_closure(data):
     items = data.draw(st.lists(names, min_size=1, max_size=10, unique=True))
     pairs = data.draw(st.lists(st.tuples(st.sampled_from(items),
                                          st.sampled_from(items)), max_size=15))
-    P = Partition(items)
-    edges = []
-    for a, b in pairs:
-        assert P.union(a, b) is (b not in closure(edges, a))
-        edges.append((a, b))
+    at = {x: k for k, x in enumerate(items)}
+    least = dict(zip(items, least_members(
+        items, [(at[a], at[b]) for a, b in pairs])))
     for x in items:
-        cls = closure(edges, x)
-        assert P.find(x) == min(cls)
-        assert {y for y in items if P.find(y) == P.find(x)} == cls
-
-
-def test_partition_rejects_an_item_it_was_not_built_over():
-    P = Partition(["a", "b"])
-    with pytest.raises(KeyError):
-        P.find("c")
-    with pytest.raises(KeyError):
-        P.union("a", "c")
+        cls = closure(pairs, x)
+        assert least[x] == min(cls)
+        assert {y for y in items if least[y] == least[x]} == cls

@@ -133,6 +133,24 @@ def test_backtrack_counts_one_node_per_candidate_and_raises_its_message():
         list(backtrack([range(2), range(2)], constraints, NodeBudget(5, "out of nodes")))
 
 
+def test_a_node_budget_error_names_its_kind_limit_and_reach():
+    budget = NodeBudget(5, "out of nodes", "pairs")
+    with pytest.raises(BudgetError, match="^out of nodes$") as err:
+        list(backtrack([range(2), range(2)], constraint_lists(2, []), budget))
+    assert (err.value.kind, err.value.limit, err.value.reached) == \
+        ("pairs", 5, 6)
+
+
+def test_too_many_functors_names_its_kind_limit_and_reach():
+    # three functors from the point to three points, one allowed
+    point, three = discrete_category(["o"]), discrete_category("xyz")
+    assert len(enumerate_functors(point, three, max_results=3)) == 3
+    with pytest.raises(BudgetError, match="^too many functors$") as err:
+        enumerate_functors(point, three, max_results=1)
+    assert (err.value.kind, err.value.limit, err.value.reached) == \
+        ("functor_count", 1, 2)
+
+
 def test_search_deeper_than_the_recursion_limit():
     # the recursive searches this core replaced raised RecursionError here
     C = discrete_category(["o"])

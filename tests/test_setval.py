@@ -985,6 +985,72 @@ def test_colimit_rejects_two_elements_with_one_tag():
         colimit(X)
 
 
+@pytest.fixture
+def oracle_limit(monkeypatch):
+    """``kan_oracle.limit``, the name-level family search, returning the
+    limit of a diagram and the number of nodes its search tried."""
+    budgets = []
+
+    def recording(limit, message):
+        budgets.append(fincat.NodeBudget(limit, message))
+        return budgets[-1]
+    monkeypatch.setattr(oracle, "NodeBudget", recording)
+
+    def run(X):
+        old = oracle.limit(X)
+        return old, 2_000_000 - budgets[-1].left
+    return run
+
+
+def _check_limit(X, oracle_limit):
+    """``limit(X)`` equals the oracle's up to ``repr`` under the oracle's
+    node count, and one node fewer raises the oracle's message."""
+    old, nodes = oracle_limit(X)
+    new = limit(X, nodes)
+    assert new == old and repr(new) == repr(old)
+    if nodes:
+        with pytest.raises(fincat.BudgetError,
+                           match="^limit product exceeds budget$") as err:
+            limit(X, nodes - 1)
+        assert (err.value.kind, err.value.limit, err.value.reached) == \
+            ("limit_families", nodes - 1, nodes)
+
+
+def test_limit_matches_the_name_level_family_search(oracle_limit):
+    rng = random.Random(20260809)
+    for _ in range(300):
+        iota, X, Y = tractable_instance(rng)
+        _check_limit(X, oracle_limit)
+        _check_limit(Y, oracle_limit)
+        for d in iota.codomain.objects:
+            _check_limit(restrict(comma_under(d, iota).projection, X),
+                         oracle_limit)
+
+
+def test_limit_projections_list_the_families_in_search_order(oracle_limit):
+    # (o=a!,p=b) sorts before (o=a,p=b), but the search tries a before a!
+    C = discrete_category(["o", "p"])
+    X = SetDiagram.build(C, {"o": ("a", "a!"), "p": ("b",)},
+                         {"id_o": {"a": "a", "a!": "a!"}, "id_p": {"b": "b"}})
+    _check_limit(X, oracle_limit)
+    assert limit(X).elements == ("(o=a!,p=b)", "(o=a,p=b)")
+    assert list(limit(X).projections["o"]) == ["(o=a,p=b)", "(o=a!,p=b)"]
+
+
+def test_limit_matches_the_name_level_family_search_on_the_cofibrations(
+        oracle_limit):
+    # the limits behind the right extensions of generating_cofibrations(2)
+    from smallcat import nabla
+    iota_op = fincat.opposite_functor(
+        nabla.inclusion_iota(nabla.nabla_category(2)))
+    for n in range(3):
+        inc = nabla.boundary_inclusion_sset(2, n)
+        for X in (inc.source, inc.target):
+            for d in iota_op.codomain.objects:
+                _check_limit(restrict(comma_under(d, iota_op).projection, X),
+                             oracle_limit)
+
+
 def test_limit_budget_counts_search_nodes_not_the_product():
     # an arrow a -> b acting as a constant: with 1414 elements at each end
     # the product, 1,999,396, is under the old bound of 2,000,000, but every
