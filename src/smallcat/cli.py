@@ -11,6 +11,7 @@ environment or the corresponding flags.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -408,5 +409,15 @@ def main(argv: list[str] | None = None) -> int:
         return BAD_INPUT
 
 
+def entry() -> None:
+    """``sys.exit(main())``, the entry of ``python -m smallcat.cli`` and of
+    the ``smallcat`` script, with the heap frozen once the answer is written,
+    so that the collections of interpreter shutdown skip all of it."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -39,9 +39,15 @@ class CodedDiagram:
 
 def _code(X: SetDiagram) -> CodedDiagram:
     """``X`` coded by the position of each element in its value tuple; the
-    value tuples are shared, not copied."""
+    value tuples are shared, not copied.  An element listed twice at one
+    object is a ``ValueError``."""
     C, values = X.shape, X.values
-    index = {o: {e: i for i, e in enumerate(vs)} for o, vs in values.items()}
+    index = {}
+    for o, vs in values.items():
+        index[o] = at = {e: i for i, e in enumerate(vs)}
+        if len(at) != len(vs):     # name the first repeat
+            twice = next(e for i, e in enumerate(vs) if e in vs[:i])
+            raise ValueError(f"object {o}: element {twice} listed twice")
     action = {}
     for m in C.morphisms:
         f, code = X.action[m], index[C.target[m]].get

@@ -38,7 +38,7 @@ from .chaincx import (
     vstack,
     zeros,
 )
-from .fincat import is_prime, record
+from .fincat import BudgetError, is_prime, record
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +255,9 @@ def hom_dim(M: AlgebraModule, N: AlgebraModule) -> int:
 
 
 def module_is_free(M: AlgebraModule) -> bool:
-    """Whether ``M`` is isomorphic to a finite power of the algebra."""
+    """Whether ``M`` is isomorphic to a finite power of the algebra: a search
+    of ``Hom_A(A^r, M)`` for a bijection, one rank per candidate, that raises
+    :class:`~smallcat.fincat.BudgetError` on candidate 100,001."""
     A = M.algebra
     if A.dim == 0 or M.dim % A.dim:
         return False
@@ -264,9 +266,12 @@ def module_is_free(M: AlgebraModule) -> bool:
     p = A.p
     if basis.ncols == 0:
         return M.dim == 0
-    if basis.ncols > 14:
-        raise ValueError("hom space too large for exhaustive freeness search")
-    for coeffs in itertools.product(range(p), repeat=basis.ncols):
+    budget = 100_000
+    candidates = itertools.product(range(p), repeat=basis.ncols)
+    for tried, coeffs in enumerate(candidates, 1):
+        if tried > budget:
+            raise BudgetError("module freeness search exceeded budget",
+                              "module_freeness", budget, tried)
         h = _matvec(basis, coeffs, p)
         mat = Matrix(tuple(h[r:r + F.dim] for r in range(0, len(h), F.dim)),
                      F.dim)

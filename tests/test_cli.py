@@ -1,4 +1,5 @@
 import ast
+import gc
 import hashlib
 import importlib
 import importlib.util
@@ -561,6 +562,60 @@ def test_cli_determinism_via_subprocess(tmp_path):
         assert a.stdout.endswith(b"\n")
 
 
+# One command line per exit code, and the two that argparse ends with
+# SystemExit.  Exit 1 is the falsified presentation check above: the
+# child forces it, then runs the module as ``python -m`` does.
+EXITS = [(["validate", "{doc}"], 0), (["nabla", "--dim", "2"], 1),
+         (["validate", "{bad}"], 2), (["--help"], 0),
+         (["nabla", "--dim", "x"], 2)]
+
+
+@pytest.mark.parametrize("template,code", EXITS,
+                         ids=[" ".join(t) for t, _ in EXITS])
+def test_a_process_exits_as_main_returns(tmp_path, capsys, monkeypatch,
+                                         template, code):
+    doc = write_doc(tmp_path, kan_doc())
+    bad = tmp_path / "bad.catspec"
+    bad.write_text("category C\nobject\nend\n", encoding="utf-8")
+    argv = [{"{doc}": doc, "{bad}": str(bad)}.get(a, a) for a in template]
+    monkeypatch.setenv("COLUMNS", "80")    # argparse's help width
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)    # exit flushes
+    child = [sys.executable, "-m", "smallcat.cli", *argv]
+    if code == 1:
+        child[1:3] = ["-c", "from smallcat import fincat\n"
+                      "fincat.validate_functor = lambda F: ['mismatch']\n"
+                      "import runpy\n"
+                      "runpy.run_module('smallcat.cli', run_name='__main__',"
+                      " alter_sys=True)"]
+        monkeypatch.setattr(fincat, "validate_functor", lambda F: ["mismatch"])
+    done = subprocess.run(child, capture_output=True)
+    try:
+        returned = main(argv)
+    except SystemExit as exc:
+        returned = exc.code
+    out, err = capsys.readouterr()
+    assert (done.returncode, done.stdout, done.stderr) == (
+        returned, out.encode(), err.encode())
+    assert returned == code
+
+
+def test_main_leaves_the_heap_unfrozen():
+    frozen = gc.get_freeze_count()
+    main(["nabla", "--dim", "1", "--homcount", "1", "1"])
+    assert gc.get_freeze_count() == frozen
+
+
+def test_the_process_entry_freezes_before_atexit_and_flushes(monkeypatch):
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    probe = ("import atexit, gc, sys\n"
+             "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+             "sys.argv[1:] = ['nabla', '--dim', '1', '--homcount', '1', '1']\n"
+             "from smallcat.cli import entry\n"
+             "entry()")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"6\nTrue\n", b"")
+
+
 def test_malformed_entry_exits_2(tmp_path, capsys):
     for text in ("category C\nobject\nend\n",
                  "category C\nobject a\nidentity a\nend\n",
@@ -805,21 +860,21 @@ def loaded_source_bytes(code: str) -> int:
 # command compiles what it imports when bytecode is not cached, as in the
 # benchmark.  A change that raises a ceiling edits it here and says why.
 SOURCE_CEILINGS = {
-    "validate {doc}": 110487,
-    "kan {doc} --functor iota --diagram X": 135256,
-    "kan {doc} --functor iota --diagram X --side right": 135256,
-    "adjoint {doc} --functor iota": 145152,
-    "lift {doc} --left ident --right ident --top ident --bottom ident": 129542,
-    "rlp {doc} --maps ident --against ident": 129542,
-    "nabla --dim 1 --homcount 1 1": 61025,
-    "nabla --dim 2": 61025,
-    "rsset {doc} --name S --roundtrip": 110487,
-    "cyclic {doc} --operad T": 131280,
-    "chain {doc} --complex C --truncate naive": 128045,
-    "paper-suite --case dagger": 93054,
-    "paper-suite --case truncation": 68878,
-    "paper-suite": 224715,
-    "--help": 17934,
+    "validate {doc}": 110803,
+    "kan {doc} --functor iota --diagram X": 135865,
+    "kan {doc} --functor iota --diagram X --side right": 135865,
+    "adjoint {doc} --functor iota": 145761,
+    "lift {doc} --left ident --right ident --top ident --bottom ident": 129858,
+    "rlp {doc} --maps ident --against ident": 129858,
+    "nabla --dim 1 --homcount 1 1": 61341,
+    "nabla --dim 2": 61341,
+    "rsset {doc} --name S --roundtrip": 110803,
+    "cyclic {doc} --operad T": 131596,
+    "chain {doc} --complex C --truncate naive": 128361,
+    "paper-suite --case dagger": 93370,
+    "paper-suite --case truncation": 69194,
+    "paper-suite": 225324,
+    "--help": 18250,
 }
 
 

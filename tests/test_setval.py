@@ -1089,6 +1089,24 @@ def test_limit_rejects_two_families_with_one_name():
         limit(X)
 
 
+TWICE = SetDiagram(discrete_category(["o"]), {"o": ("a", "a")},
+                  {"id_o": {"a": "a"}})
+
+
+@pytest.mark.parametrize("run", [
+    limit,
+    lambda X: kan.lan(identity_functor(X.shape), X),
+    lambda X: kan.ran(identity_functor(X.shape), X),
+    lambda X: enumerate_diagram_maps(X, X),
+    lambda X: enumerate_diagram_maps(setval.representable(X.shape, "o"), X),
+], ids=["limit", "lan", "ran", "maps", "maps into"])
+def test_every_coded_path_rejects_an_element_listed_twice(run):
+    # the coded diagram used to send a repeated element to its last
+    # position, so these answered as if it were listed once
+    with pytest.raises(ValueError, match="^object o: element a listed twice$"):
+        run(TWICE)
+
+
 def kan_collision_instance(cobjs, arrows, src, tgt, elements=("e",)):
     """A functor from the discrete category on ``cobjs`` onto ``p`` of a
     category with objects ``p``, ``q`` and the parallel ``arrows``
