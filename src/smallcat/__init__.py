@@ -15,10 +15,10 @@ command compiles only what it can run.  Each old module, then those that
 took its cold code: setval: coded, kan, universal; fincat: search,
 standard; kan: certify; search: closure; catmodel: soa; chaincx: rings;
 cycops: cycadj; semidirect: sdcheck; nabla: simplicial; catspec:
-catwrite; cli: paper.  Each name keeps its old path: the old module's
-``__getattr__``, made by :func:`moved`, imports the new module on first
-access, so ``setval.lan is kan.lan``.  No module that loading a document
-needs imports a moved name at module level.
+catwrite; cli: commands, paper.  Each name keeps its old path: the old
+module's ``__getattr__``, made by :func:`moved`, imports the new module
+on first access, so ``setval.lan is kan.lan``.  No module that loading a
+document needs imports a moved name at module level.
 
 A function that ``perfbench/spans.py`` times is called through the module
 spans.py names for it (``fincat.opposite(C)``), also from the module it
@@ -31,8 +31,8 @@ import importlib
 __version__ = "0.1.0"
 
 _MODULES = tuple("""catmodel catspec catwrite certify chaincx cli closure
-    coded cycadj cycops fincat invcat kan nabla paper rings sdcheck search
-    semidirect setval simplicial soa standard universal""".split())
+    coded commands cycadj cycops fincat invcat kan nabla paper rings sdcheck
+    search semidirect setval simplicial soa standard universal""".split())
 
 
 def __getattr__(name: str):

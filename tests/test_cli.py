@@ -68,6 +68,26 @@ def test_validate_ok(tmp_path, capsys):
     assert payload["blocks"] == {"category arrow": "ok"}
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "unreadable"])
+def test_a_document_that_cannot_be_read_exits_2(tmp_path, capsys, kind):
+    # a directory raised IsADirectoryError through main, a traceback and
+    # exit 1, which means falsified; a missing file keeps its payload
+    path = tmp_path / "doc.catspec"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "unreadable":
+        if os.geteuid() == 0:
+            pytest.skip("root reads a file of mode 000")
+        path.write_text("", encoding="utf-8")
+        path.chmod(0)
+    with pytest.raises(OSError) as refused:
+        open(path, encoding="utf-8")
+    code, out = run_cli(["validate", str(path)], capsys)
+    assert code == 2
+    assert out == json.dumps({"error": str(refused.value)},
+                             separators=(",", ":")) + "\n"
+
+
 def test_validate_bad_reference_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.catspec"
     path.write_text("functor F nowhere nowhere\nend\n", encoding="utf-8")
@@ -599,6 +619,56 @@ def test_a_process_exits_as_main_returns(tmp_path, capsys, monkeypatch,
     assert returned == code
 
 
+def parsed(parse, argv, capsys):
+    """What ``parse(argv)`` returns, or None, the code it exits with, and
+    what it writes to stdout and stderr."""
+    try:
+        args, code = parse(argv), None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    return (args, code, *capsys.readouterr())
+
+
+def parse_as_main(argv, monkeypatch):
+    """The namespace :func:`smallcat.cli.main` hands to the commands."""
+    from smallcat import commands
+    seen = []
+    monkeypatch.setattr(commands, "run", seen.append)
+    main(argv)
+    return seen[0]
+
+
+def oracle_parse(argv):
+    from cli_oracle import build_parser
+    return build_parser().parse_args(argv)
+
+
+COMMAND_NAMES = ["validate", "kan", "adjoint", "lift", "rlp", "soa",
+                 "semidirect", "nabla", "rsset", "cyclic", "chain",
+                 "paper-suite"]
+# Every help text, each command with none of its arguments (a usage error
+# for the ten that require one), and argument errors
+PARSER_CASES = ([["--help"], [], ["--pretty"], ["--pretty", "kan", "--help"],
+                 ["-h", "kan"]]
+                + [[name, "--help"] for name in COMMAND_NAMES]
+                + [[name] for name in COMMAND_NAMES]
+                + [["kan", "doc", "--functor", "F", "--diagram", "X",
+                    "--side", "up"], ["nabla", "--dim", "x"],
+                   ["no-such-command"], ["--pretty", "validate", "a", "b"],
+                   ["--bogus", "validate", "doc"]])
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_the_parser_answers_as_the_eager_one(argv, capsys, monkeypatch):
+    # the parser adds only the parsed command's arguments; the one that
+    # added every command's is tests/cli_oracle.py
+    monkeypatch.setenv("COLUMNS", "80")
+    want = parsed(oracle_parse, argv, capsys)
+    got = parsed(lambda a: parse_as_main(a, monkeypatch), argv, capsys)
+    assert got[1:] == want[1:]
+    assert (got[0] is None) == (want[0] is None)
+
+
 def test_main_leaves_the_heap_unfrozen():
     frozen = gc.get_freeze_count()
     main(["nabla", "--dim", "1", "--homcount", "1", "1"])
@@ -685,8 +755,10 @@ def loaded_after(code: str) -> set[str]:
 
 
 def test_help_and_usage_errors_load_only_the_cli():
-    # json too is imported only to print a command's result
-    for argv in (["--help"], ["nabla", "--dim", "x"], ["no-such-command"]):
+    # json too is imported only to print a command's result, and the
+    # commands only once the command line has parsed
+    for argv in (["--help"], ["kan", "--help"], ["nabla", "--dim", "x"],
+                 ["validate"], ["no-such-command"]):
         loaded = loaded_after(
             "import smallcat.cli\n"
             "try:\n"
@@ -753,7 +825,7 @@ def test_soa_loads_neither_catmodel_nor_search(tmp_path):
     loaded = loaded_after("from smallcat import cli\n"
                           f"assert cli.main(['soa', {path!r}, *{SOA!r}]) == 0")
     assert loaded == {"json"} | {f"smallcat.{m}" for m in (
-        "catspec cli coded fincat setval soa universal".split())}
+        "catspec cli coded commands fincat setval soa universal".split())}
 
 
 def suite_doc() -> CatspecDocument:
@@ -803,7 +875,7 @@ COMPLEX_LINES = {"chain {doc} --complex C --truncate naive",
 # nabla (simplicial) and the catspec writer (catwrite).  No line loads the
 # word closure (closure), the small object argument (soa) or change of
 # rings (rings).
-DOC_MODULES = "catspec cli cycops fincat nabla semidirect setval"
+DOC_MODULES = "catspec cli commands cycops fincat nabla semidirect setval"
 LOADS = {
     "validate {doc}": DOC_MODULES,
     "kan {doc} --functor iota --diagram X": DOC_MODULES + " coded kan",
@@ -813,18 +885,30 @@ LOADS = {
     "lift {doc} --left ident --right ident --top ident --bottom ident":
         DOC_MODULES + " catmodel search",
     "rlp {doc} --maps ident --against ident": DOC_MODULES + " catmodel search",
-    "nabla --dim 1 --homcount 1 1": "cli fincat nabla semidirect",
-    "nabla --dim 2": "cli fincat nabla semidirect",
+    "nabla --dim 1 --homcount 1 1": "cli commands fincat nabla semidirect",
+    "nabla --dim 2": "cli commands fincat nabla semidirect",
     "rsset {doc} --name S --roundtrip": DOC_MODULES,
     "cyclic {doc} --operad T": DOC_MODULES + " cycadj",
     "chain {doc} --complex C --truncate naive": DOC_MODULES + " chaincx",
     "paper-suite --case dagger":
-        "catmodel cli fincat invcat paper search standard",
-    "paper-suite --case truncation": "chaincx cli fincat paper",
-    "paper-suite": "catmodel chaincx cli coded cycadj cycops fincat invcat kan "
-                   "nabla paper sdcheck search semidirect setval simplicial "
-                   "standard universal",
+        "catmodel cli commands fincat invcat paper search standard",
+    "paper-suite --case truncation": "chaincx cli commands fincat paper",
+    "paper-suite": "catmodel chaincx cli coded commands cycadj cycops fincat "
+                   "invcat kan nabla paper sdcheck search semidirect setval "
+                   "simplicial standard universal",
 }
+
+
+@pytest.mark.parametrize("template", CLI_SUITE, ids=" ".join)
+@pytest.mark.parametrize("pretty", [[], ["--pretty"]], ids=["", "pretty"])
+def test_the_parser_gives_the_eager_namespace(template, pretty, monkeypatch):
+    from smallcat import commands
+    argv = pretty + [a.replace("{doc}", "doc.catspec") for a in template]
+    want = vars(oracle_parse(argv))
+    func = want.pop("func")
+    got = parse_as_main(argv, monkeypatch)
+    assert vars(got) == want
+    assert getattr(commands, "cmd_" + got.command.replace("-", "_")) is func
 
 
 @pytest.mark.parametrize("template", CLI_SUITE, ids=" ".join)
@@ -874,7 +958,7 @@ SOURCE_CEILINGS = {
     "paper-suite --case dagger": 93370,
     "paper-suite --case truncation": 69194,
     "paper-suite": 225324,
-    "--help": 18250,
+    "--help": 7756,
 }
 
 
@@ -942,13 +1026,44 @@ def test_the_package_lists_every_module():
         path.stem for path in package.glob("*.py") if path.stem != "__init__")
 
 
+def test_no_module_of_the_package_imports_the_cli():
+    # under python -m smallcat.cli, importing smallcat.cli would compile
+    # cli.py a second time, beside __main__
+    package = pathlib.Path(smallcat.__file__).parent
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                targets = {base} | {f"{base}.{a.name}" for a in node.names}
+            elif isinstance(node, ast.Import):
+                targets = {a.name for a in node.names}
+            else:
+                continue
+            assert not {"cli", ".cli", "smallcat.cli"} & targets, path.name
+
+
+@pytest.mark.parametrize("argv", [["nabla", "--dim", "1"], ["paper-suite"]])
+def test_a_command_run_as_main_leaves_smallcat_cli_unloaded(argv):
+    probe = ("import atexit, runpy, sys\n"
+             "atexit.register(lambda: print('smallcat.cli' in sys.modules,\n"
+             "                              'smallcat.commands' in sys.modules))\n"
+             f"sys.argv[1:] = {argv!r}\n"
+             "runpy.run_module('smallcat.cli', run_name='__main__',"
+             " alter_sys=True)")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr[-500:]
+    assert done.stdout.splitlines()[-1] == "False True"
+
+
 # (old module, a module that part of its cold half moved to)
 MOVED = [("setval", "coded"), ("setval", "kan"), ("setval", "universal"),
          ("cycops", "cycadj"), ("fincat", "search"), ("fincat", "standard"),
-         ("cli", "paper"), ("semidirect", "sdcheck"), ("nabla", "simplicial"),
-         ("catspec", "catwrite"), ("chaincx", "rings"), ("catmodel", "soa"),
-         ("search", "closure"), ("fincat", "closure"), ("kan", "certify"),
-         ("setval", "certify")]
+         ("cli", "commands"), ("cli", "paper"), ("semidirect", "sdcheck"),
+         ("nabla", "simplicial"), ("catspec", "catwrite"), ("chaincx", "rings"),
+         ("catmodel", "soa"), ("search", "closure"), ("fincat", "closure"),
+         ("kan", "certify"), ("setval", "certify")]
 
 
 def defined_in(module: ModuleType, private: bool = False) -> list[str]:
@@ -962,7 +1077,9 @@ def defined_in(module: ModuleType, private: bool = False) -> list[str]:
             names.append(stmt.name)
         elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
             targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            names += [t.id for t in targets if isinstance(t, ast.Name)]
+            for t in targets:       # a name, or a tuple of names
+                names += [n.id for n in getattr(t, "elts", [t])
+                          if isinstance(n, ast.Name)]
     return [n for n in names if private or not n.startswith("_")]
 
 

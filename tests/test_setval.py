@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from smallcat import certify, fincat, kan, setval
+from smallcat import certify, coded, fincat, kan, setval
 from smallcat.fincat import (
     CatFunctor,
     NaturalTransformation,
@@ -1105,6 +1105,25 @@ def test_every_coded_path_rejects_an_element_listed_twice(run):
     # position, so these answered as if it were listed once
     with pytest.raises(ValueError, match="^object o: element a listed twice$"):
         run(TWICE)
+
+
+def test_code_names_the_first_element_listed_twice():
+    # the repeated element, not the first one listed
+    X = SetDiagram(discrete_category(["o"]), {"o": ("b", "a", "a")},
+                   {"id_o": {"b": "b", "a": "a"}})
+    with pytest.raises(ValueError, match="^object o: element a listed twice$"):
+        coded._code(X)
+
+
+def test_the_map_search_refuses_diagrams_over_different_shapes():
+    def one_point(o):
+        return coded._code(SetDiagram.build(
+            discrete_category([o]), {o: ("e",)}, {f"id_{o}": {"e": "e"}}))
+    X = one_point("o")
+    with pytest.raises(ValueError, match="^shapes differ$"):
+        coded._maps(X, one_point("p"), coded._squares(X), 100)
+    # an equal shape built apart is the same shape
+    assert list(coded._maps(X, one_point("o"), coded._squares(X), 100)) == [(0,)]
 
 
 def kan_collision_instance(cobjs, arrows, src, tgt, elements=("e",)):
