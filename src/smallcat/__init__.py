@@ -1,24 +1,21 @@
-"""smallcat: exhaustive computation with finite categories.
-
-The package is organized around one substrate, :mod:`smallcat.fincat`
-(categories with total composition tables), and builds set-valued diagrams,
-Kan extensions, lifting-property tooling, involutive and semidirect-product
-constructions, truncated (real) simplicial sets, arity-truncated cyclic
-operads, and bounded chain-complex computations on top of it.
+"""smallcat: exhaustive computation with finite categories, all on one
+substrate, :mod:`smallcat.fincat` (categories as total tables).
 
 Importing the package loads none of its modules (``_MODULES``): each is
 imported on first attribute access (PEP 562), and the command line
 imports each in the command that uses it.
 
 Code that few commands run lives in a module of its own, so that a
-command compiles only what it can run.  Each old module, then those that
-took its cold code: setval: coded, kan, universal; fincat: search,
-standard; kan: certify; search: closure; catmodel: soa; chaincx: rings;
-cycops: cycadj; semidirect: sdcheck; nabla: simplicial; catspec:
-catwrite; cli: commands, paper.  Each name keeps its old path: the old
-module's ``__getattr__``, made by :func:`moved`, imports the new module
-on first access, so ``setval.lan is kan.lan``.  No module that loading a
-document needs imports a moved name at module level.
+command compiles only what it runs.  Each old module, then those that
+took its cold code: setval: coded, kan, universal; fincat:
+searchcore, search, equivalence, standard; search: equivalence, closure;
+kan: certify; catmodel: soa; chaincx: chainmaps, rings; cycops: cycadj,
+cycmaps; cycadj: cycmaps; semidirect: sdcheck; nabla: presentations,
+involutive, simplicial; catspec: catwrite; cli: commands, paper;
+commands: ``commands.<name>`` per command.  Each name keeps its old
+path: the old module's ``__getattr__``, made by :func:`moved`, imports
+the new one on first access, so ``setval.lan is kan.lan``.  No module
+that loading a document needs imports a moved name at module level.
 
 A function that ``perfbench/spans.py`` times is called through the module
 spans.py names for it (``fincat.opposite(C)``), also from the module it
@@ -30,9 +27,10 @@ import importlib
 
 __version__ = "0.1.0"
 
-_MODULES = tuple("""catmodel catspec catwrite certify chaincx cli closure
-    coded commands cycadj cycops fincat invcat kan nabla paper rings sdcheck
-    search semidirect setval simplicial soa standard universal""".split())
+_MODULES = tuple("""catmodel catspec catwrite certify chaincx chainmaps cli
+    closure coded commands cycadj cycmaps cycops equivalence fincat invcat
+    involutive kan nabla paper presentations rings sdcheck search searchcore
+    semidirect setval simplicial soa standard universal""".split())
 
 
 def __getattr__(name: str):
@@ -44,8 +42,9 @@ def __getattr__(name: str):
 def moved(namespace: dict, **homes: str):
     """A PEP 562 ``__getattr__`` for the module whose globals are
     ``namespace``: each of the whitespace-separated names given for a
-    ``home`` is read from ``smallcat.<home>``, imported on first access,
-    and kept in ``namespace``, so that later reads are plain lookups."""
+    ``home`` is read from the module ``home`` of its package, imported on
+    first access, and kept in ``namespace``, so that later reads are plain
+    lookups."""
     home_of = {name: home for home, names in homes.items()
                for name in names.split()}
 
@@ -54,7 +53,7 @@ def moved(namespace: dict, **homes: str):
         if home is None:
             raise AttributeError(f"module {namespace['__name__']!r} has no "
                                  f"attribute {name!r}")
-        value = namespace[name] = getattr(
-            importlib.import_module(f"{__name__}.{home}"), name)
+        value = namespace[name] = getattr(importlib.import_module(
+            "." + home, namespace["__package__"]), name)
         return value
     return __getattr__

@@ -16,8 +16,9 @@ from typing import Iterator
 
 # Timed functions are called via their module: see the package docstring.
 from . import fincat, moved
-from .fincat import CatFunctor, _forced, compose_functors, record
-from .search import _iter_functors, coproduct
+from .fincat import CatFunctor, compose_functors, record
+from .search import _iter_functors
+from .searchcore import _forced
 
 # Read from smallcat.soa on first access.
 __getattr__ = moved(globals(), soa="""
@@ -171,6 +172,7 @@ def has_llp(i: CatFunctor, test_maps: list[CatFunctor],
 
 def default_generating_cofibrations() -> list[CatFunctor]:
     """{empty -> pt, pt + pt -> arrow, parallel pair -> arrow}."""
+    from .equivalence import coproduct
     from .standard import (empty_category, parallel_pair, terminal_category,
                            walking_arrow)
     pt = terminal_category()

@@ -45,7 +45,7 @@ def certify_adjunction(left: CatFunctor, right: CatFunctor,
     and counit ``left.right => id_D``.  The first failing identity is
     reported with its witness.
     """
-    from .search import validate_natural
+    from .equivalence import validate_natural
     C, D = left.domain, left.codomain
     failures: list[str] = []
     checked = 0

@@ -7,10 +7,12 @@ morphism acts by an index table.  A map out of a coded diagram is the
 tuple of the codes of its images, one slot per element of the source in
 object order.  Its naturality squares are filed once by their last slot
 (:func:`_squares`), and :func:`_map_search` feeds them with the target's
-tables to :func:`~smallcat.fincat.backtrack`: the one index search.
+tables to :func:`~smallcat.searchcore.backtrack`: the one index search.
 :func:`_maps` runs it under a node budget for ``enumerate_diagram_maps``,
 the commuting squares and :mod:`smallcat.kan`; the diagram lifting search
-pins candidates and adds fibre checks to it.
+pins candidates and adds fibre checks to it.  :func:`_search_families`
+is the one search for compatible families on codes, of the limit and of
+the right Kan core.
 
 Codes are built inside a call and dropped at its return; nothing here
 caches them.  Only the commands that search for diagram maps or compute a
@@ -19,10 +21,11 @@ Kan extension load this module; its names are also reachable through
 """
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import add, getitem, itemgetter
 from typing import Iterator
 
-from .fincat import FiniteCategory, NodeBudget, backtrack, generators, record
+from .fincat import FiniteCategory, distinct, record
+from .searchcore import NodeBudget, backtrack, constraint_lists, generators
 from .setval import SetDiagram
 
 
@@ -149,3 +152,31 @@ def _first_pair_error(X: CodedDiagram, identities: set[str]) -> str | None:
             return f"functoriality fails at ({f},{g}) on " \
                    f"{X.values[C.source[g]][e]}"
     return None
+
+
+# ---------------------------------------------------------------------------
+# the family search of limits and right Kan extensions
+
+
+def _search_families(heads: list[str], elements: list, links,
+                     budget: int) -> list[tuple[str, tuple[int, ...]]]:
+    """The families ``a`` with slot ``k`` a code of ``elements[k]`` that
+    meet each constraint ``(table, (k,), k2)`` of ``links``, ``table[a[k]]
+    == a[k2]``: ``(name, a)`` pairs in name order, the name ``(h0v0,...)``
+    joining each ``heads[k]`` and ``elements[k][a[k]]``.  The one family
+    search of the limit and the right Kan core.
+
+    ``budget`` bounds the nodes of the search (``backtrack``): past it,
+    ``BudgetError`` is raised (``limit product exceeds budget``), before a
+    family is named.  Raises :class:`ValueError` when two families render
+    to one name.
+    """
+    found = list(map(tuple, backtrack(
+        [range(len(vs)) for vs in elements],
+        constraint_lists(len(heads), links),
+        NodeBudget(budget, "limit product exceeds budget", "limit_families"))))
+    names = [f"({','.join(map(add, heads, map(getitem, elements, a)))})"
+             for a in found]
+    if len(set(names)) != len(names):
+        distinct(names, "family identifier {} names two families")
+    return sorted(zip(names, found))

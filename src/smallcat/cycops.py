@@ -29,10 +29,11 @@ code a record's name-keyed tables for it, and
 coded core, never rendered.
 
 The right adjoint to the forgetful functor from cyclic operads to
-operads, truncation, map validation and enumeration, the adjunction
-reports, and the standard operads (terminal, associative, monoid) live in
-:mod:`smallcat.cycadj`, which only ``smallcat cyclic`` and the paper
-suite load; their old names here (``cycops.right_adjoint_R``,
+operads lives in :mod:`smallcat.cycadj`, which only ``smallcat cyclic``
+and the paper suite load, and its rendering, truncation, map validation
+and enumeration, the adjunction reports, and the standard operads
+(terminal, associative, monoid) in :mod:`smallcat.cycmaps`, which only
+the paper suite loads; their old names here (``cycops.right_adjoint_R``,
 ``cycops.terminal_operad``, ...) still work through the module
 ``__getattr__``.
 """
@@ -44,10 +45,11 @@ from itertools import chain
 from . import moved
 from .fincat import record
 
-# Read from smallcat.cycadj on first access.
+# Each name is read from its home module on first access.
 __getattr__ = moved(globals(), cycadj="""
-    _tuple_name _tuples SigmaIndexError _sigma_i right_adjoint_R
-    check_right_adjoint right_adjoint_R_map truncate_operad forget_cyclic
+    _tuple_name _tuples SigmaIndexError _sigma_i check_right_adjoint""",
+    cycmaps="""
+    right_adjoint_R right_adjoint_R_map truncate_operad forget_cyclic
     forget_cyclic_map validate_operad_map validate_cyclic_map _enumerate_maps
     enumerate_operad_maps enumerate_cyclic_maps AdjunctionCountReport
     check_adjunction_count ProductActionReport check_FR_products perm_inverse

@@ -31,7 +31,7 @@ from .fincat import (
     pair_name,
     record,
 )
-from .search import _iter_functors, coproduct, is_equivalence, product
+from .search import _iter_functors
 
 
 @record(frozen=True)
@@ -115,6 +115,8 @@ def _swapped(base: FiniteCategory, ob: dict[str, str],
 
 def L_inv(X: FiniteCategory) -> InvolutiveCategory:
     """``X`` plus its opposite, with the swap involution (left adjoint)."""
+    from .equivalence import coproduct
+
     def swap(names):
         return {x + a: x + b for x in names
                 for a, b in (("#0", "#1"), ("#1", "#0"))}
@@ -134,6 +136,8 @@ def L_inv_insertion(X: FiniteCategory) -> CatFunctor:
 
 def R_inv(X: FiniteCategory) -> InvolutiveCategory:
     """``X`` times its opposite, with the swap involution (right adjoint)."""
+    from .equivalence import product
+
     def swap(names):
         return {pair_name(a, b): pair_name(b, a) for a in names for b in names}
 
@@ -311,6 +315,7 @@ def acyclic_fibration_tests(corpus: list[InvolutiveCategory]
                             ) -> list[EquivariantFunctor]:
     """All equivariant functors between corpus members whose underlying
     functor is both an equivalence and an isofibration."""
+    from .equivalence import is_equivalence
     out = []
     for A in corpus:
         for B in corpus:

@@ -3,10 +3,10 @@
 The Kan extensions are the pointwise (co)limits over comma categories,
 computed without building those categories, by one coded core per side:
 :func:`_lan_core` chases union-find classes over each codomain object
-(:func:`~smallcat.fincat.least_members`, which names every quotient),
+(:func:`~smallcat.searchcore.least_members`, which names every quotient),
 and :func:`_ran_core` finds the compatible families over the
 under-comma objects by the family search behind ``limit``
-(:func:`~smallcat.setval._search_families`).  Each takes a diagram
+(:func:`~smallcat.coded._search_families`).  Each takes a diagram
 coded once (:class:`~smallcat.coded.CodedDiagram`) and returns a
 :class:`CodedKan`: the comma objects, the coded extension and the
 injection or projection tables.  The cores name classes and families
@@ -43,18 +43,12 @@ from .fincat import (
     CatFunctor,
     FiniteCategory,
     distinct,
-    least_members,
     pair_name,
     record,
 )
-from .coded import CodedDiagram, _code, _coded_error
-from .setval import (
-    DiagramMap,
-    SetDiagram,
-    _family_name,
-    _search_families,
-    restrict,
-)
+from .coded import CodedDiagram, _code, _coded_error, _search_families
+from .searchcore import least_members
+from .setval import DiagramMap, SetDiagram, _family_name, restrict
 
 # Read from smallcat.certify on first access.
 __getattr__ = moved(globals(), certify="""

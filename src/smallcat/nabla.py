@@ -21,8 +21,12 @@ an anti-involution; the translation in both directions is implemented by
 :func:`to_involutive` and :func:`from_involutive` and the equivalence is
 the identity on underlying data.
 
-Representables, normal monomorphisms and the generating cofibrations
-live in :mod:`smallcat.simplicial`, read through ``__getattr__``.
+The pair presentation and ``build_nabla`` live in
+:mod:`smallcat.presentations`, the translation and the conjugation
+squares in :mod:`smallcat.involutive`, and representables, normal
+monomorphisms and the generating cofibrations in
+:mod:`smallcat.simplicial`; each name is read through ``__getattr__``,
+and loading a document builds and compiles none of them.
 """
 from __future__ import annotations
 
@@ -32,28 +36,21 @@ from typing import TYPE_CHECKING
 
 # Timed functions are called via their module: see the package docstring.
 from . import fincat, moved, semidirect
-from .fincat import (
-    CatFunctor,
-    FiniteCategory,
-    cyclic_group,
-    pair_name,
-    opposite_functor,
-    record,
-    tabulate,
-)
-from .semidirect import (
-    GroupAction,
-    SemidirectCategory,
-    inclusion_iota,
-)
+from .fincat import CatFunctor, FiniteCategory, cyclic_group, pair_name, record
+from .semidirect import GroupAction, SemidirectCategory
+from .semidirect import inclusion_iota  # re-exported: ``nabla.inclusion_iota`` stays
 
-# Diagram code is imported by the functions that use it, so that
-# ``build_nabla`` and the ``nabla`` command load none.
+# Diagram code is imported by the functions that use it, so that the
+# ``nabla`` command loads none.
 if TYPE_CHECKING:
     from .setval import SetDiagram
 
-# Read from smallcat.simplicial on first access.
-__getattr__ = moved(globals(), simplicial="""
+# Each name is read from its home module on first access.
+__getattr__ = moved(globals(), presentations="""
+    monotone_pair_category NablaPresentations build_nabla hom_doubling""",
+    involutive="""
+    to_involutive from_involutive conjugation_squares_hold _unconjugated""",
+    simplicial="""
     validate_sset degenerate_simplices is_normal_mono representable_sset
     boundary_inclusion_sset representable_rsset generating_cofibrations""")
 
@@ -143,87 +140,6 @@ def nabla_action(N: int) -> GroupAction:
 
 
 @functools.cache
-def monotone_pair_category(N: int) -> FiniteCategory:
-    """The signed-simplex category presented by monotone pairs ``(f, t)``.
-
-    Nonconstant maps carry their forced sign; constant maps occur with both
-    signs.  Names are ``images:target:sign``.
-    """
-    objects = [f"[{n}]" for n in range(N + 1)]
-    morphisms, source, target, identity = [], {}, {}, {}
-    data: dict[str, tuple[tuple[int, ...], int, int]] = {}
-    for m in range(N + 1):
-        for n in range(N + 1):
-            seen = set()
-            for imgs in _monotone_maps(m, n):
-                for func, tags in ((imgs, None), (tuple(reversed(imgs)), None)):
-                    if func in seen:
-                        continue
-                    seen.add(func)
-                    constant = len(set(func)) == 1
-                    increasing = all(func[i] <= func[i + 1]
-                                     for i in range(len(func) - 1))
-                    if constant:
-                        signs = (1, -1)
-                    else:
-                        signs = (1,) if increasing else (-1,)
-                    for t in signs:
-                        s = "+" if t == 1 else "-"
-                        name = "".join(map(str, func)) + f":{n}:{s}"
-                        morphisms.append(name)
-                        data[name] = (func, n, t)
-                        source[name], target[name] = f"[{m}]", f"[{n}]"
-    for n in range(N + 1):
-        identity[f"[{n}]"] = "".join(map(str, range(n + 1))) + f":{n}:+"
-
-    def composite(name2: str, name1: str) -> str:
-        (f1, _, t1), (f2, n2, t2) = data[name1], data[name2]
-        s = "+" if t1 * t2 == 1 else "-"
-        return "".join(str(f2[v]) for v in f1) + f":{n2}:{s}"
-
-    return tabulate(objects, morphisms, source, target, identity, composite)
-
-
-@record(frozen=True)
-class NablaPresentations:
-    semidirect: SemidirectCategory
-    pairs: FiniteCategory
-    iso: CatFunctor     # semidirect presentation -> pair presentation
-    isomorphic: bool    # iso is a functor and a bijection on morphisms
-
-
-def build_nabla(N: int) -> NablaPresentations:
-    """Both presentations of the signed simplex category plus the explicit
-    isomorphism between them, with its tablewise check in ``isomorphic``."""
-    sd = nabla_category(N)
-    pairs = monotone_pair_category(N)
-    ob = {x: x for x in sd.category.objects}
-    mor = {}
-    for name, (phi, g) in sd.pair_of.items():
-        imgs = delta_images(phi)
-        n = delta_target(phi)
-        if g == UNIT:
-            mor[name] = "".join(map(str, imgs)) + f":{n}:+"
-        else:
-            rev = tuple(reversed(imgs))
-            mor[name] = "".join(map(str, rev)) + f":{n}:-"
-    iso = CatFunctor(sd.category, pairs, ob, mor)
-    isomorphic = (not fincat.validate_functor(iso)
-                  and len(set(mor.values())) == len(mor) == len(pairs.morphisms))
-    return NablaPresentations(sd, pairs, iso, isomorphic)
-
-
-def hom_doubling(pres: NablaPresentations) -> bool:
-    """Whether each hom-set ``[m] -> [n]`` of the signed simplex category
-    has twice the maps of the simplex category: one per sign."""
-    delta = pres.semidirect.action.target
-    signed = fincat.hom_index(pres.semidirect.category)
-    homs = fincat.hom_index(delta)
-    return all(len(signed.get((x, y), ())) == 2 * len(homs.get((x, y), ()))
-               for x in delta.objects for y in delta.objects)
-
-
-@functools.cache
 def nabla_category(N: int) -> SemidirectCategory:
     """The semidirect presentation (canonical shape for presheaves)."""
     return semidirect.semidirect(nabla_action(N))
@@ -279,87 +195,3 @@ def involution_levels(X: TruncatedRealSimplicialSet) -> dict[int, dict[str, str]
             for n in range(X.level + 1)}
 
 
-def to_involutive(X: TruncatedRealSimplicialSet
-                  ) -> tuple[TruncatedSimplicialSet, dict[int, dict[str, str]]]:
-    """Forget down to a simplicial set with an anti-involution.
-
-    Returns the underlying truncated simplicial set together with the level
-    involutions; the pair determines ``X`` completely.
-    """
-    from . import setval
-    N = X.level
-    sd = nabla_category(N)
-    iota = inclusion_iota(sd)
-    underlying = setval.restrict(opposite_functor(iota), X.diagram)
-    return (TruncatedSimplicialSet(N, underlying), involution_levels(X))
-
-
-def from_involutive(A: TruncatedSimplicialSet,
-                    sigma: dict[int, dict[str, str]]
-                    ) -> TruncatedRealSimplicialSet:
-    """Assemble a real simplicial set from an anti-involution.
-
-    ``sigma[n]`` must square to the identity and satisfy the conjugation
-    square ``alpha^* . sigma_n == sigma_m . flip(alpha)^*`` for every
-    ``alpha: [m] -> [n]``; the signed action is then ``(alpha, swap)^* =
-    sigma_m . alpha^*``, which is the unique extension compatible with the
-    composition convention of the semidirect presentation.  Invalid input
-    is rejected.
-    """
-    from . import setval
-    N = A.level
-    for n in range(N + 1):
-        obj = f"[{n}]"
-        s = sigma.get(n)
-        if s is None or set(s) != set(A.diagram.values[obj]):
-            raise ValueError(f"involution at level {n} is not a total function")
-        for e in A.diagram.values[obj]:
-            if s[s[e]] != e:
-                raise ValueError(f"involution at level {n} does not square to one")
-    alpha = _unconjugated(N, A.diagram.values, A.diagram.action, sigma)
-    if alpha is not None:
-        raise ValueError(f"involution does not conjugate {alpha}")
-    sd = nabla_category(N)
-    shape = fincat.opposite(sd.category)
-    values = {o: A.diagram.values[o] for o in shape.objects}
-    action = {}
-    for name, (phi, g) in sd.pair_of.items():
-        m = object_level(sd.category.source[name])
-        base = A.diagram.action[phi]
-        if g == UNIT:
-            action[name] = dict(base)
-        else:
-            action[name] = {e: sigma[m][base[e]] for e in base}
-    X = TruncatedRealSimplicialSet(N, setval.SetDiagram.build(shape, values,
-                                                               action))
-    errs = validate_rsset(X)
-    if errs:
-        raise ValueError("assembled action is not functorial: " + errs[0])
-    return X
-
-
-def conjugation_squares_hold(X: TruncatedRealSimplicialSet) -> bool:
-    """Check ``(alpha,1)^* . sigma_n == sigma_m . (flip(alpha),1)^*`` for
-    every order-preserving ``alpha``."""
-    N = X.level
-    action = {alpha: X.diagram.action[pair_name(alpha, UNIT)]
-              for alpha in delta_leq(N).morphisms}
-    return _unconjugated(N, X.diagram.values, action,
-                         involution_levels(X)) is None
-
-
-def _unconjugated(N: int, values: dict[str, tuple[str, ...]],
-                  action: dict[str, dict[str, str]],
-                  sigma: dict[int, dict[str, str]]) -> str | None:
-    """The first order-preserving ``alpha: [m] -> [n]`` whose square
-    ``action[alpha] . sigma[n] == sigma[m] . action[flip(alpha)]`` fails
-    on the simplices ``values["[n]"]``, or ``None`` if every square holds."""
-    delta = delta_leq(N)
-    for alpha in delta.morphisms:
-        m = object_level(delta.source[alpha])
-        n = object_level(delta.target[alpha])
-        act, flipped = action[alpha], action[flip_delta_morphism(alpha)]
-        if any(act[sigma[n][e]] != sigma[m][flipped[e]]
-               for e in values[f"[{n}]"]):
-            return alpha
-    return None

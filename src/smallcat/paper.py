@@ -38,9 +38,9 @@ def _case_nabla() -> tuple[dict, bool]:
 
 def _case_icat() -> tuple[dict, bool]:
     from . import invcat
+    from .equivalence import coproduct, product
     from .fincat import (CatFunctor, empty_category, opposite,
                          terminal_category, walking_arrow)
-    from .search import coproduct, product
     X = walking_arrow()
     LX = invcat.L_inv(X)
     RX = invcat.R_inv(X)

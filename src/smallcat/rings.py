@@ -23,20 +23,15 @@ from __future__ import annotations
 
 import itertools
 
-from .chaincx import (
+from .chaincx import FiniteComplex, Matrix, build_complex, identity, rank_mod, zeros
+from .chainmaps import (
     ComplexMap,
-    FiniteComplex,
-    Matrix,
     _coker_projection,
-    build_complex,
     hstack,
-    identity,
     matmul,
     nullspace_mod,
-    rank_mod,
     solve_mod,
     vstack,
-    zeros,
 )
 from .fincat import BudgetError, is_prime, record
 

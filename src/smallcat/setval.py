@@ -4,36 +4,26 @@ compatible families and restriction.
 A :class:`SetDiagram` is a functor from a finite category to finite sets,
 stored as one value set per object and one function per morphism.
 Limits are compatible families inside the product, found on codes by one
-search under a node budget (:func:`_search_families`), which the right
-Kan core shares; limit families list their components in object order,
-and the limit over the empty shape is a one-point set.
+search under a node budget (:func:`~smallcat.coded._search_families`),
+which the right Kan core shares; limit families list their components in
+object order, and the limit over the empty shape is a one-point set.
 
-Coded diagrams and the diagram-map search live in ``coded``, the Kan
-extensions (coded cores, whose tables give the units, counits and
-transposes) in ``kan``, the adjunction certificates in ``certify``, and
-the other limits and colimits and the algebra of diagram maps in
-``universal``; only the code that uses them loads them.
+Coded diagrams, the diagram-map search and the family search live in
+``coded``, the Kan extensions (coded cores, whose tables give the units,
+counits and transposes) in ``kan``, the adjunction certificates in
+``certify``, and the other limits and colimits and the algebra of
+diagram maps in ``universal``; only the code that uses them loads them.
 Their old names here (``setval.lan``, ``setval._code``, ...) still
 work through the module ``__getattr__``.
 """
 from __future__ import annotations
 
-from operator import add, getitem
-
 from . import moved
-from .fincat import (
-    CatFunctor,
-    FiniteCategory,
-    NodeBudget,
-    backtrack,
-    constraint_lists,
-    distinct,
-    record,
-)
+from .fincat import CatFunctor, FiniteCategory, record
 
 # Each name is read from its home module on first access.
 __getattr__ = moved(globals(), coded="""
-    CodedDiagram _code""", kan="""
+    CodedDiagram _code _search_families""", kan="""
     CommaCategory _comma_category comma_over comma_under
     CodedKan lan lan_map lan_unit ran ran_counit lan_transpose ran_transpose
     representable corepresentable""", certify="""
@@ -142,30 +132,6 @@ def validate_diagram(X: SetDiagram) -> list[str]:
 
 def _family_name(fam: dict[str, str]) -> str:
     return "(" + ",".join(f"{o}={fam[o]}" for o in sorted(fam)) + ")"
-
-
-def _search_families(heads: list[str], elements: list, links,
-                     budget: int) -> list[tuple[str, tuple[int, ...]]]:
-    """The families ``a`` with slot ``k`` a code of ``elements[k]`` that
-    meet each constraint ``(table, (k,), k2)`` of ``links``, ``table[a[k]]
-    == a[k2]``: ``(name, a)`` pairs in name order, the name ``(h0v0,...)``
-    joining each ``heads[k]`` and ``elements[k][a[k]]``.  The one family
-    search of the limit and the right Kan core.
-
-    ``budget`` bounds the nodes of the search (``backtrack``): past it,
-    ``BudgetError`` is raised (``limit product exceeds budget``), before a
-    family is named.  Raises :class:`ValueError` when two families render
-    to one name.
-    """
-    found = list(map(tuple, backtrack(
-        [range(len(vs)) for vs in elements],
-        constraint_lists(len(heads), links),
-        NodeBudget(budget, "limit product exceeds budget", "limit_families"))))
-    names = [f"({','.join(map(add, heads, map(getitem, elements, a)))})"
-             for a in found]
-    if len(set(names)) != len(names):
-        distinct(names, "family identifier {} names two families")
-    return sorted(zip(names, found))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Pushouts of categories and the bounded small object argument.
 
 Pushouts of categories glue objects and letters with
-:func:`~smallcat.fincat.least_members` and are completed by a bounded
+:func:`~smallcat.searchcore.least_members` and are completed by a bounded
 word closure (:mod:`smallcat.closure`; they can be infinite, so the
 computation fails loudly past its budget).  The bounded small object argument factors a map
 of set-valued diagrams against a set of generating maps, gluing on the
@@ -18,16 +18,8 @@ from operator import getitem, itemgetter
 from typing import Iterator
 
 from . import setval
-from .fincat import (
-    CatFunctor,
-    FiniteCategory,
-    NodeBudget,
-    _forced,
-    backtrack,
-    field,
-    least_members,
-    record,
-)
+from .fincat import CatFunctor, FiniteCategory, field, record
+from .searchcore import NodeBudget, _forced, backtrack, least_members
 from .setval import DiagramMap, SetDiagram
 
 # closure is imported by the function that calls it: the small object

@@ -1,7 +1,7 @@
 """Limits, colimits, coproducts, quotients and pushouts of set-valued
 diagrams, and the algebra of diagram maps.
 
-Colimit classes, found by :func:`~smallcat.fincat.least_members`, are
+Colimit classes, found by :func:`~smallcat.searchcore.least_members`, are
 named by their minimal ``(object,element)`` tag, coproduct summand ``k``
 tags its elements ``(k,e)``, and the colimit over the empty shape is
 empty.  Every name here is also reachable through
@@ -16,18 +16,11 @@ from .fincat import (
     FiniteCategory,
     distinct,
     hom_index,
-    least_members,
     pair_name,
 )
-from .coded import _code, _maps, _squares
-from .setval import (
-    ColimitResult,
-    DiagramMap,
-    LimitResult,
-    SetDiagram,
-    _search_families,
-    restrict,
-)
+from .coded import _code, _maps, _search_families, _squares
+from .searchcore import least_members
+from .setval import ColimitResult, DiagramMap, LimitResult, SetDiagram, restrict
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from chaincx_bridge import (
     modules_to_np,
     to_np,
 )
-from smallcat import chaincx, fincat, rings
+from smallcat import chaincx, chainmaps, fincat, rings
 from smallcat.chaincx import (
     AlgebraMap,
     AlgebraModule,
@@ -614,9 +614,9 @@ def test_each_degree_record_is_built_once(monkeypatch):
     counted(rings, "induce")
     counted(rings, "coinduce")
     # solve_mod is called from both modules: by rings and by the cokernels
-    # of chaincx
+    # of chainmaps
     counted(rings, "solve_mod")
-    counted(chaincx, "solve_mod")
+    counted(chainmaps, "solve_mod")
     induce_complex_map(f, identity_map(C), mods, mods)
     assert calls == {"induce": 4, "coinduce": 0, "solve_mod": 8}   # was 8, 0, 28
     coinduce_complex_map(f, identity_map(C), mods, mods)
