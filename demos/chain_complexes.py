@@ -6,21 +6,23 @@ disagree in the strongest possible way: collapsing the complex is an
 acyclic degreewise surjection, but its naive truncation has homology.
 """
 
-from smallcat.chaincx import (
+from smallcat.chaincx import homology_dims
+from smallcat.chainmaps import (
+    reproduce_truncation_counterexample,
+    two_term_identity_complex,
+)
+from smallcat.rings import (
     augmentation_dual_numbers,
     coinduce,
     dual_numbers,
     field_algebra,
     hom_dim,
-    homology_dims,
     induce,
     module_is_free,
     pulled_back_target,
     regular_module,
-    reproduce_truncation_counterexample,
     restrict_scalars,
     trivial_module,
-    two_term_identity_complex,
     unit_inclusion,
 )
 

@@ -6,17 +6,16 @@ extend to permutations that may move the output slot.  All axioms are
 checked exhaustively at arity bound 3, and the adjunction is certified by
 hom-set counts on small instances.
 """
-from smallcat.cycops import (
+from smallcat.cycmaps import (
     associative_operad,
-    check_adjunction_count,
     check_FR_products,
+    check_adjunction_count,
     forget_cyclic,
     right_adjoint_R,
     terminal_cyclic_operad,
     terminal_operad,
-    validate_cyclic,
-    CyclicOperadMap,
 )
+from smallcat.cycops import validate_cyclic, CyclicOperadMap
 
 P = associative_operad(3)
 print("associative operad sizes:",

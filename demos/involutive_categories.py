@@ -6,7 +6,7 @@ opposite).  Both hom-set bijections are certified by enumeration.  The
 coreflection onto dagger categories then shows how such structure can fail
 to respect fibrations: the classical three-object counterexample.
 """
-from smallcat.fincat import terminal_category, walking_arrow
+from smallcat.fincat import CatFunctor
 from smallcat.invcat import (
     L_inv,
     R_inv,
@@ -16,7 +16,7 @@ from smallcat.invcat import (
     trivial_involution,
     EquivariantFunctor,
 )
-from smallcat.fincat import CatFunctor, empty_category
+from smallcat.standard import empty_category, terminal_category, walking_arrow
 
 X = walking_arrow()
 LX = L_inv(X)

@@ -4,19 +4,12 @@ We take the inclusion of the walking arrow into the three-object chain,
 extend a small diagram of sets along it on both sides, and certify the two
 adjunctions by enumerating every hom-set involved.
 """
-from smallcat.fincat import CatFunctor, chain_category, walking_arrow
-from smallcat.setval import (
-    SetDiagram,
-    certify_kan_adjunctions,
-    comma_over,
-    is_iso_diagram_map,
-    lan,
-    lan_unit,
-    ran,
-    ran_counit,
-    restrict,
-    terminal_objects,
-)
+from smallcat.certify import certify_kan_adjunctions
+from smallcat.fincat import CatFunctor
+from smallcat.kan import comma_over, lan, lan_unit, ran, ran_counit
+from smallcat.setval import SetDiagram, restrict
+from smallcat.standard import chain_category, walking_arrow
+from smallcat.universal import is_iso_diagram_map, terminal_objects
 
 arrow = walking_arrow()
 chain = chain_category(2)

@@ -7,25 +7,21 @@ when the result would be infinite, and the small object argument factors a
 map of diagrams through a finite cell complex.
 """
 from smallcat.catmodel import (
-    bounded_soa,
     default_generating_acyclic_cofibrations,
-    diagram_has_rlp,
     has_rlp,
     is_isofibration,
-    pushout_category,
 )
-from smallcat.fincat import (
-    BudgetError,
-    CatFunctor,
+from smallcat.equivalence import coproduct, find_isomorphism
+from smallcat.fincat import BudgetError, CatFunctor
+from smallcat.search import enumerate_functors
+from smallcat.soa import bounded_soa, diagram_has_rlp, pushout_category
+from smallcat.standard import (
     chain_category,
-    coproduct,
-    enumerate_functors,
-    find_isomorphism,
     terminal_category,
     walking_arrow,
     walking_iso,
 )
-from smallcat.setval import compose_diagram_maps
+from smallcat.universal import compose_diagram_maps
 
 J = default_generating_acyclic_cofibrations()
 print("lifting against the point-to-isomorphism inclusion is the same as")
@@ -67,9 +63,9 @@ print()
 print("Bounded small object argument on the signed interval-to-point")
 print("collapse, against the extended boundary inclusions:")
 from smallcat.fincat import pair_name
-from smallcat.nabla import generating_cofibrations, nabla_category, \
-    representable_rsset
+from smallcat.nabla import nabla_category
 from smallcat.setval import DiagramMap
+from smallcat.simplicial import generating_cofibrations, representable_rsset
 
 sd = nabla_category(1)
 interval = representable_rsset(1, 1).diagram

@@ -6,14 +6,15 @@ back gives one twisted copy of the diagram per group element.  The
 comparison isomorphism is constructed through the terminal objects of the
 comma components and verified on the nose.
 """
-from smallcat.fincat import cyclic_group, discrete_category, symmetric_group
-from smallcat.semidirect import (
+from smallcat.fincat import cyclic_group
+from smallcat.sdcheck import (
     permutation_action,
-    semidirect,
     semidirect_op,
     verify_lan_formula,
 )
+from smallcat.semidirect import semidirect
 from smallcat.setval import SetDiagram
+from smallcat.standard import discrete_category, symmetric_group
 
 C = discrete_category("ab")
 action = permutation_action(

@@ -6,16 +6,17 @@ monotone pairs.  Presheaves on it are simplicial sets with an
 anti-involution, and the generating cofibrations are the extensions of the
 boundary inclusions, which are exactly the normal monomorphisms.
 """
+from smallcat.involutive import from_involutive, to_involutive
 from smallcat.nabla import (
     TruncatedRealSimplicialSet,
-    build_nabla,
     delta_leq,
-    from_involutive,
-    generating_cofibrations,
     involution_levels,
+)
+from smallcat.presentations import build_nabla
+from smallcat.simplicial import (
+    generating_cofibrations,
     is_normal_mono,
     representable_rsset,
-    to_involutive,
 )
 
 pres = build_nabla(2)

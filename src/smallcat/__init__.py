@@ -6,21 +6,18 @@ imported on first attribute access (PEP 562), and the command line
 imports each in the command that uses it.
 
 Code that few commands run lives in a module of its own, so that a
-command compiles only what it runs.  Each old module, then those that
-took its cold code: setval: coded, kan, universal; fincat:
-searchcore, search, equivalence, standard; search: equivalence, closure;
-kan: certify; catmodel: soa; chaincx: chainmaps, rings; cycops: cycadj,
-cycmaps; cycadj: cycmaps; semidirect: sdcheck; nabla: presentations,
-involutive, simplicial; catspec: catwrite; cli: commands, paper;
-commands: ``commands.<name>`` per command.  Each name keeps its old
-path: the old module's ``__getattr__``, made by :func:`moved`, imports
-the new one on first access, so ``setval.lan is kan.lan``.  No module
-that loading a document needs imports a moved name at module level.
+command compiles only what it runs.  Each name has one home, the module
+that defines it.  The 39 names that ``perfbench`` reads at a module they
+have left (``setval.lan``, ``fincat.walking_arrow``, ...) are also read
+there, through the ``__getattr__`` that :func:`moved` makes, which
+imports the home module on first access.  No module that loading a
+document needs imports one of them at module level.
 
 A function that ``perfbench/spans.py`` times is called through the module
-spans.py names for it (``fincat.opposite(C)``), also from the module it
-moved to (``nabla.delta_leq`` in ``simplicial``): the tracer rebinds it
-there, and a ``from`` alias or a bare name would hide the calls from it.
+spans.py names for it (``fincat.opposite(C)``, ``setval.lan(iota, X)``),
+also from the module that defines it (``cycops.right_adjoint_R`` in
+``cycmaps``): the tracer rebinds it there, and a ``from`` alias or a bare
+name would hide the calls from it.
 """
 
 import importlib

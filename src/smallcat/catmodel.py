@@ -6,25 +6,17 @@ search.
 
 Pushouts of categories and the bounded small object argument in
 set-valued diagram categories live in :mod:`smallcat.soa`, which only the
-code that factors or glues loads; their old names here
-(``catmodel.bounded_soa``, ``catmodel.pushout_category``, ...) still work
-through the module ``__getattr__``.
+code that factors or glues loads.
 """
 from __future__ import annotations
 
 from typing import Iterator
 
 # Timed functions are called via their module: see the package docstring.
-from . import fincat, moved
+from . import fincat
 from .fincat import CatFunctor, compose_functors, record
 from .search import _iter_functors
-from .searchcore import _forced
-
-# Read from smallcat.soa on first access.
-__getattr__ = moved(globals(), soa="""
-    PushoutResult SoaStageCell FactorizationResult pushout_category
-    solve_diagram_lifting diagram_squares _unsolved_cells diagram_has_rlp
-    bounded_soa""")
+from .searchcore import _forced, isomorphisms
 
 # standard and universal are reached at call time: lift and rlp skip them
 
@@ -71,8 +63,8 @@ def is_isofibration(p: CatFunctor) -> bool:
     """Every isomorphism out of a lifted object lifts with that source."""
     X, Y = p.domain, p.codomain
     lifts = {(X.source[phi], p.mor_map[phi])
-             for phi in fincat.isomorphisms(X)}
-    isos = fincat.isomorphisms(Y)
+             for phi in isomorphisms(X)}
+    isos = isomorphisms(Y)
     return all((x, psi) in lifts for x in X.objects for psi in isos
                if Y.source[psi] == p.ob_map[x])
 

@@ -50,9 +50,8 @@ violations raise :class:`CatspecError` with the offending line.  A failed
 validator reports ``line N: KIND NAME: E``, with ``N`` the block's header
 line and ``E`` the validator's first error.
 
-:func:`emit`, the block builders and the reader of ``group`` blocks live
-in :mod:`smallcat.catwrite`; their old names here still work through the
-module ``__getattr__``.
+:func:`~smallcat.catwrite.emit`, the block builders and the reader of
+``group`` blocks live in :mod:`smallcat.catwrite`.
 """
 from __future__ import annotations
 
@@ -62,11 +61,12 @@ from typing import TYPE_CHECKING
 
 # Each module a block kind needs is imported by that block's path in
 # ``load``, so a document loads only what its blocks use: catwrite for a
-# group, semidirect for an action, invcat (and catmodel through it) for an
-# involution, setval for a diagram, dmap or sset, nabla for an sset, cycops
-# for an operad.  A complex block is checked without chaincx, which loads
-# when a complex is first read from ``LoadedDocument.complexes``.  Timed
-# functions are called through their module: see the package docstring.
+# group, semidirect and sdcheck for an action, invcat (and catmodel through
+# it) for an involution, setval for a diagram, dmap or sset, universal for a
+# dmap, nabla and simplicial for an sset, cycops for an operad.  A complex
+# block is checked without chaincx, which loads when a complex is first
+# read from ``LoadedDocument.complexes``.  Timed functions are called
+# through their module: see the package docstring.
 from . import fincat, moved
 from .fincat import (
     CatFunctor,
@@ -80,11 +80,10 @@ from .fincat import (
 if TYPE_CHECKING:
     from . import chaincx, cycops, invcat, nabla, semidirect, setval
 
-# Read from smallcat.catwrite on first access.
+# Read from smallcat.catwrite on first access, for perfbench/corpus.py.
 __getattr__ = moved(globals(), catwrite="""
-    _canonical emit _build_group category_block functor_block group_block
-    diagram_block involution_block rsset_block sset_block _simplex_block
-    operad_block complex_block dmap_block""")
+    emit category_block functor_block diagram_block rsset_block operad_block
+    complex_block""")
 
 # Per block kind: one slot per header parameter after the name, and one
 # slot per token after the keyword of each entry keyword.  A slot is "." for
@@ -408,14 +407,14 @@ def load(text: str) -> LoadedDocument:
         out.functors[b.name] = _checked(b, F, fincat.validate_functor(F))
 
     for b in (x for x in doc.blocks if x.kind == "action"):
-        from . import semidirect
+        from . import sdcheck, semidirect
         G = need(out.groups, b.params[0], "group", b.line)
         C = need(out.categories, b.params[1], "category", b.line)
         rho = {}
         for e in _entries(b, "map"):
             rho[e[0]] = need(out.functors, e[1], "functor", b.line)
         act = semidirect.GroupAction(G, C, rho)
-        out.actions[b.name] = _checked(b, act, semidirect.validate_action(act))
+        out.actions[b.name] = _checked(b, act, sdcheck.validate_action(act))
 
     for b in (x for x in doc.blocks if x.kind == "involution"):
         from . import invcat
@@ -445,14 +444,14 @@ def load(text: str) -> LoadedDocument:
         out.diagrams[b.name] = _checked(b, X, setval.validate_diagram(X))
 
     for b in (x for x in doc.blocks if x.kind == "dmap"):
-        from . import setval
+        from . import setval, universal
         src = need(out.diagrams, b.params[0], "diagram", b.line)
         tgt = need(out.diagrams, b.params[1], "diagram", b.line)
         comps: dict[str, dict[str, str]] = {o: {} for o in src.shape.objects}
         for e in _entries(b, "at"):
             comps.setdefault(e[0], {})[e[1]] = e[2]
         h = setval.DiagramMap(src, tgt, comps)
-        out.dmaps[b.name] = _checked(b, h, setval.validate_diagram_map(h))
+        out.dmaps[b.name] = _checked(b, h, universal.validate_diagram_map(h))
 
     for b in (x for x in doc.blocks if x.kind in ("sset", "rsset")):
         from . import nabla, setval
@@ -478,8 +477,9 @@ def load(text: str) -> LoadedDocument:
             action[e[0]][e[1]] = e[2]
         X = setval.SetDiagram.build(shape, values, action)
         if b.kind == "sset":
+            from . import simplicial
             S = nabla.TruncatedSimplicialSet(level, X)
-            out.ssets[b.name] = _checked(b, S, nabla.validate_sset(S))
+            out.ssets[b.name] = _checked(b, S, simplicial.validate_sset(S))
         else:
             S = nabla.TruncatedRealSimplicialSet(level, X)
             out.rssets[b.name] = _checked(b, S, nabla.validate_rsset(S))

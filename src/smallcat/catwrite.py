@@ -3,8 +3,7 @@
 :func:`emit` writes canonical text, :func:`_canonical` is the order-free
 view of a document that ``==`` and ``hash`` compare, and the block
 builders turn objects into blocks.  A ``group`` block is read here, since
-few documents hold one.  Every name here is also reachable through
-:mod:`smallcat.catspec`, where it lived before.
+few documents hold one.
 """
 from __future__ import annotations
 

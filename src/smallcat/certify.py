@@ -7,9 +7,7 @@ extension along ``iota`` is left and right adjoint to restriction on a
 corpus of diagrams.  It reads the coded Kan cores of :mod:`smallcat.kan`
 directly and never renders an extension.
 
-Every name here is also reachable as an attribute of :mod:`smallcat.kan`
-and of :mod:`smallcat.setval`; only the commands that certify an
-adjunction load this module.
+Only the commands that certify an adjunction load this module.
 """
 from __future__ import annotations
 

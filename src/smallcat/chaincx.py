@@ -16,8 +16,8 @@ Products and solving mod ``p``, complex maps, quasi-isomorphisms and the
 homotopy truncation (the cokernel in degree zero) live in
 :mod:`smallcat.chainmaps`, and finite algebras, their modules and change
 of rings in :mod:`smallcat.rings`; only the code that uses them loads
-them.  Their old names here (``chaincx.matmul``, ``chaincx.induce``, ...)
-still work through the module ``__getattr__``.
+them.  ``chaincx.two_term_identity_complex``, which ``perfbench`` reads,
+is still read through the module ``__getattr__``.
 """
 from __future__ import annotations
 
@@ -27,23 +27,9 @@ from . import moved
 from .fincat import is_prime  # re-exported: ``chaincx.is_prime`` stays
 from .fincat import record
 
-# Each name is read from its home module on first access.
-__getattr__ = moved(globals(), chainmaps="""
-    matmul vstack hstack nullspace_mod solve_mod column_space_contains
-    validate_complex ComplexMap validate_complex_map zero_map identity_map
-    is_quasi_iso is_degreewise_epi is_degreewise_mono naive_truncate_map
-    _coker_projection _homotopy_truncation homotopy_truncate
-    homotopy_truncate_map two_term_identity_complex
-    reproduce_truncation_counterexample""", rings="""
-    kron sub _matvec _combination FiniteAlgebra validate_algebra
-    field_algebra dual_numbers AlgebraMap validate_algebra_map
-    unit_inclusion augmentation_dual_numbers AlgebraModule validate_module
-    regular_module free_module trivial_module restrict_scalars
-    pulled_back_target module_hom_space hom_dim module_is_free
-    InducedModule induce CoinducedModule coinduce _induce_transport
-    _coinduce_transport induce_module_map coinduce_module_map
-    restrict_complex _degreewise _degreewise_map coinduce_complex
-    induce_complex induce_complex_map coinduce_complex_map""")
+# The names perfbench/ reads here, each from its home module on first
+# access.
+__getattr__ = moved(globals(), chainmaps="two_term_identity_complex")
 
 
 # ---------------------------------------------------------------------------

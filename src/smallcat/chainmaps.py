@@ -8,9 +8,7 @@ truncations on maps, the homotopy truncation (the cokernel in degree
 zero), and the standard two-term complex that tells the truncations
 apart.
 
-Every name here is also reachable as an attribute of
-:mod:`smallcat.chaincx`, where it lived before; ``smallcat chain`` with
-no ``--truncate homotopy`` loads none of it.
+``smallcat chain`` with no ``--truncate homotopy`` loads none of it.
 """
 from __future__ import annotations
 

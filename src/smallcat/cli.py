@@ -14,17 +14,9 @@ import argparse
 import gc
 import sys
 
-from . import moved
-
-# Only the standard library is imported here (``moved`` comes from the
-# package, which loads no module).  main imports smallcat.commands once
-# the command line has parsed, so --help and usage errors compile this
-# module alone.  The paper cases are in smallcat.paper.
-__getattr__ = moved(globals(), commands="""
-    OK FALSIFIED BAD_INPUT run
-    cmd_validate cmd_kan cmd_adjoint cmd_lift cmd_rlp cmd_soa cmd_semidirect
-    cmd_nabla cmd_rsset cmd_cyclic cmd_chain cmd_paper_suite""",
-    paper="PAPER_CASES")
+# Only the standard library is imported here.  main imports
+# smallcat.commands once the command line has parsed, so --help and usage
+# errors compile this module alone.
 
 REQUIRED = {"required": True}
 BUDGET = {"type": int,

@@ -7,10 +7,8 @@ from pair relations between arrows.  Both fail loudly with
 :class:`~smallcat.fincat.BudgetError` past their budgets, since the
 category they complete can be infinite.
 
-Every name here is also reachable as an attribute of
-:mod:`smallcat.search` and of :mod:`smallcat.fincat`; only the code that
-completes a category from words (category pushouts, presentations) loads
-this module.
+Only the code that completes a category from words (category pushouts,
+presentations) loads this module.
 """
 from __future__ import annotations
 

@@ -16,8 +16,7 @@ the right Kan core.
 
 Codes are built inside a call and dropped at its return; nothing here
 caches them.  Only the commands that search for diagram maps or compute a
-Kan extension load this module; its names are also reachable through
-:mod:`smallcat.setval`.
+Kan extension load this module.
 """
 from __future__ import annotations
 
@@ -89,7 +88,7 @@ def _squares(X: CodedDiagram) -> list[list[tuple]]:
 def _map_search(X: CodedDiagram, Y: CodedDiagram, squares: list[list[tuple]]
                 ) -> tuple[list, list[list[tuple]]]:
     """The candidates and constraint lists of
-    :func:`~smallcat.fincat.backtrack` whose solutions are the maps ``X ->
+    :func:`~smallcat.searchcore.backtrack` whose solutions are the maps ``X ->
     Y``, in lexicographic order: each slot ranges over the codes of ``Y``
     at its object, and ``squares`` are those of ``X``."""
     candidates: list = []
@@ -123,8 +122,9 @@ def _coded_error(X: CodedDiagram) -> str | None:
 
     Once every identity acts as one, a pair with an identity in it is
     functorial, and the pairs whose left factor is one of the
-    :func:`~smallcat.fincat.generators` of the shape decide the rest.  Only
-    when one of those fails are all pairs scanned for the first failure."""
+    :func:`~smallcat.searchcore.generators` of the shape decide the rest.
+    Only when one of those fails are all pairs scanned for the first
+    failure."""
     C, action = X.shape, X.action
     for o in C.objects:
         t = action[C.identity[o]]

@@ -3,23 +3,15 @@ has parsed the command line.  Nothing here imports ``smallcat.cli``,
 which ``python -m smallcat.cli`` would then compile twice.
 
 The handler of each command, ``cmd_<name>``, is in the module
-``smallcat.commands.<name>`` (``paper_suite`` for ``paper-suite``), read
-through ``__getattr__`` on first access: a command line compiles its own
-handler and no other.
+``smallcat.commands.<name>`` (``paper_suite`` for ``paper-suite``), which
+:func:`run` imports for that command alone: a command line compiles its
+own handler and no other.
 """
+import importlib
 import os
 import sys
 
-from .. import moved
-
 OK, FALSIFIED, BAD_INPUT = 0, 1, 2
-
-# Each handler is read from its module on first access.
-__getattr__ = moved(
-    globals(), validate="cmd_validate", kan="cmd_kan", adjoint="cmd_adjoint",
-    lift="cmd_lift", rlp="cmd_rlp", soa="cmd_soa", semidirect="cmd_semidirect",
-    nabla="cmd_nabla", rsset="cmd_rsset", cyclic="cmd_cyclic",
-    chain="cmd_chain", paper_suite="cmd_paper_suite")
 
 
 def _print(payload, pretty: bool) -> None:
@@ -66,8 +58,9 @@ def run(args) -> int:
     before the answer is written is BAD_INPUT too, with one line on
     standard error."""
     from ..fincat import BudgetError
-    command = getattr(sys.modules[__name__],
-                      "cmd_" + args.command.replace("-", "_"))
+    name = args.command.replace("-", "_")
+    command = getattr(importlib.import_module("." + name, __name__),
+                      "cmd_" + name)
     try:
         try:
             code = command(args)

@@ -9,7 +9,8 @@ def cmd_chain(args) -> int:
     if args.truncate == "naive":
         C = chaincx.naive_truncate(C)
     elif args.truncate == "homotopy":
-        C = chaincx.homotopy_truncate(C)
+        from ..chainmaps import homotopy_truncate
+        C = homotopy_truncate(C)
     payload = {
         "p": C.p,
         "dims": {str(k): C.dim(k) for k in range(C.lo, C.hi + 1)},

@@ -11,7 +11,8 @@ def cmd_cyclic(args) -> int:
         if args.arity_bound > P.arity_bound:
             raise CatspecError(
                 "arity bound exceeds the bound stored in the document")
-        P = cycadj.truncate_operad(P, args.arity_bound)
+        from ..cycmaps import truncate_operad
+        P = truncate_operad(P, args.arity_bound)
     R_sizes, errs = cycadj.check_right_adjoint(P)
     payload = {
         "arity_bound": P.arity_bound,

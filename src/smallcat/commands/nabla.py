@@ -12,8 +12,9 @@ def cmd_nabla(args) -> int:
         category = nabla.nabla_category(args.dim).category
         _print(len(category.hom(f"[{m}]", f"[{n}]")), args.pretty)
         return OK
-    pres = nabla.build_nabla(args.dim)
-    doubling = nabla.hom_doubling(pres)
+    from ..presentations import build_nabla, hom_doubling
+    pres = build_nabla(args.dim)
+    doubling = hom_doubling(pres)
     payload = {
         "dim": args.dim,
         "objects": len(pres.semidirect.category.objects),

@@ -5,19 +5,20 @@ from . import FALSIFIED, OK, _load, _need, _print
 def cmd_semidirect(args) -> int:
     from .. import semidirect
     from ..fincat import validate_category
+    from ..sdcheck import validate_action, verify_lan_formula
     loaded = _load(args.file)
     action = _need(loaded.actions, args.action, "action")
     sd = semidirect.semidirect(action)
     payload = {
         "objects": len(sd.category.objects),
         "morphisms": len(sd.category.morphisms),
-        "valid": not semidirect.validate_action(action)
+        "valid": not validate_action(action)
         and not validate_category(sd.category),
     }
     code = OK
     if args.diagram:
         F = _need(loaded.diagrams, args.diagram, "diagram")
-        rep = semidirect.verify_lan_formula(action, F)
+        rep = verify_lan_formula(action, F)
         payload["lan_formula"] = {
             "ok": rep.ok,
             "natural_iso": rep.natural_iso,

@@ -3,14 +3,14 @@ from . import FALSIFIED, OK, _load, _max_morphisms, _need, _print
 
 
 def cmd_soa(args) -> int:
-    from .. import setval
     from ..soa import bounded_soa
+    from ..universal import compose_diagram_maps
     budget = _max_morphisms(args) * 5000
     loaded = _load(args.file)
     gens = [_need(loaded.dmaps, n, "dmap") for n in args.generators.split(",")]
     f = _need(loaded.dmaps, args.map, "dmap")
     res = bounded_soa(gens, f, args.max_stages, node_budget=budget)
-    recomposed = setval.compose_diagram_maps(res.right, res.left)
+    recomposed = compose_diagram_maps(res.right, res.left)
     payload = {
         "stages": res.stages,
         "saturated": res.saturated,

@@ -9,22 +9,18 @@ Tables are computed on ``P``'s element codes by :func:`_right_adjoint_core`.
 ``smallcat cyclic`` and the paper suite's ``cyclic`` case check that core
 (:func:`check_right_adjoint`).
 
-Every name here is also reachable as an attribute of
-:mod:`smallcat.cycops`, where it lived before; only ``smallcat cyclic``
-and the paper suite load this module.  The rendering of the core for the
-map reports (``right_adjoint_R``), truncation and the forgetful functor,
-validation and enumeration of (cyclic) operad maps, the hom-count and
-product reports, and the standard operads live in
-:mod:`smallcat.cycmaps`; their old names here (``cycadj.right_adjoint_R``,
-``cycadj.terminal_operad``, ...) still work through the module
-``__getattr__``.
+Only ``smallcat cyclic`` and the paper suite load this module.  The
+rendering of the core for the map reports (``right_adjoint_R``),
+truncation and the forgetful functor, validation and enumeration of
+(cyclic) operad maps, the hom-count and product reports, and the standard
+operads live in :mod:`smallcat.cycmaps`.
 """
 from __future__ import annotations
 
 import itertools
 from itertools import chain
 
-from . import cycops, moved
+from . import cycops
 from .cycops import (
     TruncatedOperad,
     _action_rows,
@@ -36,15 +32,6 @@ from .cycops import (
     ext_of_perm,
 )
 from .fincat import distinct
-
-# Each name is read from its home module on first access.
-__getattr__ = moved(globals(), cycmaps="""
-    right_adjoint_R restricted_action_matches right_adjoint_R_map
-    truncate_operad forget_cyclic forget_cyclic_map validate_operad_map
-    validate_cyclic_map _enumerate_maps enumerate_operad_maps
-    enumerate_cyclic_maps AdjunctionCountReport check_adjunction_count
-    ProductActionReport check_FR_products perm_inverse _check_unit_arity
-    terminal_operad terminal_cyclic_operad associative_operad monoid_operad""")
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,8 @@ certificate and the product check.  Also here: truncation and the
 forgetful functor, validation and enumeration of (cyclic) operad maps,
 and the standard operads: terminal, associative and monoid.
 
-Every name here is also reachable as an attribute of
-:mod:`smallcat.cycadj` and of :mod:`smallcat.cycops`, where it lived
-before; ``smallcat cyclic``, which checks the core without rendering it,
-loads none of it.
+``smallcat cyclic``, which checks the core without rendering it, loads
+none of it.
 """
 from __future__ import annotations
 
@@ -27,7 +25,6 @@ from .cycops import (
     TruncatedOperad,
     all_ext_perms,
     all_perms,
-    ext_of_perm,
     perm_compose,
 )
 from .fincat import field, record
@@ -60,16 +57,6 @@ def right_adjoint_R(P: TruncatedOperad) -> TruncatedCyclicOperad:
     unit = cycadj._tuple_name((P.unit, P.unit))
     RP = TruncatedOperad(A, elements, unit, named, render(rows))
     return TruncatedCyclicOperad(RP, render(extended))
-
-
-def restricted_action_matches(Q: TruncatedCyclicOperad) -> list[str]:
-    """The extended action at permutations fixing 0 must be the operad
-    action; :func:`cycops.validate_cyclic` checks this on codes."""
-    P = Q.operad
-    return [f"restriction differs at ({n},{s},{x})"
-            for n in range(P.arity_bound + 1) for s in all_perms(n)
-            for x in P.elements[n]
-            if Q.extended.get((n, ext_of_perm(s), x)) != P.action[n, s, x]]
 
 
 def right_adjoint_R_map(g: OperadMap) -> CyclicOperadMap:

@@ -33,9 +33,9 @@ operads lives in :mod:`smallcat.cycadj`, which only ``smallcat cyclic``
 and the paper suite load, and its rendering, truncation, map validation
 and enumeration, the adjunction reports, and the standard operads
 (terminal, associative, monoid) in :mod:`smallcat.cycmaps`, which only
-the paper suite loads; their old names here (``cycops.right_adjoint_R``,
-``cycops.terminal_operad``, ...) still work through the module
-``__getattr__``.
+the paper suite loads.  ``cycops.right_adjoint_R`` and
+``cycops.terminal_operad``, which ``perfbench`` reads, are still read
+through the module ``__getattr__``.
 """
 from __future__ import annotations
 
@@ -45,16 +45,9 @@ from itertools import chain
 from . import moved
 from .fincat import record
 
-# Each name is read from its home module on first access.
-__getattr__ = moved(globals(), cycadj="""
-    _tuple_name _tuples SigmaIndexError _sigma_i check_right_adjoint""",
-    cycmaps="""
-    right_adjoint_R right_adjoint_R_map truncate_operad forget_cyclic
-    forget_cyclic_map validate_operad_map validate_cyclic_map _enumerate_maps
-    enumerate_operad_maps enumerate_cyclic_maps AdjunctionCountReport
-    check_adjunction_count ProductActionReport check_FR_products perm_inverse
-    _check_unit_arity terminal_operad terminal_cyclic_operad
-    associative_operad monoid_operad restricted_action_matches""")
+# The names perfbench/ reads here, each from its home module on first
+# access.
+__getattr__ = moved(globals(), cycmaps="right_adjoint_R terminal_operad")
 
 
 # ---------------------------------------------------------------------------

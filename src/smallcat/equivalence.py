@@ -6,10 +6,8 @@ Natural-transformation enumeration runs on
 functor enumeration of :mod:`smallcat.search`.  Coproduct copies are
 suffixed ``#0`` / ``#1`` when the two identifier sets meet.
 
-Every name here is also reachable as an attribute of
-:mod:`smallcat.search` and of :mod:`smallcat.fincat`, where it lived
-before; the functor searches of ``smallcat lift`` and ``smallcat rlp``
-load none of it.
+The functor searches of ``smallcat lift`` and ``smallcat rlp`` load none
+of it.
 """
 from __future__ import annotations
 

@@ -25,9 +25,9 @@ The search core (invertible morphisms, generating sets, the union-find
 and the search loop under its node budget) lives in ``searchcore``, the
 functor searches in ``search``, products, naturality checks and the
 equivalence tests in ``equivalence``, the word closure in ``closure``,
-and the named categories and groups in ``standard``; their old names
-here (``fincat.backtrack``, ``fincat.product``, ...) still work through
-the module ``__getattr__``.
+and the named categories and groups in ``standard``.  ``perfbench``
+still reads some of their names here (``fincat.walking_arrow``,
+``fincat.enumerate_functors``, ...), through the module ``__getattr__``.
 """
 from __future__ import annotations
 
@@ -36,19 +36,11 @@ from typing import Callable, Collection
 
 from . import moved
 
-# Each name is read from its home module on first access.
-__getattr__ = moved(globals(), searchcore="""
-    isomorphisms generators least_members NodeBudget constraint_lists
-    backtrack _forced""", search="""
-    _iter_functors enumerate_functors""", equivalence="""
-    product coproduct core is_groupoid enumerate_naturals validate_natural
-    is_natural_iso is_full is_faithful is_essentially_surjective
-    is_fully_faithful is_equivalence find_isomorphism""", closure="""
-    _reduce_words bounded_closure category_from_generators""", standard="""
-    identity_functor empty_category terminal_category discrete_category
-    indiscrete_category walking_arrow walking_iso parallel_pair
-    chain_category poset_category _thin_category symmetric_group
-    group_product opposite_group group_category validate_group""")
+# The names perfbench/ reads here, each from its home module on first
+# access.
+__getattr__ = moved(globals(), search="enumerate_functors", standard="""
+    identity_functor discrete_category walking_arrow walking_iso
+    parallel_pair chain_category poset_category group_category""")
 
 
 class BudgetError(RuntimeError):

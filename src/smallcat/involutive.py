@@ -5,9 +5,8 @@ squares that make an anti-involution.
 :func:`to_involutive` forgets a real simplicial set down to its
 underlying simplicial set and level involutions, and
 :func:`from_involutive` assembles it back; the equivalence is the
-identity on underlying data.  Every name here is also reachable as an
-attribute of :mod:`smallcat.nabla`, where it lived before; only the
-commands that check or translate a real simplicial set load this module.
+identity on underlying data.  Only the commands that check or translate
+a real simplicial set load this module.
 """
 from __future__ import annotations
 

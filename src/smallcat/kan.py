@@ -25,20 +25,16 @@ chase by the pair string of its comma object and element.  Names with
 commas in them can make two of these render alike; that raises
 :class:`ValueError` instead of merging them.
 
-Every public name here is also reachable as an attribute of
-:mod:`smallcat.setval`, where it lived before; only the commands that
-compute a Kan extension or a certificate load this module.  The adjunction
-certificates, which read the cores directly and never render, live in
-:mod:`smallcat.certify`; their old names here (``kan.AdjunctionReport``,
-``kan.certify_kan_adjunctions``, ...) still work through the module
-``__getattr__``.
+Only the commands that compute a Kan extension or a certificate load
+this module.  The adjunction certificates, which read the cores directly
+and never render, live in :mod:`smallcat.certify`.
 """
 from __future__ import annotations
 
 from itertools import chain, repeat
 
 # Timed functions are called via their module: see the package docstring.
-from . import fincat, moved
+from . import fincat
 from .fincat import (
     CatFunctor,
     FiniteCategory,
@@ -47,12 +43,8 @@ from .fincat import (
     record,
 )
 from .coded import CodedDiagram, _code, _coded_error, _search_families
-from .searchcore import least_members
+from .searchcore import generators, least_members
 from .setval import DiagramMap, SetDiagram, _family_name, restrict
-
-# Read from smallcat.certify on first access.
-__getattr__ = moved(globals(), certify="""
-    AdjunctionReport certify_adjunction certify_kan_adjunctions""")
 
 
 @record(frozen=True)
@@ -182,16 +174,16 @@ def _lan_core(iota: CatFunctor, X: CodedDiagram) -> CodedKan:
     Wisnesky, *Fast Left Kan Extensions Using Union Find*): the items are
     ``((c,phi),x)`` for ``phi: iota c -> d`` and ``x`` in ``X c``, and each
     ``u: c -> c2`` joins ``(c, phi2 . iota u, x)`` with ``(c2, phi2, X
-    u x)``; the :func:`~smallcat.fincat.generators` of ``C`` join what all
-    its morphisms do.  :func:`~smallcat.fincat.least_members` runs the
-    chase on item positions and names each class by its minimal item, as
+    u x)``; the :func:`~smallcat.searchcore.generators` of ``C`` join what
+    all its morphisms do.  :func:`~smallcat.searchcore.least_members` runs
+    the chase on item positions and names each class by its minimal item, as
     :func:`colimit` names it over the comma category.
     """
     C, D = iota.domain, iota.codomain
     homs = fincat.hom_index(D)
     objects = {d: _comma_objects(iota, homs, d, False) for d in D.objects}
     moves = [(C.source[u], C.target[u], iota.mor_map[u], X.action[u])
-             for u in fincat.generators(C)]
+             for u in generators(C)]
     render = "({},{})".format   # pair_name, without a frame per item
     values, tables, classes = {}, {}, {}
     for d in D.objects:
@@ -245,7 +237,7 @@ def _ran_core(iota: CatFunctor, X: CodedDiagram) -> CodedKan:
     the comma category under ``d``, taken in name order: each ``u: c ->
     c2`` requires the component at ``(iota u . phi, c2)`` to be ``X u`` of
     the one at ``(phi, c)``.  The families at each ``d`` are one
-    :func:`~smallcat.setval._search_families` under a budget of 2,000,000
+    :func:`~smallcat.coded._search_families` under a budget of 2,000,000
     nodes, the search behind :func:`~smallcat.universal.limit`.
     """
     C, D = iota.domain, iota.codomain

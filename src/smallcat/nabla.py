@@ -25,8 +25,10 @@ The pair presentation and ``build_nabla`` live in
 :mod:`smallcat.presentations`, the translation and the conjugation
 squares in :mod:`smallcat.involutive`, and representables, normal
 monomorphisms and the generating cofibrations in
-:mod:`smallcat.simplicial`; each name is read through ``__getattr__``,
-and loading a document builds and compiles none of them.
+:mod:`smallcat.simplicial`, and loading a document builds and compiles
+none of them.  ``perfbench`` still reads some of their names here
+(``nabla.to_involutive``, ``nabla.generating_cofibrations``, ...),
+through the module ``__getattr__``.
 """
 from __future__ import annotations
 
@@ -45,14 +47,12 @@ from .semidirect import inclusion_iota  # re-exported: ``nabla.inclusion_iota`` 
 if TYPE_CHECKING:
     from .setval import SetDiagram
 
-# Each name is read from its home module on first access.
-__getattr__ = moved(globals(), presentations="""
-    monotone_pair_category NablaPresentations build_nabla hom_doubling""",
-    involutive="""
-    to_involutive from_involutive conjugation_squares_hold _unconjugated""",
-    simplicial="""
-    validate_sset degenerate_simplices is_normal_mono representable_sset
-    boundary_inclusion_sset representable_rsset generating_cofibrations""")
+# The names perfbench/ reads here, each from its home module on first
+# access.
+__getattr__ = moved(
+    globals(), presentations="monotone_pair_category", involutive="""
+    to_involutive from_involutive conjugation_squares_hold""",
+    simplicial="representable_rsset generating_cofibrations")
 
 SWAP = "g1"      # the nonidentity element of the two-element group
 UNIT = "g0"

@@ -15,11 +15,11 @@ def _case_dagger() -> tuple[dict, bool]:
 
 
 def _case_truncation() -> tuple[dict, bool]:
-    from . import chaincx
+    from .chainmaps import reproduce_truncation_counterexample
     out = {}
     ok = True
     for p in (2, 5):
-        rep = chaincx.reproduce_truncation_counterexample(p)
+        rep = reproduce_truncation_counterexample(p)
         out[str(p)] = {"acyclic_fib": rep["acyclic_fib"],
                        "FR_acyclic_fib": rep["FR_acyclic_fib"]}
         ok = ok and rep["acyclic_fib"] and not rep["FR_acyclic_fib"]
@@ -27,10 +27,10 @@ def _case_truncation() -> tuple[dict, bool]:
 
 
 def _case_nabla() -> tuple[dict, bool]:
-    from . import nabla
-    pres = nabla.build_nabla(2)
+    from .presentations import build_nabla, hom_doubling
+    pres = build_nabla(2)
     two = len(pres.semidirect.category.hom("[0]", "[0]"))
-    doubling = nabla.hom_doubling(pres)
+    doubling = hom_doubling(pres)
     return ({"hom_0_0": two, "hom_doubling": doubling,
              "presentations_isomorphic": pres.isomorphic},
             two == 2 and doubling and pres.isomorphic)
@@ -39,8 +39,8 @@ def _case_nabla() -> tuple[dict, bool]:
 def _case_icat() -> tuple[dict, bool]:
     from . import invcat
     from .equivalence import coproduct, product
-    from .fincat import (CatFunctor, empty_category, opposite,
-                         terminal_category, walking_arrow)
+    from .fincat import CatFunctor, opposite
+    from .standard import empty_category, terminal_category, walking_arrow
     X = walking_arrow()
     LX = invcat.L_inv(X)
     RX = invcat.R_inv(X)
@@ -70,7 +70,10 @@ def _case_icat() -> tuple[dict, bool]:
 
 def _case_fully_faithful() -> tuple[dict, bool]:
     from . import setval
-    from .fincat import CatFunctor, chain_category, walking_arrow
+    from .fincat import CatFunctor
+    from .kan import lan_unit, ran_counit
+    from .standard import chain_category, walking_arrow
+    from .universal import is_iso_diagram_map, terminal_objects
     C = walking_arrow()
     D = chain_category(2)
     iota = CatFunctor(C, D, {"a": "0", "b": "1"},
@@ -79,26 +82,28 @@ def _case_fully_faithful() -> tuple[dict, bool]:
         C, {"a": ("u", "v"), "b": ("p",)},
         {"id_a": {"u": "u", "v": "v"}, "id_b": {"p": "p"},
          "f": {"u": "p", "v": "p"}})
-    unit_iso = setval.is_iso_diagram_map(setval.lan_unit(iota, X))
-    counit_iso = setval.is_iso_diagram_map(setval.ran_counit(iota, X))
+    unit_iso = is_iso_diagram_map(lan_unit(iota, X))
+    counit_iso = is_iso_diagram_map(ran_counit(iota, X))
     comma = setval.comma_over(iota, "1")
-    terminal = setval.terminal_objects(comma.category)
+    terminal = terminal_objects(comma.category)
     return ({"unit_iso": unit_iso, "counit_iso": counit_iso,
              "comma_has_terminal_identity": len(terminal) == 1},
             unit_iso and counit_iso and len(terminal) == 1)
 
 
 def _case_semidirect_lan() -> tuple[dict, bool]:
-    from . import semidirect, setval
-    from .fincat import cyclic_group, discrete_category
+    from . import setval
+    from .fincat import cyclic_group
+    from .sdcheck import permutation_action, verify_lan_formula
+    from .standard import discrete_category
     C = discrete_category("ab")
-    action = semidirect.permutation_action(
+    action = permutation_action(
         cyclic_group(2), C,
         {"g0": {"a": "a", "b": "b"}, "g1": {"a": "b", "b": "a"}})
     F = setval.SetDiagram.build(
         C, {"a": ("u",), "b": ("v", "w")},
         {"id_a": {"u": "u"}, "id_b": {"v": "v", "w": "w"}})
-    rep = semidirect.verify_lan_formula(action, F)
+    rep = verify_lan_formula(action, F)
     return ({"natural_iso": rep.natural_iso,
              "components_indexed_by_group": rep.comma_components_indexed_by_group},
             rep.ok)
@@ -106,39 +111,44 @@ def _case_semidirect_lan() -> tuple[dict, bool]:
 
 def _case_boundary_preservation() -> tuple[dict, bool]:
     # the flip of the simplex category preserves boundary inclusions
-    from . import nabla, setval
+    from . import nabla
     from .fincat import opposite_functor
+    from .simplicial import boundary_inclusion_sset
+    from .universal import (is_mono_diagram_map, restrict_map,
+                            validate_diagram_map)
     N = 2
     action = nabla.nabla_action(N)
     flip_op = opposite_functor(action.rho[nabla.SWAP])
     ok = True
     for n in range(N + 1):
-        inc = nabla.boundary_inclusion_sset(N, n)
-        moved = setval.restrict_map(flip_op, inc)
-        if setval.validate_diagram_map(moved) or \
-                not setval.is_mono_diagram_map(moved):
+        inc = boundary_inclusion_sset(N, n)
+        moved = restrict_map(flip_op, inc)
+        if validate_diagram_map(moved) or not is_mono_diagram_map(moved):
             ok = False
     return {"flip_preserves_boundary_monos": ok}, ok
 
 
 def _case_joyal_generators() -> tuple[dict, bool]:
     from . import nabla
+    from .simplicial import is_normal_mono
     gens = nabla.generating_cofibrations(2)
-    normal = all(nabla.is_normal_mono(g) for g in gens)
+    normal = all(is_normal_mono(g) for g in gens)
     return {"generators": len(gens), "all_normal_monos": normal}, normal
 
 
 def _case_cyclic() -> tuple[dict, bool]:
     from . import cycadj, cycops
-    P = cycops.associative_operad(3)
+    from .cycmaps import (associative_operad, check_FR_products,
+                          terminal_operad)
+    P = associative_operad(3)
     R_sizes, errs = cycadj.check_right_adjoint(P)
     sizes = all(R_sizes[n] == len(P.elements[n]) ** (n + 1) for n in range(4))
     valid = errs == []
-    T = cycops.terminal_operad(3)
+    T = terminal_operad(3)
     RT = cycops.right_adjoint_R(T)
     ident = cycops.CyclicOperadMap(
         RT, RT, {n: {x: x for x in RT.operad.elements[n]} for n in range(4)})
-    prod = cycops.check_FR_products(ident)
+    prod = check_FR_products(ident)
     return ({"R_sizes_are_powers": sizes, "R_assoc_cyclic": valid,
              "FR_products": prod.ok}, sizes and valid and prod.ok)
 
@@ -146,9 +156,9 @@ def _case_cyclic() -> tuple[dict, bool]:
 def _case_isofibration() -> tuple[dict, bool]:
     from .catmodel import (default_generating_acyclic_cofibrations, has_rlp,
                            is_isofibration)
-    from .fincat import (CatFunctor, enumerate_functors, indiscrete_category,
-                         terminal_category, validate_functor, walking_arrow,
-                         walking_iso)
+    from .fincat import CatFunctor, enumerate_functors, validate_functor
+    from .standard import (indiscrete_category, terminal_category,
+                           walking_arrow, walking_iso)
     X = indiscrete_category(["x", "xp", "y"])
     Y = indiscrete_category(["z", "y"])
     ob = {"x": "z", "xp": "z", "y": "y"}

@@ -4,10 +4,8 @@ pairs ``(f, t)``, and the explicit isomorphism from the semidirect one.
 :func:`build_nabla` constructs both presentations together with the
 isomorphism between them and checks it tablewise, and
 :func:`hom_doubling` compares the hom-sets with those of the simplex
-category; ``smallcat nabla --dim N`` prints both verdicts.  Every name
-here is also reachable as an attribute of :mod:`smallcat.nabla`, where
-it lived before; only the commands that build the presentations load
-this module.
+category; ``smallcat nabla --dim N`` prints both verdicts.  Only the
+commands that build the presentations load this module.
 """
 from __future__ import annotations
 

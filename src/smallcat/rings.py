@@ -14,9 +14,8 @@ solve in the target basis).  The module-map, complex and complex-map
 functions are thin wrappers over it, and a complex builds each degree's
 record once.
 
-The linear algebra is that of :mod:`smallcat.chaincx`, where every name
-here lived before; ``chaincx.induce`` and the rest still work through
-its module ``__getattr__``.  Only code that changes rings loads this
+The linear algebra is that of :mod:`smallcat.chaincx` and
+:mod:`smallcat.chainmaps`.  Only code that changes rings loads this
 module, and no command does.
 """
 from __future__ import annotations

@@ -3,8 +3,7 @@
 :func:`verify_lan_formula` certifies that restricting the left Kan
 extension along the inclusion of ``C`` gives the coproduct of the twisted
 copies of the diagram, one per group element, through the terminal object
-of each component of the comma category.  Every name here is also
-reachable through :mod:`smallcat.semidirect`, where it lived before.
+of each component of the comma category.
 """
 from __future__ import annotations
 
@@ -95,10 +94,11 @@ def twisted_coproduct(action: GroupAction, F: SetDiagram
     of ``g``; returns the total diagram and one injection per element.
     """
     from . import setval
+    from .universal import coproduct_diagrams
     G = action.group
     order = sorted(G.elements)
     summands = [setval.restrict(action.rho[G.inverse[g]], F) for g in order]
-    total, injections = setval.coproduct_diagrams(summands)
+    total, injections = coproduct_diagrams(summands)
     return total, dict(zip(order, injections))
 
 
@@ -126,6 +126,8 @@ def verify_lan_formula(action: GroupAction, F: SetDiagram) -> LanFormulaReport:
     from . import setval
     from .coded import _code
     from .kan import _lan_core, _render_lan
+    from .universal import (connected_components, is_iso_diagram_map,
+                            validate_diagram_map)
     failures: list[str] = []
     G, C = action.group, action.target
     sd = semidirect.semidirect(action)
@@ -140,7 +142,7 @@ def verify_lan_formula(action: GroupAction, F: SetDiagram) -> LanFormulaReport:
     for x in C.objects:
         K = setval.comma_over(iota, x)
         homs = fincat.hom_index(K.category)
-        comps = setval.connected_components(K.category)
+        comps = connected_components(K.category)
         if len(comps) != len(G.elements):
             comps_ok = False
             failures.append(f"comma components at {x}: {len(comps)} != |G|")
@@ -178,8 +180,8 @@ def verify_lan_formula(action: GroupAction, F: SetDiagram) -> LanFormulaReport:
             failures.append(f"comparison not bijective at {x}")
 
     iso = setval.DiagramMap(left, right, components)
-    errs = setval.validate_diagram_map(iso)
-    natural = not errs and setval.is_iso_diagram_map(iso)
+    errs = validate_diagram_map(iso)
+    natural = not errs and is_iso_diagram_map(iso)
     failures.extend(f"comparison map: {e}" for e in errs)
     return LanFormulaReport(ok=not failures, natural_iso=natural,
                             component_bijections=bijections,
@@ -205,7 +207,7 @@ def check_semidirect_hypotheses(action: GroupAction,
     must satisfy it as well.  Per-case verdicts are collected; a failure is
     a map where preservation breaks.
     """
-    from . import setval
+    from .universal import restrict_map
     verdicts: dict[tuple[str, str, int], bool] = {}
     failures: list[str] = []
     for name, pred in sorted(predicates.items()):
@@ -214,7 +216,7 @@ def check_semidirect_hypotheses(action: GroupAction,
             for k, h in enumerate(maps):
                 if not pred(h):
                     continue
-                preserved = pred(setval.restrict_map(rho_g, h))
+                preserved = pred(restrict_map(rho_g, h))
                 verdicts[(name, g, k)] = preserved
                 if not preserved:
                     failures.append(f"{name} not preserved by rho[{g}] on map {k}")

@@ -5,33 +5,20 @@ It runs on :func:`smallcat.searchcore.backtrack`: the non-identity
 morphisms are the variables, and every composite of the domain is a
 constraint.
 
-Every name here is also reachable as an attribute of
-:mod:`smallcat.fincat`, where it lived before; only the commands that
-search (``lift``, ``rlp``, the paper suite) and documents with an
-``involution`` block load this module.  Products, coproducts, cores,
-natural transformations, the equivalence tests and the isomorphism
-search live in :mod:`smallcat.equivalence`, and the bounded word closure
-that completes a category from generators and relations in
-:mod:`smallcat.closure`; their old names here (``search.product``,
-``search.bounded_closure``, ...) still work through the module
-``__getattr__``.
+Only the commands that search (``lift``, ``rlp``, the paper suite) and
+documents with an ``involution`` block load this module.  Products,
+coproducts, cores, natural transformations, the equivalence tests and the
+isomorphism search live in :mod:`smallcat.equivalence`, and the bounded
+word closure that completes a category from generators and relations in
+:mod:`smallcat.closure`.
 """
 from __future__ import annotations
 
 import itertools
 from typing import Callable, Iterator, Sequence
 
-from . import moved
 from .fincat import BudgetError, CatFunctor, FiniteCategory, hom_index
 from .searchcore import NodeBudget, backtrack, constraint_lists
-
-# Each name is read from its home module on first access.
-__getattr__ = moved(globals(), equivalence="""
-    product coproduct core is_groupoid _Square enumerate_naturals
-    validate_natural is_natural_iso is_full is_faithful
-    is_essentially_surjective is_fully_faithful is_equivalence
-    find_isomorphism""", closure="""
-    _REDUCTION_BUDGET _reduce_words bounded_closure category_from_generators""")
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,8 @@
 union-find (:func:`least_members`), and the one search loop
 (:func:`backtrack`) under a node budget.
 
-Every name here is also reachable as an attribute of
-:mod:`smallcat.fincat`, where it lived before; only the code that
-searches, quotients or chases loads this module, so loading a document
-and checking its tables compiles none of it.
+Only the code that searches, quotients or chases loads this module, so
+loading a document and checking its tables compiles none of it.
 """
 from __future__ import annotations
 

@@ -8,12 +8,10 @@ and composition twists the right factor: ``(phi,g).(psi,h) =
 strings for auditability.
 
 Building and validating actions and the checks on semidirect products
-(the Lan formula among them) live in :mod:`smallcat.sdcheck`, read
-through ``__getattr__``.
+(the Lan formula among them) live in :mod:`smallcat.sdcheck`.
 """
 from __future__ import annotations
 
-from . import moved
 from .fincat import (
     CatFunctor,
     FiniteCategory,
@@ -23,12 +21,6 @@ from .fincat import (
     record,
     tabulate,
 )
-
-# Read from smallcat.sdcheck on first access.
-__getattr__ = moved(globals(), sdcheck="""
-    validate_action trivial_action permutation_action twisted_coproduct
-    LanFormulaReport verify_lan_formula HypothesisReport
-    check_semidirect_hypotheses semidirect_op""")
 
 
 @record(frozen=True)

@@ -13,27 +13,22 @@ Coded diagrams, the diagram-map search and the family search live in
 counits and transposes) in ``kan``, the adjunction certificates in
 ``certify``, and the other limits and colimits and the algebra of
 diagram maps in ``universal``; only the code that uses them loads them.
-Their old names here (``setval.lan``, ``setval._code``, ...) still
-work through the module ``__getattr__``.
+``perfbench`` still reads some of their names here (``setval.lan``,
+``setval.limit``, ...), through the module ``__getattr__``.
 """
 from __future__ import annotations
 
 from . import moved
 from .fincat import CatFunctor, FiniteCategory, record
 
-# Each name is read from its home module on first access.
-__getattr__ = moved(globals(), coded="""
-    CodedDiagram _code _search_families""", kan="""
-    CommaCategory _comma_category comma_over comma_under
-    CodedKan lan lan_map lan_unit ran ran_counit lan_transpose ran_transpose
-    representable corepresentable""", certify="""
-    AdjunctionReport certify_adjunction certify_kan_adjunctions""",
-    universal="""
-    validate_diagram_map identity_diagram_map compose_diagram_maps
-    is_iso_diagram_map is_mono_diagram_map is_epi_diagram_map
-    enumerate_diagram_maps limit colimit
-    coproduct_diagrams quotient_diagram diagram_pushout terminal_objects
-    connected_components restrict_map""")
+# The names perfbench/ reads here, each from its home module on first
+# access.
+__getattr__ = moved(globals(), kan="""
+    comma_over comma_under lan ran lan_transpose ran_transpose
+    corepresentable""", certify="""
+    AdjunctionReport certify_kan_adjunctions""", universal="""
+    enumerate_diagram_maps limit colimit coproduct_diagrams
+    quotient_diagram""")
 
 
 @record(frozen=True)

@@ -3,8 +3,9 @@ generating cofibrations of truncated (real) simplicial sets.
 
 A generating cofibration is the left Kan extension of a boundary
 inclusion along the inclusion of the simplex category into the signed
-one.  Every name here is also reachable through :mod:`smallcat.nabla`,
-where it lived before.
+one.  ``perfbench`` reads :func:`representable_rsset` and
+:func:`generating_cofibrations` at :mod:`smallcat.nabla`, which forwards
+them here.
 """
 from __future__ import annotations
 
@@ -82,15 +83,17 @@ def is_normal_mono(h: DiagramMap) -> bool:
 
 def representable_sset(N: int, n: int) -> TruncatedSimplicialSet:
     """The standard ``n``-simplex truncated at level ``N``."""
-    return TruncatedSimplicialSet(N, setval.representable(nabla.delta_leq(N),
-                                                          f"[{n}]"))
+    from .kan import representable
+    return TruncatedSimplicialSet(N, representable(nabla.delta_leq(N),
+                                                   f"[{n}]"))
 
 
 def boundary_inclusion_sset(N: int, n: int) -> DiagramMap:
     """The boundary of the standard simplex into the standard simplex, as a
     map of diagrams over the opposite truncated simplex category."""
+    from .kan import representable
     delta = nabla.delta_leq(N)
-    simp = setval.representable(delta, f"[{n}]")
+    simp = representable(delta, f"[{n}]")
     values = {}
     for o in delta.objects:
         values[o] = tuple(u for u in simp.values[o]
@@ -107,22 +110,24 @@ def boundary_inclusion_sset(N: int, n: int) -> DiagramMap:
 
 def representable_rsset(N: int, n: int) -> TruncatedRealSimplicialSet:
     """The signed standard ``n``-simplex truncated at level ``N``."""
+    from .kan import representable
     sd = nabla_category(N)
-    return TruncatedRealSimplicialSet(N, setval.representable(sd.category,
-                                                              f"[{n}]"))
+    return TruncatedRealSimplicialSet(N, representable(sd.category, f"[{n}]"))
 
 
 def generating_cofibrations(N: int) -> list[DiagramMap]:
     """Left Kan extensions of the boundary inclusions along the inclusion of
     the simplex category, one per dimension up to ``N``; each is verified to
     be a normal monomorphism."""
+    from .kan import lan_map
+    from .universal import validate_diagram_map
     sd = nabla_category(N)
     iota_op = opposite_functor(inclusion_iota(sd))
     gens = []
     for n in range(N + 1):
         inc = boundary_inclusion_sset(N, n)
-        gen = setval.lan_map(iota_op, inc)
-        if setval.validate_diagram_map(gen):
+        gen = lan_map(iota_op, inc)
+        if validate_diagram_map(gen):
             raise AssertionError("extended boundary inclusion is not a map")
         if not is_normal_mono(gen):
             raise AssertionError(f"generator at dimension {n} is not normal")

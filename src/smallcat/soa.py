@@ -8,16 +8,14 @@ of set-valued diagrams against a set of generating maps, gluing on the
 unsolved lifting problems of each stage by a level-wise pushout; lifting
 problems between diagram maps are solved by one coded search.
 
-Every name here is also reachable as an attribute of
-:mod:`smallcat.catmodel`, where it lived before; only ``smallcat soa``
-and the code that factors or glues loads this module.
+Only ``smallcat soa`` and the code that factors or glues loads this
+module.
 """
 from __future__ import annotations
 
 from operator import getitem, itemgetter
 from typing import Iterator
 
-from . import setval
 from .fincat import CatFunctor, FiniteCategory, field, record
 from .searchcore import NodeBudget, _forced, backtrack, least_members
 from .setval import DiagramMap, SetDiagram
@@ -217,11 +215,13 @@ def bounded_soa(gens: list[DiagramMap], f: DiagramMap,
     lifting property; the ``saturated`` flag records whether that happened
     within ``max_stages``, which must be at least 0.
     """
+    from .universal import (compose_diagram_maps, coproduct_diagrams,
+                            diagram_pushout, identity_diagram_map)
     if max_stages < 0:
         raise ValueError(f"max_stages {max_stages} is not an integer of "
                          f"at least 0")
     current = f.source
-    left = setval.identity_diagram_map(f.source)
+    left = identity_diagram_map(f.source)
     remainder = f
     cells: list[list[SoaStageCell]] = []
     for _ in range(max_stages):
@@ -229,9 +229,9 @@ def bounded_soa(gens: list[DiagramMap], f: DiagramMap,
         if not stage_cells:
             break
         shape = current.shape
-        dom_sum, dom_inj = setval.coproduct_diagrams(
+        dom_sum, dom_inj = coproduct_diagrams(
             [gens[c.generator].source for c in stage_cells])
-        cod_sum, cod_inj = setval.coproduct_diagrams(
+        cod_sum, cod_inj = coproduct_diagrams(
             [gens[c.generator].target for c in stage_cells])
         sum_gen = DiagramMap(dom_sum, cod_sum, {
             o: {dom_inj[k].components[o][e]:
@@ -244,8 +244,7 @@ def bounded_soa(gens: list[DiagramMap], f: DiagramMap,
                 for k in range(len(stage_cells))
                 for e in gens[stage_cells[k].generator].source.values[o]}
             for o in shape.objects})
-        new, from_current, from_cells = setval.diagram_pushout(attach,
-                                                               sum_gen)
+        new, from_current, from_cells = diagram_pushout(attach, sum_gen)
         q_comps = {}
         for o in shape.objects:
             comp = {}
@@ -261,7 +260,7 @@ def bounded_soa(gens: list[DiagramMap], f: DiagramMap,
                     comp[tag] = want
             q_comps[o] = comp
         remainder = DiagramMap(new, f.target, q_comps)
-        left = setval.compose_diagram_maps(from_current, left)
+        left = compose_diagram_maps(from_current, left)
         current = new
         cells.append(stage_cells)
     saturated = diagram_has_rlp(gens, remainder, node_budget)

@@ -4,8 +4,7 @@ Chains, posets and indiscrete categories are thin: composition is forced.
 Identifiers are ``id_x`` for identities, ``le_x_y`` in chains and posets,
 ``to_y_from_x`` in indiscrete categories, and the one-line notation of a
 permutation; an arrow name, or a group-product pair, that two different
-parts render raises ``ValueError``.  Every name here is also reachable
-through :mod:`smallcat.fincat`, where it lived before.
+parts render raises ``ValueError``.
 """
 from __future__ import annotations
 

@@ -4,8 +4,7 @@ diagrams, and the algebra of diagram maps.
 Colimit classes, found by :func:`~smallcat.searchcore.least_members`, are
 named by their minimal ``(object,element)`` tag, coproduct summand ``k``
 tags its elements ``(k,e)``, and the colimit over the empty shape is
-empty.  Every name here is also reachable through
-:mod:`smallcat.setval`, where it lived before.
+empty.
 """
 from __future__ import annotations
 
@@ -103,7 +102,7 @@ def _decode_map(X: SetDiagram, Y: SetDiagram, a) -> DiagramMap:
 
 def limit(X: SetDiagram, budget: int = 2_000_000) -> LimitResult:
     """Compatible families in the product of the value sets: the coded
-    family search (:func:`~smallcat.setval._search_families`) over the
+    family search (:func:`~smallcat.coded._search_families`) over the
     objects of the shape, under ``budget`` nodes."""
     C, Y = X.shape, _code(X)
     slot = dict(zip(C.objects, range(len(C.objects))))
@@ -120,7 +119,7 @@ def limit(X: SetDiagram, budget: int = 2_000_000) -> LimitResult:
 def colimit(X: SetDiagram) -> ColimitResult:
     """Quotient of the tagged disjoint union by the action-generated relation.
 
-    Classes come from :func:`~smallcat.fincat.least_members` on the tags
+    Classes come from :func:`~smallcat.searchcore.least_members` on the tags
     and are named by their lexicographically minimal member tag.  Raises
     :class:`ValueError` when two elements' tags render alike.
     """
@@ -166,9 +165,9 @@ def quotient_diagram(X: SetDiagram, pairs: list[tuple[str, str, str]]
     """Quotient ``X`` by the congruence generated by ``(object, e, e')`` pairs.
 
     The relation is closed under every structure map, so the result is again
-    a valid diagram.  Classes come from :func:`~smallcat.fincat.least_members`
-    on the ``(object, element)`` pairs and are named by their minimal
-    element.
+    a valid diagram.  Classes come from
+    :func:`~smallcat.searchcore.least_members` on the ``(object, element)``
+    pairs and are named by their minimal element.
     """
     C = X.shape
     keys = [(o, e) for o in C.objects for e in X.values[o]]

@@ -4,7 +4,7 @@ result of the first with one of the second."""
 import numpy as np
 
 import chaincx_numpy as npcx
-from smallcat import chaincx
+from smallcat import chaincx, chainmaps, rings
 
 
 def to_np(m: chaincx.Matrix) -> np.ndarray:
@@ -20,24 +20,24 @@ def complex_to_np(C: chaincx.FiniteComplex) -> npcx.FiniteComplex:
                               {k: to_np(m) for k, m in C.diff.items()})
 
 
-def map_to_np(g: chaincx.ComplexMap) -> npcx.ComplexMap:
+def map_to_np(g: chainmaps.ComplexMap) -> npcx.ComplexMap:
     return npcx.ComplexMap(complex_to_np(g.source), complex_to_np(g.target),
                            {k: to_np(m) for k, m in g.mats.items()})
 
 
-def algebra_to_np(A: chaincx.FiniteAlgebra) -> npcx.FiniteAlgebra:
+def algebra_to_np(A: rings.FiniteAlgebra) -> npcx.FiniteAlgebra:
     structure = np.array([s.rows for s in A.structure],
                          dtype=np.int64).reshape(A.dim, A.dim, A.dim)
     return npcx.FiniteAlgebra(A.p, A.dim, structure,
                               np.array(A.unit, dtype=np.int64))
 
 
-def algebra_map_to_np(f: chaincx.AlgebraMap) -> npcx.AlgebraMap:
+def algebra_map_to_np(f: rings.AlgebraMap) -> npcx.AlgebraMap:
     return npcx.AlgebraMap(algebra_to_np(f.source), algebra_to_np(f.target),
                            to_np(f.matrix))
 
 
-def module_to_np(M: chaincx.AlgebraModule) -> npcx.AlgebraModule:
+def module_to_np(M: rings.AlgebraModule) -> npcx.AlgebraModule:
     action = np.array([a.rows for a in M.action], dtype=np.int64)
     return npcx.AlgebraModule(algebra_to_np(M.algebra), M.dim,
                               action.reshape(M.algebra.dim, M.dim, M.dim))
@@ -60,7 +60,7 @@ def assert_same_complex(got: chaincx.FiniteComplex, want) -> None:
         assert_same_matrix(got.d(k), want.d(k))
 
 
-def assert_same_map(got: chaincx.ComplexMap, want) -> None:
+def assert_same_map(got: chainmaps.ComplexMap, want) -> None:
     assert_same_complex(got.source, want.source)
     assert_same_complex(got.target, want.target)
     lo = min(got.source.lo, got.target.lo)
@@ -69,7 +69,7 @@ def assert_same_map(got: chaincx.ComplexMap, want) -> None:
         assert_same_matrix(got.mat(k), want.mat(k))
 
 
-def assert_same_module(got: chaincx.AlgebraModule, want) -> None:
+def assert_same_module(got: rings.AlgebraModule, want) -> None:
     assert got.dim == want.dim
     assert len(got.action) == want.action.shape[0]
     for a, b in zip(got.action, want.action):

@@ -9,20 +9,18 @@ the parsed command's arguments, against.
 """
 import argparse
 
-from smallcat.commands import (
-    cmd_adjoint,
-    cmd_chain,
-    cmd_cyclic,
-    cmd_kan,
-    cmd_lift,
-    cmd_nabla,
-    cmd_paper_suite,
-    cmd_rlp,
-    cmd_rsset,
-    cmd_semidirect,
-    cmd_soa,
-    cmd_validate,
-)
+from smallcat.commands.adjoint import cmd_adjoint
+from smallcat.commands.chain import cmd_chain
+from smallcat.commands.cyclic import cmd_cyclic
+from smallcat.commands.kan import cmd_kan
+from smallcat.commands.lift import cmd_lift
+from smallcat.commands.nabla import cmd_nabla
+from smallcat.commands.paper_suite import cmd_paper_suite
+from smallcat.commands.rlp import cmd_rlp
+from smallcat.commands.rsset import cmd_rsset
+from smallcat.commands.semidirect import cmd_semidirect
+from smallcat.commands.soa import cmd_soa
+from smallcat.commands.validate import cmd_validate
 
 BUDGET_HELP = "search budget (default: $SMALLCAT_MAX_MORPHISMS or 400)"
 

@@ -1,10 +1,11 @@
-"""``fincat.bounded_closure`` as it was before identity words were read from
+"""``closure.bounded_closure`` as it was before identity words were read from
 a ``1@obj`` table and the closure loop was simplified.
 
 Kept verbatim as the reference that ``test_closure`` compares the current
 code against, by ``repr`` and by ``BudgetError`` message.
 """
-from smallcat.fincat import BudgetError, FiniteCategory, _reduce_words
+from smallcat.closure import _reduce_words
+from smallcat.fincat import BudgetError, FiniteCategory
 
 
 def bounded_closure(objects: list[str],

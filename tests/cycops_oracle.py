@@ -11,20 +11,19 @@ kept as it was when it rebuilt the arity table for every composition entry.
 """
 import itertools
 
+from smallcat.cycadj import _sigma_i, _tuple_name
+from smallcat.cycmaps import forget_cyclic_map
 from smallcat.cycops import (
     CyclicOperadMap,
     OperadMap,
     TruncatedCyclicOperad,
     TruncatedOperad,
-    _sigma_i,
-    _tuple_name,
     all_ext_perms,
     all_perms,
     cyclic_generator,
     ext_compose,
     ext_identity,
     ext_of_perm,
-    forget_cyclic_map,
     identity_perm,
     perm_compose,
 )

@@ -17,24 +17,17 @@ transposes through :mod:`smallcat.kan`: it handles every map as a
 
 :class:`Partition` (behind :func:`left_kan`) and :func:`_families` with
 :func:`limit` are the union-find and the name-level family search as they
-were before every quotient read :func:`smallcat.fincat.least_members` and
+were before every quotient read :func:`smallcat.searchcore.least_members` and
 ``limit`` shared the right Kan core's coded search, copied unchanged; the
 colimits are those of ``partition_oracle``.  So the union-find and the
 family naming here share no code with :mod:`smallcat`; the family search
-still runs on :func:`smallcat.fincat.backtrack`.
+still runs on :func:`smallcat.searchcore.backtrack`.
 """
 from partition_oracle import colimit
 from smallcat import fincat, kan, setval
-from smallcat.fincat import (
-    CatFunctor,
-    NodeBudget,
-    backtrack,
-    constraint_lists,
-    distinct,
-    pair_name,
-    record,
-)
+from smallcat.fincat import CatFunctor, distinct, pair_name, record
 from smallcat.kan import _comma_objects
+from smallcat.searchcore import NodeBudget, backtrack, constraint_lists
 from smallcat.setval import (
     AdjunctionReport,
     ColimitResult,
@@ -44,11 +37,13 @@ from smallcat.setval import (
     _family_name,
     comma_over,
     comma_under,
-    compose_diagram_maps,
     enumerate_diagram_maps,
     restrict,
-    restrict_map,
     validate_diagram,
+)
+from smallcat.universal import (
+    compose_diagram_maps,
+    restrict_map,
     validate_diagram_map,
 )
 

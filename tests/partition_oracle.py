@@ -1,19 +1,15 @@
 """The partition code as it was before the union-find (``fincat.Partition``,
-since replaced by :func:`smallcat.fincat.least_members`).
+since replaced by :func:`smallcat.searchcore.least_members`).
 
 Each function names its classes by iterating a minimum-label relabelling
 over a dictionary of labels.  They are kept, unchanged, as the reference
 that ``test_partition`` compares the union-find versions against, and
 ``kan_oracle`` takes its colimits from here.
 """
-from smallcat.catmodel import PushoutResult
-from smallcat.fincat import (
-    CatFunctor,
-    FiniteCategory,
-    bounded_closure,
-    pair_name,
-)
+from smallcat.closure import bounded_closure
+from smallcat.fincat import CatFunctor, FiniteCategory, pair_name
 from smallcat.setval import ColimitResult, DiagramMap, SetDiagram
+from smallcat.soa import PushoutResult
 
 
 def colimit(X: SetDiagram) -> ColimitResult:

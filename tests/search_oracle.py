@@ -2,7 +2,7 @@
 
 Each search here carries its own ``consistent()``/``extend()`` pair.  They
 are kept, unchanged, as the exhaustive reference that ``test_search``
-compares :func:`smallcat.fincat.backtrack` and its constraint builders
+compares :func:`smallcat.searchcore.backtrack` and its constraint builders
 against: the same results in the same order, and (for the three budgeted
 searches) the same minimal node budget.  The lifting search is kept as it
 was too, one functor search per choice of object images: the lifting
@@ -10,7 +10,7 @@ search now spends one budget on all the choices, so its minimal budget is
 the sum of the per-choice ones.
 
 Kept the same way: the natural-transformation enumeration as it was before
-it ran on :func:`~smallcat.fincat.backtrack` (a product of the hom-sets,
+it ran on :func:`~smallcat.searchcore.backtrack` (a product of the hom-sets,
 refused past its size budget, then filtered), the fullness, faithfulness
 and essential surjectivity tests as they were before they read
 :func:`~smallcat.fincat.hom_index`, and the search for commuting squares
@@ -21,15 +21,15 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterator
 
-from smallcat import setval
+from smallcat import setval, universal
 from smallcat.cycops import TruncatedOperad, all_ext_perms, all_perms
 from smallcat.fincat import (
     BudgetError,
     CatFunctor,
     FiniteCategory,
     NaturalTransformation,
-    _forced,
 )
+from smallcat.searchcore import _forced
 from smallcat.setval import DiagramMap, SetDiagram
 
 
@@ -374,10 +374,10 @@ def diagram_squares(i: DiagramMap, p: DiagramMap,
     """All commuting squares (top, bottom) from ``i`` to ``p``."""
     tops = setval.enumerate_diagram_maps(i.source, p.source, node_budget)
     bottoms = setval.enumerate_diagram_maps(i.target, p.target, node_budget)
-    bis = [(bottom, setval.compose_diagram_maps(bottom, i).key())
+    bis = [(bottom, universal.compose_diagram_maps(bottom, i).key())
            for bottom in bottoms]
     out = []
     for top in tops:
-        pt = setval.compose_diagram_maps(p, top).key()
+        pt = universal.compose_diagram_maps(p, top).key()
         out += [(top, bottom) for bottom, bi in bis if bi == pt]
     return out

@@ -2,8 +2,8 @@
 truncation level one, and the interval-to-point collapse to factor."""
 from smallcat import fincat
 from smallcat.fincat import FiniteCategory, validate_category
-from smallcat.setval import DiagramMap, SetDiagram, validate_diagram, \
-    validate_diagram_map
+from smallcat.setval import DiagramMap, SetDiagram, validate_diagram
+from smallcat.universal import validate_diagram_map
 
 
 def delta_leq1_op():

@@ -15,9 +15,9 @@ from typing import Callable
 from smallcat import fincat
 from smallcat.fincat import CatFunctor, FiniteCategory, pair_name
 from smallcat.invcat import L_inv, L_inv_insertion
+from smallcat.kan import CommaCategory
 from smallcat.nabla import _monotone_maps
 from smallcat.semidirect import GroupAction, SemidirectCategory
-from smallcat.setval import CommaCategory
 
 
 def indiscrete_category(names) -> FiniteCategory:

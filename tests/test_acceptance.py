@@ -11,7 +11,24 @@ import sys
 import time
 
 
-from smallcat import catmodel, catspec, chaincx, cycops, fincat, invcat, nabla
+from smallcat import (
+    catmodel,
+    catspec,
+    chaincx,
+    chainmaps,
+    cycmaps,
+    cycops,
+    equivalence,
+    fincat,
+    invcat,
+    nabla,
+    presentations,
+    rings,
+    sdcheck,
+    soa,
+    standard,
+    universal,
+)
 from smallcat import semidirect as sdp
 from smallcat import setval
 from smallcat.fincat import (
@@ -20,27 +37,27 @@ from smallcat.fincat import (
     cyclic_group,
     discrete_category,
     enumerate_functors,
-    group_product,
-    indiscrete_category,
     parallel_pair,
     poset_category,
-    symmetric_group,
-    terminal_category,
     walking_arrow,
     walking_iso,
 )
+from smallcat.kan import lan_unit, ran_counit
 from smallcat.setval import (
     SetDiagram,
     certify_kan_adjunctions,
     corepresentable,
     coproduct_diagrams,
-    is_iso_diagram_map,
-    lan_unit,
     quotient_diagram,
-    ran_counit,
     validate_diagram,
-    validate_diagram_map,
 )
+from smallcat.standard import (
+    group_product,
+    indiscrete_category,
+    symmetric_group,
+    terminal_category,
+)
+from smallcat.universal import is_iso_diagram_map, validate_diagram_map
 
 
 def report(criterion: int, ok: bool, detail: str):
@@ -162,7 +179,7 @@ def test_criterion_01_kan_adjunction_random_corpus():
         rep = certify_kan_adjunctions(iota, [X], [Y], naturality_budget=2)
         assert rep.ok, (rep.failures, iota.ob_map)
         instances += 1
-        if fincat.is_fully_faithful(iota):
+        if equivalence.is_fully_faithful(iota):
             ff_pool.append((iota, X))
     elapsed = time.monotonic() - started
     report(1, instances >= 100 and elapsed < 60.0,
@@ -192,7 +209,7 @@ def test_criterion_02_fully_faithful_corollary():
         pool.append((j, random_diagram(rng, pt)))
     checked = 0
     for iota, X in pool:
-        if not fincat.is_fully_faithful(iota) or not iota.domain.objects:
+        if not equivalence.is_fully_faithful(iota) or not iota.domain.objects:
             continue
         unit = lan_unit(iota, X)
         counit = ran_counit(iota, X)
@@ -210,7 +227,7 @@ def _criterion3_actions():
     out = []
     # C2: swap on two points, arrow flip on the parallel pair, trivial
     disc2 = discrete_category("ab")
-    out.append(sdp.permutation_action(
+    out.append(sdcheck.permutation_action(
         cyclic_group(2), disc2,
         {"g0": {"a": "a", "b": "b"}, "g1": {"a": "b", "b": "a"}}))
     pp = parallel_pair()
@@ -219,13 +236,13 @@ def _criterion3_actions():
     out.append(sdp.GroupAction(cyclic_group(2), pp,
                                {"g0": fincat.identity_functor(pp),
                                 "g1": flip}))
-    out.append(sdp.trivial_action(cyclic_group(2), walking_arrow()))
+    out.append(sdcheck.trivial_action(cyclic_group(2), walking_arrow()))
     # C3 rotating three points, and acting trivially
     disc3 = discrete_category(["p0", "p1", "p2"])
     rot = {f"g{k}": {f"p{i}": f"p{(i + k) % 3}" for i in range(3)}
            for k in range(3)}
-    out.append(sdp.permutation_action(cyclic_group(3), disc3, rot))
-    out.append(sdp.trivial_action(cyclic_group(3), chain_category(1)))
+    out.append(sdcheck.permutation_action(cyclic_group(3), disc3, rot))
+    out.append(sdcheck.trivial_action(cyclic_group(3), chain_category(1)))
     # C2 x C2 acting on four points by the regular action
     disc4 = discrete_category(["q00", "q01", "q10", "q11"])
     v4 = group_product(cyclic_group(2), cyclic_group(2))
@@ -238,12 +255,12 @@ def _criterion3_actions():
         i, j = bit(g)
         perms[g] = {f"q{a}{b}": f"q{(a + i) % 2}{(b + j) % 2}"
                     for a in range(2) for b in range(2)}
-    out.append(sdp.permutation_action(v4, disc4, perms))
+    out.append(sdcheck.permutation_action(v4, disc4, perms))
     # S3 permuting three points
     s3 = symmetric_group(3)
     perms3 = {name: {f"p{i}": f"p{int(name[i])}" for i in range(3)}
               for name in s3.elements}
-    out.append(sdp.permutation_action(s3, disc3, perms3))
+    out.append(sdcheck.permutation_action(s3, disc3, perms3))
     return out
 
 
@@ -251,11 +268,11 @@ def test_criterion_03_semidirect_lan_lemma():
     rng = random.Random(99)
     checked = 0
     for action in _criterion3_actions():
-        assert sdp.validate_action(action) == []
+        assert sdcheck.validate_action(action) == []
         assert len(action.target.morphisms) <= 12
         for _ in range(2):
             F = random_diagram(rng, action.target)
-            rep = sdp.verify_lan_formula(action, F)
+            rep = sdcheck.verify_lan_formula(action, F)
             assert rep.ok, rep.failures
             assert rep.natural_iso
             assert rep.comma_components_indexed_by_group
@@ -266,7 +283,7 @@ def test_criterion_03_semidirect_lan_lemma():
 
 def test_criterion_04_nabla_consistency():
     for N in range(0, 5):
-        pres = nabla.build_nabla(N)
+        pres = presentations.build_nabla(N)
         assert pres.isomorphic
         delta = nabla.delta_leq(N)
         assert len(pres.semidirect.category.hom("[0]", "[0]")) == 2
@@ -321,7 +338,7 @@ def test_criterion_06_dagger_counterexample_cli():
 
 def test_criterion_07_icat_homs_and_exercise():
     # hom(L X, (Y,tau)) = hom(X, Y), exhaustively on <= 3-object categories
-    plain = [fincat.empty_category(), terminal_category(), walking_arrow(),
+    plain = [standard.empty_category(), terminal_category(), walking_arrow(),
              discrete_category("pq"), fincat.group_category(cyclic_group(2))]
     targets = [invcat.L_inv(walking_arrow()), invcat.L_inv(terminal_category()),
                invcat.R_inv(terminal_category()),
@@ -340,7 +357,7 @@ def test_criterion_07_icat_homs_and_exercise():
     ]
     tests = invcat.acyclic_fibration_tests(corpus)
     assert tests
-    empty = invcat.L_inv(fincat.empty_category())
+    empty = invcat.L_inv(standard.empty_category())
     candidates = []
     for A in [empty] + corpus:
         for B in corpus:
@@ -373,8 +390,8 @@ def test_criterion_08_model_structure_oracle():
     # bounded factorizations recompose and carry valid cell records
     from soa_helpers import build_soa_instance
     gens, f = build_soa_instance()
-    res = catmodel.bounded_soa(gens, f, max_stages=3)
-    recomposed = setval.compose_diagram_maps(res.right, res.left)
+    res = soa.bounded_soa(gens, f, max_stages=3)
+    recomposed = universal.compose_diagram_maps(res.right, res.left)
     assert recomposed.key() == f.key()
     assert res.saturated
     assert res.cells, "expected at least one nontrivial stage"
@@ -407,10 +424,10 @@ def test_criterion_09_cyclic_operads():
         {("e", "e"): "e", ("e", "t"): "t", ("t", "e"): "t", ("t", "t"): "t"},
     ]
     table = rng.choice(tables)
-    random_two = cycops.monoid_operad(3, ("e", "t"), table, "e")
+    random_two = cycmaps.monoid_operad(3, ("e", "t"), table, "e")
     candidates = {
         "terminal": cycops.terminal_operad(3),
-        "associative": cycops.associative_operad(3),
+        "associative": cycmaps.associative_operad(3),
         "random-two-element": random_two,
     }
     for name, P in candidates.items():
@@ -421,8 +438,8 @@ def test_criterion_09_cyclic_operads():
             assert len(RQ.operad.elements[n]) == len(P.elements[n]) ** (n + 1)
 
     instances = [
-        (cycops.terminal_cyclic_operad(3), cycops.terminal_operad(3)),
-        (cycops.terminal_cyclic_operad(2), cycops.associative_operad(2)),
+        (cycmaps.terminal_cyclic_operad(3), cycops.terminal_operad(3)),
+        (cycmaps.terminal_cyclic_operad(2), cycmaps.associative_operad(2)),
     ]
     # a positive-arity terminal cyclic operad against the two-element operad
     A = 3
@@ -441,7 +458,7 @@ def test_criterion_09_cyclic_operads():
     instances.append((pos_terminal, random_two))
     verdicts = []
     for Q, P in instances:
-        rep = cycops.check_adjunction_count(Q, P)
+        rep = cycmaps.check_adjunction_count(Q, P)
         assert rep.ok, rep.failures
         verdicts.append((rep.operad_map_count, rep.projection_is_bijection))
     report(9, True, f"R valid on all three operads; hom counts {verdicts}")
@@ -449,29 +466,29 @@ def test_criterion_09_cyclic_operads():
 
 def test_criterion_10_chain_cochain():
     for p in (2, 5):
-        rep = chaincx.reproduce_truncation_counterexample(p)
+        rep = chainmaps.reproduce_truncation_counterexample(p)
         assert rep["acyclic_fib"] and not rep["FR_acyclic_fib"]
     p = 2
-    f = chaincx.unit_inclusion(chaincx.dual_numbers(p))
-    k = chaincx.field_algebra(p)
-    D = chaincx.dual_numbers(p)
-    mods_k = [chaincx.regular_module(k), chaincx.free_module(k, 2),
-              chaincx.free_module(k, 3)]
-    mods_D = [chaincx.regular_module(D),
-              chaincx.trivial_module(D, chaincx.augmentation_dual_numbers(p))]
+    f = rings.unit_inclusion(rings.dual_numbers(p))
+    k = rings.field_algebra(p)
+    D = rings.dual_numbers(p)
+    mods_k = [rings.regular_module(k), rings.free_module(k, 2),
+              rings.free_module(k, 3)]
+    mods_D = [rings.regular_module(D),
+              rings.trivial_module(D, rings.augmentation_dual_numbers(p))]
     for M in mods_k:
         for N in mods_D:
-            assert chaincx.hom_dim(chaincx.induce(f, M).module, N) == \
-                chaincx.hom_dim(M, chaincx.restrict_scalars(f, N))
-            assert chaincx.hom_dim(chaincx.restrict_scalars(f, N), M) == \
-                chaincx.hom_dim(N, chaincx.coinduce(f, M).module)
+            assert rings.hom_dim(rings.induce(f, M).module, N) == \
+                rings.hom_dim(M, rings.restrict_scalars(f, N))
+            assert rings.hom_dim(rings.restrict_scalars(f, N), M) == \
+                rings.hom_dim(N, rings.coinduce(f, M).module)
     # preservation when the pulled-back algebra is free
-    assert chaincx.module_is_free(chaincx.pulled_back_target(f))
+    assert rings.module_is_free(rings.pulled_back_target(f))
     C = chaincx.two_term_identity_complex(p)
-    modC = {-1: chaincx.regular_module(k), 0: chaincx.regular_module(k)}
-    collapse = chaincx.zero_map(C, chaincx.zero_complex(p))
-    g = chaincx.coinduce_complex_map(f, collapse, modC, {})
-    ok = (chaincx.is_degreewise_epi(g) and chaincx.is_quasi_iso(g))
+    modC = {-1: rings.regular_module(k), 0: rings.regular_module(k)}
+    collapse = chainmaps.zero_map(C, chaincx.zero_complex(p))
+    g = rings.coinduce_complex_map(f, collapse, modC, {})
+    ok = (chainmaps.is_degreewise_epi(g) and chainmaps.is_quasi_iso(g))
     report(10, ok, "counterexample at p=2,5; adjunction counts; "
                    "free case preserves epi and quasi-iso")
 

@@ -2,46 +2,40 @@ import pytest
 
 import catmodel_oracle as oracle
 
-from smallcat import fincat
+from smallcat import equivalence, fincat
 from smallcat.catmodel import (
     LiftingSquare,
     default_generating_cofibrations,
-    bounded_soa,
     default_generating_acyclic_cofibrations,
-    diagram_has_rlp,
     enumerate_squares,
     has_llp,
     has_rlp,
     is_injective_on_objects,
     is_isofibration,
-    pushout_category,
     solve_lifting,
     validate_square,
 )
+from smallcat.equivalence import coproduct, find_isomorphism, is_equivalence
 from smallcat.fincat import (
     BudgetError,
     CatFunctor,
     chain_category,
-    coproduct,
     discrete_category,
-    empty_category,
-    find_isomorphism,
     identity_functor,
-    indiscrete_category,
-    is_equivalence,
     parallel_pair,
-    terminal_category,
     validate_category,
     validate_functor,
     walking_arrow,
     walking_iso,
 )
-from smallcat.setval import (
-    DiagramMap,
-    compose_diagram_maps,
-    validate_diagram,
-    validate_diagram_map,
+from smallcat.setval import DiagramMap, validate_diagram
+from smallcat.soa import bounded_soa, diagram_has_rlp, pushout_category
+from smallcat.standard import (
+    empty_category,
+    indiscrete_category,
+    terminal_category,
 )
+from smallcat.universal import compose_diagram_maps, validate_diagram_map
 
 
 def point_into_iso():
@@ -306,7 +300,8 @@ def test_default_cofibration_generators_cross_validated():
         for D in corpus:
             for F in fincat.enumerate_functors(C, D)[:8]:
                 surj = set(F.ob_map.values()) == set(D.objects)
-                expected = surj and fincat.is_full(F) and fincat.is_faithful(F)
+                expected = (surj and equivalence.is_full(F)
+                            and equivalence.is_faithful(F))
                 assert has_rlp(I, F) == expected, (C.objects, D.objects,
                                                    F.ob_map, F.mor_map)
                 checked += 1

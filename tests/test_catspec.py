@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 import catspec_oracle
 import chaincx_numpy
 from chaincx_bridge import assert_same_matrix
-from smallcat import catspec, fincat, invcat, nabla, setval
+from smallcat import catspec, fincat, invcat, nabla, setval, simplicial
 from smallcat.catspec import (
     Block,
     CatspecDocument,
@@ -16,15 +16,17 @@ from smallcat.catspec import (
     category_block,
     complex_block,
     diagram_block,
-    dmap_block,
     emit,
     functor_block,
-    group_block,
-    involution_block,
     load,
     operad_block,
     parse,
     rsset_block,
+)
+from smallcat.catwrite import (
+    dmap_block,
+    group_block,
+    involution_block,
     sset_block,
 )
 from smallcat.chaincx import two_term_identity_complex
@@ -145,7 +147,7 @@ def full_document():
     ident = fincat.identity_functor(arrow)
     LX = invcat.L_inv(walking_arrow())
     rs = nabla.representable_rsset(1, 0)
-    ss = nabla.representable_sset(1, 1)
+    ss = simplicial.representable_sset(1, 1)
     blocks = (
         category_block("arrow", arrow),
         category_block("chain", chain),
@@ -195,7 +197,7 @@ def test_duplicate_block_rejected():
 
 
 def test_cyclic_operad_block_roundtrip():
-    from smallcat.cycops import terminal_cyclic_operad
+    from smallcat.cycmaps import terminal_cyclic_operad
     Q = terminal_cyclic_operad(2)
     block = operad_block("tcyc", Q.operad, Q.extended)
     loaded = load(emit(CatspecDocument((block,))))
@@ -281,7 +283,8 @@ def test_complex_at_int64_and_size_limits_loads():
 _MUTABLE_DOCS = (
     "complex K 2 -1 1\ndim -1 1\ndim 0 2\ndim 1 1\n"
     "d -1 0 0 1\nd -1 1 0 1\nd 0 0 0 1\nd 0 0 1 1\nend\n",
-    emit(CatspecDocument((sset_block("S", nabla.representable_sset(1, 1)),))),
+    emit(CatspecDocument((
+        sset_block("S", simplicial.representable_sset(1, 1)),))),
 )
 
 

@@ -18,12 +18,39 @@ from chaincx_bridge import (
 )
 from smallcat import chaincx, chainmaps, fincat, rings
 from smallcat.chaincx import (
+    FiniteComplex,
+    build_complex,
+    homology_dims,
+    identity,
+    is_prime,
+    matrix,
+    naive_truncate,
+    rank_mod,
+    two_term_identity_complex,
+    zero_complex,
+    zeros,
+)
+from smallcat.chainmaps import (
+    ComplexMap,
+    homotopy_truncate,
+    homotopy_truncate_map,
+    hstack,
+    identity_map,
+    is_degreewise_epi,
+    is_degreewise_mono,
+    is_quasi_iso,
+    matmul,
+    nullspace_mod,
+    reproduce_truncation_counterexample,
+    validate_complex,
+    validate_complex_map,
+    vstack,
+    zero_map,
+)
+from smallcat.rings import (
     AlgebraMap,
     AlgebraModule,
-    ComplexMap,
-    FiniteComplex,
     augmentation_dual_numbers,
-    build_complex,
     coinduce,
     coinduce_complex,
     coinduce_complex_map,
@@ -32,44 +59,21 @@ from smallcat.chaincx import (
     field_algebra,
     free_module,
     hom_dim,
-    hstack,
-    homology_dims,
-    homotopy_truncate,
-    homotopy_truncate_map,
-    identity,
-    identity_map,
     induce,
     induce_complex,
     induce_complex_map,
     induce_module_map,
-    is_degreewise_epi,
-    is_degreewise_mono,
-    is_prime,
-    is_quasi_iso,
-    matmul,
-    matrix,
     module_hom_space,
     module_is_free,
-    naive_truncate,
-    nullspace_mod,
     pulled_back_target,
-    rank_mod,
     regular_module,
-    reproduce_truncation_counterexample,
     restrict_complex,
     restrict_scalars,
     trivial_module,
-    two_term_identity_complex,
     unit_inclusion,
     validate_algebra,
     validate_algebra_map,
-    validate_complex,
-    validate_complex_map,
     validate_module,
-    vstack,
-    zero_complex,
-    zero_map,
-    zeros,
 )
 
 
@@ -304,7 +308,7 @@ def test_induce_preserves_mono_and_qiso_when_free():
     # along the unit inclusion the pulled-back target is free (hence flat),
     # and tensoring up preserves degreewise monos and quasi-isomorphisms
     p = 2
-    from smallcat.chaincx import induce_complex, induce_complex_map
+    from smallcat.rings import induce_complex, induce_complex_map
     f = unit_inclusion(dual_numbers(p))
     k = field_algebra(p)
     C = two_term_identity_complex(p)
@@ -337,7 +341,7 @@ def test_coinduce_complex_structure():
 def test_coinduce_exactness_on_short_exact_sequence():
     # 0 -> k -> k^2 -> k -> 0 stays exact after the hom construction along
     # the unit inclusion (the pulled-back algebra is free of rank 2)
-    from smallcat.chaincx import coinduce_module_map, induce_module_map
+    from smallcat.rings import coinduce_module_map, induce_module_map
     p = 3
     f = unit_inclusion(dual_numbers(p))
     k = field_algebra(p)

@@ -21,7 +21,7 @@ from chaincx_bridge import (
     module_to_np,
     to_np,
 )
-from smallcat import chaincx
+from smallcat import chaincx, chainmaps, rings
 from test_chaincx import random_complex
 
 PRIMES = (2, 3, 5, 65521)
@@ -55,11 +55,12 @@ def test_elimination_matches_numpy(p):
         assert pivots == want_pivots
         assert_same_matrix(red, want_red)
         assert chaincx.rank_mod(m, p) == npcx.rank_mod(a, p)
-        assert_same_matrix(chaincx.nullspace_mod(m, p), npcx.nullspace_mod(a, p))
+        assert_same_matrix(chainmaps.nullspace_mod(m, p),
+                           npcx.nullspace_mod(a, p))
         # one right-hand side in the column space, one random
         x = rng.integers(0, p, size=(a.shape[1], int(rng.integers(0, 3))))
         for b in ((a @ x) % p, rng.integers(0, p, size=(a.shape[0], 2))):
-            got = chaincx.solve_mod(m, from_np(b, p), p)
+            got = chainmaps.solve_mod(m, from_np(b, p), p)
             want = npcx.solve_mod(a, b, p)
             assert (got is None) == (want is None)
             if want is not None:
@@ -72,10 +73,10 @@ def test_products_match_numpy(p):
     for _ in range(100):
         a = random_array(rng, p)
         b = rng.integers(0, p, size=(a.shape[1], int(rng.integers(0, 5))))
-        assert_same_matrix(chaincx.matmul(from_np(a, p), from_np(b, p), p),
+        assert_same_matrix(chainmaps.matmul(from_np(a, p), from_np(b, p), p),
                            (a @ b) % p)
         c = random_array(rng, p, max_dim=3)
-        assert_same_matrix(chaincx.kron(from_np(a, p), from_np(c, p), p),
+        assert_same_matrix(rings.kron(from_np(a, p), from_np(c, p), p),
                            np.kron(a, c) % p)
         # unreduced (negative) representatives are reduced on the way in
         assert from_np(a - p, p) == from_np(a, p)
@@ -105,12 +106,12 @@ def random_chain_maps(rng, C, D):
         mats = {k: from_np(c * np.eye(C.dim(k), dtype=np.int64)
                            + to_np(C.d(k - 1)) @ h[k] + h[k + 1] @ to_np(C.d(k)), p)
                 for k in range(C.lo, C.hi + 1)}
-        maps.append(chaincx.ComplexMap(C, C, mats))
+        maps.append(chainmaps.ComplexMap(C, C, mats))
     Z = chaincx.zero_complex(p)
-    maps += [chaincx.zero_map(C, D), chaincx.zero_map(D, C),
-             chaincx.zero_map(C, Z), chaincx.zero_map(Z, C)]
+    maps += [chainmaps.zero_map(C, D), chainmaps.zero_map(D, C),
+             chainmaps.zero_map(C, Z), chainmaps.zero_map(Z, C)]
     for g in maps:
-        assert chaincx.validate_complex_map(g) == []
+        assert chainmaps.validate_complex_map(g) == []
     return maps
 
 
@@ -123,18 +124,20 @@ def test_homology_and_truncations_match_numpy(p):
         npC = complex_to_np(C)
         assert chaincx.homology_dims(C) == npcx.homology_dims(npC)
         assert_same_complex(chaincx.naive_truncate(C), npcx.naive_truncate(npC))
-        assert_same_complex(chaincx.homotopy_truncate(C),
+        assert_same_complex(chainmaps.homotopy_truncate(C),
                             npcx.homotopy_truncate(npC))
         for g in random_chain_maps(rng, C, D):
             npg = map_to_np(g)
-            verdict = chaincx.is_quasi_iso(g)
+            verdict = chainmaps.is_quasi_iso(g)
             assert verdict == npcx.is_quasi_iso(npg)
             verdicts.add(verdict)
-            assert chaincx.is_degreewise_epi(g) == npcx.is_degreewise_epi(npg)
-            assert chaincx.is_degreewise_mono(g) == npcx.is_degreewise_mono(npg)
-            assert_same_map(chaincx.naive_truncate_map(g),
+            assert (chainmaps.is_degreewise_epi(g)
+                    == npcx.is_degreewise_epi(npg))
+            assert (chainmaps.is_degreewise_mono(g)
+                    == npcx.is_degreewise_mono(npg))
+            assert_same_map(chainmaps.naive_truncate_map(g),
                             npcx.naive_truncate_map(npg))
-            assert_same_map(chaincx.homotopy_truncate_map(g),
+            assert_same_map(chainmaps.homotopy_truncate_map(g),
                             npcx.homotopy_truncate_map(npg))
     assert verdicts == {True, False}
 
@@ -142,14 +145,14 @@ def test_homology_and_truncations_match_numpy(p):
 def module_cases(p):
     """Algebra maps into and out of the dual numbers, each with modules
     over its source."""
-    D = chaincx.dual_numbers(p)
-    k = chaincx.field_algebra(p)
-    over_d = [chaincx.regular_module(D), chaincx.free_module(D, 2),
-              chaincx.trivial_module(D, chaincx.augmentation_dual_numbers(p))]
-    return [(chaincx.AlgebraMap(D, D, chaincx.identity(2)), over_d),
-            (chaincx.augmentation_dual_numbers(p), over_d),
-            (chaincx.unit_inclusion(D), [chaincx.free_module(k, r)
-                                         for r in range(4)])]
+    D = rings.dual_numbers(p)
+    k = rings.field_algebra(p)
+    over_d = [rings.regular_module(D), rings.free_module(D, 2),
+              rings.trivial_module(D, rings.augmentation_dual_numbers(p))]
+    return [(rings.AlgebraMap(D, D, chaincx.identity(2)), over_d),
+            (rings.augmentation_dual_numbers(p), over_d),
+            (rings.unit_inclusion(D), [rings.free_module(k, r)
+                                       for r in range(4)])]
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -160,23 +163,23 @@ def test_induce_and_coinduce_records_and_transports_match_numpy(p):
         records = []
         for M in modules:
             npM = module_to_np(M)
-            ind, want_ind = chaincx.induce(f, M), npcx.induce(npf, npM)
+            ind, want_ind = rings.induce(f, M), npcx.induce(npf, npM)
             assert_same_module(ind.module, want_ind.module)
             assert_same_matrix(ind.projection, want_ind.projection)
             assert_same_matrix(ind.section, want_ind.section)
-            co, want_co = chaincx.coinduce(f, M), npcx.coinduce(npf, npM)
+            co, want_co = rings.coinduce(f, M), npcx.coinduce(npf, npM)
             assert_same_module(co.module, want_co.module)
             assert_same_matrix(co.basis, want_co.basis)
             records.append((M, ind, want_ind, co, want_co))
         for M, ind_m, np_ind_m, co_m, np_co_m in records:
             for N, ind_n, np_ind_n, co_n, np_co_n in records:
-                basis = to_np(chaincx.module_hom_space(M, N))
+                basis = to_np(rings.module_hom_space(M, N))
                 coeffs = rng.integers(0, p, size=basis.shape[1])
                 g = ((basis @ coeffs) % p).reshape(M.dim, N.dim).T
                 gm = from_np(g, p)
                 assert_same_matrix(
-                    chaincx._induce_transport(f, gm, ind_m, ind_n),
+                    rings._induce_transport(f, gm, ind_m, ind_n),
                     npcx._induce_transport(npf, g, np_ind_m, np_ind_n))
                 assert_same_matrix(
-                    chaincx._coinduce_transport(f, gm, co_m, co_n),
+                    rings._coinduce_transport(f, gm, co_m, co_n),
                     npcx._coinduce_transport(npf, g, np_co_m, np_co_n))

@@ -1,4 +1,6 @@
 import ast
+import collections
+import functools
 import gc
 import hashlib
 import importlib
@@ -14,7 +16,16 @@ from types import ModuleType
 import pytest
 
 import smallcat
-from smallcat import catspec, fincat, nabla, setval
+from smallcat import (
+    catspec,
+    catwrite,
+    cycmaps,
+    fincat,
+    nabla,
+    presentations,
+    setval,
+    standard,
+)
 from smallcat.catspec import Block, CatspecDocument, emit
 from smallcat.cli import main
 from smallcat.fincat import chain_category, walking_arrow, walking_iso
@@ -111,7 +122,7 @@ def test_kan_and_adjoint(tmp_path, capsys):
 
 
 def test_lift_and_rlp(tmp_path, capsys):
-    pt = fincat.terminal_category()
+    pt = standard.terminal_category()
     E = walking_iso()
     j = fincat.CatFunctor(pt, E, {"pt": "a"}, {"id_pt": "id_a"})
     ident = fincat.identity_functor(E)
@@ -185,7 +196,7 @@ def test_budget_flag_below_1_exits_2_naming_the_flag(tmp_path, capsys):
 def soa_doc() -> CatspecDocument:
     """The collapse ``f`` of a two-point discrete diagram onto a point, and
     the generator ``gen`` from the empty diagram."""
-    C = fincat.terminal_category()
+    C = standard.terminal_category()
     two = setval.SetDiagram.build(C, {"pt": ("x", "y")},
                                   {"id_pt": {"x": "x", "y": "y"}})
     one = setval.SetDiagram.build(C, {"pt": ("z",)}, {"id_pt": {"z": "z"}})
@@ -197,8 +208,8 @@ def soa_doc() -> CatspecDocument:
         catspec.diagram_block("two", two, "pt"),
         catspec.diagram_block("one", one, "pt"),
         catspec.diagram_block("none", empty, "pt"),
-        catspec.dmap_block("gen", gen, "none", "one"),
-        catspec.dmap_block("f", f, "two", "one"),
+        catwrite.dmap_block("gen", gen, "none", "one"),
+        catwrite.dmap_block("f", f, "two", "one"),
     ))
     return doc
 
@@ -239,7 +250,7 @@ def test_semidirect_subcommand(tmp_path, capsys):
         {"id_a": {"u": "u"}, "id_b": {"v": "v", "w": "w"}})
     doc = CatspecDocument((
         catspec.category_block("disc", C),
-        catspec.group_block("c2", G),
+        catwrite.group_block("c2", G),
         catspec.functor_block("ident", ident, "disc", "disc"),
         catspec.functor_block("swap", swap, "disc", "disc"),
         Block("action", "flip", ("c2", "disc"),
@@ -367,7 +378,7 @@ def test_nabla_homcount_builds_only_the_semidirect_presentation(
         monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("--homcount built what it does not print")
-    monkeypatch.setattr(nabla, "build_nabla", refuse)
+    monkeypatch.setattr(presentations, "build_nabla", refuse)
     monkeypatch.setattr(nabla, "monotone_pair_category", refuse)
     for dim, rows in HOMCOUNTS.items():
         for m, row in enumerate(rows):
@@ -484,7 +495,8 @@ def test_cyclic_subcommand_rejects_one_tuple_name_in_two_arities(tmp_path, capsy
 def renamed_associative_operad(A):
     """``associative_operad(A)`` with each name prefixed by ``w``, so that
     arity 0 has a name a document can hold."""
-    from smallcat.cycops import TruncatedOperad, associative_operad
+    from smallcat.cycmaps import associative_operad
+    from smallcat.cycops import TruncatedOperad
     P = associative_operad(A)
 
     def w(x):
@@ -502,8 +514,8 @@ def test_cyclic_commands_check_the_core_without_rendering_it(
     # record is validated: both commands check the coded core
     from test_cycops import sign_operad
 
-    from smallcat import cycadj, cycops
-    render = cycadj.right_adjoint_R
+    from smallcat import cycops
+    render = cycmaps.right_adjoint_R
 
     def small_only(P):
         assert all(len(xs) <= 1 for xs in P.elements.values()), "rendered"
@@ -511,7 +523,7 @@ def test_cyclic_commands_check_the_core_without_rendering_it(
 
     def never(Q):
         raise AssertionError("validated a record")
-    for module in (cycadj, cycops):
+    for module in (cycmaps, cycops):
         monkeypatch.setattr(module, "right_adjoint_R", small_only)
     monkeypatch.setattr(cycops, "validate_cyclic", never)
     doc = CatspecDocument((
@@ -943,13 +955,14 @@ LOADS = {
 @pytest.mark.parametrize("template", CLI_SUITE, ids=" ".join)
 @pytest.mark.parametrize("pretty", [[], ["--pretty"]], ids=["", "pretty"])
 def test_the_parser_gives_the_eager_namespace(template, pretty, monkeypatch):
-    from smallcat import commands
     argv = pretty + [a.replace("{doc}", "doc.catspec") for a in template]
     want = vars(oracle_parse(argv))
     func = want.pop("func")
     got = parse_as_main(argv, monkeypatch)
     assert vars(got) == want
-    assert getattr(commands, "cmd_" + got.command.replace("-", "_")) is func
+    name = got.command.replace("-", "_")
+    handler = importlib.import_module(f"smallcat.commands.{name}")
+    assert getattr(handler, "cmd_" + name) is func
 
 
 @pytest.mark.parametrize("template", CLI_SUITE, ids=" ".join)
@@ -986,21 +999,21 @@ def loaded_source_bytes(code: str) -> int:
 # benchmark.  Each ceiling is the line's own bytes, so that a change that
 # loads more fails here: it raises the ceiling and says why.
 SOURCE_CEILINGS = {
-    "validate {doc}": 88655,
-    "kan {doc} --functor iota --diagram X": 124212,
-    "kan {doc} --functor iota --diagram X --side right": 124212,
-    "adjoint {doc} --functor iota": 134151,
-    "lift {doc} --left ident --right ident --top ident --bottom ident": 109790,
-    "rlp {doc} --maps ident --against ident": 109318,
-    "nabla --dim 1 --homcount 1 1": 40946,
-    "nabla --dim 2": 45289,
-    "rsset {doc} --name S --roundtrip": 93924,
-    "cyclic {doc} --operad T": 97105,
-    "chain {doc} --complex C --truncate naive": 98308,
-    "paper-suite --case dagger": 80973,
-    "paper-suite --case truncation": 57131,
-    "paper-suite": 222803,
-    "--help": 7718,
+    "validate {doc}": 86094,
+    "kan {doc} --functor iota --diagram X": 121108,
+    "kan {doc} --functor iota --diagram X --side right": 121108,
+    "adjoint {doc} --functor iota": 130943,
+    "lift {doc} --left ident --right ident --top ident --bottom ident": 106096,
+    "rlp {doc} --maps ident --against ident": 105624,
+    "nabla --dim 1 --homcount 1 1": 39207,
+    "nabla --dim 2": 43451,
+    "rsset {doc} --name S --roundtrip": 91264,
+    "cyclic {doc} --operad T": 93820,
+    "chain {doc} --complex C --truncate naive": 94864,
+    "paper-suite --case dagger": 78759,
+    "paper-suite --case truncation": 55114,
+    "paper-suite": 216489,
+    "--help": 7106,
 }
 
 
@@ -1037,9 +1050,15 @@ def test_an_old_module_loads_the_new_one_only_for_a_moved_name():
                           "assert vars(smallcat.setval)['lan'] is lan")
     assert loaded == {"smallcat.coded", "smallcat.fincat", "smallcat.kan",
                       "smallcat.searchcore", "smallcat.setval"}
+    # a retired old path fails without loading the name's home
+    loaded = loaded_after("import smallcat.setval\n"
+                          "assert not hasattr(smallcat.setval, 'lan_unit')")
+    assert loaded == {"smallcat.fincat", "smallcat.setval"}
 
 
-# (old module, a name moved out of it, the modules reading that name loads)
+# (old module, a name moved out of it, the modules its home loads).  A name
+# that perfbench/ reads at the old module is read there, and loads exactly
+# those modules; any other old path raises AttributeError and loads none.
 COLD = [("chaincx", "induce", "chainmaps rings"),
         ("catmodel", "bounded_soa", "setval soa"),
         ("search", "bounded_closure", "closure"),
@@ -1052,10 +1071,17 @@ COLD = [("chaincx", "induce", "chainmaps rings"),
         ("nabla", "to_involutive", "involutive"),
         ("chaincx", "homotopy_truncate", "chainmaps"),
         ("cycadj", "terminal_operad", "cycmaps searchcore"),
-        ("commands", "cmd_kan", "commands.kan")]
+        ("commands", "cmd_kan", "commands.kan"),
+        ("setval", "certify_kan_adjunctions", "certify coded kan searchcore"),
+        ("setval", "limit", "coded searchcore universal"),
+        ("fincat", "walking_arrow", "standard"),
+        ("nabla", "monotone_pair_category", "presentations"),
+        ("cycops", "terminal_operad", "cycadj cycmaps searchcore"),
+        ("chaincx", "two_term_identity_complex", "chainmaps"),
+        ("catspec", "emit", "catwrite standard")]
 COLD_MODULES = {f"smallcat.{m}" for m in """rings soa closure certify
-    equivalence presentations involutive chainmaps cycmaps
-    commands.kan""".split()}
+    equivalence presentations involutive chainmaps cycmaps commands.kan
+    standard catwrite universal""".split()}
 
 
 @pytest.mark.parametrize("old,name,loads", COLD)
@@ -1063,10 +1089,16 @@ def test_an_old_module_loads_a_cold_module_only_for_its_name(old, name,
                                                               loads):
     imported = loaded_after(f"import smallcat.{old}")
     assert not COLD_MODULES & imported
-    loaded = loaded_after(f"import smallcat.{old}\n"
-                          f"value = smallcat.{old}.{name}\n"
-                          f"assert vars(smallcat.{old})[{name!r}] is value")
-    assert loaded - imported == {f"smallcat.{m}" for m in loads.split()}
+    if name in perfbench_reads().get(old, ()):
+        loaded = loaded_after(
+            f"import smallcat.{old}\n"
+            f"value = smallcat.{old}.{name}\n"
+            f"assert vars(smallcat.{old})[{name!r}] is value")
+        assert loaded - imported == {f"smallcat.{m}" for m in loads.split()}
+    else:
+        loaded = loaded_after(f"import smallcat.{old}\n"
+                              f"assert not hasattr(smallcat.{old}, {name!r})")
+        assert loaded == imported
 
 
 def test_the_package_lists_every_module():
@@ -1141,6 +1173,16 @@ def defined_in(module: ModuleType, private: bool = False) -> list[str]:
     return [n for n in names if private or not n.startswith("_")]
 
 
+def bound_at_import(module: ModuleType) -> set[str]:
+    """The names ``module``'s own top-level statements bind, its imports
+    included: what it holds before its ``__getattr__`` runs."""
+    tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+    return set(defined_in(module, private=True)) | {
+        (alias.asname or alias.name).split(".")[0] for stmt in tree.body
+        if isinstance(stmt, (ast.Import, ast.ImportFrom))
+        for alias in stmt.names}
+
+
 def moved_tables(module: ModuleType) -> dict[str, list[str]]:
     """The names listed for each home in the ``moved(globals(), ...)``
     table of ``module``, read from its source."""
@@ -1155,31 +1197,131 @@ def moved_tables(module: ModuleType) -> dict[str, list[str]]:
     return tables
 
 
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def traced_names() -> set[tuple[str, str]]:
+    """The module and attribute (its first part) of each ``SPANNED`` and
+    ``COUNTED`` triple of ``perfbench/spans.py``: what its tracer rebinds."""
+    tree = ast.parse((PERFBENCH / "spans.py").read_text(encoding="utf-8"))
+    return {(module, attr.split(".")[0]) for node in tree.body
+            if isinstance(node, ast.Assign)
+            and [t.id for t in node.targets] in (["SPANNED"], ["COUNTED"])
+            for _, module, attr in ast.literal_eval(node.value)}
+
+
+@functools.cache
+def perfbench_reads() -> dict[str, frozenset[str]]:
+    """Per smallcat module, the attributes some ``perfbench/*.py`` file
+    reads on it: each ``module.attr`` of a module bound by ``from smallcat
+    import``, and each name the tracer rebinds."""
+    reads = collections.defaultdict(set)
+    for module, attr in traced_names():
+        reads[module].add(attr)
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {alias.asname or alias.name: alias.name
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and node.module == "smallcat" for alias in node.names}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                reads[modules[node.value.id]].add(node.attr)
+    return {module: frozenset(names) for module, names in reads.items()}
+
+
+def aliases() -> dict[str, set[str]]:
+    """Per smallcat module with a ``moved`` table, the names it lists."""
+    tables = {}
+    for name in smallcat._MODULES:
+        module = importlib.import_module(f"smallcat.{name}")
+        listed = {n for names in moved_tables(module).values() for n in names}
+        if listed:
+            tables[name] = listed
+    return tables
+
+
+def test_the_moved_tables_hold_exactly_what_perfbench_reads():
+    # an alias is kept only for a name that perfbench/ reads at a module
+    # that does not bind it; every other old path is retired
+    wanted = {}
+    for name, reads in perfbench_reads().items():
+        module = importlib.import_module(f"smallcat.{name}")
+        if reads - bound_at_import(module):
+            wanted[name] = reads - bound_at_import(module)
+    assert aliases() == wanted
+    assert sorted((name, len(names)) for name, names in wanted.items()) == [
+        ("catspec", 7), ("chaincx", 1), ("cycops", 2), ("fincat", 9),
+        ("nabla", 6), ("setval", 14)]
+
+
+@pytest.mark.parametrize("path", [
+    "kan.certify_kan_adjunctions", "search.product", "cli.cmd_kan",
+    "cli.run", "commands.cmd_kan", "fincat.backtrack", "fincat.product",
+    "setval._code", "setval.lan_unit", "nabla.build_nabla",
+    "cycops.associative_operad", "cycadj.right_adjoint_R", "chaincx.induce",
+    "catspec.dmap_block", "catmodel.bounded_soa",
+    "semidirect.validate_action", "cycmaps.restricted_action_matches"])
+def test_a_retired_old_path_raises_attribute_error(path):
+    module, name = path.split(".")
+    with pytest.raises(AttributeError):
+        getattr(importlib.import_module(f"smallcat.{module}"), name)
+
+
+def test_library_and_demos_read_an_alias_only_for_a_traced_name():
+    # spans.py rebinds a traced function at the module it names, so the
+    # library calls it there; every other name is read at its home
+    root = PERFBENCH.parent
+    kept = {(module, name) for module, names in aliases().items()
+            for name in names}
+    reads = []
+    for path in sorted((root / "src" / "smallcat").rglob("*.py")) + sorted(
+            (root / "demos").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                module = node.module.removeprefix("smallcat.")
+                reads += [(path.name, node.lineno, module, a.name)
+                          for a in node.names]
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)):
+                reads.append((path.name, node.lineno, node.value.id,
+                              node.attr))
+    assert [read for read in reads if read[2:] in kept
+            and read[2:] not in traced_names()] == []
+
+
 @pytest.mark.parametrize("old,new", MOVED)
 def test_moved_names_keep_their_old_paths(old, new):
+    # only a name that perfbench/ reads at the old module keeps its old
+    # path there; the rest of what moved is read at its home alone
     old_module = importlib.import_module(f"smallcat.{old}")
     new_module = importlib.import_module(f"smallcat.{new}")
     names = defined_in(new_module)
     assert names
+    kept = perfbench_reads().get(old, frozenset())
     for name in names:
-        assert getattr(old_module, name) is getattr(new_module, name), name
+        if name in kept:
+            assert getattr(old_module, name) is getattr(new_module, name)
+        else:
+            assert not hasattr(old_module, name), name
 
 
 @pytest.mark.parametrize("old", sorted({old for old, _ in MOVED}))
 def test_every_moved_name_is_bound_at_its_home(old):
     # the reverse of the test above: a name left in a table after its home
-    # stopped defining (or forwarding) it would raise AttributeError only
-    # when read.  A home is a module of the old module's package.
+    # stopped defining it would raise AttributeError only when read.  A
+    # home is a module that part of the old module's cold half moved to.
     module = importlib.import_module(f"smallcat.{old}")
     tables = moved_tables(module)
     homes = {home: importlib.import_module("." + home, module.__package__)
              for home in tables}
-    assert {m.__name__ for m in homes.values()} == {
+    assert {m.__name__ for m in homes.values()} <= {
         f"smallcat.{new}" for o, new in MOVED if o == old}
     for home, names in tables.items():
-        bound = defined_in(homes[home], private=True) + [
-            name for forwarded in moved_tables(homes[home]).values()
-            for name in forwarded]
+        bound = defined_in(homes[home], private=True)
         assert sorted(set(names) - set(bound)) == [], home
 
 

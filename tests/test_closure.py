@@ -12,14 +12,10 @@ import pytest
 import closure_oracle as oracle
 from test_acceptance import random_category, random_functor
 
-from smallcat import closure, fincat, search
-from smallcat.catmodel import pushout_category
-from smallcat.fincat import (
-    BudgetError,
-    category_from_generators,
-    discrete_category,
-    validate_category,
-)
+from smallcat import closure
+from smallcat.closure import category_from_generators
+from smallcat.fincat import BudgetError, discrete_category, validate_category
+from smallcat.soa import pushout_category
 
 
 def outcome(run):
@@ -91,7 +87,7 @@ def test_a_letter_named_as_an_identity_is_rejected():
         category_from_generators(["x"], {"1@x": ("x", "x"), "t": ("x", "x")},
                                  {("t", "t"): ""})
     with pytest.raises(ValueError, match="1@x is named as the identity at x"):
-        fincat.bounded_closure(["x", "y"], {"1@x": ("y", "y")}, {}, {"1@x"})
+        closure.bounded_closure(["x", "y"], {"1@x": ("y", "y")}, {}, {"1@x"})
 
 
 def test_a_composite_named_as_a_letter_is_rejected():
@@ -122,9 +118,9 @@ def test_word_reduction_is_bounded_in_the_forms_it_visits():
     rules = {(x, y): set(letters) for x in letters for y in letters}
     with pytest.raises(BudgetError,
                        match="^word reduction exceeded closure budget$"):
-        search._reduce_words(tuple("a" * 10), set(), rules, 10)
+        closure._reduce_words(tuple("a" * 10), set(), rules, 10)
     # a word of two letters reaches only the six one-letter forms
-    assert search._reduce_words(("a", "b"), set(), rules, 10) == \
+    assert closure._reduce_words(("a", "b"), set(), rules, 10) == \
         {(x,) for x in letters}
 
 

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from smallcat import fincat
+from smallcat import equivalence, fincat
 
 # n -> labelled partial orders on n points (A001035), and their classes
 # up to isomorphism (A000112)
@@ -55,7 +55,7 @@ def classes(categories: list) -> int:
         homs = sorted(sorted(len(C.hom(x, y)) for y in C.objects)
                       for x in C.objects)
         bucket = reps.setdefault((len(C.morphisms), str(homs)), [])
-        if not any(fincat.find_isomorphism(R, C) for R in bucket):
+        if not any(equivalence.find_isomorphism(R, C) for R in bucket):
             bucket.append(C)
     return sum(map(len, reps.values()))
 

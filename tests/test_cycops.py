@@ -1,40 +1,41 @@
 import pytest
 
 
+from smallcat.cycadj import _sigma_i, check_right_adjoint
+from smallcat.cycmaps import (
+    associative_operad,
+    check_FR_products,
+    check_adjunction_count,
+    enumerate_operad_maps,
+    forget_cyclic,
+    monoid_operad,
+    perm_inverse,
+    right_adjoint_R_map,
+    terminal_cyclic_operad,
+    truncate_operad,
+    validate_cyclic_map,
+    validate_operad_map,
+)
 from smallcat.cycops import (
     CyclicOperadMap,
     OperadMap,
     TruncatedCyclicOperad,
     TruncatedOperad,
-    _sigma_i,
     all_ext_perms,
     all_perms,
-    associative_operad,
     block_perm,
-    check_FR_products,
-    check_adjunction_count,
-    check_right_adjoint,
     cyclic_generator,
-    enumerate_operad_maps,
     ext_compose,
     ext_identity,
     ext_of_perm,
-    forget_cyclic,
     generators,
     identity_perm,
-    monoid_operad,
     perm_compose,
-    perm_inverse,
     right_adjoint_R,
-    right_adjoint_R_map,
     shift_perm,
-    terminal_cyclic_operad,
     terminal_operad,
-    truncate_operad,
     validate_cyclic,
-    validate_cyclic_map,
     validate_operad,
-    validate_operad_map,
 )
 
 

@@ -4,41 +4,45 @@ import pathlib
 
 import pytest
 
-from smallcat import fincat
-from smallcat.fincat import (
-    BudgetError,
-    CatFunctor,
-    FiniteCategory,
-    category_from_generators,
-    chain_category,
-    compose_functors,
+from smallcat import fincat, standard
+from smallcat.closure import category_from_generators
+from smallcat.equivalence import (
     coproduct,
     core,
-    cyclic_group,
-    discrete_category,
-    empty_category,
-    enumerate_functors,
     enumerate_naturals,
     find_isomorphism,
-    group_category,
-    group_product,
-    identity_functor,
-    indiscrete_category,
     is_equivalence,
     is_full,
     is_groupoid,
     is_natural_iso,
+    product,
+)
+from smallcat.fincat import (
+    BudgetError,
+    CatFunctor,
+    FiniteCategory,
+    chain_category,
+    compose_functors,
+    cyclic_group,
+    discrete_category,
+    enumerate_functors,
+    group_category,
+    identity_functor,
     opposite,
     parallel_pair,
     poset_category,
-    product,
-    symmetric_group,
-    terminal_category,
     validate_category,
     validate_functor,
-    validate_group,
     walking_arrow,
     walking_iso,
+)
+from smallcat.standard import (
+    empty_category,
+    group_product,
+    indiscrete_category,
+    symmetric_group,
+    terminal_category,
+    validate_group,
 )
 
 
@@ -380,7 +384,7 @@ def test_equivalence_two_oracle_corpus_sweep():
 def test_functor_without_an_object_image_is_reported_not_raised():
     # the morphism image exists but the object image does not: reading
     # ob_map[source] raised KeyError instead of returning the error
-    pt = fincat.terminal_category()
+    pt = standard.terminal_category()
     F = CatFunctor(pt, pt, {}, {"id_pt": "id_pt"})
     errors = validate_functor(F)
     assert errors[0] == "object pt: image missing"

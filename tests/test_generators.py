@@ -1,9 +1,9 @@
 """The fast passes of the Kan cores against the scans they replace.
 
-``fincat.generators`` against a brute-force closure, the coded
+``searchcore.generators`` against a brute-force closure, the coded
 functoriality check (``coded._coded_error``), which tries the pairs whose
 left factor is a generator first, against its exhaustive form in
-``setval_oracle``, and the positional chase ``fincat.least_members``
+``setval_oracle``, and the positional chase ``searchcore.least_members``
 against a brute-force closure.
 """
 import random
@@ -11,9 +11,10 @@ import random
 import pytest
 
 import setval_oracle
-from smallcat import fincat, kan, nabla, standard
+from smallcat import fincat, kan, nabla, searchcore, standard
 from smallcat.coded import CodedDiagram, _code, _coded_error
-from smallcat.fincat import least_members, opposite
+from smallcat.fincat import opposite
+from smallcat.searchcore import least_members
 
 
 SHAPES = {
@@ -51,12 +52,12 @@ def closure(C, gens):
 @pytest.mark.parametrize("name", SHAPES)
 def test_generators_reach_every_morphism_and_hold_the_indecomposables(name):
     C = SHAPES[name]()
-    gens = fincat.generators(C)
+    gens = searchcore.generators(C)
     assert set(gens) <= non_identities(C)
     assert indecomposables(C) <= set(gens)
     assert closure(C, gens) >= non_identities(C)
     # kept on the category, outside its fields
-    assert fincat.generators(C) is gens
+    assert searchcore.generators(C) is gens
     assert C == SHAPES[name]() and repr(C) == repr(SHAPES[name]())
 
 
@@ -65,12 +66,12 @@ def test_the_groups_have_no_indecomposable_morphism():
     for name in ("C3", "S3"):
         C = SHAPES[name]()
         assert indecomposables(C) == set()
-        assert fincat.generators(C)
+        assert searchcore.generators(C)
 
 
 def test_generators_of_the_joyal_shape():
     C = SHAPES["joyal"]()
-    gens = fincat.generators(C)
+    gens = searchcore.generators(C)
     ids = set(C.identity.values())
     assert (len(gens), len(C.morphisms)) == (8, 62)
     pairs = [(f, g) for f, g in C.compose if f not in ids and g not in ids]

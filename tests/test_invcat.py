@@ -1,19 +1,16 @@
 from hypothesis import given, settings, strategies as st
 
-from smallcat import fincat, invcat
+from smallcat import equivalence, fincat, invcat
 from smallcat.catmodel import is_isofibration
+from smallcat.equivalence import coproduct, product
 from smallcat.fincat import (
     CatFunctor,
     FiniteCategory,
-    coproduct,
     cyclic_group,
     discrete_category,
-    empty_category,
     group_category,
     opposite,
     parallel_pair,
-    product,
-    terminal_category,
     validate_category,
     validate_functor,
     walking_arrow,
@@ -38,6 +35,7 @@ from smallcat.invcat import (
     validate_equivariant,
     validate_involutive,
 )
+from smallcat.standard import empty_category, terminal_category
 
 
 def test_L_inv_counts_and_validity():
@@ -219,8 +217,8 @@ def test_L_preserves_cofibrations_and_equivalences():
         assert validate_functor(lf) == []
         if is_injective_on_objects(f):
             assert is_injective_on_objects(lf)
-        if fincat.is_equivalence(f):
-            assert fincat.is_equivalence(lf)
+        if equivalence.is_equivalence(f):
+            assert equivalence.is_equivalence(lf)
         ef = EquivariantFunctor(L_inv(f.domain), L_inv(f.codomain), lf)
         assert validate_equivariant(ef) == []
         if is_injective_on_objects(f):

@@ -7,7 +7,6 @@ from smallcat.fincat import validate_category, validate_functor
 from smallcat.nabla import (
     TruncatedRealSimplicialSet,
     TruncatedSimplicialSet,
-    build_nabla,
     conjugation_squares_hold,
     delta_leq,
     delta_name,
@@ -16,25 +15,24 @@ from smallcat.nabla import (
     from_involutive,
     generating_cofibrations,
     involution_levels,
-    is_normal_mono,
     monotone_pair_category,
     nabla_action,
     nabla_category,
     representable_rsset,
     to_involutive,
     validate_rsset,
-    validate_sset,
 )
-from smallcat.semidirect import validate_action
+from smallcat.presentations import build_nabla
+from smallcat.sdcheck import validate_action
 from smallcat.setval import (
     DiagramMap,
     SetDiagram,
     coproduct_diagrams,
-    diagram_pushout,
     quotient_diagram,
     validate_diagram,
-    validate_diagram_map,
 )
+from smallcat.simplicial import is_normal_mono, validate_sset
+from smallcat.universal import diagram_pushout, validate_diagram_map
 
 
 def binomial(n, k):

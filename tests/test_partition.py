@@ -1,4 +1,4 @@
-"""The quotients on ``fincat.least_members`` against the relabelling code
+"""The quotients on ``searchcore.least_members`` against the relabelling code
 they replaced.
 
 ``partition_oracle`` keeps the old colimit, quotient, component and
@@ -16,34 +16,33 @@ import partition_oracle as oracle
 from test_acceptance import random_category, random_functor, tractable_instance
 from test_catmodel import point_into_iso
 
-from smallcat.catmodel import pushout_category
+from smallcat.equivalence import coproduct
 from smallcat.fincat import (
     BudgetError,
     CatFunctor,
     chain_category,
     cyclic_group,
-    coproduct,
     discrete_category,
-    generators,
     group_category,
     identity_functor,
-    least_members,
     parallel_pair,
-    terminal_category,
     walking_arrow,
     walking_iso,
 )
+from smallcat.searchcore import generators, least_members
 from smallcat.setval import (
     SetDiagram,
     colimit,
     comma_over,
     comma_under,
-    connected_components,
     coproduct_diagrams,
     corepresentable,
     quotient_diagram,
     restrict,
 )
+from smallcat.soa import pushout_category
+from smallcat.standard import terminal_category
+from smallcat.universal import connected_components
 
 
 def same(new, old):

@@ -150,7 +150,8 @@ def test_factory_defaults_are_fresh_per_instance(cls):
 
 
 def test_post_init_checks_the_prime():
-    from smallcat.chaincx import FiniteAlgebra, FiniteComplex
+    from smallcat.chaincx import FiniteComplex
+    from smallcat.rings import FiniteAlgebra
     for cls in (FiniteComplex, FiniteAlgebra):
         values = dict(sample(cls), p=4)
         for make in (cls, twin(cls)):

@@ -20,35 +20,29 @@ from test_acceptance import random_category, tractable_instance
 from test_catmodel import small_corpus
 from test_cycops import positive_terminal_cyclic, sign_operad
 
-from smallcat import catmodel, cycops, fincat, setval
-from smallcat.catmodel import (
-    diagram_squares,
-    enumerate_squares,
-    iter_liftings,
-    solve_diagram_lifting,
-    solve_lifting,
+from smallcat import catmodel, cycmaps, cycops, fincat, kan, setval, standard
+from smallcat.catmodel import enumerate_squares, iter_liftings, solve_lifting
+from smallcat.equivalence import (
+    enumerate_naturals,
+    is_essentially_surjective,
+    is_faithful,
+    is_full,
 )
 from smallcat.fincat import (
     BudgetError,
     CatFunctor,
-    NodeBudget,
-    _iter_functors,
-    backtrack,
     chain_category,
-    constraint_lists,
     cyclic_group,
     discrete_category,
     enumerate_functors,
-    enumerate_naturals,
     group_category,
-    is_essentially_surjective,
-    is_faithful,
-    is_full,
     parallel_pair,
     walking_arrow,
     walking_iso,
 )
 from smallcat.nabla import delta_leq
+from smallcat.search import _iter_functors
+from smallcat.searchcore import NodeBudget, backtrack, constraint_lists
 from smallcat.setval import (
     DiagramMap,
     SetDiagram,
@@ -56,6 +50,7 @@ from smallcat.setval import (
     corepresentable,
     enumerate_diagram_maps,
 )
+from smallcat.soa import diagram_squares, solve_diagram_lifting
 
 
 def minimal_budget(run) -> int:
@@ -231,8 +226,8 @@ def test_lifting_budget_is_the_total_over_object_choices():
     # arrow over the point: each of the four object maps to {a, b} is a
     # choice, f has 1, 1, 0 and 1 candidates in them, so the search needs
     # 3 nodes, where a fresh budget per choice needed 1
-    arrow, pt = walking_arrow(), fincat.terminal_category()
-    empty_in = fincat.CatFunctor(fincat.empty_category(), arrow, {}, {})
+    arrow, pt = walking_arrow(), standard.terminal_category()
+    empty_in = fincat.CatFunctor(standard.empty_category(), arrow, {}, {})
     p = fincat.CatFunctor(arrow, pt, {"a": "pt", "b": "pt"},
                           {m: "id_pt" for m in arrow.morphisms})
     sq = catmodel.LiftingSquare(empty_in, p, empty_in, p)
@@ -407,7 +402,7 @@ def kan_diagram_maps(count):
     for _ in range(count):
         iota, X, Y = tractable_instance(rng)
         rY = setval.restrict(iota, Y)
-        yield ([setval.lan_unit(iota, X), setval.ran_counit(iota, X)]
+        yield ([kan.lan_unit(iota, X), kan.ran_counit(iota, X)]
                + enumerate_diagram_maps(rY, X)[:2]
                + enumerate_diagram_maps(X, rY)[:2])
 
@@ -441,21 +436,23 @@ def test_diagram_lifting_search_matches_oracle():
 
 def test_operad_map_search_matches_oracle():
     operads = [sign_operad(2), sign_operad(3), cycops.terminal_operad(3),
-               cycops.associative_operad(2)]
+               cycmaps.associative_operad(2)]
     for P in operads:
         for Q in operads:
             if P.arity_bound == Q.arity_bound:
-                assert cycops._enumerate_maps(P, Q) == oracle._enumerate_maps(P, Q)
-    cyclic = [cycops.terminal_cyclic_operad(3), positive_terminal_cyclic(3),
+                assert (cycmaps._enumerate_maps(P, Q)
+                        == oracle._enumerate_maps(P, Q))
+    cyclic = [cycmaps.terminal_cyclic_operad(3), positive_terminal_cyclic(3),
               cycops.right_adjoint_R(sign_operad(3))]
     for Q1 in cyclic:
         for Q2 in cyclic:
             args = (Q1.operad, Q2.operad, Q1.extended, Q2.extended)
-            assert cycops._enumerate_maps(*args) == oracle._enumerate_maps(*args)
+            assert (cycmaps._enumerate_maps(*args)
+                    == oracle._enumerate_maps(*args))
 
 
 def test_operad_map_search_is_budgeted():
     P = sign_operad(3)
-    assert cycops._enumerate_maps(P, P)
+    assert cycmaps._enumerate_maps(P, P)
     with pytest.raises(BudgetError, match="^operad map search exceeded budget$"):
-        cycops._enumerate_maps(P, P, node_budget=3)
+        cycmaps._enumerate_maps(P, P, node_budget=3)

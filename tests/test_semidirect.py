@@ -2,38 +2,31 @@
 import pytest
 
 from smallcat import fincat
+from smallcat.equivalence import is_full
 from smallcat.fincat import (
     CatFunctor,
     FiniteCategory,
     FiniteGroup,
     cyclic_group,
     discrete_category,
-    is_full,
     parallel_pair,
-    symmetric_group,
     validate_category,
     validate_functor,
     walking_arrow,
 )
-from smallcat.semidirect import (
-    GroupAction,
+from smallcat.sdcheck import (
     check_semidirect_hypotheses,
-    inclusion_iota,
     permutation_action,
-    semidirect,
     semidirect_op,
     trivial_action,
     twisted_coproduct,
     validate_action,
     verify_lan_formula,
 )
-from smallcat.setval import (
-    DiagramMap,
-    SetDiagram,
-    is_epi_diagram_map,
-    is_mono_diagram_map,
-    validate_diagram,
-)
+from smallcat.semidirect import GroupAction, inclusion_iota, semidirect
+from smallcat.setval import DiagramMap, SetDiagram, validate_diagram
+from smallcat.standard import symmetric_group
+from smallcat.universal import is_epi_diagram_map, is_mono_diagram_map
 
 
 def swap_action_on_two_points():
@@ -251,7 +244,7 @@ def test_check_semidirect_hypotheses_negative():
 
 
 def fincat_identity_map(F):
-    from smallcat.setval import identity_diagram_map
+    from smallcat.universal import identity_diagram_map
     return identity_diagram_map(F)
 
 

@@ -4,7 +4,18 @@ import random
 
 import pytest
 
-from smallcat import certify, coded, fincat, kan, setval
+from smallcat import (
+    certify,
+    coded,
+    equivalence,
+    fincat,
+    kan,
+    searchcore,
+    setval,
+    simplicial,
+    standard,
+)
+from smallcat.certify import certify_adjunction
 from smallcat.fincat import (
     CatFunctor,
     NaturalTransformation,
@@ -14,36 +25,34 @@ from smallcat.fincat import (
     group_category,
     cyclic_group,
     parallel_pair,
-    terminal_category,
     walking_arrow,
     walking_iso,
 )
+from smallcat.kan import lan_map, lan_unit, ran_counit, representable
 from smallcat.setval import (
     SetDiagram,
     DiagramMap,
-    certify_adjunction,
     certify_kan_adjunctions,
     colimit,
     comma_over,
     comma_under,
-    connected_components,
     coproduct_diagrams,
     corepresentable,
-    diagram_pushout,
     enumerate_diagram_maps,
-    identity_diagram_map,
-    is_iso_diagram_map,
     lan,
-    lan_map,
-    lan_unit,
     limit,
     quotient_diagram,
     ran,
-    ran_counit,
-    representable,
     restrict,
-    terminal_objects,
     validate_diagram,
+)
+from smallcat.standard import terminal_category
+from smallcat.universal import (
+    connected_components,
+    diagram_pushout,
+    identity_diagram_map,
+    is_iso_diagram_map,
+    terminal_objects,
     validate_diagram_map,
 )
 
@@ -146,7 +155,7 @@ def test_limit_discrete_shape_is_product():
 
 
 def test_limit_empty_shape_is_point():
-    X = SetDiagram.build(fincat.empty_category(), {}, {})
+    X = SetDiagram.build(standard.empty_category(), {}, {})
     assert limit(X).elements == ("()",)
     assert colimit(X).elements == ()
 
@@ -436,7 +445,7 @@ def test_lan_map_functorial():
 
 
 def test_connected_components():
-    C = fincat.coproduct(walking_arrow(), walking_iso())
+    C = equivalence.coproduct(walking_arrow(), walking_iso())
     comps = connected_components(C)
     assert len(comps) == 2
 
@@ -595,8 +604,8 @@ def _check_records(iota, X):
     :func:`comma_over`/:func:`comma_under` and their (co)limits, with each
     table read as the (co)limit it stands for; ``repr`` checks the order of
     every dict too."""
-    left = kan._lan_core(iota, setval._code(X))
-    right = kan._ran_core(iota, setval._code(X))
+    left = kan._lan_core(iota, coded._code(X))
+    right = kan._ran_core(iota, coded._code(X))
     for d in iota.codomain.objects:
         K, U = comma_over(iota, d), comma_under(d, iota)
         assert repr(left.objects[d]) == repr(K.object_data)
@@ -713,7 +722,7 @@ def test_kan_records_keep_the_comma_order_when_names_sort_apart():
                          {"id_x": {"v": "v", "v#": "v#"}, "id_x#": {"w": "w"}})
     Y = SetDiagram.build(pt, {"pt": ("y", "y#")},
                          {"id_pt": {"y": "y", "y#": "y#"}})
-    under = kan._ran_core(iota, setval._code(X)).objects["pt"]
+    under = kan._ran_core(iota, coded._code(X)).objects["pt"]
     assert list(under) == ["(id_pt,x)", "(id_pt,x#)"]
     assert sorted(under) == ["(id_pt,x#)", "(id_pt,x)"]
     _check_against_oracle(iota, X, Y, ([X], [Y], 2))
@@ -730,7 +739,7 @@ def test_rendered_records_match_the_named_builders_on_the_cofibrations():
     # 2.7e11 families under [2], yet each search fits its node budget
     sizes = []
     for n in range(3):
-        inc = nabla.boundary_inclusion_sset(2, n)
+        inc = simplicial.boundary_inclusion_sset(2, n)
         for X in (inc.source, inc.target):
             _check_rendered_records(iota_op, X)
             RX, counit = ran(iota_op, X), ran_counit(iota_op, X)
@@ -823,8 +832,8 @@ def _drop_family(R, rng):
     values = {**E.values, d: tuple(E.values[d][k] for k in keep)}
     tables = {**R.tables, d: {pair: tuple(col[k] for k in keep)
                               for pair, col in R.tables[d].items()}}
-    return kan.CodedKan(R.objects, setval.CodedDiagram(E.shape, values, action),
-                        tables)
+    return kan.CodedKan(R.objects,
+                        coded.CodedDiagram(E.shape, values, action), tables)
 
 
 def _permute_extension_action(R, rng):
@@ -833,8 +842,8 @@ def _permute_extension_action(R, rng):
     if not ms:
         return None
     m = rng.choice(ms)
-    extension = setval.CodedDiagram(E.shape, E.values,
-                                    {**E.action, m: _rotated(E.action[m])})
+    extension = coded.CodedDiagram(E.shape, E.values,
+                                   {**E.action, m: _rotated(E.action[m])})
     return kan.CodedKan(R.objects, extension, R.tables)
 
 
@@ -855,7 +864,7 @@ def _ran_transpose_by_projections(iota, Y, X, g):
     projections, as the coded certifier does, not by its name: a tuple of
     components that two families share goes to the later one, and one
     that no family has to ``None``, which no extension holds."""
-    R = kan._ran_core(iota, setval._code(X))
+    R = kan._ran_core(iota, coded._code(X))
     RX = kan._render(R.extension)
     comps = {}
     for d, objs in R.objects.items():
@@ -893,7 +902,7 @@ def _certify_with_corrupted_core(monkeypatch, corruption, rng, iota,
     maps rendered from it."""
     which, corrupt, by_projections = CORRUPTIONS[corruption]
     build = getattr(kan, which)
-    bad = corrupt(build(iota, setval._code(domain[0])), rng)
+    bad = corrupt(build(iota, coded._code(domain[0])), rng)
     if bad is None:
         return None
     # the certifier reads the cores from its own module, the oracle from kan
@@ -992,7 +1001,7 @@ def oracle_limit(monkeypatch):
     budgets = []
 
     def recording(limit, message):
-        budgets.append(fincat.NodeBudget(limit, message))
+        budgets.append(searchcore.NodeBudget(limit, message))
         return budgets[-1]
     monkeypatch.setattr(oracle, "NodeBudget", recording)
 
@@ -1044,7 +1053,7 @@ def test_limit_matches_the_name_level_family_search_on_the_cofibrations(
     iota_op = fincat.opposite_functor(
         nabla.inclusion_iota(nabla.nabla_category(2)))
     for n in range(3):
-        inc = nabla.boundary_inclusion_sset(2, n)
+        inc = simplicial.boundary_inclusion_sset(2, n)
         for X in (inc.source, inc.target):
             for d in iota_op.codomain.objects:
                 _check_limit(restrict(comma_under(d, iota_op).projection, X),
@@ -1098,7 +1107,7 @@ TWICE = SetDiagram(discrete_category(["o"]), {"o": ("a", "a")},
     lambda X: kan.lan(identity_functor(X.shape), X),
     lambda X: kan.ran(identity_functor(X.shape), X),
     lambda X: enumerate_diagram_maps(X, X),
-    lambda X: enumerate_diagram_maps(setval.representable(X.shape, "o"), X),
+    lambda X: enumerate_diagram_maps(kan.representable(X.shape, "o"), X),
 ], ids=["limit", "lan", "ran", "maps", "maps into"])
 def test_every_coded_path_rejects_an_element_listed_twice(run):
     # the coded diagram used to send a repeated element to its last

@@ -22,24 +22,25 @@ from smallcat.fincat import (
     chain_category,
     cyclic_group,
     discrete_category,
-    empty_category,
     enumerate_functors,
-    indiscrete_category,
     opposite,
     poset_category,
-    symmetric_group,
     tabulate,
     validate_category,
 )
 from smallcat.nabla import delta_leq, monotone_pair_category, nabla_action
-from smallcat.semidirect import (
-    GroupAction,
+from smallcat.sdcheck import (
     permutation_action,
-    semidirect,
     trivial_action,
     validate_action,
 )
+from smallcat.semidirect import GroupAction, semidirect
 from smallcat.setval import comma_over, comma_under
+from smallcat.standard import (
+    empty_category,
+    indiscrete_category,
+    symmetric_group,
+)
 
 
 def same(new, old):
